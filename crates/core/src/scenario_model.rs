@@ -625,19 +625,45 @@ mod tests {
 
     #[test]
     fn baseline_scenario_matches_paper_net() {
-        let cfg = small(12);
-        let m = build_scenario_model(&cfg, &ScenarioConfig::baseline());
-        assert_eq!(m.net.place_count(), 5);
-        assert_eq!(m.net.transition_count(), 7);
-        let (e, _, det) = evaluate_scenario(&cfg, &ScenarioConfig::baseline(), &[]).unwrap();
-        let base = evaluate(&cfg).unwrap();
-        assert!((e.mttsf_seconds - base.mttsf_seconds).abs() < 1e-9 * base.mttsf_seconds);
-        assert!(
-            (e.c_total_hop_bits_per_sec - base.c_total_hop_bits_per_sec).abs()
-                < 1e-9 * base.c_total_hop_bits_per_sec
-        );
-        assert_eq!(e.state_count, base.state_count);
-        assert!(det.compromises > 0.0 && det.detections > 0.0 && det.false_alarms > 0.0);
+        use crate::metrics::evaluate_graph;
+        use crate::model::build_model;
+        use spn::reach::{explore, ExploreOptions};
+        let bits = |e: &Evaluation| {
+            let c = e.cost_components;
+            [
+                e.mttsf_seconds,
+                e.c_total_hop_bits_per_sec,
+                c.group_comm,
+                c.status,
+                c.rekey,
+                c.ids,
+                c.beacon,
+                c.partition_merge,
+                e.p_failure_c1,
+                e.p_failure_c2,
+            ]
+            .map(f64::to_bits)
+        };
+        for n in [8, 12, 20] {
+            let cfg = small(n);
+            let times = [1.0e3, 1.0e4, 1.0e5];
+            let m = build_scenario_model(&cfg, &ScenarioConfig::baseline());
+            assert_eq!(m.net.place_count(), 5);
+            assert_eq!(m.net.transition_count(), 7);
+            let g = explore(&m.net, &ExploreOptions::default()).unwrap();
+            let (e, surv, det) = evaluate_scenario_graph(&m, &g, &times).unwrap();
+
+            let paper = build_model(&cfg);
+            let pg = explore(&paper.net, &ExploreOptions::default()).unwrap();
+            let (base, base_surv) = evaluate_graph(&paper, &pg, &times).unwrap();
+
+            assert_eq!(bits(&e), bits(&base), "N={n}");
+            assert_eq!(e.state_count, base.state_count);
+            assert_eq!(e.edge_count, base.edge_count);
+            let to_bits = |s: Vec<f64>| s.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(to_bits(surv.unwrap()), to_bits(base_surv.unwrap()), "N={n}");
+            assert!(det.compromises > 0.0 && det.detections > 0.0 && det.false_alarms > 0.0);
+        }
     }
 
     #[test]

@@ -6,10 +6,18 @@
 //! for the `survival` field. Both are committed in canonical encoding, so
 //! parse → re-encode must reproduce every file byte-for-byte.
 //!
-//! Regenerate after an intentional format change with:
+//! `fixtures/goldens/` holds computed reports: the exact report of every
+//! committed spec and its spn-sim report at the CI cross-validation
+//! replication budget. They pin the numbers, not just the format, so a
+//! refactor of the net builders or the reward pipeline that moves any
+//! result by one bit fails `report_goldens_match_computed_reports`.
+//!
+//! Regenerate after an intentional format or model change with:
 //! `cargo test -p integration-tests regenerate_fixtures -- --ignored`
 
-use engine::{BackendKind, Estimate, RunReport, SamplingPlan, ScenarioSpec};
+use engine::{
+    backend_for, BackendKind, Estimate, RunBudget, RunReport, SamplingPlan, ScenarioSpec,
+};
 use std::fs;
 use std::path::PathBuf;
 
@@ -264,6 +272,38 @@ fn fixture_reports() -> Vec<(&'static str, RunReport)> {
     ]
 }
 
+/// Replication cap of the spn-sim goldens: the CI cross-validation budget
+/// (`runner --max-replications 120`).
+const GOLDEN_REPLICATIONS: u64 = 120;
+
+/// The computed report goldens, as `(file name, canonical JSON)`: for every
+/// committed spec, its exact report and its spn-sim report capped at
+/// [`GOLDEN_REPLICATIONS`]. `wall_seconds` and `template_cache` depend on
+/// the run, not the model, so they are reset before encoding.
+fn computed_goldens() -> Vec<(String, String)> {
+    let budget = RunBudget {
+        max_replications: Some(GOLDEN_REPLICATIONS),
+        ..RunBudget::default()
+    };
+    let mut out = Vec::new();
+    for path in json_files("specs") {
+        let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
+        let text = fs::read_to_string(&path).unwrap();
+        let spec = ScenarioSpec::from_json(text.trim_end()).unwrap();
+        for kind in [BackendKind::Exact, BackendKind::SpnSim] {
+            let mut s = spec.clone();
+            s.backend = kind;
+            let mut report = backend_for(kind)
+                .run(&s, &budget)
+                .unwrap_or_else(|e| panic!("{stem} on {}: {e}", kind.name()));
+            report.wall_seconds = 0.0;
+            report.template_cache = None;
+            out.push((format!("{stem}.{}.json", kind.name()), report.to_json()));
+        }
+    }
+    out
+}
+
 /// Writes the canonical fixture files. Run explicitly after intentional
 /// format changes; the golden tests below pin the committed bytes.
 #[test]
@@ -278,6 +318,27 @@ fn regenerate_fixtures() {
     }
     for (name, report) in fixture_reports() {
         fs::write(reports.join(name), report.to_json() + "\n").unwrap();
+    }
+    let goldens = fixtures_dir().join("goldens");
+    fs::create_dir_all(&goldens).unwrap();
+    for (name, json) in computed_goldens() {
+        fs::write(goldens.join(name), json + "\n").unwrap();
+    }
+}
+
+#[test]
+fn report_goldens_match_computed_reports() {
+    let computed = computed_goldens();
+    assert_eq!(
+        computed.len(),
+        json_files("goldens").len(),
+        "golden set drifted (run regenerate_fixtures)"
+    );
+    for (name, json) in computed {
+        let path = fixtures_dir().join("goldens").join(&name);
+        let text = fs::read_to_string(&path)
+            .unwrap_or_else(|e| panic!("{}: {e} (run regenerate_fixtures)", path.display()));
+        assert_eq!(text.trim_end(), json, "{name} moved");
     }
 }
 
