@@ -32,18 +32,18 @@
 //!   report.
 
 use crate::config::{ClusterTopology, SystemConfig};
-use crate::cost::{cost_breakdown, gdh_rekey_hop_bits, CostBreakdown};
-use crate::metrics::{eviction_impulses, Evaluation};
+use crate::cost::{cost_breakdown, CostBreakdown};
+use crate::metrics::{eviction_impulses, rekey_impulses, solve_rewards, Evaluation, StateRates};
 use crate::model::{
     build_clustered_model, build_model, cluster_failed, clustered_canonicalizer, population,
     ClusteredModel, GcsIdsModel,
 };
 use numerics::special::ln_binomial;
+use scenario::ResponsePolicy;
 use spn::ctmc::{Ctmc, TransientOptions};
 use spn::error::SpnError;
 use spn::model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef};
 use spn::reach::{explore, ExploreOptions, MarkingCanonicalizer, ReachabilityGraph};
-use spn::reward::{ImpulseReward, RateReward};
 
 /// Which solution path [`evaluate_clustered_with_survival`] took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -261,13 +261,19 @@ pub fn evaluate_clustered_graph(
     let cfg = &model.config;
     let ctmc = Ctmc::from_graph(graph)?;
     let absorption = ctmc.mean_time_to_absorption()?;
-
-    // Rate components: every cluster that has not locally failed accrues
-    // the per-cluster cost of its own population.
-    let rate_components: Vec<CostBreakdown> = graph
-        .states
-        .iter()
-        .map(|m| {
+    // Every cluster that has not locally failed accrues the per-cluster
+    // cost of its own population; each cluster's evictions charge a rekey
+    // of its own group.
+    let impulses = rekey_impulses(
+        &model.net,
+        cfg,
+        ResponsePolicy::Evict,
+        (model.cluster_places.iter().enumerate()).map(|(i, p)| (format!("#{i}"), *p)),
+    )?;
+    let rates = StateRates::new(
+        &model.net,
+        graph,
+        |m| {
             let mut acc = CostBreakdown::default();
             for p in &model.cluster_places {
                 if !cluster_failed(p, m) {
@@ -275,58 +281,18 @@ pub fn evaluate_clustered_graph(
                 }
             }
             acc
-        })
-        .collect();
-
-    // Eviction rekeys per cluster (a failed cluster's eviction transitions
-    // are guarded off, so they contribute nothing automatically).
-    let mut impulse_rates = vec![0.0; graph.state_count()];
-    for imp in clustered_eviction_impulses(model)? {
-        for (acc, v) in impulse_rates
-            .iter_mut()
-            .zip(imp.per_state(&model.net, graph))
-        {
-            *acc += v;
-        }
-    }
-
-    let mttsf = absorption.mtta;
-    let mut accumulated = CostBreakdown::default();
-    let mut accumulated_impulse = 0.0;
-    for (i, sojourn) in absorption.sojourn.iter().enumerate() {
-        if *sojourn > 0.0 {
-            accumulated = accumulated.add(&rate_components[i].scale(*sojourn));
-            accumulated_impulse += impulse_rates[i] * sojourn;
-        }
-    }
-    accumulated.rekey += accumulated_impulse;
-    let components = if mttsf > 0.0 {
-        accumulated.scale(1.0 / mttsf)
-    } else {
-        CostBreakdown::default()
-    };
-
-    let (p_c1, p_c2) = absorbing_flux_split(model, graph, &absorption.sojourn);
-
-    let mut evaluation = Evaluation {
-        mttsf_seconds: mttsf,
-        c_total_hop_bits_per_sec: components.total(),
-        cost_components: components,
-        p_failure_c1: p_c1,
-        p_failure_c2: p_c2,
-        state_count: graph.state_count(),
-        edge_count: graph.edge_count(),
-        transient: None,
-    };
-    let survival = if mission_times.is_empty() {
-        None
-    } else {
-        let (curve, stats) =
-            ctmc.survival_curve_with_stats(mission_times, &TransientOptions::default());
-        evaluation.transient = Some(stats);
-        Some(curve)
-    };
-    Ok((evaluation, survival))
+        },
+        &impulses,
+    );
+    let split = absorbing_flux_split(model, graph, &absorption.sojourn);
+    Ok(solve_rewards(
+        graph,
+        &ctmc,
+        &absorption,
+        &rates,
+        split,
+        mission_times,
+    ))
 }
 
 /// Exact failure-cause split for a flat clustered graph: the probability
@@ -376,54 +342,6 @@ fn absorbing_flux_split(
     } else {
         (0.0, 0.0)
     }
-}
-
-/// Per-cluster eviction-rekey impulse rewards for a flat clustered net
-/// (every cluster's `T_IDS#i` / `T_FA#i` firing charges a GDH rekey of
-/// that cluster's current group size), shared by the exact evaluator and
-/// the SPN-simulation backend. A failed cluster's eviction transitions
-/// are guarded off, so they stop charging automatically.
-///
-/// # Errors
-/// Returns [`SpnError::InvalidModel`] if the net is missing an eviction
-/// transition.
-pub fn clustered_eviction_impulses(model: &ClusteredModel) -> Result<Vec<ImpulseReward>, SpnError> {
-    let mut out = Vec::new();
-    for (i, places) in model.cluster_places.iter().enumerate() {
-        let places = *places;
-        for base in ["T_IDS", "T_FA"] {
-            let name = format!("{base}#{i}");
-            let t = model
-                .net
-                .transition_by_name(&name)
-                .ok_or_else(|| SpnError::InvalidModel(format!("missing transition {name}")))?;
-            let cfg = model.config.clone();
-            out.push(ImpulseReward::new(
-                format!("evict-rekey-{name}"),
-                t,
-                move |m: &Marking| {
-                    let pop = population(&places, m);
-                    gdh_rekey_hop_bits(&cfg, pop.per_group_live())
-                },
-            ));
-        }
-    }
-    Ok(out)
-}
-
-/// A total-cost rate reward over a flat clustered net (the SPN-simulation
-/// counterpart of the exact per-state rates): each non-failed cluster
-/// contributes its own population's cost.
-pub fn clustered_total_cost_reward(model: &ClusteredModel) -> RateReward {
-    let cfg = model.config.clone();
-    let blocks = model.cluster_places.clone();
-    RateReward::new("c_total_rate", move |m| {
-        blocks
-            .iter()
-            .filter(|p| !cluster_failed(p, m))
-            .map(|p| cost_breakdown(&cfg, &population(p, m)).total())
-            .sum()
-    })
 }
 
 /// The parent inter-cluster model of the hierarchical path: one place per
@@ -597,30 +515,25 @@ fn hierarchical_compose(
     // rate and the cause mix actually move.
     let places = cluster_model.places;
     let cfg = &cluster_model.config;
-    let n = cluster_graph.state_count();
-    let mut state_rates: Vec<CostBreakdown> = (0..n)
-        .map(|i| {
-            if cluster_graph.absorbing[i] {
+    let rates = StateRates::new(
+        &cluster_model.net,
+        cluster_graph,
+        |m| cost_breakdown(cfg, &population(&places, m)),
+        &eviction_impulses(cluster_model)?,
+    );
+    // Absorbed clusters accrue nothing; live ones fold their rekey
+    // impulses into the rekey component.
+    let state_rates: Vec<CostBreakdown> = (rates.cost.into_iter().zip(rates.impulse))
+        .zip(&cluster_graph.absorbing)
+        .map(|((mut c, imp), &absorbed)| {
+            if absorbed {
                 CostBreakdown::default()
             } else {
-                cost_breakdown(cfg, &population(&places, &cluster_graph.states[i]))
+                c.rekey += imp;
+                c
             }
         })
         .collect();
-    let mut impulse_rates = vec![0.0; n];
-    for imp in eviction_impulses(cluster_model)? {
-        for (acc, v) in impulse_rates
-            .iter_mut()
-            .zip(imp.per_state(&cluster_model.net, cluster_graph))
-        {
-            *acc += v;
-        }
-    }
-    for i in 0..n {
-        if !cluster_graph.absorbing[i] {
-            state_rates[i].rekey += impulse_rates[i];
-        }
-    }
 
     const PROBES: usize = 33;
     let probe_times: Vec<f64> = (0..PROBES)

@@ -64,11 +64,11 @@ pub use des_mobility::{
     run_mobility_des, run_mobility_des_sampled, MobilityDesConfig, MobilityDesOutcome,
 };
 pub use metrics::{evaluate, Evaluation};
-pub use model::{build_clustered_model, clustered_canonicalizer, ClusteredModel};
+pub use model::{
+    build_clustered_model, build_scenario_model, clustered_canonicalizer, ClusteredModel,
+};
 pub use pareto::{design_space, pareto_front, DesignPoint};
 pub use scenario_model::{
-    build_scenario_model, evaluate_scenario, evaluate_scenario_graph, scenario_cost_reward,
-    scenario_failed, scenario_impulses, scenario_system, DetectionTotals, ScenarioModel,
-    ScenarioPlaces,
+    evaluate_scenario, evaluate_scenario_graph, scenario_system, DetectionTotals,
 };
 pub use sweep::{optimal_tids_for_mttsf, sweep_tids, SweepPoint, SweepSeries};

@@ -8,9 +8,11 @@
 
 use crate::config::SystemConfig;
 use crate::cost::{cost_breakdown, gdh_rekey_hop_bits, CostBreakdown};
-use crate::model::{build_model, population, GcsIdsModel};
-use spn::ctmc::{Ctmc, CtmcTemplate, TransientOptions};
+use crate::model::{build_model, population, GcsIdsModel, Places};
+use scenario::ResponsePolicy;
+use spn::ctmc::{AbsorptionAnalysis, Ctmc, CtmcTemplate, TransientOptions};
 use spn::error::SpnError;
+use spn::model::{Marking, Spn};
 use spn::reach::{explore, ExploreOptions, ReachabilityGraph};
 use spn::reward::{ImpulseReward, RateReward};
 use spn::transient::TransientStats;
@@ -48,7 +50,7 @@ pub fn evaluate(cfg: &SystemConfig) -> Result<Evaluation, SpnError> {
     cfg.validate().map_err(SpnError::InvalidModel)?;
     let model = build_model(cfg);
     let graph = explore(&model.net, &ExploreOptions::default())?;
-    evaluate_prebuilt(&model, &graph)
+    evaluate_graph(&model, &graph, &[]).map(|(e, _)| e)
 }
 
 /// Explore-once-solve-many evaluator for rate-only configuration families.
@@ -206,6 +208,7 @@ impl ExactTemplate {
             scratch.graph.reweight_in_place(&model.net)?;
             self.ctmc.refresh(&scratch.graph, &mut scratch.ctmc)?;
             evaluate_with_ctmc(&model, &scratch.graph, &scratch.ctmc, mission_times)
+                .map(|(e, s, _)| (e, s))
         })();
         self.scratch
             .lock()
@@ -258,130 +261,125 @@ pub fn evaluate_graph(
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
     let ctmc = Ctmc::from_graph(graph)?;
-    evaluate_with_ctmc(model, graph, &ctmc, mission_times)
+    evaluate_with_ctmc(model, graph, &ctmc, mission_times).map(|(e, s, _)| (e, s))
 }
 
-/// Exact mission survival `P[no security failure by t]` for each horizon in
-/// the ascending grid `mission_times`: one uniformization sweep over the
-/// tangible CTMC, reading off the non-absorbed probability mass — the
-/// transient counterpart of the MTTSF absorption solve.
+/// The response policy's rekey impulse rewards (see [`rekey_impulses`]),
+/// shared by the exact evaluator and the SPN-simulation backend. For the
+/// paper's net that is a GDH rekey on every `T_IDS` or `T_FA` eviction.
 ///
 /// # Errors
-/// Returns [`SpnError::InvalidModel`] for a degenerate graph.
-pub fn survival_exact(
-    graph: &ReachabilityGraph,
-    mission_times: &[f64],
-) -> Result<Vec<f64>, SpnError> {
-    let ctmc = Ctmc::from_graph(graph)?;
-    Ok(ctmc.survival_curve(mission_times, &TransientOptions::default()))
-}
-
-/// The eviction-rekey impulse rewards (a GDH rekey charged on every `T_IDS`
-/// or `T_FA` firing) shared by the exact evaluator and the SPN-simulation
-/// backend.
-///
-/// # Errors
-/// Returns [`SpnError::InvalidModel`] if the model is missing the eviction
-/// transitions.
+/// Returns [`SpnError::InvalidModel`] if the model is missing one of the
+/// policy's transitions.
 pub fn eviction_impulses(model: &GcsIdsModel) -> Result<Vec<ImpulseReward>, SpnError> {
-    let cfg = &model.config;
-    let places = model.places;
-    ["T_IDS", "T_FA"]
-        .iter()
-        .map(|name| {
-            let t = model
-                .net
-                .transition_by_name(name)
+    rekey_impulses(
+        &model.net,
+        &model.config,
+        model.scenario.response,
+        [(String::new(), model.places)],
+    )
+}
+
+/// The response policy's rekey actions as impulse rewards, for every
+/// `(name suffix, places)` block of `net`: each firing charges one GDH
+/// rekey of the block's current group size. Evict charges every
+/// conviction (`T_IDS`, `T_FA`). Quarantine also charges the rejoin rekeys
+/// of released nodes (`T_REL_G`, `T_REL_B`); a confirmed eviction
+/// (`T_CONF_B`) needs none, since the node is already keyed out. Throttle
+/// charges one rekey per served queue entry (`T_RKSRV`) and nothing at
+/// conviction time. A frozen block's transitions are guarded off, so it
+/// stops charging on its own.
+pub(crate) fn rekey_impulses(
+    net: &Spn,
+    cfg: &SystemConfig,
+    response: ResponsePolicy,
+    blocks: impl IntoIterator<Item = (String, Places)>,
+) -> Result<Vec<ImpulseReward>, SpnError> {
+    let names: &[&str] = match response {
+        ResponsePolicy::Evict => &["T_IDS", "T_FA"],
+        ResponsePolicy::QuarantineRejoin { .. } => &["T_IDS", "T_FA", "T_REL_G", "T_REL_B"],
+        ResponsePolicy::RekeyThrottle { .. } => &["T_RKSRV"],
+    };
+    let mut out = Vec::new();
+    for (suffix, places) in blocks {
+        for base in names {
+            let name = format!("{base}{suffix}");
+            let t = net
+                .transition_by_name(&name)
                 .ok_or_else(|| SpnError::InvalidModel(format!("missing transition {name}")))?;
-            Ok(ImpulseReward::new(format!("evict-rekey-{name}"), t, {
-                let cfg = cfg.clone();
-                move |m: &spn::model::Marking| {
-                    let pop = population(&places, m);
-                    gdh_rekey_hop_bits(&cfg, pop.per_group_live())
-                }
-            }))
-        })
-        .collect()
-}
-
-/// Evaluate a model whose reachability graph is already known (lets sweeps
-/// that only change rates reuse the exploration when the structure is
-/// unchanged — note rates are baked into edges, so this is only valid for
-/// the graph built from the same model).
-pub fn evaluate_prebuilt(
-    model: &GcsIdsModel,
-    graph: &ReachabilityGraph,
-) -> Result<Evaluation, SpnError> {
-    let ctmc = Ctmc::from_graph(graph)?;
-    evaluate_with_ctmc(model, graph, &ctmc, &[]).map(|(e, _)| e)
-}
-
-/// The shared evaluation core: steady metrics (plus the optional survival
-/// curve) on a CTMC that is already built — freshly via [`Ctmc::from_graph`]
-/// on the one-shot paths, or refreshed in place on the rebuild-free
-/// template path. `ctmc` must be the chain of `graph`'s current rates.
-pub(crate) fn evaluate_with_ctmc(
-    model: &GcsIdsModel,
-    graph: &ReachabilityGraph,
-    ctmc: &Ctmc,
-    mission_times: &[f64],
-) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
-    let cfg = &model.config;
-    let places = model.places;
-    let absorption = ctmc.mean_time_to_absorption()?;
-
-    // --- cost rewards -----------------------------------------------------
-    // Rate components evaluated per state.
-    let rate_components: Vec<CostBreakdown> = graph
-        .states
-        .iter()
-        .map(|m| cost_breakdown(cfg, &population(&places, m)))
-        .collect();
-
-    // Impulse rewards: a GDH rekey per eviction (T_IDS / T_FA firing).
-    let mut impulse_rates = vec![0.0; graph.state_count()];
-    for imp in eviction_impulses(model)? {
-        for (acc, v) in impulse_rates
-            .iter_mut()
-            .zip(imp.per_state(&model.net, graph))
-        {
-            *acc += v;
+            let cfg = cfg.clone();
+            out.push(ImpulseReward::new(
+                format!("rekey-{name}"),
+                t,
+                move |m: &Marking| {
+                    gdh_rekey_hop_bits(&cfg, population(&places, m).per_group_live())
+                },
+            ));
         }
     }
+    Ok(out)
+}
 
+/// Per-state reward rates of an explored graph: the input of the reward
+/// core [`solve_rewards`].
+pub(crate) struct StateRates {
+    /// Cost components accrued per unit time in each state.
+    pub(crate) cost: Vec<CostBreakdown>,
+    /// Rekey-impulse hop·bits expected per unit time in each state.
+    pub(crate) impulse: Vec<f64>,
+}
+
+impl StateRates {
+    /// `cost` evaluated on every state, and the summed firing rates of
+    /// `impulses` weighted by their per-firing amounts.
+    pub(crate) fn new(
+        net: &Spn,
+        graph: &ReachabilityGraph,
+        cost: impl Fn(&Marking) -> CostBreakdown,
+        impulses: &[ImpulseReward],
+    ) -> Self {
+        let mut impulse = vec![0.0; graph.state_count()];
+        for imp in impulses {
+            for (acc, v) in impulse.iter_mut().zip(imp.per_state(net, graph)) {
+                *acc += v;
+            }
+        }
+        Self {
+            cost: graph.states.iter().map(cost).collect(),
+            impulse,
+        }
+    }
+}
+
+/// The reward core of every single-chain exact evaluator (paper net,
+/// scenario net, flat clustered net): weight each state's cost components
+/// and rekey impulses by its expected sojourn until absorption, average
+/// over MTTSF, and sweep the optional mission grid on the same CTMC.
+/// `split` is the evaluator's own (C1, C2) failure-cause split.
+pub(crate) fn solve_rewards(
+    graph: &ReachabilityGraph,
+    ctmc: &Ctmc,
+    absorption: &AbsorptionAnalysis,
+    rates: &StateRates,
+    (p_c1, p_c2): (f64, f64),
+    mission_times: &[f64],
+) -> (Evaluation, Option<Vec<f64>>) {
     let mttsf = absorption.mtta;
-    // Accumulate each component over the sojourn vector.
     let mut accumulated = CostBreakdown::default();
     let mut accumulated_impulse = 0.0;
     for (i, sojourn) in absorption.sojourn.iter().enumerate() {
         if *sojourn > 0.0 {
-            accumulated = accumulated.add(&rate_components[i].scale(*sojourn));
-            accumulated_impulse += impulse_rates[i] * sojourn;
+            accumulated = accumulated.add(&rates.cost[i].scale(*sojourn));
+            accumulated_impulse += rates.impulse[i] * sojourn;
         }
     }
-    // Eviction rekeys belong to the rekey component.
+    // Rekey impulses belong to the rekey component.
     accumulated.rekey += accumulated_impulse;
-
     let components = if mttsf > 0.0 {
         accumulated.scale(1.0 / mttsf)
     } else {
         CostBreakdown::default()
     };
-
-    // --- failure-cause split ------------------------------------------------
-    let mut p_c1 = 0.0;
-    let mut p_c2 = 0.0;
-    for (i, &p) in absorption.absorption_probability.iter().enumerate() {
-        if p <= 0.0 {
-            continue;
-        }
-        let m = &graph.states[i];
-        if m.tokens(places.gf) > 0 {
-            p_c1 += p;
-        } else {
-            p_c2 += p;
-        }
-    }
 
     let mut evaluation = Evaluation {
         mttsf_seconds: mttsf,
@@ -401,7 +399,53 @@ pub(crate) fn evaluate_with_ctmc(
         evaluation.transient = Some(stats);
         Some(curve)
     };
-    Ok((evaluation, survival))
+    (evaluation, survival)
+}
+
+/// The single-system evaluator on a CTMC that is already built — freshly
+/// via [`Ctmc::from_graph`] on the one-shot paths, or refreshed in place
+/// on the rebuild-free template path. `ctmc` must be the chain of
+/// `graph`'s current rates. Also returns the absorption analysis, from
+/// which the scenario evaluator reads its detection totals.
+pub(crate) fn evaluate_with_ctmc(
+    model: &GcsIdsModel,
+    graph: &ReachabilityGraph,
+    ctmc: &Ctmc,
+    mission_times: &[f64],
+) -> Result<(Evaluation, Option<Vec<f64>>, AbsorptionAnalysis), SpnError> {
+    let cfg = &model.config;
+    let places = model.places;
+    let absorption = ctmc.mean_time_to_absorption()?;
+    let rates = StateRates::new(
+        &model.net,
+        graph,
+        |m| cost_breakdown(cfg, &population(&places, m)),
+        &eviction_impulses(model)?,
+    );
+
+    // Failure-cause split: a leaked-data token marks C1, anything else C2.
+    let mut p_c1 = 0.0;
+    let mut p_c2 = 0.0;
+    for (i, &p) in absorption.absorption_probability.iter().enumerate() {
+        if p <= 0.0 {
+            continue;
+        }
+        if graph.states[i].tokens(places.gf) > 0 {
+            p_c1 += p;
+        } else {
+            p_c2 += p;
+        }
+    }
+
+    let (evaluation, survival) = solve_rewards(
+        graph,
+        ctmc,
+        &absorption,
+        &rates,
+        (p_c1, p_c2),
+        mission_times,
+    );
+    Ok((evaluation, survival, absorption))
 }
 
 /// A RateReward adapter for the total cost (exposed for reuse by the
@@ -572,10 +616,10 @@ mod tests {
         let cfg = small(12, 3, 120.0);
         let model = build_model(&cfg);
         let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
-        let e = evaluate_prebuilt(&model, &graph).unwrap();
+        let (e, _) = evaluate_graph(&model, &graph, &[]).unwrap();
         let m = e.mttsf_seconds;
         let times = [0.0, 0.25 * m, m, 4.0 * m];
-        let s = survival_exact(&graph, &times).unwrap();
+        let s = evaluate_graph(&model, &graph, &times).unwrap().1.unwrap();
         assert!((s[0] - 1.0).abs() < 1e-9);
         for w in s.windows(2) {
             assert!(w[1] <= w[0] + 1e-9, "{s:?}");
@@ -594,7 +638,10 @@ mod tests {
             .unwrap();
         let model = build_model(&variant);
         let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
-        let direct = survival_exact(&graph, &[1.0e4, 1.0e5]).unwrap();
+        let direct = evaluate_graph(&model, &graph, &[1.0e4, 1.0e5])
+            .unwrap()
+            .1
+            .unwrap();
         let surv = surv.unwrap();
         for (a, b) in surv.iter().zip(&direct) {
             assert!((a - b).abs() < 1e-9, "{surv:?} vs {direct:?}");

@@ -21,12 +21,16 @@
 //! checked exactly as `2U > T` in integers.
 
 use crate::config::{ClusterTopology, SystemConfig};
-use ids::voting::{p_false_negative_with_collusion, p_false_positive_with_collusion};
+use crate::scenario_model::scenario_system;
+use ids::voting::{
+    p_false_negative_with_collusion, p_false_positive_with_collusion, CollusionModel,
+};
 use numerics::UnionFind;
+use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
 use spn::model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef};
 use spn::reach::MarkingCanonicalizer;
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::sync::{Mutex, PoisonError};
 
 /// Place handles of the constructed net.
 #[derive(Debug, Clone, Copy)]
@@ -43,15 +47,26 @@ pub struct Places {
     pub ng: PlaceId,
 }
 
-/// The model: net plus place handles and the configuration it was built
-/// from.
+/// The model: net plus place handles, the configuration it was built
+/// from, and the scenario it encodes.
 pub struct GcsIdsModel {
     /// The stochastic Petri net.
     pub net: Spn,
-    /// Place handles.
+    /// The paper's `Tm`/`UCm`/`DCm`/`GF`/`NG` place handles.
     pub places: Places,
-    /// Configuration snapshot.
+    /// Burst attacker phase (`AM`, 1 = active); burst attacker only.
+    pub attack_mode: Option<PlaceId>,
+    /// Quarantined good nodes (`QGm`); quarantine-and-rejoin only.
+    pub quarantine_good: Option<PlaceId>,
+    /// Quarantined compromised nodes (`QBm`); quarantine-and-rejoin only.
+    pub quarantine_bad: Option<PlaceId>,
+    /// Queued eviction rekeys (`PRm`); rekey-throttle only.
+    pub pending_rekeys: Option<PlaceId>,
+    /// Effective configuration: the input with the scenario's stationary
+    /// transform applied ([`scenario_system`]).
     pub config: SystemConfig,
+    /// The scenario the net encodes (baseline for the paper's net).
+    pub scenario: ScenarioConfig,
 }
 
 /// Population snapshot extracted from a marking.
@@ -151,18 +166,108 @@ pub fn cluster_failed(places: &Places, m: &Marking) -> bool {
     m.tokens(places.gf) > 0 || c2_holds(t, u) || t + u == 0
 }
 
-/// Add one GCS/IDS sub-system (5 places, 7 transitions) to `b`, with
-/// `suffix` appended to every place/transition name (empty for the flat
-/// model). When `freeze_on_local_failure` is set, every transition of the
-/// block is guarded off once [`cluster_failed`] holds on the block's own
-/// places — a failed cluster stops evolving (and accruing cost) while the
-/// rest of a clustered system keeps running.
+/// Voting false-negative probability under a targeted attacker: the
+/// colluders' effective malice probability grows with the foothold.
+fn pfn_targeted(cfg: &SystemConfig, pop: &Population, focus: f64) -> f64 {
+    if pop.undetected == 0 {
+        return 0.0;
+    }
+    let (good, bad) = pop.per_group_for_bad_target();
+    let q = scenario::targeted_effective_collusion(
+        cfg.collusion.malice_probability(),
+        focus,
+        pop.trusted,
+        pop.undetected,
+    );
+    p_false_negative_with_collusion(
+        good,
+        bad,
+        cfg.vote_participants,
+        cfg.p1_host_false_negative,
+        CollusionModel::Probabilistic(q),
+    )
+}
+
+/// Voting false-positive probability under a targeted attacker.
+fn pfp_targeted(cfg: &SystemConfig, pop: &Population, focus: f64) -> f64 {
+    if pop.trusted == 0 {
+        return 0.0;
+    }
+    let (good, bad) = pop.per_group_for_good_target();
+    let q = scenario::targeted_effective_collusion(
+        cfg.collusion.malice_probability(),
+        focus,
+        pop.trusted,
+        pop.undetected,
+    );
+    p_false_positive_with_collusion(
+        good,
+        bad,
+        cfg.vote_participants,
+        cfg.p2_host_false_positive,
+        CollusionModel::Probabilistic(q),
+    )
+}
+
+/// Memoize a voting error probability on the target group's (good, bad)
+/// split. Without a targeted attacker the probability depends on nothing
+/// else, and the split collapses the many (T, U, NG) markings onto a
+/// handful of pairs, so repeated rate evaluations (exploration,
+/// re-weighting, simulation) pay the log-space voting math once per pair.
+fn memoized(
+    split: fn(&Population) -> (u32, u32),
+    p: impl Fn(&Population) -> f64 + Send + Sync + 'static,
+) -> impl Fn(&Population) -> f64 + Send + Sync + 'static {
+    let cache: Mutex<HashMap<(u32, u32), f64>> = Mutex::new(HashMap::new());
+    move |pop| {
+        *cache
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .entry(split(pop))
+            .or_insert_with(|| p(pop))
+    }
+}
+
+/// The place handles of one block, with its scenario extras.
+#[derive(Debug, Clone, Copy)]
+struct Block {
+    places: Places,
+    attack_mode: Option<PlaceId>,
+    quarantine_good: Option<PlaceId>,
+    quarantine_bad: Option<PlaceId>,
+    pending_rekeys: Option<PlaceId>,
+}
+
+impl Block {
+    /// [`cluster_failed`], except that under quarantine attrition also
+    /// needs an empty quarantine, since quarantined nodes can still rejoin.
+    fn failed(&self, m: &Marking) -> bool {
+        let quarantined = self.quarantine_good.map_or(0, |p| m.tokens(p))
+            + self.quarantine_bad.map_or(0, |p| m.tokens(p));
+        let t = m.tokens(self.places.tm);
+        let u = m.tokens(self.places.ucm);
+        m.tokens(self.places.gf) > 0 || c2_holds(t, u) || (t + u == 0 && quarantined == 0)
+    }
+}
+
+/// Add one GCS/IDS sub-system to `b`: the paper's 5 places and 7
+/// transitions, plus the places and transitions of the scenario's
+/// non-baseline axes. `suffix` is appended to every place/transition name
+/// (empty for a single-system net). When `freeze_on_local_failure` is set,
+/// every transition of the block is guarded off once the block's own
+/// failure predicate holds — a failed cluster stops evolving (and accruing
+/// cost) while the rest of a clustered system keeps running.
+///
+/// The scenario is resolved here, once: each rate closure is built for
+/// its axis value, so the paper net's closures do no scenario work per
+/// call. `cfg` is the effective configuration ([`scenario_system`]).
 fn add_subsystem(
     b: &mut SpnBuilder,
     cfg: &SystemConfig,
+    sc: &ScenarioConfig,
     suffix: &str,
     freeze_on_local_failure: bool,
-) -> Places {
+) -> Block {
     let tm = b.add_place(format!("Tm{suffix}"), cfg.node_count);
     let ucm = b.add_place(format!("UCm{suffix}"), 0);
     let dcm = b.add_place(format!("DCm{suffix}"), 0);
@@ -175,169 +280,288 @@ fn add_subsystem(
         gf,
         ng,
     };
+    let attack_mode = matches!(sc.attacker, AttackerStrategy::Burst { .. })
+        .then(|| b.add_place(format!("AM{suffix}"), 0));
+    let quarantine = matches!(sc.response, ResponsePolicy::QuarantineRejoin { .. }).then(|| {
+        let good = b.add_place(format!("QGm{suffix}"), 0);
+        (good, b.add_place(format!("QBm{suffix}"), 0))
+    });
+    let pending_rekeys = matches!(sc.response, ResponsePolicy::RekeyThrottle { .. })
+        .then(|| b.add_place(format!("PRm{suffix}"), 0));
+    let block = Block {
+        places,
+        attack_mode,
+        quarantine_good: quarantine.map(|q| q.0),
+        quarantine_bad: quarantine.map(|q| q.1),
+        pending_rekeys,
+    };
 
-    // `Places` is `Copy`, so this tiny predicate can be captured by every
+    // `Block` is `Copy`, so this tiny predicate can be captured by every
     // guard below. With `freeze_on_local_failure` unset it never fires and
-    // the guards are skipped entirely, leaving the flat model untouched.
-    let frozen = move |m: &Marking| cluster_failed(&places, m);
+    // the guards are skipped entirely, leaving the single-system net
+    // untouched.
+    let frozen = move |m: &Marking| freeze_on_local_failure && block.failed(m);
     let guarded = |def: TransitionDef| -> TransitionDef {
         if freeze_on_local_failure {
-            def.guard(move |m| !frozen(m))
+            def.guard(move |m| !block.failed(m))
         } else {
             def
         }
     };
 
-    // T_CP: a trusted node is compromised at the attacker rate A(mc).
-    {
-        let attacker = cfg.attacker;
-        b.add_transition(guarded(
-            TransitionDef::timed(format!("T_CP{suffix}"), move |m| {
+    // T_CP: a trusted node is compromised at the attacker rate A(mc),
+    // scaled by the targeted foothold multiplier or the burst phase.
+    let attacker = cfg.attacker;
+    let capture = format!("T_CP{suffix}");
+    let focus = sc.attacker.focus();
+    let t_cp = match (sc.attacker, attack_mode) {
+        (AttackerStrategy::Burst { multiplier, .. }, Some(am)) => {
+            TransitionDef::timed(capture, move |m| {
                 attacker.rate(m.tokens(tm), m.tokens(ucm))
+                    * scenario::burst_capture_multiplier(multiplier, m.tokens(am) >= 1)
             })
-            .input(tm, 1)
-            .output(ucm, 1),
-        ));
-    }
+        }
+        _ if focus > 0.0 => TransitionDef::timed(capture, move |m| {
+            let (t, u) = (m.tokens(tm), m.tokens(ucm));
+            attacker.rate(t, u) * scenario::targeted_capture_multiplier(focus, t, u)
+        }),
+        _ => TransitionDef::timed(capture, move |m| attacker.rate(m.tokens(tm), m.tokens(ucm))),
+    };
+    b.add_transition(guarded(t_cp.input(tm, 1).output(ucm, 1)));
 
-    // T_IDS: voting IDS catches an undetected compromised node. The voting
-    // error probabilities depend only on the target group's (good, bad)
-    // split, which collapses the many (T, U, NG) markings onto a handful of
-    // pairs — memoize them so repeated rate evaluations (exploration,
-    // re-weighting, simulation) pay the log-space voting math once per
-    // pair.
-    {
-        let cfg_c = cfg.clone();
-        let n_init = cfg.node_count;
-        let cache: Mutex<HashMap<(u32, u32), f64>> = Mutex::new(HashMap::new());
-        b.add_transition(guarded(
-            TransitionDef::timed(format!("T_IDS{suffix}"), move |m| {
-                let pop = population(&places, m);
-                if pop.undetected == 0 {
-                    return 0.0;
-                }
-                let d = cfg_c.detection.rate(n_init, pop.trusted, pop.undetected);
-                let (good, bad) = pop.per_group_for_bad_target();
-                let pfn = *cache
-                    .lock()
-                    .expect("pfn cache poisoned")
-                    .entry((good, bad))
-                    .or_insert_with(|| pfn_for(&cfg_c, &pop));
-                pop.undetected as f64 * d * (1.0 - pfn)
-            })
-            .input(ucm, 1)
-            .output(dcm, 1),
-        ));
-    }
-
-    // T_FA: voting IDS falsely evicts a trusted node (same memoization).
-    {
-        let cfg_c = cfg.clone();
-        let n_init = cfg.node_count;
-        let cache: Mutex<HashMap<(u32, u32), f64>> = Mutex::new(HashMap::new());
-        b.add_transition(guarded(
-            TransitionDef::timed(format!("T_FA{suffix}"), move |m| {
-                let pop = population(&places, m);
-                if pop.trusted == 0 {
-                    return 0.0;
-                }
-                let d = cfg_c.detection.rate(n_init, pop.trusted, pop.undetected);
-                let (good, bad) = pop.per_group_for_good_target();
-                let pfp = *cache
-                    .lock()
-                    .expect("pfp cache poisoned")
-                    .entry((good, bad))
-                    .or_insert_with(|| pfp_for(&cfg_c, &pop));
-                pop.trusted as f64 * d * pfp
-            })
-            .input(tm, 1)
-            .output(dcm, 1),
-        ));
-    }
+    // T_IDS / T_FA: voting IDS convicts an undetected compromised node /
+    // falsely convicts a trusted one. A targeted attacker's voting error
+    // probabilities also depend on the global foothold, so they are
+    // computed directly; otherwise they are memoized. The convicted node
+    // goes where the response policy sends it: `DCm` for evict (with a
+    // queued rekey for throttle), the quarantine for quarantine.
+    let (ids, fa) = (format!("T_IDS{suffix}"), format!("T_FA{suffix}"));
+    let (c1, c2) = (cfg.clone(), cfg.clone());
+    let (t_ids, t_fa) = if focus > 0.0 {
+        (
+            conviction(ids, cfg, places, true, move |pop| {
+                pfn_targeted(&c1, pop, focus)
+            }),
+            conviction(fa, cfg, places, false, move |pop| {
+                pfp_targeted(&c2, pop, focus)
+            }),
+        )
+    } else {
+        let pfn = memoized(Population::per_group_for_bad_target, move |pop| {
+            pfn_for(&c1, pop)
+        });
+        let pfp = memoized(Population::per_group_for_good_target, move |pop| {
+            pfp_for(&c2, pop)
+        });
+        (
+            conviction(ids, cfg, places, true, pfn),
+            conviction(fa, cfg, places, false, pfp),
+        )
+    };
+    let convict =
+        |def: TransitionDef, quarantine: Option<PlaceId>| match (quarantine, pending_rekeys) {
+            (Some(q), _) => def.output(q, 1),
+            (None, Some(pr)) => def.output(dcm, 1).output(pr, 1),
+            (None, None) => def.output(dcm, 1),
+        };
+    b.add_transition(guarded(convict(t_ids.input(ucm, 1), block.quarantine_bad)));
+    b.add_transition(guarded(convict(t_fa.input(tm, 1), block.quarantine_good)));
 
     // T_DRQ: an undetected compromised member obtains data (C1). The
     // responding member replies only if its host IDS misses the requester
     // (probability p1).
-    {
-        let p1 = cfg.p1_host_false_negative;
-        let lambda_q = cfg.group_comm_rate;
-        b.add_transition(guarded(
-            TransitionDef::timed(format!("T_DRQ{suffix}"), move |m| {
-                p1 * lambda_q * m.tokens(ucm) as f64
-            })
-            .input(ucm, 1)
-            .output(ucm, 1)
-            .output(gf, 1),
-        ));
-    }
+    let p1 = cfg.p1_host_false_negative;
+    let lambda_q = cfg.group_comm_rate;
+    b.add_transition(guarded(
+        TransitionDef::timed(format!("T_DRQ{suffix}"), move |m| {
+            p1 * lambda_q * m.tokens(ucm) as f64
+        })
+        .input(ucm, 1)
+        .output(ucm, 1)
+        .output(gf, 1),
+    ));
 
     // T_PAR / T_MER: birth–death on the group count, rates calibrated from
     // mobility simulation. Partition requires enough members for one more
     // group.
-    {
-        let nu_p = cfg.partition_rate_per_group;
-        let max_groups = cfg.max_groups;
-        let par_ok = move |m: &Marking| {
+    let nu_p = cfg.partition_rate_per_group;
+    let max_groups = cfg.max_groups;
+    b.add_transition(
+        TransitionDef::timed(format!("T_PAR{suffix}"), move |m| {
+            nu_p * m.tokens(ng) as f64
+        })
+        .output(ng, 1)
+        .guard(move |m| {
             let g = m.tokens(ng);
-            g < max_groups && m.tokens(tm) + m.tokens(ucm) > g
-        };
-        b.add_transition(
-            TransitionDef::timed(format!("T_PAR{suffix}"), move |m| {
-                nu_p * m.tokens(ng) as f64
-            })
-            .output(ng, 1)
-            .guard(move |m| par_ok(m) && !(freeze_on_local_failure && frozen(m))),
-        );
-        let nu_m = cfg.merge_rate_per_group;
-        b.add_transition(
-            TransitionDef::timed(format!("T_MER{suffix}"), move |m| {
-                nu_m * (m.tokens(ng).saturating_sub(1)) as f64
-            })
-            .input(ng, 1)
-            .guard(move |m| m.tokens(ng) >= 2 && !(freeze_on_local_failure && frozen(m))),
-        );
-    }
+            g < max_groups && m.tokens(tm) + m.tokens(ucm) > g && !frozen(m)
+        }),
+    );
+    let nu_m = cfg.merge_rate_per_group;
+    b.add_transition(
+        TransitionDef::timed(format!("T_MER{suffix}"), move |m| {
+            nu_m * (m.tokens(ng).saturating_sub(1)) as f64
+        })
+        .input(ng, 1)
+        .guard(move |m| m.tokens(ng) >= 2 && !frozen(m)),
+    );
 
     // T_RK: join/leave rekeying. State-preserving (cost-only self loop);
     // eviction and partition/merge rekeys are charged as impulse rewards on
     // their own transitions.
+    let lambda = cfg.join_rate;
+    let mu = cfg.leave_rate;
+    let n_init = cfg.node_count;
+    b.add_transition(guarded(TransitionDef::timed(
+        format!("T_RK{suffix}"),
+        move |m| {
+            let live = m.tokens(tm) + m.tokens(ucm);
+            lambda * (n_init - live.min(n_init)) as f64 + mu * live as f64
+        },
+    )));
+
+    // Burst phase race: an on/off exponential switch of the attacker mode.
+    if let (
+        Some(am),
+        AttackerStrategy::Burst {
+            on_rate, off_rate, ..
+        },
+    ) = (attack_mode, sc.attacker)
     {
-        let lambda = cfg.join_rate;
-        let mu = cfg.leave_rate;
-        let n_init = cfg.node_count;
-        b.add_transition(guarded(TransitionDef::timed(
-            format!("T_RK{suffix}"),
-            move |m| {
-                let live = m.tokens(tm) + m.tokens(ucm);
-                lambda * (n_init - live.min(n_init)) as f64 + mu * live as f64
-            },
-        )));
+        b.add_transition(
+            TransitionDef::timed_const(format!("T_BURST_ON{suffix}"), on_rate)
+                .output(am, 1)
+                .guard(move |m| m.tokens(am) == 0 && !frozen(m)),
+        );
+        b.add_transition(guarded(
+            TransitionDef::timed_const(format!("T_BURST_OFF{suffix}"), off_rate).input(am, 1),
+        ));
     }
 
-    places
+    // Quarantine review outcomes: a good node rejoins, a compromised node
+    // is falsely released back into the group, or it is confirmed and
+    // permanently evicted.
+    if let (
+        Some((qg, qb)),
+        ResponsePolicy::QuarantineRejoin {
+            release_rate,
+            false_release_prob,
+        },
+    ) = (quarantine, sc.response)
+    {
+        b.add_transition(guarded(
+            TransitionDef::timed(format!("T_REL_G{suffix}"), move |m| {
+                release_rate * m.tokens(qg) as f64
+            })
+            .input(qg, 1)
+            .output(tm, 1),
+        ));
+        b.add_transition(guarded(
+            TransitionDef::timed(format!("T_REL_B{suffix}"), move |m| {
+                release_rate * false_release_prob * m.tokens(qb) as f64
+            })
+            .input(qb, 1)
+            .output(ucm, 1),
+        ));
+        b.add_transition(guarded(
+            TransitionDef::timed(format!("T_CONF_B{suffix}"), move |m| {
+                release_rate * (1.0 - false_release_prob) * m.tokens(qb) as f64
+            })
+            .input(qb, 1)
+            .output(dcm, 1),
+        ));
+    }
+
+    // Throttled rekey service, and the stale-key window that leaks group
+    // data while an excluding rekey is pending (a C1 path).
+    if let (Some(pr), ResponsePolicy::RekeyThrottle { max_rate }) = (pending_rekeys, sc.response) {
+        b.add_transition(guarded(
+            TransitionDef::timed_const(format!("T_RKSRV{suffix}"), max_rate).input(pr, 1),
+        ));
+        b.add_transition(guarded(
+            TransitionDef::timed(format!("T_SLK{suffix}"), move |m| {
+                p1 * lambda_q * m.tokens(pr) as f64
+            })
+            .input(pr, 1)
+            .output(pr, 1)
+            .output(gf, 1),
+        ));
+    }
+
+    block
 }
 
-/// Build the SPN for a configuration.
+/// A conviction transition's rate: `U · D(md) · (1 − Pfn)` for `T_IDS`
+/// (`bad_target`), `T · D(md) · Pfp` for `T_FA`, with `p_err` the voting
+/// error probability (`Pfn` or `Pfp`). The caller adds the arcs.
+fn conviction(
+    name: String,
+    cfg: &SystemConfig,
+    places: Places,
+    bad_target: bool,
+    p_err: impl Fn(&Population) -> f64 + Send + Sync + 'static,
+) -> TransitionDef {
+    let detection = cfg.detection;
+    let n_init = cfg.node_count;
+    TransitionDef::timed(name, move |m| {
+        let pop = population(&places, m);
+        let targets = if bad_target {
+            pop.undetected
+        } else {
+            pop.trusted
+        };
+        if targets == 0 {
+            return 0.0;
+        }
+        let d = detection.rate(n_init, pop.trusted, pop.undetected);
+        if bad_target {
+            pop.undetected as f64 * d * (1.0 - p_err(&pop))
+        } else {
+            pop.trusted as f64 * d * p_err(&pop)
+        }
+    })
+}
+
+/// Build the SPN of the paper's Figure 1 for a configuration:
+/// [`build_scenario_model`] at the baseline scenario.
 ///
 /// # Panics
 /// Panics if the configuration fails [`SystemConfig::validate`] — call it
 /// first for a recoverable error.
 pub fn build_model(cfg: &SystemConfig) -> GcsIdsModel {
+    build_scenario_model(cfg, &ScenarioConfig::baseline())
+}
+
+/// Build the scenario-modulated SPN for a configuration: one block, with
+/// the scenario's extra places and transitions, absorbing on the block's
+/// failure. At the baseline scenario this is the paper's net.
+///
+/// # Panics
+/// Panics if the configuration or scenario fails validation — call
+/// `validate()` on both first for a recoverable error.
+pub fn build_scenario_model(cfg: &SystemConfig, sc: &ScenarioConfig) -> GcsIdsModel {
     cfg.validate()
         .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
+    sc.validate()
+        .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
+    let cfg = scenario_system(cfg, sc);
     let mut b = SpnBuilder::new();
-    let places = add_subsystem(&mut b, cfg, "", false);
+    let block = add_subsystem(&mut b, &cfg, sc, "", false);
 
     // Global absorbing predicate: C1 or C2 (or total attrition).
-    b.absorbing_when(move |m| cluster_failed(&places, m));
+    b.absorbing_when(move |m| block.failed(m));
 
     let net = b
         .build()
         .expect("model construction is internally consistent");
     GcsIdsModel {
         net,
-        places,
-        config: cfg.clone(),
+        places: block.places,
+        attack_mode: block.attack_mode,
+        quarantine_good: block.quarantine_good,
+        quarantine_bad: block.quarantine_bad,
+        pending_rekeys: block.pending_rekeys,
+        config: cfg,
+        scenario: *sc,
     }
 }
 
@@ -385,8 +609,9 @@ pub fn build_clustered_model(cfg: &SystemConfig, topology: &ClusterTopology) -> 
         .validate()
         .unwrap_or_else(|e| panic!("invalid topology: {e}"));
     let mut b = SpnBuilder::new();
+    let baseline = ScenarioConfig::baseline();
     let cluster_places: Vec<Places> = (0..topology.clusters)
-        .map(|i| add_subsystem(&mut b, cfg, &format!("#{i}"), true))
+        .map(|i| add_subsystem(&mut b, cfg, &baseline, &format!("#{i}"), true).places)
         .collect();
 
     let blocks = cluster_places.clone();

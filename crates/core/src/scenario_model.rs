@@ -1,8 +1,8 @@
-//! Scenario-modulated SPN construction and exact evaluation.
+//! Scenario-modulated exact evaluation.
 //!
-//! This module widens the paper's Figure-1 net along the two scenario axes
-//! of the [`scenario`] crate while leaving [`crate::model::build_model`]
-//! (and its pinned structure) untouched:
+//! The scenario nets come from the one block builder in [`crate::model`]
+//! ([`build_scenario_model`]), which resolves the two axes of the
+//! [`scenario`] crate while it builds the paper's Figure-1 block:
 //!
 //! - **Attacker strategies.** `stealth` is a pure configuration transform
 //!   ([`scenario_system`]) — reduced capture intensity, raised effective
@@ -22,63 +22,18 @@
 //!   `T_RKSRV` at the configured maximum rate, and while pending the stale
 //!   key leaks group data via `T_SLK` (a C1 failure path).
 //!
-//! With both axes at baseline the constructed net is the paper's net
-//! (same places, transitions, rates); a test pins MTTSF equality against
-//! [`crate::metrics::evaluate`].
+//! With both axes at baseline the builder yields the paper's net itself
+//! ([`crate::model::build_model`] is that call), and this module's
+//! evaluator is the paper evaluator plus the detection-quality totals; a
+//! test pins the two bit for bit.
 
 use crate::config::SystemConfig;
-use crate::cost::{cost_breakdown, gdh_rekey_hop_bits, CostBreakdown};
-use crate::metrics::Evaluation;
-use crate::model::{c2_holds, pfn_for, pfp_for, population, Places, Population};
-use ids::voting::{
-    p_false_negative_with_collusion, p_false_positive_with_collusion, CollusionModel,
-};
-use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
-use spn::ctmc::{Ctmc, TransientOptions};
+use crate::metrics::{evaluate_with_ctmc, Evaluation};
+use crate::model::{build_scenario_model, GcsIdsModel};
+use scenario::{AttackerStrategy, ScenarioConfig};
+use spn::ctmc::Ctmc;
 use spn::error::SpnError;
-use spn::model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef};
 use spn::reach::ReachabilityGraph;
-use spn::reward::{ImpulseReward, RateReward};
-use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
-
-/// Place handles of a scenario net: the paper's five places plus the
-/// scenario-specific extras (absent for axes at baseline).
-#[derive(Debug, Clone, Copy)]
-pub struct ScenarioPlaces {
-    /// The paper's `Tm`/`UCm`/`DCm`/`GF`/`NG` block.
-    pub base: Places,
-    /// Burst attacker phase (`AM`, 1 = active).
-    pub attack_mode: Option<PlaceId>,
-    /// Quarantined good nodes (`QGm`).
-    pub quarantine_good: Option<PlaceId>,
-    /// Quarantined compromised nodes (`QBm`).
-    pub quarantine_bad: Option<PlaceId>,
-    /// Queued eviction rekeys (`PRm`).
-    pub pending_rekeys: Option<PlaceId>,
-}
-
-impl ScenarioPlaces {
-    /// Total quarantined population in `m` (0 when the policy has no
-    /// quarantine).
-    pub fn quarantined(&self, m: &Marking) -> u32 {
-        self.quarantine_good.map_or(0, |p| m.tokens(p))
-            + self.quarantine_bad.map_or(0, |p| m.tokens(p))
-    }
-}
-
-/// A scenario-modulated model: net, place handles, the **effective**
-/// configuration (stealth transform applied), and the scenario it encodes.
-pub struct ScenarioModel {
-    /// The stochastic Petri net.
-    pub net: Spn,
-    /// Place handles.
-    pub places: ScenarioPlaces,
-    /// Effective configuration (see [`scenario_system`]).
-    pub config: SystemConfig,
-    /// Scenario snapshot.
-    pub scenario: ScenarioConfig,
-}
 
 /// The stationary part of a scenario applied to the configuration: a
 /// stealth attacker captures at `rate_factor` of the baseline intensity
@@ -100,369 +55,6 @@ pub fn scenario_system(cfg: &SystemConfig, sc: &ScenarioConfig) -> SystemConfig 
     out
 }
 
-/// The scenario failure predicate: C1 (`GF` token), C2 (Byzantine
-/// capture), or attrition — where attrition additionally requires an empty
-/// quarantine, since quarantined nodes can still rejoin.
-pub fn scenario_failed(p: &ScenarioPlaces, m: &Marking) -> bool {
-    let t = m.tokens(p.base.tm);
-    let u = m.tokens(p.base.ucm);
-    m.tokens(p.base.gf) > 0 || c2_holds(t, u) || (t + u == 0 && p.quarantined(m) == 0)
-}
-
-/// Voting false-negative probability under a targeted attacker: the
-/// colluders' effective malice probability grows with the foothold.
-fn pfn_targeted(cfg: &SystemConfig, pop: &Population, focus: f64) -> f64 {
-    if pop.undetected == 0 {
-        return 0.0;
-    }
-    let (good, bad) = pop.per_group_for_bad_target();
-    let q = scenario::targeted_effective_collusion(
-        cfg.collusion.malice_probability(),
-        focus,
-        pop.trusted,
-        pop.undetected,
-    );
-    p_false_negative_with_collusion(
-        good,
-        bad,
-        cfg.vote_participants,
-        cfg.p1_host_false_negative,
-        CollusionModel::Probabilistic(q),
-    )
-}
-
-/// Voting false-positive probability under a targeted attacker.
-fn pfp_targeted(cfg: &SystemConfig, pop: &Population, focus: f64) -> f64 {
-    if pop.trusted == 0 {
-        return 0.0;
-    }
-    let (good, bad) = pop.per_group_for_good_target();
-    let q = scenario::targeted_effective_collusion(
-        cfg.collusion.malice_probability(),
-        focus,
-        pop.trusted,
-        pop.undetected,
-    );
-    p_false_positive_with_collusion(
-        good,
-        bad,
-        cfg.vote_participants,
-        cfg.p2_host_false_positive,
-        CollusionModel::Probabilistic(q),
-    )
-}
-
-/// Build the scenario-modulated SPN for a configuration.
-///
-/// # Panics
-/// Panics if the configuration or scenario fails validation — call
-/// `validate()` on both first for a recoverable error.
-pub fn build_scenario_model(cfg: &SystemConfig, sc: &ScenarioConfig) -> ScenarioModel {
-    cfg.validate()
-        // detlint::allow(R001): documented contract — every service-path caller validates the spec first; this guards direct library misuse
-        .unwrap_or_else(|e| panic!("invalid configuration: {e}"));
-    sc.validate()
-        // detlint::allow(R001): documented contract — every service-path caller validates the scenario first; this guards direct library misuse
-        .unwrap_or_else(|e| panic!("invalid scenario: {e}"));
-    let cfg = scenario_system(cfg, sc);
-
-    let mut b = SpnBuilder::new();
-    let tm = b.add_place("Tm", cfg.node_count);
-    let ucm = b.add_place("UCm", 0);
-    let dcm = b.add_place("DCm", 0);
-    let gf = b.add_place("GF", 0);
-    let ng = b.add_place("NG", 1);
-    let base = Places {
-        tm,
-        ucm,
-        dcm,
-        gf,
-        ng,
-    };
-    let attack_mode = match sc.attacker {
-        AttackerStrategy::Burst { .. } => Some(b.add_place("AM", 0)),
-        _ => None,
-    };
-    let (quarantine_good, quarantine_bad) = match sc.response {
-        ResponsePolicy::QuarantineRejoin { .. } => {
-            (Some(b.add_place("QGm", 0)), Some(b.add_place("QBm", 0)))
-        }
-        _ => (None, None),
-    };
-    let pending_rekeys = match sc.response {
-        ResponsePolicy::RekeyThrottle { .. } => Some(b.add_place("PRm", 0)),
-        _ => None,
-    };
-    let places = ScenarioPlaces {
-        base,
-        attack_mode,
-        quarantine_good,
-        quarantine_bad,
-        pending_rekeys,
-    };
-
-    let focus = sc.attacker.focus();
-
-    // T_CP: capture at the attacker rate, modulated by the targeted
-    // foothold multiplier and the burst phase.
-    {
-        let attacker = cfg.attacker;
-        let burst = match sc.attacker {
-            AttackerStrategy::Burst { multiplier, .. } => attack_mode.map(|am| (am, multiplier)),
-            _ => None,
-        };
-        b.add_transition(
-            TransitionDef::timed("T_CP", move |m| {
-                let t = m.tokens(tm);
-                let u = m.tokens(ucm);
-                let mut r = attacker.rate(t, u);
-                if focus > 0.0 {
-                    r *= scenario::targeted_capture_multiplier(focus, t, u);
-                }
-                if let Some((am, mult)) = burst {
-                    r *= scenario::burst_capture_multiplier(mult, m.tokens(am) >= 1);
-                }
-                r
-            })
-            .input(tm, 1)
-            .output(ucm, 1),
-        );
-    }
-
-    // T_IDS: conviction of a compromised node. The non-targeted voting
-    // probabilities depend only on the target group's (good, bad) split and
-    // are memoized as in the baseline net; the targeted ones also depend on
-    // the global foothold, so they are computed directly. The convicted
-    // node's destination is the response policy's: `DCm` for evict (with a
-    // queued rekey for throttle), `QBm` for quarantine.
-    {
-        let cfg_c = cfg.clone();
-        let n_init = cfg.node_count;
-        let cache: Mutex<HashMap<(u32, u32), f64>> = Mutex::new(HashMap::new());
-        let def = TransitionDef::timed("T_IDS", move |m| {
-            let pop = population(&base, m);
-            if pop.undetected == 0 {
-                return 0.0;
-            }
-            let d = cfg_c.detection.rate(n_init, pop.trusted, pop.undetected);
-            let pfn = if focus > 0.0 {
-                pfn_targeted(&cfg_c, &pop, focus)
-            } else {
-                let (good, bad) = pop.per_group_for_bad_target();
-                *cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry((good, bad))
-                    .or_insert_with(|| pfn_for(&cfg_c, &pop))
-            };
-            pop.undetected as f64 * d * (1.0 - pfn)
-        })
-        .input(ucm, 1);
-        let def = match (quarantine_bad, pending_rekeys) {
-            (Some(qb), _) => def.output(qb, 1),
-            (None, Some(pr)) => def.output(dcm, 1).output(pr, 1),
-            (None, None) => def.output(dcm, 1),
-        };
-        b.add_transition(def);
-    }
-
-    // T_FA: false conviction of a trusted node (same routing).
-    {
-        let cfg_c = cfg.clone();
-        let n_init = cfg.node_count;
-        let cache: Mutex<HashMap<(u32, u32), f64>> = Mutex::new(HashMap::new());
-        let def = TransitionDef::timed("T_FA", move |m| {
-            let pop = population(&base, m);
-            if pop.trusted == 0 {
-                return 0.0;
-            }
-            let d = cfg_c.detection.rate(n_init, pop.trusted, pop.undetected);
-            let pfp = if focus > 0.0 {
-                pfp_targeted(&cfg_c, &pop, focus)
-            } else {
-                let (good, bad) = pop.per_group_for_good_target();
-                *cache
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .entry((good, bad))
-                    .or_insert_with(|| pfp_for(&cfg_c, &pop))
-            };
-            pop.trusted as f64 * d * pfp
-        })
-        .input(tm, 1);
-        let def = match (quarantine_good, pending_rekeys) {
-            (Some(qg), _) => def.output(qg, 1),
-            (None, Some(pr)) => def.output(dcm, 1).output(pr, 1),
-            (None, None) => def.output(dcm, 1),
-        };
-        b.add_transition(def);
-    }
-
-    // T_DRQ: data leak through an undetected compromised member (C1).
-    {
-        let p1 = cfg.p1_host_false_negative;
-        let lambda_q = cfg.group_comm_rate;
-        b.add_transition(
-            TransitionDef::timed("T_DRQ", move |m| p1 * lambda_q * m.tokens(ucm) as f64)
-                .input(ucm, 1)
-                .output(ucm, 1)
-                .output(gf, 1),
-        );
-    }
-
-    // T_PAR / T_MER: group birth–death, exactly as in the baseline net.
-    {
-        let nu_p = cfg.partition_rate_per_group;
-        let max_groups = cfg.max_groups;
-        b.add_transition(
-            TransitionDef::timed("T_PAR", move |m| nu_p * m.tokens(ng) as f64)
-                .output(ng, 1)
-                .guard(move |m| {
-                    let g = m.tokens(ng);
-                    g < max_groups && m.tokens(tm) + m.tokens(ucm) > g
-                }),
-        );
-        let nu_m = cfg.merge_rate_per_group;
-        b.add_transition(
-            TransitionDef::timed("T_MER", move |m| {
-                nu_m * (m.tokens(ng).saturating_sub(1)) as f64
-            })
-            .input(ng, 1)
-            .guard(move |m| m.tokens(ng) >= 2),
-        );
-    }
-
-    // T_RK: join/leave rekeying (cost-only), as in the baseline net.
-    {
-        let lambda = cfg.join_rate;
-        let mu = cfg.leave_rate;
-        let n_init = cfg.node_count;
-        b.add_transition(TransitionDef::timed("T_RK", move |m| {
-            let live = m.tokens(tm) + m.tokens(ucm);
-            lambda * (n_init - live.min(n_init)) as f64 + mu * live as f64
-        }));
-    }
-
-    // Burst phase race.
-    if let (
-        Some(am),
-        AttackerStrategy::Burst {
-            on_rate, off_rate, ..
-        },
-    ) = (attack_mode, sc.attacker)
-    {
-        b.add_transition(
-            TransitionDef::timed_const("T_BURST_ON", on_rate)
-                .output(am, 1)
-                .guard(move |m| m.tokens(am) == 0),
-        );
-        b.add_transition(TransitionDef::timed_const("T_BURST_OFF", off_rate).input(am, 1));
-    }
-
-    // Quarantine review outcomes.
-    if let (
-        Some(qg),
-        Some(qb),
-        ResponsePolicy::QuarantineRejoin {
-            release_rate,
-            false_release_prob,
-        },
-    ) = (quarantine_good, quarantine_bad, sc.response)
-    {
-        b.add_transition(
-            TransitionDef::timed("T_REL_G", move |m| release_rate * m.tokens(qg) as f64)
-                .input(qg, 1)
-                .output(tm, 1),
-        );
-        b.add_transition(
-            TransitionDef::timed("T_REL_B", move |m| {
-                release_rate * false_release_prob * m.tokens(qb) as f64
-            })
-            .input(qb, 1)
-            .output(ucm, 1),
-        );
-        b.add_transition(
-            TransitionDef::timed("T_CONF_B", move |m| {
-                release_rate * (1.0 - false_release_prob) * m.tokens(qb) as f64
-            })
-            .input(qb, 1)
-            .output(dcm, 1),
-        );
-    }
-
-    // Throttled rekey service and the stale-key leak window.
-    if let (Some(pr), ResponsePolicy::RekeyThrottle { max_rate }) = (pending_rekeys, sc.response) {
-        b.add_transition(TransitionDef::timed_const("T_RKSRV", max_rate).input(pr, 1));
-        let p1 = cfg.p1_host_false_negative;
-        let lambda_q = cfg.group_comm_rate;
-        b.add_transition(
-            TransitionDef::timed("T_SLK", move |m| p1 * lambda_q * m.tokens(pr) as f64)
-                .input(pr, 1)
-                .output(pr, 1)
-                .output(gf, 1),
-        );
-    }
-
-    b.absorbing_when(move |m| scenario_failed(&places, m));
-
-    let net = b
-        .build()
-        // detlint::allow(R001): structural invariant — the builder input is generated above from validated config, never from spec data
-        .expect("scenario model construction is internally consistent");
-    ScenarioModel {
-        net,
-        places,
-        config: cfg,
-        scenario: *sc,
-    }
-}
-
-/// The response policy's rekey action costs as impulse rewards, shared by
-/// the exact evaluator and the SPN-simulation backend: evict charges one
-/// GDH rekey per conviction; quarantine additionally charges the rejoin
-/// rekeys of released nodes (`T_REL_G`, `T_REL_B` — a confirmed eviction
-/// `T_CONF_B` needs none, the node is already keyed out); throttle charges
-/// one rekey per *served* queue entry (`T_RKSRV`) and nothing at
-/// conviction time.
-///
-/// # Errors
-/// Returns [`SpnError::InvalidModel`] if the model is missing one of the
-/// policy's transitions.
-pub fn scenario_impulses(model: &ScenarioModel) -> Result<Vec<ImpulseReward>, SpnError> {
-    let names: &[&str] = match model.scenario.response {
-        ResponsePolicy::Evict => &["T_IDS", "T_FA"],
-        ResponsePolicy::QuarantineRejoin { .. } => &["T_IDS", "T_FA", "T_REL_G", "T_REL_B"],
-        ResponsePolicy::RekeyThrottle { .. } => &["T_RKSRV"],
-    };
-    let places = model.places;
-    names
-        .iter()
-        .map(|name| {
-            let t = model
-                .net
-                .transition_by_name(name)
-                .ok_or_else(|| SpnError::InvalidModel(format!("missing transition {name}")))?;
-            Ok(ImpulseReward::new(format!("scenario-rekey-{name}"), t, {
-                let cfg = model.config.clone();
-                move |m: &Marking| {
-                    let pop = population(&places.base, m);
-                    gdh_rekey_hop_bits(&cfg, pop.per_group_live())
-                }
-            }))
-        })
-        .collect()
-}
-
-/// Total cost rate reward over the scenario net (quarantined nodes are
-/// cryptographically outside every group and accrue no traffic).
-pub fn scenario_cost_reward(model: &ScenarioModel) -> RateReward {
-    let cfg = model.config.clone();
-    let places = model.places;
-    RateReward::new("c_total_rate", move |m| {
-        cost_breakdown(&cfg, &population(&places.base, m)).total()
-    })
-}
-
 /// Expected transition-firing totals over one absorption run of the exact
 /// chain: `E[#T_CP]` (compromises), `E[#T_IDS]` (true detections),
 /// `E[#T_FA]` (false alarms), each `Σᵢ sojournᵢ · rateᵢ` over the CTMC
@@ -477,67 +69,21 @@ pub struct DetectionTotals {
     pub false_alarms: f64,
 }
 
-/// Evaluate a scenario model on an already-explored graph: the scenario
-/// counterpart of [`crate::metrics::evaluate_graph`], with the response
-/// policy's action costs charged as impulses and the detection-quality
-/// firing totals read off the sojourn vector.
+/// Evaluate a model on an already-explored graph: the paper evaluator
+/// ([`crate::metrics::evaluate_graph`], which charges the response
+/// policy's rekey actions), plus the detection-quality firing totals read
+/// off the sojourn vector.
 ///
 /// # Errors
 /// Propagates solver failures.
 pub fn evaluate_scenario_graph(
-    model: &ScenarioModel,
+    model: &GcsIdsModel,
     graph: &ReachabilityGraph,
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>, DetectionTotals), SpnError> {
     let ctmc = Ctmc::from_graph(graph)?;
-    let cfg = &model.config;
-    let places = model.places;
-    let absorption = ctmc.mean_time_to_absorption()?;
-
-    let rate_components: Vec<CostBreakdown> = graph
-        .states
-        .iter()
-        .map(|m| cost_breakdown(cfg, &population(&places.base, m)))
-        .collect();
-
-    let mut impulse_rates = vec![0.0; graph.state_count()];
-    for imp in scenario_impulses(model)? {
-        for (acc, v) in impulse_rates
-            .iter_mut()
-            .zip(imp.per_state(&model.net, graph))
-        {
-            *acc += v;
-        }
-    }
-
-    let mttsf = absorption.mtta;
-    let mut accumulated = CostBreakdown::default();
-    let mut accumulated_impulse = 0.0;
-    for (i, sojourn) in absorption.sojourn.iter().enumerate() {
-        if *sojourn > 0.0 {
-            accumulated = accumulated.add(&rate_components[i].scale(*sojourn));
-            accumulated_impulse += impulse_rates[i] * sojourn;
-        }
-    }
-    accumulated.rekey += accumulated_impulse;
-    let components = if mttsf > 0.0 {
-        accumulated.scale(1.0 / mttsf)
-    } else {
-        CostBreakdown::default()
-    };
-
-    let mut p_c1 = 0.0;
-    let mut p_c2 = 0.0;
-    for (i, &p) in absorption.absorption_probability.iter().enumerate() {
-        if p <= 0.0 {
-            continue;
-        }
-        if graph.states[i].tokens(places.base.gf) > 0 {
-            p_c1 += p;
-        } else {
-            p_c2 += p;
-        }
-    }
+    let (evaluation, survival, absorption) =
+        evaluate_with_ctmc(model, graph, &ctmc, mission_times)?;
 
     // Detection-quality totals: expected firing counts from the sojourn
     // vector and the explored edge rates (only enabled transitions appear
@@ -567,25 +113,6 @@ pub fn evaluate_scenario_graph(
             }
         }
     }
-
-    let mut evaluation = Evaluation {
-        mttsf_seconds: mttsf,
-        c_total_hop_bits_per_sec: components.total(),
-        cost_components: components,
-        p_failure_c1: p_c1,
-        p_failure_c2: p_c2,
-        state_count: graph.state_count(),
-        edge_count: graph.edge_count(),
-        transient: None,
-    };
-    let survival = if mission_times.is_empty() {
-        None
-    } else {
-        let (curve, stats) =
-            ctmc.survival_curve_with_stats(mission_times, &TransientOptions::default());
-        evaluation.transient = Some(stats);
-        Some(curve)
-    };
     Ok((evaluation, survival, detection))
 }
 
@@ -610,6 +137,7 @@ pub fn evaluate_scenario(
 mod tests {
     use super::*;
     use crate::metrics::evaluate;
+    use scenario::ResponsePolicy;
 
     fn small(n: u32) -> SystemConfig {
         let mut c = SystemConfig::paper_default();
@@ -738,13 +266,13 @@ mod tests {
             assert!(m.net.transition_by_name(t).is_some(), "missing {t}");
         }
         let g = spn::reach::explore(&m.net, &spn::reach::ExploreOptions::default()).unwrap();
-        let qg = m.places.quarantine_good.unwrap();
-        let qb = m.places.quarantine_bad.unwrap();
+        let qg = m.quarantine_good.unwrap();
+        let qb = m.quarantine_bad.unwrap();
         let mut saw_quarantined = false;
         for st in &g.states {
-            let total = st.tokens(m.places.base.tm)
-                + st.tokens(m.places.base.ucm)
-                + st.tokens(m.places.base.dcm)
+            let total = st.tokens(m.places.tm)
+                + st.tokens(m.places.ucm)
+                + st.tokens(m.places.dcm)
                 + st.tokens(qg)
                 + st.tokens(qb);
             assert_eq!(total, 10);
@@ -766,7 +294,7 @@ mod tests {
         assert!(m.net.transition_by_name("T_RKSRV").is_some());
         assert!(m.net.transition_by_name("T_SLK").is_some());
         let g = spn::reach::explore(&m.net, &spn::reach::ExploreOptions::default()).unwrap();
-        let pr = m.places.pending_rekeys.unwrap();
+        let pr = m.pending_rekeys.unwrap();
         for st in &g.states {
             assert!(st.tokens(pr) <= 10);
         }

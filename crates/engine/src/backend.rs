@@ -16,11 +16,8 @@ use gcsids::clustered::evaluate_clustered_with_survival;
 use gcsids::des::{run_des, DesConfig, FailureCause};
 use gcsids::des_mobility::{run_mobility_des, MobilityDesConfig};
 use gcsids::metrics::{eviction_impulses, total_cost_reward, ExactTemplate};
-use gcsids::model::{build_model, Places};
-use gcsids::{
-    build_scenario_model, evaluate_scenario_graph, scenario_cost_reward, scenario_impulses,
-    DetectionTotals,
-};
+use gcsids::model::Places;
+use gcsids::{build_scenario_model, evaluate_scenario_graph, DetectionTotals};
 use numerics::replicate::{run_plan_observed, Completed, OutcomeSink, Replicate};
 use numerics::rng::child_seed;
 use numerics::stats::{SurvivalAccumulator, Welford};
@@ -256,26 +253,16 @@ impl Backend for ExactBackend {
             report.lumping_reduction = Some(ce.stats.reduction);
             return Ok(report);
         }
-        if let Some(sc) = &spec.scenario {
-            let model = build_scenario_model(&spec.system, sc);
-            let graph = spn::reach::explore(&model.net, &opts)?;
-            let (e, survival, totals) =
-                evaluate_scenario_graph(&model, &graph, &spec.mission_times)?;
-            let mut report =
-                Self::report_from_evaluation(spec, &e, survival, t0.elapsed().as_secs_f64());
-            report.detection = Some(exact_detection(&totals));
-            return Ok(report);
-        }
-        let model = build_model(&spec.system);
+        let model = build_scenario_model(&spec.system, &spec.scenario_or_baseline());
         let graph = spn::reach::explore(&model.net, &opts)?;
         // One CTMC build serves both the absorption and the survival solve.
-        let (e, survival) = gcsids::metrics::evaluate_graph(&model, &graph, &spec.mission_times)?;
-        Ok(Self::report_from_evaluation(
-            spec,
-            &e,
-            survival,
-            t0.elapsed().as_secs_f64(),
-        ))
+        let (e, survival, totals) = evaluate_scenario_graph(&model, &graph, &spec.mission_times)?;
+        let mut report =
+            Self::report_from_evaluation(spec, &e, survival, t0.elapsed().as_secs_f64());
+        // Detection metrics are a scenario-mode observable: baseline specs
+        // keep their pre-scenario report shape byte for byte.
+        report.detection = spec.scenario.is_some().then(|| exact_detection(&totals));
+        Ok(report)
     }
 }
 
@@ -591,10 +578,10 @@ impl Replicate for SpnSimTask<'_> {
     }
 }
 
-/// The net, rewards, and detection handles an SPN-sim run plays —
-/// scenario-aware: a spec with a scenario plays the scenario net with the
-/// response policy's action costs; one without plays the paper net
-/// unchanged.
+/// The net, rewards, and detection handles an SPN-sim run plays: the
+/// spec's scenario net (the paper net without a scenario) with the
+/// response policy's action costs. Detection handles are set in scenario
+/// mode only.
 struct SpnSimSetup {
     net: Spn,
     rewards: RewardSet,
@@ -603,37 +590,26 @@ struct SpnSimSetup {
 }
 
 fn spn_sim_setup(spec: &ScenarioSpec) -> Result<SpnSimSetup, EngineError> {
-    if let Some(sc) = &spec.scenario {
-        let model = build_scenario_model(&spec.system, sc);
-        let mut rewards = RewardSet::new().with_rate(scenario_cost_reward(&model));
-        for imp in scenario_impulses(&model)? {
-            rewards = rewards.with_impulse(imp);
-        }
-        let lookup = |name: &str| {
-            model.net.transition_by_name(name).ok_or_else(|| {
-                EngineError::Solver(SpnError::InvalidModel(format!("missing transition {name}")))
-            })
-        };
-        let detect = [lookup("T_CP")?, lookup("T_IDS")?, lookup("T_FA")?];
-        Ok(SpnSimSetup {
-            places: model.places.base,
-            net: model.net,
-            rewards,
-            detect: Some(detect),
-        })
-    } else {
-        let model = build_model(&spec.system);
-        let mut rewards = RewardSet::new().with_rate(total_cost_reward(&spec.system, &model));
-        for imp in eviction_impulses(&model)? {
-            rewards = rewards.with_impulse(imp);
-        }
-        Ok(SpnSimSetup {
-            places: model.places,
-            net: model.net,
-            rewards,
-            detect: None,
-        })
+    let model = build_scenario_model(&spec.system, &spec.scenario_or_baseline());
+    let mut rewards = RewardSet::new().with_rate(total_cost_reward(&model.config, &model));
+    for imp in eviction_impulses(&model)? {
+        rewards = rewards.with_impulse(imp);
     }
+    let lookup = |name: &str| {
+        model.net.transition_by_name(name).ok_or_else(|| {
+            EngineError::Solver(SpnError::InvalidModel(format!("missing transition {name}")))
+        })
+    };
+    let detect = match spec.scenario {
+        Some(_) => Some([lookup("T_CP")?, lookup("T_IDS")?, lookup("T_FA")?]),
+        None => None,
+    };
+    Ok(SpnSimSetup {
+        places: model.places,
+        net: model.net,
+        rewards,
+        detect,
+    })
 }
 
 /// One cluster's contribution to a clustered replication.
