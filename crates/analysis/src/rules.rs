@@ -108,8 +108,8 @@ pub fn rules_for_path(path: &str) -> Vec<Rule> {
     {
         // The scenario subsystem is service-facing too: scenario specs are
         // evaluated by the long-running daemon, so a panic in scenario
-        // validation or model construction kills worker threads the same
-        // way an engine panic would.
+        // validation or evaluation kills worker threads the same way an
+        // engine panic would.
         rules.push(Rule::R001);
     }
     rules

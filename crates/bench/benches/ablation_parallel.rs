@@ -1,5 +1,5 @@
 //! Ablation: serial vs rayon-parallel Monte-Carlo replications and figure
-//! sweeps (DESIGN.md §6).
+//! sweeps.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcsids::config::SystemConfig;

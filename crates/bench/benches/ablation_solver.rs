@@ -1,6 +1,5 @@
 //! Ablation: stationary-solver choice for the MTTSF linear system
-//! (Gauss–Seidel vs Jacobi vs SOR vs dense LU) on the paper-scale model —
-//! the design choice called out in DESIGN.md §6.
+//! (Gauss–Seidel vs Jacobi vs SOR vs dense LU) on the paper-scale model.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use gcsids::config::SystemConfig;

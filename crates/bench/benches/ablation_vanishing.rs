@@ -1,6 +1,6 @@
 //! Ablation: modelling a probabilistic branch with immediate transitions
 //! (vanishing markings eliminated during reachability) versus flattening
-//! the branch into pre-multiplied timed rates (DESIGN.md §6).
+//! the branch into pre-multiplied timed rates.
 //!
 //! The two nets are stochastically identical; the benchmark quantifies the
 //! exploration overhead of vanishing-marking elimination.

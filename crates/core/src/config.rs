@@ -123,7 +123,8 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// The paper's §5 defaults. Group-dynamics constants default to the
-    /// shipped calibration (EXPERIMENTS.md records their derivation); call
+    /// shipped calibration (measured by random-waypoint mobility
+    /// simulation, as the `mobility_calibration` example does); call
     /// [`SystemConfig::apply_calibration`] to substitute freshly measured
     /// ones.
     pub fn paper_default() -> Self {

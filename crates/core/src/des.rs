@@ -6,15 +6,15 @@
 //! target's actual group, colluding voters follow the paper's strategy,
 //! rekey traffic is charged from the exact GDH accounting, and groups
 //! split/merge as a birth–death process with the mobility-calibrated
-//! rates. Agreement between this simulator and the analytic model (see
-//! EXPERIMENTS.md) validates the Equation-1 reconstruction and the SPN
-//! structure.
+//! rates. Agreement between this simulator and the analytic model
+//! (`tests/tests/cross_validation.rs` and the `runner` harness) validates
+//! the Equation-1 reconstruction and the SPN structure.
 //!
 //! Event classes (exponential race, rates refreshed after every event):
 //! compromise (`A(mc)`), per-node IDS evaluation (`(T+U)·D(md)`), data
 //! request by a compromised node (`λq·U`, leaks with probability `p1` —
 //! condition C1), group partition/merge, and join/leave rekey events
-//! (population-neutral, matching the SPN; see DESIGN.md §2.1). Failure is
+//! (population-neutral, matching the SPN's cost-only `T_RK`). Failure is
 //! declared on C1 or when any single group crosses the C2 Byzantine ratio.
 //!
 //! The scenario axes of the [`scenario`] crate are mirrored as additional

@@ -15,7 +15,7 @@
 //! tests and runs in the cross-backend validation harness only on request
 //! (`runner --mobility`; see `engine::crossval`). It serves as the
 //! ground-truth check that the birth–death abstraction in the SPN/DES does
-//! not distort MTTSF (EXPERIMENTS.md §6).
+//! not distort MTTSF.
 
 use crate::config::SystemConfig;
 use crate::cost::gdh_rekey_hop_bits;

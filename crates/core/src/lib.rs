@@ -8,7 +8,10 @@
 //! * [`config`] — every model parameter with the paper's §5 defaults;
 //! * [`model`] — programmatic construction of the Figure-1 SPN (places
 //!   `Tm`, `UCm`, `DCm`, `GF`, `NG`; transitions `T_CP`, `T_IDS`, `T_FA`,
-//!   `T_DRQ`, `T_PAR`, `T_MER`, `T_RK`; absorbing conditions C1/C2);
+//!   `T_DRQ`, `T_PAR`, `T_MER`, `T_RK`; absorbing conditions C1/C2) from
+//!   one block builder, with scenario and clustered variants;
+//! * [`scenario_model`] — exact evaluation of the adversary and response
+//!   scenario nets, with detection-quality totals;
 //! * [`cost`] — the six-component communication-cost model (hop·bits/s);
 //! * [`metrics`] — MTTSF and Ĉtotal evaluation via the CTMC solvers;
 //! * [`clustered`] — symmetry-lumped and hierarchically composed exact

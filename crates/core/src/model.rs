@@ -3,7 +3,7 @@
 //! Marking layout (places): `Tm` trusted members, `UCm` compromised but
 //! undetected, `DCm` detected (evicted), `GF` data-leak failure flag, `NG`
 //! number of groups. `Tm`/`UCm`/`DCm` hold *system-wide* counts; per-group
-//! quantities divide by `mark(NG)` (DESIGN.md §2.1).
+//! quantities divide by `mark(NG)`, rounded (see [`Population`]).
 //!
 //! | transition | effect | rate |
 //! |---|---|---|
@@ -574,7 +574,7 @@ pub fn build_scenario_model(cfg: &SystemConfig, sc: &ScenarioConfig) -> GcsIdsMo
 /// they evolve as independent copies of the single-cluster chain — which is
 /// what makes both the symmetry lumping (clusters are interchangeable
 /// members) and the hierarchical order-statistic composition in
-/// `gcsids::metrics` exact.
+/// [`crate::clustered`] exact.
 pub struct ClusteredModel {
     /// The flat stochastic Petri net over all clusters.
     pub net: Spn,

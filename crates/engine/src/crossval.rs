@@ -8,8 +8,8 @@
 //! via [`CrossValOptions::confidence`] — the "z" knob) or, failing that,
 //! when the discrepancy is inside an explicit modeling tolerance (the
 //! protocol DES executes real votes rather than the analytic `Pfn`/`Pfp`,
-//! so a small systematic gap is expected and documented — see
-//! EXPERIMENTS.md).
+//! so a small systematic gap is expected; [`CrossValOptions::mttsf_rel_tol`]
+//! bounds it).
 //!
 //! [`cross_validate_dir`] is the batch entry point behind the `runner`
 //! binary: it loads every `*.json` [`ScenarioSpec`] in a directory,

@@ -18,9 +18,9 @@
 //! testable, and we account every message/element so the cost model can
 //! charge the exact traffic. The 61-bit field is a *scale model* of the
 //! 1024+-bit production field; [`RekeyCost`] therefore takes the wire
-//! element size as a parameter (DESIGN.md §2.6).
+//! element size as a parameter.
 
-use crate::membership::NodeId;
+use crate::NodeId;
 use rand::Rng;
 
 /// The Mersenne prime 2⁶¹ − 1.

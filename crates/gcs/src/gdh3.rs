@@ -24,7 +24,7 @@
 //! `gcsids::config::SystemConfig::key_agreement`).
 
 use crate::gdh::{powmod, GENERATOR, PRIME};
-use crate::membership::NodeId;
+use crate::NodeId;
 use rand::Rng;
 
 /// Per-rekey accounting for GDH.3 (same shape as

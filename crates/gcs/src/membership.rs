@@ -5,10 +5,8 @@
 //! (join, voluntary leave, IDS eviction, partition, merge) installs a new
 //! view; the rekey layer hangs a fresh group key off each installed view.
 
+use crate::NodeId;
 use std::collections::BTreeSet;
-
-/// Node identifier.
-pub type NodeId = u32;
 
 /// Why a view changed.
 #[derive(Debug, Clone, PartialEq, Eq)]

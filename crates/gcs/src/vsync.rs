@@ -7,7 +7,8 @@
 //! every member of that view, in per-sender FIFO order, and all messages of
 //! a view are flushed before the next view is installed (view atomicity).
 
-use crate::membership::{GroupView, NodeId};
+use crate::membership::GroupView;
+use crate::NodeId;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A broadcast message tagged with its originating view.

@@ -6,7 +6,8 @@
 //! (priority then weighted choice), and repeats until an absorbing marking
 //! or a time/step cap. Replications run in parallel under rayon with
 //! deterministic per-replication seeds, providing an independent check of
-//! the analytic CTMC solvers (EXPERIMENTS.md records the agreement).
+//! the analytic CTMC solvers (the `runner` cross-validation harness and
+//! `tests/tests/cross_validation.rs` check the agreement).
 
 use crate::error::SpnError;
 use crate::model::{Marking, Spn, TransitionId};

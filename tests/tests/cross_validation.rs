@@ -44,8 +44,7 @@ fn token_game_confirms_analytic_mttsf() {
 fn protocol_des_matches_analytic_within_modeling_tolerance() {
     // The DES executes real votes per group rather than the hypergeometric
     // abstraction; agreement within 15% validates the Equation-1
-    // reconstruction and the SPN structure (EXPERIMENTS.md records the
-    // measured gap).
+    // reconstruction and the SPN structure.
     let cfg = hot();
     let analytic = evaluate(&cfg).unwrap();
     let stats = run_des_replications(&DesConfig::new(cfg), 4_000, 17);
