@@ -19,7 +19,8 @@
 //!
 //! The scenario axes of the [`scenario`] crate are mirrored as additional
 //! race entries using the same closed-form modulations as the SPN
-//! (`crate::scenario_model`): burst phase switching, quarantine
+//! (`crate::model`, axes described in `crate::scenario_model`): burst
+//! phase switching, quarantine
 //! release/confirmation, throttled rekey service and the stale-key leak.
 //! With the baseline scenario every added rate is zero and the event
 //! stream is bit-identical to the pre-scenario simulator.

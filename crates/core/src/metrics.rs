@@ -3,8 +3,9 @@
 //! `MTTSF` is the mean time to absorption of the CTMC (reward 1 on every
 //! non-failed state); `Ĉtotal` is the expected accumulated communication
 //! cost until absorption divided by MTTSF, with the six §2.5 components as
-//! rate rewards and eviction rekeys charged as impulse rewards on the
-//! transitions that cause them.
+//! rate rewards and the response policy's rekeys (evictions, for the
+//! paper's net) charged as impulse rewards on the transitions that cause
+//! them.
 
 use crate::config::SystemConfig;
 use crate::cost::{cost_breakdown, gdh_rekey_hop_bits, CostBreakdown};
@@ -264,9 +265,10 @@ pub fn evaluate_graph(
     evaluate_with_ctmc(model, graph, &ctmc, mission_times).map(|(e, s, _)| (e, s))
 }
 
-/// The response policy's rekey impulse rewards (see [`rekey_impulses`]),
-/// shared by the exact evaluator and the SPN-simulation backend. For the
-/// paper's net that is a GDH rekey on every `T_IDS` or `T_FA` eviction.
+/// The response policy's rekey impulse rewards, shared by the exact
+/// evaluator and the SPN-simulation backend: a GDH rekey on every `T_IDS`
+/// or `T_FA` eviction for the paper's net, plus the rejoin rekeys under
+/// quarantine, or one rekey per served queue entry under throttle.
 ///
 /// # Errors
 /// Returns [`SpnError::InvalidModel`] if the model is missing one of the
@@ -355,7 +357,7 @@ impl StateRates {
 /// scenario net, flat clustered net): weight each state's cost components
 /// and rekey impulses by its expected sojourn until absorption, average
 /// over MTTSF, and sweep the optional mission grid on the same CTMC.
-/// `split` is the evaluator's own (C1, C2) failure-cause split.
+/// `(p_c1, p_c2)` is the evaluator's own failure-cause split.
 pub(crate) fn solve_rewards(
     graph: &ReachabilityGraph,
     ctmc: &Ctmc,

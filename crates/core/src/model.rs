@@ -1,4 +1,12 @@
-//! Construction of the paper's Figure-1 SPN.
+//! Construction of the paper's Figure-1 SPN and its variants.
+//!
+//! One private block builder defines every place and transition below,
+//! plus the extras of a non-baseline scenario axis (see
+//! [`crate::scenario_model`]). Three entry points call it:
+//! [`build_scenario_model`] (one block, absorbing on its failure),
+//! [`build_model`] (the same at the baseline scenario: the paper's net)
+//! and [`build_clustered_model`] (one baseline block per cluster, each
+//! frozen on its own failure, absorbing at the K-th failed cluster).
 //!
 //! Marking layout (places): `Tm` trusted members, `UCm` compromised but
 //! undetected, `DCm` detected (evicted), `GF` data-leak failure flag, `NG`
