@@ -7,10 +7,12 @@
 //! parse → re-encode must reproduce every file byte-for-byte.
 //!
 //! `fixtures/goldens/` holds computed reports: the exact report of every
-//! committed spec and its spn-sim report at the CI cross-validation
-//! replication budget. They pin the numbers, not just the format, so a
-//! refactor of the net builders or the reward pipeline that moves any
-//! result by one bit fails `report_goldens_match_computed_reports`.
+//! committed spec, its spn-sim and des reports at the CI cross-validation
+//! replication budget, and its mobility-des report (where the spec is
+//! valid on that backend) at a smaller cap. They pin the numbers, not just
+//! the format, so a refactor of the net builders, the reward pipeline or
+//! the protocol simulators that moves any result by one bit fails
+//! `report_goldens_match_computed_reports`.
 //!
 //! Regenerate after an intentional format or model change with:
 //! `cargo test -p integration-tests regenerate_fixtures -- --ignored`
@@ -272,27 +274,47 @@ fn fixture_reports() -> Vec<(&'static str, RunReport)> {
     ]
 }
 
-/// Replication cap of the spn-sim goldens: the CI cross-validation budget
-/// (`runner --max-replications 120`).
+/// Replication cap of the spn-sim and des goldens: the CI
+/// cross-validation budget (`runner --max-replications 120`).
 const GOLDEN_REPLICATIONS: u64 = 120;
 
+/// Replication cap of the mobility-des goldens. Every replication rebuilds
+/// connectivity once per mobility step, so the cap is kept small enough
+/// for the golden check to stay a few seconds in a debug build.
+const MOBILITY_GOLDEN_REPLICATIONS: u64 = 8;
+
 /// The computed report goldens, as `(file name, canonical JSON)`: for every
-/// committed spec, its exact report and its spn-sim report capped at
-/// [`GOLDEN_REPLICATIONS`]. `wall_seconds` and `template_cache` depend on
-/// the run, not the model, so they are reset before encoding.
+/// committed spec, its exact report and its spn-sim and des reports capped
+/// at [`GOLDEN_REPLICATIONS`], plus its mobility-des report capped at
+/// [`MOBILITY_GOLDEN_REPLICATIONS`] when the spec is valid on that backend
+/// (no clustered variant, eviction response only). `wall_seconds` and
+/// `template_cache` depend on the run, not the model, so they are reset
+/// before encoding.
 fn computed_goldens() -> Vec<(String, String)> {
-    let budget = RunBudget {
-        max_replications: Some(GOLDEN_REPLICATIONS),
-        ..RunBudget::default()
-    };
     let mut out = Vec::new();
     for path in json_files("specs") {
         let stem = path.file_stem().unwrap().to_string_lossy().into_owned();
         let text = fs::read_to_string(&path).unwrap();
         let spec = ScenarioSpec::from_json(text.trim_end()).unwrap();
-        for kind in [BackendKind::Exact, BackendKind::SpnSim] {
+        for kind in [
+            BackendKind::Exact,
+            BackendKind::SpnSim,
+            BackendKind::Des,
+            BackendKind::MobilityDes,
+        ] {
             let mut s = spec.clone();
             s.backend = kind;
+            if kind == BackendKind::MobilityDes && s.validate().is_err() {
+                continue;
+            }
+            let cap = match kind {
+                BackendKind::MobilityDes => MOBILITY_GOLDEN_REPLICATIONS,
+                _ => GOLDEN_REPLICATIONS,
+            };
+            let budget = RunBudget {
+                max_replications: Some(cap),
+                ..RunBudget::default()
+            };
             let mut report = backend_for(kind)
                 .run(&s, &budget)
                 .unwrap_or_else(|e| panic!("{stem} on {}: {e}", kind.name()));
