@@ -1,39 +1,53 @@
-//! Protocol-level discrete-event simulation.
+//! Protocol-level discrete-event simulation: one protocol core, two
+//! drivers.
 //!
 //! Where the SPN abstracts the voting IDS into the analytic `Pfn`/`Pfp`,
-//! this simulator *executes the protocols*: host-IDS verdicts are sampled
+//! the simulators *execute the protocols*: host-IDS verdicts are sampled
 //! per voter, vote participants are drawn without replacement from the
 //! target's actual group, colluding voters follow the paper's strategy,
-//! rekey traffic is charged from the exact GDH accounting, and groups
-//! split/merge as a birth–death process with the mobility-calibrated
-//! rates. Agreement between this simulator and the analytic model
+//! and rekey traffic is charged from the exact GDH accounting. Agreement
+//! between these simulators and the analytic model
 //! (`tests/tests/cross_validation.rs` and the `runner` harness) validates
 //! the Equation-1 reconstruction and the SPN structure.
 //!
-//! Event classes (exponential race, rates refreshed after every event):
-//! compromise (`A(mc)`), per-node IDS evaluation (`(T+U)·D(md)`), data
-//! request by a compromised node (`λq·U`, leaks with probability `p1` —
-//! condition C1), group partition/merge, and join/leave rekey events
-//! (population-neutral, matching the SPN's cost-only `T_RK`). Failure is
-//! declared on C1 or when any single group crosses the C2 Byzantine ratio.
+//! The protocol is defined once, in [`Replication`]: node status, the
+//! resolved scenario axes, the compromise/evaluation/leak/join-leave
+//! rates, compromise, the vote with its conviction accounting, per-group
+//! background traffic, the C2 predicate and the per-replication counters
+//! that become a [`DesOutcome`]. Two drivers advance time over it, and
+//! each keeps its own RNG draw order:
+//!
+//! * [`run_des`] (this module) — groups split and merge as a birth–death
+//!   process with the mobility-calibrated rates, and time advances by an
+//!   exact exponential race (rates refreshed after every event) over
+//!   compromise (`A(mc)`), per-node IDS evaluation (`(T+U)·D(md)`), data
+//!   request by a compromised node (`λq·U`, leaks with probability `p1` —
+//!   condition C1), group partition/merge, and join/leave rekey events
+//!   (population-neutral, matching the SPN's cost-only `T_RK`);
+//! * [`crate::des_mobility::run_mobility_des`] — groups are the live
+//!   connected components of a random-waypoint network, and protocol
+//!   events fire by thinning within fixed mobility steps.
+//!
+//! Failure is declared on C1 or when any single group crosses the C2
+//! Byzantine ratio. Both drivers aggregate through [`DesStats`] and
+//! [`run_des_sampled`].
 //!
 //! The scenario axes of the [`scenario`] crate are mirrored as additional
 //! race entries using the same closed-form modulations as the SPN
 //! (`crate::model`, axes described in `crate::scenario_model`): burst
-//! phase switching, quarantine
-//! release/confirmation, throttled rekey service and the stale-key leak.
-//! With the baseline scenario every added rate is zero and the event
-//! stream is bit-identical to the pre-scenario simulator.
+//! phase switching, quarantine release/confirmation, throttled rekey
+//! service and the stale-key leak. With the baseline scenario every added
+//! rate is zero and the event stream is bit-identical to the pre-scenario
+//! simulator.
 
 use crate::config::SystemConfig;
 use crate::cost::gdh_rekey_hop_bits;
 use crate::scenario_model::scenario_system;
-use ids::adaptive::AdaptiveController;
 use ids::host::HostIds;
 use ids::voting::{run_vote_with_collusion, CollusionModel, VotingConfig};
 use numerics::dist::sample_exponential;
 use numerics::replicate::{run_plan, OutcomeSink, Replicate, SamplingPlan};
-use numerics::stats::{SurvivalAccumulator, Welford};
+use numerics::stats::Welford;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -63,28 +77,23 @@ pub struct DesConfig {
     pub system: SystemConfig,
     /// Censoring horizon (s).
     pub max_time: f64,
-    /// Enable the adaptive controller (re-selects the detection shape from
-    /// observed compromise pacing; oracle observations — see module docs).
-    pub adaptive: bool,
     /// Adversary strategy and response policy (baseline reproduces the
     /// paper's behavior exactly).
     pub scenario: ScenarioConfig,
 }
 
 impl DesConfig {
-    /// Defaults: paper system, one-year horizon, no adaptation, baseline
-    /// scenario.
+    /// Defaults: paper system, one-year horizon, baseline scenario.
     pub fn new(system: SystemConfig) -> Self {
         Self {
             system,
             max_time: 3.15e7,
-            adaptive: false,
             scenario: ScenarioConfig::baseline(),
         }
     }
 }
 
-/// Outcome of one replication.
+/// Outcome of one replication (either driver).
 #[derive(Debug, Clone)]
 pub struct DesOutcome {
     /// Time of failure (or censoring).
@@ -103,6 +112,10 @@ pub struct DesOutcome {
     pub false_evictions: u64,
     /// Voting rounds executed.
     pub votes: u64,
+    /// Group partition events.
+    pub partitions: u64,
+    /// Group merge events.
+    pub merges: u64,
     /// Time of the first compromise (`None` if none happened).
     pub first_compromise: Option<f64>,
     /// Time of the first true detection — the first conviction of a
@@ -132,8 +145,9 @@ pub struct DesStats {
     pub zero_duration: u64,
 }
 
+/// Protocol status of one node.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum NodeStatus {
+pub(crate) enum NodeStatus {
     Trusted,
     Compromised,
     Evicted,
@@ -143,107 +157,261 @@ enum NodeStatus {
     QuarantinedBad,
 }
 
-struct World {
-    cfg: SystemConfig,
-    status: Vec<NodeStatus>,
-    groups: Vec<Vec<u32>>,
-    host: HostIds,
+impl NodeStatus {
+    /// A group member: trusted or compromised-but-undetected.
+    pub(crate) fn is_live(self) -> bool {
+        matches!(self, NodeStatus::Trusted | NodeStatus::Compromised)
+    }
 }
 
-impl World {
-    fn new(cfg: &SystemConfig) -> Self {
-        let n = cfg.node_count as usize;
+/// C2 on one group's composition: undetected compromised members exceed
+/// a third of the live group.
+pub(crate) fn byzantine(trusted: u32, undetected: u32) -> bool {
+    2 * undetected > trusted && (trusted + undetected) > 0
+}
+
+/// Per-replication counters carried into the [`DesOutcome`].
+#[derive(Debug, Default)]
+pub(crate) struct Counters {
+    pub(crate) compromises: u64,
+    pub(crate) true_evictions: u64,
+    pub(crate) false_evictions: u64,
+    pub(crate) votes: u64,
+    pub(crate) partitions: u64,
+    pub(crate) merges: u64,
+    pub(crate) first_compromise: Option<f64>,
+    pub(crate) first_true_detection: Option<f64>,
+}
+
+/// One replication's protocol: the scenario-transformed system, the
+/// resolved scenario axes, every node's status and the running time,
+/// traffic and counters. Both drivers call the same handlers; each passes
+/// its own notion of a group (a birth–death member list or a connectivity
+/// component) as peer lists and group sizes.
+pub(crate) struct Replication {
+    /// The system after the stealth transform (a pure parameter change,
+    /// applied up front exactly as in the SPN backend).
+    pub(crate) sys: SystemConfig,
+    vote_cfg: VotingConfig,
+    /// Targeted attacker focus (`0.0` for every other strategy).
+    focus: f64,
+    /// Burst attacker `(on_rate, off_rate, multiplier)`.
+    pub(crate) burst: Option<(f64, f64, f64)>,
+    /// Quarantine-rejoin `(release_rate, false_release_prob)`.
+    quarantine: Option<(f64, f64)>,
+    /// Rekey-throttle service rate.
+    throttle: Option<f64>,
+    pub(crate) status: Vec<NodeStatus>,
+    pub(crate) burst_active: bool,
+    /// Convictions whose rekey the throttled service has not served yet.
+    pub(crate) pending_rekeys: u32,
+    pub(crate) t: f64,
+    pub(crate) hop_bits: f64,
+    pub(crate) k: Counters,
+}
+
+impl Replication {
+    pub(crate) fn new(system: &SystemConfig, scenario: &ScenarioConfig) -> Self {
+        let sys = scenario_system(system, scenario);
+        let burst = match scenario.attacker {
+            AttackerStrategy::Burst {
+                on_rate,
+                off_rate,
+                multiplier,
+            } => Some((on_rate, off_rate, multiplier)),
+            _ => None,
+        };
+        let (quarantine, throttle) = match scenario.response {
+            ResponsePolicy::QuarantineRejoin {
+                release_rate,
+                false_release_prob,
+            } => (Some((release_rate, false_release_prob)), None),
+            ResponsePolicy::RekeyThrottle { max_rate } => (None, Some(max_rate)),
+            ResponsePolicy::Evict => (None, None),
+        };
         Self {
-            cfg: cfg.clone(),
-            status: vec![NodeStatus::Trusted; n],
-            groups: vec![(0..n as u32).collect()],
-            host: HostIds::new(cfg.p1_host_false_negative, cfg.p2_host_false_positive),
+            vote_cfg: VotingConfig {
+                participants: sys.vote_participants,
+                host: HostIds::new(sys.p1_host_false_negative, sys.p2_host_false_positive),
+            },
+            focus: scenario.attacker.focus(),
+            burst,
+            quarantine,
+            throttle,
+            status: vec![NodeStatus::Trusted; sys.node_count as usize],
+            burst_active: false,
+            pending_rekeys: 0,
+            t: 0.0,
+            hop_bits: 0.0,
+            k: Counters::default(),
+            sys,
         }
     }
 
-    fn count(&self, s: NodeStatus) -> u32 {
+    pub(crate) fn count(&self, s: NodeStatus) -> u32 {
         self.status.iter().filter(|&&x| x == s).count() as u32
     }
 
-    fn trusted(&self) -> u32 {
-        self.count(NodeStatus::Trusted)
+    /// A uniformly random node whose status satisfies `pred`.
+    fn pick<R: Rng + ?Sized>(&self, rng: &mut R, pred: impl Fn(NodeStatus) -> bool) -> usize {
+        let nodes: Vec<usize> = (0..self.status.len())
+            .filter(|&n| pred(self.status[n]))
+            .collect();
+        *nodes
+            .choose(rng)
+            .expect("a node with the picked status exists")
     }
 
-    fn undetected(&self) -> u32 {
-        self.count(NodeStatus::Compromised)
+    /// Capture rate `A(mc)`, modulated by the targeted and burst axes.
+    pub(crate) fn compromise_rate(&self, trusted: u32, undetected: u32) -> f64 {
+        if trusted == 0 {
+            return 0.0;
+        }
+        let mut r = self.sys.attacker.rate(trusted, undetected);
+        if self.focus > 0.0 {
+            r *= targeted_capture_multiplier(self.focus, trusted, undetected);
+        }
+        if let Some((_, _, mult)) = self.burst {
+            r *= burst_capture_multiplier(mult, self.burst_active);
+        }
+        r
     }
 
-    fn group_of(&self, node: u32) -> usize {
-        self.groups
+    /// Aggregate IDS evaluation rate `(T+U)·D(md)`.
+    pub(crate) fn evaluate_rate(&self, trusted: u32, undetected: u32) -> f64 {
+        (trusted + undetected) as f64
+            * self
+                .sys
+                .detection
+                .rate(self.sys.node_count, trusted, undetected)
+    }
+
+    /// Data-request rate of the undetected compromised nodes (`λq·U`).
+    pub(crate) fn leak_rate(&self, undetected: u32) -> f64 {
+        self.sys.group_comm_rate * undetected as f64
+    }
+
+    /// Population-neutral join/leave rekey rate.
+    pub(crate) fn join_leave_rate(&self, live: u32) -> f64 {
+        self.sys.join_rate * (self.sys.node_count - live) as f64 + self.sys.leave_rate * live as f64
+    }
+
+    /// `acc` plus one group's background traffic rate (hop·bits/s) with
+    /// `live` members: data dissemination + status + beacons, added term
+    /// by term. Vote and rekey traffic is charged per event.
+    pub(crate) fn add_group_traffic(&self, acc: f64, live: u32) -> f64 {
+        let sys = &self.sys;
+        let nf = live as f64;
+        acc + sys.group_comm_rate * nf * sys.data_packet_bits as f64 * nf
+            + nf * sys.status_packet_bits as f64 * nf / sys.status_period
+            + nf * sys.beacon_bits as f64 / sys.beacon_period
+    }
+
+    /// Charge one data packet (a compromised node's request, or traffic
+    /// read through a stale key).
+    pub(crate) fn charge_data_packet(&mut self) {
+        self.hop_bits += self.sys.data_packet_bits as f64 * self.sys.mean_hops;
+    }
+
+    /// A compromised node requests data; the responder leaks (C1) iff its
+    /// host IDS misses the requester.
+    pub(crate) fn data_request_leaks<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+        self.charge_data_packet();
+        rng.gen::<f64>() < self.sys.p1_host_false_negative
+    }
+
+    /// The attacker compromises a random trusted node.
+    pub(crate) fn compromise<R: Rng + ?Sized>(&mut self, rng: &mut R) {
+        let victim = self.pick(rng, |s| s == NodeStatus::Trusted);
+        self.status[victim] = NodeStatus::Compromised;
+        self.k.compromises += 1;
+        self.k.first_compromise.get_or_insert(self.t);
+    }
+
+    /// A random live node, the target of an IDS evaluation.
+    pub(crate) fn pick_target<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
+        self.pick(rng, NodeStatus::is_live)
+    }
+
+    /// One voting round on `target` by the live members of its group
+    /// (`peers`, target excluded), with the vote traffic flooding the
+    /// group (Byzantine accountability). `trusted`/`undetected` are the
+    /// population counts the targeted attacker's collusion sees. On
+    /// conviction the response policy is applied — quarantine, a queued
+    /// (throttled) rekey or eviction with the shrunken group's rekey — and
+    /// `true` is returned so the driver can drop the target from its group.
+    pub(crate) fn vote<R: Rng + ?Sized>(
+        &mut self,
+        target: usize,
+        peers: &[usize],
+        trusted: u32,
+        undetected: u32,
+        rng: &mut R,
+    ) -> bool {
+        let peers_bad: Vec<bool> = peers
             .iter()
-            .position(|g| g.contains(&node))
-            .expect("every live node belongs to a group")
-    }
-
-    /// C2 check on actual per-group composition.
-    fn any_group_byzantine(&self) -> bool {
-        self.groups.iter().any(|g| {
-            let (mut t, mut u) = (0u32, 0u32);
-            for &n in g {
-                match self.status[n as usize] {
-                    NodeStatus::Trusted => t += 1,
-                    NodeStatus::Compromised => u += 1,
-                    // evicted/quarantined nodes have left their group
-                    _ => {}
-                }
-            }
-            2 * u > t && (t + u) > 0
-        })
-    }
-
-    /// Background traffic rate over the actual group layout (hop·bits/s):
-    /// data dissemination + status + beacons. Vote and rekey traffic is
-    /// charged per event.
-    fn background_rate(&self) -> f64 {
-        let cfg = &self.cfg;
-        let mut rate = 0.0;
-        for g in &self.groups {
-            let live: u32 = g
-                .iter()
-                .filter(|&&n| self.status[n as usize] != NodeStatus::Evicted)
-                .count() as u32;
-            let nf = live as f64;
-            rate += cfg.group_comm_rate * nf * cfg.data_packet_bits as f64 * nf;
-            rate += nf * cfg.status_packet_bits as f64 * nf / cfg.status_period;
-            rate += nf * cfg.beacon_bits as f64 / cfg.beacon_period;
+            .map(|&n| self.status[n] == NodeStatus::Compromised)
+            .collect();
+        let target_bad = self.status[target] == NodeStatus::Compromised;
+        // Targeted attackers press their numeric advantage inside the vote
+        // too — same effective collusion as the SPN's Pfn/Pfp.
+        let collusion = if self.focus > 0.0 {
+            CollusionModel::Probabilistic(targeted_effective_collusion(
+                self.sys.collusion.malice_probability(),
+                self.focus,
+                trusted,
+                undetected,
+            ))
+        } else {
+            self.sys.collusion
+        };
+        let o = run_vote_with_collusion(&self.vote_cfg, target_bad, &peers_bad, collusion, rng);
+        self.k.votes += 1;
+        let group = (peers.len() + 1) as f64;
+        self.hop_bits += o.votes as f64 * self.sys.vote_packet_bits as f64 * group;
+        if !o.evicted {
+            return false;
         }
-        rate
-    }
-
-    /// Remove a node from its group (no status change); returns the
-    /// remaining group size.
-    fn remove_from_group(&mut self, node: u32) -> u32 {
-        let gi = self.group_of(node);
-        self.groups[gi].retain(|&n| n != node);
-        let size = self.groups[gi].len() as u32;
-        if self.groups[gi].is_empty() {
-            self.groups.remove(gi);
+        if target_bad {
+            self.k.true_evictions += 1;
+            self.k.first_true_detection.get_or_insert(self.t);
+        } else {
+            self.k.false_evictions += 1;
         }
-        size
-    }
-
-    /// Remove an evicted node from its group.
-    fn evict(&mut self, node: u32) -> f64 {
-        let size = self.remove_from_group(node);
-        self.status[node as usize] = NodeStatus::Evicted;
-        gdh_rekey_hop_bits(&self.cfg, size.max(1))
-    }
-
-    /// Re-admit a released node into a random group (quarantine-rejoin),
-    /// charging the rejoin rekey of the receiving group.
-    fn rejoin<R: Rng + ?Sized>(&mut self, node: u32, rng: &mut R) -> f64 {
-        if self.groups.is_empty() {
-            self.groups.push(vec![node]);
-            return 0.0; // a singleton group needs no rekey
+        self.status[target] = match (self.quarantine, target_bad) {
+            // conviction quarantines instead of evicting
+            (Some(_), true) => NodeStatus::QuarantinedBad,
+            (Some(_), false) => NodeStatus::QuarantinedGood,
+            (None, _) => NodeStatus::Evicted,
+        };
+        if self.throttle.is_some() {
+            // the rekey is queued, not charged — the old key stays live
+            // until served
+            self.pending_rekeys += 1;
+        } else {
+            // the shrunken group rekeys
+            self.hop_bits += gdh_rekey_hop_bits(&self.sys, peers.len() as u32);
         }
-        let gi = rng.gen_range(0..self.groups.len());
-        self.groups[gi].push(node);
-        gdh_rekey_hop_bits(&self.cfg, self.groups[gi].len() as u32)
+        true
+    }
+
+    /// The replication's outcome, ended at the current time.
+    pub(crate) fn finish(&self, cause: FailureCause) -> DesOutcome {
+        let (t, k) = (self.t, &self.k);
+        DesOutcome {
+            time: t,
+            cause,
+            hop_bits: self.hop_bits,
+            mean_cost_rate: if t > 0.0 { self.hop_bits / t } else { 0.0 },
+            compromises: k.compromises,
+            true_evictions: k.true_evictions,
+            false_evictions: k.false_evictions,
+            votes: k.votes,
+            partitions: k.partitions,
+            merges: k.merges,
+            first_compromise: k.first_compromise,
+            first_true_detection: k.first_true_detection,
+        }
     }
 }
 
@@ -265,32 +433,6 @@ const EVENT_CONFIRM_BAD: usize = 9;
 const EVENT_REKEY_SERVE: usize = 10;
 const EVENT_STALE_LEAK: usize = 11;
 
-/// Per-replication counters threaded to every [`DesOutcome`] return site.
-#[derive(Debug, Clone, Copy, Default)]
-struct DesCounters {
-    compromises: u64,
-    true_evictions: u64,
-    false_evictions: u64,
-    votes: u64,
-    first_compromise: Option<f64>,
-    first_true_detection: Option<f64>,
-}
-
-fn finish(t: f64, cause: FailureCause, hop_bits: f64, k: &DesCounters) -> DesOutcome {
-    DesOutcome {
-        time: t,
-        cause,
-        hop_bits,
-        mean_cost_rate: if t > 0.0 { hop_bits / t } else { 0.0 },
-        compromises: k.compromises,
-        true_evictions: k.true_evictions,
-        false_evictions: k.false_evictions,
-        votes: k.votes,
-        first_compromise: k.first_compromise,
-        first_true_detection: k.first_true_detection,
-    }
-}
-
 /// Winner of an exponential race: the first slot whose cumulative rate mass
 /// exceeds `pick` (the final slot absorbs floating-point residue).
 fn sample_event_index(mut pick: f64, rates: &[f64]) -> usize {
@@ -303,89 +445,66 @@ fn sample_event_index(mut pick: f64, rates: &[f64]) -> usize {
     rates.len() - 1
 }
 
-/// Run one replication.
-pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
-    // Stealth is a pure parameter transform, applied up front exactly as in
-    // the SPN backend.
-    let sys_owned = scenario_system(&cfg.system, &cfg.scenario);
-    let sys = &sys_owned;
-    let focus = cfg.scenario.attacker.focus();
-    let burst = match cfg.scenario.attacker {
-        AttackerStrategy::Burst {
-            on_rate,
-            off_rate,
-            multiplier,
-        } => Some((on_rate, off_rate, multiplier)),
-        _ => None,
-    };
-    let quarantine = match cfg.scenario.response {
-        ResponsePolicy::QuarantineRejoin {
-            release_rate,
-            false_release_prob,
-        } => Some((release_rate, false_release_prob)),
-        _ => None,
-    };
-    let throttle = match cfg.scenario.response {
-        ResponsePolicy::RekeyThrottle { max_rate } => Some(max_rate),
-        _ => None,
-    };
+/// Rekey traffic of a uniformly random group (none when every node is
+/// held or evicted).
+fn rekey_random_group<R: Rng + ?Sized>(
+    sys: &SystemConfig,
+    groups: &[Vec<usize>],
+    rng: &mut R,
+) -> f64 {
+    if groups.is_empty() {
+        return 0.0;
+    }
+    let gi = rng.gen_range(0..groups.len());
+    gdh_rekey_hop_bits(sys, groups[gi].len() as u32)
+}
 
+/// Run one replication with birth–death group dynamics.
+pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
+    let mut r = Replication::new(&cfg.system, &cfg.scenario);
     // detlint::allow(D003): leaf constructor — `seed` is a child_seed from the replicate grid, passed down by the executor
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut world = World::new(sys);
-    let mut detection = sys.detection;
-    let mut controller = AdaptiveController::new(sys.attacker.exponent, detection.base_interval);
-    let mut last_compromise_at = 0.0f64;
-
-    let mut t = 0.0f64;
-    let mut hop_bits = 0.0f64;
-    let mut k = DesCounters::default();
-    let mut burst_active = false;
-    let mut pending_rekeys = 0u32;
+    // Group member lists; evicted and quarantined nodes have left theirs.
+    let mut groups: Vec<Vec<usize>> = vec![(0..r.status.len()).collect()];
+    let background = |r: &Replication, groups: &[Vec<usize>]| {
+        groups
+            .iter()
+            .fold(0.0, |acc, g| r.add_group_traffic(acc, g.len() as u32))
+    };
 
     loop {
-        let trusted = world.trusted();
-        let undetected = world.undetected();
+        let trusted = r.count(NodeStatus::Trusted);
+        let undetected = r.count(NodeStatus::Compromised);
         let live = trusted + undetected;
-        let qg = world.count(NodeStatus::QuarantinedGood) as f64;
-        let qb = world.count(NodeStatus::QuarantinedBad) as f64;
+        let qg = r.count(NodeStatus::QuarantinedGood) as f64;
+        let qb = r.count(NodeStatus::QuarantinedBad) as f64;
         // Attrition requires the quarantine to be empty too: a held node may
-        // still be released back into the system (matches `scenario_failed`).
+        // still be released back into the system.
         if live == 0 && qg + qb == 0.0 {
-            return finish(t, FailureCause::Attrition, hop_bits, &k);
+            return r.finish(FailureCause::Attrition);
         }
-        let g = world.groups.len() as f64;
+        let g = groups.len() as f64;
+        let sys = &r.sys;
 
         // --- event rates ---------------------------------------------------
-        let r_compromise = if trusted > 0 {
-            let mut r = sys.attacker.rate(trusted, undetected);
-            if focus > 0.0 {
-                r *= targeted_capture_multiplier(focus, trusted, undetected);
-            }
-            if let Some((_, _, mult)) = burst {
-                r *= burst_capture_multiplier(mult, burst_active);
-            }
-            r
-        } else {
-            0.0
-        };
-        let r_evaluate = live as f64 * detection.rate(sys.node_count, trusted, undetected);
-        let r_leak = sys.group_comm_rate * undetected as f64;
-        let can_partition = world.groups.iter().any(|grp| grp.len() >= 2)
-            && (world.groups.len() as u32) < sys.max_groups;
+        let r_compromise = r.compromise_rate(trusted, undetected);
+        let r_evaluate = r.evaluate_rate(trusted, undetected);
+        let r_leak = r.leak_rate(undetected);
+        let can_partition =
+            groups.iter().any(|grp| grp.len() >= 2) && (groups.len() as u32) < sys.max_groups;
         let r_partition = if can_partition {
             sys.partition_rate_per_group * g
         } else {
             0.0
         };
-        let r_merge = if world.groups.len() >= 2 {
+        let r_merge = if groups.len() >= 2 {
             sys.merge_rate_per_group * (g - 1.0)
         } else {
             0.0
         };
-        let (r_burst_on, r_burst_off) = match burst {
+        let (r_burst_on, r_burst_off) = match r.burst {
             Some((on, off, _)) => {
-                if burst_active {
+                if r.burst_active {
                     (0.0, off)
                 } else {
                     (on, 0.0)
@@ -393,55 +512,24 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
             }
             None => (0.0, 0.0),
         };
-        let (r_rel_good, r_rel_bad, r_conf_bad) = match quarantine {
+        let (r_rel_good, r_rel_bad, r_conf_bad) = match r.quarantine {
             Some((rel, fr)) => (rel * qg, rel * fr * qb, rel * (1.0 - fr) * qb),
             None => (0.0, 0.0, 0.0),
         };
-        let (r_serve, r_stale) = match throttle {
-            Some(max_rate) if pending_rekeys > 0 => (
+        let (r_serve, r_stale) = match r.throttle {
+            Some(max_rate) if r.pending_rekeys > 0 => (
                 max_rate,
-                sys.p1_host_false_negative * sys.group_comm_rate * pending_rekeys as f64,
+                sys.p1_host_false_negative * sys.group_comm_rate * r.pending_rekeys as f64,
             ),
             _ => (0.0, 0.0),
         };
         // join/leave stays the last entry: it absorbs fp residue in
         // `sample_event_index` (and needs a non-empty group to charge).
-        let r_joinleave = if world.groups.is_empty() {
+        let r_joinleave = if groups.is_empty() {
             0.0
         } else {
-            sys.join_rate * (sys.node_count - live) as f64 + sys.leave_rate * live as f64
+            r.join_leave_rate(live)
         };
-        let total = r_compromise
-            + r_evaluate
-            + r_leak
-            + r_partition
-            + r_merge
-            + r_burst_on
-            + r_burst_off
-            + r_rel_good
-            + r_rel_bad
-            + r_conf_bad
-            + r_serve
-            + r_stale
-            + r_joinleave;
-        if total <= 0.0 {
-            return finish(
-                cfg.max_time,
-                FailureCause::Censored,
-                hop_bits + world.background_rate() * (cfg.max_time - t),
-                &k,
-            );
-        }
-
-        let dt = sample_exponential(&mut rng, total);
-        let step = dt.min(cfg.max_time - t);
-        hop_bits += world.background_rate() * step;
-        if t + dt >= cfg.max_time {
-            return finish(cfg.max_time, FailureCause::Censored, hop_bits, &k);
-        }
-        t += dt;
-
-        // --- pick the event (winner of the exponential race) -----------------
         let rates = [
             r_compromise,
             r_evaluate,
@@ -457,194 +545,139 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
             r_stale,
             r_joinleave,
         ];
-        match sample_event_index(rng.gen::<f64>() * total, &rates) {
-            EVENT_COMPROMISE => {
-                // attacker compromises a random trusted node
-                let victims: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| world.status[n as usize] == NodeStatus::Trusted)
-                    .collect();
-                let &victim = victims.choose(&mut rng).expect("trusted node exists");
-                world.status[victim as usize] = NodeStatus::Compromised;
-                k.compromises += 1;
-                if k.first_compromise.is_none() {
-                    k.first_compromise = Some(t);
-                }
-                if cfg.adaptive {
-                    let dt_c = (t - last_compromise_at).max(1e-9);
-                    last_compromise_at = t;
-                    let mc = ids::functions::AttackerProfile::mc(
-                        world.trusted().max(1),
-                        world.undetected(),
-                    );
-                    controller.observe(dt_c, mc);
-                    detection = detection.with_interval(detection.base_interval);
-                    detection.shape = controller.matching_shape();
-                }
-            }
+        let total: f64 = rates.iter().sum();
+        if total <= 0.0 {
+            r.hop_bits += background(&r, &groups) * (cfg.max_time - r.t);
+            r.t = cfg.max_time;
+            return r.finish(FailureCause::Censored);
+        }
+
+        let dt = sample_exponential(&mut rng, total);
+        let step = dt.min(cfg.max_time - r.t);
+        r.hop_bits += background(&r, &groups) * step;
+        if r.t + dt >= cfg.max_time {
+            r.t = cfg.max_time;
+            return r.finish(FailureCause::Censored);
+        }
+        r.t += dt;
+
+        // --- the winner of the exponential race ----------------------------
+        let event = sample_event_index(rng.gen::<f64>() * total, &rates);
+        match event {
+            EVENT_COMPROMISE => r.compromise(&mut rng),
             EVENT_EVALUATE => {
                 // evaluate a random live node with an actual voting round
-                let live_nodes: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| {
-                        matches!(
-                            world.status[n as usize],
-                            NodeStatus::Trusted | NodeStatus::Compromised
-                        )
-                    })
-                    .collect();
-                let &target = live_nodes.choose(&mut rng).expect("live node exists");
-                let gi = world.group_of(target);
-                let peers: Vec<bool> = world.groups[gi]
+                let target = r.pick_target(&mut rng);
+                let gi = groups
                     .iter()
-                    .filter(|&&n| n != target)
-                    .map(|&n| world.status[n as usize] == NodeStatus::Compromised)
+                    .position(|g| g.contains(&target))
+                    .expect("every live node belongs to a group");
+                let peers: Vec<usize> = groups[gi]
+                    .iter()
+                    .copied()
+                    .filter(|&n| n != target)
                     .collect();
-                let vote_cfg = VotingConfig {
-                    participants: sys.vote_participants,
-                    host: world.host,
-                };
-                let target_bad = world.status[target as usize] == NodeStatus::Compromised;
-                // Targeted attackers press their numeric advantage inside the
-                // vote too — same effective collusion as the SPN's Pfn/Pfp.
-                let collusion = if focus > 0.0 {
-                    CollusionModel::Probabilistic(targeted_effective_collusion(
-                        sys.collusion.malice_probability(),
-                        focus,
-                        trusted,
-                        undetected,
-                    ))
-                } else {
-                    sys.collusion
-                };
-                let o = run_vote_with_collusion(&vote_cfg, target_bad, &peers, collusion, &mut rng);
-                k.votes += 1;
-                // votes flood the target's group (Byzantine accountability)
-                let group_live = world.groups[gi].len() as f64;
-                hop_bits += o.votes as f64 * sys.vote_packet_bits as f64 * group_live;
-                if o.evicted {
-                    if target_bad {
-                        k.true_evictions += 1;
-                        if k.first_true_detection.is_none() {
-                            k.first_true_detection = Some(t);
-                        }
-                    } else {
-                        k.false_evictions += 1;
-                    }
-                    if quarantine.is_some() {
-                        // conviction quarantines instead of evicting; the
-                        // shrunken group still rekeys
-                        let size = world.remove_from_group(target);
-                        world.status[target as usize] = if target_bad {
-                            NodeStatus::QuarantinedBad
-                        } else {
-                            NodeStatus::QuarantinedGood
-                        };
-                        hop_bits += gdh_rekey_hop_bits(sys, size.max(1));
-                    } else if throttle.is_some() {
-                        // conviction evicts but the rekey is queued, not
-                        // charged — the old key stays live until served
-                        world.remove_from_group(target);
-                        world.status[target as usize] = NodeStatus::Evicted;
-                        pending_rekeys += 1;
-                    } else {
-                        hop_bits += world.evict(target);
+                if r.vote(target, &peers, trusted, undetected, &mut rng) {
+                    groups[gi].retain(|&n| n != target);
+                    if groups[gi].is_empty() {
+                        groups.remove(gi);
                     }
                 }
             }
             EVENT_LEAK => {
-                // a compromised node requests data; the responder leaks iff its
-                // host IDS misses the requester
-                hop_bits += sys.data_packet_bits as f64 * sys.mean_hops;
-                if rng.gen::<f64>() < sys.p1_host_false_negative {
-                    return finish(t, FailureCause::DataLeak, hop_bits, &k);
+                if r.data_request_leaks(&mut rng) {
+                    return r.finish(FailureCause::DataLeak);
                 }
             }
             EVENT_PARTITION => {
                 // split a random group (≥ 2 members) in half
-                let candidates: Vec<usize> = (0..world.groups.len())
-                    .filter(|&i| world.groups[i].len() >= 2)
+                let candidates: Vec<usize> = (0..groups.len())
+                    .filter(|&i| groups[i].len() >= 2)
                     .collect();
                 let &gi = candidates
                     .choose(&mut rng)
                     .expect("partitionable group exists");
-                let mut members = std::mem::take(&mut world.groups[gi]);
+                let mut members = std::mem::take(&mut groups[gi]);
                 members.shuffle(&mut rng);
                 let half = members.len() / 2;
                 let other = members.split_off(half);
-                hop_bits += gdh_rekey_hop_bits(sys, members.len() as u32)
-                    + gdh_rekey_hop_bits(sys, other.len() as u32);
-                world.groups[gi] = members;
-                world.groups.push(other);
+                r.hop_bits += gdh_rekey_hop_bits(&r.sys, members.len() as u32)
+                    + gdh_rekey_hop_bits(&r.sys, other.len() as u32);
+                r.k.partitions += 1;
+                groups[gi] = members;
+                groups.push(other);
             }
             EVENT_MERGE => {
                 // merge two random groups
-                let a = rng.gen_range(0..world.groups.len());
-                let mut b = rng.gen_range(0..world.groups.len() - 1);
+                let a = rng.gen_range(0..groups.len());
+                let mut b = rng.gen_range(0..groups.len() - 1);
                 if b >= a {
                     b += 1;
                 }
-                let moved = std::mem::take(&mut world.groups[b]);
-                world.groups[a].extend(moved);
-                hop_bits += gdh_rekey_hop_bits(sys, world.groups[a].len() as u32);
-                world.groups.remove(b);
+                let moved = std::mem::take(&mut groups[b]);
+                groups[a].extend(moved);
+                r.hop_bits += gdh_rekey_hop_bits(&r.sys, groups[a].len() as u32);
+                r.k.merges += 1;
+                groups.remove(b);
             }
-            EVENT_BURST_ON => burst_active = true,
-            EVENT_BURST_OFF => burst_active = false,
-            EVENT_RELEASE_GOOD => {
-                // quarantine review clears a good node; it rejoins a group
-                let held: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| world.status[n as usize] == NodeStatus::QuarantinedGood)
-                    .collect();
-                let &node = held.choose(&mut rng).expect("quarantined good node exists");
-                world.status[node as usize] = NodeStatus::Trusted;
-                hop_bits += world.rejoin(node, &mut rng);
-            }
-            EVENT_RELEASE_BAD => {
-                // quarantine review wrongly clears a compromised node
-                let held: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| world.status[n as usize] == NodeStatus::QuarantinedBad)
-                    .collect();
-                let &node = held.choose(&mut rng).expect("quarantined bad node exists");
-                world.status[node as usize] = NodeStatus::Compromised;
-                hop_bits += world.rejoin(node, &mut rng);
+            EVENT_BURST_ON => r.burst_active = true,
+            EVENT_BURST_OFF => r.burst_active = false,
+            EVENT_RELEASE_GOOD | EVENT_RELEASE_BAD => {
+                // quarantine review clears a node — rightly a good one,
+                // wrongly a compromised one — and it rejoins a random group,
+                // charging the receiving group's rekey (a singleton group
+                // needs none)
+                let (held, released) = if event == EVENT_RELEASE_GOOD {
+                    (NodeStatus::QuarantinedGood, NodeStatus::Trusted)
+                } else {
+                    (NodeStatus::QuarantinedBad, NodeStatus::Compromised)
+                };
+                let node = r.pick(&mut rng, |s| s == held);
+                r.status[node] = released;
+                if groups.is_empty() {
+                    groups.push(vec![node]);
+                } else {
+                    let gi = rng.gen_range(0..groups.len());
+                    groups[gi].push(node);
+                    r.hop_bits += gdh_rekey_hop_bits(&r.sys, groups[gi].len() as u32);
+                }
             }
             EVENT_CONFIRM_BAD => {
                 // quarantine review confirms the conviction: permanent
                 // eviction, no further rekey (the group already rekeyed)
-                let held: Vec<u32> = (0..world.status.len() as u32)
-                    .filter(|&n| world.status[n as usize] == NodeStatus::QuarantinedBad)
-                    .collect();
-                let &node = held.choose(&mut rng).expect("quarantined bad node exists");
-                world.status[node as usize] = NodeStatus::Evicted;
+                let node = r.pick(&mut rng, |s| s == NodeStatus::QuarantinedBad);
+                r.status[node] = NodeStatus::Evicted;
             }
             EVENT_REKEY_SERVE => {
                 // the throttled rekey service completes one pending rekey
-                pending_rekeys -= 1;
-                if !world.groups.is_empty() {
-                    let gi = rng.gen_range(0..world.groups.len());
-                    hop_bits += gdh_rekey_hop_bits(sys, world.groups[gi].len() as u32);
-                }
+                r.pending_rekeys -= 1;
+                r.hop_bits += rekey_random_group(&r.sys, &groups, &mut rng);
             }
             EVENT_STALE_LEAK => {
                 // a stale group key (rekey still pending) lets an evicted
                 // compromised node read traffic — condition C1
-                hop_bits += sys.data_packet_bits as f64 * sys.mean_hops;
-                return finish(t, FailureCause::DataLeak, hop_bits, &k);
+                r.charge_data_packet();
+                return r.finish(FailureCause::DataLeak);
             }
             _ => {
                 // join/leave rekey event (population-neutral; SPN-equivalent).
                 // The last slot also absorbs fp residue, which can land here
                 // with every member quarantined — then there is nothing to
                 // rekey.
-                if !world.groups.is_empty() {
-                    let gi = rng.gen_range(0..world.groups.len());
-                    hop_bits += gdh_rekey_hop_bits(sys, world.groups[gi].len() as u32);
-                }
+                r.hop_bits += rekey_random_group(&r.sys, &groups, &mut rng);
             }
         }
 
-        // --- failure check ---------------------------------------------------
-        if world.any_group_byzantine() {
-            return finish(t, FailureCause::ByzantineCapture, hop_bits, &k);
+        // --- C2 check on actual per-group composition ------------------------
+        let any_byzantine = groups.iter().any(|g| {
+            let bad = g
+                .iter()
+                .filter(|&&n| r.status[n] == NodeStatus::Compromised)
+                .count() as u32;
+            byzantine(g.len() as u32 - bad, bad)
+        });
+        if any_byzantine {
+            return r.finish(FailureCause::ByzantineCapture);
         }
     }
 }
@@ -739,18 +772,23 @@ pub struct SampledDesStats {
     pub target_met: Option<bool>,
 }
 
-/// Run a [`SamplingPlan`] through the shared replication engine. Adaptive
-/// plans stop once the relative half-width of the `confidence`-level MTTSF
-/// CI meets the plan's target (or the budget runs out).
+/// Run a [`SamplingPlan`] of either simulator ([`DesConfig`] or
+/// [`crate::des_mobility::MobilityDesConfig`]) through the shared
+/// replication engine. Adaptive plans stop once the relative half-width of
+/// the `confidence`-level MTTSF CI meets the plan's target (or the budget
+/// runs out).
 ///
 /// # Panics
 /// Panics on an invalid plan (see [`SamplingPlan::validate`]).
-pub fn run_des_sampled(
-    cfg: &DesConfig,
+pub fn run_des_sampled<C>(
+    cfg: &C,
     plan: &SamplingPlan,
     master_seed: u64,
     confidence: f64,
-) -> SampledDesStats {
+) -> SampledDesStats
+where
+    C: Replicate<Outcome = DesOutcome> + ?Sized,
+{
     let done = run_plan(cfg, plan, master_seed, || DesSink::new(confidence));
     SampledDesStats {
         stats: done.sink.stats,
@@ -759,9 +797,12 @@ pub fn run_des_sampled(
     }
 }
 
-/// Run `n` replications in parallel with derived seeds (a fixed
-/// [`SamplingPlan`] through the shared replication engine).
-pub fn run_des_replications(cfg: &DesConfig, n: u64, master_seed: u64) -> DesStats {
+/// Run `n` replications of either simulator in parallel with derived seeds
+/// (a fixed [`SamplingPlan`] through the shared replication engine).
+pub fn run_des_replications<C>(cfg: &C, n: u64, master_seed: u64) -> DesStats
+where
+    C: Replicate<Outcome = DesOutcome> + ?Sized,
+{
     run_des_sampled(cfg, &SamplingPlan::Fixed(n), master_seed, 0.95).stats
 }
 
@@ -862,11 +903,23 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_mode_runs() {
-        let mut cfg = DesConfig::new(hot_system(16));
-        cfg.adaptive = true;
-        let o = run_des(&cfg, 11);
-        assert!(o.time > 0.0);
+    fn attrition_is_counted_apart_from_c2() {
+        // Neither driver can evict its last live node, so attrition endings
+        // come from the token game; the shared sink must still count them
+        // as attrition, not as C2 failures.
+        struct Attrition;
+        impl Replicate for Attrition {
+            type Outcome = DesOutcome;
+            fn run_one(&self, _seed: u64) -> DesOutcome {
+                let mut r = Replication::new(&hot_system(4), &ScenarioConfig::baseline());
+                r.t = 5.0;
+                r.finish(FailureCause::Attrition)
+            }
+        }
+        let stats = run_des_replications(&Attrition, 4, 1);
+        assert_eq!(stats.attritions, 4);
+        assert_eq!(stats.c2_failures, 0);
+        assert_eq!(stats.mttsf.count(), 4);
     }
 
     #[test]
@@ -1040,152 +1093,5 @@ mod tests {
         assert_eq!(fixed.mttsf, out.stats.mttsf);
         assert_eq!(fixed.cost_rate, out.stats.cost_rate);
         assert_eq!(fixed.c1_failures, out.stats.c1_failures);
-    }
-}
-
-/// Empirical survival function from replication outcomes: for each horizon
-/// `t`, the fraction of replications still failure-free at `t` — a
-/// simplified Kaplan–Meier suited to a common censoring horizon.
-///
-/// Horizons past the earliest censoring time are `NaN` ("not estimable"):
-/// there the at-risk set would consist only of replications that failed,
-/// so the raw proportion would be severely failure-biased rather than
-/// merely noisy (the engine-level estimator applies the same rule).
-///
-/// The paper's §2.1 states the security requirement as surviving "past the
-/// minimum mission time" — a survival-probability statement that the MTTSF
-/// point metric only summarizes; this estimator answers it directly.
-///
-/// # Panics
-/// Panics if `outcomes` is empty.
-pub fn survival_curve(outcomes: &[DesOutcome], horizons: &[f64]) -> Vec<f64> {
-    assert!(!outcomes.is_empty(), "survival curve needs outcomes");
-    let events: Vec<(f64, bool)> = outcomes
-        .iter()
-        .map(|o| (o.time, o.cause == FailureCause::Censored))
-        .collect();
-    horizons
-        .iter()
-        .map(|&t| {
-            if events.iter().any(|&(time, censored)| censored && time < t) {
-                return f64::NAN;
-            }
-            let (surviving, at_risk) = numerics::stats::at_risk_surviving(&events, t);
-            if at_risk == 0 {
-                f64::NAN
-            } else {
-                surviving as f64 / at_risk as f64
-            }
-        })
-        .collect()
-}
-
-/// Streaming single-horizon survival sink for
-/// [`mission_success_probability`].
-#[derive(Clone)]
-struct MissionSink(SurvivalAccumulator);
-
-impl OutcomeSink<DesOutcome> for MissionSink {
-    fn record(&mut self, o: DesOutcome) {
-        self.0.push(o.time, o.cause == FailureCause::Censored);
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.0.merge(&other.0);
-    }
-
-    fn precision(&self) -> Option<f64> {
-        None // fixed-count runs only; no adaptive stopping metric
-    }
-}
-
-/// Probability of completing a mission of the given duration without a
-/// security failure, estimated from `n` fresh replications (streamed
-/// through the shared replication engine).
-pub fn mission_success_probability(
-    cfg: &DesConfig,
-    mission_time: f64,
-    n: u64,
-    master_seed: u64,
-) -> f64 {
-    let mut c = cfg.clone();
-    // censor right after the mission: later behaviour is irrelevant
-    c.max_time = c.max_time.min(mission_time * 1.001);
-    let done = run_plan(&c, &SamplingPlan::Fixed(n), master_seed, || {
-        MissionSink(SurvivalAccumulator::new(&[mission_time]))
-    });
-    let acc = done.sink.0;
-    let (surviving, at_risk) = acc.counts(0);
-    if !acc.estimable(0) || at_risk == 0 {
-        f64::NAN
-    } else {
-        surviving as f64 / at_risk as f64
-    }
-}
-
-#[cfg(test)]
-mod survival_tests {
-    use super::*;
-
-    fn hot(n: u32) -> SystemConfig {
-        let mut c = SystemConfig::paper_default();
-        c.node_count = n;
-        c.vote_participants = 3;
-        c.attacker.base_rate = 1.0 / 600.0;
-        c
-    }
-
-    #[test]
-    fn survival_curve_monotone_from_one_to_zero() {
-        let cfg = DesConfig::new(hot(16));
-        let outcomes: Vec<DesOutcome> = (0..200).map(|s| run_des(&cfg, s)).collect();
-        let horizons: Vec<f64> = (0..12).map(|i| i as f64 * 20_000.0).collect();
-        let s = survival_curve(&outcomes, &horizons);
-        assert!((s[0] - 1.0).abs() < 1e-12, "everyone survives t = 0");
-        for w in s.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12, "survival must not increase: {s:?}");
-        }
-        assert!(
-            *s.last().unwrap() < 0.5,
-            "long horizons should kill most runs: {s:?}"
-        );
-    }
-
-    #[test]
-    fn censored_runs_do_not_bias_tail() {
-        // outcomes censored at 10 must not count as failures at t = 20
-        let survivor = DesOutcome {
-            time: 10.0,
-            cause: FailureCause::Censored,
-            hop_bits: 0.0,
-            mean_cost_rate: 0.0,
-            compromises: 0,
-            true_evictions: 0,
-            false_evictions: 0,
-            votes: 0,
-            first_compromise: None,
-            first_true_detection: None,
-        };
-        let failure = DesOutcome {
-            time: 5.0,
-            cause: FailureCause::DataLeak,
-            ..survivor.clone()
-        };
-        let s = survival_curve(&[survivor, failure], &[2.0, 7.0, 20.0]);
-        assert_eq!(s[0], 1.0); // both alive at t=2
-        assert_eq!(s[1], 0.5); // failure dead at 7, censored alive
-                               // past the censoring time only the failed run would remain at
-                               // risk — a raw 0.0 would be failure-biased, so: not estimable
-        assert!(s[2].is_nan());
-    }
-
-    #[test]
-    fn mission_success_probability_decreasing_in_duration() {
-        let cfg = DesConfig::new(hot(14));
-        let p_short = mission_success_probability(&cfg, 5_000.0, 300, 9);
-        let p_long = mission_success_probability(&cfg, 200_000.0, 300, 9);
-        assert!(p_short > p_long, "{p_short} vs {p_long}");
-        assert!((0.0..=1.0).contains(&p_short));
-        assert!((0.0..=1.0).contains(&p_long));
     }
 }

@@ -20,12 +20,13 @@
 //!   interval identification (Figures 2–5);
 //! * [`pareto`] — design-space enumeration and the MTTSF-vs-cost Pareto
 //!   frontier (the paper's closing design-selection recommendation);
-//! * [`des`] — a protocol-level discrete-event simulation (actual votes,
-//!   actual GDH rekeys, sampled host-IDS errors) that cross-validates the
-//!   analytic model;
-//! * [`des_mobility`] — the fully integrated variant where groups are the
-//!   live connected components of a random-waypoint network rather than a
-//!   calibrated birth–death process.
+//! * [`des`] — the protocol-level discrete-event simulation (actual
+//!   votes, actual GDH rekeys, sampled host-IDS errors) that
+//!   cross-validates the analytic model: one protocol core with a
+//!   birth–death group driver;
+//! * [`des_mobility`] — the second driver of that core, where groups are
+//!   the live connected components of a random-waypoint network rather
+//!   than a calibrated birth–death process.
 //!
 //! # Quickstart
 //!
@@ -59,13 +60,8 @@ pub use clustered::{
 };
 pub use config::{ClusterTopology, SystemConfig};
 pub use cost::CostBreakdown;
-pub use des::{
-    mission_success_probability, run_des_sampled, survival_curve, DesConfig, DesOutcome,
-    FailureCause, SampledDesStats,
-};
-pub use des_mobility::{
-    run_mobility_des, run_mobility_des_sampled, MobilityDesConfig, MobilityDesOutcome,
-};
+pub use des::{run_des_sampled, DesConfig, DesOutcome, FailureCause, SampledDesStats};
+pub use des_mobility::{run_mobility_des, MobilityDesConfig};
 pub use metrics::{evaluate, Evaluation};
 pub use model::{
     build_clustered_model, build_scenario_model, clustered_canonicalizer, ClusteredModel,

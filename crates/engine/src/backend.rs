@@ -13,8 +13,8 @@ use crate::report::{
 };
 use crate::spec::{BackendKind, SamplingPlan, ScenarioSpec};
 use gcsids::clustered::evaluate_clustered_with_survival;
-use gcsids::des::{run_des, DesConfig, FailureCause};
-use gcsids::des_mobility::{run_mobility_des, MobilityDesConfig};
+use gcsids::des::{run_des, DesConfig, DesOutcome, FailureCause};
+use gcsids::des_mobility::MobilityDesConfig;
 use gcsids::metrics::{eviction_impulses, total_cost_reward, ExactTemplate};
 use gcsids::model::Places;
 use gcsids::{build_scenario_model, evaluate_scenario_graph, DetectionTotals};
@@ -273,7 +273,8 @@ impl Backend for ExactBackend {
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Rep {
     pub(crate) time: f64,
-    pub(crate) cost_rate: f64,
+    /// Traffic accumulated over `[0, time]` (hop·bits).
+    pub(crate) hop_bits: f64,
     pub(crate) cause: FailureCause,
     /// Nodes compromised during the observation window.
     pub(crate) compromises: f64,
@@ -288,18 +289,42 @@ pub(crate) struct Rep {
 }
 
 impl Rep {
-    /// A summary with no detection observables (clustered composition
-    /// paths, which never carry a scenario).
-    fn basic(time: f64, cost_rate: f64, cause: FailureCause) -> Self {
+    /// A summary with no detection observables (baseline SPN-sim runs and
+    /// clustered composition, which never carries a scenario).
+    fn basic(time: f64, hop_bits: f64, cause: FailureCause) -> Self {
         Self {
             time,
-            cost_rate,
+            hop_bits,
             cause,
             compromises: 0.0,
             detections: 0.0,
             false_alarms: 0.0,
             first_compromise: None,
             first_detection: None,
+        }
+    }
+
+    /// One protocol-DES replication (either driver) reduced to the common
+    /// summary.
+    fn from_des(o: &DesOutcome) -> Self {
+        Self {
+            time: o.time,
+            hop_bits: o.hop_bits,
+            cause: o.cause,
+            compromises: o.compromises as f64,
+            detections: o.true_evictions as f64,
+            false_alarms: o.false_evictions as f64,
+            first_compromise: o.first_compromise,
+            first_detection: o.first_true_detection,
+        }
+    }
+
+    /// Time-averaged cost rate (hop·bits/s); `0.0` for a zero-length run.
+    pub(crate) fn cost_rate(&self) -> f64 {
+        if self.time > 0.0 {
+            self.hop_bits / self.time
+        } else {
+            0.0
         }
     }
 }
@@ -438,7 +463,7 @@ impl OutcomeSink<Result<Rep, SpnError>> for StochasticSink {
             self.censored += 1;
             return;
         }
-        self.cost_rate.push(rep.cost_rate);
+        self.cost_rate.push(rep.cost_rate());
         self.compromises.push(rep.compromises);
         self.detections.push(rep.detections);
         self.false_alarms.push(rep.false_alarms);
@@ -562,10 +587,8 @@ impl Replicate for SpnSimTask<'_> {
 
     fn run_one(&self, seed: u64) -> Self::Outcome {
         let o = self.sim.run_one(seed)?;
-        let hop_bits: f64 = o.accumulated.iter().sum();
-        let cost_rate = if o.time > 0.0 { hop_bits / o.time } else { 0.0 };
         let cause = spn_cause(&self.places, &o);
-        let mut rep = Rep::basic(o.time, cost_rate, cause);
+        let mut rep = Rep::basic(o.time, o.accumulated.iter().sum(), cause);
         if let Some([t_cp, t_ids, t_fa]) = self.detect {
             let count = |t: TransitionId| o.firings.get(&t).map_or(0.0, |&n| n as f64);
             rep.compromises = count(t_cp);
@@ -612,14 +635,6 @@ fn spn_sim_setup(spec: &ScenarioSpec) -> Result<SpnSimSetup, EngineError> {
     })
 }
 
-/// One cluster's contribution to a clustered replication.
-struct ClusterRep {
-    time: f64,
-    failed: bool,
-    hop_bits: f64,
-    cause: FailureCause,
-}
-
 /// Compose independent per-cluster replications into the system summary.
 ///
 /// The flat clustered net is exactly `reps.len()` independent copies of
@@ -633,31 +648,27 @@ struct ClusterRep {
 /// are re-run via `rerun(cluster, t_sys)` with their original seed — an
 /// identical trajectory, merely censored at `t_sys`.
 fn compose_clusters(
-    reps: &[ClusterRep],
+    reps: &[Rep],
     threshold: u32,
     horizon: f64,
     mut rerun: impl FnMut(usize, f64) -> Result<f64, SpnError>,
 ) -> Result<Rep, SpnError> {
+    let failed = |r: &Rep| r.cause != FailureCause::Censored;
     let mut failures: Vec<(f64, usize)> = reps
         .iter()
         .enumerate()
-        .filter(|(_, r)| r.failed)
+        .filter(|(_, r)| failed(r))
         .map(|(i, r)| (r.time, i))
         .collect();
     if (failures.len() as u32) < threshold {
         let hop_bits: f64 = reps.iter().map(|r| r.hop_bits).sum();
-        let cost_rate = if horizon > 0.0 {
-            hop_bits / horizon
-        } else {
-            0.0
-        };
-        return Ok(Rep::basic(horizon, cost_rate, FailureCause::Censored));
+        return Ok(Rep::basic(horizon, hop_bits, FailureCause::Censored));
     }
     failures.sort_by(|a, b| a.0.total_cmp(&b.0));
     let (t_sys, kth) = failures[threshold as usize - 1];
     let mut hop_bits = 0.0;
     for (i, r) in reps.iter().enumerate() {
-        if r.failed && r.time <= t_sys {
+        if failed(r) && r.time <= t_sys {
             // Failed within the window: frozen afterwards, so its own
             // accumulated cost already covers [0, t_sys].
             hop_bits += r.hop_bits;
@@ -665,8 +676,7 @@ fn compose_clusters(
             hop_bits += rerun(i, t_sys)?;
         }
     }
-    let cost_rate = if t_sys > 0.0 { hop_bits / t_sys } else { 0.0 };
-    Ok(Rep::basic(t_sys, cost_rate, reps[kth].cause))
+    Ok(Rep::basic(t_sys, hop_bits, reps[kth].cause))
 }
 
 /// One clustered SPN-sim replication: independent single-cluster
@@ -697,12 +707,8 @@ impl Replicate for ClusteredSpnSimTask<'_> {
         let mut reps = Vec::with_capacity(self.clusters as usize);
         for i in 0..u64::from(self.clusters) {
             let o = self.run_cluster(child_seed(seed, i), self.max_time)?;
-            reps.push(ClusterRep {
-                time: o.time,
-                failed: o.absorbed,
-                hop_bits: o.accumulated.iter().sum(),
-                cause: spn_cause(&self.places, &o),
-            });
+            let cause = spn_cause(&self.places, &o);
+            reps.push(Rep::basic(o.time, o.accumulated.iter().sum(), cause));
         }
         compose_clusters(&reps, self.threshold, self.max_time, |i, t_sys| {
             let o = self.run_cluster(child_seed(seed, i as u64), t_sys)?;
@@ -760,24 +766,15 @@ impl Backend for SpnSimBackend {
 /// calibrated birth–death group dynamics).
 pub struct DesBackend;
 
-/// One protocol-DES replication reduced to the common summary.
-struct DesTask(DesConfig);
+/// One replication of either protocol-DES driver ([`DesConfig`] or
+/// [`MobilityDesConfig`]) reduced to the common summary.
+struct DesTask<C>(C);
 
-impl Replicate for DesTask {
+impl<C: Replicate<Outcome = DesOutcome>> Replicate for DesTask<C> {
     type Outcome = Result<Rep, SpnError>;
 
     fn run_one(&self, seed: u64) -> Self::Outcome {
-        let o = run_des(&self.0, seed);
-        Ok(Rep {
-            time: o.time,
-            cost_rate: o.mean_cost_rate,
-            cause: o.cause,
-            compromises: o.compromises as f64,
-            detections: o.true_evictions as f64,
-            false_alarms: o.false_evictions as f64,
-            first_compromise: o.first_compromise,
-            first_detection: o.first_true_detection,
-        })
+        Ok(Rep::from_des(&self.0.run_one(seed)))
     }
 }
 
@@ -801,16 +798,8 @@ impl Replicate for ClusteredDesTask {
     type Outcome = Result<Rep, SpnError>;
 
     fn run_one(&self, seed: u64) -> Self::Outcome {
-        let reps: Vec<ClusterRep> = (0..u64::from(self.clusters))
-            .map(|i| {
-                let o = run_des(&self.cfg, child_seed(seed, i));
-                ClusterRep {
-                    time: o.time,
-                    failed: o.cause != FailureCause::Censored,
-                    hop_bits: o.hop_bits,
-                    cause: o.cause,
-                }
-            })
+        let reps: Vec<Rep> = (0..u64::from(self.clusters))
+            .map(|i| Rep::from_des(&run_des(&self.cfg, child_seed(seed, i))))
             .collect();
         compose_clusters(&reps, self.threshold, self.cfg.max_time, |i, t_sys| {
             let mut censored = self.cfg.clone();
@@ -855,32 +844,6 @@ impl Backend for DesBackend {
 /// random-waypoint network.
 pub struct MobilityDesBackend;
 
-/// One mobility-DES replication reduced to the common summary.
-struct MobilityTask(MobilityDesConfig);
-
-impl Replicate for MobilityTask {
-    type Outcome = Result<Rep, SpnError>;
-
-    fn run_one(&self, seed: u64) -> Self::Outcome {
-        let o = run_mobility_des(&self.0, seed);
-        let cost_rate = if o.time > 0.0 {
-            o.hop_bits / o.time
-        } else {
-            0.0
-        };
-        Ok(Rep {
-            time: o.time,
-            cost_rate,
-            cause: o.cause,
-            compromises: o.compromises as f64,
-            detections: o.true_evictions as f64,
-            false_alarms: o.false_evictions as f64,
-            first_compromise: o.first_compromise,
-            first_detection: o.first_true_detection,
-        })
-    }
-}
-
 /// Mobility-DES configuration for a spec (attacker axis only; validate()
 /// rejects non-evict response policies on this backend).
 fn mobility_config(spec: &ScenarioSpec) -> MobilityDesConfig {
@@ -911,7 +874,7 @@ impl Backend for MobilityDesBackend {
         // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
         let t0 = Instant::now();
         run_stochastic(
-            &MobilityTask(mobility_config(spec)),
+            &DesTask(mobility_config(spec)),
             spec,
             budget,
             BackendKind::MobilityDes,
@@ -989,7 +952,7 @@ pub(crate) fn per_replication_outcomes(
             }
             collect(&DesTask(cfg), master, n)
         }
-        BackendKind::MobilityDes => collect(&MobilityTask(mobility_config(spec)), master, n),
+        BackendKind::MobilityDes => collect(&DesTask(mobility_config(spec)), master, n),
     }
 }
 

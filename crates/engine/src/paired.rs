@@ -198,8 +198,8 @@ pub fn compare(
             mttsf.push(rb.time, rv.time);
         }
         if rb.time > 0.0 && rv.time > 0.0 {
-            cost.push(rb.cost_rate, rv.cost_rate);
-            max_abs_delta_cost = max_abs_delta_cost.max((rv.cost_rate - rb.cost_rate).abs());
+            cost.push(rb.cost_rate(), rv.cost_rate());
+            max_abs_delta_cost = max_abs_delta_cost.max((rv.cost_rate() - rb.cost_rate()).abs());
         }
         for (acc, &t) in survival.iter_mut().zip(grid) {
             acc.push(
