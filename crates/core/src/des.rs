@@ -253,7 +253,11 @@ impl Replication {
     }
 
     /// A uniformly random node whose status satisfies `pred`.
-    fn pick<R: Rng + ?Sized>(&self, rng: &mut R, pred: impl Fn(NodeStatus) -> bool) -> usize {
+    pub(crate) fn pick<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        pred: impl Fn(NodeStatus) -> bool,
+    ) -> usize {
         let nodes: Vec<usize> = (0..self.status.len())
             .filter(|&n| pred(self.status[n]))
             .collect();
@@ -326,11 +330,6 @@ impl Replication {
         self.status[victim] = NodeStatus::Compromised;
         self.k.compromises += 1;
         self.k.first_compromise.get_or_insert(self.t);
-    }
-
-    /// A random live node, the target of an IDS evaluation.
-    pub(crate) fn pick_target<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        self.pick(rng, NodeStatus::is_live)
     }
 
     /// One voting round on `target` by the live members of its group
@@ -567,7 +566,7 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
             EVENT_COMPROMISE => r.compromise(&mut rng),
             EVENT_EVALUATE => {
                 // evaluate a random live node with an actual voting round
-                let target = r.pick_target(&mut rng);
+                let target = r.pick(&mut rng, NodeStatus::is_live);
                 let gi = groups
                     .iter()
                     .position(|g| g.contains(&target))

@@ -136,7 +136,7 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
 
         if fires(&mut rng, r.evaluate_rate(trusted, undetected), cfg.dt) {
             // evaluate one random live node within its actual component
-            let target = r.pick_target(&mut rng);
+            let target = r.pick(&mut rng, NodeStatus::is_live);
             let comp = graph.component_of(target);
             let peers: Vec<usize> = (0..r.status.len())
                 .filter(|&n| n != target && r.status[n].is_live() && graph.component_of(n) == comp)
