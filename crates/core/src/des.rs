@@ -202,6 +202,8 @@ pub(crate) struct Replication {
     /// Rekey-throttle service rate.
     throttle: Option<f64>,
     pub(crate) status: Vec<NodeStatus>,
+    /// Reused candidate list of [`Replication::pick`].
+    candidates: Vec<usize>,
     pub(crate) burst_active: bool,
     /// Convictions whose rekey the throttled service has not served yet.
     pub(crate) pending_rekeys: u32,
@@ -239,6 +241,7 @@ impl Replication {
             quarantine,
             throttle,
             status: vec![NodeStatus::Trusted; sys.node_count as usize],
+            candidates: Vec::new(),
             burst_active: false,
             pending_rekeys: 0,
             t: 0.0,
@@ -254,14 +257,15 @@ impl Replication {
 
     /// A uniformly random node whose status satisfies `pred`.
     pub(crate) fn pick<R: Rng + ?Sized>(
-        &self,
+        &mut self,
         rng: &mut R,
         pred: impl Fn(NodeStatus) -> bool,
     ) -> usize {
-        let nodes: Vec<usize> = (0..self.status.len())
-            .filter(|&n| pred(self.status[n]))
-            .collect();
-        *nodes
+        self.candidates.clear();
+        self.candidates
+            .extend((0..self.status.len()).filter(|&n| pred(self.status[n])));
+        *self
+            .candidates
             .choose(rng)
             .expect("a node with the picked status exists")
     }
@@ -333,24 +337,21 @@ impl Replication {
     }
 
     /// One voting round on `target` by the live members of its group
-    /// (`peers`, target excluded), with the vote traffic flooding the
-    /// group (Byzantine accountability). `trusted`/`undetected` are the
-    /// population counts the targeted attacker's collusion sees. On
-    /// conviction the response policy is applied — quarantine, a queued
-    /// (throttled) rekey or eviction with the shrunken group's rekey — and
-    /// `true` is returned so the driver can drop the target from its group.
+    /// (`peers`, target excluded, each flagged `true` when compromised),
+    /// with the vote traffic flooding the group (Byzantine accountability).
+    /// `trusted`/`undetected` are the population counts the targeted
+    /// attacker's collusion sees. On conviction the response policy is
+    /// applied — quarantine, a queued (throttled) rekey or eviction with the
+    /// shrunken group's rekey — and `true` is returned so the driver can
+    /// drop the target from its group.
     pub(crate) fn vote<R: Rng + ?Sized>(
         &mut self,
         target: usize,
-        peers: &[usize],
+        peers: &[bool],
         trusted: u32,
         undetected: u32,
         rng: &mut R,
     ) -> bool {
-        let peers_bad: Vec<bool> = peers
-            .iter()
-            .map(|&n| self.status[n] == NodeStatus::Compromised)
-            .collect();
         let target_bad = self.status[target] == NodeStatus::Compromised;
         // Targeted attackers press their numeric advantage inside the vote
         // too — same effective collusion as the SPN's Pfn/Pfp.
@@ -364,7 +365,7 @@ impl Replication {
         } else {
             self.sys.collusion
         };
-        let o = run_vote_with_collusion(&self.vote_cfg, target_bad, &peers_bad, collusion, rng);
+        let o = run_vote_with_collusion(&self.vote_cfg, target_bad, peers, collusion, rng);
         self.k.votes += 1;
         let group = (peers.len() + 1) as f64;
         self.hop_bits += o.votes as f64 * self.sys.vote_packet_bits as f64 * group;
@@ -465,6 +466,8 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
     // Group member lists; evicted and quarantined nodes have left theirs.
     let mut groups: Vec<Vec<usize>> = vec![(0..r.status.len()).collect()];
+    // Compromise flags of an evaluated node's group peers.
+    let mut peers: Vec<bool> = Vec::new();
     let background = |r: &Replication, groups: &[Vec<usize>]| {
         groups
             .iter()
@@ -571,11 +574,13 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
                     .iter()
                     .position(|g| g.contains(&target))
                     .expect("every live node belongs to a group");
-                let peers: Vec<usize> = groups[gi]
-                    .iter()
-                    .copied()
-                    .filter(|&n| n != target)
-                    .collect();
+                peers.clear();
+                peers.extend(
+                    groups[gi]
+                        .iter()
+                        .filter(|&&n| n != target)
+                        .map(|&n| r.status[n] == NodeStatus::Compromised),
+                );
                 if r.vote(target, &peers, trusted, undetected, &mut rng) {
                     groups[gi].retain(|&n| n != target);
                     if groups[gi].is_empty() {

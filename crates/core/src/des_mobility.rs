@@ -138,8 +138,9 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
             // evaluate one random live node within its actual component
             let target = r.pick(&mut rng, NodeStatus::is_live);
             let comp = graph.component_of(target);
-            let peers: Vec<usize> = (0..r.status.len())
+            let peers: Vec<bool> = (0..r.status.len())
                 .filter(|&n| n != target && r.status[n].is_live() && graph.component_of(n) == comp)
+                .map(|n| r.status[n] == NodeStatus::Compromised)
                 .collect();
             r.vote(target, &peers, trusted, undetected, &mut rng);
         }
