@@ -79,13 +79,6 @@ impl fmt::Display for Rule {
 /// * `crates/bench/` is the timing harness — wall clocks are its job.
 /// * `numerics/src/replicate.rs` is the blessed fixed-chunk executor and
 ///   `numerics/src/rng.rs` the `child_seed` grid itself.
-/// * `numerics/src/sparse.rs` hosts the deterministic gather-matvec
-///   kernels: parallelism there is row-partitioned over a fixed chunk
-///   grid with every dot product accumulated sequentially in stored
-///   order, so per-element results are bit-identical at any thread
-///   count. D004 is scoped out for that one file so kernel work is not
-///   forced through allow comments; everywhere else a parallel reduction
-///   still fires (see the `d004_violating_gather.rs` fixture).
 /// * R001 guards the long-running service: everything under
 ///   `crates/engine/src/`, plus the scenario subsystem it evaluates
 ///   (`crates/scenario/src/` and `crates/core/src/scenario_model.rs`).
@@ -98,9 +91,7 @@ pub fn rules_for_path(path: &str) -> Vec<Rule> {
         path == "crates/numerics/src/replicate.rs" || path == "crates/numerics/src/rng.rs";
     if !seed_grid {
         rules.push(Rule::D003);
-        if path != "crates/numerics/src/sparse.rs" {
-            rules.push(Rule::D004);
-        }
+        rules.push(Rule::D004);
     }
     if path.starts_with("crates/engine/src/")
         || path.starts_with("crates/scenario/src/")

@@ -1,8 +1,7 @@
 //! D004 fixture: a gather-shaped matvec whose parallel reduction sums
 //! per-row dot products across threads — the *outer* reduction order
-//! depends on scheduling even though each row's dot is sequential. The
-//! sparse-kernel carve-out covers only `crates/numerics/src/sparse.rs`;
-//! this shape anywhere else must still fire. Expected findings: 1.
+//! depends on scheduling even though each row's dot is sequential.
+//! Expected findings: 1.
 use rayon::prelude::*;
 
 pub fn gather_mass(rows: &[(usize, usize)], cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {

@@ -3,8 +3,9 @@
 //! Each of the paper's evaluation figures (2–5) has a runner here that
 //! produces a [`FigureTable`]: the same x-grid and series the paper plots.
 //! The `fig2 … fig5` binaries print the table and write a CSV under
-//! `results/`; the Criterion benches time representative points of the
-//! same computations.
+//! `results/`. Timing lives in the separate `perfbench` package
+//! (`crates/bench/perfbench`), which drives the same engine from spec JSON
+//! to report JSON.
 //!
 //! All figure runners are thin adapters over [`engine::Runner`]: they
 //! expand a [`engine::ScenarioGrid`] over the paper's axes, run the batch
@@ -273,7 +274,7 @@ pub fn fig5(cfg: &SystemConfig) -> Result<FigureTable, EngineError> {
 /// The horizon is 0.1 × MTTSF — the hours-to-days regime where mission
 /// planning happens, and where uniformization (cost ∝ q·t_max) stays
 /// cheap at paper scale; push the factor up only with profiling
-/// (`profile_point` times the sweep).
+/// (perfbench's `mission` workload times the sweep).
 ///
 /// # Errors
 /// Propagates evaluation failures.

@@ -2,8 +2,8 @@
 //!
 //! The mean-time-to-absorption system `Qᵀ_TT σ = −π₀` has a weakly
 //! diagonally dominant, irreducibly structured matrix, for which the classic
-//! stationary iterations converge reliably. We provide Jacobi, Gauss–Seidel
-//! and SOR (the ablation benchmark compares them), plus a dense
+//! stationary iterations converge reliably. We provide Gauss–Seidel (the
+//! per-component solve of the SCC absorption path in `spn::ctmc`), a dense
 //! partial-pivot LU fallback used for small systems and for verifying the
 //! iterative results in tests, and power iteration for stationary
 //! distributions of stochastic matrices.
@@ -28,8 +28,6 @@ pub struct IterConfig {
     pub tolerance: f64,
     /// Iteration cap.
     pub max_iterations: usize,
-    /// SOR relaxation factor (ignored by Jacobi/Gauss–Seidel).
-    pub omega: f64,
 }
 
 impl Default for IterConfig {
@@ -37,7 +35,6 @@ impl Default for IterConfig {
         Self {
             tolerance: 1e-12,
             max_iterations: 100_000,
-            omega: 1.2,
         }
     }
 }
@@ -54,75 +51,19 @@ fn residual_inf(a: &Csr, x: &[f64], b: &[f64]) -> f64 {
     worst
 }
 
-/// Jacobi iteration for `A x = b`.
+/// Gauss–Seidel iteration for `A x = b`.
 ///
 /// # Panics
 /// Panics on dimension mismatch or a zero diagonal entry.
-pub fn jacobi(a: &Csr, b: &[f64], cfg: &IterConfig) -> (Vec<f64>, SolveReport) {
-    let n = a.rows();
-    assert_eq!(a.cols(), n, "jacobi: matrix must be square");
-    assert_eq!(b.len(), n, "jacobi: rhs dimension mismatch");
-    let diag: Vec<f64> = (0..n).map(|r| a.get(r, r)).collect();
-    assert!(diag.iter().all(|&d| d != 0.0), "jacobi: zero diagonal");
-    let mut x = vec![0.0; n];
-    let mut next = vec![0.0; n];
-    for it in 0..cfg.max_iterations {
-        for r in 0..n {
-            let mut acc = b[r];
-            for (c, v) in a.row(r) {
-                if c != r {
-                    acc -= v * x[c];
-                }
-            }
-            next[r] = acc / diag[r];
-        }
-        std::mem::swap(&mut x, &mut next);
-        if it % 8 == 0 {
-            let res = residual_inf(a, &x, b);
-            if res <= cfg.tolerance {
-                return (
-                    x,
-                    SolveReport {
-                        iterations: it + 1,
-                        residual: res,
-                        converged: true,
-                    },
-                );
-            }
-        }
-    }
-    let res = residual_inf(a, &x, b);
-    (
-        x,
-        SolveReport {
-            iterations: cfg.max_iterations,
-            residual: res,
-            converged: res <= cfg.tolerance,
-        },
-    )
-}
-
-/// Gauss–Seidel iteration (SOR with ω = 1).
 pub fn gauss_seidel(a: &Csr, b: &[f64], cfg: &IterConfig) -> (Vec<f64>, SolveReport) {
-    let cfg = IterConfig { omega: 1.0, ..*cfg };
-    sor(a, b, &cfg)
-}
-
-/// Successive over-relaxation for `A x = b`.
-///
-/// # Panics
-/// Panics on dimension mismatch, zero diagonal, or ω outside (0, 2).
-pub fn sor(a: &Csr, b: &[f64], cfg: &IterConfig) -> (Vec<f64>, SolveReport) {
     let n = a.rows();
-    assert_eq!(a.cols(), n, "sor: matrix must be square");
-    assert_eq!(b.len(), n, "sor: rhs dimension mismatch");
-    assert!(
-        cfg.omega > 0.0 && cfg.omega < 2.0,
-        "sor: omega {} outside (0,2)",
-        cfg.omega
-    );
+    assert_eq!(a.cols(), n, "gauss_seidel: matrix must be square");
+    assert_eq!(b.len(), n, "gauss_seidel: rhs dimension mismatch");
     let diag: Vec<f64> = (0..n).map(|r| a.get(r, r)).collect();
-    assert!(diag.iter().all(|&d| d != 0.0), "sor: zero diagonal");
+    assert!(
+        diag.iter().all(|&d| d != 0.0),
+        "gauss_seidel: zero diagonal"
+    );
     let mut x = vec![0.0; n];
     for it in 0..cfg.max_iterations {
         let mut delta_max = 0.0_f64;
@@ -134,7 +75,9 @@ pub fn sor(a: &Csr, b: &[f64], cfg: &IterConfig) -> (Vec<f64>, SolveReport) {
                 }
             }
             let gs = acc / diag[r];
-            let new = x[r] + cfg.omega * (gs - x[r]);
+            // Applied as a correction rather than stored as `gs`: the two
+            // round differently, and the absorption results are pinned.
+            let new = x[r] + (gs - x[r]);
             delta_max = delta_max.max((new - x[r]).abs());
             x[r] = new;
         }
@@ -216,32 +159,6 @@ pub fn dense_lu_solve(a_dense: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
     Some(x)
 }
 
-/// Solve `A x = b` choosing a method automatically: Gauss–Seidel first,
-/// dense LU fallback if it fails to converge and the system is small enough.
-///
-/// Returns the solution and the iterative report (the report's `converged`
-/// is `true` when either path succeeded).
-pub fn solve_auto(a: &Csr, b: &[f64], cfg: &IterConfig) -> (Vec<f64>, SolveReport) {
-    let (x, rep) = gauss_seidel(a, b, cfg);
-    if rep.converged {
-        return (x, rep);
-    }
-    if a.rows() <= 4096 {
-        if let Some(x) = dense_lu_solve(&a.to_dense(), b) {
-            let res = residual_inf(a, &x, b);
-            return (
-                x,
-                SolveReport {
-                    iterations: rep.iterations,
-                    residual: res,
-                    converged: true,
-                },
-            );
-        }
-    }
-    (x, rep)
-}
-
 /// Power iteration for the stationary row vector `π P = π` of a stochastic
 /// matrix `P` (rows sum to 1). Returns the normalized distribution.
 ///
@@ -292,72 +209,11 @@ mod tests {
     use super::*;
     use crate::sparse::Triplets;
 
-    fn diag_dominant_example() -> (Csr, Vec<f64>, Vec<f64>) {
-        // A = [[4,-1,0],[-1,4,-1],[0,-1,4]], x = [1,2,3]
-        let mut t = Triplets::new(3, 3);
-        for i in 0..3 {
-            t.push(i, i, 4.0);
-        }
-        t.push(0, 1, -1.0);
-        t.push(1, 0, -1.0);
-        t.push(1, 2, -1.0);
-        t.push(2, 1, -1.0);
-        let a = t.build();
-        let x = vec![1.0, 2.0, 3.0];
-        let b = a.matvec(&x);
-        (a, b, x)
-    }
-
     fn assert_vec_close(a: &[f64], b: &[f64], tol: f64) {
         assert_eq!(a.len(), b.len());
         for (u, v) in a.iter().zip(b) {
             assert!((u - v).abs() < tol, "{a:?} vs {b:?}");
         }
-    }
-
-    #[test]
-    fn jacobi_converges() {
-        let (a, b, x) = diag_dominant_example();
-        let (sol, rep) = jacobi(&a, &b, &IterConfig::default());
-        assert!(rep.converged, "{rep:?}");
-        assert_vec_close(&sol, &x, 1e-9);
-    }
-
-    #[test]
-    fn gauss_seidel_converges_faster_than_jacobi() {
-        let (a, b, _) = diag_dominant_example();
-        let (_, rj) = jacobi(&a, &b, &IterConfig::default());
-        let (_, rg) = gauss_seidel(&a, &b, &IterConfig::default());
-        assert!(rg.converged && rj.converged);
-        assert!(
-            rg.iterations <= rj.iterations,
-            "gs {} vs j {}",
-            rg.iterations,
-            rj.iterations
-        );
-    }
-
-    #[test]
-    fn sor_converges() {
-        let (a, b, x) = diag_dominant_example();
-        let cfg = IterConfig {
-            omega: 1.3,
-            ..Default::default()
-        };
-        let (sol, rep) = sor(&a, &b, &cfg);
-        assert!(rep.converged);
-        assert_vec_close(&sol, &x, 1e-9);
-    }
-
-    #[test]
-    #[should_panic]
-    fn sor_rejects_bad_omega() {
-        let (a, b, _) = diag_dominant_example();
-        let cfg = IterConfig {
-            omega: 2.5,
-            ..Default::default()
-        };
-        sor(&a, &b, &cfg);
     }
 
     #[test]
@@ -414,24 +270,6 @@ mod tests {
         assert!(rep.converged);
         let xd = dense_lu_solve(&dense, &b).unwrap();
         assert_vec_close(&xi, &xd, 1e-8);
-    }
-
-    #[test]
-    fn solve_auto_falls_back_to_lu() {
-        // Non-diagonally-dominant but well-conditioned: GS may stall, LU must win.
-        let mut t = Triplets::new(2, 2);
-        t.push(0, 0, 1.0);
-        t.push(0, 1, 3.0);
-        t.push(1, 0, 3.0);
-        t.push(1, 1, 1.0);
-        let a = t.build();
-        let cfg = IterConfig {
-            max_iterations: 50,
-            ..Default::default()
-        };
-        let (x, rep) = solve_auto(&a, &[7.0, 5.0], &cfg);
-        assert!(rep.converged);
-        assert_vec_close(&x, &[1.0, 2.0], 1e-9);
     }
 
     #[test]

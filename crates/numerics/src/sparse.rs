@@ -11,21 +11,14 @@
 //! build the structure once and thereafter only rewrite [`Csr::values_mut`]
 //! in place — cloning a [`Csr`] never copies the pattern.
 
-use rayon::prelude::*;
 use std::sync::Arc;
-
-/// Rows per parallel work unit of [`Csr::par_gather_into`] — the same fixed
-/// 64-wide grid `replicate` uses, so the split never depends on worker
-/// count.
-const GATHER_CHUNK: usize = 64;
 
 /// Fixed-order gather dot product of one CSR row against a dense vector:
 /// `Σⱼ vals[j] · x[cols[j]]`, accumulated strictly in ascending stored
-/// order. Every gather kernel in this module (CSR, [`EllMatrix`], and
-/// their parallel variants) uses this same in-order accumulation, so all
-/// of them produce bit-identical results for the same row content — the
-/// evaluation order is a pure function of the row structure, never of
-/// scheduling or storage format.
+/// order. Both gather kernels in this module (CSR and [`EllMatrix`]) use
+/// this same in-order accumulation, so they produce bit-identical results
+/// for the same row content — the evaluation order is a pure function of
+/// the row structure, never of storage format.
 #[inline]
 fn gather_row(cols: &[u32], vals: &[f64], x: &[f64]) -> f64 {
     debug_assert_eq!(cols.len(), vals.len());
@@ -312,31 +305,6 @@ impl Csr {
         }
     }
 
-    /// Parallel `y = A x`, bit-identical to [`Csr::gather_into`] for every
-    /// worker count: output rows are split over a fixed 64-row chunk grid
-    /// (never a function of thread count) and each row is an independent
-    /// gather dot product evaluated in fixed order, so no floating-point
-    /// reduction ever crosses a scheduling boundary.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn par_gather_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols(), "gather dimension mismatch");
-        assert_eq!(y.len(), self.rows(), "gather output dimension mismatch");
-        let chunks: Vec<(usize, &mut [f64])> = y.chunks_mut(GATHER_CHUNK).enumerate().collect();
-        let done: Vec<()> = chunks
-            .into_par_iter()
-            .map(|(ci, rows)| {
-                let base = ci * GATHER_CHUNK;
-                for (k, out) in rows.iter_mut().enumerate() {
-                    let range = self.pattern.row_range(base + k);
-                    *out = gather_row(&self.pattern.col_idx[range.clone()], &self.values[range], x);
-                }
-            })
-            .collect();
-        drop(done);
-    }
-
     /// Transposed copy.
     pub fn transpose(&self) -> Csr {
         let mut t = Triplets::new(self.cols(), self.rows());
@@ -420,8 +388,8 @@ fn ell_block_dyn(w: usize, cols: &[u32], vals: &[f64], x: &[f64], y: &mut [f64])
     }
 }
 
-/// Width dispatch shared by the sequential and parallel ELL kernels, so
-/// both run the exact same per-row code.
+/// Width dispatch of [`EllMatrix::gather_into`]: the common narrow widths
+/// run a fully unrolled kernel.
 fn ell_dispatch(w: usize, cols: &[u32], vals: &[f64], x: &[f64], y: &mut [f64]) {
     match w {
         1 => ell_block::<1>(cols, vals, x, y),
@@ -496,40 +464,6 @@ impl EllMatrix {
             return;
         }
         ell_dispatch(self.width, &self.col_idx, &self.values, x, y);
-    }
-
-    /// Parallel `y = A x`, bit-identical to [`EllMatrix::gather_into`] for
-    /// every worker count: rows are split over the fixed 64-row chunk grid
-    /// (never a function of thread count) and each chunk runs the same
-    /// fixed-order per-row kernel, so no floating-point reduction crosses a
-    /// scheduling boundary.
-    ///
-    /// # Panics
-    /// Panics on dimension mismatch.
-    pub fn par_gather_into(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.cols, "gather dimension mismatch");
-        assert_eq!(y.len(), self.rows, "gather output dimension mismatch");
-        let w = self.width;
-        if w == 0 {
-            y.fill(0.0);
-            return;
-        }
-        let chunks: Vec<(usize, &mut [f64])> = y.chunks_mut(GATHER_CHUNK).enumerate().collect();
-        let done: Vec<()> = chunks
-            .into_par_iter()
-            .map(|(ci, rows)| {
-                let base = ci * GATHER_CHUNK * w;
-                let len = rows.len() * w;
-                ell_dispatch(
-                    w,
-                    &self.col_idx[base..base + len],
-                    &self.values[base..base + len],
-                    x,
-                    rows,
-                );
-            })
-            .collect();
-        drop(done);
     }
 }
 
@@ -680,20 +614,6 @@ mod tests {
     }
 
     #[test]
-    fn par_gather_is_bit_identical_to_sequential() {
-        // 300 rows span several 64-row chunks including a partial tail.
-        let a = wide_random(300, 120);
-        let x: Vec<f64> = (0..120).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut seq = vec![0.0; 300];
-        let mut par = vec![1.0; 300];
-        a.gather_into(&x, &mut seq);
-        a.par_gather_into(&x, &mut par);
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
-    }
-
-    #[test]
     fn ell_gather_is_bit_identical_to_csr_gather() {
         // Widths 1..=9 exercise every monomorphized kernel plus the
         // dynamic fallback; the empty row exercises full-width padding.
@@ -727,21 +647,5 @@ mod tests {
         let mut y = vec![5.0; 4];
         e.gather_into(&x, &mut y);
         assert_eq!(y, vec![0.0; 4]);
-        e.par_gather_into(&x, &mut y);
-        assert_eq!(y, vec![0.0; 4]);
-    }
-
-    #[test]
-    fn ell_par_gather_is_bit_identical_to_sequential() {
-        let a = wide_random(300, 120);
-        let e = EllMatrix::from_csr(&a);
-        let x: Vec<f64> = (0..120).map(|i| 1.0 / (1.0 + i as f64)).collect();
-        let mut seq = vec![0.0; 300];
-        let mut par = vec![1.0; 300];
-        e.gather_into(&x, &mut seq);
-        e.par_gather_into(&x, &mut par);
-        for (s, p) in seq.iter().zip(&par) {
-            assert_eq!(s.to_bits(), p.to_bits());
-        }
     }
 }

@@ -430,15 +430,13 @@ impl Ctmc {
                         let cfg = IterConfig {
                             tolerance: 1e-13,
                             max_iterations: 200_000,
-                            omega: 1.0,
                         };
                         let (x, report) = numerics::linsolve::gauss_seidel(&t.build(), &rhs, &cfg);
                         if report.converged {
                             x
                         } else if nb <= 4096 {
                             // Divergent iteration on a mid-sized component:
-                            // rescue with a direct solve, as the pre-SCC
-                            // solve_auto path did.
+                            // rescue with a direct dense LU solve.
                             let mut a = vec![vec![0.0; nb]; nb];
                             for (r, &j) in block.iter().enumerate() {
                                 a[r][r] = -self.exit[transient[j]];
@@ -600,7 +598,6 @@ impl Ctmc {
         let cfg = IterConfig {
             tolerance: 1e-13,
             max_iterations: 1_000_000,
-            omega: 1.0,
         };
         let (pi, rep) = numerics::linsolve::power_iteration_stationary(p, &cfg);
         if !rep.converged {

@@ -324,23 +324,6 @@ impl ReachabilityGraph {
         self.self_loop_rates.clone_from(&pristine.self_loop_rates);
         self.absorbing.clone_from(&pristine.absorbing);
     }
-
-    /// Copy of this graph re-weighted from `net`'s current rate functions;
-    /// see [`ReachabilityGraph::reweight_in_place`].
-    ///
-    /// # Errors
-    /// Same conditions as [`ReachabilityGraph::reweight_in_place`].
-    pub fn reweighted(&self, net: &Spn) -> Result<Self, SpnError> {
-        let mut g = Self {
-            states: self.states.clone(),
-            edges: self.edges.clone(),
-            self_loop_rates: self.self_loop_rates.clone(),
-            initial_distribution: self.initial_distribution.clone(),
-            absorbing: self.absorbing.clone(),
-        };
-        g.reweight_in_place(net)?;
-        Ok(g)
-    }
 }
 
 /// Resolution of one (possibly vanishing) marking into tangible successors
@@ -731,9 +714,9 @@ mod tests {
 
     #[test]
     fn reweight_matches_fresh_exploration() {
-        let base = explore(&scaled_death_chain(5, 1.0), &ExploreOptions::default()).unwrap();
+        let mut rg = explore(&scaled_death_chain(5, 1.0), &ExploreOptions::default()).unwrap();
         let hot = scaled_death_chain(5, 3.5);
-        let rg = base.reweighted(&hot).unwrap();
+        rg.reweight_in_place(&hot).unwrap();
         let fresh = explore(&hot, &ExploreOptions::default()).unwrap();
         assert_eq!(rg.state_count(), fresh.state_count());
         for (a, b) in rg.edges.iter().zip(&fresh.edges) {
@@ -778,8 +761,8 @@ mod tests {
             );
             b.build().unwrap()
         };
-        let base = explore(&build(2.0), &ExploreOptions::default()).unwrap();
-        let rg = base.reweighted(&build(8.0)).unwrap();
+        let mut rg = explore(&build(2.0), &ExploreOptions::default()).unwrap();
+        rg.reweight_in_place(&build(8.0)).unwrap();
         let mut rates: Vec<f64> = rg.edges[0].iter().map(|e| e.rate).collect();
         rates.sort_by(|a, b| a.partial_cmp(b).unwrap());
         assert!((rates[0] - 2.0).abs() < 1e-12);
@@ -795,8 +778,8 @@ mod tests {
             b.add_transition(TransitionDef::timed_const("drain", 1.0).input(a, 1));
             b.build().unwrap()
         };
-        let base = explore(&build(7.0), &ExploreOptions::default()).unwrap();
-        let rg = base.reweighted(&build(21.0)).unwrap();
+        let mut rg = explore(&build(7.0), &ExploreOptions::default()).unwrap();
+        rg.reweight_in_place(&build(21.0)).unwrap();
         assert_eq!(rg.self_loop_rates[0][0].1, 21.0);
     }
 
@@ -815,10 +798,8 @@ mod tests {
             b.add_transition(TransitionDef::timed_const("die", rate).input(up, 1));
             b.build().unwrap()
         };
-        let reweighted = explore(&build(old_r), &ExploreOptions::default())
-            .unwrap()
-            .reweighted(&build(new_r))
-            .unwrap();
+        let mut reweighted = explore(&build(old_r), &ExploreOptions::default()).unwrap();
+        reweighted.reweight_in_place(&build(new_r)).unwrap();
         let fresh = explore(&build(new_r), &ExploreOptions::default()).unwrap();
         for (a, b) in reweighted
             .edges
@@ -846,44 +827,44 @@ mod tests {
             );
             b.build().unwrap()
         };
-        let base = explore(&build(false), &ExploreOptions::default()).unwrap();
+        let mut g = explore(&build(false), &ExploreOptions::default()).unwrap();
         assert!(matches!(
-            base.reweighted(&build(true)),
+            g.reweight_in_place(&build(true)),
             Err(SpnError::InvalidModel(_))
         ));
     }
 
     #[test]
     fn reweight_to_zero_rate_makes_state_absorbing() {
-        let base = explore(&scaled_death_chain(3, 1.0), &ExploreOptions::default()).unwrap();
+        let mut g = explore(&scaled_death_chain(3, 1.0), &ExploreOptions::default()).unwrap();
         let dead = {
             let mut b = SpnBuilder::new();
             let up = b.add_place("up", 3);
             b.add_transition(TransitionDef::timed("die", move |_| 0.0).input(up, 1));
             b.build().unwrap()
         };
-        let rg = base.reweighted(&dead).unwrap();
-        assert!(rg.absorbing.iter().all(|&a| a));
+        g.reweight_in_place(&dead).unwrap();
+        assert!(g.absorbing.iter().all(|&a| a));
     }
 
     #[test]
     fn repeated_reweight_through_zero_stays_finite() {
         // Zero a rate, re-weight again while still zero: no 0/0 → NaN, and
         // reviving the zeroed transition is rejected as structural.
-        let base = explore(&scaled_death_chain(3, 1.0), &ExploreOptions::default()).unwrap();
+        let mut g = explore(&scaled_death_chain(3, 1.0), &ExploreOptions::default()).unwrap();
         let dead = {
             let mut b = SpnBuilder::new();
             let up = b.add_place("up", 3);
             b.add_transition(TransitionDef::timed("die", move |_| 0.0).input(up, 1));
             b.build().unwrap()
         };
-        let mut g = base.reweighted(&dead).unwrap();
+        g.reweight_in_place(&dead).unwrap();
         g.reweight_in_place(&dead).unwrap();
         for e in g.edges.iter().flatten() {
             assert!(e.rate == 0.0, "expected zero, got {}", e.rate);
         }
         assert!(matches!(
-            g.reweighted(&scaled_death_chain(3, 1.0)),
+            g.reweight_in_place(&scaled_death_chain(3, 1.0)),
             Err(SpnError::InvalidModel(_))
         ));
     }
@@ -1013,7 +994,8 @@ mod tests {
             b.absorbing_when(move |m| places.iter().all(|&p| m.tokens(p) == 0));
             b.build().unwrap()
         };
-        let rg = lumped.reweighted(&slow).unwrap();
+        let mut rg = lumped.clone();
+        rg.reweight_in_place(&slow).unwrap();
         let mtta_fast = crate::ctmc::Ctmc::from_graph(&lumped)
             .unwrap()
             .mean_time_to_absorption()

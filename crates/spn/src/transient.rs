@@ -20,10 +20,8 @@
 //! 3. **Deterministic gather matvecs.** Propagation multiplies by the
 //!    *transposed* uniformized DTMC, so each output element is an
 //!    independent dot-product over sources in ascending order — the exact
-//!    accumulation order of the sequential forward scatter. On large blocks
-//!    with a multi-worker rayon pool the rows are mapped over the fixed
-//!    64-row chunk grid ([`Csr::par_gather_into`]), which is bit-identical
-//!    to the sequential kernel for any thread count.
+//!    accumulation order of the sequential forward scatter. The sweep is
+//!    always sequential, so it never depends on the thread count.
 //! 4. **Zero allocation after setup.** The engine owns every buffer the
 //!    sweep needs (iterate, accumulator, flux, Poisson-weight scratch); a
 //!    whole survival grid performs no heap allocation after
@@ -78,10 +76,6 @@ impl TransientStats {
 /// within 8 steps of the true fixed point.
 const DETECT_STRIDE: u64 = 8;
 
-/// Minimum transient-block size before the parallel gather kernel beats
-/// per-chunk spawn overhead in the vendored rayon pool.
-const PAR_MIN_ROWS: usize = 512;
-
 /// Reusable uniformization sweep over one chain's transient block.
 ///
 /// Construction partitions states, compacts the propagation blocks, and
@@ -98,9 +92,6 @@ pub struct TransientEngine {
     detect_tolerance: f64,
     /// Whether whole-grid early exit on vanished transient mass is allowed.
     early_exit_enabled: bool,
-    /// Use the chunked parallel gather kernel (decided once at setup so a
-    /// sweep never changes kernels mid-grid).
-    par: bool,
     /// Whether per-class absorbed mass is maintained step-by-step. The
     /// survival sweep reads only live transient mass, so it skips the
     /// `Uᵀ_AT` flux gather entirely; distribution/occupancy sweeps need
@@ -269,13 +260,11 @@ impl TransientEngine {
             }
         }
 
-        let par = rayon::current_num_threads() > 1 && nt >= PAR_MIN_ROWS;
         Self {
             q,
             epsilon: opts.epsilon,
             detect_tolerance: opts.detect_tolerance,
             early_exit_enabled: opts.early_exit,
-            par,
             track_absorbed,
             g,
             ta,
@@ -341,11 +330,7 @@ impl TransientEngine {
                 self.ta.gather_into(&self.v, &mut self.flux);
                 axpy(&mut self.absorbed, 1.0, &self.flux);
             }
-            if self.par {
-                self.g.par_gather_into(&self.v, &mut self.next);
-            } else {
-                self.g.gather_into(&self.v, &mut self.next);
-            }
+            self.g.gather_into(&self.v, &mut self.next);
             self.stats.matvecs += 1;
             if self.detect_tolerance > 0.0 && self.stats.matvecs.is_multiple_of(DETECT_STRIDE) {
                 let dmax = max_abs_diff(&self.next, &self.v);
@@ -482,11 +467,7 @@ impl TransientEngine {
             }
             self.ta.gather_into(&self.v, &mut self.flux);
             axpy(&mut self.absorbed, 1.0, &self.flux);
-            if self.par {
-                self.g.par_gather_into(&self.v, &mut self.next);
-            } else {
-                self.g.gather_into(&self.v, &mut self.next);
-            }
+            self.g.gather_into(&self.v, &mut self.next);
             self.stats.matvecs += 1;
             if self.detect_tolerance > 0.0 && self.stats.matvecs.is_multiple_of(DETECT_STRIDE) {
                 let dmax = max_abs_diff(&self.next, &self.v);

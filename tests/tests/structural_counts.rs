@@ -1,0 +1,273 @@
+//! Exact work counters of the evaluation pipeline, pinned.
+//!
+//! Every number here is deterministic: state and edge counts of the
+//! explored nets, the transient engine's matvec telemetry, lumping
+//! reductions, replication counts of fixed and adaptive plans, template
+//! cache hits and misses, and the CRN self-comparison's zero deltas. Any
+//! drift is a change of algorithm, never noise, so each value is asserted
+//! exactly. Timings live in perfbench (`crates/bench/perfbench`).
+
+use engine::{
+    backend_for, compare, AttackerStrategy, BackendKind, ResponsePolicy, RunBudget, Runner,
+    SamplingPlan, ScenarioConfig, ScenarioSpec,
+};
+use gcsids::clustered::{evaluate_clustered_graph, evaluate_clustered_with_survival};
+use gcsids::config::{ClusterTopology, SystemConfig};
+use gcsids::metrics::ExactTemplate;
+use gcsids::model::build_clustered_model;
+use spn::ctmc::{Ctmc, TransientOptions};
+use spn::reach::{explore, ExploreOptions};
+use spn::transient::TransientStats;
+
+/// The accelerated 12-node system of the crossval fixtures: fails within
+/// ~1e5 s, so every backend finishes quickly at full replication counts.
+fn hot_system() -> SystemConfig {
+    let mut cfg = SystemConfig::paper_default();
+    cfg.node_count = 12;
+    cfg.vote_participants = 3;
+    cfg.attacker.base_rate = 1.0 / 600.0;
+    cfg.detection = cfg.detection.with_interval(120.0);
+    cfg
+}
+
+/// States and edges of the paper-default net at `n` nodes, and the
+/// transient telemetry of a 5-point survival sweep to 0.05 × MTTSF.
+fn exact_counts(n: u32) -> (usize, usize, TransientStats) {
+    let mut cfg = SystemConfig::paper_default();
+    cfg.node_count = n;
+    let template = ExactTemplate::new(&cfg).unwrap();
+    let graph = template.graph();
+    let ctmc = Ctmc::from_graph(graph).unwrap();
+    let horizon = 0.05 * ctmc.mean_time_to_absorption().unwrap().mtta;
+    let grid: Vec<f64> = (1..=5).map(|i| horizon * f64::from(i) / 5.0).collect();
+    let (_, stats) = ctmc.survival_curve_with_stats(&grid, &TransientOptions::default());
+    (graph.state_count(), graph.edge_count(), stats)
+}
+
+#[test]
+fn exact_pipeline_counts_at_n50() {
+    let expected = TransientStats {
+        matvecs: 49_450,
+        detection_step: None,
+        early_exit: false,
+        transient_states: 1_825,
+        absorbing_states: 1_825,
+    };
+    assert_eq!(exact_counts(50), (3_650, 9_632, expected));
+}
+
+#[test]
+fn exact_pipeline_counts_at_n100() {
+    let expected = TransientStats {
+        matvecs: 115_455,
+        detection_step: None,
+        early_exit: false,
+        transient_states: 6_993,
+        absorbing_states: 6_993,
+    };
+    assert_eq!(exact_counts(100), (13_986, 37_656, expected));
+}
+
+/// Three 5-node clusters are still explorable unlumped: the lumped
+/// quotient must reproduce the flat product space's MTTSF.
+#[test]
+fn clustered_lumping_counts_c3() {
+    let mut cfg = hot_system();
+    cfg.node_count = 5;
+    let topo = ClusterTopology {
+        clusters: 3,
+        failure_threshold: 2,
+    };
+    let opts = ExploreOptions::default();
+    let model = build_clustered_model(&cfg, &topo);
+    let flat = explore(&model.net, &opts).unwrap();
+    let (unlumped, _) = evaluate_clustered_graph(&model, &flat, &[]).unwrap();
+    let lumped = evaluate_clustered_with_survival(&cfg, &topo, &[], &opts).unwrap();
+
+    assert_eq!(unlumped.state_count, 109_375);
+    assert_eq!(lumped.stats.states, 19_175);
+    assert_eq!(lumped.stats.edges, 92_092);
+    assert_eq!(lumped.stats.reduction, 6.51890482398957);
+    let rel =
+        (lumped.evaluation.mttsf_seconds - unlumped.mttsf_seconds).abs() / unlumped.mttsf_seconds;
+    assert!(rel < 1e-8, "lumped/unlumped MTTSF disagree: rel={rel:.3e}");
+}
+
+/// States, edges, reduction and unlumped state estimate of the lumped
+/// evaluation of `clusters` copies of `cfg`.
+fn lumped_counts(cfg: &SystemConfig, clusters: u32, threshold: u32) -> (usize, usize, f64, f64) {
+    let topo = ClusterTopology {
+        clusters,
+        failure_threshold: threshold,
+    };
+    let l = evaluate_clustered_with_survival(cfg, &topo, &[], &ExploreOptions::default()).unwrap();
+    (
+        l.stats.states,
+        l.stats.edges,
+        l.stats.reduction,
+        l.stats.unlumped_state_estimate,
+    )
+}
+
+/// Deployments only the lumped or composed path reaches: ten 12-node
+/// clusters (the 120-node crossval fixture), and ten or twenty 5-node
+/// clusters (50 and 100 nodes).
+#[test]
+fn clustered_lumping_counts_past_the_flat_budget() {
+    let c10 = (262, 635, 4.987647683877605e21, 1.3067636931759326e24);
+    assert_eq!(lumped_counts(&hot_system(), 10, 3), c10);
+    let mut small = hot_system();
+    small.node_count = 5;
+    let n50 = (54, 119, 1808449074074074.0, 9.765625e16);
+    assert_eq!(lumped_counts(&small, 10, 3), n50);
+    let n100 = (56, 182, 1.7029898507254466e32, 9.5367431640625e33);
+    assert_eq!(lumped_counts(&small, 20, 5), n100);
+}
+
+/// A fixed 200-replication plan and an adaptive plan targeting a 15%
+/// relative MTTSF half-width, per stochastic backend.
+#[test]
+fn stochastic_replication_counts() {
+    let mut spec = ScenarioSpec::paper_default(BackendKind::Des);
+    spec.name = "counts/replication".into();
+    spec.system = hot_system();
+    spec.stochastic.max_time = 5.0e6;
+    spec.mobility.dt = 2.0;
+    let budget = RunBudget::default();
+    for (kind, adaptive_reps) in [
+        (BackendKind::SpnSim, 50),
+        (BackendKind::Des, 50),
+        (BackendKind::MobilityDes, 150),
+    ] {
+        spec.backend = kind;
+        spec.stochastic.sampling = SamplingPlan::Fixed(200);
+        let fixed = backend_for(kind).run(&spec, &budget).unwrap();
+        spec.stochastic.sampling = SamplingPlan::Adaptive {
+            target_rel_halfwidth: 0.15,
+            min: 50,
+            max: 400,
+            batch: 50,
+        };
+        let adaptive = backend_for(kind).run(&spec, &budget).unwrap();
+        let name = kind.name();
+        assert_eq!(fixed.replications, Some(200), "{name} fixed");
+        assert_eq!(
+            adaptive.replications,
+            Some(adaptive_reps),
+            "{name} adaptive"
+        );
+    }
+}
+
+/// 30 flat exact specs round-robined over 3 structural families through
+/// one cache-carrying runner: 3 cold builds, 27 warm replays.
+#[test]
+fn service_cache_counts() {
+    let runner = Runner::new();
+    for i in 0..30u32 {
+        let mut spec = ScenarioSpec::paper_default(BackendKind::Exact);
+        spec.name = format!("counts/service-{i:02}");
+        spec.system = hot_system();
+        spec.system.node_count = 10 + i % 3;
+        spec.system = spec.system.with_tids(60.0 + f64::from(i / 3) * 15.0);
+        runner.run_cached(&spec).unwrap();
+    }
+    let stats = runner.cache().stats();
+    assert_eq!((stats.hits, stats.misses), (27, 3));
+    assert_eq!(stats.hit_rate(), Some(0.9));
+}
+
+fn burst() -> ScenarioConfig {
+    ScenarioConfig {
+        attacker: AttackerStrategy::Burst {
+            on_rate: 1.0 / 5_000.0,
+            off_rate: 1.0 / 5_000.0,
+            multiplier: 6.0,
+        },
+        response: ResponsePolicy::Evict,
+    }
+}
+
+/// States and edges of each attacker-strategy and response-policy net on
+/// the hot system.
+#[test]
+fn scenario_net_counts() {
+    let with = |attacker, response| ScenarioConfig { attacker, response };
+    let axes = [
+        ("baseline", ScenarioConfig::baseline(), 258, 608),
+        ("burst", burst(), 516, 1_474),
+        (
+            "stealth",
+            with(
+                AttackerStrategy::Stealth {
+                    rate_factor: 0.5,
+                    evasion: 0.3,
+                },
+                ResponsePolicy::Evict,
+            ),
+            258,
+            608,
+        ),
+        (
+            "targeted",
+            with(
+                AttackerStrategy::Targeted { focus: 0.8 },
+                ResponsePolicy::Evict,
+            ),
+            258,
+            608,
+        ),
+        (
+            "quarantine",
+            with(
+                AttackerStrategy::Baseline,
+                ResponsePolicy::QuarantineRejoin {
+                    release_rate: 1.0 / 2_000.0,
+                    false_release_prob: 0.1,
+                },
+            ),
+            4_536,
+            14_521,
+        ),
+        (
+            "throttle",
+            with(
+                AttackerStrategy::Baseline,
+                ResponsePolicy::RekeyThrottle {
+                    max_rate: 1.0 / 1_000.0,
+                },
+            ),
+            1_422,
+            3_659,
+        ),
+    ];
+    let cfg = hot_system();
+    for (name, sc, states, edges) in axes {
+        let model = gcsids::build_scenario_model(&cfg, &sc);
+        let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
+        assert_eq!(
+            (graph.state_count(), graph.edge_count()),
+            (states, edges),
+            "{name}"
+        );
+    }
+}
+
+/// A CRN-paired burst-vs-baseline comparison on the protocol DES runs all
+/// 60 pairs, and comparing a spec with itself differences to bitwise zero.
+#[test]
+fn paired_compare_counts() {
+    let mut base = ScenarioSpec::paper_default(BackendKind::Des);
+    base.name = "counts/ab-base".into();
+    base.system = hot_system();
+    base.stochastic.sampling = SamplingPlan::Fixed(60);
+    base.stochastic.max_time = 1.0e6;
+    let mut variant = base.clone();
+    variant.name = "counts/ab-burst".into();
+    variant.scenario = Some(burst());
+    let budget = RunBudget::default();
+    assert_eq!(compare(&base, &variant, &budget).unwrap().replications, 60);
+    let same = compare(&base, &base, &budget).unwrap();
+    assert_eq!(same.max_abs_delta_time.to_bits(), 0.0_f64.to_bits());
+    assert_eq!(same.max_abs_delta_cost.to_bits(), 0.0_f64.to_bits());
+}
