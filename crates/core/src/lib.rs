@@ -48,6 +48,7 @@ pub mod config;
 pub mod cost;
 pub mod des;
 pub mod des_mobility;
+mod memo;
 pub mod metrics;
 pub mod model;
 pub mod pareto;

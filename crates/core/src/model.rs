@@ -29,6 +29,7 @@
 //! checked exactly as `2U > T` in integers.
 
 use crate::config::{ClusterTopology, SystemConfig};
+use crate::memo::PairMemo;
 use crate::scenario_model::scenario_system;
 use ids::voting::{
     p_false_negative_with_collusion, p_false_positive_with_collusion, CollusionModel,
@@ -38,7 +39,6 @@ use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
 use spn::model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef};
 use spn::reach::MarkingCanonicalizer;
 use std::collections::HashMap;
-use std::sync::{Mutex, PoisonError};
 
 /// Place handles of the constructed net.
 #[derive(Debug, Clone, Copy)]
@@ -222,18 +222,13 @@ fn pfp_targeted(cfg: &SystemConfig, pop: &Population, focus: f64) -> f64 {
 /// else, and the split collapses the many (T, U, NG) markings onto a
 /// handful of pairs, so repeated rate evaluations (exploration,
 /// re-weighting, simulation) pay the log-space voting math once per pair.
+/// A hit costs a lock-free probe ([`PairMemo`]).
 fn memoized(
     split: fn(&Population) -> (u32, u32),
     p: impl Fn(&Population) -> f64 + Send + Sync + 'static,
 ) -> impl Fn(&Population) -> f64 + Send + Sync + 'static {
-    let cache: Mutex<HashMap<(u32, u32), f64>> = Mutex::new(HashMap::new());
-    move |pop| {
-        *cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .entry(split(pop))
-            .or_insert_with(|| p(pop))
-    }
+    let memo = PairMemo::new();
+    move |pop| memo.get_or_insert_with(split(pop), || p(pop))
 }
 
 /// The place handles of one block, with its scenario extras.
@@ -804,7 +799,8 @@ mod tests {
     fn rates_positive_in_initial_state() {
         let m = build_model(&small_cfg());
         let init = m.net.initial_marking();
-        let enabled = m.net.enabled_timed(&init).unwrap();
+        let mut enabled = Vec::new();
+        m.net.enabled_timed(&init, &mut enabled).unwrap();
         let names: Vec<&str> = enabled
             .iter()
             .map(|&(t, _)| m.net.transition_name(t))

@@ -499,16 +499,24 @@ impl Spn {
         next
     }
 
-    /// Enabled timed transitions with their rates; rate-zero transitions are
-    /// filtered out. Returns an empty vector for absorbing markings.
+    /// Fill `out` with the enabled timed transitions and their rates, in
+    /// transition order; rate-zero transitions are filtered out. `out` is
+    /// cleared first and left empty for absorbing markings. Callers that
+    /// walk many markings (exploration, re-weighting, simulation) keep one
+    /// buffer for the whole walk.
     ///
     /// # Errors
-    /// Propagates [`SpnError::BadRate`].
-    pub fn enabled_timed(&self, m: &Marking) -> Result<Vec<(TransitionId, f64)>, SpnError> {
+    /// Propagates [`SpnError::BadRate`]; `out` then holds the transitions
+    /// collected before the failing one.
+    pub fn enabled_timed(
+        &self,
+        m: &Marking,
+        out: &mut Vec<(TransitionId, f64)>,
+    ) -> Result<(), SpnError> {
+        out.clear();
         if self.is_absorbing_marking(m) {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        let mut out = Vec::new();
         for t in self.transition_ids() {
             if !self.is_enabled(t, m) {
                 continue;
@@ -519,7 +527,7 @@ impl Spn {
                 }
             }
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Enabled immediate transitions of the **highest enabled priority**
@@ -737,11 +745,14 @@ mod tests {
         let net = b.build().unwrap();
         let m = net.initial_marking();
         assert!(!net.is_absorbing_marking(&m));
-        assert_eq!(net.enabled_timed(&m).unwrap().len(), 1);
+        let mut en = Vec::new();
+        net.enabled_timed(&m, &mut en).unwrap();
+        assert_eq!(en.len(), 1);
         let mut m2 = m.clone();
         m2.set_tokens(a, 1);
         assert!(net.is_absorbing_marking(&m2));
-        assert!(net.enabled_timed(&m2).unwrap().is_empty());
+        net.enabled_timed(&m2, &mut en).unwrap();
+        assert!(en.is_empty());
     }
 
     #[test]
@@ -764,7 +775,8 @@ mod tests {
         b.add_transition(TransitionDef::timed_const("zero", 0.0).input(a, 1));
         b.add_transition(TransitionDef::timed_const("live", 2.0).input(a, 1));
         let net = b.build().unwrap();
-        let en = net.enabled_timed(&net.initial_marking()).unwrap();
+        let mut en = vec![(TransitionId(0), 9.0)];
+        net.enabled_timed(&net.initial_marking(), &mut en).unwrap();
         assert_eq!(en.len(), 1);
         assert_eq!(net.transition_name(en[0].0), "live");
     }

@@ -211,8 +211,8 @@ impl ReachabilityGraph {
     /// (`N`, `max_groups`), while the detection interval, attacker
     /// intensity, vote-participant count and rate shapes only change the
     /// *rates*. For such rate-only variations the graph explored once can
-    /// be re-weighted in `O(states × transitions)` instead of re-running
-    /// the full breadth-first interning walk.
+    /// be re-weighted instead of re-running the full breadth-first
+    /// interning walk.
     ///
     /// For each tangible state `s` and timed transition `t`, the total rate
     /// mass recorded at exploration time (the sum over `t`'s edges out of
@@ -224,6 +224,12 @@ impl ReachabilityGraph {
     /// weight *ratios* are unchanged (trivially true for nets without
     /// immediate transitions, like the GCS model).
     ///
+    /// Per state the cost is one call of each enabled transition's rate
+    /// function plus a walk over the state's edges and self-loops. The
+    /// per-transition masses and new rates live in two dense arrays indexed
+    /// by [`TransitionId`], allocated once per call and reset only at the
+    /// slots a state touched; the enabled set goes into one reused buffer.
+    ///
     /// # Errors
     /// * [`SpnError::InvalidModel`] if `net` enables a timed transition with
     ///   positive rate in a state where the explored graph recorded no mass
@@ -231,73 +237,85 @@ impl ReachabilityGraph {
     ///   `net` refers to a transition id outside this graph's vocabulary.
     /// * [`SpnError::BadRate`] from misbehaving rate functions.
     pub fn reweight_in_place(&mut self, net: &Spn) -> Result<(), SpnError> {
-        let mut old_mass: HashMap<TransitionId, f64> = HashMap::new();
-        let mut new_rate: HashMap<TransitionId, f64> = HashMap::new();
+        // Dense per-transition scratch of (explored mass, new rate). Both
+        // start at 0.0, which reads exactly like "no entry": a transition
+        // without positive mass can neither gain rate nor keep any.
+        let mut scratch = vec![(0.0_f64, 0.0_f64); net.transition_count()];
+        let mut enabled: Vec<(TransitionId, f64)> = Vec::new();
         for s in 0..self.states.len() {
-            old_mass.clear();
-            for e in &self.edges[s] {
-                *old_mass.entry(e.transition).or_insert(0.0) += e.rate;
-            }
-            for &(t, r) in &self.self_loop_rates[s] {
-                *old_mass.entry(t).or_insert(0.0) += r;
+            // Edges first, then self-loops: the summation order of a mass.
+            let shares = self.edges[s]
+                .iter()
+                .map(|e| (e.transition, e.rate))
+                .chain(self.self_loop_rates[s].iter().copied());
+            for (t, r) in shares {
+                // A graph explored from another net may carry transition
+                // ids past `net`'s vocabulary; grow the scratch to cover
+                // them.
+                if t.index() >= scratch.len() {
+                    scratch.resize(t.index() + 1, (0.0, 0.0));
+                }
+                scratch[t.index()].0 += r;
             }
             let marking = &self.states[s];
-            new_rate.clear();
-            for (t, r) in net.enabled_timed(marking)? {
-                match old_mass.get(&t) {
-                    Some(&mass) if mass > 0.0 => {}
-                    _ => {
-                        return Err(SpnError::InvalidModel(format!(
-                            "reweight: transition {} gained rate {r} in state {s} \
-                             where the explored graph has no mass for it; \
-                             the change is structural — re-explore",
-                            net.transition_name(t)
-                        )))
-                    }
+            net.enabled_timed(marking, &mut enabled)?;
+            for &(t, r) in &enabled {
+                let slot = &mut scratch[t.index()];
+                if slot.0 > 0.0 {
+                    slot.1 = r;
+                } else {
+                    return Err(SpnError::InvalidModel(format!(
+                        "reweight: transition {} gained rate {r} in state {s} \
+                         where the explored graph has no mass for it; \
+                         the change is structural — re-explore",
+                        net.transition_name(t)
+                    )));
                 }
-                new_rate.insert(t, r);
             }
-            // Transitions absent from `new_rate` now have rate zero
-            // (disabled-by-rate); their edges keep the graph's structure but
-            // contribute no CTMC mass. A transition whose mass is already
-            // zero (zeroed by a previous re-weight) stays zero — guarding
-            // the division avoids 0/0 → NaN on repeated re-weighting. (It
-            // cannot be revived either: its probability split is lost, and
-            // a positive new rate is rejected by the check above.)
+            // Transitions not enabled now have rate zero (disabled-by-rate);
+            // their edges keep the graph's structure but contribute no CTMC
+            // mass. A transition whose mass is already zero (zeroed by a
+            // previous re-weight) stays zero — guarding the division avoids
+            // 0/0 → NaN on repeated re-weighting. (It cannot be revived
+            // either: its probability split is lost, and a positive new rate
+            // is rejected by the check above.)
             //
             // An edge carrying its transition's *entire* mass (no vanishing
             // split — the only case in the GCS net) takes the new rate
             // verbatim: `rate * (new / mass)` double-rounds and would leave
             // a re-weighted graph one ULP off the same graph explored
             // fresh, breaking bit-identical template-cache replays.
-            let reweight = |rate: &mut f64,
-                            t: TransitionId,
-                            new_rate: &HashMap<TransitionId, f64>,
-                            old_mass: &HashMap<TransitionId, f64>| {
-                match old_mass.get(&t) {
-                    Some(&mass) if mass > 0.0 => {
-                        let target = new_rate.get(&t).copied().unwrap_or(0.0);
-                        if *rate == mass {
-                            *rate = target;
-                        } else {
-                            *rate *= target / mass;
-                        }
+            let reweight = |rate: &mut f64, t: TransitionId| {
+                let (mass, target) = scratch[t.index()];
+                if mass > 0.0 {
+                    if *rate == mass {
+                        *rate = target;
+                    } else {
+                        *rate *= target / mass;
                     }
-                    _ => *rate = 0.0,
+                } else {
+                    *rate = 0.0;
                 }
             };
             for e in &mut self.edges[s] {
-                reweight(&mut e.rate, e.transition, &new_rate, &old_mass);
+                reweight(&mut e.rate, e.transition);
             }
             for sl in &mut self.self_loop_rates[s] {
-                reweight(&mut sl.1, sl.0, &new_rate, &old_mass);
+                reweight(&mut sl.1, sl.0);
             }
-        }
-        // A rate that drops to zero can silence every remaining edge of a
-        // state, making it absorbing for CTMC purposes.
-        for (i, flag) in self.absorbing.iter_mut().enumerate() {
-            *flag = net.is_absorbing_marking(&self.states[i])
-                || self.edges[i].iter().all(|e| e.rate <= 0.0);
+            // Reset only the slots this state touched: every enabled
+            // transition has mass here, so its slot is among them.
+            let touched = self.edges[s]
+                .iter()
+                .map(|e| e.transition)
+                .chain(self.self_loop_rates[s].iter().map(|&(t, _)| t));
+            for t in touched {
+                scratch[t.index()] = (0.0, 0.0);
+            }
+            // A rate that drops to zero can silence every remaining edge of
+            // a state, making it absorbing for CTMC purposes.
+            self.absorbing[s] =
+                net.is_absorbing_marking(marking) || self.edges[s].iter().all(|e| e.rate <= 0.0);
         }
         Ok(())
     }
@@ -433,10 +451,11 @@ pub fn explore(net: &Spn, opts: &ExploreOptions) -> Result<ReachabilityGraph, Sp
         .map(|id| (id, initial_mass[&id]))
         .collect();
 
+    let mut timed: Vec<(TransitionId, f64)> = Vec::new();
     while let Some(sid) = queue.pop_front() {
         let marking = states[sid as usize].clone();
-        let timed = net.enabled_timed(&marking)?;
-        for (t, rate) in timed {
+        net.enabled_timed(&marking, &mut timed)?;
+        for &(t, rate) in &timed {
             let fired = net.fire(t, &marking);
             if fired == marking {
                 // Cost-only self-loop: keep the rate for reward accounting.
@@ -832,6 +851,41 @@ mod tests {
             g.reweight_in_place(&build(true)),
             Err(SpnError::InvalidModel(_))
         ));
+    }
+
+    #[test]
+    fn reweight_rejects_transitions_past_the_graph_vocabulary() {
+        // The re-weighting net has more transitions than the net the graph
+        // was explored from, and the extra one is enabled with positive
+        // rate: the dense per-transition scratch must report the gained
+        // rate as structural, not index past the graph's vocabulary.
+        let build = |extra: bool| {
+            let mut b = SpnBuilder::new();
+            let a = b.add_place("a", 2);
+            b.add_transition(TransitionDef::timed_const("drain", 1.0).input(a, 1));
+            if extra {
+                b.add_transition(TransitionDef::timed_const("idle", 0.0).input(a, 1));
+                b.add_transition(TransitionDef::timed_const("dump", 3.0).input(a, 2));
+            }
+            b.build().unwrap()
+        };
+        let mut g = explore(&build(false), &ExploreOptions::default()).unwrap();
+        assert!(g.edges.iter().flatten().all(|e| e.transition.index() == 0));
+        assert!(matches!(
+            g.reweight_in_place(&build(true)),
+            Err(SpnError::InvalidModel(_))
+        ));
+
+        // The converse: a graph whose transitions the re-weighting net
+        // lacks loses their rate, exactly as a transition disabled by rate.
+        let mut g = explore(&build(true), &ExploreOptions::default()).unwrap();
+        let dump = TransitionId(2);
+        assert!(g.edges.iter().flatten().any(|e| e.transition == dump));
+        g.reweight_in_place(&build(false)).unwrap();
+        for e in g.edges.iter().flatten() {
+            let expected = if e.transition == dump { 0.0 } else { 1.0 };
+            assert_eq!(e.rate, expected);
+        }
     }
 
     #[test]

@@ -209,6 +209,7 @@ impl<'a> Simulator<'a> {
         let mut firings: HashMap<TransitionId, u64> = HashMap::new();
         let mut first_firings: HashMap<TransitionId, f64> = HashMap::new();
         let mut timed_firings = 0u64;
+        let mut enabled: Vec<(TransitionId, f64)> = Vec::new();
 
         // Resolve immediates at t=0 (vanishing initial marking).
         self.settle_immediates(
@@ -231,7 +232,7 @@ impl<'a> Simulator<'a> {
                     final_marking: marking,
                 });
             }
-            let enabled = self.net.enabled_timed(&marking)?;
+            self.net.enabled_timed(&marking, &mut enabled)?;
             if enabled.is_empty() {
                 return Ok(SimOutcome {
                     time,

@@ -122,7 +122,8 @@ fn model_rates_consistent_with_components() {
     let init = model.net.initial_marking();
     let pop = population(&model.places, &init);
     assert_eq!(pop.trusted, 50);
-    let enabled = model.net.enabled_timed(&init).unwrap();
+    let mut enabled = Vec::new();
+    model.net.enabled_timed(&init, &mut enabled).unwrap();
     let t_fa_rate = enabled
         .iter()
         .find(|&&(t, _)| model.net.transition_name(t) == "T_FA")
