@@ -107,56 +107,60 @@ pub fn gauss_seidel(a: &Csr, b: &[f64], cfg: &IterConfig) -> (Vec<f64>, SolveRep
     )
 }
 
-/// Dense LU with partial pivoting. Returns `None` for a singular matrix.
+/// Dense LU with partial pivoting, in place: `a` is the `n × n` matrix in
+/// row-major order (`n = x.len()`) and is overwritten by its factors; `x`
+/// holds the right-hand side on entry and the solution on success. Returns
+/// `false` for a singular matrix (a pivot below `1e-300`), leaving `a` and
+/// `x` partly eliminated. Callers own both buffers, so a sequence of small
+/// solves reuses one allocation.
 ///
 /// Intended for small systems (n ≤ a few thousand) and for validating the
 /// iterative solvers; O(n³).
-pub fn dense_lu_solve(a_dense: &[Vec<f64>], b: &[f64]) -> Option<Vec<f64>> {
-    let n = a_dense.len();
-    if n == 0 {
-        return Some(Vec::new());
-    }
-    assert!(
-        a_dense.iter().all(|row| row.len() == n),
-        "dense_lu: ragged matrix"
-    );
-    assert_eq!(b.len(), n, "dense_lu: rhs dimension mismatch");
-    let mut a: Vec<Vec<f64>> = a_dense.to_vec();
-    let mut x: Vec<f64> = b.to_vec();
+///
+/// # Panics
+/// Panics if `a.len() != x.len()²` or the matrix holds a NaN.
+pub fn dense_lu_solve(a: &mut [f64], x: &mut [f64]) -> bool {
+    let n = x.len();
+    assert_eq!(a.len(), n * n, "dense_lu: matrix is not n × n");
     for col in 0..n {
         // pivot
         let (pivot_row, pivot_val) = (col..n)
-            .map(|r| (r, a[r][col].abs()))
+            .map(|r| (r, a[r * n + col].abs()))
             .max_by(|x, y| x.1.partial_cmp(&y.1).expect("NaN in LU"))
             .expect("non-empty range");
         if pivot_val < 1e-300 {
-            return None;
+            return false;
         }
-        a.swap(col, pivot_row);
+        if pivot_row != col {
+            for c in 0..n {
+                a.swap(col * n + c, pivot_row * n + c);
+            }
+        }
         x.swap(col, pivot_row);
-        let inv = 1.0 / a[col][col];
-        for r in col + 1..n {
-            let f = a[r][col] * inv;
+        let (upper, lower) = a.split_at_mut((col + 1) * n);
+        let pivot = &upper[col * n..];
+        let inv = 1.0 / pivot[col];
+        for (k, row) in lower.chunks_exact_mut(n).enumerate() {
+            let f = row[col] * inv;
             if f == 0.0 {
                 continue;
             }
-            a[r][col] = 0.0;
+            row[col] = 0.0;
             for c in col + 1..n {
-                let v = a[col][c];
-                a[r][c] -= f * v;
+                row[c] -= f * pivot[c];
             }
-            x[r] -= f * x[col];
+            x[col + 1 + k] -= f * x[col];
         }
     }
     // back substitution
     for col in (0..n).rev() {
-        x[col] /= a[col][col];
+        x[col] /= a[col * n + col];
         let xc = x[col];
         for r in 0..col {
-            x[r] -= a[r][col] * xc;
+            x[r] -= a[r * n + col] * xc;
         }
     }
-    Some(x)
+    true
 }
 
 /// Power iteration for the stationary row vector `π P = π` of a stochastic
@@ -218,28 +222,30 @@ mod tests {
 
     #[test]
     fn dense_lu_exact() {
-        let a = vec![vec![2.0, 1.0], vec![1.0, 3.0]];
-        let x = dense_lu_solve(&a, &[5.0, 10.0]).unwrap();
+        let mut a = [2.0, 1.0, 1.0, 3.0];
+        let mut x = [5.0, 10.0];
+        assert!(dense_lu_solve(&mut a, &mut x));
         assert_vec_close(&x, &[1.0, 3.0], 1e-12);
     }
 
     #[test]
     fn dense_lu_needs_pivoting() {
         // zero leading pivot forces a row swap
-        let a = vec![vec![0.0, 1.0], vec![1.0, 0.0]];
-        let x = dense_lu_solve(&a, &[2.0, 3.0]).unwrap();
+        let mut a = [0.0, 1.0, 1.0, 0.0];
+        let mut x = [2.0, 3.0];
+        assert!(dense_lu_solve(&mut a, &mut x));
         assert_vec_close(&x, &[3.0, 2.0], 1e-12);
     }
 
     #[test]
     fn dense_lu_detects_singular() {
-        let a = vec![vec![1.0, 2.0], vec![2.0, 4.0]];
-        assert!(dense_lu_solve(&a, &[1.0, 2.0]).is_none());
+        let mut a = [1.0, 2.0, 2.0, 4.0];
+        assert!(!dense_lu_solve(&mut a, &mut [1.0, 2.0]));
     }
 
     #[test]
     fn dense_lu_empty_system() {
-        assert_eq!(dense_lu_solve(&[], &[]), Some(vec![]));
+        assert!(dense_lu_solve(&mut [], &mut []));
     }
 
     #[test]
@@ -268,7 +274,8 @@ mod tests {
         let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.7).cos()).collect();
         let (xi, rep) = gauss_seidel(&a, &b, &IterConfig::default());
         assert!(rep.converged);
-        let xd = dense_lu_solve(&dense, &b).unwrap();
+        let mut xd = b.clone();
+        assert!(dense_lu_solve(&mut dense.concat(), &mut xd));
         assert_vec_close(&xi, &xd, 1e-8);
     }
 

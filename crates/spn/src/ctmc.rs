@@ -36,10 +36,6 @@ pub struct Ctmc {
     initial: Vec<(u32, f64)>,
     /// Absorbing flags.
     absorbing: Vec<bool>,
-    /// Transposed rate matrix, pre-built by [`CtmcTemplate`] so repeated
-    /// solves skip the per-solve transpose construction. `None` on the
-    /// one-shot [`Ctmc::from_graph`] path.
-    transposed: Option<Csr>,
     /// Uniformization constant and DTMC, pre-built by [`CtmcTemplate`] or
     /// memoized on first use on the one-shot path — repeated transient
     /// solves on one chain never rebuild it.
@@ -48,6 +44,11 @@ pub struct Ctmc {
     /// [`TransientEngine`]. Pre-built by [`CtmcTemplate`], memoized on
     /// first use otherwise.
     uniformized_t: OnceLock<Csr>,
+    /// The structural half of the absorption solve, built on the first
+    /// [`Ctmc::mean_time_to_absorption`]. [`CtmcTemplate::refresh`] keeps
+    /// it while the positive-rate pattern and absorbing flags are
+    /// unchanged and drops it otherwise.
+    absorb: OnceLock<Result<AbsorptionStructure, SpnError>>,
 }
 
 /// Options for uniformization-based transient analysis.
@@ -156,9 +157,9 @@ impl Ctmc {
             exit,
             initial: graph.initial_distribution.clone(),
             absorbing,
-            transposed: None,
             uniformized: OnceLock::new(),
             uniformized_t: OnceLock::new(),
+            absorb: OnceLock::new(),
         })
     }
 
@@ -216,14 +217,7 @@ impl Ctmc {
     /// States that can reach an absorbing state.
     fn can_reach_absorbing(&self) -> Vec<bool> {
         let n = self.state_count();
-        let built;
-        let transposed = match &self.transposed {
-            Some(t) => t,
-            None => {
-                built = self.rates.transpose();
-                &built
-            }
-        };
+        let transposed = self.rates.transpose();
         let mut can = vec![false; n];
         let mut stack: Vec<usize> = (0..n).filter(|&i| self.absorbing[i]).collect();
         for &s in &stack {
@@ -243,36 +237,47 @@ impl Ctmc {
     /// Solve for the mean time to absorption and per-state expected sojourn
     /// times.
     ///
+    /// The structural half of the solve (the reachability checks, the
+    /// transient states, their strongly connected blocks and the layout of
+    /// their couplings) is built on the first call and kept on the chain.
+    /// A template-instantiated chain keeps it across
+    /// [`CtmcTemplate::refresh`]es that leave the positive-rate pattern and
+    /// the absorbing flags unchanged, so a rate-only sweep pays only for
+    /// the block solves.
+    ///
     /// # Errors
     /// * [`SpnError::AnalysisUnavailable`] when no absorbing state is
     ///   reachable (MTTA is infinite).
     /// * [`SpnError::SolverDiverged`] when the linear solve fails.
     pub fn mean_time_to_absorption(&self) -> Result<AbsorptionAnalysis, SpnError> {
-        let n = self.state_count();
-        let reachable = self.reachable_from_initial();
-        let can_absorb = self.can_reach_absorbing();
-        if !(0..n).any(|i| reachable[i] && self.absorbing[i]) {
-            return Err(SpnError::AnalysisUnavailable(
-                "no absorbing state reachable from the initial distribution".into(),
-            ));
-        }
-        for i in 0..n {
-            if reachable[i] && !can_absorb[i] {
-                return Err(SpnError::AnalysisUnavailable(format!(
-                    "state {i} is reachable but cannot reach absorption; MTTA is infinite"
-                )));
-            }
-        }
+        let structure = self
+            .absorb
+            .get_or_init(|| AbsorptionStructure::new(self))
+            .as_ref()
+            .map_err(Clone::clone)?;
+        self.solve_absorption(structure)
+    }
 
-        // Transient states: reachable, non-absorbing.
-        let transient: Vec<usize> = (0..n)
-            .filter(|&i| reachable[i] && !self.absorbing[i])
-            .collect();
-        let mut local = vec![usize::MAX; n];
-        for (li, &gi) in transient.iter().enumerate() {
-            local[gi] = li;
-        }
-        let nt = transient.len();
+    /// The absorption solve on a precomputed block structure: solve
+    /// `Σ_i σ_i q_ij = −π₀_j` over the transient states, one strongly
+    /// connected block at a time in topological order, then read the
+    /// absorption probabilities off the sojourn vector.
+    ///
+    /// The chains produced by absorbing security models are mostly acyclic
+    /// (progress variables only move one way; only small auxiliary
+    /// dimensions, like the group-count birth–death, cycle), so instead of
+    /// a global fixed-point iteration each block becomes a small dense
+    /// system with already-solved predecessors folded into its right-hand
+    /// side. Oversized blocks fall back to the iterative solver on their
+    /// subsystem, so the path is exact and general. Dense blocks are
+    /// assembled and factored in buffers reused from block to block.
+    ///
+    /// # Errors
+    /// Returns [`SpnError::SolverDiverged`] if an oversized block's
+    /// iterative fallback fails to converge.
+    fn solve_absorption(&self, st: &AbsorptionStructure) -> Result<AbsorptionAnalysis, SpnError> {
+        let n = self.state_count();
+        let nt = st.states.len();
         if nt == 0 {
             // Start inside an absorbing state.
             let mut absorption_probability = vec![0.0; n];
@@ -286,27 +291,97 @@ impl Ctmc {
             });
         }
 
-        // Solve Σ_i σ_i q_ij = −π₀_j over the transient states. The chains
-        // produced by absorbing security models are mostly acyclic (progress
-        // variables only move one way; only small auxiliary dimensions, like
-        // the group-count birth–death, cycle), so instead of a global
-        // fixed-point iteration we solve block-by-block over the strongly
-        // connected components in topological order: each SCC becomes a
-        // small dense system with already-solved predecessors folded into
-        // its right-hand side. Oversized SCCs fall back to the iterative
-        // solver on their subsystem, so the path is exact and general.
+        let values = self.rates.values();
         let mut b = vec![0.0; nt];
         for &(s, p) in &self.initial {
-            if local[s as usize] != usize::MAX {
-                b[local[s as usize]] = -p;
+            let k = st.position[s as usize];
+            if k != NONE {
+                b[k as usize] = -p;
             }
         }
-        let sigma_local = self.solve_sojourn_by_scc(&transient, &local, &b)?;
+        let mut sigma = vec![0.0; nt];
+        let mut rhs: Vec<f64> = Vec::new();
+        let mut x: Vec<f64> = Vec::new();
+        let mut dense: Vec<f64> = Vec::new();
+        for w in st.blocks.windows(2) {
+            let (lo, hi) = (w[0] as usize, w[1] as usize);
+            let nb = hi - lo;
+            // External (already-solved) predecessors fold into the RHS.
+            let folded = |k: usize, sigma: &[f64]| {
+                let mut r = b[k];
+                for &(i, slot) in st.external(k) {
+                    r -= values[slot as usize] * sigma[i as usize];
+                }
+                r
+            };
+            if nb == 1 {
+                // Self-edges cannot appear (the reachability graph drops
+                // them), so the diagonal is exactly −exit.
+                sigma[lo] = folded(lo, &sigma) / -self.exit[st.states[lo] as usize];
+                continue;
+            }
+            rhs.clear();
+            rhs.extend((lo..hi).map(|k| folded(k, &sigma)));
+            // In-block couplings form the subsystem matrix.
+            let fill_dense = |dense: &mut Vec<f64>| {
+                dense.clear();
+                dense.resize(nb * nb, 0.0);
+                for (r, k) in (lo..hi).enumerate() {
+                    let row = &mut dense[r * nb..(r + 1) * nb];
+                    row[r] = -self.exit[st.states[k] as usize];
+                    for &(c, slot) in st.internal(k) {
+                        row[c as usize] += values[slot as usize];
+                    }
+                }
+            };
+            // Small blocks solve directly; oversized (or singular) ones stay
+            // sparse end-to-end and use the iterative solver — no O(nb²)
+            // dense materialization.
+            x.clear();
+            x.extend_from_slice(&rhs);
+            let solved = nb <= 512 && {
+                fill_dense(&mut dense);
+                numerics::linsolve::dense_lu_solve(&mut dense, &mut x)
+            };
+            if !solved {
+                let mut t = Triplets::new(nb, nb);
+                for (r, k) in (lo..hi).enumerate() {
+                    t.push(r, r, -self.exit[st.states[k] as usize]);
+                    for &(c, slot) in st.internal(k) {
+                        t.push(r, c as usize, values[slot as usize]);
+                    }
+                }
+                let cfg = IterConfig {
+                    tolerance: 1e-13,
+                    max_iterations: 200_000,
+                };
+                let (gs, report) = numerics::linsolve::gauss_seidel(&t.build(), &rhs, &cfg);
+                let diverged = SpnError::SolverDiverged {
+                    iterations: report.iterations,
+                    residual: report.residual,
+                };
+                if report.converged {
+                    x = gs;
+                } else if nb <= 4096 {
+                    // Divergent iteration on a mid-sized block: rescue with
+                    // a direct dense LU solve.
+                    fill_dense(&mut dense);
+                    x.clear();
+                    x.extend_from_slice(&rhs);
+                    if !numerics::linsolve::dense_lu_solve(&mut dense, &mut x) {
+                        return Err(diverged);
+                    }
+                } else {
+                    return Err(diverged);
+                }
+            }
+            sigma[lo..hi].copy_from_slice(&x);
+        }
 
         let mut sojourn = vec![0.0; n];
-        for (li, &gi) in transient.iter().enumerate() {
+        for (&gi, &sg) in st.states.iter().zip(&sigma) {
             // Numerical noise can produce tiny negatives; clamp.
-            sojourn[gi] = sigma_local[li].max(0.0);
+            sojourn[gi as usize] = sg.max(0.0);
         }
         let mtta: f64 = sojourn.iter().sum();
 
@@ -318,15 +393,10 @@ impl Ctmc {
                 absorption_probability[s as usize] += p;
             }
         }
-        for &gi in &transient {
-            let s = sojourn[gi];
-            if s == 0.0 {
-                continue;
-            }
-            for (gj, rate) in self.rates.row(gi) {
-                if self.absorbing[gj] {
-                    absorption_probability[gj] += s * rate;
-                }
+        for &(gi, slot, gj) in &st.exits {
+            let s = sojourn[gi as usize];
+            if s != 0.0 {
+                absorption_probability[gj as usize] += s * values[slot as usize];
             }
         }
         Ok(AbsorptionAnalysis {
@@ -334,141 +404,6 @@ impl Ctmc {
             sojourn,
             absorption_probability,
         })
-    }
-
-    /// Solve the sojourn system `Σ_i σ_i q_ij = b_j` over the transient
-    /// states by SCC decomposition: Tarjan's algorithm on the transient
-    /// subgraph, then one small direct solve per component in topological
-    /// order (predecessor components folded into the right-hand side).
-    ///
-    /// # Errors
-    /// Returns [`SpnError::SolverDiverged`] if an oversized component's
-    /// iterative fallback fails to converge.
-    fn solve_sojourn_by_scc(
-        &self,
-        transient: &[usize],
-        local: &[usize],
-        b: &[f64],
-    ) -> Result<Vec<f64>, SpnError> {
-        let nt = transient.len();
-        // Successor and predecessor adjacency restricted to transients
-        // (local indices, parallel edges pre-merged by the CSR build).
-        let mut succ: Vec<Vec<usize>> = vec![Vec::new(); nt];
-        let mut pred: Vec<Vec<(usize, f64)>> = vec![Vec::new(); nt];
-        for (li, &gi) in transient.iter().enumerate() {
-            for (gj, rate) in self.rates.row(gi) {
-                let lj = local[gj];
-                if lj != usize::MAX && rate > 0.0 {
-                    succ[li].push(lj);
-                    pred[lj].push((li, rate));
-                }
-            }
-        }
-
-        let components = tarjan_scc(&succ);
-        let mut sigma = vec![0.0; nt];
-        let mut pos = vec![usize::MAX; nt];
-        // `components` comes back sinks-first; walk it in reverse so every
-        // predecessor component is solved before its successors.
-        for block in components.iter().rev() {
-            for (k, &m) in block.iter().enumerate() {
-                pos[m] = k;
-            }
-            let nb = block.len();
-            if nb == 1 {
-                let j = block[0];
-                let mut rhs = b[j];
-                for &(i, rate) in &pred[j] {
-                    if i != j {
-                        rhs -= rate * sigma[i];
-                    }
-                }
-                // Self-edges cannot appear (the reachability graph drops
-                // them), so the diagonal is exactly −exit.
-                sigma[j] = rhs / -self.exit[transient[j]];
-            } else {
-                // External (already-solved) predecessors fold into the RHS;
-                // in-block couplings form the subsystem matrix.
-                let mut rhs = vec![0.0; nb];
-                for (r, &j) in block.iter().enumerate() {
-                    rhs[r] = b[j];
-                    for &(i, rate) in &pred[j] {
-                        if pos[i] == usize::MAX {
-                            rhs[r] -= rate * sigma[i];
-                        }
-                    }
-                }
-                // Small components solve directly; oversized (or degenerate)
-                // ones stay sparse end-to-end and use the iterative solver —
-                // no O(nb²) dense materialization.
-                let solved = if nb <= 512 {
-                    let mut a = vec![vec![0.0; nb]; nb];
-                    for (r, &j) in block.iter().enumerate() {
-                        a[r][r] = -self.exit[transient[j]];
-                        for &(i, rate) in &pred[j] {
-                            if pos[i] != usize::MAX {
-                                a[r][pos[i]] += rate;
-                            }
-                        }
-                    }
-                    numerics::linsolve::dense_lu_solve(&a, &rhs)
-                } else {
-                    None
-                };
-                let block_sigma = match solved {
-                    Some(x) => x,
-                    None => {
-                        let mut t = Triplets::new(nb, nb);
-                        for (r, &j) in block.iter().enumerate() {
-                            t.push(r, r, -self.exit[transient[j]]);
-                            for &(i, rate) in &pred[j] {
-                                if pos[i] != usize::MAX {
-                                    t.push(r, pos[i], rate);
-                                }
-                            }
-                        }
-                        let cfg = IterConfig {
-                            tolerance: 1e-13,
-                            max_iterations: 200_000,
-                        };
-                        let (x, report) = numerics::linsolve::gauss_seidel(&t.build(), &rhs, &cfg);
-                        if report.converged {
-                            x
-                        } else if nb <= 4096 {
-                            // Divergent iteration on a mid-sized component:
-                            // rescue with a direct dense LU solve.
-                            let mut a = vec![vec![0.0; nb]; nb];
-                            for (r, &j) in block.iter().enumerate() {
-                                a[r][r] = -self.exit[transient[j]];
-                                for &(i, rate) in &pred[j] {
-                                    if pos[i] != usize::MAX {
-                                        a[r][pos[i]] += rate;
-                                    }
-                                }
-                            }
-                            numerics::linsolve::dense_lu_solve(&a, &rhs).ok_or(
-                                SpnError::SolverDiverged {
-                                    iterations: report.iterations,
-                                    residual: report.residual,
-                                },
-                            )?
-                        } else {
-                            return Err(SpnError::SolverDiverged {
-                                iterations: report.iterations,
-                                residual: report.residual,
-                            });
-                        }
-                    }
-                };
-                for (&m, &x) in block.iter().zip(&block_sigma) {
-                    sigma[m] = x;
-                }
-            }
-            for &m in block {
-                pos[m] = usize::MAX;
-            }
-        }
-        Ok(sigma)
     }
 
     /// Uniformization constant and DTMC for transient analysis: the cached
@@ -612,8 +547,8 @@ impl Ctmc {
 
 /// Rebuild-free CTMC instantiation over one reachability-graph structure.
 ///
-/// The CSR sparsity patterns of the rate matrix, its transpose, and the
-/// uniformized DTMC are built **once** from the graph; every structurally
+/// The CSR sparsity patterns of the rate matrix and of the uniformized
+/// DTMC and its transpose are built **once** from the graph; every structurally
 /// identical re-weighting of that graph (rate-only parameter variations —
 /// the explore-once-solve-many sweeps) then only rewrites the value arrays
 /// and the exit-rate vector in place via [`CtmcTemplate::refresh`]. Edges
@@ -635,9 +570,6 @@ pub struct CtmcTemplate {
     slots: Vec<u32>,
     /// Per-state offsets into `slots` (length `n + 1`) for structure checks.
     edge_offsets: Vec<u32>,
-    /// Transposed pattern plus the slot permutation forward → transpose.
-    t_pattern: Arc<CsrPattern>,
-    t_perm: Vec<u32>,
     /// Uniformized-DTMC pattern (forward plus diagonal), the slot
     /// permutation forward → uniformized, and the diagonal slot per state.
     u_pattern: Arc<CsrPattern>,
@@ -698,27 +630,6 @@ impl CtmcTemplate {
         }
         let nnz = col_idx.len();
 
-        // Transpose pattern + forward → transpose slot permutation.
-        let mut t_row_ptr = vec![0u32; n + 1];
-        for &c in &col_idx {
-            t_row_ptr[c as usize + 1] += 1;
-        }
-        for i in 0..n {
-            t_row_ptr[i + 1] += t_row_ptr[i];
-        }
-        let mut t_next = t_row_ptr.clone();
-        let mut t_col = vec![0u32; nnz];
-        let mut t_perm = vec![0u32; nnz];
-        for r in 0..n {
-            for slot in row_ptr[r] as usize..row_ptr[r + 1] as usize {
-                let c = col_idx[slot] as usize;
-                let pos = t_next[c];
-                t_next[c] += 1;
-                t_col[pos as usize] = r as u32;
-                t_perm[slot] = pos;
-            }
-        }
-
         // Uniformized pattern: forward rows with the diagonal spliced in at
         // its sorted position (self-edges were rejected above, so the
         // diagonal is never already present).
@@ -747,8 +658,7 @@ impl CtmcTemplate {
         }
 
         // Transposed uniformized pattern + slot permutation uniformized →
-        // transpose, by counting sort — the same construction as the rate
-        // transpose above, applied to the diagonal-bearing pattern.
+        // transpose, by counting sort.
         let u_nnz = u_col.len();
         let mut ut_row_ptr = vec![0u32; n + 1];
         for &c in &u_col {
@@ -775,8 +685,6 @@ impl CtmcTemplate {
             pattern: Arc::new(CsrPattern::new(n, n, row_ptr, col_idx)),
             slots,
             edge_offsets,
-            t_pattern: Arc::new(CsrPattern::new(n, n, t_row_ptr, t_col)),
-            t_perm,
             u_pattern: Arc::new(CsrPattern::new(n, n, u_row_ptr, u_col)),
             u_perm,
             diag_slots,
@@ -803,10 +711,6 @@ impl CtmcTemplate {
             exit: vec![0.0; self.n],
             initial: self.initial.clone(),
             absorbing: vec![false; self.n],
-            transposed: Some(Csr::from_pattern(
-                self.t_pattern.clone(),
-                vec![0.0; self.t_pattern.nnz()],
-            )),
             uniformized: OnceLock::from((
                 0.0,
                 Csr::from_pattern(self.u_pattern.clone(), vec![0.0; self.u_pattern.nnz()]),
@@ -815,6 +719,7 @@ impl CtmcTemplate {
                 self.ut_pattern.clone(),
                 vec![0.0; self.ut_pattern.nnz()],
             )),
+            absorb: OnceLock::new(),
         };
         self.refresh(graph, &mut ctmc)?;
         Ok(ctmc)
@@ -847,16 +752,13 @@ impl CtmcTemplate {
             rates,
             exit,
             absorbing,
-            transposed,
             uniformized,
             uniformized_t,
+            absorb,
             ..
         } = ctmc;
-        let (Some(transposed), Some((q_cached, uni)), Some(uni_t)) = (
-            transposed.as_mut(),
-            uniformized.get_mut(),
-            uniformized_t.get_mut(),
-        ) else {
+        let (Some((q_cached, uni)), Some(uni_t)) = (uniformized.get_mut(), uniformized_t.get_mut())
+        else {
             return Err(SpnError::InvalidModel(
                 "refresh target lost its cached matrices".into(),
             ));
@@ -893,11 +795,11 @@ impl CtmcTemplate {
             absorbing[s] = graph.absorbing[s] || exit_s == 0.0;
         }
 
-        // Transposed values: a pure permutation of the forward slots.
+        // The cached absorption structure stays valid exactly while the
+        // chain's positive-rate pattern and absorbing flags do.
         let values = rates.values();
-        let t_values = transposed.values_mut();
-        for (slot, &v) in values.iter().enumerate() {
-            t_values[self.t_perm[slot] as usize] = v;
+        if !matches!(absorb.get(), Some(Ok(st)) if st.matches(values, absorbing)) {
+            absorb.take();
         }
 
         // Uniformized DTMC, on the same q as Ctmc::build_uniformized.
@@ -948,43 +850,240 @@ fn uniformization_q(exit: &[f64]) -> f64 {
     (qmax * 1.02).max(1e-12)
 }
 
-/// Iterative Tarjan strongly-connected components. Components are emitted
-/// in reverse topological order of the condensation (every component
-/// appears before its predecessors).
-fn tarjan_scc(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
-    let n = succ.len();
+/// "No index" marker of the absorption structure's `u32` index arrays.
+const NONE: u32 = u32::MAX;
+
+/// The structural half of the absorption solve: everything that depends
+/// only on which rates are positive, which states absorb and where the
+/// chain starts — never on rate values. That is the reachability checks,
+/// the transient states, their strongly connected blocks in topological
+/// order and the layout of every block's predecessor couplings, each
+/// pointing at its rate slot. [`Ctmc::solve_absorption`] reads the current
+/// values through those slots.
+#[derive(Debug, Clone)]
+struct AbsorptionStructure {
+    /// Positive flag per rate slot, and the absorbing flags, this
+    /// structure was built from.
+    positive: Vec<bool>,
+    absorbing: Vec<bool>,
+    /// State of each solve position: the transient (reachable,
+    /// non-absorbing) states, block by block in topological order of the
+    /// condensation.
+    states: Vec<u32>,
+    /// Solve position of each state ([`NONE`] when not transient).
+    position: Vec<u32>,
+    /// Block boundaries over solve positions.
+    blocks: Vec<u32>,
+    /// Per solve position, the predecessors outside its block as (solve
+    /// position, rate slot), ascending by predecessor state.
+    external_ptr: Vec<u32>,
+    external: Vec<(u32, u32)>,
+    /// Per solve position of a multi-state block, the couplings inside the
+    /// block as (column in the block, rate slot), in the same order.
+    internal_ptr: Vec<u32>,
+    internal: Vec<(u32, u32)>,
+    /// Positive edges from a transient into an absorbing state as (source,
+    /// rate slot, target), in row order of ascending sources.
+    exits: Vec<(u32, u32, u32)>,
+}
+
+impl AbsorptionStructure {
+    /// Build the structure of `ctmc`'s current positive-rate pattern.
+    ///
+    /// # Errors
+    /// [`SpnError::AnalysisUnavailable`] when no absorbing state is
+    /// reachable, or a reachable state cannot reach absorption (MTTA is
+    /// infinite).
+    fn new(ctmc: &Ctmc) -> Result<Self, SpnError> {
+        let n = ctmc.state_count();
+        let pattern = ctmc.rates.pattern();
+        let positive: Vec<bool> = ctmc.rates.values().iter().map(|&v| v > 0.0).collect();
+        let reachable = ctmc.reachable_from_initial();
+        let can_absorb = ctmc.can_reach_absorbing();
+        if !(0..n).any(|i| reachable[i] && ctmc.absorbing[i]) {
+            return Err(SpnError::AnalysisUnavailable(
+                "no absorbing state reachable from the initial distribution".into(),
+            ));
+        }
+        if let Some(i) = (0..n).find(|&i| reachable[i] && !can_absorb[i]) {
+            return Err(SpnError::AnalysisUnavailable(format!(
+                "state {i} is reachable but cannot reach absorption; MTTA is infinite"
+            )));
+        }
+
+        // Transient states, with local indices in state order.
+        let transient: Vec<usize> = (0..n)
+            .filter(|&i| reachable[i] && !ctmc.absorbing[i])
+            .collect();
+        let nt = transient.len();
+        let mut local = vec![NONE; n];
+        for (li, &gi) in transient.iter().enumerate() {
+            local[gi] = li as u32;
+        }
+
+        // Successors (for Tarjan) and predecessors with their rate slots,
+        // restricted to transients and positive rates. Sources are visited
+        // in order, so every predecessor list ascends by source.
+        let transient_edges = |li: usize| {
+            pattern
+                .row_range(transient[li])
+                .filter(|&slot| positive[slot] && local[pattern.col(slot)] != NONE)
+                .map(|slot| (local[pattern.col(slot)], slot as u32))
+        };
+        let mut succ_ptr = Vec::with_capacity(nt + 1);
+        succ_ptr.push(0u32);
+        let mut succ: Vec<u32> = Vec::new();
+        let mut pred_ptr = vec![0u32; nt + 1];
+        for li in 0..nt {
+            for (lj, _) in transient_edges(li) {
+                succ.push(lj);
+                pred_ptr[lj as usize + 1] += 1;
+            }
+            succ_ptr.push(succ.len() as u32);
+        }
+        for i in 0..nt {
+            pred_ptr[i + 1] += pred_ptr[i];
+        }
+        let mut next = pred_ptr.clone();
+        let mut pred = vec![(0u32, 0u32); succ.len()];
+        for li in 0..nt {
+            for (lj, slot) in transient_edges(li) {
+                pred[next[lj as usize] as usize] = (li as u32, slot);
+                next[lj as usize] += 1;
+            }
+        }
+
+        // Blocks: Tarjan returns them sinks-first; solve them in reverse so
+        // every predecessor block is solved before its successors.
+        let (members, components) = tarjan_scc(&succ_ptr, &succ);
+        let mut states = Vec::with_capacity(nt);
+        let mut locals = Vec::with_capacity(nt);
+        let mut solve_pos = vec![NONE; nt];
+        let mut blocks = vec![0u32];
+        for c in (0..components.len() - 1).rev() {
+            for &m in &members[components[c] as usize..components[c + 1] as usize] {
+                solve_pos[m as usize] = states.len() as u32;
+                states.push(transient[m as usize] as u32);
+                locals.push(m as usize);
+            }
+            blocks.push(states.len() as u32);
+        }
+        let mut position = vec![NONE; n];
+        for (&gi, &k) in transient.iter().zip(&solve_pos) {
+            position[gi] = k;
+        }
+
+        let mut external_ptr = vec![0u32];
+        let mut external = Vec::new();
+        let mut internal_ptr = vec![0u32];
+        let mut internal = Vec::new();
+        for w in blocks.windows(2) {
+            let block = w[0]..w[1];
+            let nb = w[1] - w[0];
+            for &lj in &locals[w[0] as usize..w[1] as usize] {
+                for &(li, slot) in &pred[pred_ptr[lj] as usize..pred_ptr[lj + 1] as usize] {
+                    let k = solve_pos[li as usize];
+                    if !block.contains(&k) {
+                        external.push((k, slot));
+                    } else if nb > 1 {
+                        // A singleton has no in-block couplings besides a
+                        // self-edge, which its solve ignores.
+                        internal.push((k - w[0], slot));
+                    }
+                }
+                external_ptr.push(external.len() as u32);
+                internal_ptr.push(internal.len() as u32);
+            }
+        }
+
+        let mut exits = Vec::new();
+        for &gi in &transient {
+            for slot in pattern.row_range(gi) {
+                let gj = pattern.col(slot);
+                if positive[slot] && ctmc.absorbing[gj] {
+                    exits.push((gi as u32, slot as u32, gj as u32));
+                }
+            }
+        }
+
+        Ok(Self {
+            positive,
+            absorbing: ctmc.absorbing.clone(),
+            states,
+            position,
+            blocks,
+            external_ptr,
+            external,
+            internal_ptr,
+            internal,
+            exits,
+        })
+    }
+
+    /// True when this structure describes a chain with these rate values
+    /// and absorbing flags: the same slots positive, the same states
+    /// absorbing. O(nnz + n).
+    fn matches(&self, values: &[f64], absorbing: &[bool]) -> bool {
+        self.absorbing == absorbing
+            && self.positive.len() == values.len()
+            && values
+                .iter()
+                .zip(&self.positive)
+                .all(|(&v, &p)| (v > 0.0) == p)
+    }
+
+    /// Out-of-block predecessors of solve position `k`.
+    fn external(&self, k: usize) -> &[(u32, u32)] {
+        &self.external[self.external_ptr[k] as usize..self.external_ptr[k + 1] as usize]
+    }
+
+    /// In-block couplings of solve position `k`.
+    fn internal(&self, k: usize) -> &[(u32, u32)] {
+        &self.internal[self.internal_ptr[k] as usize..self.internal_ptr[k + 1] as usize]
+    }
+}
+
+/// Iterative Tarjan strongly-connected components over a graph in CSR form
+/// (`succ[succ_ptr[v]..succ_ptr[v + 1]]` are `v`'s successors). Returns the
+/// members of all components back to back and the component boundaries
+/// (length `components + 1`). Components are emitted in reverse
+/// topological order of the condensation (every component appears before
+/// its predecessors).
+fn tarjan_scc(succ_ptr: &[u32], succ: &[u32]) -> (Vec<u32>, Vec<u32>) {
+    let n = succ_ptr.len() - 1;
     const UNSET: usize = usize::MAX;
     let mut index = vec![UNSET; n];
     let mut low = vec![0usize; n];
     let mut on_stack = vec![false; n];
-    let mut stack: Vec<usize> = Vec::new();
+    let mut stack: Vec<u32> = Vec::new();
     let mut next_index = 0usize;
-    let mut components: Vec<Vec<usize>> = Vec::new();
-    // Explicit DFS frames: (node, next child position).
+    let mut members: Vec<u32> = Vec::with_capacity(n);
+    let mut components: Vec<u32> = vec![0];
+    // Explicit DFS frames: (node, next successor slot).
     let mut frames: Vec<(usize, usize)> = Vec::new();
 
     for start in 0..n {
         if index[start] != UNSET {
             continue;
         }
-        frames.push((start, 0));
+        frames.push((start, succ_ptr[start] as usize));
         index[start] = next_index;
         low[start] = next_index;
         next_index += 1;
-        stack.push(start);
+        stack.push(start as u32);
         on_stack[start] = true;
 
         while let Some(&mut (v, ref mut child)) = frames.last_mut() {
-            if *child < succ[v].len() {
-                let w = succ[v][*child];
+            if *child < succ_ptr[v + 1] as usize {
+                let w = succ[*child] as usize;
                 *child += 1;
                 if index[w] == UNSET {
                     index[w] = next_index;
                     low[w] = next_index;
                     next_index += 1;
-                    stack.push(w);
+                    stack.push(w as u32);
                     on_stack[w] = true;
-                    frames.push((w, 0));
+                    frames.push((w, succ_ptr[w] as usize));
                 } else if on_stack[w] {
                     low[v] = low[v].min(index[w]);
                 }
@@ -994,21 +1093,20 @@ fn tarjan_scc(succ: &[Vec<usize>]) -> Vec<Vec<usize>> {
                     low[parent] = low[parent].min(low[v]);
                 }
                 if low[v] == index[v] {
-                    let mut component = Vec::new();
                     loop {
-                        let w = stack.pop().expect("tarjan stack underflow");
+                        let w = stack.pop().expect("tarjan stack underflow") as usize;
                         on_stack[w] = false;
-                        component.push(w);
+                        members.push(w as u32);
                         if w == v {
                             break;
                         }
                     }
-                    components.push(component);
+                    components.push(members.len() as u32);
                 }
             }
         }
     }
-    components
+    (members, components)
 }
 
 #[cfg(test)]
@@ -1400,6 +1498,69 @@ mod tests {
         let a_t = ctmc.mean_time_to_absorption().unwrap();
         let a_f = fresh.mean_time_to_absorption().unwrap();
         assert_eq!(a_t.mtta.to_bits(), a_f.mtta.to_bits());
+    }
+
+    #[test]
+    fn template_absorption_structure_follows_the_rate_pattern() {
+        // Refresh one chain through rate families whose positive-rate
+        // pattern changes and changes back: the kept absorption structure
+        // must be dropped and rebuilt with it, so every solve equals a
+        // fresh build of the same graph bit for bit.
+        let build = |die: f64, leak: f64, back: f64| {
+            let mut b = SpnBuilder::new();
+            let up = b.add_place("up", 3);
+            let down = b.add_place("down", 0);
+            let bad = b.add_place("bad", 0);
+            b.add_transition(
+                TransitionDef::timed("die", move |m| die * m.tokens(up) as f64)
+                    .input(up, 1)
+                    .output(down, 1),
+            );
+            b.add_transition(
+                TransitionDef::timed("back", move |m| back * m.tokens(down) as f64)
+                    .input(down, 1)
+                    .output(up, 1),
+            );
+            b.add_transition(
+                TransitionDef::timed("leak", move |m| leak * m.tokens(up) as f64)
+                    .input(up, 1)
+                    .output(bad, 1),
+            );
+            b.absorbing_when(move |m| m.tokens(bad) >= 1 || m.tokens(up) == 0);
+            b.build().unwrap()
+        };
+        let pristine = explore(&build(1.0, 0.5, 0.7), &ExploreOptions::default()).unwrap();
+        let template = CtmcTemplate::new(&pristine).unwrap();
+        let mut ctmc = template.instantiate(&pristine).unwrap();
+        let mut working = pristine.clone();
+        // The first family has neither leaks nor returns, so a structure
+        // kept from it would miss couplings the later families revive.
+        let families = [
+            (1.0, 0.0, 0.0),
+            (1.0, 0.5, 0.7),
+            (2.0, 0.25, 0.7),
+            (1.0, 0.5, 0.0),
+            (0.0, 0.5, 0.7),
+            (1.0, 0.0, 0.7),
+            (3.0, 0.5, 0.7),
+        ];
+        for (die, leak, back) in families {
+            working.copy_rates_from(&pristine);
+            working.reweight_in_place(&build(die, leak, back)).unwrap();
+            template.refresh(&working, &mut ctmc).unwrap();
+            let a_t = ctmc.mean_time_to_absorption().unwrap();
+            let a_f = Ctmc::from_graph(&working)
+                .unwrap()
+                .mean_time_to_absorption()
+                .unwrap();
+            let bits = |a: &AbsorptionAnalysis| {
+                let mut v = vec![a.mtta.to_bits()];
+                v.extend(a.sojourn.iter().map(|x| x.to_bits()));
+                v.extend(a.absorption_probability.iter().map(|x| x.to_bits()));
+                v
+            };
+            assert_eq!(bits(&a_t), bits(&a_f), "die {die} leak {leak} back {back}");
+        }
     }
 
     fn ctmc_nnz(c: &Ctmc) -> usize {
