@@ -10,7 +10,7 @@
 //! (`tests/tests/cross_validation.rs` and the `runner` harness) validates
 //! the Equation-1 reconstruction and the SPN structure.
 //!
-//! The protocol is defined once, in [`Replication`]: node status, the
+//! The protocol is defined once, in `Replication`: node status, the
 //! resolved scenario axes, the compromise/evaluation/leak/join-leave
 //! rates, compromise, the vote with its conviction accounting, per-group
 //! background traffic, the C2 predicate and the per-replication counters

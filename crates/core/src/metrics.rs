@@ -18,7 +18,7 @@ use spn::reach::{explore, ExploreOptions, ReachabilityGraph};
 use spn::reward::{ImpulseReward, RateReward};
 use spn::transient::TransientStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 /// Evaluation output for one configuration.
 #[derive(Debug, Clone)]
@@ -71,6 +71,14 @@ pub fn evaluate(cfg: &SystemConfig) -> Result<Evaluation, SpnError> {
 /// `&self`, so one template can drive a rayon-parallel sweep; each worker
 /// checks a scratch set out of the interior pool (one set per concurrent
 /// worker ever exists, all sharing the single CSR pattern).
+///
+/// A point's cost is rate work only: each enabled transition's rate
+/// function once per state (the voting probabilities of `T_IDS`/`T_FA`
+/// computed once per group split of the point's net), the value-array
+/// refresh, the reward rates, and the block solves of the absorption
+/// system. The scratch CTMC keeps the structural half of that solve
+/// (reachability, strongly connected blocks, coupling layout) from point
+/// to point while the positive-rate pattern stays the same.
 pub struct ExactTemplate {
     /// The pristine explored graph; never mutated after construction.
     graph: ReachabilityGraph,
@@ -211,10 +219,7 @@ impl ExactTemplate {
             evaluate_with_ctmc(&model, &scratch.graph, &scratch.ctmc, mission_times)
                 .map(|(e, s, _)| (e, s))
         })();
-        self.scratch
-            .lock()
-            .expect("scratch pool poisoned")
-            .push(scratch);
+        self.pool().push(scratch);
         match result {
             // Structural mismatch despite matching keys — e.g. a rate that
             // was zero at template-build time pruned states that this
@@ -224,10 +229,18 @@ impl ExactTemplate {
         }
     }
 
+    /// The scratch pool. A panic while the lock was held cannot break it —
+    /// it holds no invariant beyond "each set is a whole (graph, CTMC)
+    /// pair", and sets are pushed and popped whole — so a poisoned lock is
+    /// recovered, not propagated.
+    fn pool(&self) -> MutexGuard<'_, Vec<Scratch>> {
+        self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Check a scratch set out of the pool, creating one (on the shared
     /// pattern — no pattern build) when all are in use.
     fn take_scratch(&self) -> Result<Scratch, SpnError> {
-        if let Some(s) = self.scratch.lock().expect("scratch pool poisoned").pop() {
+        if let Some(s) = self.pool().pop() {
             return Ok(s);
         }
         Ok(Scratch {
@@ -541,8 +554,31 @@ mod tests {
         assert_ne!(lin.mttsf_seconds, log.mttsf_seconds);
     }
 
+    /// The bits of every reported steady metric: MTTSF, each cost
+    /// component, Ĉtotal and the failure-cause split.
+    fn metric_bits(e: &Evaluation) -> [u64; 10] {
+        let c = &e.cost_components;
+        [
+            e.mttsf_seconds,
+            c.group_comm,
+            c.status,
+            c.rekey,
+            c.ids,
+            c.beacon,
+            c.partition_merge,
+            e.c_total_hop_bits_per_sec,
+            e.p_failure_c1,
+            e.p_failure_c2,
+        ]
+        .map(f64::to_bits)
+    }
+
     #[test]
     fn template_matches_fresh_evaluation_across_rate_knobs() {
+        // The template path (copy, re-weight, refresh, cached absorption
+        // structure) must reproduce a fresh exploration bit for bit — on
+        // hand-picked knobs and on the Figures 2–5 grid: m × detection
+        // shape × TIDS × two attacker rates.
         let base = small(12, 3, 120.0);
         let template = ExactTemplate::new(&base).unwrap();
         let mut variants = vec![
@@ -556,26 +592,60 @@ mod tests {
         let mut hot = base.clone();
         hot.attacker.base_rate *= 8.0;
         variants.push(hot);
+        for m in [3, 5, 7, 9] {
+            for shape in RateShape::all() {
+                for tids in [5.0, 60.0, 600.0, 1200.0] {
+                    for rate in [1.0 / 43_200.0, 1.0 / 21_600.0] {
+                        let mut cfg = base
+                            .with_vote_participants(m)
+                            .with_detection_shape(shape)
+                            .with_tids(tids);
+                        cfg.attacker.base_rate = rate;
+                        variants.push(cfg);
+                    }
+                }
+            }
+        }
         for cfg in &variants {
             assert!(template.compatible(cfg));
             let fast = template.evaluate(cfg).unwrap();
             let slow = evaluate(cfg).unwrap();
-            let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
-            assert!(
-                rel(fast.mttsf_seconds, slow.mttsf_seconds) < 1e-9,
-                "MTTSF {} vs {}",
-                fast.mttsf_seconds,
-                slow.mttsf_seconds
+            assert_eq!(
+                metric_bits(&fast),
+                metric_bits(&slow),
+                "{fast:?} vs {slow:?}"
             );
-            assert!(
-                rel(fast.c_total_hop_bits_per_sec, slow.c_total_hop_bits_per_sec) < 1e-9,
-                "cost {} vs {}",
-                fast.c_total_hop_bits_per_sec,
-                slow.c_total_hop_bits_per_sec
-            );
-            assert!((fast.p_failure_c1 - slow.p_failure_c1).abs() < 1e-9);
             assert_eq!(fast.state_count, slow.state_count);
         }
+        assert_eq!(template.stats().explorations, 1);
+        assert_eq!(template.stats().pattern_builds, 1);
+    }
+
+    #[test]
+    fn poisoned_scratch_pool_is_recovered() {
+        // A panic while the pool lock is held poisons it; the pool holds
+        // no invariant such a panic could break, so evaluation goes on.
+        let base = small(12, 3, 120.0);
+        let template = ExactTemplate::new(&base).unwrap();
+        let before = template.evaluate(&base).unwrap();
+        let poisoner = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _guard = template.scratch.lock();
+                panic!("poisoning the scratch pool");
+            })
+            .join()
+        });
+        assert!(poisoner.is_err());
+        assert!(template.scratch.is_poisoned());
+        let after = template.evaluate(&base.with_tids(60.0)).unwrap();
+        assert_eq!(
+            metric_bits(&after),
+            metric_bits(&evaluate(&base.with_tids(60.0)).unwrap())
+        );
+        assert_eq!(
+            metric_bits(&template.evaluate(&base).unwrap()),
+            metric_bits(&before)
+        );
     }
 
     #[test]
@@ -645,8 +715,9 @@ mod tests {
             .1
             .unwrap();
         let surv = surv.unwrap();
+        assert_eq!(surv.len(), direct.len());
         for (a, b) in surv.iter().zip(&direct) {
-            assert!((a - b).abs() < 1e-9, "{surv:?} vs {direct:?}");
+            assert_eq!(a.to_bits(), b.to_bits(), "{surv:?} vs {direct:?}");
         }
         assert!(eval.mttsf_seconds > 0.0);
         // empty grid skips the transient solve

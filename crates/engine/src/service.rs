@@ -14,7 +14,7 @@
 //!    bound.
 //! 3. Workers evaluate each spec through [`crate::Runner::run_cached`]
 //!    and stream results into the results directory:
-//!    `<name>.report.json` (the [`RunReport`], written atomically) on
+//!    `<name>.report.json` (the [`crate::RunReport`], written atomically) on
 //!    success, `<name>.error.json` on failure, plus
 //!    `<name>.progress.jsonl` with one line per adaptive-sampling round
 //!    (`{"precision":…,"replications":…}`) while a stochastic evaluation

@@ -289,7 +289,7 @@ impl Csr {
         }
     }
 
-    /// `y = A x` by per-row gather dot products ([`gather_row`]). Each
+    /// `y = A x` by per-row gather dot products (`gather_row`). Each
     /// output element is an independent fixed-order dot, so the result is a
     /// pure function of the stored structure — see [`EllMatrix`] for the
     /// padded fixed-width variant the transient engine's hot loop uses.

@@ -28,7 +28,7 @@
 //!    [`TransientEngine::new`] returns.
 //!
 //! The engine is seeded from the chain's memoized uniformized DTMC and its
-//! transpose (see [`Ctmc::uniformized`]), so repeated sweeps on one `Ctmc`
+//! transpose (`Ctmc::uniformized`), so repeated sweeps on one `Ctmc`
 //! — or on a [`crate::ctmc::CtmcTemplate`] instantiation across parameter
 //! points — never rebuild structure.
 
