@@ -78,35 +78,36 @@ impl FigureTable {
         f.flush()
     }
 
-    /// Per-series x achieving the maximum y.
-    pub fn argmax_per_series(&self) -> Vec<(String, f64)> {
+    /// Per-series x achieving the maximum y, skipping NaN values; `None`
+    /// for an empty or all-NaN series. Ties go to the last such x.
+    pub fn argmax_per_series(&self) -> Vec<(String, Option<f64>)> {
         self.extremum_per_series(true)
     }
 
-    /// Per-series x achieving the minimum y.
-    pub fn argmin_per_series(&self) -> Vec<(String, f64)> {
+    /// Per-series x achieving the minimum y, skipping NaN values; `None`
+    /// for an empty or all-NaN series. Ties go to the last such x.
+    pub fn argmin_per_series(&self) -> Vec<(String, Option<f64>)> {
         self.extremum_per_series(false)
     }
 
-    fn extremum_per_series(&self, max: bool) -> Vec<(String, f64)> {
+    fn extremum_per_series(&self, max: bool) -> Vec<(String, Option<f64>)> {
         self.series
             .iter()
             .map(|(label, ys)| {
-                let idx = ys
+                let best = ys
                     .iter()
-                    .enumerate()
+                    .zip(&self.x)
+                    .filter(|(y, _)| !y.is_nan())
                     .max_by(|a, b| {
-                        let (x, y) = (*a.1, *b.1);
-                        let ord = x.partial_cmp(&y).expect("no NaN in figures");
+                        let ord = a.0.total_cmp(b.0);
                         if max {
                             ord
                         } else {
                             ord.reverse()
                         }
                     })
-                    .expect("non-empty series")
-                    .0;
-                (label.clone(), self.x[idx])
+                    .map(|(_, &x)| x);
+                (label.clone(), best)
             })
             .collect()
     }
@@ -135,6 +136,14 @@ impl Metric {
     }
 }
 
+/// An exact-backend spec evaluating `cfg`.
+fn exact_spec(name: &str, cfg: &SystemConfig) -> ScenarioSpec {
+    let mut spec = ScenarioSpec::paper_default(BackendKind::Exact);
+    spec.name = name.into();
+    spec.system = cfg.clone();
+    spec
+}
+
 /// Run a `series × TIDS` grid through the engine and reshape the reports
 /// into a table: the outer axis produces one labelled series each, the
 /// inner axis is the shared TIDS grid. The whole figure shares a single
@@ -147,10 +156,9 @@ fn figure_via_engine(
     series_axis: impl Fn(ScenarioGrid) -> ScenarioGrid,
     series_labels: Vec<String>,
 ) -> Result<FigureTable, EngineError> {
-    let mut base = ScenarioSpec::paper_default(BackendKind::Exact);
-    base.name = "fig".into();
-    base.system = cfg.clone();
-    let specs = series_axis(ScenarioGrid::new(base)).tids(grid).expand();
+    let specs = series_axis(ScenarioGrid::new(exact_spec("fig", cfg)))
+        .tids(grid)
+        .expand();
     debug_assert_eq!(specs.len(), series_labels.len() * grid.len());
     let reports = Runner::new().run_batch(&specs)?;
     let series = series_labels
@@ -279,23 +287,34 @@ pub fn fig5(cfg: &SystemConfig) -> Result<FigureTable, EngineError> {
 /// # Errors
 /// Propagates evaluation failures.
 pub fn fig_survival(cfg: &SystemConfig, points: usize) -> Result<FigureTable, EngineError> {
-    // One template serves both the MTTSF probe (which scales the grid) and
-    // every m series: the vote-participant count is rate-only, so all
-    // evaluations share this single state-space exploration.
-    let template = gcsids::metrics::ExactTemplate::new(cfg)?;
-    let probe = template.evaluate(cfg)?;
-    let horizon = 0.1 * probe.mttsf_seconds;
+    // One runner's template cache serves both the MTTSF probe (which
+    // scales the grid) and every m series: the vote-participant count is
+    // rate-only, so all evaluations share one state-space exploration.
+    let runner = Runner::new();
+    let base = exact_spec("fig_survival", cfg);
+    let horizon = 0.1 * runner.run_cached(&base)?.mttsf.value;
     let times: Vec<f64> = (0..=points)
         .map(|i| horizon * i as f64 / points as f64)
         .collect();
 
     let ms = SystemConfig::paper_m_grid();
+    let specs = ScenarioGrid::new(base.with_mission_times(&times))
+        .vote_participants(ms)
+        .expand();
     let series = ms
         .iter()
-        .map(|&m| {
-            let (_, survival) =
-                template.evaluate_with_survival(&cfg.with_vote_participants(m), &times)?;
-            Ok((format!("m={m}"), survival.expect("mission grid requested")))
+        .zip(runner.run_batch(&specs)?)
+        .map(|(m, report)| {
+            let curve = report.survival.ok_or_else(|| {
+                EngineError::InvalidSpec(format!(
+                    "{}: report has no survival curve",
+                    report.scenario
+                ))
+            })?;
+            Ok((
+                format!("m={m}"),
+                curve.iter().map(|(_, s)| s.value).collect(),
+            ))
         })
         .collect::<Result<Vec<(String, Vec<f64>)>, EngineError>>()?;
     Ok(FigureTable {
@@ -325,7 +344,10 @@ pub fn emit(table: &FigureTable, csv_name: &str, maximize: bool) -> std::io::Res
     };
     let goal = if maximize { "max MTTSF" } else { "min C_total" };
     for (label, t) in optima {
-        println!("optimal TIDS ({goal}) for {label}: {t:.0} s");
+        match t {
+            Some(t) => println!("optimal TIDS ({goal}) for {label}: {t:.0} s"),
+            None => println!("no optimum ({goal}) for {label}: no non-NaN value"),
+        }
     }
     let path = results_dir().join(csv_name);
     table.write_csv(&path)?;
@@ -354,6 +376,8 @@ mod tests {
             series: vec![
                 ("a".into(), vec![5.0, 9.0, 7.0]),
                 ("b".into(), vec![3.0, 2.0, 4.0]),
+                // NaN values are skipped, not ordered
+                ("c".into(), vec![f64::NAN, 4.0, 6.0]),
             ],
         };
         let s = t.render();
@@ -361,12 +385,37 @@ mod tests {
         assert!(s.contains('a') && s.contains('b'));
         assert_eq!(
             t.argmax_per_series(),
-            vec![("a".into(), 2.0), ("b".into(), 3.0)]
+            vec![
+                ("a".into(), Some(2.0)),
+                ("b".into(), Some(3.0)),
+                ("c".into(), Some(3.0))
+            ]
         );
         assert_eq!(
             t.argmin_per_series(),
-            vec![("a".into(), 1.0), ("b".into(), 2.0)]
+            vec![
+                ("a".into(), Some(1.0)),
+                ("b".into(), Some(2.0)),
+                ("c".into(), Some(2.0))
+            ]
         );
+    }
+
+    #[test]
+    fn empty_series_has_no_optimum() {
+        let t = FigureTable {
+            title: "T".into(),
+            x_label: "x".into(),
+            y_label: "y".into(),
+            x: vec![1.0, 2.0],
+            series: vec![
+                ("empty".into(), Vec::new()),
+                ("all-nan".into(), vec![f64::NAN, f64::NAN]),
+            ],
+        };
+        let none = vec![("empty".into(), None), ("all-nan".into(), None)];
+        assert_eq!(t.argmax_per_series(), none);
+        assert_eq!(t.argmin_per_series(), none);
     }
 
     #[test]
@@ -390,11 +439,21 @@ mod tests {
     #[test]
     fn fig_runners_produce_full_tables() {
         // tiny system so this stays fast; full scale is exercised by bins
+        let labels = |t: &FigureTable| -> Vec<String> {
+            t.series.iter().map(|(label, _)| label.clone()).collect()
+        };
         let t2 = fig2(&tiny_cfg()).unwrap();
-        assert_eq!(t2.series.len(), 4);
+        assert_eq!(labels(&t2), ["m=3", "m=5", "m=7", "m=9"]);
         assert_eq!(t2.x.len(), 9);
         let t4 = fig4(&tiny_cfg()).unwrap();
-        assert_eq!(t4.series.len(), 3);
+        assert_eq!(
+            labels(&t4),
+            [
+                "logarithmic detection",
+                "linear detection",
+                "polynomial detection"
+            ]
+        );
         let t3 = fig3(&tiny_cfg()).unwrap();
         assert_eq!(t3.x[0], 30.0);
         let t5 = fig5(&tiny_cfg()).unwrap();

@@ -16,10 +16,6 @@
 //! * [`metrics`] — MTTSF and Ĉtotal evaluation via the CTMC solvers;
 //! * [`clustered`] — symmetry-lumped and hierarchically composed exact
 //!   evaluation of K-of-C clustered deployments (100+-node systems);
-//! * [`sweep`] — TIDS / m / detection-shape parameter sweeps and optimal
-//!   interval identification (Figures 2–5);
-//! * [`pareto`] — design-space enumeration and the MTTSF-vs-cost Pareto
-//!   frontier (the paper's closing design-selection recommendation);
 //! * [`des`] — the protocol-level discrete-event simulation (actual
 //!   votes, actual GDH rekeys, sampled host-IDS errors) that
 //!   cross-validates the analytic model: one protocol core with a
@@ -51,9 +47,7 @@ pub mod des_mobility;
 mod memo;
 pub mod metrics;
 pub mod model;
-pub mod pareto;
 pub mod scenario_model;
-pub mod sweep;
 
 pub use clustered::{
     evaluate_clustered, evaluate_clustered_with_survival, ClusteredEvaluation, ClusteredPath,
@@ -67,8 +61,6 @@ pub use metrics::{evaluate, Evaluation};
 pub use model::{
     build_clustered_model, build_scenario_model, clustered_canonicalizer, ClusteredModel,
 };
-pub use pareto::{design_space, pareto_front, DesignPoint};
 pub use scenario_model::{
     evaluate_scenario, evaluate_scenario_graph, scenario_system, DetectionTotals,
 };
-pub use sweep::{optimal_tids_for_mttsf, sweep_tids, SweepPoint, SweepSeries};

@@ -68,9 +68,10 @@ pub fn evaluate(cfg: &SystemConfig) -> Result<Evaluation, SpnError> {
 /// ([`ReachabilityGraph::reweight_in_place`]), and the cached CTMC's value
 /// arrays are rewritten in place ([`CtmcTemplate::refresh`]) — no graph
 /// clone and no matrix construction per evaluation. Evaluation takes
-/// `&self`, so one template can drive a rayon-parallel sweep; each worker
-/// checks a scratch set out of the interior pool (one set per concurrent
-/// worker ever exists, all sharing the single CSR pattern).
+/// `&self`, so one template serves a whole parallel batch of the engine's
+/// runner; each worker checks a scratch set out of the interior pool (one
+/// set per concurrent worker ever exists, all sharing the single CSR
+/// pattern).
 ///
 /// A point's cost is rate work only: each enabled transition's rate
 /// function once per state (the voting probabilities of `T_IDS`/`T_FA`

@@ -3,9 +3,10 @@
 //! Every evaluator in the repository — exact CTMC absorption analysis,
 //! SPN token-game simulation, protocol DES, and mobility-integrated DES —
 //! implements [`Backend`]: `ScenarioSpec` in, [`RunReport`] out, under a
-//! caller-supplied [`RunBudget`]. This is what lets sweeps, Pareto
-//! enumeration, and cross-validation treat heterogeneous evaluators
-//! uniformly instead of hand-rolling one orchestration per evaluator.
+//! caller-supplied [`RunBudget`]. This is what lets the runner's batches
+//! (the paper's figure grids, design-space enumeration) and
+//! cross-validation treat heterogeneous evaluators uniformly instead of
+//! hand-rolling one orchestration per evaluator.
 
 use crate::error::EngineError;
 use crate::report::{

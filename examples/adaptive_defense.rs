@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run --release -p examples --example adaptive_defense`
 
+use examples::pareto::design_space;
 use examples::row;
 use gcsids::config::SystemConfig;
-use gcsids::sweep::sweep_tids;
 use ids::adaptive::{AdaptiveController, ResponseSurface};
 use ids::functions::RateShape;
 use numerics::dist::sample_exponential;
@@ -57,10 +57,13 @@ fn main() {
         "\ndefender selects {} detection (matching rule)",
         matched_shape.name()
     );
-    let matched_cfg = cfg.with_detection_shape(matched_shape);
-    let series =
-        sweep_tids(&matched_cfg, SystemConfig::paper_tids_grid(), "matched").expect("sweep");
-    let surface = ResponseSurface::new(series.mttsf_surface());
+    let points = design_space(
+        &cfg.with_detection_shape(matched_shape),
+        &[cfg.vote_participants],
+        SystemConfig::paper_tids_grid(),
+    )
+    .expect("sweep");
+    let surface = ResponseSurface::new(points.iter().map(|p| (p.t_ids, p.mttsf)).collect());
     let profile = controller.recommend(Some(&surface));
     println!(
         "{}",

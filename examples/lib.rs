@@ -1,4 +1,7 @@
-//! Shared helpers for the runnable examples.
+//! Shared helpers for the runnable examples, and the design-space
+//! analysis ([`pareto`]) they run through the engine.
+
+pub mod pareto;
 
 /// Render a simple two-column table row.
 pub fn row(label: &str, value: impl std::fmt::Display) -> String {

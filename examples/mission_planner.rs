@@ -6,9 +6,9 @@
 //!
 //! Run with: `cargo run --release -p examples --example mission_planner`
 
+use examples::pareto::{best_mttsf_under_cost, cheapest_meeting_mttsf, design_space, pareto_front};
 use examples::pretty_duration;
 use gcsids::config::SystemConfig;
-use gcsids::pareto::{best_mttsf_under_cost, cheapest_meeting_mttsf, design_space, pareto_front};
 
 fn main() {
     let cfg = SystemConfig::paper_default();
@@ -31,8 +31,8 @@ fn main() {
             "{:>3} {:>8.0} {:>16} {:>18.4e}",
             p.m,
             p.t_ids,
-            pretty_duration(p.evaluation.mttsf_seconds),
-            p.evaluation.c_total_hop_bits_per_sec
+            pretty_duration(p.mttsf),
+            p.c_total
         );
     }
     println!(
@@ -49,8 +49,8 @@ fn main() {
             pretty_duration(mission),
             p.m,
             p.t_ids,
-            pretty_duration(p.evaluation.mttsf_seconds),
-            p.evaluation.c_total_hop_bits_per_sec
+            pretty_duration(p.mttsf),
+            p.c_total
         ),
         None => println!("no design survives {}", pretty_duration(mission)),
     }
@@ -62,7 +62,7 @@ fn main() {
             "most survivable under {budget:.1e} hop·bits/s: m = {}, TIDS = {:.0} s ({})",
             p.m,
             p.t_ids,
-            pretty_duration(p.evaluation.mttsf_seconds)
+            pretty_duration(p.mttsf)
         ),
         None => println!("no design fits the {budget:.1e} hop·bits/s budget"),
     }

@@ -3,39 +3,39 @@
 //! the best intrusion detection interval to maximize MTTSF while satisfying
 //! the Ĉtotal performance requirement").
 
-use crate::config::SystemConfig;
-use crate::metrics::{Evaluation, ExactTemplate};
-use rayon::prelude::*;
-use spn::error::SpnError;
+use engine::{BackendKind, EngineError, Runner, ScenarioGrid, ScenarioSpec};
+use gcsids::config::SystemConfig;
 
 /// One evaluated design alternative.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DesignPoint {
     /// Vote participants.
     pub m: u32,
     /// Base detection interval (s).
     pub t_ids: f64,
-    /// Full evaluation.
-    pub evaluation: Evaluation,
+    /// Mean time to security failure (s).
+    pub mttsf: f64,
+    /// Time-averaged total communication cost (hop·bits/s).
+    pub c_total: f64,
 }
 
 impl DesignPoint {
     /// True when `other` is at least as good on both objectives and
     /// strictly better on one (maximize MTTSF, minimize Ĉtotal).
     pub fn dominated_by(&self, other: &DesignPoint) -> bool {
-        let better_mttsf = other.evaluation.mttsf_seconds >= self.evaluation.mttsf_seconds;
-        let better_cost =
-            other.evaluation.c_total_hop_bits_per_sec <= self.evaluation.c_total_hop_bits_per_sec;
-        let strictly = other.evaluation.mttsf_seconds > self.evaluation.mttsf_seconds
-            || other.evaluation.c_total_hop_bits_per_sec < self.evaluation.c_total_hop_bits_per_sec;
+        let better_mttsf = other.mttsf >= self.mttsf;
+        let better_cost = other.c_total <= self.c_total;
+        let strictly = other.mttsf > self.mttsf || other.c_total < self.c_total;
         better_mttsf && better_cost && strictly
     }
 }
 
-/// Evaluate the full `(m, T_IDS)` design space in parallel.
+/// Evaluate the `(m, T_IDS)` design space of `cfg` on the exact backend,
+/// in `m`-major order.
 ///
-/// Both axes are rate-only, so the whole product shares one state-space
-/// exploration (explore once, solve many).
+/// The whole grid is one [`Runner::run_batch`]: both axes are rate-only,
+/// so every design shares one state-space exploration (explore once,
+/// solve many).
 ///
 /// # Errors
 /// Returns the first evaluation failure.
@@ -43,23 +43,25 @@ pub fn design_space(
     cfg: &SystemConfig,
     ms: &[u32],
     tids_grid: &[f64],
-) -> Result<Vec<DesignPoint>, SpnError> {
-    let template = ExactTemplate::new(cfg)?;
-    let combos: Vec<(u32, f64)> = ms
+) -> Result<Vec<DesignPoint>, EngineError> {
+    let mut base = ScenarioSpec::paper_default(BackendKind::Exact);
+    base.name = "design".into();
+    base.system = cfg.clone();
+    let specs = ScenarioGrid::new(base)
+        .vote_participants(ms)
+        .tids(tids_grid)
+        .expand();
+    let reports = Runner::new().run_batch(&specs)?;
+    Ok(specs
         .iter()
-        .flat_map(|&m| tids_grid.iter().map(move |&t| (m, t)))
-        .collect();
-    combos
-        .par_iter()
-        .map(|&(m, t)| {
-            let e = template.evaluate(&cfg.with_vote_participants(m).with_tids(t))?;
-            Ok(DesignPoint {
-                m,
-                t_ids: t,
-                evaluation: e,
-            })
+        .zip(&reports)
+        .map(|(spec, report)| DesignPoint {
+            m: spec.system.vote_participants,
+            t_ids: spec.system.detection.base_interval,
+            mttsf: report.mttsf.value,
+            c_total: report.c_total.value,
         })
-        .collect()
+        .collect())
 }
 
 /// Pareto-efficient subset (maximize MTTSF, minimize Ĉtotal), sorted by
@@ -70,12 +72,7 @@ pub fn pareto_front(points: &[DesignPoint]) -> Vec<DesignPoint> {
         .filter(|p| !points.iter().any(|q| p.dominated_by(q)))
         .cloned()
         .collect();
-    front.sort_by(|a, b| {
-        a.evaluation
-            .c_total_hop_bits_per_sec
-            .partial_cmp(&b.evaluation.c_total_hop_bits_per_sec)
-            .expect("finite costs")
-    });
+    front.sort_by(|a, b| a.c_total.partial_cmp(&b.c_total).expect("finite costs"));
     front
 }
 
@@ -83,13 +80,8 @@ pub fn pareto_front(points: &[DesignPoint]) -> Vec<DesignPoint> {
 pub fn cheapest_meeting_mttsf(points: &[DesignPoint], min_mttsf: f64) -> Option<DesignPoint> {
     points
         .iter()
-        .filter(|p| p.evaluation.mttsf_seconds >= min_mttsf)
-        .min_by(|a, b| {
-            a.evaluation
-                .c_total_hop_bits_per_sec
-                .partial_cmp(&b.evaluation.c_total_hop_bits_per_sec)
-                .expect("finite costs")
-        })
+        .filter(|p| p.mttsf >= min_mttsf)
+        .min_by(|a, b| a.c_total.partial_cmp(&b.c_total).expect("finite costs"))
         .cloned()
 }
 
@@ -97,13 +89,8 @@ pub fn cheapest_meeting_mttsf(points: &[DesignPoint], min_mttsf: f64) -> Option<
 pub fn best_mttsf_under_cost(points: &[DesignPoint], max_cost: f64) -> Option<DesignPoint> {
     points
         .iter()
-        .filter(|p| p.evaluation.c_total_hop_bits_per_sec <= max_cost)
-        .max_by(|a, b| {
-            a.evaluation
-                .mttsf_seconds
-                .partial_cmp(&b.evaluation.mttsf_seconds)
-                .expect("finite MTTSF")
-        })
+        .filter(|p| p.c_total <= max_cost)
+        .max_by(|a, b| a.mttsf.partial_cmp(&b.mttsf).expect("finite MTTSF"))
         .cloned()
 }
 
@@ -121,7 +108,9 @@ mod tests {
     fn design_space_covers_grid() {
         let pts = design_space(&small(), &[3, 5], &[30.0, 120.0, 480.0]).unwrap();
         assert_eq!(pts.len(), 6);
-        assert!(pts.iter().all(|p| p.evaluation.mttsf_seconds > 0.0));
+        assert!(pts.iter().all(|p| p.mttsf > 0.0));
+        assert_eq!((pts[0].m, pts[0].t_ids), (3, 30.0));
+        assert_eq!((pts[5].m, pts[5].t_ids), (5, 480.0));
     }
 
     #[test]
@@ -136,30 +125,24 @@ mod tests {
             }
         }
         for w in front.windows(2) {
-            assert!(
-                w[0].evaluation.c_total_hop_bits_per_sec
-                    <= w[1].evaluation.c_total_hop_bits_per_sec
-            );
+            assert!(w[0].c_total <= w[1].c_total);
             // along a sorted front, more cost must buy more survivability
-            assert!(w[0].evaluation.mttsf_seconds <= w[1].evaluation.mttsf_seconds);
+            assert!(w[0].mttsf <= w[1].mttsf);
         }
     }
 
     #[test]
     fn constrained_selection() {
         let pts = design_space(&small(), &[3, 5], &[15.0, 60.0, 240.0]).unwrap();
-        let best_mttsf = pts
-            .iter()
-            .map(|p| p.evaluation.mttsf_seconds)
-            .fold(f64::MIN, f64::max);
+        let best_mttsf = pts.iter().map(|p| p.mttsf).fold(f64::MIN, f64::max);
         // floor just below the best: must pick something
         let pick = cheapest_meeting_mttsf(&pts, best_mttsf * 0.999).unwrap();
-        assert!(pick.evaluation.mttsf_seconds >= best_mttsf * 0.999);
+        assert!(pick.mttsf >= best_mttsf * 0.999);
         // impossible floor: none
         assert!(cheapest_meeting_mttsf(&pts, best_mttsf * 10.0).is_none());
         // generous ceiling: the most survivable overall
         let under = best_mttsf_under_cost(&pts, f64::INFINITY).unwrap();
-        assert!((under.evaluation.mttsf_seconds - best_mttsf).abs() < 1e-9);
+        assert!((under.mttsf - best_mttsf).abs() < 1e-9);
         // impossible ceiling: none
         assert!(best_mttsf_under_cost(&pts, 0.0).is_none());
     }

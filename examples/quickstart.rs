@@ -3,10 +3,10 @@
 //!
 //! Run with: `cargo run --release -p examples --example quickstart`
 
+use examples::pareto::design_space;
 use examples::{pretty_duration, row};
 use gcsids::config::SystemConfig;
 use gcsids::metrics::evaluate;
-use gcsids::sweep::sweep_tids;
 
 fn main() {
     // The paper's §5 parameterization: 100 nodes, 500 m operational radius,
@@ -70,14 +70,27 @@ fn main() {
     );
 
     println!("\n== optimal detection interval (paper grid) ==");
-    let series = sweep_tids(&cfg, SystemConfig::paper_tids_grid(), "default").expect("sweep");
-    for p in &series.points {
+    let points = design_space(
+        &cfg,
+        &[cfg.vote_participants],
+        SystemConfig::paper_tids_grid(),
+    )
+    .expect("sweep");
+    for p in &points {
         println!(
             "  TIDS = {:>5.0} s  →  MTTSF = {:.3e} s, C_total = {:.3e}",
-            p.t_ids, p.evaluation.mttsf_seconds, p.evaluation.c_total_hop_bits_per_sec
+            p.t_ids, p.mttsf, p.c_total
         );
     }
-    let best = series.optimal_tids_for_mttsf().expect("non-empty sweep");
-    let cheapest = series.optimal_tids_for_cost().expect("non-empty sweep");
+    let best = points
+        .iter()
+        .max_by(|a, b| a.mttsf.total_cmp(&b.mttsf))
+        .expect("non-empty sweep")
+        .t_ids;
+    let cheapest = points
+        .iter()
+        .min_by(|a, b| a.c_total.total_cmp(&b.c_total))
+        .expect("non-empty sweep")
+        .t_ids;
     println!("\nbest TIDS for survivability: {best:.0} s; cheapest TIDS: {cheapest:.0} s");
 }

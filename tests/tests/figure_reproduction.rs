@@ -2,9 +2,10 @@
 //! (who wins, orderings, where optima fall) asserted against the exact
 //! analytic model at the paper's N = 100 parameterization.
 
+use bench_harness::{fig2, fig3, fig4, fig5};
+use engine::{BackendKind, Runner, ScenarioGrid, ScenarioSpec};
 use gcsids::config::SystemConfig;
 use gcsids::metrics::evaluate;
-use gcsids::sweep::{sweep_tids, sweep_tids_by_detection_shape, sweep_tids_by_m};
 use ids::functions::RateShape;
 
 fn paper() -> SystemConfig {
@@ -15,15 +16,12 @@ fn paper() -> SystemConfig {
 /// 480/60/15/5 s for m = 3/5/7/9) and peak MTTSF increases with m.
 #[test]
 fn fig2_optimal_tids_shrinks_and_mttsf_grows_with_m() {
-    let series = sweep_tids_by_m(
-        &paper(),
-        SystemConfig::paper_tids_grid(),
-        SystemConfig::paper_m_grid(),
-    )
-    .unwrap();
-    let optima: Vec<f64> = series
-        .iter()
-        .map(|s| s.optimal_tids_for_mttsf().expect("non-empty series"))
+    let table = fig2(&paper()).unwrap();
+    assert_eq!(table.x, SystemConfig::paper_tids_grid());
+    let optima: Vec<f64> = table
+        .argmax_per_series()
+        .into_iter()
+        .map(|(_, t)| t.expect("non-empty series"))
         .collect();
     // paper's exact grid points
     assert_eq!(
@@ -31,14 +29,10 @@ fn fig2_optimal_tids_shrinks_and_mttsf_grows_with_m() {
         vec![480.0, 60.0, 15.0, 5.0],
         "optimal TIDS by m = 3/5/7/9"
     );
-    let peaks: Vec<f64> = series
+    let peaks: Vec<f64> = table
+        .series
         .iter()
-        .map(|s| {
-            s.points
-                .iter()
-                .map(|p| p.evaluation.mttsf_seconds)
-                .fold(f64::MIN, f64::max)
-        })
+        .map(|(_, v)| v.iter().cloned().fold(f64::MIN, f64::max))
         .collect();
     for w in peaks.windows(2) {
         assert!(w[1] > w[0], "peak MTTSF must increase with m: {peaks:?}");
@@ -54,19 +48,16 @@ fn fig2_optimal_tids_shrinks_and_mttsf_grows_with_m() {
 /// Figure 2 mechanism: MTTSF rises then falls in TIDS for every m.
 #[test]
 fn fig2_interior_optimum_for_every_m() {
-    let series = sweep_tids_by_m(&paper(), SystemConfig::paper_tids_grid(), &[5, 7]).unwrap();
-    for s in &series {
-        let v: Vec<f64> = s
-            .points
-            .iter()
-            .map(|p| p.evaluation.mttsf_seconds)
-            .collect();
+    let table = fig2(&paper()).unwrap();
+    for (label, v) in &table.series {
+        if label != "m=5" && label != "m=7" {
+            continue;
+        }
         let peak = v.iter().cloned().fold(f64::MIN, f64::max);
-        assert!(peak > v[0], "{}: no rise from the short-TIDS side", s.label);
+        assert!(peak > v[0], "{label}: no rise from the short-TIDS side");
         assert!(
             peak > *v.last().unwrap(),
-            "{}: no fall to the long-TIDS side",
-            s.label
+            "{label}: no fall to the long-TIDS side"
         );
     }
 }
@@ -76,13 +67,11 @@ fn fig2_interior_optimum_for_every_m() {
 #[test]
 fn fig3_cost_ordering_and_interior_optimum() {
     let grid = &SystemConfig::paper_tids_grid()[2..];
-    let series = sweep_tids_by_m(&paper(), grid, SystemConfig::paper_m_grid()).unwrap();
+    let table = fig3(&paper()).unwrap();
+    assert_eq!(table.x, grid);
     #[allow(clippy::needless_range_loop)] // index couples `grid` with every series
     for i in 0..grid.len() {
-        let costs: Vec<f64> = series
-            .iter()
-            .map(|s| s.points[i].evaluation.c_total_hop_bits_per_sec)
-            .collect();
+        let costs: Vec<f64> = table.series.iter().map(|(_, v)| v[i]).collect();
         for w in costs.windows(2) {
             assert!(
                 w[1] > w[0] * 0.999,
@@ -91,17 +80,11 @@ fn fig3_cost_ordering_and_interior_optimum() {
             );
         }
     }
-    for s in &series[1..] {
-        let v: Vec<f64> = s
-            .points
-            .iter()
-            .map(|p| p.evaluation.c_total_hop_bits_per_sec)
-            .collect();
+    for (label, v) in &table.series[1..] {
         let min = v.iter().cloned().fold(f64::MAX, f64::min);
         assert!(
             min < v[0] && min < *v.last().unwrap(),
-            "{}: no interior optimum",
-            s.label
+            "{label}: no interior optimum"
         );
     }
 }
@@ -110,10 +93,9 @@ fn fig3_cost_ordering_and_interior_optimum() {
 /// interval, polynomial wins at the largest.
 #[test]
 fn fig4_shape_crossovers() {
-    let series = sweep_tids_by_detection_shape(&paper(), SystemConfig::paper_tids_grid()).unwrap();
-    let at = |shape_idx: usize, tids_idx: usize| {
-        series[shape_idx].points[tids_idx].evaluation.mttsf_seconds
-    };
+    let table = fig4(&paper()).unwrap();
+    assert_eq!(table.x, SystemConfig::paper_tids_grid());
+    let at = |shape_idx: usize, tids_idx: usize| table.series[shape_idx].1[tids_idx];
     let (log, lin, poly) = (0usize, 1, 2);
     // paper: log performs well when TIDS is small (< 15 s)
     assert!(
@@ -131,9 +113,7 @@ fn fig4_shape_crossovers() {
         "poly must beat log at TIDS=1200"
     );
     // linear's peak lands in the paper's 60–120 s region
-    let lin_opt = series[lin]
-        .optimal_tids_for_mttsf()
-        .expect("non-empty series");
+    let lin_opt = table.argmax_per_series()[lin].1.expect("non-empty series");
     assert!(
         (60.0..=240.0).contains(&lin_opt),
         "linear optimum at {lin_opt}"
@@ -146,12 +126,9 @@ fn fig4_shape_crossovers() {
 #[test]
 fn fig5_cost_crossovers() {
     let grid = &SystemConfig::paper_tids_grid()[1..];
-    let series = sweep_tids_by_detection_shape(&paper(), grid).unwrap();
-    let cost = |shape_idx: usize, tids_idx: usize| {
-        series[shape_idx].points[tids_idx]
-            .evaluation
-            .c_total_hop_bits_per_sec
-    };
+    let table = fig5(&paper()).unwrap();
+    assert_eq!(table.x, grid);
+    let cost = |shape_idx: usize, tids_idx: usize| table.series[shape_idx].1[tids_idx];
     let (log, lin, poly) = (0usize, 1, 2);
     let i240 = grid.iter().position(|&t| t == 240.0).unwrap();
     assert!(
@@ -199,13 +176,15 @@ fn magnitudes_in_paper_bands() {
 fn adaptive_interval_selection_pays_off_for_every_attacker() {
     let grid = SystemConfig::paper_tids_grid();
     for attacker_shape in RateShape::all() {
-        let mut cfg = paper();
-        cfg.attacker.shape = attacker_shape;
-        let s = sweep_tids(&cfg, grid, attacker_shape.name()).unwrap();
-        let v: Vec<f64> = s
-            .points
+        let mut spec = ScenarioSpec::paper_default(BackendKind::Exact);
+        spec.name = attacker_shape.name().into();
+        spec.system.attacker.shape = attacker_shape;
+        let specs = ScenarioGrid::new(spec).tids(grid).expand();
+        let v: Vec<f64> = Runner::new()
+            .run_batch(&specs)
+            .unwrap()
             .iter()
-            .map(|p| p.evaluation.mttsf_seconds)
+            .map(|r| r.mttsf.value)
             .collect();
         let best = v.iter().cloned().fold(f64::MIN, f64::max);
         assert!(

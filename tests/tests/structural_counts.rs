@@ -9,7 +9,7 @@
 
 use engine::{
     backend_for, compare, AttackerStrategy, BackendKind, ResponsePolicy, RunBudget, Runner,
-    SamplingPlan, ScenarioConfig, ScenarioSpec,
+    SamplingPlan, ScenarioConfig, ScenarioGrid, ScenarioSpec,
 };
 use gcsids::clustered::{evaluate_clustered_graph, evaluate_clustered_with_survival};
 use gcsids::config::{ClusterTopology, SystemConfig};
@@ -175,6 +175,33 @@ fn service_cache_counts() {
     let stats = runner.cache().stats();
     assert_eq!((stats.hits, stats.misses), (27, 3));
     assert_eq!(stats.hit_rate(), Some(0.9));
+}
+
+/// A Figures 2–3 `m × T_IDS` grid plus one mission-grid spec through one
+/// runner: a single cache miss builds the template, every other spec hits
+/// it, and the template explores and builds its CSR pattern exactly once —
+/// every point re-weights and refreshes in place.
+#[test]
+fn runner_grid_explores_and_builds_pattern_once() {
+    let mut base = ScenarioSpec::paper_default(BackendKind::Exact);
+    base.name = "counts/explore-once".into();
+    base.system.node_count = 12;
+    base.system.vote_participants = 3;
+    let mut specs = ScenarioGrid::new(base.clone())
+        .vote_participants(SystemConfig::paper_m_grid())
+        .tids(&[5.0, 30.0, 120.0, 480.0, 1200.0])
+        .expand();
+    specs.push(base.clone().with_mission_times(&[0.0, 1.0e4]));
+    let runner = Runner::new();
+    runner.run_batch(&specs).unwrap();
+    let stats = runner.cache().stats();
+    assert_eq!((stats.hits, stats.misses), (20, 1));
+    let (template, _) = runner
+        .cache()
+        .lookup(&base, &ExploreOptions::default())
+        .unwrap();
+    let work = template.expect("flat exact spec is cached").stats();
+    assert_eq!((work.explorations, work.pattern_builds), (1, 1));
 }
 
 fn burst() -> ScenarioConfig {
