@@ -436,15 +436,19 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    fn labels(t: &FigureTable) -> Vec<String> {
+        t.series.iter().map(|(label, _)| label.clone()).collect()
+    }
+
     #[test]
-    fn fig_runners_produce_full_tables() {
-        // tiny system so this stays fast; full scale is exercised by bins
-        let labels = |t: &FigureTable| -> Vec<String> {
-            t.series.iter().map(|(label, _)| label.clone()).collect()
-        };
+    fn series_by_m_are_labelled() {
         let t2 = fig2(&tiny_cfg()).unwrap();
         assert_eq!(labels(&t2), ["m=3", "m=5", "m=7", "m=9"]);
-        assert_eq!(t2.x.len(), 9);
+        assert!(t2.series.iter().all(|(_, ys)| ys.len() == t2.x.len()));
+    }
+
+    #[test]
+    fn series_by_shape_cover_all_three() {
         let t4 = fig4(&tiny_cfg()).unwrap();
         assert_eq!(
             labels(&t4),
@@ -454,6 +458,16 @@ mod tests {
                 "polynomial detection"
             ]
         );
+        assert!(t4.series.iter().all(|(_, ys)| ys.len() == t4.x.len()));
+    }
+
+    #[test]
+    fn fig_runners_produce_full_tables() {
+        // tiny system so this stays fast; full scale is exercised by bins
+        let t2 = fig2(&tiny_cfg()).unwrap();
+        assert_eq!(t2.x.len(), 9);
+        let t4 = fig4(&tiny_cfg()).unwrap();
+        assert_eq!(t4.series.len(), 3);
         let t3 = fig3(&tiny_cfg()).unwrap();
         assert_eq!(t3.x[0], 30.0);
         let t5 = fig5(&tiny_cfg()).unwrap();
