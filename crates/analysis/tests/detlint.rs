@@ -150,7 +150,7 @@ fn workspace_tree_scans_clean() {
         counts,
         [
             ("D001", 0, 0),
-            ("D002", 0, 5),
+            ("D002", 0, 3),
             ("D003", 0, 5),
             ("D004", 0, 0),
             ("R001", 0, 5),

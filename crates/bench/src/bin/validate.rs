@@ -5,8 +5,8 @@
 //! reasonable while exercising exactly the same code paths; pass a first
 //! argument `paper` to run the (slow) paper-scale validation instead.
 
+use engine::{backend_for, BackendKind, RunBudget, SamplingPlan, ScenarioSpec};
 use gcsids::config::SystemConfig;
-use gcsids::des::{run_des_replications, DesConfig};
 use gcsids::metrics::evaluate;
 use gcsids::model::build_model;
 use spn::reward::RewardSet;
@@ -49,18 +49,23 @@ fn main() {
     );
 
     // (b) protocol-level DES — actual votes, actual rekey accounting.
-    let des = DesConfig::new(cfg.clone());
-    let d = run_des_replications(&des, replications, 43);
-    let dci = d.mttsf.confidence_interval(0.95);
+    let mut spec = ScenarioSpec::paper_default(BackendKind::Des);
+    spec.system = cfg;
+    spec.stochastic.master_seed = 43;
+    spec.stochastic.sampling = SamplingPlan::Fixed(replications);
+    let d = backend_for(BackendKind::Des)
+        .run(&spec, &RunBudget::default())
+        .expect("protocol DES");
+    let (lo, hi) = d.mttsf.ci.expect("at least two failures");
     println!(
-        "protocol  : MTTSF = {:.4e} s ± {:.2e} (95% CI), C1/C2 = {}/{}, cost rate = {:.4e}",
-        dci.mean,
-        dci.half_width,
-        d.c1_failures,
-        d.c2_failures,
-        d.cost_rate.mean()
+        "protocol  : MTTSF = {:.4e} s ± {:.2e} (95% CI), P[C1] = {:.3}, P[C2] = {:.3}, cost rate = {:.4e}",
+        d.mttsf.value,
+        (hi - lo) / 2.0,
+        d.failure.p_c1,
+        d.failure.p_c2,
+        d.c_total.value
     );
-    let rel = (dci.mean - analytic.mttsf_seconds).abs() / analytic.mttsf_seconds;
+    let rel = (d.mttsf.value - analytic.mttsf_seconds).abs() / analytic.mttsf_seconds;
     println!(
         "protocol  : relative MTTSF deviation from analytic = {:.1}%",
         rel * 100.0

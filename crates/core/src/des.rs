@@ -29,8 +29,9 @@
 //!   events fire by thinning within fixed mobility steps.
 //!
 //! Failure is declared on C1 or when any single group crosses the C2
-//! Byzantine ratio. Both drivers aggregate through [`DesStats`] and
-//! [`run_des_sampled`].
+//! Byzantine ratio. Both drivers' configurations implement
+//! [`Replicate`] with one [`DesOutcome`] per seed; the engine's one
+//! stochastic sink (`engine::backend`) aggregates them into reports.
 //!
 //! The scenario axes of the [`scenario`] crate are mirrored as additional
 //! race entries using the same closed-form modulations as the SPN
@@ -46,8 +47,7 @@ use crate::scenario_model::scenario_system;
 use ids::host::HostIds;
 use ids::voting::{run_vote_with_collusion, CollusionModel, VotingConfig};
 use numerics::dist::sample_exponential;
-use numerics::replicate::{run_plan, OutcomeSink, Replicate, SamplingPlan};
-use numerics::stats::Welford;
+use numerics::replicate::Replicate;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -121,28 +121,6 @@ pub struct DesOutcome {
     /// Time of the first true detection — the first conviction of a
     /// compromised node (`None` if none happened).
     pub first_true_detection: Option<f64>,
-}
-
-/// Aggregate statistics over replications.
-#[derive(Debug, Clone)]
-pub struct DesStats {
-    /// Time-to-failure statistics over non-censored replications.
-    pub mttsf: Welford,
-    /// Cost-rate statistics over all replications of positive duration.
-    pub cost_rate: Welford,
-    /// C1 failures.
-    pub c1_failures: u64,
-    /// C2 failures.
-    pub c2_failures: u64,
-    /// Attrition endings.
-    pub attritions: u64,
-    /// Censored replications (including the zero-duration ones below).
-    pub censored: u64,
-    /// Replications of zero duration, counted as censored-at-zero. Their
-    /// `mean_cost_rate` of `0.0` is an artifact of an empty observation
-    /// window, not a measurement, so they are excluded from `cost_rate`
-    /// and reported here instead of silently dragging the mean down.
-    pub zero_duration: u64,
 }
 
 /// Protocol status of one node.
@@ -694,125 +672,50 @@ impl Replicate for DesConfig {
     }
 }
 
-/// Streaming [`DesOutcome`] aggregation for the shared replication engine
-/// (no outcome `Vec`; see [`DesStats`] for the zero-duration rule).
-#[derive(Clone)]
-struct DesSink {
-    stats: DesStats,
-    confidence: f64,
-}
-
-impl DesSink {
-    fn new(confidence: f64) -> Self {
-        Self {
-            stats: DesStats {
-                mttsf: Welford::new(),
-                cost_rate: Welford::new(),
-                c1_failures: 0,
-                c2_failures: 0,
-                attritions: 0,
-                censored: 0,
-                zero_duration: 0,
-            },
-            confidence,
-        }
-    }
-}
-
-impl OutcomeSink<DesOutcome> for DesSink {
-    fn record(&mut self, o: DesOutcome) {
-        let s = &mut self.stats;
-        if o.time <= 0.0 {
-            // Censored-at-zero: nothing was observed, so there is no cost
-            // rate (the outcome's 0.0 is a placeholder) and no failure time.
-            s.zero_duration += 1;
-            s.censored += 1;
-            return;
-        }
-        s.cost_rate.push(o.mean_cost_rate);
-        match o.cause {
-            FailureCause::DataLeak => {
-                s.c1_failures += 1;
-                s.mttsf.push(o.time);
-            }
-            FailureCause::ByzantineCapture => {
-                s.c2_failures += 1;
-                s.mttsf.push(o.time);
-            }
-            FailureCause::Attrition => {
-                s.attritions += 1;
-                s.mttsf.push(o.time);
-            }
-            FailureCause::Censored => s.censored += 1,
-        }
-    }
-
-    fn merge(&mut self, other: Self) {
-        let (s, o) = (&mut self.stats, other.stats);
-        s.mttsf.merge(&o.mttsf);
-        s.cost_rate.merge(&o.cost_rate);
-        s.c1_failures += o.c1_failures;
-        s.c2_failures += o.c2_failures;
-        s.attritions += o.attritions;
-        s.censored += o.censored;
-        s.zero_duration += o.zero_duration;
-    }
-
-    fn precision(&self) -> Option<f64> {
-        self.stats.mttsf.relative_precision(self.confidence)
-    }
-}
-
-/// [`DesStats`] plus the adaptive-sampling verdict of [`run_des_sampled`].
-#[derive(Debug, Clone)]
-pub struct SampledDesStats {
-    /// Aggregate statistics over the replications actually run.
-    pub stats: DesStats,
-    /// Replications actually run (an adaptive plan chooses this at
-    /// runtime).
-    pub replications: u64,
-    /// Whether the adaptive precision target was met (`None` for fixed
-    /// plans, `Some(false)` when the budget ran out first).
-    pub target_met: Option<bool>,
-}
-
-/// Run a [`SamplingPlan`] of either simulator ([`DesConfig`] or
-/// [`crate::des_mobility::MobilityDesConfig`]) through the shared
-/// replication engine. Adaptive plans stop once the relative half-width of
-/// the `confidence`-level MTTSF CI meets the plan's target (or the budget
-/// runs out).
-///
-/// # Panics
-/// Panics on an invalid plan (see [`SamplingPlan::validate`]).
-pub fn run_des_sampled<C>(
-    cfg: &C,
-    plan: &SamplingPlan,
-    master_seed: u64,
-    confidence: f64,
-) -> SampledDesStats
-where
-    C: Replicate<Outcome = DesOutcome> + ?Sized,
-{
-    let done = run_plan(cfg, plan, master_seed, || DesSink::new(confidence));
-    SampledDesStats {
-        stats: done.sink.stats,
-        replications: done.replications,
-        target_met: done.target_met,
-    }
-}
-
-/// Run `n` replications of either simulator in parallel with derived seeds
-/// (a fixed [`SamplingPlan`] through the shared replication engine).
-pub fn run_des_replications<C>(cfg: &C, n: u64, master_seed: u64) -> DesStats
-where
-    C: Replicate<Outcome = DesOutcome> + ?Sized,
-{
-    run_des_sampled(cfg, &SamplingPlan::Fixed(n), master_seed, 0.95).stats
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use numerics::rng::child_seed;
+    use numerics::stats::Welford;
+
+    /// Failure times and causes of replications `0..n`.
+    pub(crate) struct FailureSample {
+        /// Failure times of the replications that failed at `t > 0`.
+        pub(crate) mttsf: Welford,
+        pub(crate) c1: u64,
+        pub(crate) c2: u64,
+        /// Censored replications, the zero-duration ones included.
+        pub(crate) censored: u64,
+    }
+
+    /// Run replications `0..n` of either driver under
+    /// `child_seed(seed, i)` in index order. Below the replication
+    /// executor's 64-replication chunk this is the order the engine's
+    /// sink records them in, so the moments match a `Fixed(n)` run.
+    pub(crate) fn failure_sample<C>(cfg: &C, n: u64, seed: u64) -> FailureSample
+    where
+        C: Replicate<Outcome = DesOutcome>,
+    {
+        let mut s = FailureSample {
+            mttsf: Welford::new(),
+            c1: 0,
+            c2: 0,
+            censored: 0,
+        };
+        for o in (0..n).map(|i| cfg.run_one(child_seed(seed, i))) {
+            if o.time <= 0.0 || o.cause == FailureCause::Censored {
+                s.censored += 1;
+                continue;
+            }
+            s.mttsf.push(o.time);
+            match o.cause {
+                FailureCause::DataLeak => s.c1 += 1,
+                FailureCause::ByzantineCapture => s.c2 += 1,
+                _ => {}
+            }
+        }
+        s
+    }
 
     /// Accelerated system so replications end quickly.
     fn hot_system(n: u32) -> SystemConfig {
@@ -881,10 +784,10 @@ mod tests {
             c.detection = c.detection.with_interval(30.0);
             c
         });
-        let s = run_des_replications(&slow, 40, 1);
-        let f = run_des_replications(&fast, 40, 1);
+        let s = failure_sample(&slow, 40, 1);
+        let f = failure_sample(&fast, 40, 1);
         // nearly no detections without IDS → C1 dominates
-        assert!(s.c1_failures > s.c2_failures, "slow: {s:?}");
+        assert!(s.c1 > s.c2, "slow: C1 {} vs C2 {}", s.c1, s.c2);
         // aggressive IDS survives longer on average
         assert!(
             f.mttsf.mean() > s.mttsf.mean(),
@@ -895,55 +798,19 @@ mod tests {
     }
 
     #[test]
-    fn replication_stats_aggregate() {
-        let cfg = DesConfig::new(hot_system(14));
-        let stats = run_des_replications(&cfg, 30, 5);
-        assert_eq!(
-            stats.c1_failures + stats.c2_failures + stats.attritions + stats.censored,
-            30
-        );
-        assert!(stats.mttsf.count() > 0);
-        assert!(stats.cost_rate.mean() > 0.0);
-    }
-
-    #[test]
-    fn attrition_is_counted_apart_from_c2() {
-        // Neither driver can evict its last live node, so attrition endings
-        // come from the token game; the shared sink must still count them
-        // as attrition, not as C2 failures.
-        struct Attrition;
-        impl Replicate for Attrition {
-            type Outcome = DesOutcome;
-            fn run_one(&self, _seed: u64) -> DesOutcome {
-                let mut r = Replication::new(&hot_system(4), &ScenarioConfig::baseline());
-                r.t = 5.0;
-                r.finish(FailureCause::Attrition)
-            }
-        }
-        let stats = run_des_replications(&Attrition, 4, 1);
-        assert_eq!(stats.attritions, 4);
-        assert_eq!(stats.c2_failures, 0);
-        assert_eq!(stats.mttsf.count(), 4);
-    }
-
-    #[test]
     fn zero_duration_replications_are_censored_at_zero_not_averaged() {
-        // A zero-length horizon observes nothing: every replication ends at
-        // t = 0 with the placeholder cost rate 0.0. Averaging those zeros
-        // used to silently drag the cost mean down; they must be counted
-        // as censored-at-zero and excluded instead.
+        // A zero-length horizon observes nothing: the replication ends at
+        // t = 0, censored, with the placeholder cost rate 0.0. The engine's
+        // sink counts such runs as censored-at-zero and averages neither
+        // their cost nor their time (`engine::backend` tests that half).
         let mut cfg = DesConfig::new(hot_system(12));
         cfg.max_time = 0.0;
-        let stats = run_des_replications(&cfg, 6, 3);
-        assert_eq!(stats.zero_duration, 6);
-        assert_eq!(stats.censored, 6);
-        assert_eq!(stats.cost_rate.count(), 0, "no cost observation exists");
-        assert_eq!(stats.mttsf.count(), 0);
-        // and a normal run reports none
-        let cfg = DesConfig::new(hot_system(12));
-        let stats = run_des_replications(&cfg, 6, 3);
-        assert_eq!(stats.zero_duration, 0);
-        assert_eq!(stats.cost_rate.count(), 6);
+        for seed in 0..6 {
+            let o = run_des(&cfg, seed);
+            assert_eq!(o.time, 0.0);
+            assert_eq!(o.cause, FailureCause::Censored);
+            assert_eq!(o.mean_cost_rate, 0.0);
+        }
     }
 
     #[test]
@@ -1014,8 +881,8 @@ mod tests {
             max_rate: 1.0 / 1.0e7,
         };
         let prompt = DesConfig::new(hot_system(16));
-        let s = run_des_replications(&slow, 60, 2);
-        let p = run_des_replications(&prompt, 60, 2);
+        let s = failure_sample(&slow, 60, 2);
+        let p = failure_sample(&prompt, 60, 2);
         assert!(
             s.mttsf.mean() < p.mttsf.mean(),
             "stale keys should hurt: throttled {} vs evict {}",
@@ -1033,8 +900,8 @@ mod tests {
             off_rate: 1.0 / 2_000.0,
             multiplier: 8.0,
         };
-        let b0 = run_des_replications(&base, 60, 4);
-        let bb = run_des_replications(&burst, 60, 4);
+        let b0 = failure_sample(&base, 60, 4);
+        let bb = failure_sample(&burst, 60, 4);
         assert!(
             bb.mttsf.mean() < b0.mttsf.mean(),
             "burst {} vs base {}",
@@ -1050,8 +917,8 @@ mod tests {
         let c2base = DesConfig::new(c2sys.clone());
         let mut c2targeted = DesConfig::new(c2sys);
         c2targeted.scenario.attacker = AttackerStrategy::Targeted { focus: 1.0 };
-        let t0 = run_des_replications(&c2base, 60, 4);
-        let tt = run_des_replications(&c2targeted, 60, 4);
+        let t0 = failure_sample(&c2base, 60, 4);
+        let tt = failure_sample(&c2targeted, 60, 4);
         assert!(
             tt.mttsf.mean() < t0.mttsf.mean(),
             "targeted {} vs base {}",
@@ -1075,27 +942,5 @@ mod tests {
             assert_eq!(a.hop_bits, b.hop_bits);
             assert_eq!(a.votes, b.votes);
         }
-    }
-
-    #[test]
-    fn adaptive_sampling_meets_mttsf_target_and_matches_fixed_prefix() {
-        let cfg = DesConfig::new(hot_system(12));
-        let plan = SamplingPlan::Adaptive {
-            target_rel_halfwidth: 0.35,
-            min: 16,
-            max: 400,
-            batch: 16,
-        };
-        let out = run_des_sampled(&cfg, &plan, 7, 0.95);
-        assert!(out.replications <= 400);
-        if out.target_met == Some(true) {
-            let ci = out.stats.mttsf.confidence_interval(0.95);
-            assert!(ci.half_width / ci.mean.abs() <= 0.35, "{ci:?}");
-        }
-        // the adaptive run is bit-identical to the fixed plan of the same size
-        let fixed = run_des_replications(&cfg, out.replications, 7);
-        assert_eq!(fixed.mttsf, out.stats.mttsf);
-        assert_eq!(fixed.cost_rate, out.stats.cost_rate);
-        assert_eq!(fixed.c1_failures, out.stats.c1_failures);
     }
 }

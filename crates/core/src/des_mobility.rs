@@ -9,7 +9,8 @@
 //! steps, and within each step the protocol events of the shared core
 //! ([`crate::des`]: compromise, voting, data requests, join/leave rekeys)
 //! fire by thinning the exponential race. It returns the same
-//! [`DesOutcome`] and aggregates through [`crate::des::run_des_sampled`].
+//! [`DesOutcome`], aggregated by the same engine sink as the birth–death
+//! driver's.
 //!
 //! This is the most expensive validator in the repository (every step
 //! rebuilds connectivity), so it is used with accelerated parameters by
@@ -199,7 +200,7 @@ impl Replicate for MobilityDesConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::des::run_des_replications;
+    use crate::des::tests::failure_sample;
     use scenario::AttackerStrategy;
 
     /// Small, fast-failing configuration.
@@ -246,16 +247,6 @@ mod tests {
     }
 
     #[test]
-    fn replications_aggregate() {
-        let stats = run_des_replications(&hot(), 8, 11);
-        assert_eq!(
-            stats.c1_failures + stats.c2_failures + stats.attritions + stats.censored,
-            8
-        );
-        assert!(stats.mttsf.count() > 0);
-    }
-
-    #[test]
     fn forced_false_alarms_stop_at_one_live_node() {
         // Every vote convicts a healthy target, but a conviction needs at
         // least one voting peer in the target's component, so the last
@@ -292,8 +283,8 @@ mod tests {
     fn targeted_attacker_does_not_outlive_baseline() {
         let mut cfg = hot();
         cfg.scenario.attacker = AttackerStrategy::Targeted { focus: 1.0 };
-        let t = run_des_replications(&cfg, 6, 3);
-        let b = run_des_replications(&hot(), 6, 3);
+        let t = failure_sample(&cfg, 6, 3);
+        let b = failure_sample(&hot(), 6, 3);
         // with full-collusion defaults the capture multiplier is the lever;
         // a small sample still should not show the targeted attacker losing
         assert!(t.mttsf.mean() <= b.mttsf.mean() * 1.5);

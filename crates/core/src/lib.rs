@@ -24,6 +24,10 @@
 //!   the live connected components of a random-waypoint network rather
 //!   than a calibrated birth–death process.
 //!
+//! Both DES drivers produce one [`DesOutcome`] per seed and aggregate
+//! nothing themselves: the `engine` crate runs their replications and
+//! builds every stochastic report through one sink.
+//!
 //! # Quickstart
 //!
 //! ```
@@ -55,7 +59,7 @@ pub use clustered::{
 };
 pub use config::{ClusterTopology, SystemConfig};
 pub use cost::CostBreakdown;
-pub use des::{run_des_sampled, DesConfig, DesOutcome, FailureCause, SampledDesStats};
+pub use des::{DesConfig, DesOutcome, FailureCause};
 pub use des_mobility::{run_mobility_des, MobilityDesConfig};
 pub use metrics::{evaluate, Evaluation};
 pub use model::{

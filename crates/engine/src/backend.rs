@@ -2,11 +2,18 @@
 //!
 //! Every evaluator in the repository — exact CTMC absorption analysis,
 //! SPN token-game simulation, protocol DES, and mobility-integrated DES —
-//! implements [`Backend`]: `ScenarioSpec` in, [`RunReport`] out, under a
-//! caller-supplied [`RunBudget`]. This is what lets the runner's batches
-//! (the paper's figure grids, design-space enumeration) and
+//! is reached through [`Backend`]: `ScenarioSpec` in, [`RunReport`] out,
+//! under a caller-supplied [`RunBudget`]. This is what lets the runner's
+//! batches (the paper's figure grids, design-space enumeration) and
 //! cross-validation treat heterogeneous evaluators uniformly instead of
 //! hand-rolling one orchestration per evaluator.
+//!
+//! Two implementations serve the four: [`ExactBackend`], and one
+//! stochastic backend for the three Monte-Carlo evaluators. The latter
+//! builds each replication task in one place (single-system or
+//! clustered) and aggregates every replication through one streaming
+//! sink; the paired comparison replays the same tasks one replication at
+//! a time.
 
 use crate::error::EngineError;
 use crate::report::{
@@ -19,7 +26,7 @@ use gcsids::des_mobility::MobilityDesConfig;
 use gcsids::metrics::{eviction_impulses, total_cost_reward, ExactTemplate};
 use gcsids::model::Places;
 use gcsids::{build_scenario_model, evaluate_scenario_graph, DetectionTotals};
-use numerics::replicate::{run_plan_observed, Completed, OutcomeSink, Replicate};
+use numerics::replicate::{run_plan_observed, OutcomeSink, Replicate};
 use numerics::rng::child_seed;
 use numerics::stats::{SurvivalAccumulator, Welford};
 use spn::error::SpnError;
@@ -101,9 +108,9 @@ pub trait Backend: Sync {
 pub fn backend_for(kind: BackendKind) -> &'static dyn Backend {
     match kind {
         BackendKind::Exact => &ExactBackend,
-        BackendKind::SpnSim => &SpnSimBackend,
-        BackendKind::Des => &DesBackend,
-        BackendKind::MobilityDes => &MobilityDesBackend,
+        BackendKind::SpnSim => &StochasticBackend(BackendKind::SpnSim),
+        BackendKind::Des => &StochasticBackend(BackendKind::Des),
+        BackendKind::MobilityDes => &StochasticBackend(BackendKind::MobilityDes),
     }
 }
 
@@ -458,8 +465,8 @@ impl OutcomeSink<Result<Rep, SpnError>> for StochasticSink {
         }
         if rep.time <= 0.0 {
             // Censored-at-zero: nothing was observed, so the outcome's 0.0
-            // cost rate is a placeholder, not a measurement (see
-            // `gcsids::des::DesStats::zero_duration`).
+            // cost rate is a placeholder, not a measurement, and there is
+            // no failure time either.
             self.zero_duration += 1;
             self.censored += 1;
             return;
@@ -513,52 +520,123 @@ impl OutcomeSink<Result<Rep, SpnError>> for StochasticSink {
     }
 }
 
-/// Run a stochastic task under the spec's sampling plan (capped by the
-/// budget) and convert the sink into the common report, surfacing the
-/// first per-replication error as an engine failure.
-fn run_stochastic<R>(
-    task: &R,
-    spec: &ScenarioSpec,
-    budget: &RunBudget,
-    kind: BackendKind,
-    t0: Instant,
-    progress: &mut dyn FnMut(BatchProgress),
-) -> Result<RunReport, EngineError>
-where
-    R: Replicate<Outcome = Result<Rep, SpnError>>,
-{
-    let plan = budget.plan(spec);
-    // The spec's own plan already validated, but a budget cap can
-    // degenerate it (max_replications = Some(0) clamps a fixed count to
-    // zero) — surface that as an error instead of panicking in run_plan.
-    plan.validate().map_err(EngineError::InvalidSpec)?;
-    let done: Completed<StochasticSink> = run_plan_observed(
-        task,
-        &plan,
-        spec.stochastic.master_seed,
-        || StochasticSink::new(spec),
-        &mut |replications, precision| {
-            progress(BatchProgress {
-                replications,
-                precision,
-            });
-        },
-    );
-    if let Some(e) = done.sink.error {
-        return Err(EngineError::Solver(e));
+/// Monte-Carlo token-game simulation of the Figure-1 SPN, the protocol
+/// DES and the mobility-integrated DES: one backend per stochastic
+/// [`BackendKind`], each running its [`stochastic_task`] under the spec's
+/// sampling plan (capped by the budget) into one [`StochasticSink`].
+struct StochasticBackend(BackendKind);
+
+impl Backend for StochasticBackend {
+    fn kind(&self) -> BackendKind {
+        self.0
     }
-    Ok(done.sink.into_report(
-        spec,
-        kind,
-        done.replications,
-        done.target_met,
-        t0.elapsed().as_secs_f64(),
-    ))
+
+    fn run(&self, spec: &ScenarioSpec, budget: &RunBudget) -> Result<RunReport, EngineError> {
+        self.run_observed(spec, budget, &mut |_| {})
+    }
+
+    fn run_observed(
+        &self,
+        spec: &ScenarioSpec,
+        budget: &RunBudget,
+        progress: &mut dyn FnMut(BatchProgress),
+    ) -> Result<RunReport, EngineError> {
+        spec.validate()?;
+        // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
+        let t0 = Instant::now();
+        let plan = budget.plan(spec);
+        // The spec's own plan already validated, but a budget cap can
+        // degenerate it (max_replications = Some(0) clamps a fixed count to
+        // zero) — surface that as an error instead of panicking in run_plan.
+        plan.validate().map_err(EngineError::InvalidSpec)?;
+        let done = stochastic_task(self.0, spec, |task| {
+            Ok(run_plan_observed(
+                task,
+                &plan,
+                spec.stochastic.master_seed,
+                || StochasticSink::new(spec),
+                &mut |replications, precision| {
+                    progress(BatchProgress {
+                        replications,
+                        precision,
+                    });
+                },
+            ))
+        })?;
+        if let Some(e) = done.sink.error {
+            return Err(EngineError::Solver(e));
+        }
+        Ok(done.sink.into_report(
+            spec,
+            self.0,
+            done.replications,
+            done.target_met,
+            t0.elapsed().as_secs_f64(),
+        ))
+    }
 }
 
-/// Monte-Carlo token-game simulation of the Figure-1 SPN, with the same
-/// cost rewards as the exact evaluator.
-pub struct SpnSimBackend;
+/// Build the replication task of a stochastic `kind` for `spec` —
+/// single-system or clustered — and hand it to `f`. The one place a
+/// stochastic task is built: [`Backend::run_observed`] and
+/// [`per_replication_outcomes`] both run what this builds.
+fn stochastic_task<T>(
+    kind: BackendKind,
+    spec: &ScenarioSpec,
+    f: impl FnOnce(&dyn Replicate<Outcome = Result<Rep, SpnError>>) -> Result<T, EngineError>,
+) -> Result<T, EngineError> {
+    let max_time = spec.stochastic.max_time;
+    match (kind, &spec.clustered) {
+        (BackendKind::Exact, _) => Err(EngineError::InvalidSpec(
+            "replications require a stochastic backend".into(),
+        )),
+        (BackendKind::SpnSim, clustered) => {
+            let setup = spn_sim_setup(spec)?;
+            let opts = |max_time| SimOptions {
+                max_time,
+                ..Default::default()
+            };
+            match clustered {
+                // validate() rejects scenario + clustered, so this is
+                // always the paper net.
+                Some(topo) => f(&ClusteredTask {
+                    clusters: topo.clusters,
+                    threshold: topo.failure_threshold,
+                    max_time,
+                    cluster: |seed, horizon| {
+                        let o = Simulator::new(&setup.net, &setup.rewards, opts(horizon))
+                            .run_one(seed)?;
+                        let cause = spn_cause(&setup.places, &o);
+                        Ok(Rep::basic(o.time, o.accumulated.iter().sum(), cause))
+                    },
+                }),
+                None => f(&SpnSimTask {
+                    sim: Simulator::new(&setup.net, &setup.rewards, opts(max_time)),
+                    places: setup.places,
+                    detect: setup.detect,
+                }),
+            }
+        }
+        (BackendKind::Des, Some(topo)) => {
+            let cfg = des_config(spec);
+            f(&ClusteredTask {
+                clusters: topo.clusters,
+                threshold: topo.failure_threshold,
+                max_time,
+                cluster: |seed, horizon| {
+                    let cfg = DesConfig {
+                        max_time: horizon,
+                        ..cfg.clone()
+                    };
+                    Ok(Rep::from_des(&run_des(&cfg, seed)))
+                },
+            })
+        }
+        (BackendKind::Des, None) => f(&DesTask(des_config(spec))),
+        // validate() rejects clustered mobility specs.
+        (BackendKind::MobilityDes, _) => f(&DesTask(mobility_config(spec))),
+    }
+}
 
 /// Classify how a single-system SPN replication ended from its final
 /// marking.
@@ -680,92 +758,31 @@ fn compose_clusters(
     Ok(Rep::basic(t_sys, hop_bits, reps[kth].cause))
 }
 
-/// One clustered SPN-sim replication: independent single-cluster
-/// token-game runs composed by failure order statistics.
-struct ClusteredSpnSimTask<'a> {
-    net: &'a spn::model::Spn,
-    rewards: &'a RewardSet,
-    places: Places,
+/// One clustered replication: independent single-cluster runs composed
+/// by failure order statistics ([`compose_clusters`]). `cluster(seed,
+/// horizon)` runs one cluster censored at `horizon`.
+struct ClusteredTask<F> {
     clusters: u32,
     threshold: u32,
     max_time: f64,
+    cluster: F,
 }
 
-impl ClusteredSpnSimTask<'_> {
-    fn run_cluster(&self, seed: u64, horizon: f64) -> Result<SimOutcome, SpnError> {
-        let opts = SimOptions {
-            max_time: horizon,
-            ..Default::default()
-        };
-        Simulator::new(self.net, self.rewards, opts).run_one(seed)
-    }
-}
-
-impl Replicate for ClusteredSpnSimTask<'_> {
+impl<F> Replicate for ClusteredTask<F>
+where
+    F: Fn(u64, f64) -> Result<Rep, SpnError> + Sync,
+{
     type Outcome = Result<Rep, SpnError>;
 
     fn run_one(&self, seed: u64) -> Self::Outcome {
-        let mut reps = Vec::with_capacity(self.clusters as usize);
-        for i in 0..u64::from(self.clusters) {
-            let o = self.run_cluster(child_seed(seed, i), self.max_time)?;
-            let cause = spn_cause(&self.places, &o);
-            reps.push(Rep::basic(o.time, o.accumulated.iter().sum(), cause));
-        }
+        let reps = (0..u64::from(self.clusters))
+            .map(|i| (self.cluster)(child_seed(seed, i), self.max_time))
+            .collect::<Result<Vec<Rep>, SpnError>>()?;
         compose_clusters(&reps, self.threshold, self.max_time, |i, t_sys| {
-            let o = self.run_cluster(child_seed(seed, i as u64), t_sys)?;
-            Ok(o.accumulated.iter().sum())
+            Ok((self.cluster)(child_seed(seed, i as u64), t_sys)?.hop_bits)
         })
     }
 }
-
-impl Backend for SpnSimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::SpnSim
-    }
-
-    fn run(&self, spec: &ScenarioSpec, budget: &RunBudget) -> Result<RunReport, EngineError> {
-        self.run_observed(spec, budget, &mut |_| {})
-    }
-
-    fn run_observed(
-        &self,
-        spec: &ScenarioSpec,
-        budget: &RunBudget,
-        progress: &mut dyn FnMut(BatchProgress),
-    ) -> Result<RunReport, EngineError> {
-        spec.validate()?;
-        // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
-        let t0 = Instant::now();
-        let setup = spn_sim_setup(spec)?;
-        if let Some(topo) = &spec.clustered {
-            // validate() rejects scenario + clustered, so this is always
-            // the paper net.
-            let task = ClusteredSpnSimTask {
-                net: &setup.net,
-                rewards: &setup.rewards,
-                places: setup.places,
-                clusters: topo.clusters,
-                threshold: topo.failure_threshold,
-                max_time: spec.stochastic.max_time,
-            };
-            return run_stochastic(&task, spec, budget, BackendKind::SpnSim, t0, progress);
-        }
-        let opts = SimOptions {
-            max_time: spec.stochastic.max_time,
-            ..Default::default()
-        };
-        let task = SpnSimTask {
-            sim: Simulator::new(&setup.net, &setup.rewards, opts),
-            places: setup.places,
-            detect: setup.detect,
-        };
-        run_stochastic(&task, spec, budget, BackendKind::SpnSim, t0, progress)
-    }
-}
-
-/// Protocol-level discrete-event simulation (actual votes, actual rekeys,
-/// calibrated birth–death group dynamics).
-pub struct DesBackend;
 
 /// One replication of either protocol-DES driver ([`DesConfig`] or
 /// [`MobilityDesConfig`]) reduced to the common summary.
@@ -787,64 +804,6 @@ fn des_config(spec: &ScenarioSpec) -> DesConfig {
     cfg
 }
 
-/// One clustered DES replication: independent single-cluster protocol
-/// simulations composed by failure order statistics.
-struct ClusteredDesTask {
-    cfg: DesConfig,
-    clusters: u32,
-    threshold: u32,
-}
-
-impl Replicate for ClusteredDesTask {
-    type Outcome = Result<Rep, SpnError>;
-
-    fn run_one(&self, seed: u64) -> Self::Outcome {
-        let reps: Vec<Rep> = (0..u64::from(self.clusters))
-            .map(|i| Rep::from_des(&run_des(&self.cfg, child_seed(seed, i))))
-            .collect();
-        compose_clusters(&reps, self.threshold, self.cfg.max_time, |i, t_sys| {
-            let mut censored = self.cfg.clone();
-            censored.max_time = t_sys;
-            Ok(run_des(&censored, child_seed(seed, i as u64)).hop_bits)
-        })
-    }
-}
-
-impl Backend for DesBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Des
-    }
-
-    fn run(&self, spec: &ScenarioSpec, budget: &RunBudget) -> Result<RunReport, EngineError> {
-        self.run_observed(spec, budget, &mut |_| {})
-    }
-
-    fn run_observed(
-        &self,
-        spec: &ScenarioSpec,
-        budget: &RunBudget,
-        progress: &mut dyn FnMut(BatchProgress),
-    ) -> Result<RunReport, EngineError> {
-        spec.validate()?;
-        // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
-        let t0 = Instant::now();
-        let cfg = des_config(spec);
-        if let Some(topo) = &spec.clustered {
-            let task = ClusteredDesTask {
-                cfg,
-                clusters: topo.clusters,
-                threshold: topo.failure_threshold,
-            };
-            return run_stochastic(&task, spec, budget, BackendKind::Des, t0, progress);
-        }
-        run_stochastic(&DesTask(cfg), spec, budget, BackendKind::Des, t0, progress)
-    }
-}
-
-/// Mobility-integrated DES: groups are live connected components of a
-/// random-waypoint network.
-pub struct MobilityDesBackend;
-
 /// Mobility-DES configuration for a spec (attacker axis only; validate()
 /// rejects non-evict response policies on this backend).
 fn mobility_config(spec: &ScenarioSpec) -> MobilityDesConfig {
@@ -854,35 +813,6 @@ fn mobility_config(spec: &ScenarioSpec) -> MobilityDesConfig {
     cfg.max_time = spec.stochastic.max_time;
     cfg.scenario = spec.scenario_or_baseline();
     cfg
-}
-
-impl Backend for MobilityDesBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::MobilityDes
-    }
-
-    fn run(&self, spec: &ScenarioSpec, budget: &RunBudget) -> Result<RunReport, EngineError> {
-        self.run_observed(spec, budget, &mut |_| {})
-    }
-
-    fn run_observed(
-        &self,
-        spec: &ScenarioSpec,
-        budget: &RunBudget,
-        progress: &mut dyn FnMut(BatchProgress),
-    ) -> Result<RunReport, EngineError> {
-        spec.validate()?;
-        // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
-        let t0 = Instant::now();
-        run_stochastic(
-            &DesTask(mobility_config(spec)),
-            spec,
-            budget,
-            BackendKind::MobilityDes,
-            t0,
-            progress,
-        )
-    }
 }
 
 /// Run replications `0..n` of a stochastic spec and return each one's
@@ -899,62 +829,16 @@ pub(crate) fn per_replication_outcomes(
     spec: &ScenarioSpec,
     n: u64,
 ) -> Result<Vec<Rep>, EngineError> {
-    fn collect<R: Replicate<Outcome = Result<Rep, SpnError>>>(
-        task: &R,
-        master: u64,
-        n: u64,
-    ) -> Result<Vec<Rep>, EngineError> {
+    spec.validate()?;
+    let master = spec.stochastic.master_seed;
+    stochastic_task(spec.backend, spec, |task| {
         (0..n)
             .map(|i| {
                 task.run_one(child_seed(master, i))
                     .map_err(EngineError::from)
             })
             .collect()
-    }
-    spec.validate()?;
-    let master = spec.stochastic.master_seed;
-    match spec.backend {
-        BackendKind::Exact => Err(EngineError::InvalidSpec(
-            "per-replication outcomes require a stochastic backend".into(),
-        )),
-        BackendKind::SpnSim => {
-            let setup = spn_sim_setup(spec)?;
-            if let Some(topo) = &spec.clustered {
-                let task = ClusteredSpnSimTask {
-                    net: &setup.net,
-                    rewards: &setup.rewards,
-                    places: setup.places,
-                    clusters: topo.clusters,
-                    threshold: topo.failure_threshold,
-                    max_time: spec.stochastic.max_time,
-                };
-                return collect(&task, master, n);
-            }
-            let opts = SimOptions {
-                max_time: spec.stochastic.max_time,
-                ..Default::default()
-            };
-            let task = SpnSimTask {
-                sim: Simulator::new(&setup.net, &setup.rewards, opts),
-                places: setup.places,
-                detect: setup.detect,
-            };
-            collect(&task, master, n)
-        }
-        BackendKind::Des => {
-            let cfg = des_config(spec);
-            if let Some(topo) = &spec.clustered {
-                let task = ClusteredDesTask {
-                    cfg,
-                    clusters: topo.clusters,
-                    threshold: topo.failure_threshold,
-                };
-                return collect(&task, master, n);
-            }
-            collect(&DesTask(cfg), master, n)
-        }
-        BackendKind::MobilityDes => collect(&DesTask(mobility_config(spec)), master, n),
-    }
+    })
 }
 
 #[cfg(test)]
@@ -1368,5 +1252,128 @@ mod tests {
             "exact {} outside sim CI [{lo}, {hi}]",
             exact.mttsf.value
         );
+    }
+
+    #[test]
+    fn attrition_is_counted_apart_from_c2() {
+        // Neither DES driver can evict its last live node, so attrition
+        // endings come from the token game; the shared sink must still
+        // count them as attrition, not as C2 failures.
+        let mut sink = StochasticSink::new(&hot_spec(BackendKind::SpnSim));
+        for _ in 0..4 {
+            sink.record(Ok(Rep::basic(5.0, 1.0, FailureCause::Attrition)));
+        }
+        assert_eq!((sink.other, sink.c2), (4, 0));
+        assert_eq!(sink.mttsf.count(), 4);
+    }
+
+    #[test]
+    fn zero_duration_replications_are_censored_at_zero_not_averaged() {
+        // A zero-length run observes nothing: its cost rate of 0.0 is a
+        // placeholder. Averaging those zeros would silently drag the cost
+        // mean down; they are counted as censored-at-zero and excluded.
+        let spec = hot_spec(BackendKind::Des);
+        let mut sink = StochasticSink::new(&spec);
+        for _ in 0..6 {
+            sink.record(Ok(Rep::basic(0.0, 0.0, FailureCause::Censored)));
+        }
+        assert_eq!((sink.zero_duration, sink.censored), (6, 6));
+        assert_eq!(sink.cost_rate.count(), 0, "no cost observation exists");
+        assert_eq!(sink.mttsf.count(), 0);
+        let report = sink.into_report(&spec, BackendKind::Des, 6, None, 0.0);
+        assert_eq!((report.zero_duration, report.censored), (Some(6), Some(6)));
+        assert!(report.c_total.value.is_nan() && report.mttsf.value.is_nan());
+        // and a normal run reports none
+        let report = backend_for(BackendKind::Des)
+            .run(&spec, &RunBudget::default())
+            .unwrap();
+        assert_eq!(report.zero_duration, Some(0));
+        assert!(report.c_total.value > 0.0);
+    }
+
+    /// The failure counts behind a stochastic report's split are whole
+    /// numbers that, with the censored replications, account for every
+    /// replication.
+    fn assert_split_covers_uncensored(report: &RunReport) {
+        let n = report.replications.unwrap();
+        let ended = (n - report.censored.unwrap()) as f64;
+        assert!(ended > 0.0, "{report:?}");
+        let f = report.failure;
+        let counts = [f.p_c1, f.p_c2, f.p_other].map(|p| p * ended);
+        for c in counts {
+            assert!((c - c.round()).abs() < 1e-9, "{c} of {ended}: {f:?}");
+        }
+        assert_eq!(counts.iter().map(|c| c.round()).sum::<f64>(), ended);
+    }
+
+    #[test]
+    fn replication_stats_aggregate() {
+        let mut spec = hot_spec(BackendKind::Des);
+        spec.stochastic.sampling = SamplingPlan::Fixed(30);
+        let report = backend_for(BackendKind::Des)
+            .run(&spec, &RunBudget::default())
+            .unwrap();
+        assert_eq!(report.replications, Some(30));
+        assert_split_covers_uncensored(&report);
+        assert!(report.c_total.value > 0.0);
+    }
+
+    #[test]
+    fn replications_aggregate() {
+        let mut spec = hot_spec(BackendKind::MobilityDes);
+        spec.stochastic.sampling = SamplingPlan::Fixed(8);
+        let report = backend_for(BackendKind::MobilityDes)
+            .run(&spec, &RunBudget::default())
+            .unwrap();
+        assert_eq!(report.replications, Some(8));
+        assert_split_covers_uncensored(&report);
+    }
+
+    #[test]
+    fn per_replication_outcomes_replay_backend_run_on_every_task_kind() {
+        // Forty replications fit in one executor chunk, so Backend::run
+        // records them in index order: folding the per-replication
+        // outcomes into a fresh sink must rebuild its report byte for byte.
+        let topo = gcsids::config::ClusterTopology {
+            clusters: 3,
+            failure_threshold: 2,
+        };
+        let burst = scenario::ScenarioConfig {
+            attacker: scenario::AttackerStrategy::Burst {
+                on_rate: 1.0 / 5_000.0,
+                off_rate: 1.0 / 5_000.0,
+                multiplier: 6.0,
+            },
+            response: scenario::ResponsePolicy::Evict,
+        };
+        let mut specs = vec![
+            hot_spec(BackendKind::SpnSim),
+            hot_spec(BackendKind::Des),
+            hot_spec(BackendKind::MobilityDes),
+        ];
+        for kind in [BackendKind::SpnSim, BackendKind::Des] {
+            specs.push(hot_spec(kind).with_clusters(topo));
+            specs.push(hot_spec(kind).with_scenario(burst));
+        }
+        for mut spec in specs {
+            spec.mission_times = vec![0.0, 20_000.0, 80_000.0];
+            let mut sink = StochasticSink::new(&spec);
+            for rep in per_replication_outcomes(&spec, 40).unwrap() {
+                sink.record(Ok(rep));
+            }
+            let folded = sink.into_report(&spec, spec.backend, 40, None, 0.0);
+            let mut run = backend_for(spec.backend)
+                .run(&spec, &RunBudget::default())
+                .unwrap();
+            run.wall_seconds = 0.0;
+            assert_eq!(
+                folded.to_json(),
+                run.to_json(),
+                "{} clustered={:?} scenario={:?}",
+                spec.name,
+                spec.clustered,
+                spec.scenario
+            );
+        }
     }
 }

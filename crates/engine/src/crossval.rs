@@ -464,38 +464,14 @@ pub fn cross_validate(
     compare_against(&base, exact, opts)
 }
 
-/// Load every `*.json` scenario spec in `dir`, sorted by file name.
-///
-/// # Errors
-/// Returns [`EngineError::Json`] for unreadable directories/files and
-/// malformed specs (the offending path is named in the message).
-pub fn load_spec_dir(dir: &Path) -> Result<Vec<(PathBuf, ScenarioSpec)>, EngineError> {
-    let entries = std::fs::read_dir(dir)
-        .map_err(|e| EngineError::Json(format!("cannot read spec dir {}: {e}", dir.display())))?;
-    let mut paths: Vec<PathBuf> = entries
-        .filter_map(Result::ok)
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
-        .collect();
-    paths.sort();
-    paths
-        .into_iter()
-        .map(|p| {
-            let text = std::fs::read_to_string(&p)
-                .map_err(|e| EngineError::Json(format!("cannot read {}: {e}", p.display())))?;
-            let spec = ScenarioSpec::from_json(&text)
-                .map_err(|e| EngineError::Json(format!("{}: {e}", p.display())))?;
-            Ok((p, spec))
-        })
-        .collect()
-}
-
 /// What [`load_spec_dir_lenient`] yields: the specs that parsed (with
 /// their source paths) and the per-file failures.
 pub type LenientSpecs = (Vec<(PathBuf, ScenarioSpec)>, Vec<SpecFailure>);
 
-/// [`load_spec_dir`] with per-file error isolation: unreadable or
-/// malformed files become [`SpecFailure`]s instead of aborting the load.
+/// Load every `*.json` scenario spec in `dir`, sorted by file name, with
+/// per-file error isolation: unreadable or malformed files become
+/// [`SpecFailure`]s (the offending path named) instead of aborting the
+/// load.
 ///
 /// # Errors
 /// Only an unreadable *directory* is fatal.

@@ -10,8 +10,9 @@
 //!   samples until the MTTSF confidence interval meets a relative
 //!   precision target). `to_json` / `from_json` round-trip losslessly.
 //! * [`Backend`] — `fn run(&self, spec, budget) -> Result<RunReport, _>`,
-//!   implemented by all four evaluators ([`backend_for`] picks one by
-//!   [`BackendKind`]).
+//!   served for all four evaluators by two implementations: the exact
+//!   solver and one stochastic backend with one task builder and one sink
+//!   ([`backend_for`] picks one by [`BackendKind`]).
 //! * [`RunReport`] — the common output: MTTSF and Ĉtotal (with confidence
 //!   intervals where stochastic), the failure-mode split, cost components
 //!   and state/edge counts where exact, and — when the spec carries a

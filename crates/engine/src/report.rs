@@ -384,8 +384,7 @@ pub struct RunReport {
     pub censored: Option<u64>,
     /// Of the censored replications, how many had zero duration
     /// (censored-at-zero: an empty observation window contributes no cost
-    /// or failure-time sample — see `gcsids::des::DesStats::zero_duration`).
-    /// Stochastic backends only.
+    /// or failure-time sample). Stochastic backends only.
     pub zero_duration: Option<u64>,
     /// Adaptive-sampling verdict: `Some(true)` when the MTTSF CI met the
     /// requested relative half-width target, `Some(false)` when the

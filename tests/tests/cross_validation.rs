@@ -3,12 +3,16 @@
 //! must agree on MTTSF — and the analytic failure-cause split must match
 //! the simulated one.
 
+use engine::{
+    backend_for, cross_validate_dir, BackendKind, CrossValOptions, RunBudget, RunReport, Runner,
+    SamplingPlan, ScenarioSpec,
+};
 use gcsids::config::SystemConfig;
-use gcsids::des::{run_des_replications, DesConfig};
 use gcsids::metrics::evaluate;
 use gcsids::model::build_model;
 use spn::reward::RewardSet;
 use spn::sim::{SimOptions, Simulator};
+use std::path::PathBuf;
 
 /// Accelerated configuration (fast attacker, small group) so thousands of
 /// replications complete in seconds.
@@ -19,6 +23,18 @@ fn hot() -> SystemConfig {
     c.attacker.base_rate = 1.0 / 1_200.0;
     c.detection = c.detection.with_interval(60.0);
     c
+}
+
+/// The protocol DES of `hot()` through the engine: `n` replications under
+/// master seed `seed`, censored at the default one-year horizon.
+fn des_report(n: u64, seed: u64) -> RunReport {
+    let mut spec = ScenarioSpec::paper_default(BackendKind::Des);
+    spec.system = hot();
+    spec.stochastic.master_seed = seed;
+    spec.stochastic.sampling = SamplingPlan::Fixed(n);
+    backend_for(BackendKind::Des)
+        .run(&spec, &RunBudget::default())
+        .unwrap()
 }
 
 #[test]
@@ -47,8 +63,7 @@ fn protocol_des_matches_analytic_within_modeling_tolerance() {
     // reconstruction and the SPN structure.
     let cfg = hot();
     let analytic = evaluate(&cfg).unwrap();
-    let stats = run_des_replications(&DesConfig::new(cfg), 4_000, 17);
-    let sim_mean = stats.mttsf.mean();
+    let sim_mean = des_report(4_000, 17).mttsf.value;
     let rel = (sim_mean - analytic.mttsf_seconds).abs() / analytic.mttsf_seconds;
     assert!(
         rel < 0.15,
@@ -62,10 +77,10 @@ fn protocol_des_matches_analytic_within_modeling_tolerance() {
 fn failure_cause_split_agrees_between_analytic_and_des() {
     let cfg = hot();
     let analytic = evaluate(&cfg).unwrap();
-    let stats = run_des_replications(&DesConfig::new(cfg), 4_000, 23);
-    let failures = (stats.c1_failures + stats.c2_failures) as f64;
+    let split = des_report(4_000, 23).failure;
+    let failures = split.p_c1 + split.p_c2;
     assert!(failures > 0.0);
-    let sim_c1 = stats.c1_failures as f64 / failures;
+    let sim_c1 = split.p_c1 / failures;
     assert!(
         (sim_c1 - analytic.p_failure_c1).abs() < 0.08,
         "C1 share: DES {sim_c1:.3} vs analytic {:.3}",
@@ -80,12 +95,11 @@ fn des_cost_rate_within_factor_two_of_analytic() {
     // ballpark.
     let cfg = hot();
     let analytic = evaluate(&cfg).unwrap();
-    let stats = run_des_replications(&DesConfig::new(cfg), 1_000, 29);
-    let ratio = stats.cost_rate.mean() / analytic.c_total_hop_bits_per_sec;
+    let des_cost = des_report(1_000, 29).c_total.value;
+    let ratio = des_cost / analytic.c_total_hop_bits_per_sec;
     assert!(
         (0.5..2.0).contains(&ratio),
-        "cost ratio {ratio:.2} (DES {:.3e} vs analytic {:.3e})",
-        stats.cost_rate.mean(),
+        "cost ratio {ratio:.2} (DES {des_cost:.3e} vs analytic {:.3e})",
         analytic.c_total_hop_bits_per_sec
     );
 }
@@ -123,11 +137,6 @@ fn occupancy_integral_reproduces_mttsf_definition() {
 // ---------------------------------------------------------------------------
 // Mission-survivability cross-validation (engine-level)
 // ---------------------------------------------------------------------------
-
-use engine::{
-    backend_for, cross_validate_dir, BackendKind, CrossValOptions, RunBudget, Runner, ScenarioSpec,
-};
-use std::path::PathBuf;
 
 /// The committed acceptance check: on the paper's §5 default system, the
 /// exact `P[survive t]` from uniformization lies inside the 95% confidence
