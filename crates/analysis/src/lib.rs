@@ -15,7 +15,7 @@
 //! | D001 | no iteration over `HashMap`/`HashSet` (order nondeterminism) |
 //! | D002 | no wall-clock reads outside the bench harness |
 //! | D003 | no RNG construction outside the `child_seed` discipline |
-//! | D004 | no reductions over `rayon` parallel iterators outside the blessed executor |
+//! | D004 | no thread started outside `numerics::exec`, the one ordered executor |
 //! | R001 | no `unwrap`/`expect`/`panic!` in the engine service path (incl. the scenario subsystem) |
 //!
 //! A finding is suppressed **only** by an explicit annotation on (or

@@ -25,9 +25,9 @@ pub enum Rule {
     /// RNG construction outside the deterministic `child_seed` grid of
     /// `numerics::replicate`: every stream must have a stable identity.
     D003,
-    /// Reductions over `rayon` parallel iterators outside the blessed
-    /// fixed-chunk executor: float reduction order must not depend on
-    /// thread scheduling.
+    /// A thread started outside `numerics::exec`, the one ordered
+    /// executor: results combined across ad-hoc threads can depend on
+    /// scheduling or on the thread count, so float reductions would too.
     D004,
     /// `unwrap`/`expect`/`panic!` in the engine crate: the `runner serve`
     /// daemon must isolate malformed spool specs into per-spec failures,
@@ -61,7 +61,7 @@ impl Rule {
             Rule::D001 => "iteration over a HashMap/HashSet (nondeterministic order)",
             Rule::D002 => "wall-clock read outside the bench harness",
             Rule::D003 => "RNG construction outside the deterministic seed grid",
-            Rule::D004 => "reduction over a rayon parallel iterator",
+            Rule::D004 => "thread started outside the numerics::exec executor",
             Rule::R001 => "unwrap/expect/panic reachable in the engine service path",
         }
     }
@@ -77,8 +77,8 @@ impl fmt::Display for Rule {
 ///
 /// The scope encodes the project's allowlists structurally:
 /// * `crates/bench/` is the timing harness — wall clocks are its job.
-/// * `numerics/src/replicate.rs` is the blessed fixed-chunk executor and
-///   `numerics/src/rng.rs` the `child_seed` grid itself.
+/// * `numerics/src/{replicate,rng}.rs` own the `child_seed` grid, and
+///   `numerics/src/exec.rs` is the one place that starts threads.
 /// * R001 guards the long-running service: everything under
 ///   `crates/engine/src/`, plus the scenario subsystem it evaluates
 ///   (`crates/scenario/src/` and `crates/core/src/scenario_model.rs`).
@@ -91,6 +91,8 @@ pub fn rules_for_path(path: &str) -> Vec<Rule> {
         path == "crates/numerics/src/replicate.rs" || path == "crates/numerics/src/rng.rs";
     if !seed_grid {
         rules.push(Rule::D003);
+    }
+    if path != "crates/numerics/src/exec.rs" {
         rules.push(Rule::D004);
     }
     if path.starts_with("crates/engine/src/")
@@ -151,7 +153,7 @@ pub fn scan_lines(path: &str, lines: &[SourceLine], mask: &[bool]) -> Vec<RawFin
         if rules.contains(&Rule::D003) && constructs_rng(code) {
             push(Rule::D003);
         }
-        if rules.contains(&Rule::D004) && starts_parallel_reduction(lines, mask, idx) {
+        if rules.contains(&Rule::D004) && starts_thread(code) {
             push(Rule::D004);
         }
         if rules.contains(&Rule::R001) && may_panic(code) {
@@ -300,38 +302,12 @@ fn constructs_rng(code: &str) -> bool {
     })
 }
 
-/// Parallel-iterator entry points.
-const PAR_ITER_METHODS: [&str; 4] = [
-    ".par_iter(",
-    ".into_par_iter(",
-    ".par_chunks(",
-    ".par_bridge(",
-];
-
-/// Order-sensitive reduction adapters.
-const REDUCTIONS: [&str; 4] = [".sum(", ".sum::", ".reduce(", ".fold("];
-
-/// D004: a statement that opens a parallel iterator on `idx` and applies
-/// a reduction adapter before the statement ends. The scan window runs to
-/// the first `;` (or 20 lines) so an unrelated later statement is never
-/// blamed.
-fn starts_parallel_reduction(lines: &[SourceLine], mask: &[bool], idx: usize) -> bool {
-    let code = &lines[idx].code;
-    if !PAR_ITER_METHODS.iter().any(|m| code.contains(m)) {
-        return false;
-    }
-    let mut window = String::new();
-    for (j, line) in lines.iter().enumerate().skip(idx).take(20) {
-        if mask.get(j).copied().unwrap_or(false) {
-            break;
-        }
-        window.push_str(&line.code);
-        window.push('\n');
-        if line.code.contains(';') {
-            break;
-        }
-    }
-    REDUCTIONS.iter().any(|r| window.contains(r))
+/// D004: the ways `std` starts a thread (imports included, so a bare
+/// `scope(…)` after `use std::thread::scope` is caught at the `use`).
+fn starts_thread(code: &str) -> bool {
+    ["thread::scope", "thread::spawn", "thread::Builder"]
+        .iter()
+        .any(|p| !word_positions(code, p).is_empty())
 }
 
 /// Panicking constructs (R001). `.unwrap_or*` and `.expect_err` do not
@@ -421,18 +397,27 @@ mod tests {
 
     #[test]
     fn d004_reduction_window() {
+        // Partial sums reduced across ad-hoc threads: the split, and so
+        // the float association, follows the thread count.
         let bad = "fn f(xs: &[f64]) -> f64 {\n\
-                   xs.par_iter()\n\
-                   .map(|x| x * 2.0)\n\
-                   .sum()\n\
+                   std::thread::scope(|s| {\n\
+                   let h: Vec<_> = xs.chunks(8).map(|c| s.spawn(move || c.iter().sum::<f64>())).collect();\n\
+                   h.into_iter().map(|h| h.join().unwrap_or(0.0)).sum()\n\
+                   })\n\
                    }\n";
-        let good = "fn f(xs: &[f64]) -> Vec<f64> {\n\
-                    let v: Vec<f64> = xs.par_iter().map(|x| x * 2.0).collect();\n\
-                    let _total: f64 = v.iter().sum();\n\
-                    v\n\
+        // The ordered map, then one sequential reduction.
+        let good = "fn f(xs: Vec<f64>) -> f64 {\n\
+                    let v = numerics::exec::map(xs, |x| x * 2.0);\n\
+                    let n = std::thread::available_parallelism();\n\
+                    v.iter().sum::<f64>() + n.map_or(0.0, |n| n.get() as f64)\n\
                     }\n";
-        assert_eq!(scan("crates/x/src/lib.rs", bad).len(), 1);
+        let found = scan("crates/x/src/lib.rs", bad);
+        assert_eq!(found.len(), 1);
+        assert_eq!((found[0].rule, found[0].line), (Rule::D004, 2));
         assert!(scan("crates/x/src/lib.rs", good).is_empty());
+        assert!(scan("crates/numerics/src/exec.rs", bad).is_empty());
+        let imported = "use std::thread::spawn;\nfn f() { let _ = spawn(|| 1); }\n";
+        assert_eq!(scan("crates/x/src/lib.rs", imported).len(), 1);
     }
 
     #[test]

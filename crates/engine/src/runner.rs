@@ -4,7 +4,8 @@
 //! [`Runner::run_batch`] partitions a batch by backend. Exact scenarios are
 //! further grouped by their structural key (`node_count`, `max_groups`):
 //! each group explores its reachability graph **once** and every member
-//! solves against the re-weighted cached graph, in parallel under rayon.
+//! solves against the re-weighted cached graph, in parallel on
+//! [`numerics::exec`].
 //! Stochastic scenarios run one-by-one (each already parallelizes across
 //! its replications). Report order matches spec order.
 
@@ -14,7 +15,7 @@ use crate::report::RunReport;
 use crate::service::TemplateCache;
 use crate::spec::{BackendKind, ScenarioSpec};
 use gcsids::metrics::ExactTemplate;
-use rayon::prelude::*;
+use numerics::exec;
 use spn::reach::ExploreOptions;
 use std::sync::Arc;
 
@@ -136,10 +137,9 @@ impl Runner {
                 _ => None,
             })
             .collect();
-        let solved: Vec<(usize, Result<RunReport, EngineError>)> = templated
-            .par_iter()
-            .map(|&(i, spec, template)| (i, ExactBackend::run_with_template(template, spec)))
-            .collect();
+        let solved = exec::map(templated, |(i, spec, template)| {
+            (i, ExactBackend::run_with_template(template, spec))
+        });
         for (i, result) in solved {
             slots[i] = Some(result);
         }

@@ -511,6 +511,7 @@ pub fn serve(cfg: &ServiceConfig) -> Result<ServiceSummary, EngineError> {
     let failed = AtomicU64::new(0);
     let (tx, rx) = mpsc::sync_channel::<Job>(cfg.queue_limit.max(1));
     let rx = Mutex::new(rx);
+    // detlint::allow(D004): independent jobs, one report file each; nothing is combined across workers but counters
     let scan_result: Result<(), EngineError> = std::thread::scope(|scope| {
         for _ in 0..cfg.workers.max(1) {
             scope.spawn(|| loop {

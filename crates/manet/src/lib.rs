@@ -32,8 +32,7 @@ pub use geometry::{Disc, Vec2};
 pub use graph::ConnectivityGraph;
 pub use mobility::{MobilityConfig, RandomWaypoint};
 
-use numerics::rng::child_seed;
-use rayon::prelude::*;
+use numerics::{exec, rng::child_seed};
 
 /// Full calibration configuration.
 #[derive(Debug, Clone, Copy)]
@@ -68,10 +67,9 @@ impl Default for CalibrationConfig {
 /// Run the mobility calibration: simulate `cfg.seeds` independent runs in
 /// parallel and merge their partition/merge statistics and hop counts.
 pub fn calibrate(cfg: &CalibrationConfig, master_seed: u64) -> CalibrationResult {
-    let per_seed: Vec<CalibrationResult> = (0..cfg.seeds)
-        .into_par_iter()
-        .map(|i| dynamics::run_single_calibration(cfg, child_seed(master_seed, i)))
-        .collect();
+    let per_seed = exec::map((0..cfg.seeds).collect(), |i| {
+        dynamics::run_single_calibration(cfg, child_seed(master_seed, i))
+    });
     CalibrationResult::merge(&per_seed)
 }
 
@@ -111,5 +109,23 @@ mod tests {
         let b = calibrate(&cfg, 99);
         assert_eq!(a.mean_group_count, b.mean_group_count);
         assert_eq!(a.partition_rate_per_group, b.partition_rate_per_group);
+    }
+
+    #[test]
+    fn calibrate_is_bit_identical_across_thread_counts() {
+        let cfg = CalibrationConfig {
+            duration: 200.0,
+            seeds: 5,
+            mobility: MobilityConfig {
+                node_count: 20,
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        // `{:?}` prints every f64 in its shortest round-trip form, so equal
+        // strings mean equal bits in every field, the hop sampler included.
+        let one = format!("{:?}", exec::with_threads(1, || calibrate(&cfg, 99)));
+        let three = format!("{:?}", exec::with_threads(3, || calibrate(&cfg, 99)));
+        assert_eq!(one, three);
     }
 }

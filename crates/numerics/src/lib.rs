@@ -14,8 +14,7 @@
 //! * [`stats`] — Welford accumulators, confidence intervals, Kahan summation
 //!   and quantiles.
 //! * [`sparse`] — compressed sparse row matrices.
-//! * [`linsolve`] — stationary iterative solvers (Jacobi, Gauss–Seidel, SOR),
-//!   a dense-LU fallback and power iteration.
+//! * [`linsolve`] — Gauss–Seidel, a dense-LU fallback and power iteration.
 //! * [`search`] — grid and golden-section extremum search.
 //! * [`unionfind`] — disjoint-set forest.
 //! * [`rng`] — SplitMix64 seed derivation for deterministic parallel streams.
@@ -23,6 +22,7 @@
 //!   [`Replicate`] task, streaming mergeable [`OutcomeSink`]s, and a
 //!   batch-parallel executor driving fixed or adaptive [`SamplingPlan`]s
 //!   with results bit-identical across batch sizes and thread partitions.
+//! * [`exec`] — the one parallel executor, an order-preserving thread map.
 //!
 //! Everything here is deterministic and dependency-light so the higher
 //! layers can be exhaustively property-tested.
@@ -33,6 +33,7 @@
 #![allow(clippy::needless_range_loop, clippy::excessive_precision)]
 
 pub mod dist;
+pub mod exec;
 pub mod foxglynn;
 pub mod linsolve;
 pub mod replicate;

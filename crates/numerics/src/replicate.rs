@@ -38,8 +38,8 @@
 //! produces exactly the state `Fixed(n)` would, and the proptests in
 //! `tests/replicate_props.rs` pin this bit-for-bit.
 
+use crate::exec;
 use crate::rng::child_seed;
-use rayon::prelude::*;
 
 /// Aggregation chunk size of the fixed index grid (see module docs). A
 /// constant — never a tuning knob — because changing it changes the
@@ -249,21 +249,18 @@ where
     //    single uninterrupted run).
     if !state.next.is_multiple_of(CHUNK) && state.next < to {
         let b = to.min((state.next / CHUNK + 1) * CHUNK);
-        let outcomes: Vec<R::Outcome> = (state.next..b)
-            .into_par_iter()
-            .map(|i| task.run_one(child_seed(master_seed, i)))
-            .collect();
-        let partial = state
-            .partial
-            .as_mut()
-            .expect("mid-chunk position implies an in-progress sink");
+        let outcomes = exec::map((state.next..b).collect(), |i| {
+            task.run_one(child_seed(master_seed, i))
+        });
+        let mut partial = state.partial.take().unwrap_or_else(new_sink);
         for o in outcomes {
             partial.record(o);
         }
         state.next = b;
         if b.is_multiple_of(CHUNK) {
-            let full = state.partial.take().expect("just recorded into it");
-            state.absorb_chunk(full);
+            state.absorb_chunk(partial);
+        } else {
+            state.partial = Some(partial);
         }
     }
     // 2. Remaining grid-aligned chunks fold independently (each worker
@@ -273,17 +270,14 @@ where
             .step_by(CHUNK as usize)
             .map(|a| (a, to.min(a + CHUNK)))
             .collect();
-        let sinks: Vec<S> = pieces
-            .par_iter()
-            .map(|&(a, b)| {
-                let mut s = new_sink();
-                for i in a..b {
-                    s.record(task.run_one(child_seed(master_seed, i)));
-                }
-                s
-            })
-            .collect();
-        for (&(_, b), s) in pieces.iter().zip(sinks) {
+        let sinks = exec::map(pieces, |(a, b)| {
+            let mut s = new_sink();
+            for i in a..b {
+                s.record(task.run_one(child_seed(master_seed, i)));
+            }
+            (b, s)
+        });
+        for (b, s) in sinks {
             if b.is_multiple_of(CHUNK) {
                 state.absorb_chunk(s);
             } else {

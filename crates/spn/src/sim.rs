@@ -4,7 +4,7 @@
 //! the exponential race among enabled timed transitions, advances time,
 //! accrues rate rewards, fires, resolves any enabled immediate transitions
 //! (priority then weighted choice), and repeats until an absorbing marking
-//! or a time/step cap. Replications run in parallel under rayon with
+//! or a time/step cap. Replications run in parallel on `numerics::exec` with
 //! deterministic per-replication seeds, providing an independent check of
 //! the analytic CTMC solvers (the `runner` cross-validation harness and
 //! `tests/tests/cross_validation.rs` check the agreement).
@@ -80,18 +80,6 @@ impl ReplicationStats {
     }
 }
 
-/// [`ReplicationStats`] plus the adaptive-sampling verdict of a
-/// [`Simulator::run_sampled`] run.
-#[derive(Debug, Clone)]
-pub struct SampledStats {
-    /// The aggregate statistics (`replications` records the count actually
-    /// run, which an adaptive plan chooses at runtime).
-    pub stats: ReplicationStats,
-    /// Whether the adaptive precision target was met (`None` for fixed
-    /// plans, `Some(false)` when the budget ran out first).
-    pub target_met: Option<bool>,
-}
-
 /// Streaming aggregation of [`SimOutcome`]s for the shared replication
 /// engine: Welford moments only, no outcome `Vec`. The first error (in
 /// replication-index order) is retained and aborts the run's result.
@@ -101,18 +89,16 @@ struct SimSink {
     accumulated: Vec<Welford>,
     censored: u64,
     replications: u64,
-    confidence: f64,
     error: Option<SpnError>,
 }
 
 impl SimSink {
-    fn new(reward_count: usize, confidence: f64) -> Self {
+    fn new(reward_count: usize) -> Self {
         Self {
             tta: Welford::new(),
             accumulated: vec![Welford::new(); reward_count],
             censored: 0,
             replications: 0,
-            confidence,
             error: None,
         }
     }
@@ -170,7 +156,7 @@ impl OutcomeSink<Result<SimOutcome, SpnError>> for SimSink {
             // a fatal replication error: stop spawning batches immediately
             return Some(0.0);
         }
-        self.tta.relative_precision(self.confidence)
+        self.tta.relative_precision(0.95)
     }
 }
 
@@ -345,40 +331,20 @@ impl<'a> Simulator<'a> {
 
     /// Run `n` replications in parallel with deterministic per-replication
     /// seeds derived from `master_seed` (a fixed [`SamplingPlan`] through
-    /// the shared replication engine).
-    ///
-    /// # Errors
-    /// Returns the first replication error encountered.
-    pub fn run_replications(&self, n: u64, master_seed: u64) -> Result<ReplicationStats, SpnError> {
-        self.run_sampled(&SamplingPlan::Fixed(n), master_seed, 0.95)
-            .map(|s| s.stats)
-    }
-
-    /// Run a [`SamplingPlan`] through the shared replication engine.
-    /// Adaptive plans keep spawning batches until the relative half-width
-    /// of the `confidence`-level CI on the mean time to absorption meets
-    /// the plan's target (or its budget runs out); outcomes stream into
-    /// Welford accumulators, never a `Vec`.
+    /// the shared replication engine); outcomes stream into Welford
+    /// accumulators, never a `Vec`.
     ///
     /// # Errors
     /// Returns the first replication error (in replication-index order).
     ///
     /// # Panics
-    /// Panics on an invalid plan (see [`SamplingPlan::validate`]).
-    pub fn run_sampled(
-        &self,
-        plan: &SamplingPlan,
-        master_seed: u64,
-        confidence: f64,
-    ) -> Result<SampledStats, SpnError> {
+    /// Panics when `n` is zero (see [`SamplingPlan::validate`]).
+    pub fn run_replications(&self, n: u64, master_seed: u64) -> Result<ReplicationStats, SpnError> {
         let rewards = self.rewards.rates.len() + self.rewards.impulses.len();
-        let done = run_plan(self, plan, master_seed, || {
-            SimSink::new(rewards, confidence)
+        let done = run_plan(self, &SamplingPlan::Fixed(n), master_seed, || {
+            SimSink::new(rewards)
         });
-        Ok(SampledStats {
-            stats: done.sink.into_result()?,
-            target_met: done.target_met,
-        })
+        done.sink.into_result()
     }
 }
 
@@ -434,15 +400,16 @@ mod tests {
             max: 50_000,
             batch: 200,
         };
-        let out = sim.run_sampled(&plan, 13, 0.95).unwrap();
+        let out = run_plan(&sim, &plan, 13, || SimSink::new(0));
         assert_eq!(out.target_met, Some(true));
-        let n = out.stats.replications;
+        let stats = out.sink.into_result().unwrap();
+        let n = stats.replications;
         assert!(n < 50_000, "should stop early, used {n}");
-        let ci = out.stats.mtta_ci(0.95);
+        let ci = stats.mtta_ci(0.95);
         assert!(ci.half_width / ci.mean <= 0.10, "{ci:?}");
         // bit-identical to the fixed plan with the same replication count
         let fixed = sim.run_replications(n, 13).unwrap();
-        assert_eq!(fixed.time_to_absorption, out.stats.time_to_absorption);
+        assert_eq!(fixed.time_to_absorption, stats.time_to_absorption);
     }
 
     #[test]
