@@ -1,21 +1,30 @@
-//! A memo of a pure function of a `(u32, u32)` key, shared by every thread
-//! that evaluates one net's rate closures.
+//! Memos of a pure function of a `(u32, u32)` key, shared by every thread
+//! and every net whose rate closures compute that function.
 //!
-//! Lookups take no lock and hash with one multiplication: the table is an
-//! open-addressing array of atomic (key, value) slots. Only an insert takes
-//! the lock. A full table is never resized in place; it is copied into one
-//! twice as large, and the old one stays readable until the memo is
-//! dropped, so a reader that loaded it just before the swap still sees a
-//! consistent (if smaller) set. Memory grows with the keys actually
-//! inserted: at most half of the newest table's slots are used, and all
-//! older tables together are smaller than the newest.
+//! A [`PairMemo`] holds one function's values. Lookups take no lock and
+//! hash with one multiplication: the table is an open-addressing array of
+//! atomic (key, value) slots. Only an insert takes the lock. A full table
+//! is never resized in place; it is copied into one twice as large, and the
+//! old one stays readable until the memo is dropped, so a reader that
+//! loaded it just before the swap still sees a consistent (if smaller) set.
+//! Memory grows with the keys actually inserted: at most half of the newest
+//! table's slots are used, and all older tables together are smaller than
+//! the newest.
+//!
+//! A [`MemoTable`] hands out one `Arc<PairMemo>` per function key, so nets
+//! built for the same function start with warm values. Its lock is taken
+//! once per memo handed out, never per lookup. **Memory bound:** a table
+//! keeps at most [`TABLE_CAPACITY`] (16) memos and drops the oldest first;
+//! a holder of a dropped memo's `Arc` keeps using it, and the memo is freed
+//! with its last holder. The table is a `Vec` scanned in insertion order,
+//! so eviction is deterministic.
 //!
 //! Results are deterministic because the memoized function is pure: a
 //! lookup that misses (or races an insert of the same key) computes the
 //! very value the memo would have returned.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Key bits of an empty slot. The pair `(u32::MAX, u32::MAX)` encodes to
 /// it as well, so that one key is computed on every call, never stored.
@@ -150,6 +159,41 @@ impl PairMemo {
         }
         place(table, key, value.to_bits());
         *len += 1;
+    }
+}
+
+/// Memos a [`MemoTable`] keeps before it drops the oldest.
+pub(crate) const TABLE_CAPACITY: usize = 16;
+
+/// Up to [`TABLE_CAPACITY`] memos, one per function key `K`; see the
+/// module docs.
+pub(crate) struct MemoTable<K> {
+    /// (key, memo) pairs, oldest first.
+    memos: Mutex<Vec<(K, Arc<PairMemo>)>>,
+}
+
+impl<K: PartialEq> MemoTable<K> {
+    pub(crate) const fn new() -> Self {
+        Self {
+            memos: Mutex::new(Vec::new()),
+        }
+    }
+
+    /// The memo of `key`'s function: the kept one, or a new empty one
+    /// that replaces the oldest when the table is full.
+    pub(crate) fn get(&self, key: K) -> Arc<PairMemo> {
+        // A panic cannot break the table: pairs are pushed and removed
+        // whole, so a poisoned lock is recovered.
+        let mut memos = self.memos.lock().unwrap_or_else(PoisonError::into_inner);
+        if let Some((_, memo)) = memos.iter().find(|(k, _)| *k == key) {
+            return Arc::clone(memo);
+        }
+        if memos.len() == TABLE_CAPACITY {
+            memos.remove(0);
+        }
+        let memo = Arc::new(PairMemo::new());
+        memos.push((key, Arc::clone(&memo)));
+        memo
     }
 }
 

@@ -75,8 +75,10 @@ pub fn evaluate(cfg: &SystemConfig) -> Result<Evaluation, SpnError> {
 ///
 /// A point's cost is rate work only: each enabled transition's rate
 /// function once per state (the voting probabilities of `T_IDS`/`T_FA`
-/// computed once per group split of the point's net), the value-array
-/// refresh, the reward rates, and the block solves of the absorption
+/// computed once per group split and voting key, in memos that every net
+/// of that key shares, so a rate-only point that keeps m, p1, p2 and the
+/// collusion model finds them warm), the value-array refresh, the reward
+/// rates of the live states, and the block solves of the absorption
 /// system. The scratch CTMC keeps the structural half of that solve
 /// (reachability, strongly connected blocks, coupling layout) from point
 /// to point while the positive-rate pattern stays the same.
@@ -346,8 +348,10 @@ pub(crate) struct StateRates {
 }
 
 impl StateRates {
-    /// `cost` evaluated on every state, and the summed firing rates of
-    /// `impulses` weighted by their per-firing amounts.
+    /// `cost` evaluated on every live state, and the summed firing rates
+    /// of `impulses` weighted by their per-firing amounts. An absorbing
+    /// state keeps [`CostBreakdown::default`]: its sojourn is zero, and
+    /// every reader skips it.
     pub(crate) fn new(
         net: &Spn,
         graph: &ReachabilityGraph,
@@ -361,7 +365,15 @@ impl StateRates {
             }
         }
         Self {
-            cost: graph.states.iter().map(cost).collect(),
+            cost: (graph.states.iter().zip(&graph.absorbing))
+                .map(|(m, &absorbing)| {
+                    if absorbing {
+                        CostBreakdown::default()
+                    } else {
+                        cost(m)
+                    }
+                })
+                .collect(),
             impulse,
         }
     }
@@ -593,6 +605,14 @@ mod tests {
         let mut hot = base.clone();
         hot.attacker.base_rate *= 8.0;
         variants.push(hot);
+        // Each field of the shared voting memos' key, changed alone.
+        let mut p1 = base.clone();
+        p1.p1_host_false_negative = 0.05;
+        let mut p2 = base.clone();
+        p2.p2_host_false_positive = 0.05;
+        let mut partial = base.clone();
+        partial.collusion = ids::voting::CollusionModel::Probabilistic(0.5);
+        variants.extend([p1, p2, partial]);
         for m in [3, 5, 7, 9] {
             for shape in RateShape::all() {
                 for tids in [5.0, 60.0, 600.0, 1200.0] {
@@ -617,6 +637,29 @@ mod tests {
                 "{fast:?} vs {slow:?}"
             );
             assert_eq!(fast.state_count, slow.state_count);
+            // Both sides read the shared voting memos, so also pin the
+            // conviction rates to the unmemoized voting formulas: a key
+            // field missing from the memo key serves stale values here.
+            let model = build_model(cfg);
+            let places = model.places;
+            for (name, bad_target) in [("T_IDS", true), ("T_FA", false)] {
+                let t = model.net.transition_by_name(name).unwrap();
+                for m in &template.graph().states {
+                    let Some(rate) = model.net.rate(t, m).unwrap() else {
+                        continue;
+                    };
+                    let pop = population(&places, m);
+                    let d = cfg
+                        .detection
+                        .rate(cfg.node_count, pop.trusted, pop.undetected);
+                    let expected = if bad_target {
+                        pop.undetected as f64 * d * (1.0 - crate::model::pfn_for(cfg, &pop))
+                    } else {
+                        pop.trusted as f64 * d * crate::model::pfp_for(cfg, &pop)
+                    };
+                    assert_eq!(rate.to_bits(), expected.to_bits(), "{name} at {m:?}");
+                }
+            }
         }
         assert_eq!(template.stats().explorations, 1);
         assert_eq!(template.stats().pattern_builds, 1);

@@ -29,7 +29,7 @@
 //! checked exactly as `2U > T` in integers.
 
 use crate::config::{ClusterTopology, SystemConfig};
-use crate::memo::PairMemo;
+use crate::memo::MemoTable;
 use crate::scenario_model::scenario_system;
 use ids::voting::{
     p_false_negative_with_collusion, p_false_positive_with_collusion, CollusionModel,
@@ -217,18 +217,94 @@ fn pfp_targeted(cfg: &SystemConfig, pop: &Population, focus: f64) -> f64 {
     )
 }
 
-/// Memoize a voting error probability on the target group's (good, bad)
+/// Which voting error probability a memo holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum VotingSide {
+    /// `Pfn`, on a bad target's group split.
+    FalseNegative,
+    /// `Pfp`, on a good target's group split.
+    FalsePositive,
+}
+
+/// Everything a voting error probability without a targeted attacker
+/// reads besides the target group's (good, bad) split. The voting
+/// functions read the collusion model only through its malice probability
+/// q. `node_count` and `max_groups` change no value; they keep each memo
+/// to one structural family's splits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct VotingKey {
+    side: VotingSide,
+    vote_participants: u32,
+    /// The host-IDS error rate, as bits: p1 for `Pfn`, p2 for `Pfp`.
+    host_error: u64,
+    /// The collusion model's malice probability q, as bits.
+    malice: u64,
+    node_count: u32,
+    max_groups: u32,
+}
+
+impl VotingKey {
+    fn new(cfg: &SystemConfig, side: VotingSide) -> Self {
+        let host_error = match side {
+            VotingSide::FalseNegative => cfg.p1_host_false_negative,
+            VotingSide::FalsePositive => cfg.p2_host_false_positive,
+        };
+        Self {
+            side,
+            vote_participants: cfg.vote_participants,
+            host_error: host_error.to_bits(),
+            malice: cfg.collusion.malice_probability().to_bits(),
+            node_count: cfg.node_count,
+            max_groups: cfg.max_groups,
+        }
+    }
+
+    /// The target group's (good, bad) split in `pop`.
+    fn split(&self, pop: &Population) -> (u32, u32) {
+        match self.side {
+            VotingSide::FalseNegative => pop.per_group_for_bad_target(),
+            VotingSide::FalsePositive => pop.per_group_for_good_target(),
+        }
+    }
+
+    /// The voting error probability on a split, computed from the key
+    /// alone.
+    fn probability(&self, (good, bad): (u32, u32)) -> f64 {
+        let p = f64::from_bits(self.host_error);
+        let collusion = CollusionModel::Probabilistic(f64::from_bits(self.malice));
+        match self.side {
+            VotingSide::FalseNegative => {
+                p_false_negative_with_collusion(good, bad, self.vote_participants, p, collusion)
+            }
+            VotingSide::FalsePositive => {
+                p_false_positive_with_collusion(good, bad, self.vote_participants, p, collusion)
+            }
+        }
+    }
+}
+
+/// The voting memos every net built in this process shares.
+static VOTING_MEMOS: MemoTable<VotingKey> = MemoTable::new();
+
+/// A voting error probability, memoized on the target group's (good, bad)
 /// split. Without a targeted attacker the probability depends on nothing
-/// else, and the split collapses the many (T, U, NG) markings onto a
-/// handful of pairs, so repeated rate evaluations (exploration,
-/// re-weighting, simulation) pay the log-space voting math once per pair.
-/// A hit costs a lock-free probe ([`PairMemo`]).
+/// else but the key's fields, and the split collapses the many (T, U, NG)
+/// markings onto a handful of pairs, so repeated rate evaluations
+/// (exploration, re-weighting, simulation) pay the log-space voting math
+/// once per pair — and once per pair across every net of the same key,
+/// since the memo comes from `table`. Building the closure takes the
+/// table's lock once; a call costs a lock-free probe.
 fn memoized(
-    split: fn(&Population) -> (u32, u32),
-    p: impl Fn(&Population) -> f64 + Send + Sync + 'static,
+    table: &MemoTable<VotingKey>,
+    cfg: &SystemConfig,
+    side: VotingSide,
 ) -> impl Fn(&Population) -> f64 + Send + Sync + 'static {
-    let memo = PairMemo::new();
-    move |pop| memo.get_or_insert_with(split(pop), || p(pop))
+    let key = VotingKey::new(cfg, side);
+    let memo = table.get(key);
+    move |pop| {
+        let split = key.split(pop);
+        memo.get_or_insert_with(split, || key.probability(split))
+    }
 }
 
 /// The place handles of one block, with its scenario extras.
@@ -339,8 +415,8 @@ fn add_subsystem(
     // goes where the response policy sends it: `DCm` for evict (with a
     // queued rekey for throttle), the quarantine for quarantine.
     let (ids, fa) = (format!("T_IDS{suffix}"), format!("T_FA{suffix}"));
-    let (c1, c2) = (cfg.clone(), cfg.clone());
     let (t_ids, t_fa) = if focus > 0.0 {
+        let (c1, c2) = (cfg.clone(), cfg.clone());
         (
             conviction(ids, cfg, places, true, move |pop| {
                 pfn_targeted(&c1, pop, focus)
@@ -350,12 +426,8 @@ fn add_subsystem(
             }),
         )
     } else {
-        let pfn = memoized(Population::per_group_for_bad_target, move |pop| {
-            pfn_for(&c1, pop)
-        });
-        let pfp = memoized(Population::per_group_for_good_target, move |pop| {
-            pfp_for(&c2, pop)
-        });
+        let pfn = memoized(&VOTING_MEMOS, cfg, VotingSide::FalseNegative);
+        let pfp = memoized(&VOTING_MEMOS, cfg, VotingSide::FalsePositive);
         (
             conviction(ids, cfg, places, true, pfn),
             conviction(fa, cfg, places, false, pfp),
@@ -675,6 +747,7 @@ pub fn clustered_canonicalizer(model: &ClusteredModel) -> MarkingCanonicalizer {
 mod tests {
     use super::*;
     use spn::reach::{explore, ExploreOptions};
+    use std::sync::Arc;
 
     fn small_cfg() -> SystemConfig {
         let mut c = SystemConfig::paper_default();
@@ -793,6 +866,138 @@ mod tests {
         };
         assert_eq!(pfp_for(&cfg, &no_good), 0.0);
         assert!(pfn_for(&cfg, &no_good) > 0.9); // colluders protect each other
+    }
+
+    #[test]
+    fn shared_voting_memos_match_the_formulas_on_the_paper_graph() {
+        let cfg = SystemConfig::paper_default();
+        let model = build_model(&cfg);
+        let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
+        for side in [VotingSide::FalseNegative, VotingSide::FalsePositive] {
+            let key = VotingKey::new(&cfg, side);
+            // One population per (good, bad) split a conviction rate reads.
+            let splits: std::collections::BTreeMap<(u32, u32), Population> = (graph.states.iter())
+                .map(|m| population(&model.places, m))
+                .filter(|pop| match side {
+                    VotingSide::FalseNegative => pop.undetected > 0,
+                    VotingSide::FalsePositive => pop.trusted > 0,
+                })
+                .map(|pop| (key.split(&pop), pop))
+                .collect();
+            assert!(splits.len() > 1000, "{side:?}: {} splits", splits.len());
+            let shared = memoized(&VOTING_MEMOS, &cfg, side);
+            for ((good, bad), pop) in splits {
+                let direct = match side {
+                    VotingSide::FalseNegative => p_false_negative_with_collusion(
+                        good,
+                        bad,
+                        cfg.vote_participants,
+                        cfg.p1_host_false_negative,
+                        cfg.collusion,
+                    ),
+                    VotingSide::FalsePositive => p_false_positive_with_collusion(
+                        good,
+                        bad,
+                        cfg.vote_participants,
+                        cfg.p2_host_false_positive,
+                        cfg.collusion,
+                    ),
+                };
+                // The first call may compute or find the value, the second
+                // finds it.
+                for _ in 0..2 {
+                    assert_eq!(
+                        shared(&pop).to_bits(),
+                        direct.to_bits(),
+                        "{side:?} ({good}, {bad})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn equal_voting_keys_share_one_memo_and_any_field_splits_it() {
+        let table = MemoTable::new();
+        let cfg = SystemConfig::paper_default();
+        let key = VotingKey::new(&cfg, VotingSide::FalseNegative);
+        let memo = table.get(key);
+        assert!(Arc::ptr_eq(&memo, &table.get(key)));
+        // p2 is not read by Pfn
+        let mut other_p2 = cfg.clone();
+        other_p2.p2_host_false_positive = 0.2;
+        let same = table.get(VotingKey::new(&other_p2, VotingSide::FalseNegative));
+        assert!(Arc::ptr_eq(&memo, &same));
+        let changed = [
+            VotingKey {
+                side: VotingSide::FalsePositive,
+                ..key
+            },
+            VotingKey {
+                vote_participants: key.vote_participants + 2,
+                ..key
+            },
+            VotingKey {
+                host_error: 0.02f64.to_bits(),
+                ..key
+            },
+            VotingKey {
+                malice: 0.5f64.to_bits(),
+                ..key
+            },
+            VotingKey {
+                node_count: key.node_count + 1,
+                ..key
+            },
+            VotingKey {
+                max_groups: key.max_groups + 1,
+                ..key
+            },
+        ];
+        for k in changed {
+            assert_ne!(k, key);
+            assert!(!Arc::ptr_eq(&memo, &table.get(k)), "{k:?}");
+        }
+    }
+
+    #[test]
+    fn a_full_voting_table_rebuilds_its_oldest_memo_with_equal_values() {
+        use crate::memo::TABLE_CAPACITY;
+        let table = MemoTable::new();
+        let cfg = SystemConfig::paper_default();
+        let first = table.get(VotingKey::new(&cfg, VotingSide::FalseNegative));
+        let pfn = memoized(&table, &cfg, VotingSide::FalseNegative);
+        let pops: Vec<Population> = (1..=30)
+            .map(|undetected| Population {
+                trusted: 100 - 2 * undetected,
+                undetected,
+                groups: 1 + undetected % 4,
+            })
+            .collect();
+        let before: Vec<u64> = pops.iter().map(|p| pfn(p).to_bits()).collect();
+        let others = |i: u32| {
+            let mut c = cfg.clone();
+            c.node_count = 200 + i;
+            VotingKey::new(&c, VotingSide::FalseNegative)
+        };
+        for i in 1..TABLE_CAPACITY as u32 {
+            table.get(others(i));
+        }
+        let kept = table.get(VotingKey::new(&cfg, VotingSide::FalseNegative));
+        assert!(Arc::ptr_eq(&first, &kept), "16 keys fit");
+        table.get(others(TABLE_CAPACITY as u32));
+        let rebuilt = table.get(VotingKey::new(&cfg, VotingSide::FalseNegative));
+        assert!(
+            !Arc::ptr_eq(&first, &rebuilt),
+            "the 17th key drops the first"
+        );
+        // The closure built before the drop keeps its memo; a new one
+        // starts cold; both give the same bits.
+        let cold = memoized(&table, &cfg, VotingSide::FalseNegative);
+        for (pop, bits) in pops.iter().zip(&before) {
+            assert_eq!(pfn(pop).to_bits(), *bits);
+            assert_eq!(cold(pop).to_bits(), *bits);
+        }
     }
 
     #[test]

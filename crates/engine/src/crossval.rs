@@ -949,4 +949,24 @@ mod tests {
         assert_eq!(v.field("clean").unwrap(), &Value::Bool(false));
         let _ = std::fs::remove_dir_all(&dir);
     }
+
+    /// A file of 200 000 nested `[` is one named failure, not a stack
+    /// overflow that aborts the whole load.
+    #[test]
+    fn lenient_load_names_a_deeply_nested_file() {
+        let dir = std::env::temp_dir().join("gcsids-crossval-nesting-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("nested.json"), "[".repeat(200_000)).unwrap();
+        let (loaded, failures) = load_spec_dir_lenient(&dir).unwrap();
+        assert!(loaded.is_empty());
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].spec.contains("nested.json"));
+        assert!(
+            failures[0].error.contains("nesting"),
+            "{}",
+            failures[0].error
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

@@ -1,10 +1,10 @@
 //! Minimal JSON reader/writer for scenario specs and run reports.
 //!
 //! The build environment cannot pull `serde`, so the engine carries its own
-//! ~200-line JSON layer: a [`Value`] tree, a recursive-descent parser, and
-//! a writer. It supports exactly the JSON the engine emits — objects,
-//! arrays, strings, finite numbers, booleans, and null — which is
-//! sufficient for lossless `ScenarioSpec` round-trips.
+//! ~200-line JSON layer: a [`Value`] tree, a recursive-descent parser with
+//! a nesting limit, and a writer. It supports exactly the JSON the engine
+//! emits — objects, arrays, strings, finite numbers, booleans, and null —
+//! which is sufficient for lossless `ScenarioSpec` round-trips.
 
 use crate::error::EngineError;
 use std::collections::BTreeMap;
@@ -178,7 +178,7 @@ impl Value {
     pub fn parse(text: &str) -> Result<Value, EngineError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let v = parse_value(bytes, &mut pos)?;
+        let v = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(EngineError::Json(format!("trailing data at byte {pos}")));
@@ -224,8 +224,20 @@ fn expect(b: &[u8], pos: &mut usize, lit: &str) -> Result<(), EngineError> {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, EngineError> {
+/// Deepest array/object nesting [`Value::parse`] accepts. Specs nest at
+/// most 4 deep; the limit keeps a hostile document from exhausting the
+/// stack of the recursive parser.
+const MAX_DEPTH: usize = 128;
+
+/// Parse one value whose enclosing arrays and objects number `depth`.
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, EngineError> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'[' | b'{')) && depth == MAX_DEPTH {
+        return Err(fail(
+            *pos,
+            &format!("array/object nesting deeper than {MAX_DEPTH}"),
+        ));
+    }
     match b.get(*pos) {
         None => Err(fail(*pos, "unexpected end of input")),
         Some(b'n') => expect(b, pos, "null").map(|()| Value::Null),
@@ -241,7 +253,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, EngineError> {
                 return Ok(Value::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -269,7 +281,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, EngineError> {
                     return Err(fail(*pos, "expected `:`"));
                 }
                 *pos += 1;
-                map.insert(key, parse_value(b, pos)?);
+                map.insert(key, parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -422,6 +434,20 @@ mod tests {
         for bad in ["{", "[1,", "\"abc", "tru", "{\"a\" 1}", "1 2", "nan"] {
             assert!(Value::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn nesting_is_limited() {
+        let nested = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(Value::parse(&nested(MAX_DEPTH)).is_ok());
+        assert!(Value::parse(&nested(MAX_DEPTH + 1)).is_err());
+        let objects = format!(
+            "{}1{}",
+            "{\"a\":".repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(Value::parse(&objects).is_err());
+        assert!(Value::parse(&"[".repeat(200_000)).is_err());
     }
 
     #[test]

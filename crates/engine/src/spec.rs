@@ -200,19 +200,19 @@ impl ScenarioSpec {
     /// Returns [`EngineError::InvalidSpec`] naming the violated constraint.
     pub fn validate(&self) -> Result<(), EngineError> {
         self.system.validate().map_err(EngineError::InvalidSpec)?;
-        if self.backend.is_stochastic() {
-            self.stochastic
-                .sampling
-                .validate()
-                .map_err(EngineError::InvalidSpec)?;
-            if self.stochastic.max_time.is_nan() || self.stochastic.max_time <= 0.0 {
-                return Err(EngineError::InvalidSpec("max_time must be positive".into()));
-            }
-            if !(0.0 < self.stochastic.confidence && self.stochastic.confidence < 1.0) {
-                return Err(EngineError::InvalidSpec(
-                    "confidence must lie strictly between 0 and 1".into(),
-                ));
-            }
+        // Checked whatever the backend: cross-validation runs the
+        // stochastic backends on every spec, exact ones included.
+        self.stochastic
+            .sampling
+            .validate()
+            .map_err(EngineError::InvalidSpec)?;
+        if self.stochastic.max_time.is_nan() || self.stochastic.max_time <= 0.0 {
+            return Err(EngineError::InvalidSpec("max_time must be positive".into()));
+        }
+        if !(0.0 < self.stochastic.confidence && self.stochastic.confidence < 1.0) {
+            return Err(EngineError::InvalidSpec(
+                "confidence must lie strictly between 0 and 1".into(),
+            ));
         }
         let mut prev = f64::NEG_INFINITY;
         for &t in &self.mission_times {
@@ -803,10 +803,36 @@ mod tests {
         spec.system.node_count = 0;
         assert!(matches!(spec.validate(), Err(EngineError::InvalidSpec(_))));
 
-        // the exact backend ignores stochastic knobs entirely
+        // the stochastic block is checked on exact specs too, since
+        // cross-validation runs the stochastic backends on every spec
         let mut spec = ScenarioSpec::paper_default(BackendKind::Exact);
         spec.stochastic.sampling = SamplingPlan::Fixed(0);
-        assert!(spec.validate().is_ok());
+        assert!(matches!(spec.validate(), Err(EngineError::InvalidSpec(_))));
+    }
+
+    #[test]
+    fn exact_spec_with_confidence_out_of_range_is_invalid() {
+        let mut spec = ScenarioSpec::paper_default(BackendKind::Exact);
+        spec.stochastic.confidence = 1.5;
+        match spec.validate() {
+            Err(EngineError::InvalidSpec(msg)) => assert!(msg.contains("confidence"), "{msg}"),
+            other => panic!("expected InvalidSpec naming confidence, got {other:?}"),
+        }
+        // the same spec decoded from JSON is rejected on load
+        let text = spec.to_json();
+        assert!(matches!(
+            ScenarioSpec::from_json(&text),
+            Err(EngineError::InvalidSpec(_))
+        ));
+    }
+
+    #[test]
+    fn deeply_nested_json_is_a_named_error() {
+        let text = "[".repeat(200_000);
+        match ScenarioSpec::from_json(&text) {
+            Err(EngineError::Json(msg)) => assert!(msg.contains("nesting"), "{msg}"),
+            other => panic!("expected a JSON nesting error, got {other:?}"),
+        }
     }
 
     #[test]
