@@ -182,6 +182,8 @@ pub(crate) struct Replication {
     pub(crate) status: Vec<NodeStatus>,
     /// Reused candidate list of [`Replication::pick`].
     candidates: Vec<usize>,
+    /// Reused voter order of [`Replication::vote`].
+    voter_order: Vec<usize>,
     pub(crate) burst_active: bool,
     /// Convictions whose rekey the throttled service has not served yet.
     pub(crate) pending_rekeys: u32,
@@ -219,7 +221,8 @@ impl Replication {
             quarantine,
             throttle,
             status: vec![NodeStatus::Trusted; sys.node_count as usize],
-            candidates: Vec::new(),
+            candidates: Vec::with_capacity(sys.node_count as usize),
+            voter_order: Vec::with_capacity(sys.node_count as usize),
             burst_active: false,
             pending_rekeys: 0,
             t: 0.0,
@@ -343,7 +346,14 @@ impl Replication {
         } else {
             self.sys.collusion
         };
-        let o = run_vote_with_collusion(&self.vote_cfg, target_bad, peers, collusion, rng);
+        let o = run_vote_with_collusion(
+            &self.vote_cfg,
+            target_bad,
+            peers,
+            collusion,
+            &mut self.voter_order,
+            rng,
+        );
         self.k.votes += 1;
         let group = (peers.len() + 1) as f64;
         self.hop_bits += o.votes as f64 * self.sys.vote_packet_bits as f64 * group;

@@ -12,9 +12,13 @@
 //! [`DesOutcome`], aggregated by the same engine sink as the birth–death
 //! driver's.
 //!
-//! This is the most expensive validator in the repository (every step
-//! rebuilds connectivity), so it is used with accelerated parameters by
-//! tests and runs in the cross-backend validation harness only on request
+//! A replication owns one [`ConnectivityGraph`], rebuilt in place at every
+//! step, and reuses its per-component counts and peer list, so a step
+//! allocates nothing. The driver reads the graph only through its
+//! component partition (never neighbour order), so no random draw depends
+//! on how the graph is built. A replication still walks its whole horizon
+//! in `dt` steps, so tests use accelerated parameters and the
+//! cross-backend validation harness runs it only on request
 //! (`runner --mobility`; see `engine::crossval`). It serves as the
 //! ground-truth check that the birth–death abstraction in the SPN/DES does
 //! not distort MTTSF.
@@ -85,14 +89,19 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
         },
         &mut rng,
     );
-    let mut prev_components =
-        ConnectivityGraph::build(&mobility.positions(), cfg.radio_range).component_count();
+    let mut graph = ConnectivityGraph::build(mobility.positions(), cfg.radio_range);
+    let mut prev_components = graph.component_count();
+    // Per-component live and undetected-compromised counts, and the voting
+    // peers of a target: sized for the population once, reused every step.
+    let n = r.status.len();
+    let (mut live_per_comp, mut bad_per_comp) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut peers: Vec<bool> = Vec::with_capacity(n);
 
     while r.t < cfg.max_time {
         // --- mobility step and group bookkeeping ---------------------------
         mobility.step(cfg.dt, &mut rng);
         r.t += cfg.dt;
-        let graph = ConnectivityGraph::build(&mobility.positions(), cfg.radio_range);
+        graph.rebuild(mobility.positions(), cfg.radio_range);
         let components = graph.component_count();
         // Count topology events and charge their rekeys (evicted nodes keep
         // moving but are cryptographically outside every group).
@@ -115,7 +124,7 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
         }
 
         // --- background traffic over actual components ----------------------
-        let (live_per_comp, _) = members_per_component(&graph, &r.status);
+        members_per_component(&graph, &r.status, &mut live_per_comp, &mut bad_per_comp);
         let background: f64 = live_per_comp
             .iter()
             .map(|&n| r.add_group_traffic(0.0, n))
@@ -139,10 +148,14 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
             // evaluate one random live node within its actual component
             let target = r.pick(&mut rng, NodeStatus::is_live);
             let comp = graph.component_of(target);
-            let peers: Vec<bool> = (0..r.status.len())
-                .filter(|&n| n != target && r.status[n].is_live() && graph.component_of(n) == comp)
-                .map(|n| r.status[n] == NodeStatus::Compromised)
-                .collect();
+            peers.clear();
+            peers.extend(
+                (0..r.status.len())
+                    .filter(|&n| {
+                        n != target && r.status[n].is_live() && graph.component_of(n) == comp
+                    })
+                    .map(|n| r.status[n] == NodeStatus::Compromised),
+            );
             r.vote(target, &peers, trusted, undetected, &mut rng);
         }
 
@@ -158,7 +171,7 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
         }
 
         // --- C2 check on real components ------------------------------------
-        let (live_per_comp, bad_per_comp) = members_per_component(&graph, &r.status);
+        members_per_component(&graph, &r.status, &mut live_per_comp, &mut bad_per_comp);
         if live_per_comp
             .iter()
             .zip(&bad_per_comp)
@@ -171,16 +184,23 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
     r.finish(FailureCause::Censored)
 }
 
-/// Live and undetected-compromised members of each connectivity component.
-fn members_per_component(graph: &ConnectivityGraph, status: &[NodeStatus]) -> (Vec<u32>, Vec<u32>) {
-    let mut live = vec![0u32; graph.component_count()];
-    let mut bad = live.clone();
+/// Fill `live` and `bad` with the live and undetected-compromised members
+/// of each connectivity component.
+fn members_per_component(
+    graph: &ConnectivityGraph,
+    status: &[NodeStatus],
+    live: &mut Vec<u32>,
+    bad: &mut Vec<u32>,
+) {
+    for counts in [&mut *live, &mut *bad] {
+        counts.clear();
+        counts.resize(graph.component_count(), 0);
+    }
     for (i, &s) in status.iter().enumerate() {
         let c = graph.component_of(i) as usize;
         live[c] += u32::from(s.is_live());
         bad[c] += u32::from(s == NodeStatus::Compromised);
     }
-    (live, bad)
 }
 
 fn mean_live_group_size(graph: &ConnectivityGraph, r: &Replication) -> u32 {

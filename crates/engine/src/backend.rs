@@ -669,12 +669,13 @@ impl Replicate for SpnSimTask<'_> {
         let cause = spn_cause(&self.places, &o);
         let mut rep = Rep::basic(o.time, o.accumulated.iter().sum(), cause);
         if let Some([t_cp, t_ids, t_fa]) = self.detect {
-            let count = |t: TransitionId| o.firings.get(&t).map_or(0.0, |&n| n as f64);
+            let count = |t: TransitionId| o.firings.get(t.index()).map_or(0.0, |&n| n as f64);
+            let first = |t: TransitionId| o.first_firings.get(t.index()).copied().flatten();
             rep.compromises = count(t_cp);
             rep.detections = count(t_ids);
             rep.false_alarms = count(t_fa);
-            rep.first_compromise = o.first_firings.get(&t_cp).copied();
-            rep.first_detection = o.first_firings.get(&t_ids).copied();
+            rep.first_compromise = first(t_cp);
+            rep.first_detection = first(t_ids);
         }
         Ok(rep)
     }

@@ -950,6 +950,29 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A spec that repeats a key is one named failure, whichever value
+    /// would have been kept.
+    #[test]
+    fn lenient_load_names_a_file_with_a_duplicate_key() {
+        let dir = std::env::temp_dir().join("gcsids-crossval-duplicate-key-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let good = ScenarioSpec::paper_default(BackendKind::Exact).to_json();
+        std::fs::write(dir.join("good.json"), &good).unwrap();
+        let twice = good.replacen('{', "{\"name\":\"again\",", 1);
+        std::fs::write(dir.join("twice.json"), twice).unwrap();
+        let (loaded, failures) = load_spec_dir_lenient(&dir).unwrap();
+        assert_eq!(loaded.len(), 1);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(failures[0].spec.contains("twice.json"));
+        assert!(
+            failures[0].error.contains("duplicate key `name`"),
+            "{}",
+            failures[0].error
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A file of 200 000 nested `[` is one named failure, not a stack
     /// overflow that aborts the whole load.
     #[test]

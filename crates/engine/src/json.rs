@@ -174,7 +174,9 @@ impl Value {
     /// Parse a JSON document.
     ///
     /// # Errors
-    /// Returns [`EngineError::Json`] with a byte offset on malformed input.
+    /// Returns [`EngineError::Json`] with a byte offset on malformed input,
+    /// including an object that repeats a key (JSON leaves its meaning
+    /// open, so a spec never silently keeps one of the values).
     pub fn parse(text: &str) -> Result<Value, EngineError> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
@@ -275,7 +277,11 @@ fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<Value, EngineE
             }
             loop {
                 skip_ws(b, pos);
+                let key_pos = *pos;
                 let key = parse_string(b, pos)?;
+                if map.contains_key(&key) {
+                    return Err(fail(key_pos, &format!("duplicate key `{key}`")));
+                }
                 skip_ws(b, pos);
                 if b.get(*pos) != Some(&b':') {
                     return Err(fail(*pos, "expected `:`"));
@@ -434,6 +440,18 @@ mod tests {
         for bad in ["{", "[1,", "\"abc", "tru", "{\"a\" 1}", "1 2", "nan"] {
             assert!(Value::parse(bad).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        assert!(Value::parse(r#"{"a": 1, "b": {"a": 2}}"#).is_ok());
+        match Value::parse(r#"{"a": 1, "b": 2, "a": 3}"#) {
+            Err(EngineError::Json(msg)) => {
+                assert_eq!(msg, "duplicate key `a` at byte 17");
+            }
+            other => panic!("expected a duplicate-key error, got {other:?}"),
+        }
+        assert!(Value::parse(r#"[{"x": {"y": 1, "y": 1}}]"#).is_err());
     }
 
     #[test]

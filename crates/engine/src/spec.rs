@@ -827,6 +827,16 @@ mod tests {
     }
 
     #[test]
+    fn duplicate_key_is_a_named_error() {
+        let text = ScenarioSpec::paper_default(BackendKind::Exact).to_json();
+        let twice = text.replacen('{', "{\"name\":\"again\",", 1);
+        match ScenarioSpec::from_json(&twice) {
+            Err(EngineError::Json(msg)) => assert!(msg.contains("duplicate key `name`"), "{msg}"),
+            other => panic!("expected a duplicate-key error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn deeply_nested_json_is_a_named_error() {
         let text = "[".repeat(200_000);
         match ScenarioSpec::from_json(&text) {

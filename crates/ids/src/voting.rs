@@ -497,15 +497,22 @@ pub fn p_false_negative_with_collusion(
 
 /// Execute a voting round under a partial-collusion adversary (the
 /// simulation-facing counterpart of the `_with_collusion` formulas).
+///
+/// `voter_order` is scratch for the shuffled peer order; a simulator keeps
+/// one for all its votes, so a vote allocates nothing once the buffer has
+/// grown to the group size. Its contents on entry are ignored.
 pub fn run_vote_with_collusion<R: Rng + ?Sized>(
     cfg: &VotingConfig,
     target_compromised: bool,
     peers_compromised: &[bool],
     collusion: CollusionModel,
+    voter_order: &mut Vec<usize>,
     rng: &mut R,
 ) -> VoteOutcome {
     let q = collusion.malice_probability();
-    let mut idx: Vec<usize> = (0..peers_compromised.len()).collect();
+    let idx = voter_order;
+    idx.clear();
+    idx.extend(0..peers_compromised.len());
     idx.shuffle(rng);
     let m_eff = effective_m(cfg.participants, peers_compromised.len() as u32);
     let majority = majority_threshold(m_eff);
@@ -598,11 +605,16 @@ mod collusion_tests {
         peers_bad.extend(std::iter::repeat_n(true, (bad - 1) as usize));
         let mut fp = 0u32;
         let mut fnn = 0u32;
+        let mut order = Vec::new();
         for _ in 0..rounds {
-            if run_vote_with_collusion(&cfg, false, &peers_good, collusion, &mut rng).evicted {
+            if run_vote_with_collusion(&cfg, false, &peers_good, collusion, &mut order, &mut rng)
+                .evicted
+            {
                 fp += 1;
             }
-            if !run_vote_with_collusion(&cfg, true, &peers_bad, collusion, &mut rng).evicted {
+            if !run_vote_with_collusion(&cfg, true, &peers_bad, collusion, &mut order, &mut rng)
+                .evicted
+            {
                 fnn += 1;
             }
         }

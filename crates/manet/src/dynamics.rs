@@ -253,8 +253,7 @@ pub fn run_single_calibration(cfg: &CalibrationConfig, seed: u64) -> Calibration
     // detlint::allow(D003): leaf constructor — `seed` is a child_seed from the replicate grid, passed down by the executor
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mobility = RandomWaypoint::new(cfg.mobility, &mut rng);
-    let mut positions = mobility.positions();
-    let graph = ConnectivityGraph::build(&positions, cfg.radio_range);
+    let mut graph = ConnectivityGraph::build(mobility.positions(), cfg.radio_range);
     let mut tracker = DynamicsTracker::new(&graph);
     let mut hops = HopSampler::new();
     hops.sample(&graph, 4, &mut rng);
@@ -262,8 +261,7 @@ pub fn run_single_calibration(cfg: &CalibrationConfig, seed: u64) -> Calibration
     let steps = (cfg.duration / cfg.dt).ceil() as usize;
     for step in 0..steps {
         mobility.step(cfg.dt, &mut rng);
-        positions = mobility.positions();
-        let graph = ConnectivityGraph::build(&positions, cfg.radio_range);
+        graph.rebuild(mobility.positions(), cfg.radio_range);
         tracker.observe(cfg.dt, &graph);
         if cfg.hop_sample_stride > 0 && step % cfg.hop_sample_stride == 0 {
             hops.sample(&graph, 4, &mut rng);

@@ -11,8 +11,8 @@
 //!
 //! * [`geometry`] — 2-D vectors and the disc region;
 //! * [`mobility`] — the random-waypoint process;
-//! * [`grid`] — spatial hashing for O(n) neighbor queries;
-//! * [`graph`] — unit-disc connectivity, components, BFS hop counts;
+//! * [`graph`] — unit-disc connectivity (rebuilt in place every step),
+//!   components, BFS hop counts;
 //! * [`dynamics`] — partition/merge event tracking and birth–death rate
 //!   calibration binned by group count;
 //! * [`hops`] — hop-count and flooding-cost statistics per group size.
@@ -23,7 +23,6 @@
 pub mod dynamics;
 pub mod geometry;
 pub mod graph;
-pub mod grid;
 pub mod hops;
 pub mod mobility;
 

@@ -49,7 +49,6 @@ enum Phase {
 
 #[derive(Debug, Clone, Copy)]
 struct NodeState {
-    position: Vec2,
     waypoint: Vec2,
     phase: Phase,
 }
@@ -59,6 +58,9 @@ struct NodeState {
 pub struct RandomWaypoint {
     cfg: MobilityConfig,
     disc: Disc,
+    /// Current position of each node, kept apart from the waypoint state
+    /// so that [`RandomWaypoint::positions`] lends it without copying.
+    positions: Vec<Vec2>,
     nodes: Vec<NodeState>,
 }
 
@@ -78,19 +80,23 @@ impl RandomWaypoint {
         );
         assert!(cfg.pause_time >= 0.0, "negative pause time");
         let disc = Disc::new(cfg.area_radius);
-        let nodes = (0..cfg.node_count)
-            .map(|_| {
-                let position = disc.sample_uniform(rng);
-                let waypoint = disc.sample_uniform(rng);
-                let speed = sample_speed(&cfg, rng);
-                NodeState {
-                    position,
-                    waypoint,
-                    phase: Phase::Moving { speed },
-                }
-            })
-            .collect();
-        Self { cfg, disc, nodes }
+        let mut positions = Vec::with_capacity(cfg.node_count);
+        let mut nodes = Vec::with_capacity(cfg.node_count);
+        for _ in 0..cfg.node_count {
+            positions.push(disc.sample_uniform(rng));
+            let waypoint = disc.sample_uniform(rng);
+            let speed = sample_speed(&cfg, rng);
+            nodes.push(NodeState {
+                waypoint,
+                phase: Phase::Moving { speed },
+            });
+        }
+        Self {
+            cfg,
+            disc,
+            positions,
+            nodes,
+        }
     }
 
     /// Number of nodes.
@@ -105,12 +111,12 @@ impl RandomWaypoint {
 
     /// Current position of node `i`.
     pub fn position(&self, i: usize) -> Vec2 {
-        self.nodes[i].position
+        self.positions[i]
     }
 
-    /// All positions (allocates).
-    pub fn positions(&self) -> Vec<Vec2> {
-        self.nodes.iter().map(|n| n.position).collect()
+    /// All positions, indexed by node.
+    pub fn positions(&self) -> &[Vec2] {
+        &self.positions
     }
 
     /// Advance every node by `dt` seconds. Waypoint arrivals inside the
@@ -121,12 +127,11 @@ impl RandomWaypoint {
     /// Panics if `dt < 0`.
     pub fn step<R: Rng + ?Sized>(&mut self, dt: f64, rng: &mut R) {
         assert!(dt >= 0.0, "negative dt {dt}");
-        for i in 0..self.nodes.len() {
+        for (node, position) in self.nodes.iter_mut().zip(&mut self.positions) {
             let mut remaining = dt;
             // A node can pass through several waypoint/pause cycles in one
             // step when dt is large; loop until the step is exhausted.
             while remaining > 0.0 {
-                let node = &mut self.nodes[i];
                 match node.phase {
                     Phase::Paused {
                         remaining: pause_left,
@@ -144,15 +149,16 @@ impl RandomWaypoint {
                         }
                     }
                     Phase::Moving { speed } => {
-                        let to_wp = node.waypoint - node.position;
+                        let to_wp = node.waypoint - *position;
                         let dist = to_wp.norm();
                         let travel = speed * remaining;
                         if travel < dist {
-                            let dir = to_wp.normalized().expect("nonzero distance");
-                            node.position = node.position + dir.scale(travel);
+                            // `to_wp.normalized()`, reusing its norm
+                            let dir = Vec2::new(to_wp.x / dist, to_wp.y / dist);
+                            *position = *position + dir.scale(travel);
                             remaining = 0.0;
                         } else {
-                            node.position = node.waypoint;
+                            *position = node.waypoint;
                             remaining -= dist / speed;
                             node.phase = Phase::Paused {
                                 remaining: self.cfg.pause_time,
@@ -214,12 +220,12 @@ mod tests {
             ..Default::default()
         };
         let (mut m, mut rng) = model(4, cfg);
-        let before = m.positions();
+        let before = m.positions().to_vec();
         m.step(10.0, &mut rng);
         let moved = before
             .iter()
             .zip(m.positions())
-            .filter(|(b, a)| b.distance(*a) > 1.0)
+            .filter(|(b, a)| b.distance(**a) > 1.0)
             .count();
         assert!(moved >= 8, "only {moved} nodes moved");
     }
@@ -234,13 +240,13 @@ mod tests {
             ..Default::default()
         };
         let (mut m, mut rng) = model(5, cfg);
-        let before = m.positions();
+        let before = m.positions().to_vec();
         let dt = 3.0;
         m.step(dt, &mut rng);
         for (b, a) in before.iter().zip(m.positions()) {
             // displacement can be shorter than speed·dt (waypoint turns) but
             // never longer
-            assert!(b.distance(a) <= 2.0 * dt + 1e-9);
+            assert!(b.distance(*a) <= 2.0 * dt + 1e-9);
         }
     }
 

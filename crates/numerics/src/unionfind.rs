@@ -1,7 +1,7 @@
 //! Disjoint-set forest (union–find) with union by rank and path halving.
 //!
-//! Used by the MANET substrate to maintain connectivity components (mobile
-//! groups) over the unit-disc graph at every mobility step.
+//! Used by the clustered model to group structurally identical clusters
+//! into symmetry orbits.
 
 /// Union–find over `0..len`.
 #[derive(Debug, Clone)]

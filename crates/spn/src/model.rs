@@ -479,24 +479,34 @@ impl Spn {
         )
     }
 
-    /// Fire `t` in `m`, returning the successor marking.
+    /// Fire `t` in `m`, returning the successor marking (a clone of `m`
+    /// passed through [`Spn::fire_in_place`]).
     ///
     /// # Panics
     /// Panics when `t` is not enabled — call [`Spn::is_enabled`] first.
     pub fn fire(&self, t: TransitionId, m: &Marking) -> Marking {
+        let mut next = m.clone();
+        self.fire_in_place(t, &mut next);
+        next
+    }
+
+    /// Fire `t` in `m`, turning `m` into the successor marking without
+    /// allocating.
+    ///
+    /// # Panics
+    /// Panics when `t` is not enabled — call [`Spn::is_enabled`] first.
+    pub fn fire_in_place(&self, t: TransitionId, m: &mut Marking) {
         debug_assert!(self.is_enabled(t, m), "firing disabled transition");
         let tr = &self.transitions[t.0 as usize];
-        let mut next = m.clone();
         for &(p, mult) in &tr.inputs {
-            next.remove_tokens(p, mult);
+            m.remove_tokens(p, mult);
         }
         for &(p, mult) in &tr.outputs {
-            next.add_tokens(p, mult);
+            m.add_tokens(p, mult);
         }
         if let Some(e) = &tr.effect {
-            e(&mut next);
+            e(m);
         }
-        next
     }
 
     /// Fill `out` with the enabled timed transitions and their rates, in

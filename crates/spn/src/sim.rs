@@ -16,7 +16,6 @@ use numerics::replicate::{run_plan, OutcomeSink, Replicate, SamplingPlan};
 use numerics::stats::{ConfidenceInterval, Welford};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 
 /// Simulation run limits.
 #[derive(Debug, Clone, Copy)]
@@ -50,12 +49,14 @@ pub struct SimOutcome {
     /// rewards integrate over time; impulse rewards sum over firings), in
     /// the order rates-then-impulses.
     pub accumulated: Vec<f64>,
-    /// Firing counts per transition.
-    pub firings: HashMap<TransitionId, u64>,
-    /// Simulated time of each transition's first firing (absent if it never
-    /// fired). Lets callers derive first-passage observables — e.g. the
-    /// delay from first compromise to first detection — without replaying.
-    pub first_firings: HashMap<TransitionId, f64>,
+    /// Firing count of each transition, indexed by
+    /// [`TransitionId::index`] (one entry per transition of the net).
+    pub firings: Vec<u64>,
+    /// Simulated time of each transition's first firing (`None` if it never
+    /// fired), indexed by [`TransitionId::index`]. Lets callers derive
+    /// first-passage observables — e.g. the delay from first compromise to
+    /// first detection — without replaying.
+    pub first_firings: Vec<Option<f64>>,
     /// Final marking.
     pub final_marking: Marking,
 }
@@ -173,15 +174,27 @@ pub struct Simulator<'a> {
     net: &'a Spn,
     rewards: &'a RewardSet,
     opts: SimOptions,
+    /// Whether the net has any immediate transition; without one every
+    /// marking is tangible and no firing needs settling.
+    has_immediates: bool,
 }
 
 impl<'a> Simulator<'a> {
     /// Create a simulator for `net` accruing `rewards`.
     pub fn new(net: &'a Spn, rewards: &'a RewardSet, opts: SimOptions) -> Self {
-        Self { net, rewards, opts }
+        let has_immediates = net.transition_ids().any(|t| net.is_immediate(t));
+        Self {
+            net,
+            rewards,
+            opts,
+            has_immediates,
+        }
     }
 
-    /// Run one replication with the given RNG seed.
+    /// Run one replication with the given RNG seed. A timed step fires in
+    /// place and counts into dense per-transition vectors, so on a net
+    /// without immediate transitions a replication allocates only its
+    /// outcome and one enabled-set buffer, whatever its length.
     ///
     /// # Errors
     /// Propagates rate-function failures and immediate-loop detection.
@@ -192,32 +205,25 @@ impl<'a> Simulator<'a> {
         let mut time = 0.0_f64;
         let n_rates = self.rewards.rates.len();
         let mut accumulated = vec![0.0_f64; n_rates + self.rewards.impulses.len()];
-        let mut firings: HashMap<TransitionId, u64> = HashMap::new();
-        let mut first_firings: HashMap<TransitionId, f64> = HashMap::new();
+        let mut firings = vec![0u64; self.net.transition_count()];
+        let mut first_firings = vec![None; self.net.transition_count()];
         let mut timed_firings = 0u64;
-        let mut enabled: Vec<(TransitionId, f64)> = Vec::new();
+        let mut enabled: Vec<(TransitionId, f64)> = Vec::with_capacity(self.net.transition_count());
 
         // Resolve immediates at t=0 (vanishing initial marking).
-        self.settle_immediates(
-            &mut marking,
-            &mut rng,
-            &mut firings,
-            &mut first_firings,
-            time,
-            &mut accumulated,
-        )?;
+        if self.has_immediates {
+            self.settle_immediates(
+                &mut marking,
+                &mut rng,
+                &mut firings,
+                &mut first_firings,
+                time,
+                &mut accumulated,
+            )?;
+        }
 
         loop {
-            if self.net.is_absorbing_marking(&marking) {
-                return Ok(SimOutcome {
-                    time,
-                    absorbed: true,
-                    accumulated,
-                    firings,
-                    first_firings,
-                    final_marking: marking,
-                });
-            }
+            // Empty both in an absorbing marking and in a dead one.
             self.net.enabled_timed(&marking, &mut enabled)?;
             if enabled.is_empty() {
                 return Ok(SimOutcome {
@@ -263,9 +269,9 @@ impl<'a> Simulator<'a> {
                     accumulated[n_rates + k] += (imp.amount)(&marking);
                 }
             }
-            marking = self.net.fire(chosen, &marking);
-            *firings.entry(chosen).or_insert(0) += 1;
-            first_firings.entry(chosen).or_insert(time);
+            self.net.fire_in_place(chosen, &mut marking);
+            firings[chosen.index()] += 1;
+            first_firings[chosen.index()].get_or_insert(time);
             timed_firings += 1;
             if timed_firings >= self.opts.max_firings {
                 return Ok(SimOutcome {
@@ -277,14 +283,16 @@ impl<'a> Simulator<'a> {
                     final_marking: marking,
                 });
             }
-            self.settle_immediates(
-                &mut marking,
-                &mut rng,
-                &mut firings,
-                &mut first_firings,
-                time,
-                &mut accumulated,
-            )?;
+            if self.has_immediates {
+                self.settle_immediates(
+                    &mut marking,
+                    &mut rng,
+                    &mut firings,
+                    &mut first_firings,
+                    time,
+                    &mut accumulated,
+                )?;
+            }
         }
     }
 
@@ -294,8 +302,8 @@ impl<'a> Simulator<'a> {
         &self,
         marking: &mut Marking,
         rng: &mut SmallRng,
-        firings: &mut HashMap<TransitionId, u64>,
-        first_firings: &mut HashMap<TransitionId, f64>,
+        firings: &mut [u64],
+        first_firings: &mut [Option<f64>],
         time: f64,
         accumulated: &mut [f64],
     ) -> Result<(), SpnError> {
@@ -320,9 +328,9 @@ impl<'a> Simulator<'a> {
                     accumulated[n_rates + k] += (imp.amount)(marking);
                 }
             }
-            *marking = self.net.fire(chosen, marking);
-            *firings.entry(chosen).or_insert(0) += 1;
-            first_firings.entry(chosen).or_insert(time);
+            self.net.fire_in_place(chosen, marking);
+            firings[chosen.index()] += 1;
+            first_firings[chosen.index()].get_or_insert(time);
         }
         Err(SpnError::VanishingLoop {
             marking: format!("{marking:?}"),
@@ -370,7 +378,7 @@ mod tests {
         assert!(o.absorbed);
         assert!(o.time > 0.0);
         assert_eq!(o.final_marking.total_tokens(), 0);
-        assert_eq!(o.firings.values().sum::<u64>(), 1);
+        assert_eq!(o.firings.iter().sum::<u64>(), 1);
     }
 
     #[test]
@@ -459,7 +467,7 @@ mod tests {
         let sim = Simulator::new(&net, &rewards, SimOptions::default());
         let o = sim.run_one(3).unwrap();
         assert!(o.absorbed);
-        assert_eq!(o.firings[&t], 4);
+        assert_eq!(o.firings[t.index()], 4);
         assert!((o.accumulated[0] - 10.0).abs() < 1e-12);
     }
 
@@ -481,7 +489,7 @@ mod tests {
         let o = sim.run_one(11).unwrap();
         assert!(o.absorbed);
         assert_eq!(o.final_marking.tokens(done), 1);
-        assert_eq!(o.firings.len(), 2);
+        assert_eq!(o.firings, vec![1, 1]);
     }
 
     #[test]

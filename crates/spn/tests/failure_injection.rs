@@ -148,5 +148,5 @@ fn max_firings_censors_runaway_simulation() {
     let sim = Simulator::new(&net, &rewards, opts);
     let o = sim.run_one(1).unwrap();
     assert!(!o.absorbed);
-    assert_eq!(o.firings.values().sum::<u64>(), 1_000);
+    assert_eq!(o.firings.iter().sum::<u64>(), 1_000);
 }
