@@ -422,10 +422,16 @@ mod oracle_tests {
     #[test]
     fn pairs_across_a_range_wide_cell_boundary_are_linked() {
         // the case a spatial grid of range-wide cells must get right:
-        // adjacent cells, just within range, and negative coordinates
+        // points in adjacent cells, just within range
         let pts = [Vec2::new(9.9, 0.0), Vec2::new(10.1, 0.0)];
         let g = ConnectivityGraph::build(&pts, 10.0);
         assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.edge_count(), 1);
+        assert_matches_oracle(&g, &pts, 10.0);
+    }
+
+    #[test]
+    fn pairs_at_negative_coordinates_are_linked() {
         let pts = [
             Vec2::new(-5.0, -5.0),
             Vec2::new(-6.0, -5.5),
@@ -434,6 +440,7 @@ mod oracle_tests {
         let g = ConnectivityGraph::build(&pts, 50.0);
         assert_eq!(g.edge_count(), 1);
         assert_eq!(g.labels(), &[0, 0, 1]);
+        assert_matches_oracle(&g, &pts, 50.0);
     }
 
     #[test]
