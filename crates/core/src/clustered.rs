@@ -23,13 +23,17 @@
 //!   integral (Simpson quadrature on a horizon where `S_sys < 1e-12`), and
 //!   the failure-cause split is the K-th-order-statistic integral
 //!   `C·C(C−1,K−1) ∫ F^{K−1} S^{C−K} dF_cause`. Cost uses the exact
-//!   per-cluster transient expected rate `ρ(t) = E[rate | alive]`, sampled
-//!   at probe times via uniformization and interpolated onto the
-//!   quadrature grid; only that interpolation is inexact, and it converges
-//!   with the probe count. A parent aggregate SPN (one `fail` transition
-//!   per cluster at rate `1/MTTSF_c`, explored through the same lumping
-//!   pipeline) realises the inter-cluster model whose counts the stats
-//!   report.
+//!   per-cluster transient expected rate `ρ(t) = E[rate | alive]` at 33
+//!   probe times, all read from one shared uniformization pass
+//!   ([`Ctmc::transient_distributions`]: one iterate sequence to the last
+//!   probe, each probe's Poisson mixture bit-identical to its own solve),
+//!   and interpolated onto the quadrature grid; only that interpolation is
+//!   inexact, and it converges with the probe count. The horizon search
+//!   likewise evaluates each candidate with its whole `/1.6` chain in one
+//!   survival pass ([`Ctmc::survival_at`]). A parent aggregate SPN (one
+//!   `fail` transition per cluster at rate `1/MTTSF_c`, explored through
+//!   the same lumping pipeline) realises the inter-cluster model whose
+//!   counts the stats report.
 
 use crate::config::{ClusterTopology, SystemConfig};
 use crate::cost::{cost_breakdown, CostBreakdown};
@@ -78,6 +82,11 @@ pub struct LumpingStats {
     /// `unlumped_state_estimate / states` — the observable reduction
     /// factor.
     pub reduction: f64,
+    /// Matvecs of the hierarchical composition's multi-horizon passes
+    /// (horizon search and cost/cause probes); the report's transient
+    /// counter covers only the quadrature grid and the mission curve.
+    /// Zero on the flat path.
+    pub composition_matvecs: u64,
 }
 
 /// Result of a clustered evaluation: the standard metric set, the optional
@@ -169,6 +178,7 @@ pub fn evaluate_clustered_with_survival(
             orbit_members,
             unlumped_state_estimate: unlumped_estimate,
             reduction: unlumped_estimate / states.max(1) as f64,
+            composition_matvecs: 0,
         };
         return Ok(ClusteredEvaluation {
             evaluation,
@@ -205,7 +215,7 @@ pub fn evaluate_clustered_with_survival(
         0.0
     };
 
-    let (mut evaluation, survival) = hierarchical_compose(
+    let (mut evaluation, survival, composition_matvecs) = hierarchical_compose(
         &cluster_model,
         &cluster_graph,
         &ctmc,
@@ -239,6 +249,7 @@ pub fn evaluate_clustered_with_survival(
         orbit_members,
         unlumped_state_estimate: unlumped_estimate,
         reduction: unlumped_estimate / states.max(1) as f64,
+        composition_matvecs,
     };
     Ok(ClusteredEvaluation {
         evaluation,
@@ -285,14 +296,7 @@ pub fn evaluate_clustered_graph(
         &impulses,
     );
     let split = absorbing_flux_split(model, graph, &absorption.sojourn);
-    Ok(solve_rewards(
-        graph,
-        &ctmc,
-        &absorption,
-        &rates,
-        split,
-        mission_times,
-    ))
+    solve_rewards(graph, &ctmc, &absorption, &rates, split, mission_times)
 }
 
 /// Exact failure-cause split for a flat clustered graph: the probability
@@ -469,8 +473,13 @@ fn lerp_grid_breakdown(
 
 /// The hierarchical order-statistic composition over one solved cluster
 /// chain. Returns the system evaluation (state/edge counts still those of
-/// the cluster chain — the caller adds the parent aggregate) and the
-/// mission survival curve.
+/// the cluster chain — the caller adds the parent aggregate), the mission
+/// survival curve, and the matvecs of the horizon-search and probe passes.
+///
+/// # Errors
+/// [`SpnError::TransientDepthExceeded`] before any pass deeper than
+/// [`spn::ctmc::MAX_POISSON_DEPTH`] (a mission time or a horizon
+/// candidate), and a non-positive or non-finite composed MTTSF.
 #[allow(clippy::too_many_arguments)]
 fn hierarchical_compose(
     cluster_model: &GcsIdsModel,
@@ -480,26 +489,43 @@ fn hierarchical_compose(
     fallback_phi: f64,
     topo: &ClusterTopology,
     mission_times: &[f64],
-) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
+) -> Result<(Evaluation, Option<Vec<f64>>, u64), SpnError> {
     let c = topo.clusters;
     let k = topo.failure_threshold;
     let topts = TransientOptions::default();
 
-    // --- horizon: smallest t_end (geometric steps) with S_sys < 1e-12 ----
-    let sys_surv_at = |t: f64| -> f64 {
-        let s = ctmc.survival_curve(&[t], &topts)[0];
-        binomial_tail_survival(s, c, k)
-    };
-    let mut t_end = 8.0 * cluster_mttsf;
-    let mut steps = 0;
-    while sys_surv_at(t_end) >= 1e-12 && steps < 60 {
-        t_end *= 1.6;
-        steps += 1;
+    if let Some(&t_max) = mission_times.iter().max_by(|a, b| a.total_cmp(b)) {
+        ctmc.check_transient_depth(t_max)?;
     }
-    steps = 0;
-    while steps < 60 && sys_surv_at(t_end / 1.6) < 1e-12 {
-        t_end /= 1.6;
-        steps += 1;
+
+    // --- horizon: smallest t_end (geometric steps) with S_sys < 1e-12 ----
+    // Walk up by ×1.6 from 8·MTTSF while S_sys ≥ 1e-12, then down by /1.6
+    // while the next step down still has S_sys < 1e-12. One survival pass
+    // per upward candidate also evaluates its whole /1.6 chain, the exact
+    // float sequence the downward walk visits, so the walk down is free.
+    const STEPS: usize = 60;
+    let sys = |s: f64| binomial_tail_survival(s, c, k);
+    let mut pass_matvecs = 0u64;
+    let mut t_end = 8.0 * cluster_mttsf;
+    let mut up = 0;
+    let mut chain = Vec::with_capacity(STEPS + 1);
+    loop {
+        ctmc.check_transient_depth(t_end)?;
+        chain.clear();
+        chain.push(t_end);
+        for j in 0..STEPS {
+            chain.push(chain[j] / 1.6);
+        }
+        let (s, st) = ctmc.survival_at(&chain, &topts);
+        pass_matvecs += st.matvecs;
+        if sys(s[0]) >= 1e-12 && up < STEPS {
+            t_end *= 1.6;
+            up += 1;
+            continue;
+        }
+        let down = (0..STEPS).take_while(|&j| sys(s[j + 1]) < 1e-12).count();
+        t_end = chain[down];
+        break;
     }
 
     // --- quadrature grid with exact cluster survival ----------------------
@@ -539,13 +565,14 @@ fn hierarchical_compose(
     let probe_times: Vec<f64> = (0..PROBES)
         .map(|p| t_end * (p as f64 / (PROBES - 1) as f64).powi(2))
         .collect();
+    let (probe_pis, st) = ctmc.transient_distributions(&probe_times, &topts);
+    pass_matvecs += st.matvecs;
     let mut probe_rho: Vec<CostBreakdown> = Vec::with_capacity(PROBES);
     let mut probe_phi: Vec<f64> = Vec::with_capacity(PROBES);
     let mut last_rho = CostBreakdown::default();
     let mut have_rho = false;
     let mut last_phi: Option<f64> = None;
-    for &t in &probe_times {
-        let pi = ctmc.transient_distribution(t, &topts);
+    for pi in &probe_pis {
         let mut alive_mass = 0.0;
         let mut rho = CostBreakdown::default();
         let mut f_c1 = 0.0;
@@ -662,7 +689,7 @@ fn hierarchical_compose(
         edge_count: cluster_graph.edge_count(),
         transient: Some(tstats),
     };
-    Ok((evaluation, survival))
+    Ok((evaluation, survival, pass_matvecs))
 }
 
 #[cfg(test)]
@@ -849,6 +876,28 @@ mod tests {
             .mtta;
         let expect = 1000.0 * (1.0 / 6.0 + 1.0 / 5.0 + 1.0 / 4.0);
         assert!((mtta - expect).abs() < 1e-6, "{mtta} vs {expect}");
+    }
+
+    #[test]
+    fn transient_depth_past_the_cap_is_a_named_error() {
+        let cfg = tiny_cluster_cfg();
+        let t = topo(3, 2);
+        let tight = ExploreOptions {
+            max_states: 100,
+            ..ExploreOptions::default()
+        };
+        let is_depth = |e: &SpnError| matches!(e, SpnError::TransientDepthExceeded { .. });
+        // A mission time too deep, on the flat and the hierarchical path.
+        for opts in [ExploreOptions::default(), tight.clone()] {
+            let err = evaluate_clustered_with_survival(&cfg, &t, &[0.0, 1e308], &opts).unwrap_err();
+            assert!(is_depth(&err), "{err}");
+        }
+        // A cluster that outlives the cap: the horizon search's first
+        // candidate, 8·MTTSF, is already too deep to solve.
+        let mut slow = cfg.clone();
+        slow.attacker.base_rate = 1e-12;
+        let err = evaluate_clustered_with_survival(&slow, &t, &[], &tight).unwrap_err();
+        assert!(is_depth(&err), "{err}");
     }
 
     #[test]

@@ -384,6 +384,10 @@ impl StateRates {
 /// and rekey impulses by its expected sojourn until absorption, average
 /// over MTTSF, and sweep the optional mission grid on the same CTMC.
 /// `(p_c1, p_c2)` is the evaluator's own failure-cause split.
+///
+/// # Errors
+/// [`SpnError::TransientDepthExceeded`] before the sweep when the grid's
+/// last time is deeper than [`spn::ctmc::MAX_POISSON_DEPTH`].
 pub(crate) fn solve_rewards(
     graph: &ReachabilityGraph,
     ctmc: &Ctmc,
@@ -391,7 +395,7 @@ pub(crate) fn solve_rewards(
     rates: &StateRates,
     (p_c1, p_c2): (f64, f64),
     mission_times: &[f64],
-) -> (Evaluation, Option<Vec<f64>>) {
+) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
     let mttsf = absorption.mtta;
     let mut accumulated = CostBreakdown::default();
     let mut accumulated_impulse = 0.0;
@@ -419,15 +423,17 @@ pub(crate) fn solve_rewards(
         edge_count: graph.edge_count(),
         transient: None,
     };
-    let survival = if mission_times.is_empty() {
-        None
-    } else {
-        let (curve, stats) =
-            ctmc.survival_curve_with_stats(mission_times, &TransientOptions::default());
-        evaluation.transient = Some(stats);
-        Some(curve)
+    let survival = match mission_times.iter().max_by(|a, b| a.total_cmp(b)) {
+        None => None,
+        Some(&t_max) => {
+            ctmc.check_transient_depth(t_max)?;
+            let (curve, stats) =
+                ctmc.survival_curve_with_stats(mission_times, &TransientOptions::default());
+            evaluation.transient = Some(stats);
+            Some(curve)
+        }
     };
-    (evaluation, survival)
+    Ok((evaluation, survival))
 }
 
 /// The single-system evaluator on a CTMC that is already built — freshly
@@ -472,7 +478,7 @@ pub(crate) fn evaluate_with_ctmc(
         &rates,
         (p_c1, p_c2),
         mission_times,
-    );
+    )?;
     Ok((evaluation, survival, absorption))
 }
 
@@ -722,6 +728,27 @@ mod tests {
         let direct = evaluate(&other).unwrap();
         assert_eq!(via_template.state_count, direct.state_count);
         assert!((via_template.mttsf_seconds - direct.mttsf_seconds).abs() < 1e-9);
+    }
+
+    #[test]
+    fn mission_grid_past_the_depth_cap_is_a_named_error() {
+        // Fresh and template paths both refuse the solve before Fox–Glynn
+        // sizes a window for q·1e308.
+        let cfg = small(12, 3, 120.0);
+        let model = build_model(&cfg);
+        let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
+        let times = [0.0, 1.0e3, 1.0e308];
+        let fresh = evaluate_graph(&model, &graph, &times).unwrap_err();
+        let template = ExactTemplate::new(&cfg)
+            .unwrap()
+            .evaluate_with_survival(&cfg, &times)
+            .unwrap_err();
+        for err in [fresh, template] {
+            assert!(
+                matches!(err, SpnError::TransientDepthExceeded { depth, .. } if depth > 1e300),
+                "{err}"
+            );
+        }
     }
 
     #[test]

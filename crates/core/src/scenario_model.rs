@@ -346,6 +346,19 @@ mod tests {
     }
 
     #[test]
+    fn scenario_mission_grid_past_the_depth_cap_is_a_named_error() {
+        let s = sc(
+            AttackerStrategy::Targeted { focus: 0.5 },
+            ResponsePolicy::Evict,
+        );
+        let err = evaluate_scenario(&small(10), &s, &[0.0, 1.0e308]).unwrap_err();
+        assert!(
+            matches!(err, SpnError::TransientDepthExceeded { .. }),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn detection_totals_track_ids_quality() {
         // With detection nearly off, expected detections until failure drop.
         let cfg = small(12);

@@ -76,6 +76,12 @@ impl Default for TransientOptions {
     }
 }
 
+/// Largest Poisson depth `q·t_max` a transient solve may take (see
+/// [`Ctmc::check_transient_depth`]). Uniformization performs about that
+/// many matvecs, and Fox–Glynn's weight window grows with its square root,
+/// so the cap bounds both the time and the memory of one solve.
+pub const MAX_POISSON_DEPTH: f64 = 1e7;
+
 /// Result of the absorption solve.
 #[derive(Debug, Clone)]
 pub struct AbsorptionAnalysis {
@@ -446,18 +452,73 @@ impl Ctmc {
         (q, t.build())
     }
 
-    /// Transient state distribution `π(t)` from the initial distribution.
+    /// Transient state distribution `π(t)` from the initial distribution:
+    /// the one-horizon case of [`Ctmc::transient_distributions`].
     ///
     /// # Panics
-    /// Panics if `t < 0`.
+    /// Panics if `t` is negative or not finite.
     pub fn transient_distribution(&self, t: f64, opts: &TransientOptions) -> Vec<f64> {
-        assert!(t >= 0.0, "negative time {t}");
-        if t == 0.0 {
-            return self.initial_dense();
+        self.transient_distributions(&[t], opts).0.swap_remove(0)
+    }
+
+    /// Transient distributions `π(t)` at each of `times` (any order,
+    /// duplicates allowed), plus the pass's telemetry.
+    ///
+    /// Every from-zero solve multiplies the same uniformized iterates and
+    /// differs only in its Poisson weights, so one multi-horizon pass of
+    /// [`TransientEngine::distributions_at`] serves them all, with the
+    /// matvecs of the deepest horizon alone. Each distribution is
+    /// bit-identical to a fresh one-horizon solve.
+    ///
+    /// # Panics
+    /// Panics if a time is negative or not finite.
+    pub fn transient_distributions(
+        &self,
+        times: &[f64],
+        opts: &TransientOptions,
+    ) -> (Vec<Vec<f64>>, TransientStats) {
+        TransientEngine::new(self, opts).distributions_at(times)
+    }
+
+    /// Survival `S(t) = P[no absorption by t]` at each of `times` (any
+    /// order, duplicates allowed) from one survival-only multi-horizon pass,
+    /// plus its telemetry: the batched twin of
+    /// [`Ctmc::transient_distributions`]. Each value is bit-identical to a
+    /// one-point [`Ctmc::survival_curve`].
+    ///
+    /// # Panics
+    /// Panics if a time is negative or not finite.
+    pub fn survival_at(
+        &self,
+        times: &[f64],
+        opts: &TransientOptions,
+    ) -> (Vec<f64>, TransientStats) {
+        TransientEngine::for_survival(self, opts).survival_at(times)
+    }
+
+    /// Poisson depth `q·t_max` of a transient solve to `t_max`: about the
+    /// number of uniformization steps it takes, and what sets the width of
+    /// its Fox–Glynn window.
+    pub fn poisson_depth(&self, t_max: f64) -> f64 {
+        self.uniformized().0 * t_max
+    }
+
+    /// Refuse a transient solve to `t_max` before it allocates anything
+    /// when its Poisson depth exceeds [`MAX_POISSON_DEPTH`] (or is not a
+    /// number).
+    ///
+    /// # Errors
+    /// [`SpnError::TransientDepthExceeded`] when `q·t_max` is above the cap.
+    pub fn check_transient_depth(&self, t_max: f64) -> Result<(), SpnError> {
+        let depth = self.poisson_depth(t_max);
+        if depth <= MAX_POISSON_DEPTH {
+            Ok(())
+        } else {
+            Err(SpnError::TransientDepthExceeded {
+                depth,
+                cap: MAX_POISSON_DEPTH,
+            })
         }
-        let mut engine = TransientEngine::new(self, opts);
-        engine.advance(t);
-        engine.distribution()
     }
 
     /// Survival function `S(t) = P[no absorption by t]` on an ascending
@@ -465,9 +526,10 @@ impl Ctmc {
     ///
     /// One [`TransientEngine`] sweep serves the whole grid: the distribution
     /// is propagated segment-by-segment (`t_{k-1} → t_k`), so the total
-    /// Poisson depth is proportional to `q·t_max` rather than `q·Σ t_k` —
-    /// on a typical mission grid this is several-fold cheaper than
-    /// independent `transient_distribution` calls per point.
+    /// Poisson depth is proportional to `q·t_max` rather than `q·Σ t_k`.
+    /// Independent from-zero solves per point cost the sum; when those are
+    /// what a caller needs (each point bit-identical to a one-point solve),
+    /// [`Ctmc::survival_at`] batches them into one pass of depth `q·t_max`.
     ///
     /// # Panics
     /// Panics if any time is negative/non-finite or the grid is not

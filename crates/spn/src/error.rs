@@ -27,6 +27,14 @@ pub enum SpnError {
     /// The requested analysis does not apply (e.g. MTTA of a chain with no
     /// reachable absorbing state).
     AnalysisUnavailable(String),
+    /// A transient solve would take more uniformization steps than
+    /// [`crate::ctmc::MAX_POISSON_DEPTH`]; refused before any allocation.
+    TransientDepthExceeded {
+        /// Poisson depth `q·t_max` the solve asked for.
+        depth: f64,
+        /// The cap it exceeds.
+        cap: f64,
+    },
     /// An iterative solver failed to converge.
     SolverDiverged {
         /// Iterations performed.
@@ -50,6 +58,10 @@ impl fmt::Display for SpnError {
                 write!(f, "transition {transition} returned invalid rate {value}")
             }
             SpnError::AnalysisUnavailable(msg) => write!(f, "analysis unavailable: {msg}"),
+            SpnError::TransientDepthExceeded { depth, cap } => write!(
+                f,
+                "transient solve needs Poisson depth q·t = {depth:e}, above the cap of {cap:e}"
+            ),
             SpnError::SolverDiverged {
                 iterations,
                 residual,
@@ -81,5 +93,11 @@ mod tests {
         assert!(e.to_string().contains("-1"));
         let e = SpnError::InvalidModel("dup".into());
         assert!(e.to_string().contains("dup"));
+        let e = SpnError::TransientDepthExceeded {
+            depth: f64::INFINITY,
+            cap: 1e7,
+        };
+        assert!(e.to_string().contains("inf"));
+        assert!(e.to_string().contains("1e7"));
     }
 }

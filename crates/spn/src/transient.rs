@@ -1,8 +1,9 @@
 //! The transient engine: uniformization specialized for absorbing chains.
 //!
 //! [`TransientEngine`] is the hot path behind [`Ctmc::survival_curve`],
-//! [`Ctmc::transient_distribution`] and [`Ctmc::expected_occupancy`]. It
-//! restructures Jensen uniformization around four compounding optimizations:
+//! [`Ctmc::transient_distributions`], [`Ctmc::survival_at`] and
+//! [`Ctmc::expected_occupancy`]. It restructures Jensen uniformization
+//! around five compounding optimizations:
 //!
 //! 1. **Transient-submatrix propagation.** States are partitioned into the
 //!    *transient block* (positive exit rate) and *frozen classes* (zero exit
@@ -26,6 +27,16 @@
 //!    sweep needs (iterate, accumulator, flux, Poisson-weight scratch); a
 //!    whole survival grid performs no heap allocation after
 //!    [`TransientEngine::new`] returns.
+//! 5. **One pass for many horizons.** Every from-zero solve multiplies the
+//!    same DTMC iterates `v_k = v₀Pᵏ` and differs only in its Poisson
+//!    weights, so [`TransientEngine::distributions_at`] and
+//!    [`TransientEngine::survival_at`] walk one iterate sequence to the
+//!    largest right truncation point and add `w_k(t_p)·v_k` to each still
+//!    open horizon's accumulator. Each horizon sums its terms in the order
+//!    a fresh engine would, and a steady-state detection applies each open
+//!    horizon's own `1 − cum_p` tail, so every result is bit-identical to
+//!    one fresh engine per horizon. [`TransientEngine::advance`] is the
+//!    one-horizon case of the same loop.
 //!
 //! The engine is seeded from the chain's memoized uniformized DTMC and its
 //! transpose (`Ctmc::uniformized`), so repeated sweeps on one `Ctmc`
@@ -119,16 +130,51 @@ pub struct TransientEngine {
     absorbed: Vec<f64>,
     /// Matvec output scratch (length nt).
     next: Vec<f64>,
-    /// Poisson-mixture accumulator for the transient block (length nt).
-    acc_v: Vec<f64>,
-    /// Poisson-mixture accumulator for absorbed mass (length na).
-    acc_abs: Vec<f64>,
     /// One-step absorption flux scratch (length na).
     flux: Vec<f64>,
-    /// Reused Fox–Glynn weight window.
-    weights: PoissonWeights,
+    /// Poisson-mixture horizons. [`TransientEngine::advance`] and
+    /// [`TransientEngine::occupancy`] reuse the first; a multi-horizon
+    /// pass grows the list to one per requested time.
+    horizons: Vec<Horizon>,
     /// Telemetry for the sweep so far.
     stats: TransientStats,
+}
+
+/// One horizon of a Poisson-mixture pass: its Fox–Glynn window, the
+/// weight summed so far, and the mixture accumulators.
+struct Horizon {
+    /// Fox–Glynn weight window of `q·t` for this horizon.
+    weights: PoissonWeights,
+    /// Σ of the weights added so far (the steady-state tail is `1 − cum`).
+    cum: f64,
+    /// Mixture accumulator for the transient block (length nt).
+    acc_v: Vec<f64>,
+    /// Mixture accumulator for absorbed mass (length na; empty in
+    /// survival-only passes, which never read it).
+    acc_abs: Vec<f64>,
+    /// Whether the mixture still takes terms.
+    open: bool,
+}
+
+impl Horizon {
+    fn new(nt: usize, na: usize, epsilon: f64) -> Self {
+        Self {
+            weights: PoissonWeights::compute(0.0, epsilon),
+            cum: 0.0,
+            acc_v: vec![0.0; nt],
+            acc_abs: vec![0.0; na],
+            open: false,
+        }
+    }
+
+    /// Reset for a mixture over `Poisson(lambda)`.
+    fn arm(&mut self, lambda: f64, epsilon: f64) {
+        self.weights.compute_into(lambda, epsilon);
+        self.cum = 0.0;
+        self.acc_v.fill(0.0);
+        self.acc_abs.fill(0.0);
+        self.open = true;
+    }
 }
 
 impl TransientEngine {
@@ -274,10 +320,12 @@ impl TransientEngine {
             v,
             absorbed,
             next: vec![0.0; nt],
-            acc_v: vec![0.0; nt],
-            acc_abs: vec![0.0; na],
             flux: vec![0.0; na],
-            weights: PoissonWeights::compute(0.0, opts.epsilon),
+            horizons: vec![Horizon::new(
+                nt,
+                if track_absorbed { na } else { 0 },
+                opts.epsilon,
+            )],
             stats: TransientStats {
                 matvecs: 0,
                 detection_step: None,
@@ -305,22 +353,43 @@ impl TransientEngine {
             // All mass is frozen; the mixture Σ w_k · absorbed is absorbed.
             return;
         }
-        self.weights.compute_into(self.q * dt, self.epsilon);
-        let right = self.weights.right;
-        self.acc_v.fill(0.0);
-        self.acc_abs.fill(0.0);
-        let mut cum = 0.0_f64;
+        self.horizons[0].arm(self.q * dt, self.epsilon);
+        self.mix(1);
+        let h = &mut self.horizons[0];
+        std::mem::swap(&mut self.v, &mut h.acc_v);
+        if self.track_absorbed {
+            std::mem::swap(&mut self.absorbed, &mut h.acc_abs);
+        }
+    }
+
+    /// The Poisson-mixture loop shared by [`TransientEngine::advance`] and
+    /// the multi-horizon pass: walk the DTMC iterates `v_k` from the
+    /// current point and add `w_k·v_k` to each open horizon among the
+    /// first `count` until its right truncation point. On steady-state
+    /// detection every still-open horizon takes its own remaining tail
+    /// `1 − cum` against the fixed point. Each horizon's accumulator sees
+    /// exactly the terms, in exactly the order, of a one-horizon run.
+    /// Leaves the iterate at the last step taken, not at a time point.
+    fn mix(&mut self, count: usize) {
+        let horizons = &mut self.horizons[..count];
+        let mut open = horizons.iter().filter(|h| h.open).count();
         let mut k = 0usize;
-        loop {
-            let w = self.weights.weight(k);
-            if w > 0.0 {
-                cum += w;
-                axpy(&mut self.acc_v, w, &self.v);
-                if self.track_absorbed {
-                    axpy(&mut self.acc_abs, w, &self.absorbed);
+        while open > 0 {
+            for h in horizons.iter_mut().filter(|h| h.open) {
+                let w = h.weights.weight(k);
+                if w > 0.0 {
+                    h.cum += w;
+                    axpy(&mut h.acc_v, w, &self.v);
+                    if self.track_absorbed {
+                        axpy(&mut h.acc_abs, w, &self.absorbed);
+                    }
+                }
+                if k >= h.weights.right {
+                    h.open = false;
+                    open -= 1;
                 }
             }
-            if k >= right {
+            if open == 0 {
                 break;
             }
             // One DTMC step: first bank the flux into frozen classes (only
@@ -332,48 +401,110 @@ impl TransientEngine {
             }
             self.g.gather_into(&self.v, &mut self.next);
             self.stats.matvecs += 1;
-            if self.detect_tolerance > 0.0 && self.stats.matvecs.is_multiple_of(DETECT_STRIDE) {
-                let dmax = max_abs_diff(&self.next, &self.v);
-                if dmax <= self.detect_tolerance {
-                    // Fixed point to working precision: every remaining
-                    // mixture term equals the current iterate, so the tail
-                    // collapses to a single scaled add.
-                    std::mem::swap(&mut self.v, &mut self.next);
-                    let rem = (1.0 - cum).max(0.0);
-                    axpy(&mut self.acc_v, rem, &self.v);
-                    if self.track_absorbed {
-                        axpy(&mut self.acc_abs, rem, &self.absorbed);
-                    }
-                    if self.stats.detection_step.is_none() {
-                        self.stats.detection_step = Some(self.stats.matvecs);
-                    }
-                    break;
-                }
-            }
             std::mem::swap(&mut self.v, &mut self.next);
+            if self.detect_tolerance > 0.0
+                && self.stats.matvecs.is_multiple_of(DETECT_STRIDE)
+                && max_abs_diff(&self.v, &self.next) <= self.detect_tolerance
+            {
+                // Fixed point to working precision: every remaining
+                // mixture term equals the current iterate, so each open
+                // tail collapses to a single scaled add.
+                for h in horizons.iter_mut().filter(|h| h.open) {
+                    let rem = (1.0 - h.cum).max(0.0);
+                    axpy(&mut h.acc_v, rem, &self.v);
+                    if self.track_absorbed {
+                        axpy(&mut h.acc_abs, rem, &self.absorbed);
+                    }
+                    h.open = false;
+                }
+                if self.stats.detection_step.is_none() {
+                    self.stats.detection_step = Some(self.stats.matvecs);
+                }
+                break;
+            }
             k += 1;
-        }
-        std::mem::swap(&mut self.v, &mut self.acc_v);
-        if self.track_absorbed {
-            std::mem::swap(&mut self.absorbed, &mut self.acc_abs);
         }
     }
 
-    /// Survival probability at the current time point, clamped to [0, 1]:
-    /// live transient mass minus flagged-live mass in survival-only mode,
-    /// `1 − (absorbed + flagged live)` when the per-class split is
-    /// maintained. The two differ only by conservation roundoff.
-    fn survival(&self) -> f64 {
-        let flagged: f64 = self
-            .flagged_live
+    /// Arm one horizon per time (growing the horizon list if needed) and
+    /// run one shared mixture pass. A zero time, or a chain with no
+    /// transient block, reads the current point unchanged, as a fresh
+    /// engine does.
+    fn pass(&mut self, times: &[f64]) {
+        let nt = self.transient_index.len();
+        let na = if self.track_absorbed {
+            self.class_index.len()
+        } else {
+            0
+        };
+        let epsilon = self.epsilon;
+        if self.horizons.len() < times.len() {
+            self.horizons
+                .resize_with(times.len(), || Horizon::new(nt, na, epsilon));
+        }
+        for (h, &t) in self.horizons.iter_mut().zip(times) {
+            assert!(t.is_finite() && t >= 0.0, "bad horizon {t}");
+            if t > 0.0 && nt > 0 {
+                h.arm(self.q * t, epsilon);
+            } else {
+                h.acc_v.copy_from_slice(&self.v);
+                if self.track_absorbed {
+                    h.acc_abs.copy_from_slice(&self.absorbed);
+                }
+                h.open = false;
+            }
+        }
+        self.mix(times.len());
+    }
+
+    /// Survival `P[no absorption by t]` at each of `times` (any order,
+    /// duplicates allowed) from one multi-horizon pass, each bit-identical
+    /// to a fresh one-point [`TransientEngine::survival_curve`]. Consumes
+    /// the engine: its iterate ends at a DTMC step, not at a time point.
+    ///
+    /// # Panics
+    /// Panics if a time is negative or not finite.
+    pub fn survival_at(mut self, times: &[f64]) -> (Vec<f64>, TransientStats) {
+        self.pass(times);
+        let out = self.horizons[..times.len()]
             .iter()
-            .map(|&li| self.v[li as usize])
-            .sum();
+            .map(|h| self.survival_of(&h.acc_v, &h.acc_abs))
+            .collect();
+        (out, self.stats)
+    }
+
+    /// Full-length distributions at each of `times` (any order, duplicates
+    /// allowed) from one multi-horizon pass, each bit-identical to a fresh
+    /// [`TransientEngine::advance`] + [`TransientEngine::distribution`].
+    /// Consumes the engine like [`TransientEngine::survival_at`].
+    ///
+    /// # Panics
+    /// Panics if a time is negative or not finite.
+    pub fn distributions_at(mut self, times: &[f64]) -> (Vec<Vec<f64>>, TransientStats) {
+        debug_assert!(
+            self.track_absorbed,
+            "distributions_at() needs a full-tracking engine (TransientEngine::new)"
+        );
+        self.pass(times);
+        let out = self.horizons[..times.len()]
+            .iter()
+            .map(|h| self.scatter(&h.acc_v, &h.acc_abs))
+            .collect();
+        (out, self.stats)
+    }
+
+    /// Survival probability of the split state `(v, absorbed)`, clamped to
+    /// [0, 1]: live transient mass minus flagged-live mass in survival-only
+    /// mode, `1 − (absorbed + flagged live)` when the per-class split is
+    /// maintained. The two differ only by conservation roundoff.
+    fn survival_of(&self, v: &[f64], absorbed: &[f64]) -> f64 {
+        let flagged: f64 = self.flagged_live.iter().map(|&li| v[li as usize]).sum();
         if self.track_absorbed {
-            let absorbed: f64 = self.absorbed.iter().sum();
+            let absorbed: f64 = absorbed.iter().sum();
             (1.0 - absorbed - flagged).clamp(0.0, 1.0)
         } else {
-            (self.live_mass() - flagged).clamp(0.0, 1.0)
+            let live: f64 = v.iter().sum();
+            (live - flagged).clamp(0.0, 1.0)
         }
     }
 
@@ -396,7 +527,7 @@ impl TransientEngine {
                 self.advance(t - now);
                 now = t;
             }
-            out.push(self.survival());
+            out.push(self.survival_of(&self.v, &self.absorbed));
             if self.early_exit_enabled && i + 1 < times.len() && self.live_mass() < self.epsilon {
                 self.stats.early_exit = true;
                 out.resize(times.len(), 0.0);
@@ -413,13 +544,19 @@ impl TransientEngine {
             self.track_absorbed,
             "distribution() needs a full-tracking engine (TransientEngine::new)"
         );
+        self.scatter(&self.v, &self.absorbed)
+    }
+
+    /// Scatter a split state back to a full-length vector over global
+    /// state indices.
+    fn scatter(&self, v: &[f64], absorbed: &[f64]) -> Vec<f64> {
         let n = self.transient_index.len() + self.class_index.len();
         let mut out = vec![0.0; n];
         for (li, &gs) in self.transient_index.iter().enumerate() {
-            out[gs as usize] = self.v[li];
+            out[gs as usize] = v[li];
         }
         for (j, &ga) in self.class_index.iter().enumerate() {
-            out[ga as usize] = self.absorbed[j];
+            out[ga as usize] = absorbed[j];
         }
         out
     }
@@ -438,18 +575,17 @@ impl TransientEngine {
             self.track_absorbed,
             "occupancy() needs a full-tracking engine (TransientEngine::new)"
         );
-        self.weights.compute_into(self.q * t, self.epsilon);
-        let right = self.weights.right;
-        self.acc_v.fill(0.0);
-        self.acc_abs.fill(0.0);
+        let h = &mut self.horizons[0];
+        h.arm(self.q * t, self.epsilon);
+        let right = h.weights.right;
         let mut cum = 0.0_f64;
         let mut k = 0usize;
         loop {
-            cum += self.weights.weight(k);
+            cum += h.weights.weight(k);
             let f = (1.0 - cum).max(0.0) / self.q;
             if f > 0.0 {
-                axpy(&mut self.acc_v, f, &self.v);
-                axpy(&mut self.acc_abs, f, &self.absorbed);
+                axpy(&mut h.acc_v, f, &self.v);
+                axpy(&mut h.acc_abs, f, &self.absorbed);
             }
             if k >= right || self.transient_index.is_empty() {
                 if self.transient_index.is_empty() && k < right {
@@ -458,10 +594,10 @@ impl TransientEngine {
                     let mut c = cum;
                     let mut rem = 0.0_f64;
                     for k2 in (k + 1)..=right {
-                        c += self.weights.weight(k2);
+                        c += h.weights.weight(k2);
                         rem += (1.0 - c).max(0.0);
                     }
-                    axpy(&mut self.acc_abs, rem / self.q, &self.absorbed);
+                    axpy(&mut h.acc_abs, rem / self.q, &self.absorbed);
                 }
                 break;
             }
@@ -477,12 +613,12 @@ impl TransientEngine {
                     let mut c = cum;
                     let mut rem = 0.0_f64;
                     for k2 in (k + 1)..=right {
-                        c += self.weights.weight(k2);
+                        c += h.weights.weight(k2);
                         rem += (1.0 - c).max(0.0);
                     }
                     let f = rem / self.q;
-                    axpy(&mut self.acc_v, f, &self.v);
-                    axpy(&mut self.acc_abs, f, &self.absorbed);
+                    axpy(&mut h.acc_v, f, &self.v);
+                    axpy(&mut h.acc_abs, f, &self.absorbed);
                     if self.stats.detection_step.is_none() {
                         self.stats.detection_step = Some(self.stats.matvecs);
                     }
@@ -492,15 +628,8 @@ impl TransientEngine {
             std::mem::swap(&mut self.v, &mut self.next);
             k += 1;
         }
-        let n = self.transient_index.len() + self.class_index.len();
-        let mut out = vec![0.0; n];
-        for (li, &gs) in self.transient_index.iter().enumerate() {
-            out[gs as usize] = self.acc_v[li];
-        }
-        for (j, &ga) in self.class_index.iter().enumerate() {
-            out[ga as usize] = self.acc_abs[j];
-        }
-        out
+        let h = &self.horizons[0];
+        self.scatter(&h.acc_v, &h.acc_abs)
     }
 }
 

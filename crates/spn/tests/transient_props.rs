@@ -1,13 +1,16 @@
 //! Property-based checks of the [`spn::TransientEngine`]: the optimized
 //! submatrix/ELL path must agree with a naive dense uniformization
 //! reference, steady-state detection must only collapse tails it has
-//! earned, and early-exit grids must agree with full propagation.
+//! earned, early-exit grids must agree with full propagation, and a
+//! multi-horizon pass must reproduce one fresh engine per horizon bit for
+//! bit.
 
 use numerics::foxglynn::PoissonWeights;
 use proptest::prelude::*;
 use spn::ctmc::{Ctmc, TransientOptions};
 use spn::model::{SpnBuilder, TransitionDef};
 use spn::reach::{explore, ExploreOptions, ReachabilityGraph};
+use spn::{TransientEngine, TransientStats};
 
 /// Randomized death process: `n` tokens drain with per-token rate `base`,
 /// optionally with a bypass transition removing two at once (gives the
@@ -76,8 +79,121 @@ fn dense_survival(graph: &ReachabilityGraph, times: &[f64]) -> Vec<f64> {
         .collect()
 }
 
+/// The explored chain of [`death_net`].
+fn death_chain(n: u32, base: f64, with_bypass: bool) -> Ctmc {
+    let graph = explore(&death_net(n, base, with_bypass), &ExploreOptions::default()).unwrap();
+    Ctmc::from_graph(&graph).unwrap()
+}
+
+/// One fresh full-tracking engine per time: the distribution at `t`.
+fn fresh_distribution(ctmc: &Ctmc, t: f64, opts: &TransientOptions) -> (Vec<f64>, TransientStats) {
+    let mut engine = TransientEngine::new(ctmc, opts);
+    if t > 0.0 {
+        engine.advance(t);
+    }
+    (engine.distribution(), engine.stats().clone())
+}
+
+/// One fresh survival-only engine per time: the one-point curve at `t`.
+fn fresh_survival(ctmc: &Ctmc, t: f64, opts: &TransientOptions) -> (f64, TransientStats) {
+    let mut engine = TransientEngine::for_survival(ctmc, opts);
+    let s = engine.survival_curve(&[t])[0];
+    (s, engine.stats().clone())
+}
+
+/// Assert that the multi-horizon passes (distribution and survival mode)
+/// equal one fresh engine per time by `to_bits`, and that each pass costs
+/// the deepest fresh engine's matvecs and detects where it does.
+fn assert_pass_matches_fresh_engines(ctmc: &Ctmc, times: &[f64], opts: &TransientOptions) {
+    let (dists, dstats) = ctmc.transient_distributions(times, opts);
+    let (survs, sstats) = ctmc.survival_at(times, opts);
+    assert_eq!(dists.len(), times.len());
+    assert_eq!(survs.len(), times.len());
+    let mut fresh_d = Vec::new();
+    let mut fresh_s = Vec::new();
+    for (i, &t) in times.iter().enumerate() {
+        let (d, st) = fresh_distribution(ctmc, t, opts);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&dists[i]), bits(&d), "distribution at t[{i}] = {t}");
+        fresh_d.push(st);
+        let (s, st) = fresh_survival(ctmc, t, opts);
+        assert_eq!(survs[i].to_bits(), s.to_bits(), "survival at t[{i}] = {t}");
+        fresh_s.push(st);
+    }
+    for (pass, fresh) in [(&dstats, &fresh_d), (&sstats, &fresh_s)] {
+        let deepest = fresh.iter().map(|s| s.matvecs).max().unwrap_or(0);
+        assert_eq!(pass.matvecs, deepest);
+        let detected = fresh.iter().filter_map(|s| s.detection_step).max();
+        assert_eq!(pass.detection_step, detected);
+    }
+}
+
+/// A horizon whose Fox–Glynn window ends exactly at the pass's detection
+/// step still takes its steady-state tail; one ending a step earlier
+/// closes before detection and takes none. Both match their fresh
+/// engines bit for bit inside a pass with a deeper horizon.
+#[test]
+fn horizon_ending_at_the_detection_step_matches_fresh_engines() {
+    let ctmc = death_chain(4, 1.0, true);
+    let mtta = ctmc.mean_time_to_absorption().unwrap().mtta;
+    let opts = TransientOptions {
+        detect_tolerance: 1e-12,
+        early_exit: false,
+        ..TransientOptions::default()
+    };
+    let deep = 40.0 * mtta;
+    let (_, st) = fresh_survival(&ctmc, deep, &opts);
+    let step = st.detection_step.expect("detection fires by 40·MTTA") as usize;
+    // Smallest horizon whose right truncation point reaches `target`,
+    // searched on the same `q·t` product the engine forms.
+    let right_at = |t: f64| PoissonWeights::compute(ctmc.poisson_depth(t), opts.epsilon).right;
+    let horizon_with_right = |target: usize| {
+        let (mut lo, mut hi) = (0.0, deep);
+        for _ in 0..200 {
+            let mid = 0.5 * (lo + hi);
+            if right_at(mid) >= target {
+                hi = mid;
+            } else {
+                lo = mid;
+            }
+        }
+        assert_eq!(right_at(hi), target, "no horizon ends at step {target}");
+        hi
+    };
+    let at = horizon_with_right(step);
+    let before = horizon_with_right(step - 1);
+    let (_, st) = fresh_survival(&ctmc, at, &opts);
+    assert_eq!(st.detection_step, Some(step as u64));
+    let (_, st) = fresh_survival(&ctmc, before, &opts);
+    assert_eq!((st.matvecs, st.detection_step), (step as u64 - 1, None));
+    assert_pass_matches_fresh_engines(&ctmc, &[deep, at, 0.0, before, at], &opts);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    // (d) A multi-horizon pass equals one fresh engine per time by
+    // `to_bits`, in distribution and survival mode, on unsorted times with
+    // a duplicate and t = 0, with steady-state detection on and off.
+    #[test]
+    fn multi_horizon_pass_is_bit_identical_to_fresh_engines(
+        n in 1u32..9,
+        base in 0.1f64..3.0,
+        bypass in any::<bool>(),
+        factors in proptest::collection::vec(0.0f64..45.0, 1..6),
+        detect in any::<bool>(),
+    ) {
+        let ctmc = death_chain(n, base, bypass);
+        let mtta = ctmc.mean_time_to_absorption().unwrap().mtta;
+        let mut times: Vec<f64> = factors.iter().map(|f| f * mtta).collect();
+        times.push(0.0);
+        times.push(times[0]);
+        let opts = TransientOptions {
+            detect_tolerance: if detect { 1e-12 } else { 0.0 },
+            ..TransientOptions::default()
+        };
+        assert_pass_matches_fresh_engines(&ctmc, &times, &opts);
+    }
 
     // (a) The engine's compact-submatrix ELL path reproduces a naive
     // dense uniformization of the same chain.

@@ -11,7 +11,9 @@ use engine::{
     backend_for, compare, AttackerStrategy, BackendKind, ResponsePolicy, RunBudget, Runner,
     SamplingPlan, ScenarioConfig, ScenarioGrid, ScenarioSpec,
 };
-use gcsids::clustered::{evaluate_clustered_graph, evaluate_clustered_with_survival};
+use gcsids::clustered::{
+    evaluate_clustered_graph, evaluate_clustered_with_survival, ClusteredPath,
+};
 use gcsids::config::{ClusterTopology, SystemConfig};
 use gcsids::metrics::ExactTemplate;
 use gcsids::model::build_clustered_model;
@@ -122,6 +124,30 @@ fn clustered_lumping_counts_past_the_flat_budget() {
     assert_eq!(lumped_counts(&small, 10, 3), n50);
     let n100 = (56, 182, 1.7029898507254466e32, 9.5367431640625e33);
     assert_eq!(lumped_counts(&small, 20, 5), n100);
+}
+
+/// The `clustered-mission` fixture on the hierarchical path. The report's
+/// transient counter covers the quadrature grid and the mission curve;
+/// the horizon search and the 33 cost/cause probes run as multi-horizon
+/// passes whose matvecs only `LumpingStats` carries (107 477 when each
+/// horizon and probe was its own solve from t = 0).
+#[test]
+fn clustered_mission_composition_matvecs() {
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/fixtures/specs/clustered-mission.json"
+    );
+    let spec = ScenarioSpec::from_json(&std::fs::read_to_string(path).unwrap()).unwrap();
+    let topo = spec.clustered.unwrap();
+    let opts = ExploreOptions {
+        max_states: RunBudget::default().max_states,
+        ..ExploreOptions::default()
+    };
+    let ce =
+        evaluate_clustered_with_survival(&spec.system, &topo, &spec.mission_times, &opts).unwrap();
+    assert_eq!(ce.stats.path, ClusteredPath::Hierarchical);
+    assert_eq!(ce.stats.composition_matvecs, 17_057);
+    assert_eq!(ce.evaluation.transient.unwrap().matvecs, 53_337);
 }
 
 /// A fixed 200-replication plan and an adaptive plan targeting a 15%
