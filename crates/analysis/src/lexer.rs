@@ -9,6 +9,8 @@
 //! char-literal ambiguity. Everything is kept line-aligned so findings
 //! carry exact 1-based line numbers.
 
+use std::collections::BTreeMap;
+
 /// One source line after lexical stripping.
 #[derive(Debug, Clone, Default)]
 pub struct SourceLine {
@@ -240,6 +242,26 @@ pub fn test_region_mask(lines: &[SourceLine]) -> Vec<bool> {
         i = j + 1;
     }
     mask
+}
+
+/// How often each identifier-like word occurs in a body of code.
+pub type WordCounts = BTreeMap<String, usize>;
+
+/// Add every word of the unmasked lines' code to `counts`. Words are
+/// maximal runs of identifier characters, the same boundary
+/// [`word_positions`] uses, so comments and string contents never count.
+pub fn count_words(lines: &[SourceLine], mask: &[bool], counts: &mut WordCounts) {
+    let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    for (line, &masked) in lines.iter().zip(mask) {
+        if masked {
+            continue;
+        }
+        for word in line.code.split(|c: char| !is_ident(c)) {
+            if !word.is_empty() {
+                *counts.entry(word.to_string()).or_default() += 1;
+            }
+        }
+    }
 }
 
 /// Find every word-boundary occurrence of `needle` in `haystack` and

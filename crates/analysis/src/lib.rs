@@ -8,7 +8,8 @@
 //! checked. It is an offline, dependency-free static analyzer: a
 //! hand-rolled lexer ([`lexer`]) strips comments and string contents, and
 //! line-level semantic rules ([`rules`]) flag the constructs that can
-//! silently break determinism or crash the long-running service:
+//! silently break determinism or crash the long-running service, plus the
+//! dead library code no caller reaches:
 //!
 //! | rule | contract |
 //! |------|----------|
@@ -17,6 +18,7 @@
 //! | D003 | no RNG construction outside the `child_seed` discipline |
 //! | D004 | no thread started outside `numerics::exec`, the one ordered executor |
 //! | R001 | no `unwrap`/`expect`/`panic!` in the engine service path (incl. the scenario subsystem) |
+//! | U001 | no `pub` library item that only tests name (dead code the compiler cannot see) |
 //!
 //! A finding is suppressed **only** by an explicit annotation on (or
 //! immediately above) the offending line:
@@ -37,7 +39,7 @@ pub mod rules;
 
 pub use rules::Rule;
 
-use lexer::{strip_source, test_region_mask, SourceLine};
+use lexer::{count_words, strip_source, test_region_mask, SourceLine, WordCounts};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -359,12 +361,22 @@ fn parse_allows(path: &str, lines: &[SourceLine]) -> (Vec<Allow>, Vec<MalformedA
 }
 
 /// Scan one file's source text under its workspace-relative path.
-/// This is the unit the fixture tests drive directly.
+/// This is the unit the fixture tests drive directly; U001 sees only
+/// this file's code.
+// detlint::allow(U001): the single-file entry of the fixture tests in tests/detlint.rs
 pub fn scan_source(path: &str, source: &str) -> Report {
     let lines = strip_source(source);
     let mask = test_region_mask(&lines);
-    let raw = rules::scan_lines(path, &lines, &mask);
-    let (allows, malformed_allows) = parse_allows(path, &lines);
+    let mut words = WordCounts::new();
+    count_words(&lines, &mask, &mut words);
+    scan_lexed(path, &lines, &mask, &words)
+}
+
+/// Run every rule in scope over one lexed file and resolve its allows;
+/// `words` is the U001 word index.
+fn scan_lexed(path: &str, lines: &[SourceLine], mask: &[bool], words: &WordCounts) -> Report {
+    let raw = rules::scan_lines(path, lines, mask, words);
+    let (allows, malformed_allows) = parse_allows(path, lines);
 
     let mut used = vec![false; allows.len()];
     let mut findings: Vec<Finding> = raw
@@ -453,18 +465,27 @@ fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
 /// # Errors
 /// Propagates filesystem errors (unreadable directories or files).
 pub fn scan_workspace(root: &Path) -> io::Result<Report> {
-    let files = collect_rs_files(root)?;
-    let mut report = Report::default();
-    for path in &files {
+    let mut files = Vec::new();
+    for path in collect_rs_files(root)? {
         let rel = path
             .strip_prefix(root)
-            .unwrap_or(path)
+            .unwrap_or(&path)
             .components()
             .map(|c| c.as_os_str().to_string_lossy())
             .collect::<Vec<_>>()
             .join("/");
-        let text = fs::read_to_string(path)?;
-        let file_report = scan_source(&rel, &text);
+        let lines = strip_source(&fs::read_to_string(&path)?);
+        let mask = test_region_mask(&lines);
+        files.push((rel, lines, mask));
+    }
+    // Pass 1: the U001 word index over every scanned file's non-test code.
+    let mut words = WordCounts::new();
+    for (_, lines, mask) in &files {
+        count_words(lines, mask, &mut words);
+    }
+    let mut report = Report::default();
+    for (rel, lines, mask) in &files {
+        let file_report = scan_lexed(rel, lines, mask, &words);
         report.findings.extend(file_report.findings);
         report.stale_allows.extend(file_report.stale_allows);
         report.malformed_allows.extend(file_report.malformed_allows);

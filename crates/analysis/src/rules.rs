@@ -6,7 +6,7 @@
 //! either a real contract violation or carries an explicit, reasoned
 //! `detlint::allow` annotation.
 
-use crate::lexer::{word_positions, SourceLine};
+use crate::lexer::{word_positions, SourceLine, WordCounts};
 use std::collections::BTreeSet;
 use std::fmt;
 
@@ -33,11 +33,22 @@ pub enum Rule {
     /// daemon must isolate malformed spool specs into per-spec failures,
     /// not die.
     R001,
+    /// A `pub` item of a library crate that no non-test code names
+    /// outside its own definition line: dead code the compiler cannot
+    /// see, since every `pub` item counts as used.
+    U001,
 }
 
 impl Rule {
     /// All rules, in report order.
-    pub const ALL: [Rule; 5] = [Rule::D001, Rule::D002, Rule::D003, Rule::D004, Rule::R001];
+    pub const ALL: [Rule; 6] = [
+        Rule::D001,
+        Rule::D002,
+        Rule::D003,
+        Rule::D004,
+        Rule::R001,
+        Rule::U001,
+    ];
 
     /// Stable identifier used in reports and `detlint::allow` annotations.
     pub fn id(self) -> &'static str {
@@ -47,6 +58,7 @@ impl Rule {
             Rule::D003 => "D003",
             Rule::D004 => "D004",
             Rule::R001 => "R001",
+            Rule::U001 => "U001",
         }
     }
 
@@ -63,6 +75,7 @@ impl Rule {
             Rule::D003 => "RNG construction outside the deterministic seed grid",
             Rule::D004 => "thread started outside the numerics::exec executor",
             Rule::R001 => "unwrap/expect/panic reachable in the engine service path",
+            Rule::U001 => "pub item that no non-test code names outside its definition",
         }
     }
 }
@@ -82,6 +95,8 @@ impl fmt::Display for Rule {
 /// * R001 guards the long-running service: everything under
 ///   `crates/engine/src/`, plus the scenario subsystem it evaluates
 ///   (`crates/scenario/src/` and `crates/core/src/scenario_model.rs`).
+/// * U001 audits library code: a crate's `src/`, minus `src/bin/` and
+///   `main.rs`, whose `pub` items are visible to other crates.
 pub fn rules_for_path(path: &str) -> Vec<Rule> {
     let mut rules = vec![Rule::D001];
     if !path.starts_with("crates/bench/") {
@@ -105,6 +120,13 @@ pub fn rules_for_path(path: &str) -> Vec<Rule> {
         // engine panic would.
         rules.push(Rule::R001);
     }
+    if path
+        .split_once("/src/")
+        .is_some_and(|(_, rest)| !rest.starts_with("bin/"))
+        && !path.ends_with("/main.rs")
+    {
+        rules.push(Rule::U001);
+    }
     rules
 }
 
@@ -120,8 +142,15 @@ pub struct RawFinding {
     pub snippet: String,
 }
 
-/// Scan one stripped file. `mask[i]` marks test-region lines (exempt).
-pub fn scan_lines(path: &str, lines: &[SourceLine], mask: &[bool]) -> Vec<RawFinding> {
+/// Scan one stripped file. `mask[i]` marks test-region lines (exempt);
+/// `words` counts every word of the non-test code in scope for U001
+/// (this file alone, or the whole workspace).
+pub fn scan_lines(
+    path: &str,
+    lines: &[SourceLine],
+    mask: &[bool],
+    words: &WordCounts,
+) -> Vec<RawFinding> {
     let rules = rules_for_path(path);
     let mut findings = Vec::new();
     let hash_names = if rules.contains(&Rule::D001) {
@@ -158,6 +187,9 @@ pub fn scan_lines(path: &str, lines: &[SourceLine], mask: &[bool]) -> Vec<RawFin
         }
         if rules.contains(&Rule::R001) && may_panic(code) {
             push(Rule::R001);
+        }
+        if rules.contains(&Rule::U001) && unused_pub_item(code, words) {
+            push(Rule::U001);
         }
     }
     findings
@@ -326,15 +358,54 @@ fn may_panic(code: &str) -> bool {
         })
 }
 
+/// The name declared by a `pub fn|struct|enum|trait|const|static|type`
+/// line. Restricted visibilities (`pub(crate)`, `pub(super)`) are not
+/// `pub ` and so never match.
+fn pub_item_name(code: &str) -> Option<&str> {
+    let mut tokens = code.trim_start().strip_prefix("pub ")?.split_whitespace();
+    let name = loop {
+        match tokens.next()? {
+            // `pub const NAME: …` is an item; `pub const fn` qualifies one.
+            "const" => match tokens.clone().next()? {
+                "fn" | "unsafe" | "async" | "extern" => {}
+                name => break name,
+            },
+            // Qualifiers; `extern "C"` keeps only its blanked quotes.
+            "unsafe" | "async" | "extern" | "\"\"" => {}
+            "fn" | "struct" | "enum" | "trait" | "type" => break tokens.next()?,
+            "static" => match tokens.next()? {
+                "mut" => break tokens.next()?,
+                name => break name,
+            },
+            _ => return None,
+        }
+    };
+    let end = name
+        .find(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .unwrap_or(name.len());
+    let name = &name[..end];
+    (!name.is_empty() && !name.starts_with(|c: char| c.is_ascii_digit())).then_some(name)
+}
+
+/// U001: a `pub` item definition whose name occurs, as a word, only on
+/// its own definition line.
+fn unused_pub_item(code: &str, words: &WordCounts) -> bool {
+    pub_item_name(code).is_some_and(|name| {
+        words.get(name).copied().unwrap_or(0) <= word_positions(code, name).len()
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::{strip_source, test_region_mask};
+    use crate::lexer::{count_words, strip_source, test_region_mask};
 
     fn scan(path: &str, src: &str) -> Vec<RawFinding> {
         let lines = strip_source(src);
         let mask = test_region_mask(&lines);
-        scan_lines(path, &lines, &mask)
+        let mut words = WordCounts::new();
+        count_words(&lines, &mask, &mut words);
+        scan_lines(path, &lines, &mask, &words)
     }
 
     #[test]

@@ -13,10 +13,14 @@ fn fixture(name: &str) -> String {
 /// Scan a fixture under a synthetic path that puts `rule` in scope.
 fn scan_fixture(name: &str, rule: Rule) -> analysis::Report {
     // R001 only applies inside the engine crate; the others use a neutral
-    // library path (outside bench / the numerics seed grid).
+    // path (outside bench / the numerics seed grid). U001 audits library
+    // code, so its fixtures scan as a library file; the other fixtures
+    // define `pub fn`s nothing calls, so they scan as a binary, where U001
+    // does not apply.
     let path = match rule {
-        Rule::R001 => "crates/engine/src/fixture.rs",
-        _ => "crates/x/src/fixture.rs",
+        Rule::R001 => "crates/engine/src/bin/fixture.rs",
+        Rule::U001 => "crates/x/src/fixture.rs",
+        _ => "crates/x/src/bin/fixture.rs",
     };
     scan_source(path, &fixture(name))
 }
@@ -30,6 +34,7 @@ fn violating_fixtures_pin_exact_counts() {
         ("d004_violating.rs", Rule::D004, 1),
         ("d004_violating_gather.rs", Rule::D004, 1),
         ("r001_violating.rs", Rule::R001, 3),
+        ("u001_violating.rs", Rule::U001, 10),
     ];
     for (name, rule, expected) in expectations {
         let report = scan_fixture(name, rule);
@@ -52,6 +57,7 @@ fn clean_fixtures_have_zero_findings() {
         ("d003_clean.rs", Rule::D003),
         ("d004_clean.rs", Rule::D004),
         ("r001_clean.rs", Rule::R001),
+        ("u001_clean.rs", Rule::U001),
     ] {
         let report = scan_fixture(name, rule);
         assert!(
@@ -157,6 +163,7 @@ fn workspace_tree_scans_clean() {
             ("D003", 0, 5),
             ("D004", 0, 1),
             ("R001", 0, 5),
+            ("U001", 0, 21),
         ]
     );
 }

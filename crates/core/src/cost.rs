@@ -96,12 +96,6 @@ pub fn effective_rekey_rate(raw_rate: f64, batch_window: Option<f64>) -> f64 {
     }
 }
 
-/// Time for one GDH rekey over the shared channel — the paper's `Tcm`
-/// (reciprocal of the `T_RK` service rate).
-pub fn rekey_time(cfg: &SystemConfig, group_size: u32) -> f64 {
-    gdh_rekey_hop_bits(cfg, group_size) / cfg.bandwidth_bps
-}
-
 /// Per-state cost rates in the given population state.
 pub fn cost_breakdown(cfg: &SystemConfig, pop: &Population) -> CostBreakdown {
     let n = pop.live() as f64;
@@ -267,16 +261,6 @@ mod tests {
         let g10 = gdh_rekey_hop_bits(&c, 10);
         let g20 = gdh_rekey_hop_bits(&c, 20);
         assert!(g20 > 2.5 * g10, "{g20} vs {g10}");
-    }
-
-    #[test]
-    fn rekey_time_positive_and_scaled_by_bandwidth() {
-        let c = cfg();
-        let t = rekey_time(&c, 50);
-        assert!(t > 0.0);
-        let mut c2 = c.clone();
-        c2.bandwidth_bps *= 2.0;
-        assert!((rekey_time(&c2, 50) - t / 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -135,6 +135,7 @@ pub fn c2_holds(trusted: u32, undetected: u32) -> bool {
 }
 
 /// Voting false-negative probability `Pfn` in the given population state.
+// detlint::allow(U001): unmemoized oracle of metrics::tests::template_matches_fresh_evaluation_across_rate_knobs
 pub fn pfn_for(cfg: &SystemConfig, pop: &Population) -> f64 {
     if pop.undetected == 0 {
         return 0.0;
@@ -150,6 +151,7 @@ pub fn pfn_for(cfg: &SystemConfig, pop: &Population) -> f64 {
 }
 
 /// Voting false-positive probability `Pfp` in the given population state.
+// detlint::allow(U001): unmemoized oracle of metrics::tests::template_matches_fresh_evaluation_across_rate_knobs
 pub fn pfp_for(cfg: &SystemConfig, pop: &Population) -> f64 {
     if pop.trusted == 0 {
         return 0.0;
@@ -660,16 +662,6 @@ pub struct ClusteredModel {
     pub config: SystemConfig,
     /// Cluster count and failure threshold.
     pub topology: ClusterTopology,
-}
-
-impl ClusteredModel {
-    /// Number of clusters whose local failure predicate holds in `m`.
-    pub fn failed_clusters(&self, m: &Marking) -> u32 {
-        self.cluster_places
-            .iter()
-            .filter(|p| cluster_failed(p, m))
-            .count() as u32
-    }
 }
 
 /// Build the flat clustered SPN for `topology` copies of `cfg`.

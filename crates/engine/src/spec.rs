@@ -178,12 +178,14 @@ impl ScenarioSpec {
     }
 
     /// Same spec as a clustered deployment (builder style).
+    // detlint::allow(U001): builds the clustered specs of the backend, runner and service tests and fixtures.rs
     pub fn with_clusters(mut self, topology: ClusterTopology) -> Self {
         self.clustered = Some(topology);
         self
     }
 
     /// Same spec under an adversary/response scenario (builder style).
+    // detlint::allow(U001): builds the scenario specs of the spec, backend and crossval tests
     pub fn with_scenario(mut self, scenario: ScenarioConfig) -> Self {
         self.scenario = Some(scenario);
         self

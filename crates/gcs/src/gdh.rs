@@ -90,34 +90,6 @@ impl RekeyCost {
     pub fn total_bits(&self, element_bits: u64) -> u64 {
         self.total_elements * element_bits
     }
-
-    /// Rekey completion time `Tcm` over a channel of `bandwidth_bps`,
-    /// with unicasts crossing `hops` hops on average and the final
-    /// broadcast flooded to `flood_transmissions` relays.
-    ///
-    /// # Panics
-    /// Panics if `bandwidth_bps <= 0`.
-    pub fn completion_time(
-        &self,
-        element_bits: u64,
-        bandwidth_bps: f64,
-        hops: f64,
-        flood_transmissions: f64,
-    ) -> f64 {
-        assert!(bandwidth_bps > 0.0, "bandwidth must be positive");
-        let unicast_bits = (self.total_elements - self.broadcast_elements()) * element_bits;
-        let bcast_bits = self.broadcast_elements() * element_bits;
-        (unicast_bits as f64 * hops + bcast_bits as f64 * flood_transmissions) / bandwidth_bps
-    }
-
-    fn broadcast_elements(&self) -> u64 {
-        if self.broadcast_messages == 0 {
-            0
-        } else {
-            // final stage carries n−1 elements = unicast_messages
-            self.unicast_messages as u64
-        }
-    }
 }
 
 /// One member's protocol state.
@@ -327,15 +299,6 @@ mod tests {
         let c2 = RekeyCost::for_group_size(2);
         assert_eq!(c2.unicast_messages, 1);
         assert_eq!(c2.total_elements, 3); // upflow (1 intermediate + cardinal) + broadcast 1
-    }
-
-    #[test]
-    fn completion_time_scales_with_bandwidth() {
-        let c = RekeyCost::for_group_size(8);
-        let t1 = c.completion_time(1024, 1e6, 3.0, 8.0);
-        let t2 = c.completion_time(1024, 2e6, 3.0, 8.0);
-        assert!((t1 / t2 - 2.0).abs() < 1e-12);
-        assert!(t1 > 0.0);
     }
 
     #[test]

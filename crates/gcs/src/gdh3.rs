@@ -243,18 +243,6 @@ impl Gdh3Session {
     }
 }
 
-/// Sanity identity: `(g^x)^(x⁻¹ mod p−1) = g` (Fermat), the algebraic fact
-/// stage 3 relies on.
-pub fn factor_out_roundtrips(x: u64) -> bool {
-    match mod_inverse(x, PRIME - 1) {
-        None => false,
-        Some(inv) => {
-            let up = powmod(GENERATOR, x, PRIME);
-            powmod(up, inv, PRIME) == GENERATOR
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,11 +261,14 @@ mod tests {
         assert_eq!(mulmod(12347, inv, PRIME - 1), 1);
     }
 
+    /// `(g^x)^(x⁻¹ mod p−1) = g` (Fermat), the algebraic fact stage 3
+    /// relies on.
     #[test]
     fn factor_out_identity_holds() {
         for x in [5u64, 7, 101, 999_983] {
-            if mod_inverse(x, PRIME - 1).is_some() {
-                assert!(factor_out_roundtrips(x), "x = {x}");
+            if let Some(inv) = mod_inverse(x, PRIME - 1) {
+                let up = powmod(GENERATOR, x, PRIME);
+                assert_eq!(powmod(up, inv, PRIME), GENERATOR, "x = {x}");
             }
         }
     }

@@ -44,18 +44,6 @@ impl HostIds {
         Self::new(0.01, 0.01)
     }
 
-    /// A misuse/signature-detection preset: misses novel attacks more often
-    /// than it mis-flags healthy traffic (higher `p1`, lower `p2`).
-    pub fn misuse() -> Self {
-        Self::new(0.03, 0.005)
-    }
-
-    /// An anomaly-detection preset: catches more attacks but raises more
-    /// false alarms (lower `p1`, higher `p2`).
-    pub fn anomaly() -> Self {
-        Self::new(0.005, 0.03)
-    }
-
     /// Assess a neighbor: given the ground truth, return this node's
     /// (possibly erroneous) verdict — `true` = "compromised".
     pub fn assess<R: Rng + ?Sized>(&self, truly_compromised: bool, rng: &mut R) -> bool {
@@ -67,13 +55,6 @@ impl HostIds {
             rng.gen::<f64>() < self.p_false_positive
         }
     }
-
-    /// Probability this IDS replies to a data request from a compromised
-    /// node (the paper's `T_DRQ` mechanism: a node replies only when its
-    /// host IDS *fails* to identify the requester — probability `p1`).
-    pub fn p_reply_to_compromised(&self) -> f64 {
-        self.p_false_negative
-    }
 }
 
 #[cfg(test)]
@@ -84,10 +65,6 @@ mod tests {
 
     #[test]
     fn presets_have_expected_biases() {
-        let m = HostIds::misuse();
-        let a = HostIds::anomaly();
-        assert!(m.p_false_negative > a.p_false_negative);
-        assert!(m.p_false_positive < a.p_false_positive);
         let d = HostIds::paper_default();
         assert_eq!(d.p_false_negative, 0.01);
         assert_eq!(d.p_false_positive, 0.01);
@@ -114,11 +91,6 @@ mod tests {
             assert!(ids.assess(true, &mut rng));
             assert!(!ids.assess(false, &mut rng));
         }
-    }
-
-    #[test]
-    fn reply_probability_is_p1() {
-        assert_eq!(HostIds::new(0.07, 0.01).p_reply_to_compromised(), 0.07);
     }
 
     #[test]

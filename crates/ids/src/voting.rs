@@ -166,6 +166,7 @@ pub fn run_vote<R: Rng + ?Sized>(
 /// Monte-Carlo estimate of (`Pfp`, `Pfn`) used to validate the closed
 /// forms: runs `rounds` votes against a good target and `rounds` against a
 /// bad target in a population with the given composition.
+// detlint::allow(U001): executed-vote oracle of substrate_integration::analytic_voting_matches_executed_votes_at_spn_populations
 pub fn estimate_error_rates<R: Rng + ?Sized>(
     cfg: &VotingConfig,
     good: u32,

@@ -282,8 +282,8 @@ mod tests {
 
     #[test]
     fn detects_partition() {
-        let together = vec![Vec2::ZERO, Vec2::new(10.0, 0.0), Vec2::new(20.0, 0.0)];
-        let apart = vec![Vec2::ZERO, Vec2::new(10.0, 0.0), Vec2::new(500.0, 0.0)];
+        let together = vec![Vec2::default(), Vec2::new(10.0, 0.0), Vec2::new(20.0, 0.0)];
+        let apart = vec![Vec2::default(), Vec2::new(10.0, 0.0), Vec2::new(500.0, 0.0)];
         let g0 = graph_of(&together);
         let mut t = DynamicsTracker::new(&g0);
         let events = t.observe(1.0, &graph_of(&apart));
@@ -292,8 +292,8 @@ mod tests {
 
     #[test]
     fn detects_merge() {
-        let apart = vec![Vec2::ZERO, Vec2::new(500.0, 0.0)];
-        let together = vec![Vec2::ZERO, Vec2::new(10.0, 0.0)];
+        let apart = vec![Vec2::default(), Vec2::new(500.0, 0.0)];
+        let together = vec![Vec2::default(), Vec2::new(10.0, 0.0)];
         let g0 = graph_of(&apart);
         let mut t = DynamicsTracker::new(&g0);
         let events = t.observe(1.0, &graph_of(&together));
@@ -303,13 +303,13 @@ mod tests {
     #[test]
     fn three_way_split_counts_two_births() {
         let together = vec![
-            Vec2::ZERO,
+            Vec2::default(),
             Vec2::new(10.0, 0.0),
             Vec2::new(20.0, 0.0),
             Vec2::new(30.0, 0.0),
         ];
         let spread = vec![
-            Vec2::ZERO,
+            Vec2::default(),
             Vec2::new(200.0, 0.0),
             Vec2::new(400.0, 0.0),
             Vec2::new(2.0, 0.0),
@@ -324,7 +324,7 @@ mod tests {
 
     #[test]
     fn no_events_when_stable() {
-        let pts = vec![Vec2::ZERO, Vec2::new(10.0, 0.0)];
+        let pts = vec![Vec2::default(), Vec2::new(10.0, 0.0)];
         let g0 = graph_of(&pts);
         let mut t = DynamicsTracker::new(&g0);
         for _ in 0..5 {
@@ -340,8 +340,12 @@ mod tests {
     #[test]
     fn simultaneous_split_and_merge_detected() {
         // {0,1} and {2} become {0} and {1,2}
-        let before = vec![Vec2::ZERO, Vec2::new(10.0, 0.0), Vec2::new(500.0, 0.0)];
-        let after = vec![Vec2::ZERO, Vec2::new(495.0, 0.0), Vec2::new(500.0, 0.0)];
+        let before = vec![Vec2::default(), Vec2::new(10.0, 0.0), Vec2::new(500.0, 0.0)];
+        let after = vec![
+            Vec2::default(),
+            Vec2::new(495.0, 0.0),
+            Vec2::new(500.0, 0.0),
+        ];
         let g0 = graph_of(&before);
         let mut t = DynamicsTracker::new(&g0);
         let events = t.observe(1.0, &graph_of(&after));
@@ -434,8 +438,8 @@ mod tests {
     #[test]
     #[should_panic]
     fn population_change_panics() {
-        let g0 = graph_of(&[Vec2::ZERO]);
+        let g0 = graph_of(&[Vec2::default()]);
         let mut t = DynamicsTracker::new(&g0);
-        t.observe(1.0, &graph_of(&[Vec2::ZERO, Vec2::new(1.0, 0.0)]));
+        t.observe(1.0, &graph_of(&[Vec2::default(), Vec2::new(1.0, 0.0)]));
     }
 }

@@ -17,9 +17,6 @@ impl Vec2 {
         Self { x, y }
     }
 
-    /// Origin.
-    pub const ZERO: Vec2 = Vec2::new(0.0, 0.0);
-
     /// Euclidean norm.
     pub fn norm(self) -> f64 {
         self.x.hypot(self.y)
@@ -28,11 +25,6 @@ impl Vec2 {
     /// Squared norm (avoids the sqrt in hot distance checks).
     pub fn norm_sq(self) -> f64 {
         self.x * self.x + self.y * self.y
-    }
-
-    /// Distance to another point.
-    pub fn distance(self, other: Vec2) -> f64 {
-        (self - other).norm()
     }
 
     /// Squared distance to another point.
@@ -109,11 +101,6 @@ impl Disc {
             p.scale(self.radius / n)
         }
     }
-
-    /// Area in m².
-    pub fn area(&self) -> f64 {
-        std::f64::consts::PI * self.radius * self.radius
-    }
 }
 
 #[cfg(test)]
@@ -130,14 +117,13 @@ mod tests {
         assert_eq!((a - b), Vec2::new(2.0, 5.0));
         assert_eq!(a.norm(), 5.0);
         assert_eq!(a.norm_sq(), 25.0);
-        assert_eq!(a.distance(b), ((2.0f64).powi(2) + 25.0).sqrt());
     }
 
     #[test]
     fn normalized_unit_length() {
         let v = Vec2::new(3.0, 4.0).normalized().unwrap();
         assert!((v.norm() - 1.0).abs() < 1e-12);
-        assert!(Vec2::ZERO.normalized().is_none());
+        assert!(Vec2::default().normalized().is_none());
     }
 
     #[test]

@@ -247,7 +247,7 @@ mod tests {
 
     #[test]
     fn isolated_node_mean_hops_none() {
-        let pts = vec![Vec2::ZERO, Vec2::new(1_000.0, 0.0)];
+        let pts = vec![Vec2::default(), Vec2::new(1_000.0, 0.0)];
         let g = ConnectivityGraph::build(&pts, 10.0);
         assert_eq!(g.mean_hops_from(0), None);
         assert_eq!(g.component_count(), 2);
@@ -262,7 +262,7 @@ mod tests {
 
     #[test]
     fn range_boundary_inclusive() {
-        let pts = vec![Vec2::ZERO, Vec2::new(100.0, 0.0)];
+        let pts = vec![Vec2::default(), Vec2::new(100.0, 0.0)];
         let g = ConnectivityGraph::build(&pts, 100.0);
         assert_eq!(g.edge_count(), 1);
         let g2 = ConnectivityGraph::build(&pts, 99.999);
@@ -388,7 +388,7 @@ mod oracle_tests {
     #[test]
     fn pairs_at_exactly_the_range_are_linked() {
         // a 3-4-5 triangle: |p0 p1| = 5 exactly, |p1 p2| = 4, |p0 p2| = 3
-        let pts = [Vec2::ZERO, Vec2::new(3.0, 4.0), Vec2::new(3.0, 0.0)];
+        let pts = [Vec2::default(), Vec2::new(3.0, 4.0), Vec2::new(3.0, 0.0)];
         let g = ConnectivityGraph::build(&pts, 5.0);
         assert_eq!(g.edge_count(), 3);
         let g = ConnectivityGraph::build(&pts, 4.0);
@@ -448,7 +448,7 @@ mod oracle_tests {
         // node 0 joins the far cluster, so the near pair is labelled second
         let pts = [
             Vec2::new(1_000.0, 0.0),
-            Vec2::ZERO,
+            Vec2::default(),
             Vec2::new(1.0, 0.0),
             Vec2::new(1_001.0, 0.0),
         ];

@@ -3,22 +3,16 @@
 //! The cost model measures traffic in hop·bits: a unicast message of `L`
 //! bits crossing `h` hops costs `h·L`, and an intra-group flood costs one
 //! transmission per member. These statistics are sampled during mobility
-//! calibration and summarized as (a) an overall mean hop count and (b) mean
-//! hop counts binned by group size (log₂ bins), which the core model can
-//! interpolate.
+//! calibration and summarized as an overall mean hop count.
 
 use crate::graph::ConnectivityGraph;
 use numerics::stats::Welford;
 use rand::Rng;
 
-/// Number of log₂ group-size bins (sizes 1, 2–3, 4–7, … up to 2¹⁵⁺).
-pub const SIZE_BINS: usize = 16;
-
 /// Accumulates hop-count samples.
 #[derive(Debug, Clone)]
 pub struct HopSampler {
     overall: Welford,
-    by_size: Vec<Welford>,
 }
 
 impl Default for HopSampler {
@@ -32,13 +26,7 @@ impl HopSampler {
     pub fn new() -> Self {
         Self {
             overall: Welford::new(),
-            by_size: vec![Welford::new(); SIZE_BINS],
         }
-    }
-
-    /// Log₂ bin index for a group size.
-    pub fn bin_for_size(size: u32) -> usize {
-        (32 - size.max(1).leading_zeros() - 1).min(SIZE_BINS as u32 - 1) as usize
     }
 
     /// Sample mean hop counts from `samples` random source nodes of the
@@ -56,9 +44,7 @@ impl HopSampler {
         for _ in 0..samples {
             let src = rng.gen_range(0..n);
             if let Some(h) = graph.mean_hops_from(src) {
-                let size = graph.component_sizes()[graph.component_of(src) as usize];
                 self.overall.push(h);
-                self.by_size[Self::bin_for_size(size)].push(h);
             }
         }
     }
@@ -73,28 +59,14 @@ impl HopSampler {
     }
 
     /// Number of samples taken.
+    // detlint::allow(U001): observer of hops::tests::merge_combines_counts, the test of the live merge
     pub fn sample_count(&self) -> u64 {
         self.overall.count()
-    }
-
-    /// Mean hop count for a given group size: the size's bin if populated,
-    /// otherwise the overall mean, floored at 1 hop.
-    pub fn hops_for_group_size(&self, size: u32) -> f64 {
-        let bin = &self.by_size[Self::bin_for_size(size)];
-        let h = if bin.count() > 0 {
-            bin.mean()
-        } else {
-            self.mean_hops()
-        };
-        h.max(1.0)
     }
 
     /// Merge another sampler's data.
     pub fn merge(&mut self, other: &HopSampler) {
         self.overall.merge(&other.overall);
-        for (a, b) in self.by_size.iter_mut().zip(&other.by_size) {
-            a.merge(b);
-        }
     }
 }
 
@@ -104,18 +76,6 @@ mod tests {
     use crate::geometry::Vec2;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
-
-    #[test]
-    fn bin_indices() {
-        assert_eq!(HopSampler::bin_for_size(1), 0);
-        assert_eq!(HopSampler::bin_for_size(2), 1);
-        assert_eq!(HopSampler::bin_for_size(3), 1);
-        assert_eq!(HopSampler::bin_for_size(4), 2);
-        assert_eq!(HopSampler::bin_for_size(100), 6);
-        assert_eq!(HopSampler::bin_for_size(u32::MAX), SIZE_BINS - 1);
-        // size 0 treated as 1
-        assert_eq!(HopSampler::bin_for_size(0), 0);
-    }
 
     #[test]
     fn sampling_a_chain_gives_expected_mean() {
@@ -129,19 +89,17 @@ mod tests {
         assert!(s.sample_count() > 0);
         // average over uniformly random sources: (2.5+1.75+1.5+1.75+2.5)/5 = 2.0
         assert!((s.mean_hops() - 2.0).abs() < 0.1, "{}", s.mean_hops());
-        assert!(s.hops_for_group_size(5) >= 1.0);
     }
 
     #[test]
     fn isolated_nodes_contribute_nothing() {
-        let pts = vec![Vec2::ZERO, Vec2::new(9_999.0, 0.0)];
+        let pts = vec![Vec2::default(), Vec2::new(9_999.0, 0.0)];
         let g = ConnectivityGraph::build(&pts, 10.0);
         let mut s = HopSampler::new();
         let mut rng = StdRng::seed_from_u64(2);
         s.sample(&g, 100, &mut rng);
         assert_eq!(s.sample_count(), 0);
         assert_eq!(s.mean_hops(), 1.0); // fallback
-        assert_eq!(s.hops_for_group_size(7), 1.0);
     }
 
     #[test]

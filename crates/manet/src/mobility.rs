@@ -225,7 +225,7 @@ mod tests {
         let moved = before
             .iter()
             .zip(m.positions())
-            .filter(|(b, a)| b.distance(**a) > 1.0)
+            .filter(|(b, a)| b.distance_sq(**a) > 1.0)
             .count();
         assert!(moved >= 8, "only {moved} nodes moved");
     }
@@ -246,7 +246,7 @@ mod tests {
         for (b, a) in before.iter().zip(m.positions()) {
             // displacement can be shorter than speed·dt (waypoint turns) but
             // never longer
-            assert!(b.distance(*a) <= 2.0 * dt + 1e-9);
+            assert!(b.distance_sq(*a).sqrt() <= 2.0 * dt + 1e-9);
         }
     }
 

@@ -59,6 +59,7 @@ impl Binomial {
     }
 
     /// `P[X ≤ k]` by direct summation from the lighter tail.
+    // detlint::allow(U001): complement oracle of sf in dist::tests::binomial_cdf_sf_complement and proptests.rs
     pub fn cdf(&self, k: u64) -> f64 {
         if k >= self.n {
             return 1.0;

@@ -24,6 +24,7 @@ fn threads() -> usize {
 /// Run `f` with every [`map`] it calls on this thread limited to exactly
 /// `n` threads (at least one; never more than the items). The previous
 /// setting comes back when `f` returns or unwinds.
+// detlint::allow(U001): thread-count control of the thread_determinism.rs harness
 pub fn with_threads<T>(n: usize, f: impl FnOnce() -> T) -> T {
     struct Restore(usize);
     impl Drop for Restore {

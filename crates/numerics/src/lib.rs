@@ -11,11 +11,10 @@
 //!   samplers.
 //! * [`foxglynn`] — Fox–Glynn-style Poisson weight computation used by the
 //!   uniformization transient solver.
-//! * [`stats`] — Welford accumulators, confidence intervals, Kahan summation
-//!   and quantiles.
+//! * [`stats`] — Welford accumulators, confidence intervals and Kahan
+//!   summation.
 //! * [`sparse`] — compressed sparse row matrices.
 //! * [`linsolve`] — Gauss–Seidel, a dense-LU fallback and power iteration.
-//! * [`search`] — grid and golden-section extremum search.
 //! * [`unionfind`] — disjoint-set forest.
 //! * [`rng`] — SplitMix64 seed derivation for deterministic parallel streams.
 //! * [`replicate`] — the shared Monte-Carlo replication engine: a
@@ -38,7 +37,6 @@ pub mod foxglynn;
 pub mod linsolve;
 pub mod replicate;
 pub mod rng;
-pub mod search;
 pub mod sparse;
 pub mod special;
 pub mod stats;

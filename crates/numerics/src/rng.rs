@@ -26,6 +26,7 @@ impl SplitMix64 {
     }
 
     /// Uniform `f64` in [0, 1).
+    // detlint::allow(U001): test-input stream of replicate::tests, proptests.rs and replicate_props.rs
     pub fn next_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }

@@ -89,11 +89,6 @@ impl CsrPattern {
         self.row_ptr[r] as usize..self.row_ptr[r + 1] as usize
     }
 
-    /// Column indices of row `r`.
-    pub fn row_cols(&self, r: usize) -> &[u32] {
-        &self.col_idx[self.row_range(r)]
-    }
-
     /// Column index of a flat value-array slot.
     pub fn col(&self, entry: usize) -> usize {
         self.col_idx[entry] as usize
@@ -179,14 +174,6 @@ pub struct Csr {
 }
 
 impl Csr {
-    /// Zero matrix.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
-        Self {
-            pattern: Arc::new(CsrPattern::new(rows, cols, vec![0; rows + 1], Vec::new())),
-            values: Vec::new(),
-        }
-    }
-
     /// Matrix laid out on an existing (shared) pattern.
     ///
     /// # Panics
@@ -210,15 +197,6 @@ impl Csr {
     /// solves that keep the pattern fixed.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.values
-    }
-
-    /// Identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut t = Triplets::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 1.0);
-        }
-        t.build()
     }
 
     /// Row count.
@@ -250,27 +228,16 @@ impl Csr {
         self.row(r).find(|&(cc, _)| cc == c).map_or(0.0, |(_, v)| v)
     }
 
-    /// `y = A x` (allocates).
+    /// `y = A x` (allocates), row by row in stored order.
     ///
     /// # Panics
     /// Panics if `x.len() != cols`.
+    // detlint::allow(U001): reference product of sparse::tests::gather_matches_matvec and proptests.rs csr_matvec_matches_dense
     pub fn matvec(&self, x: &[f64]) -> Vec<f64> {
-        let mut y = vec![0.0; self.rows()];
-        self.matvec_into(x, &mut y);
-        y
-    }
-
-    /// `y = A x` into a caller-provided buffer.
-    pub fn matvec_into(&self, x: &[f64], y: &mut [f64]) {
         assert_eq!(x.len(), self.cols(), "matvec dimension mismatch");
-        assert_eq!(y.len(), self.rows(), "matvec output dimension mismatch");
-        for r in 0..self.rows() {
-            let mut acc = 0.0;
-            for (c, v) in self.row(r) {
-                acc += v * x[c];
-            }
-            y[r] = acc;
-        }
+        (0..self.rows())
+            .map(|r| self.row(r).fold(0.0, |acc, (c, v)| acc + v * x[c]))
+            .collect()
     }
 
     /// `y = xᵀ A` (row vector times matrix) into a caller buffer.
@@ -314,25 +281,6 @@ impl Csr {
             }
         }
         t.build()
-    }
-
-    /// Row sums.
-    pub fn row_sums(&self) -> Vec<f64> {
-        (0..self.rows())
-            .map(|r| self.row(r).map(|(_, v)| v).sum())
-            .collect()
-    }
-
-    /// Dense copy (rows × cols) — test/debug helper, avoid for large
-    /// matrices.
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut d = vec![vec![0.0; self.cols()]; self.rows()];
-        for r in 0..self.rows() {
-            for (c, v) in self.row(r) {
-                d[r][c] = v;
-            }
-        }
-        d
     }
 }
 
@@ -446,11 +394,6 @@ impl EllMatrix {
         self.width
     }
 
-    /// Stored slots including padding.
-    pub fn padded_len(&self) -> usize {
-        self.values.len()
-    }
-
     /// `y = A x`, bit-identical to [`Csr::gather_into`] on the source
     /// matrix.
     ///
@@ -551,20 +494,7 @@ mod tests {
     fn transpose_roundtrip() {
         let a = sample();
         let att = a.transpose().transpose();
-        assert_eq!(a.to_dense(), att.to_dense());
-    }
-
-    #[test]
-    fn identity_matvec_is_noop() {
-        let i = Csr::identity(4);
-        let x = [4.0, 3.0, 2.0, 1.0];
-        assert_eq!(i.matvec(&x), x.to_vec());
-    }
-
-    #[test]
-    fn row_sums_work() {
-        let a = sample();
-        assert_eq!(a.row_sums(), vec![3.0, 0.0, 7.0]);
+        assert_eq!(a, att);
     }
 
     #[test]

@@ -78,6 +78,7 @@ pub fn ln_binomial(n: u64, k: u64) -> f64 {
 
 /// Binomial coefficient in linear space; saturates to `f64::INFINITY` on
 /// overflow. Exact for small arguments (computed multiplicatively).
+// detlint::allow(U001): linear-space oracle of special::tests::ln_binomial_matches_linear
 pub fn binomial(n: u64, k: u64) -> f64 {
     if k > n {
         return 0.0;

@@ -1,5 +1,5 @@
-//! Streaming statistics: Kahan summation, Welford moments, confidence
-//! intervals, histograms and quantiles.
+//! Streaming statistics: Kahan summation, Welford moments and confidence
+//! intervals.
 //!
 //! Monte-Carlo validation of the analytic model runs thousands of
 //! replications in parallel; these accumulators are mergeable so each worker
@@ -359,86 +359,6 @@ impl SurvivalAccumulator {
     }
 }
 
-/// Empirical quantile with linear interpolation (type-7, the numpy default).
-/// The input slice is sorted in place.
-///
-/// # Panics
-/// Panics on an empty slice or `q` outside [0, 1].
-pub fn quantile_mut(xs: &mut [f64], q: f64) -> f64 {
-    assert!(!xs.is_empty(), "quantile of empty slice");
-    assert!((0.0..=1.0).contains(&q), "quantile level {q} outside [0,1]");
-    xs.sort_by(|a, b| a.partial_cmp(b).expect("NaN in quantile input"));
-    let h = q * (xs.len() - 1) as f64;
-    let lo = h.floor() as usize;
-    let hi = h.ceil() as usize;
-    if lo == hi {
-        xs[lo]
-    } else {
-        xs[lo] + (h - lo as f64) * (xs[hi] - xs[lo])
-    }
-}
-
-/// Fixed-width histogram over `[lo, hi)` with overflow/underflow buckets.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    buckets: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-}
-
-impl Histogram {
-    /// Create a histogram with `bins` equal-width buckets on `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range empty: [{lo}, {hi})");
-        Self {
-            lo,
-            hi,
-            buckets: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-        }
-    }
-
-    /// Record a value.
-    pub fn record(&mut self, x: f64) {
-        if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let idx = ((x - self.lo) / (self.hi - self.lo) * self.buckets.len() as f64) as usize;
-            let last = self.buckets.len() - 1;
-            self.buckets[idx.min(last)] += 1;
-        }
-    }
-
-    /// Counts per bucket.
-    pub fn buckets(&self) -> &[u64] {
-        &self.buckets
-    }
-
-    /// Count of values below range.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Count of values at/above the upper bound.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// Total recorded values.
-    pub fn total(&self) -> u64 {
-        self.underflow + self.overflow + self.buckets.iter().sum::<u64>()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -629,31 +549,5 @@ mod tests {
     fn survival_accumulator_rejects_grid_mismatch() {
         let mut a = SurvivalAccumulator::new(&[1.0]);
         a.merge(&SurvivalAccumulator::new(&[2.0]));
-    }
-
-    #[test]
-    fn quantile_interpolation() {
-        let mut xs = vec![3.0, 1.0, 2.0, 4.0];
-        assert_eq!(quantile_mut(&mut xs, 0.0), 1.0);
-        assert_eq!(quantile_mut(&mut xs, 1.0), 4.0);
-        assert!((quantile_mut(&mut xs, 0.5) - 2.5).abs() < 1e-12);
-    }
-
-    #[test]
-    #[should_panic]
-    fn quantile_empty_panics() {
-        quantile_mut(&mut [], 0.5);
-    }
-
-    #[test]
-    fn histogram_buckets_and_edges() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.999, 10.0, 55.0] {
-            h.record(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.buckets(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.total(), 7);
     }
 }

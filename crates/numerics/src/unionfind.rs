@@ -63,6 +63,7 @@ impl UnionFind {
     }
 
     /// True when `a` and `b` are in the same set.
+    // detlint::allow(U001): oracle of unionfind::tests::union_and_find and big_chain_components
     pub fn connected(&mut self, a: usize, b: usize) -> bool {
         self.find(a) == self.find(b)
     }
@@ -89,15 +90,6 @@ impl UnionFind {
             sizes[label_of_root[r] as usize] += 1;
         }
         (labels, sizes)
-    }
-
-    /// Reset to all-singletons without reallocating.
-    pub fn reset(&mut self) {
-        for (i, p) in self.parent.iter_mut().enumerate() {
-            *p = i as u32;
-        }
-        self.rank.fill(0);
-        self.components = self.parent.len();
     }
 }
 
@@ -143,16 +135,6 @@ mod tests {
         // labels dense in 0..count
         let max = *labels.iter().max().unwrap() as usize;
         assert_eq!(max + 1, sizes.len());
-    }
-
-    #[test]
-    fn reset_restores_singletons() {
-        let mut uf = UnionFind::new(5);
-        uf.union(0, 1);
-        uf.union(2, 3);
-        uf.reset();
-        assert_eq!(uf.component_count(), 5);
-        assert!(!uf.connected(0, 1));
     }
 
     #[test]

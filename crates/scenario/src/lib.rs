@@ -115,13 +115,6 @@ impl ScenarioConfig {
         }
     }
 
-    /// True when both axes are at their baseline setting (the scenario
-    /// machinery is then a no-op and every backend reduces to its
-    /// pre-scenario behavior).
-    pub fn is_baseline(&self) -> bool {
-        self.attacker == AttackerStrategy::Baseline && self.response == ResponsePolicy::Evict
-    }
-
     /// Validate parameter ranges, naming the offending field.
     ///
     /// # Errors
@@ -241,16 +234,6 @@ pub fn burst_capture_multiplier(multiplier: f64, active: bool) -> f64 {
 }
 
 impl AttackerStrategy {
-    /// Capture-rate factor applied uniformly in every state (`stealth`
-    /// only; the burst and targeted factors are state-dependent and come
-    /// from [`burst_capture_multiplier`] / [`targeted_capture_multiplier`]).
-    pub fn stationary_rate_factor(&self) -> f64 {
-        match self {
-            AttackerStrategy::Stealth { rate_factor, .. } => *rate_factor,
-            _ => 1.0,
-        }
-    }
-
     /// Host-IDS evasion probability (`stealth` only).
     pub fn evasion(&self) -> f64 {
         match self {
@@ -274,13 +257,7 @@ mod tests {
 
     #[test]
     fn baseline_is_baseline() {
-        assert!(ScenarioConfig::baseline().is_baseline());
-        assert!(ScenarioConfig::default().is_baseline());
-        let s = ScenarioConfig {
-            attacker: AttackerStrategy::Targeted { focus: 0.5 },
-            response: ResponsePolicy::Evict,
-        };
-        assert!(!s.is_baseline());
+        assert_eq!(ScenarioConfig::default(), ScenarioConfig::baseline());
     }
 
     #[test]
@@ -368,14 +345,12 @@ mod tests {
     #[test]
     fn accessors_default_to_identity() {
         let b = AttackerStrategy::Baseline;
-        assert_eq!(b.stationary_rate_factor(), 1.0);
         assert_eq!(b.evasion(), 0.0);
         assert_eq!(b.focus(), 0.0);
         let s = AttackerStrategy::Stealth {
             rate_factor: 0.5,
             evasion: 0.25,
         };
-        assert_eq!(s.stationary_rate_factor(), 0.5);
         assert_eq!(s.evasion(), 0.25);
     }
 }

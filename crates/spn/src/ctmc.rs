@@ -95,35 +95,6 @@ pub struct AbsorptionAnalysis {
     pub absorption_probability: Vec<f64>,
 }
 
-impl AbsorptionAnalysis {
-    /// Expected accumulated rate reward until absorption:
-    /// `Σᵢ sojourn[i] · reward[i]`.
-    ///
-    /// # Panics
-    /// Panics if `reward_per_state.len()` differs from the state count.
-    pub fn accumulated_reward(&self, reward_per_state: &[f64]) -> f64 {
-        assert_eq!(
-            reward_per_state.len(),
-            self.sojourn.len(),
-            "reward vector length mismatch"
-        );
-        self.sojourn
-            .iter()
-            .zip(reward_per_state)
-            .map(|(s, r)| s * r)
-            .sum()
-    }
-
-    /// Time-averaged rate reward until absorption (accumulated / MTTA).
-    pub fn time_averaged_reward(&self, reward_per_state: &[f64]) -> f64 {
-        if self.mtta == 0.0 {
-            0.0
-        } else {
-            self.accumulated_reward(reward_per_state) / self.mtta
-        }
-    }
-}
-
 impl Ctmc {
     /// Build the CTMC from a reachability graph.
     ///
@@ -182,15 +153,6 @@ impl Ctmc {
     /// Absorbing flag per state.
     pub fn absorbing(&self) -> &[bool] {
         &self.absorbing
-    }
-
-    /// Initial distribution as a dense vector.
-    pub fn initial_dense(&self) -> Vec<f64> {
-        let mut pi0 = vec![0.0; self.state_count()];
-        for &(s, p) in &self.initial {
-            pi0[s as usize] += p;
-        }
-        pi0
     }
 
     /// States reachable (with positive probability) from the initial
@@ -569,6 +531,7 @@ impl Ctmc {
     ///
     /// # Panics
     /// Panics if `t < 0`.
+    // detlint::allow(U001): integral-definition oracle of MTTA in cross_validation.rs and spn proptests.rs
     pub fn expected_occupancy(&self, t: f64, opts: &TransientOptions) -> Vec<f64> {
         assert!(t >= 0.0, "negative time {t}");
         if t == 0.0 {
@@ -1423,24 +1386,6 @@ mod tests {
             c.steady_state(),
             Err(SpnError::AnalysisUnavailable(_))
         ));
-    }
-
-    #[test]
-    fn accumulated_reward_weighted_sojourn() {
-        let c = build(|b| {
-            let up = b.add_place("up", 2);
-            b.add_transition(
-                TransitionDef::timed("die", move |m| m.tokens(up) as f64).input(up, 1),
-            );
-        });
-        let a = c.mean_time_to_absorption().unwrap();
-        // reward = tokens in `up`: E[∫ tokens dt] = 2·(1/2) + 1·(1/1) = 2
-        // state order: (2), (1), (0)
-        let reward = [2.0, 1.0, 0.0];
-        let acc = a.accumulated_reward(&reward);
-        assert!((acc - 2.0).abs() < 1e-9, "{acc}");
-        let avg = a.time_averaged_reward(&reward);
-        assert!((avg - acc / a.mtta).abs() < 1e-12);
     }
 
     /// Regression: a transient state whose edges were all zeroed (without

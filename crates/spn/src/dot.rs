@@ -1,7 +1,6 @@
-//! Graphviz DOT export of nets and reachability graphs (debugging aid).
+//! Graphviz DOT export of nets (debugging aid).
 
-use crate::model::{Spn, TransitionKind};
-use crate::reach::ReachabilityGraph;
+use crate::model::Spn;
 use std::fmt::Write;
 
 /// Render the net structure (places, transitions, arcs) as DOT.
@@ -65,35 +64,6 @@ pub fn net_to_dot(net: &Spn) -> String {
     s
 }
 
-/// Render a reachability graph as DOT (small graphs only; the label is the
-/// marking).
-pub fn graph_to_dot(graph: &ReachabilityGraph, net: &Spn) -> String {
-    let mut s = String::new();
-    writeln!(s, "digraph reach {{").unwrap();
-    for (i, m) in graph.states.iter().enumerate() {
-        let shape = if graph.absorbing[i] {
-            "doublecircle"
-        } else {
-            "ellipse"
-        };
-        writeln!(s, "  s{i} [shape={shape}, label=\"{m:?}\"];").unwrap();
-    }
-    for (i, elist) in graph.edges.iter().enumerate() {
-        for e in elist {
-            writeln!(
-                s,
-                "  s{i} -> s{} [label=\"{} ({:.3})\"];",
-                e.target,
-                net.transition_name(e.transition),
-                e.rate
-            )
-            .unwrap();
-        }
-    }
-    writeln!(s, "}}").unwrap();
-    s
-}
-
 impl Spn {
     /// Arc lists per transition `(inputs, outputs, inhibitors)` — used by
     /// the DOT exporter.
@@ -120,19 +90,10 @@ impl Spn {
     }
 }
 
-/// Kind marker re-exported for exporters.
-pub fn kind_label(k: &TransitionKind) -> &'static str {
-    match k {
-        TransitionKind::Timed { .. } => "timed",
-        TransitionKind::Immediate { .. } => "immediate",
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::model::{SpnBuilder, TransitionDef};
-    use crate::reach::{explore, ExploreOptions};
 
     fn net() -> Spn {
         let mut b = SpnBuilder::new();
@@ -157,17 +118,5 @@ mod tests {
         assert!(d.contains("snap"));
         assert!(d.contains("arrowhead=odot"));
         assert!(d.ends_with("}\n"));
-    }
-
-    #[test]
-    fn graph_dot_marks_absorbing() {
-        let mut b = SpnBuilder::new();
-        let up = b.add_place("up", 1);
-        b.add_transition(TransitionDef::timed_const("t", 1.0).input(up, 1));
-        let net = b.build().unwrap();
-        let g = explore(&net, &ExploreOptions::default()).unwrap();
-        let d = graph_to_dot(&g, &net);
-        assert!(d.contains("doublecircle"));
-        assert!(d.contains("t (1.000)"));
     }
 }

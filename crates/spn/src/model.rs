@@ -56,6 +56,7 @@ impl Marking {
     }
 
     /// Set the token count of `place`.
+    // detlint::allow(U001): marking setup of the model, structural and gcsids model tests
     pub fn set_tokens(&mut self, place: PlaceId, tokens: u32) {
         self.0[place.0 as usize] = tokens;
     }
@@ -77,6 +78,7 @@ impl Marking {
     }
 
     /// Total token count across all places.
+    // detlint::allow(U001): conservation observer of spn proptests.rs and the reach and sim tests
     pub fn total_tokens(&self) -> u64 {
         self.0.iter().map(|&t| t as u64).sum()
     }
@@ -166,6 +168,7 @@ impl TransitionDef {
     }
 
     /// An immediate transition with constant weight 1 and priority 0.
+    // detlint::allow(U001): builds the vanishing-state nets of the reach, sim and dot tests and failure_injection.rs
     pub fn immediate(name: impl Into<String>) -> Self {
         Self::immediate_weighted(name, |_| 1.0, 0)
     }
@@ -372,6 +375,7 @@ impl Spn {
     }
 
     /// Look up a place id by name.
+    // detlint::allow(U001): place lookup of the reward and sim tests and spn proptests.rs
     pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
         self.place_names
             .iter()

@@ -93,12 +93,6 @@ impl MarkingCanonicalizer {
         self.orbits.iter().map(Vec::len).sum()
     }
 
-    /// True when no orbit has ≥ 2 members, i.e. canonicalization is the
-    /// identity map and lumping cannot shrink anything.
-    pub fn is_trivial(&self) -> bool {
-        self.orbits.iter().all(|o| o.len() < 2)
-    }
-
     /// Canonical representative of `m`'s symmetry orbit: member token-tuples
     /// sorted lexicographically within each orbit, all other places
     /// untouched. Idempotent.
@@ -965,7 +959,6 @@ mod tests {
         let canon = c.canonicalize(&m);
         assert_eq!(canon.as_slice(), &[0, 2, 4]);
         assert_eq!(c.canonicalize(&canon), canon);
-        assert!(!c.is_trivial());
         assert_eq!(c.orbit_count(), 1);
         assert_eq!(c.member_count(), 3);
     }
@@ -1070,7 +1063,6 @@ mod tests {
         // one orbit per chain — no two members interchangeable
         let orbits: Vec<Vec<Vec<PlaceId>>> = blocks.into_iter().map(|blk| vec![blk]).collect();
         let canon = MarkingCanonicalizer::new(orbits).unwrap();
-        assert!(canon.is_trivial());
         let opts = ExploreOptions {
             lumping: Some(canon),
             ..Default::default()

@@ -133,23 +133,6 @@ impl RewardSet {
         self.impulses.push(i);
         self
     }
-
-    /// Evaluate the *total* per-state reward rate (rate rewards plus
-    /// impulse-equivalent rates) for accumulated-reward analysis.
-    pub fn total_per_state(&self, net: &Spn, graph: &ReachabilityGraph) -> Vec<f64> {
-        let mut total = vec![0.0; graph.state_count()];
-        for r in &self.rates {
-            for (acc, v) in total.iter_mut().zip(r.per_state(graph)) {
-                *acc += v;
-            }
-        }
-        for i in &self.impulses {
-            for (acc, v) in total.iter_mut().zip(i.per_state(net, graph)) {
-                *acc += v;
-            }
-        }
-        total
-    }
 }
 
 #[cfg(test)]
@@ -207,25 +190,5 @@ mod tests {
         let i = ImpulseReward::new("noop_cost", t, |_| 5.0);
         let v = i.per_state(&net, &g);
         assert_eq!(v[0], 15.0); // rate 3 × impulse 5
-    }
-
-    #[test]
-    fn reward_set_totals() {
-        let (net, g) = two_state();
-        let up = net.place_by_name("up").unwrap();
-        let t = net.transition_by_name("fail").unwrap();
-        let set = RewardSet::new()
-            .with_rate(RateReward::new("uptime", move |m| m.tokens(up) as f64))
-            .with_impulse(ImpulseReward::new("fail_cost", t, |_| 10.0));
-        let v = set.total_per_state(&net, &g);
-        assert_eq!(v[0], 21.0);
-        assert_eq!(v[1], 0.0);
-    }
-
-    #[test]
-    fn empty_reward_set_is_zero() {
-        let (net, g) = two_state();
-        let v = RewardSet::new().total_per_state(&net, &g);
-        assert!(v.iter().all(|&x| x == 0.0));
     }
 }

@@ -47,6 +47,7 @@ impl StructuralReport {
     /// True when every place has positive weight in some P-invariant —
     /// a sufficient condition for structural boundedness (of the
     /// effect-free part of the net).
+    // detlint::allow(U001): boundedness observer of structural::tests and substrate_integration::structural_analysis_proves_node_conservation
     pub fn covers_all_places(&self) -> bool {
         if self.p_invariants.is_empty() {
             return false;
@@ -56,6 +57,7 @@ impl StructuralReport {
     }
 
     /// Weighted token sum of `marking` under P-invariant `idx`.
+    // detlint::allow(U001): conservation oracle of substrate_integration::structural_analysis_proves_node_conservation
     pub fn invariant_value(&self, idx: usize, marking: &crate::model::Marking) -> i64 {
         self.p_invariants[idx]
             .iter()

@@ -539,6 +539,7 @@ impl TransientEngine {
 
     /// Full-length distribution at the current time point (transient slots
     /// and frozen classes scattered back to global state indices).
+    // detlint::allow(U001): fresh-engine oracle of transient_props::multi_horizon_pass_is_bit_identical_to_fresh_engines
     pub fn distribution(&self) -> Vec<f64> {
         debug_assert!(
             self.track_absorbed,

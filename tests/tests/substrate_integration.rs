@@ -1,11 +1,7 @@
 //! Cross-crate substrate integration: mobility calibration feeding the
-//! analytic model, GDH + view synchrony + voting working together, and the
-//! voting abstraction validated against executed votes at populations the
-//! SPN actually visits.
+//! analytic model, and the voting abstraction validated against executed
+//! votes at populations the SPN actually visits.
 
-use gcs::membership::{GroupView, MembershipEvent};
-use gcs::rekey::{RekeyPolicy, RekeyScheduler};
-use gcs::vsync::ViewSyncChannel;
 use gcsids::config::SystemConfig;
 use gcsids::metrics::evaluate;
 use gcsids::model::{build_model, population, Population};
@@ -37,38 +33,6 @@ fn calibration_to_analytic_pipeline() {
     let e = evaluate(&cfg).unwrap();
     assert!(e.mttsf_seconds > 0.0);
     assert!(e.cost_components.partition_merge.is_finite());
-}
-
-#[test]
-fn eviction_pipeline_vsync_rekey_secrecy() {
-    // A compromised member is evicted: view synchrony flushes the old
-    // view's messages, the rekey scheduler refreshes the key, and the
-    // evicted node cannot derive the new key.
-    let mut rng = StdRng::seed_from_u64(5);
-    let view = GroupView::initial(0..8);
-    let mut channel: ViewSyncChannel<&str> = ViewSyncChannel::new(view.clone());
-    let mut rekey = RekeyScheduler::new(view, RekeyPolicy::Immediate, &mut rng);
-    let old_key = rekey.key().unwrap();
-
-    channel.broadcast(3, "pre-eviction message");
-    let next = channel.view().apply(&MembershipEvent::Evict(3));
-    channel.install_view(next);
-    rekey.on_event(10.0, MembershipEvent::Evict(3), &mut rng);
-
-    // forward secrecy: key changed on eviction
-    assert_ne!(rekey.key().unwrap(), old_key);
-    assert!(!rekey.view().contains(3));
-    // the evicted node still got its own old-view message (delivered in the
-    // old view), but nothing after
-    let inbox = channel.take_inbox(3);
-    assert_eq!(inbox.len(), 1);
-    channel.broadcast(0, "post-eviction");
-    channel.flush();
-    assert!(channel.take_inbox(3).is_empty());
-    // remaining members share the refreshed key
-    for n in [0u32, 1, 2, 4, 5, 6, 7] {
-        assert!(rekey.view().contains(n));
-    }
 }
 
 #[test]
