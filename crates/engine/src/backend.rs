@@ -820,7 +820,9 @@ fn mobility_config(spec: &ScenarioSpec) -> MobilityDesConfig {
 /// summary in index order — the paired engine's inner loop. Replication
 /// `i` runs under `child_seed(master_seed, i)`, exactly the seed the
 /// chunked plan executor hands it, so these outcomes are bit-identical to
-/// the ones a [`Backend::run`] of the same spec aggregates.
+/// the ones a [`Backend::run`] of the same spec aggregates. They run on
+/// [`numerics::exec::map`], which returns them in index order whatever the
+/// thread count.
 ///
 /// # Errors
 /// [`EngineError::InvalidSpec`] for invalid specs and for the exact
@@ -833,11 +835,9 @@ pub(crate) fn per_replication_outcomes(
     spec.validate()?;
     let master = spec.stochastic.master_seed;
     stochastic_task(spec.backend, spec, |task| {
-        (0..n)
-            .map(|i| {
-                task.run_one(child_seed(master, i))
-                    .map_err(EngineError::from)
-            })
+        numerics::exec::map((0..n).collect(), |i| task.run_one(child_seed(master, i)))
+            .into_iter()
+            .map(|rep| rep.map_err(EngineError::from))
             .collect()
     })
 }

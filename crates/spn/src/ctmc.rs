@@ -14,7 +14,11 @@
 //!   Poisson weights — the direct numerical form of the paper's
 //!   `MTTSF = ∫ Σ rᵢ Pᵢ(t) dt` definition.
 //! * **Steady state**: power iteration on the uniformized chain for ergodic
-//!   nets (used by the mobility birth–death calibration).
+//!   nets.
+//!
+//! A chain stores one matrix, its rates, built by [`CtmcTemplate`]. The
+//! transient engine and the steady-state solve read the uniformized DTMC
+//! `P = I + Q/q` off it row by row.
 
 use crate::error::SpnError;
 use crate::reach::ReachabilityGraph;
@@ -26,24 +30,19 @@ use std::sync::{Arc, OnceLock};
 /// A CTMC extracted from a reachability graph.
 #[derive(Debug, Clone)]
 pub struct Ctmc {
-    /// Off-diagonal rate matrix (row = source state). May carry explicit
-    /// zero entries when instantiated from a [`CtmcTemplate`] (the pattern
-    /// is kept stable across re-weighted rate families).
+    /// Off-diagonal rate matrix (row = source state) on its
+    /// [`CtmcTemplate`]'s pattern. Edges of zero rate stay in the pattern
+    /// as explicit zeros.
     rates: Csr,
     /// Total exit rate per state.
     exit: Vec<f64>,
+    /// Uniformization rate of `exit` (`uniformization_q`), set wherever
+    /// `exit` is.
+    q: f64,
     /// Initial distribution as (state, probability) pairs.
     initial: Vec<(u32, f64)>,
     /// Absorbing flags.
     absorbing: Vec<bool>,
-    /// Uniformization constant and DTMC, pre-built by [`CtmcTemplate`] or
-    /// memoized on first use on the one-shot path — repeated transient
-    /// solves on one chain never rebuild it.
-    uniformized: OnceLock<(f64, Csr)>,
-    /// Transpose of the uniformized DTMC — the gather-matvec operand of
-    /// [`TransientEngine`]. Pre-built by [`CtmcTemplate`], memoized on
-    /// first use otherwise.
-    uniformized_t: OnceLock<Csr>,
     /// The structural half of the absorption solve, built on the first
     /// [`Ctmc::mean_time_to_absorption`]. [`CtmcTemplate::refresh`] keeps
     /// it while the positive-rate pattern and absorbing flags are
@@ -96,7 +95,9 @@ pub struct AbsorptionAnalysis {
 }
 
 impl Ctmc {
-    /// Build the CTMC from a reachability graph.
+    /// Build the CTMC from a reachability graph: a one-use
+    /// [`CtmcTemplate`] instantiated at the graph's rates, so edges of zero
+    /// rate are kept as explicit zeros here too.
     ///
     /// A state whose edges all carry zero rate has no outflow: it is
     /// absorbing in effect, whatever its graph flag says. Leaving such a
@@ -107,37 +108,9 @@ impl Ctmc {
     /// when a re-weight silences a state's last live edge.
     ///
     /// # Errors
-    /// Returns [`SpnError::InvalidModel`] for an empty graph or an initial
-    /// distribution that does not sum to 1.
+    /// Same conditions as [`CtmcTemplate::new`].
     pub fn from_graph(graph: &ReachabilityGraph) -> Result<Self, SpnError> {
-        validate_graph(graph)?;
-        let n = graph.state_count();
-        let mut t = Triplets::new(n, n);
-        let mut exit = vec![0.0; n];
-        for (s, elist) in graph.edges.iter().enumerate() {
-            for e in elist {
-                // Zero-rate edges can appear after re-weighting a graph with
-                // a rate function that vanishes in some states; they carry
-                // no CTMC mass and would only distort reachability checks.
-                if e.rate > 0.0 {
-                    t.push(s, e.target as usize, e.rate);
-                    exit[s] += e.rate;
-                }
-            }
-        }
-        let mut absorbing = graph.absorbing.clone();
-        for (flag, &x) in absorbing.iter_mut().zip(&exit) {
-            *flag = *flag || x == 0.0;
-        }
-        Ok(Self {
-            rates: t.build(),
-            exit,
-            initial: graph.initial_distribution.clone(),
-            absorbing,
-            uniformized: OnceLock::new(),
-            uniformized_t: OnceLock::new(),
-            absorb: OnceLock::new(),
-        })
+        CtmcTemplate::new(graph)?.instantiate(graph)
     }
 
     /// Number of states.
@@ -374,20 +347,9 @@ impl Ctmc {
         })
     }
 
-    /// Uniformization constant and DTMC for transient analysis: the cached
-    /// template copy when present, otherwise built **once** and memoized —
-    /// repeated transient solves on one chain share the build.
-    pub(crate) fn uniformized(&self) -> (f64, &Csr) {
-        let (q, p) = self.uniformized.get_or_init(|| self.build_uniformized());
-        (*q, p)
-    }
-
-    /// Transpose of the uniformized DTMC (the gather-propagation operand):
-    /// the cached template copy when present, otherwise built once and
-    /// memoized.
-    pub(crate) fn uniformized_transpose(&self) -> &Csr {
-        self.uniformized_t
-            .get_or_init(|| self.uniformized().1.transpose())
+    /// Uniformization rate `q` of the current exit rates.
+    pub(crate) fn uniformization_rate(&self) -> f64 {
+        self.q
     }
 
     /// Exit rate vector.
@@ -400,18 +362,14 @@ impl Ctmc {
         &self.initial
     }
 
-    /// Build the uniformized DTMC from the current rates.
-    fn build_uniformized(&self) -> (f64, Csr) {
-        let n = self.state_count();
-        let q = uniformization_q(&self.exit);
-        let mut t = Triplets::new(n, n);
-        for s in 0..n {
-            for (j, rate) in self.rates.row(s) {
-                t.push(s, j, rate / q);
-            }
-            t.push(s, s, 1.0 - self.exit[s] / q);
-        }
-        (q, t.build())
+    /// Row `s` of the uniformized DTMC `P = I + Q/q` as (column, value):
+    /// the diagonal `1 − exit/q`, then `rate/q` per rate entry in ascending
+    /// column order. Zero values (explicit-zero edges) are skipped.
+    pub(crate) fn uniformized_row(&self, s: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let q = self.q;
+        std::iter::once((s, 1.0 - self.exit[s] / q))
+            .chain(self.rates.row(s).map(move |(j, rate)| (j, rate / q)))
+            .filter(|&(_, p)| p != 0.0)
     }
 
     /// Transient state distribution `π(t)` from the initial distribution:
@@ -462,7 +420,7 @@ impl Ctmc {
     /// number of uniformization steps it takes, and what sets the width of
     /// its Fox–Glynn window.
     pub fn poisson_depth(&self, t_max: f64) -> f64 {
-        self.uniformized().0 * t_max
+        self.q * t_max
     }
 
     /// Refuse a transient solve to `t_max` before it allocates anything
@@ -542,7 +500,7 @@ impl Ctmc {
     }
 
     /// Stationary distribution of an ergodic chain via power iteration on
-    /// the uniformized DTMC.
+    /// the uniformized DTMC, built here for the one solve.
     ///
     /// # Errors
     /// * [`SpnError::AnalysisUnavailable`] if the chain has absorbing
@@ -554,12 +512,18 @@ impl Ctmc {
                 "chain has absorbing states; steady state is degenerate".into(),
             ));
         }
-        let (_, p) = self.uniformized();
+        let n = self.state_count();
+        let mut p = Triplets::new(n, n);
+        for s in 0..n {
+            for (j, v) in self.uniformized_row(s) {
+                p.push(s, j, v);
+            }
+        }
         let cfg = IterConfig {
             tolerance: 1e-13,
             max_iterations: 1_000_000,
         };
-        let (pi, rep) = numerics::linsolve::power_iteration_stationary(p, &cfg);
+        let (pi, rep) = numerics::linsolve::power_iteration_stationary(&p.build(), &cfg);
         if !rep.converged {
             return Err(SpnError::SolverDiverged {
                 iterations: rep.iterations,
@@ -570,21 +534,22 @@ impl Ctmc {
     }
 }
 
-/// Rebuild-free CTMC instantiation over one reachability-graph structure.
+/// Rebuild-free CTMC instantiation over one reachability-graph structure:
+/// the one builder of a [`Ctmc`].
 ///
-/// The CSR sparsity patterns of the rate matrix and of the uniformized
-/// DTMC and its transpose are built **once** from the graph; every structurally
-/// identical re-weighting of that graph (rate-only parameter variations —
-/// the explore-once-solve-many sweeps) then only rewrites the value arrays
-/// and the exit-rate vector in place via [`CtmcTemplate::refresh`]. Edges
-/// whose rate drops to zero stay in the pattern as explicit zeros, so the
-/// structure is stable across whole rate families and per-point evaluation
-/// performs no graph or matrix allocation at all.
+/// The CSR sparsity pattern of the rate matrix is built **once** from the
+/// graph; every structurally identical re-weighting of that graph
+/// (rate-only parameter variations — the explore-once-solve-many sweeps)
+/// then only rewrites the value array, the exit-rate vector and the
+/// uniformization rate in place via [`CtmcTemplate::refresh`]. Edges whose
+/// rate is zero stay in the pattern as explicit zeros, on every chain, so
+/// the structure is stable across whole rate families and per-point
+/// evaluation performs no graph or matrix allocation at all.
 ///
-/// Numerically the refreshed CTMC is **bit-for-bit identical** to a fresh
-/// [`Ctmc::from_graph`] build of the same re-weighted graph: values are
-/// accumulated in the same order, and the explicit zeros only contribute
-/// `+0.0` terms to the (non-negative) solver arithmetic.
+/// Numerically a refreshed CTMC is **bit-for-bit identical** to a chain
+/// instantiated directly from the same re-weighted graph: values are
+/// accumulated in graph-edge order, and every solver skips or adds `+0.0`
+/// for the explicit zeros.
 #[derive(Debug)]
 pub struct CtmcTemplate {
     n: usize,
@@ -595,33 +560,33 @@ pub struct CtmcTemplate {
     slots: Vec<u32>,
     /// Per-state offsets into `slots` (length `n + 1`) for structure checks.
     edge_offsets: Vec<u32>,
-    /// Uniformized-DTMC pattern (forward plus diagonal), the slot
-    /// permutation forward → uniformized, and the diagonal slot per state.
-    u_pattern: Arc<CsrPattern>,
-    u_perm: Vec<u32>,
-    diag_slots: Vec<u32>,
-    /// Transposed uniformized pattern (the [`TransientEngine`] gather
-    /// operand) and the slot permutation uniformized → transpose.
-    ut_pattern: Arc<CsrPattern>,
-    ut_from_u: Vec<u32>,
     initial: Vec<(u32, f64)>,
 }
 
 impl CtmcTemplate {
-    /// Build the three sparsity patterns from a graph's structure.
+    /// Build the rate-matrix pattern from a graph's structure.
     ///
     /// # Errors
     /// Returns [`SpnError::InvalidModel`] for an empty graph, an initial
     /// distribution that does not sum to 1, or a self-targeting edge (the
     /// reachability exploration never produces one).
     pub fn new(graph: &ReachabilityGraph) -> Result<Self, SpnError> {
-        validate_graph(graph)?;
         let n = graph.state_count();
+        if n == 0 {
+            return Err(SpnError::InvalidModel(
+                "reachability graph has no states".into(),
+            ));
+        }
+        let mass: f64 = graph.initial_distribution.iter().map(|&(_, p)| p).sum();
+        if (mass - 1.0).abs() > 1e-9 {
+            return Err(SpnError::InvalidModel(format!(
+                "initial distribution sums to {mass}, expected 1"
+            )));
+        }
 
-        // Forward pattern. Graph edges per state are sorted by (target,
-        // transition), so equal targets are adjacent; dedup them into one
-        // slot each. Sort defensively anyway: hand-assembled graphs are
-        // legal inputs.
+        // Graph edges per state are sorted by (target, transition), so equal
+        // targets are adjacent; dedup them into one slot each. Sort
+        // defensively anyway: hand-assembled graphs are legal inputs.
         let mut row_ptr = Vec::with_capacity(n + 1);
         row_ptr.push(0u32);
         let mut col_idx: Vec<u32> = Vec::new();
@@ -653,68 +618,12 @@ impl CtmcTemplate {
             edge_offsets.push(slots.len() as u32);
             row_ptr.push(col_idx.len() as u32);
         }
-        let nnz = col_idx.len();
-
-        // Uniformized pattern: forward rows with the diagonal spliced in at
-        // its sorted position (self-edges were rejected above, so the
-        // diagonal is never already present).
-        let mut u_row_ptr = Vec::with_capacity(n + 1);
-        u_row_ptr.push(0u32);
-        let mut u_col = Vec::with_capacity(nnz + n);
-        let mut u_perm = vec![0u32; nnz];
-        let mut diag_slots = vec![0u32; n];
-        for s in 0..n {
-            let mut placed_diag = false;
-            for slot in row_ptr[s] as usize..row_ptr[s + 1] as usize {
-                let c = col_idx[slot];
-                if !placed_diag && c as usize > s {
-                    diag_slots[s] = u_col.len() as u32;
-                    u_col.push(s as u32);
-                    placed_diag = true;
-                }
-                u_perm[slot] = u_col.len() as u32;
-                u_col.push(c);
-            }
-            if !placed_diag {
-                diag_slots[s] = u_col.len() as u32;
-                u_col.push(s as u32);
-            }
-            u_row_ptr.push(u_col.len() as u32);
-        }
-
-        // Transposed uniformized pattern + slot permutation uniformized →
-        // transpose, by counting sort.
-        let u_nnz = u_col.len();
-        let mut ut_row_ptr = vec![0u32; n + 1];
-        for &c in &u_col {
-            ut_row_ptr[c as usize + 1] += 1;
-        }
-        for i in 0..n {
-            ut_row_ptr[i + 1] += ut_row_ptr[i];
-        }
-        let mut ut_next = ut_row_ptr.clone();
-        let mut ut_col = vec![0u32; u_nnz];
-        let mut ut_from_u = vec![0u32; u_nnz];
-        for r in 0..n {
-            for slot in u_row_ptr[r] as usize..u_row_ptr[r + 1] as usize {
-                let c = u_col[slot] as usize;
-                let pos = ut_next[c];
-                ut_next[c] += 1;
-                ut_col[pos as usize] = r as u32;
-                ut_from_u[slot] = pos;
-            }
-        }
 
         Ok(Self {
             n,
             pattern: Arc::new(CsrPattern::new(n, n, row_ptr, col_idx)),
             slots,
             edge_offsets,
-            u_pattern: Arc::new(CsrPattern::new(n, n, u_row_ptr, u_col)),
-            u_perm,
-            diag_slots,
-            ut_pattern: Arc::new(CsrPattern::new(n, n, ut_row_ptr, ut_col)),
-            ut_from_u,
             initial: graph.initial_distribution.clone(),
         })
     }
@@ -724,7 +633,7 @@ impl CtmcTemplate {
         self.n
     }
 
-    /// Allocate a CTMC on this template's shared patterns and fill it from
+    /// Allocate a CTMC on this template's shared pattern and fill it from
     /// `graph`'s current rates. This is the only allocating step; reuse the
     /// returned chain across re-weightings via [`CtmcTemplate::refresh`].
     ///
@@ -734,27 +643,21 @@ impl CtmcTemplate {
         let mut ctmc = Ctmc {
             rates: Csr::from_pattern(self.pattern.clone(), vec![0.0; self.pattern.nnz()]),
             exit: vec![0.0; self.n],
+            q: 0.0,
             initial: self.initial.clone(),
             absorbing: vec![false; self.n],
-            uniformized: OnceLock::from((
-                0.0,
-                Csr::from_pattern(self.u_pattern.clone(), vec![0.0; self.u_pattern.nnz()]),
-            )),
-            uniformized_t: OnceLock::from(Csr::from_pattern(
-                self.ut_pattern.clone(),
-                vec![0.0; self.ut_pattern.nnz()],
-            )),
             absorb: OnceLock::new(),
         };
         self.refresh(graph, &mut ctmc)?;
         Ok(ctmc)
     }
 
-    /// Rewrite `ctmc`'s value arrays, exit rates, and absorbing flags in
-    /// place from `graph`'s current (re-weighted) rates. No allocation.
+    /// Rewrite `ctmc`'s rate values, exit rates, uniformization rate and
+    /// absorbing flags in place from `graph`'s current (re-weighted) rates.
+    /// No allocation.
     ///
-    /// Zero-exit states are promoted to absorbing exactly as in
-    /// [`Ctmc::from_graph`] (see there for why).
+    /// Zero-exit states are promoted to absorbing (see
+    /// [`Ctmc::from_graph`] for why).
     ///
     /// # Errors
     /// Returns [`SpnError::InvalidModel`] when `graph`'s structure differs
@@ -776,21 +679,13 @@ impl CtmcTemplate {
         let Ctmc {
             rates,
             exit,
+            q,
             absorbing,
-            uniformized,
-            uniformized_t,
             absorb,
             ..
         } = ctmc;
-        let (Some((q_cached, uni)), Some(uni_t)) = (uniformized.get_mut(), uniformized_t.get_mut())
-        else {
-            return Err(SpnError::InvalidModel(
-                "refresh target lost its cached matrices".into(),
-            ));
-        };
 
-        // Forward values + exit rates, accumulated in graph-edge order —
-        // the same order Ctmc::from_graph sums shared slots in.
+        // Rate values + exit rates, accumulated in graph-edge order.
         let values = rates.values_mut();
         values.fill(0.0);
         let mut k = 0usize;
@@ -819,57 +714,18 @@ impl CtmcTemplate {
             exit[s] = exit_s;
             absorbing[s] = graph.absorbing[s] || exit_s == 0.0;
         }
+        *q = uniformization_q(exit);
 
         // The cached absorption structure stays valid exactly while the
         // chain's positive-rate pattern and absorbing flags do.
-        let values = rates.values();
-        if !matches!(absorb.get(), Some(Ok(st)) if st.matches(values, absorbing)) {
+        if !matches!(absorb.get(), Some(Ok(st)) if st.matches(rates.values(), absorbing)) {
             absorb.take();
-        }
-
-        // Uniformized DTMC, on the same q as Ctmc::build_uniformized.
-        let q = uniformization_q(exit);
-        let u_values = uni.values_mut();
-        for (slot, &v) in values.iter().enumerate() {
-            u_values[self.u_perm[slot] as usize] = v / q;
-        }
-        for s in 0..self.n {
-            u_values[self.diag_slots[s] as usize] = 1.0 - exit[s] / q;
-        }
-        *q_cached = q;
-
-        // Transposed uniformized values: a pure permutation of the
-        // uniformized slots.
-        let u_values = uni.values();
-        let ut_values = uni_t.values_mut();
-        for (slot, &v) in u_values.iter().enumerate() {
-            ut_values[self.ut_from_u[slot] as usize] = v;
         }
         Ok(())
     }
 }
 
-/// Shared input validation for [`Ctmc::from_graph`] and
-/// [`CtmcTemplate::new`]: both constructors must accept exactly the same
-/// graphs.
-fn validate_graph(graph: &ReachabilityGraph) -> Result<(), SpnError> {
-    if graph.state_count() == 0 {
-        return Err(SpnError::InvalidModel(
-            "reachability graph has no states".into(),
-        ));
-    }
-    let mass: f64 = graph.initial_distribution.iter().map(|&(_, p)| p).sum();
-    if (mass - 1.0).abs() > 1e-9 {
-        return Err(SpnError::InvalidModel(format!(
-            "initial distribution sums to {mass}, expected 1"
-        )));
-    }
-    Ok(())
-}
-
-/// Uniformization constant for a vector of exit rates — one definition so
-/// the template-refreshed DTMC and [`Ctmc::build_uniformized`] can never
-/// drift apart.
+/// Uniformization constant for a vector of exit rates.
 fn uniformization_q(exit: &[f64]) -> f64 {
     let qmax = exit.iter().copied().fold(0.0_f64, f64::max);
     (qmax * 1.02).max(1e-12)
@@ -1418,30 +1274,62 @@ mod tests {
     }
 
     #[test]
-    fn template_instantiate_matches_from_graph() {
-        let mut b = SpnBuilder::new();
-        let up = b.add_place("up", 4);
-        b.add_transition(
-            TransitionDef::timed("die", move |m| 0.7 * m.tokens(up) as f64).input(up, 1),
-        );
-        b.add_transition(
-            TransitionDef::timed("die2", move |m| 0.2 * m.tokens(up) as f64).input(up, 2),
-        );
-        let net = b.build().unwrap();
-        let g = explore(&net, &ExploreOptions::default()).unwrap();
-        let template = CtmcTemplate::new(&g).unwrap();
-        assert_eq!(template.state_count(), g.state_count());
-        let t = template.instantiate(&g).unwrap();
-        let f = Ctmc::from_graph(&g).unwrap();
-        let a_t = t.mean_time_to_absorption().unwrap();
-        let a_f = f.mean_time_to_absorption().unwrap();
-        assert_eq!(a_t.mtta.to_bits(), a_f.mtta.to_bits());
-        let times = [0.0, 1.0, 5.0];
-        let opts = TransientOptions::default();
-        let s_t = t.survival_curve(&times, &opts);
-        let s_f = f.survival_curve(&times, &opts);
-        for (x, y) in s_t.iter().zip(&s_f) {
-            assert_eq!(x.to_bits(), y.to_bits());
+    fn template_instantiate_matches_a_dense_generator() {
+        // Two transitions share a target (their rates sum in one slot), and
+        // a re-weight silences one of them: the chain must carry exactly
+        // the generator a dense build from the graph's positive edges gives.
+        let build = |die3: f64| {
+            let mut b = SpnBuilder::new();
+            let up = b.add_place("up", 4);
+            b.add_transition(
+                TransitionDef::timed("die", move |m| 0.7 * m.tokens(up) as f64).input(up, 1),
+            );
+            b.add_transition(
+                TransitionDef::timed("die2", move |m| 0.2 * m.tokens(up) as f64).input(up, 2),
+            );
+            b.add_transition(
+                TransitionDef::timed("die3", move |m| die3 * m.tokens(up) as f64).input(up, 1),
+            );
+            b.build().unwrap()
+        };
+        let pristine = explore(&build(0.1), &ExploreOptions::default()).unwrap();
+        let template = CtmcTemplate::new(&pristine).unwrap();
+        let n = pristine.state_count();
+        assert_eq!(template.state_count(), n);
+        let mut silenced = pristine.clone();
+        silenced.reweight_in_place(&build(0.0)).unwrap();
+        for g in [&pristine, &silenced] {
+            let mut dense = vec![0.0; n * n];
+            let mut exit = vec![0.0; n];
+            for (s, elist) in g.edges.iter().enumerate() {
+                for e in elist.iter().filter(|e| e.rate > 0.0) {
+                    dense[s * n + e.target as usize] += e.rate;
+                    exit[s] += e.rate;
+                }
+            }
+            let mut pi0 = vec![0.0; n];
+            for &(s, p) in &g.initial_distribution {
+                pi0[s as usize] += p;
+            }
+            let c = template.instantiate(g).unwrap();
+            for s in 0..n {
+                assert_eq!(c.exit_rate(s).to_bits(), exit[s].to_bits(), "exit {s}");
+                for t in (0..n).filter(|&t| t != s) {
+                    assert_eq!(
+                        c.rates.get(s, t).to_bits(),
+                        dense[s * n + t].to_bits(),
+                        "rate {s} -> {t}"
+                    );
+                }
+                assert_eq!(c.absorbing()[s], g.absorbing[s] || exit[s] == 0.0);
+            }
+            let mut c_pi0 = vec![0.0; n];
+            for &(s, p) in c.initial_pairs() {
+                c_pi0[s as usize] += p;
+            }
+            assert_eq!(c_pi0, pi0);
+            let qmax = exit.iter().copied().fold(0.0, f64::max);
+            assert_eq!(c.uniformization_rate(), qmax * 1.02);
         }
     }
 
@@ -1501,10 +1389,25 @@ mod tests {
         working.reweight_in_place(&build(1.0, 0.0)).unwrap();
         template.refresh(&working, &mut ctmc).unwrap();
         assert_eq!(ctmc_nnz(&ctmc), nnz_before, "pattern must be stable");
-        let fresh = Ctmc::from_graph(&working).unwrap();
+        assert!(ctmc.rates.values().contains(&0.0), "no explicit zero kept");
+        // The chain explored directly at the new rates never sees the
+        // leak edges; the solvers must skip the refreshed chain's zeros.
+        let explored = explore(&build(1.0, 0.0), &ExploreOptions::default()).unwrap();
+        let fresh = Ctmc::from_graph(&explored).unwrap();
+        assert!(ctmc_nnz(&fresh) < nnz_before);
         let a_t = ctmc.mean_time_to_absorption().unwrap();
         let a_f = fresh.mean_time_to_absorption().unwrap();
         assert_eq!(a_t.mtta.to_bits(), a_f.mtta.to_bits());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let opts = TransientOptions::default();
+        let times = [0.0, 0.5, 1.0, 2.5, 6.0];
+        let (s_t, st_t) = ctmc.survival_curve_with_stats(&times, &opts);
+        let (s_f, st_f) = fresh.survival_curve_with_stats(&times, &opts);
+        assert_eq!(bits(&s_t), bits(&s_f));
+        assert_eq!(st_t.matvecs, st_f.matvecs);
+        let (a_t, _) = ctmc.survival_at(&times, &opts);
+        let (a_f, _) = fresh.survival_at(&times, &opts);
+        assert_eq!(bits(&a_t), bits(&a_f));
     }
 
     #[test]

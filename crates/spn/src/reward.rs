@@ -34,12 +34,6 @@ impl RateReward {
             rate: Arc::new(rate),
         }
     }
-
-    /// Evaluate on every state of a reachability graph, producing the dense
-    /// per-state vector the CTMC solvers consume.
-    pub fn per_state(&self, graph: &ReachabilityGraph) -> Vec<f64> {
-        graph.states.iter().map(|m| (self.rate)(m)).collect()
-    }
 }
 
 impl std::fmt::Debug for RateReward {
@@ -153,18 +147,6 @@ mod tests {
         let net = b.build().unwrap();
         let g = explore(&net, &ExploreOptions::default()).unwrap();
         (net, g)
-    }
-
-    #[test]
-    fn rate_reward_per_state() {
-        let (net, g) = two_state();
-        let up = net.place_by_name("up").unwrap();
-        let r = RateReward::new("uptime", move |m| m.tokens(up) as f64);
-        let v = r.per_state(&g);
-        assert_eq!(v.len(), 2);
-        // state 0 = initial (up=1), state 1 = failed
-        assert_eq!(v[0], 1.0);
-        assert_eq!(v[1], 0.0);
     }
 
     #[test]

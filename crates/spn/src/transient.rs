@@ -38,10 +38,9 @@
 //!    one fresh engine per horizon. [`TransientEngine::advance`] is the
 //!    one-horizon case of the same loop.
 //!
-//! The engine is seeded from the chain's memoized uniformized DTMC and its
-//! transpose (`Ctmc::uniformized`), so repeated sweeps on one `Ctmc`
-//! — or on a [`crate::ctmc::CtmcTemplate`] instantiation across parameter
-//! points — never rebuild structure.
+//! The engine builds its gather blocks straight from the chain's rate
+//! matrix: the chain stores no uniformized DTMC, and a sweep that runs no
+//! transient solve never pays for one.
 
 use crate::ctmc::{Ctmc, TransientOptions};
 use numerics::foxglynn::PoissonWeights;
@@ -213,25 +212,15 @@ impl TransientEngine {
             opts.detect_tolerance
         );
         let n = ctmc.state_count();
-        let (q, _) = ctmc.uniformized();
-        let ut = ctmc.uniformized_transpose();
+        let q = ctmc.uniformization_rate();
         let exit = ctmc.exit_rates();
         let absorbing = ctmc.absorbing();
 
         // Partition: frozen classes are the true sinks (zero exit rate —
         // always flagged absorbing by construction); everything else
         // propagates.
-        let mut local = vec![u32::MAX; n];
-        let mut transient_index = Vec::new();
-        let mut class_index = Vec::new();
-        for s in 0..n {
-            if exit[s] == 0.0 {
-                class_index.push(s as u32);
-            } else {
-                local[s] = transient_index.len() as u32;
-                transient_index.push(s as u32);
-            }
-        }
+        let (transient_index, class_index): (Vec<u32>, Vec<u32>) =
+            (0..n as u32).partition(|&s| exit[s as usize] != 0.0);
         let nt = transient_index.len();
         let na = class_index.len();
         let flagged_live: Vec<u32> = transient_index
@@ -240,69 +229,55 @@ impl TransientEngine {
             .filter(|&(_, &gs)| absorbing[gs as usize])
             .map(|(li, _)| li as u32)
             .collect();
-
-        // Compact the gather blocks out of the transposed uniformized DTMC.
-        // Explicit template zeros are dropped (templates keep them so value
-        // arrays stay index-stable across refreshes; the engine does not
-        // need that), and sources stay in ascending order, so each row's
-        // dot-product accumulates in the same order as the sequential
-        // forward scatter — the compaction is value-neutral bit-for-bit.
-        let mut g_ptr = Vec::with_capacity(nt + 1);
-        let mut g_col: Vec<u32> = Vec::new();
-        let mut g_val: Vec<f64> = Vec::new();
-        g_ptr.push(0u32);
-        for &gt in &transient_index {
-            for (src, p) in ut.row(gt as usize) {
-                if p != 0.0 {
-                    debug_assert!(
-                        local[src] != u32::MAX,
-                        "frozen state {src} has outgoing probability"
-                    );
-                    g_col.push(local[src]);
-                    g_val.push(p);
-                }
-            }
-            g_ptr.push(g_col.len() as u32);
+        // Row of each state in the stacked gather operand [Uᵀ_TT; Uᵀ_AT]:
+        // transient slots first, then frozen classes.
+        let mut row = vec![0u32; n];
+        for (r, &s) in transient_index.iter().chain(&class_index).enumerate() {
+            row[s as usize] = r as u32;
         }
-        let g = EllMatrix::from_csr(&Csr::from_pattern(
-            Arc::new(CsrPattern::new(nt, nt, g_ptr, g_col)),
-            g_val,
-        ));
 
-        let mut ta_ptr = Vec::with_capacity(na + 1);
-        let mut ta_col: Vec<u32> = Vec::new();
-        let mut ta_val: Vec<f64> = Vec::new();
-        ta_ptr.push(0u32);
-        for &ga in &class_index {
-            // The frozen state's own self-loop (diagonal 1.0) is excluded
-            // by the transient-source filter: absorbed mass is tracked
-            // directly, not re-multiplied.
-            for (src, p) in ut.row(ga as usize) {
-                if local[src] != u32::MAX && p != 0.0 {
-                    ta_col.push(local[src]);
-                    ta_val.push(p);
-                }
+        // Both gather blocks in one counting sort over the uniformized rows
+        // of the transient states: entry `src → dst` lands in row `dst` at
+        // column `src`. Sources are visited in ascending order, so each
+        // row's dot product accumulates in the order of the sequential
+        // forward scatter. Explicit-zero edges are skipped, and frozen
+        // states contribute nothing: their only entry is their own
+        // diagonal, and absorbed mass is tracked directly.
+        let mut ptr = vec![0u32; n + 1];
+        for &src in &transient_index {
+            for (dst, _) in ctmc.uniformized_row(src as usize) {
+                ptr[row[dst] as usize + 1] += 1;
             }
-            ta_ptr.push(ta_col.len() as u32);
         }
-        let ta = EllMatrix::from_csr(&Csr::from_pattern(
-            Arc::new(CsrPattern::new(na, nt, ta_ptr, ta_col)),
-            ta_val,
-        ));
+        for r in 0..n {
+            ptr[r + 1] += ptr[r];
+        }
+        let mut fill = ptr.clone();
+        let mut col = vec![0u32; ptr[n] as usize];
+        let mut val = vec![0.0_f64; ptr[n] as usize];
+        for &src in &transient_index {
+            for (dst, p) in ctmc.uniformized_row(src as usize) {
+                let at = &mut fill[row[dst] as usize];
+                col[*at as usize] = row[src as usize];
+                val[*at as usize] = p;
+                *at += 1;
+            }
+        }
+        let split = ptr[nt];
+        let ta_ptr = ptr[nt..].iter().map(|&p| p - split).collect();
+        ptr.truncate(nt + 1);
+        let ta_col = col.split_off(split as usize);
+        let ta_val = val.split_off(split as usize);
+        let g = ell(nt, nt, ptr, col, val);
+        let ta = ell(na, nt, ta_ptr, ta_col, ta_val);
 
         // Scatter the initial distribution into the split representation.
         let mut v = vec![0.0; nt];
         let mut absorbed = vec![0.0; na];
-        let mut class_slot = vec![u32::MAX; n];
-        for (j, &ga) in class_index.iter().enumerate() {
-            class_slot[ga as usize] = j as u32;
-        }
         for &(s, p) in ctmc.initial_pairs() {
-            let s = s as usize;
-            if local[s] != u32::MAX {
-                v[local[s] as usize] += p;
-            } else {
-                absorbed[class_slot[s] as usize] += p;
+            match row[s as usize] as usize {
+                r if r < nt => v[r] += p,
+                r => absorbed[r - nt] += p,
             }
         }
 
@@ -632,6 +607,14 @@ impl TransientEngine {
         let h = &self.horizons[0];
         self.scatter(&h.acc_v, &h.acc_abs)
     }
+}
+
+/// A gather block in padded fixed-width layout, from its CSR parts.
+fn ell(rows: usize, cols: usize, ptr: Vec<u32>, col: Vec<u32>, val: Vec<f64>) -> EllMatrix {
+    EllMatrix::from_csr(&Csr::from_pattern(
+        Arc::new(CsrPattern::new(rows, cols, ptr, col)),
+        val,
+    ))
 }
 
 /// `y += a·x` in index order (the accumulation order the determinism

@@ -9,7 +9,7 @@
 //! override sets the count exactly.
 
 use engine::{
-    backend_for, BackendKind, RunBudget, Runner, SamplingPlan, ScenarioGrid, ScenarioSpec,
+    backend_for, compare, BackendKind, RunBudget, Runner, SamplingPlan, ScenarioGrid, ScenarioSpec,
 };
 use numerics::exec;
 use std::path::PathBuf;
@@ -84,6 +84,23 @@ fn clustered_stochastic_spec() {
         ..RunBudget::default()
     };
     assert_thread_count_invariant(|| vec![report_json(&spec, BackendKind::SpnSim, &budget)]);
+}
+
+#[test]
+fn paired_compare_of_burst_against_baseline() {
+    // The paired engine maps each arm's 130 replications on the executor:
+    // runs of 65 at 2 threads, of 33 at 4.
+    let arm = |name: &str| {
+        let mut spec = fixture_spec(name);
+        spec.backend = BackendKind::Des;
+        spec.stochastic.sampling = SamplingPlan::Fixed(130);
+        spec
+    };
+    let (baseline, burst) = (arm("ab-baseline.json"), arm("ab-burst.json"));
+    assert_thread_count_invariant(|| {
+        let report = compare(&baseline, &burst, &RunBudget::default()).unwrap();
+        vec![report.to_json()]
+    });
 }
 
 #[test]
