@@ -15,7 +15,6 @@
 use engine::{BackendKind, EngineError, RunReport, Runner, ScenarioGrid, ScenarioSpec};
 use gcsids::config::SystemConfig;
 use ids::functions::RateShape;
-use std::io::Write;
 use std::path::Path;
 
 /// A figure reproduced as rows of numbers.
@@ -54,7 +53,25 @@ impl FigureTable {
         out
     }
 
-    /// Write a CSV (`x,series1,series2,…`).
+    /// The CSV text (`x,series1,series2,…`). Numbers print in their
+    /// shortest round-trip form, so the text pins every bit.
+    pub fn csv(&self) -> String {
+        let mut out = self.x_label.clone();
+        for (label, _) in &self.series {
+            out.push_str(&format!(",{label}"));
+        }
+        out.push('\n');
+        for (i, x) in self.x.iter().enumerate() {
+            out.push_str(&format!("{x}"));
+            for (_, ys) in &self.series {
+                out.push_str(&format!(",{}", ys[i]));
+            }
+            out.push('\n');
+        }
+        out
+    }
+
+    /// Write [`FigureTable::csv`] to `path`, creating its directory.
     ///
     /// # Errors
     /// Propagates I/O failures.
@@ -62,20 +79,7 @@ impl FigureTable {
         if let Some(dir) = path.parent() {
             std::fs::create_dir_all(dir)?;
         }
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        write!(f, "{}", self.x_label)?;
-        for (label, _) in &self.series {
-            write!(f, ",{label}")?;
-        }
-        writeln!(f)?;
-        for (i, x) in self.x.iter().enumerate() {
-            write!(f, "{x}")?;
-            for (_, ys) in &self.series {
-                write!(f, ",{}", ys[i])?;
-            }
-            writeln!(f)?;
-        }
-        f.flush()
+        std::fs::write(path, self.csv())
     }
 
     /// Per-series x achieving the maximum y, skipping NaN values; `None`

@@ -37,7 +37,9 @@
 
 use crate::config::{ClusterTopology, SystemConfig};
 use crate::cost::{cost_breakdown, CostBreakdown};
-use crate::metrics::{eviction_impulses, rekey_impulses, solve_rewards, Evaluation, StateRates};
+use crate::metrics::{
+    eviction_impulses, rekey_impulses, solve_rewards, Evaluation, RewardKeys, StateRates,
+};
 use crate::model::{
     build_clustered_model, build_model, cluster_failed, clustered_canonicalizer, population,
     ClusteredModel, GcsIdsModel,
@@ -282,8 +284,8 @@ pub fn evaluate_clustered_graph(
         (model.cluster_places.iter().enumerate()).map(|(i, p)| (format!("#{i}"), *p)),
     )?;
     let rates = StateRates::new(
-        &model.net,
         graph,
+        &RewardKeys::PerState,
         |m| {
             let mut acc = CostBreakdown::default();
             for p in &model.cluster_places {
@@ -542,8 +544,8 @@ fn hierarchical_compose(
     let places = cluster_model.places;
     let cfg = &cluster_model.config;
     let rates = StateRates::new(
-        &cluster_model.net,
         cluster_graph,
+        &RewardKeys::population(cluster_graph, &places),
         |m| cost_breakdown(cfg, &population(&places, m)),
         &eviction_impulses(cluster_model)?,
     );

@@ -226,6 +226,18 @@ impl SystemConfig {
         if self.detection.base_interval <= 0.0 {
             return Err("detection base interval must be positive".into());
         }
+        // The rate shapes are normalized through `f(1) = 1` and need a
+        // base index above 1 whatever the shape (`RateShape::eval`).
+        for (name, p) in [
+            ("attacker", self.attacker.exponent),
+            ("detection", self.detection.exponent),
+        ] {
+            if !(p.is_finite() && p > 1.0) {
+                return Err(format!(
+                    "{name} exponent must be finite and exceed 1, got {p}"
+                ));
+            }
+        }
         for (name, p) in [
             ("p1", self.p1_host_false_negative),
             ("p2", self.p2_host_false_positive),
@@ -330,6 +342,15 @@ mod tests {
         let mut c = SystemConfig::paper_default();
         c.mean_hops = 0.5;
         assert!(c.validate().is_err());
+
+        for p in [1.0, 0.5, f64::INFINITY, f64::NAN] {
+            let mut c = SystemConfig::paper_default();
+            c.detection.exponent = p;
+            assert!(c.validate().unwrap_err().contains("detection exponent"));
+            let mut c = SystemConfig::paper_default();
+            c.attacker.exponent = p;
+            assert!(c.validate().unwrap_err().contains("attacker exponent"));
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use scenario::ResponsePolicy;
 use spn::ctmc::{AbsorptionAnalysis, Ctmc, CtmcTemplate, TransientOptions};
 use spn::error::SpnError;
 use spn::model::{Marking, Spn};
-use spn::reach::{explore, ExploreOptions, ReachabilityGraph};
+use spn::reach::{explore, ExploreOptions, RatePlan, ReachabilityGraph};
 use spn::reward::{ImpulseReward, RateReward};
 use spn::transient::TransientStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -61,24 +61,24 @@ pub fn evaluate(cfg: &SystemConfig) -> Result<Evaluation, SpnError> {
 /// attacker intensity, rate shapes, vote participants, host-IDS error
 /// probabilities, traffic constants — only changes transition *rates* or
 /// reward values. A template explores the reachability graph once, builds
-/// the CTMC sparsity pattern once ([`CtmcTemplate`]), and then evaluates
-/// any structurally compatible configuration **rebuild-free**: a pooled
-/// scratch graph is re-armed from the pristine exploration
-/// ([`ReachabilityGraph::copy_rates_from`]), re-weighted in place
-/// ([`ReachabilityGraph::reweight_in_place`]), and the cached CTMC's value
-/// arrays are rewritten in place ([`CtmcTemplate::refresh`]) — no graph
-/// clone and no matrix construction per evaluation. Evaluation takes
-/// `&self`, so one template serves a whole parallel batch of the engine's
-/// runner; each worker checks a scratch set out of the interior pool (one
-/// set per concurrent worker ever exists, all sharing the single CSR
-/// pattern).
+/// the CTMC sparsity pattern once ([`CtmcTemplate`]) and the re-weighting
+/// plan once ([`RatePlan`]), and then evaluates any structurally
+/// compatible configuration **rebuild-free**: the plan writes a pooled
+/// scratch graph's rates straight from the pristine exploration
+/// ([`RatePlan::apply`]), and the cached CTMC's value arrays are rewritten
+/// in place ([`CtmcTemplate::refresh`]) — no graph clone and no matrix
+/// construction per evaluation. Evaluation takes `&self`, so one template
+/// serves a whole parallel batch of the engine's runner; each worker
+/// checks a scratch set out of the interior pool (one set per concurrent
+/// worker ever exists, all sharing the single CSR pattern).
 ///
-/// A point's cost is rate work only: each enabled transition's rate
-/// function once per state (the voting probabilities of `T_IDS`/`T_FA`
-/// computed once per group split and voting key, in memos that every net
-/// of that key shares, so a rate-only point that keeps m, p1, p2 and the
-/// collusion model finds them warm), the value-array refresh, the reward
-/// rates of the live states, and the block solves of the absorption
+/// A point's cost is rate work only: each transition's rate function once
+/// per distinct rate key (the places it declares it reads; the voting
+/// probabilities of `T_IDS`/`T_FA` computed once per group split and
+/// voting key, in memos that every net of that key shares, so a rate-only
+/// point that keeps m, p1, p2 and the collusion model finds them warm),
+/// the value-array refresh, the cost components and rekey amounts once per
+/// reward key (`T + U`, `NG`), and the block solves of the absorption
 /// system. The scratch CTMC keeps the structural half of that solve
 /// (reachability, strongly connected blocks, coupling layout) from point
 /// to point while the positive-rate pattern stays the same.
@@ -87,6 +87,10 @@ pub struct ExactTemplate {
     graph: ReachabilityGraph,
     /// Shared CSR patterns + slot maps, built once.
     ctmc: CtmcTemplate,
+    /// The re-weighting of the pristine graph, built once.
+    plan: RatePlan,
+    /// Every state's reward key, built once.
+    reward_keys: RewardKeys,
     /// Pool of reusable (working graph, working CTMC) pairs.
     scratch: Mutex<Vec<Scratch>>,
     opts: ExploreOptions,
@@ -120,6 +124,12 @@ pub struct TemplateStats {
     /// lumping is off; lumping can only shrink the space when some orbit
     /// has ≥ 2 members).
     pub orbit_members: usize,
+    /// Distinct rate keys summed over transitions: the rate evaluations of
+    /// one re-weighting ([`RatePlan::key_count`]).
+    pub rate_keys: usize,
+    /// Distinct reward keys (`T + U`, `NG`): at most this many cost and
+    /// rekey-amount evaluations per point.
+    pub reward_keys: usize,
 }
 
 impl ExactTemplate {
@@ -140,9 +150,13 @@ impl ExactTemplate {
         let model = build_model(cfg);
         let graph = explore(&model.net, opts)?;
         let ctmc = CtmcTemplate::new(&graph)?;
+        let plan = RatePlan::new(&graph, &model.net);
+        let reward_keys = RewardKeys::population(&graph, &model.places);
         Ok(Self {
             graph,
             ctmc,
+            plan,
+            reward_keys,
             scratch: Mutex::new(Vec::new()),
             opts: opts.clone(),
             node_count: cfg.node_count,
@@ -164,6 +178,8 @@ impl ExactTemplate {
             pattern_builds: self.pattern_builds.load(Ordering::Relaxed),
             orbits,
             orbit_members,
+            rate_keys: self.plan.key_count(),
+            reward_keys: self.reward_keys.count(),
         }
     }
 
@@ -213,14 +229,19 @@ impl ExactTemplate {
         let model = build_model(cfg);
         let mut scratch = self.take_scratch()?;
         let result = (|| {
-            // Always re-arm from the pristine exploration: re-weighting
-            // starts from the explored rate mass, so a zeroed transition at
-            // one grid point cannot poison the next point's split.
-            scratch.graph.copy_rates_from(&self.graph);
-            scratch.graph.reweight_in_place(&model.net)?;
+            // The plan writes every rate from the pristine exploration, so
+            // a zeroed transition at one grid point cannot poison the next
+            // point's split.
+            self.plan.apply(&model.net, &mut scratch.graph)?;
             self.ctmc.refresh(&scratch.graph, &mut scratch.ctmc)?;
-            evaluate_with_ctmc(&model, &scratch.graph, &scratch.ctmc, mission_times)
-                .map(|(e, s, _)| (e, s))
+            evaluate_with_ctmc(
+                &model,
+                &scratch.graph,
+                &scratch.ctmc,
+                &self.reward_keys,
+                mission_times,
+            )
+            .map(|(e, s, _)| (e, s))
         })();
         self.pool().push(scratch);
         match result {
@@ -278,7 +299,8 @@ pub fn evaluate_graph(
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
     let ctmc = Ctmc::from_graph(graph)?;
-    evaluate_with_ctmc(model, graph, &ctmc, mission_times).map(|(e, s, _)| (e, s))
+    let keys = RewardKeys::population(graph, &model.places);
+    evaluate_with_ctmc(model, graph, &ctmc, &keys, mission_times).map(|(e, s, _)| (e, s))
 }
 
 /// The response policy's rekey impulse rewards, shared by the exact
@@ -338,6 +360,64 @@ pub(crate) fn rekey_impulses(
     Ok(out)
 }
 
+/// The reward key of every state of a graph: states of one key get the
+/// same cost components and rekey amounts, so each is evaluated once per
+/// key.
+pub(crate) enum RewardKeys {
+    /// Every state is its own key (a reward that reads the whole marking).
+    PerState,
+    /// Keyed by (`T + U`, `NG`) of one block, which is all that
+    /// [`cost_breakdown`] and a rekey amount read of a population.
+    Population {
+        /// Key of each state, numbered in first-seen state order.
+        of_state: Vec<u32>,
+        /// Number of distinct keys.
+        count: usize,
+    },
+}
+
+impl RewardKeys {
+    /// Key every state of `graph` by (`T + U`, `NG`) of `places`.
+    pub(crate) fn population(graph: &ReachabilityGraph, places: &Places) -> Self {
+        let key = |m: &Marking| {
+            let pop = population(places, m);
+            (pop.live() as usize, m.tokens(places.ng) as usize)
+        };
+        let (live_max, ng_max) = (graph.states.iter().map(key))
+            .fold((0, 0), |(l, g), (live, ng)| (l.max(live), g.max(ng)));
+        // A dense (live, NG) table numbers the keys without hashing.
+        let mut index = vec![u32::MAX; (live_max + 1) * (ng_max + 1)];
+        let mut count = 0;
+        let of_state = (graph.states.iter().map(key))
+            .map(|(live, ng)| {
+                let slot = &mut index[live * (ng_max + 1) + ng];
+                if *slot == u32::MAX {
+                    *slot = count as u32;
+                    count += 1;
+                }
+                *slot
+            })
+            .collect();
+        Self::Population { of_state, count }
+    }
+
+    /// Number of distinct keys (0 for [`RewardKeys::PerState`]).
+    fn count(&self) -> usize {
+        match self {
+            Self::PerState => 0,
+            Self::Population { count, .. } => *count,
+        }
+    }
+
+    /// The key of state `s`, or `None` when every state is its own.
+    fn of(&self, s: usize) -> Option<usize> {
+        match self {
+            Self::PerState => None,
+            Self::Population { of_state, .. } => Some(of_state[s] as usize),
+        }
+    }
+}
+
 /// Per-state reward rates of an explored graph: the input of the reward
 /// core [`solve_rewards`].
 pub(crate) struct StateRates {
@@ -351,31 +431,70 @@ impl StateRates {
     /// `cost` evaluated on every live state, and the summed firing rates
     /// of `impulses` weighted by their per-firing amounts. An absorbing
     /// state keeps [`CostBreakdown::default`]: its sojourn is zero, and
-    /// every reader skips it.
+    /// every reader skips it. `cost` and each impulse amount are evaluated
+    /// once per key of `keys`, at its first state that needs them.
+    ///
+    /// In state `s` an impulse accrues at `rate(t, s) · amount(s)`, where
+    /// `rate(t, s)` sums the edges, then the self-loops, of its transition
+    /// out of `s` (as [`ImpulseReward::per_state`] does); the impulses are
+    /// summed in their order. One walk over a state's edges serves them
+    /// all.
     pub(crate) fn new(
-        net: &Spn,
         graph: &ReachabilityGraph,
+        keys: &RewardKeys,
         cost: impl Fn(&Marking) -> CostBreakdown,
         impulses: &[ImpulseReward],
     ) -> Self {
-        let mut impulse = vec![0.0; graph.state_count()];
+        const NONE: usize = usize::MAX;
+        // Each impulse's transition gets a rate accumulator.
+        let width = impulses.iter().map(|i| i.transition.index() + 1).max();
+        let mut acc_of = vec![NONE; width.unwrap_or(0)];
+        let mut acc_of_impulse = Vec::with_capacity(impulses.len());
+        let mut accs = 0;
         for imp in impulses {
-            for (acc, v) in impulse.iter_mut().zip(imp.per_state(net, graph)) {
-                *acc += v;
+            let slot = &mut acc_of[imp.transition.index()];
+            if *slot == NONE {
+                *slot = accs;
+                accs += 1;
             }
+            acc_of_impulse.push(*slot);
         }
-        Self {
-            cost: (graph.states.iter().zip(&graph.absorbing))
-                .map(|(m, &absorbing)| {
-                    if absorbing {
-                        CostBreakdown::default()
-                    } else {
-                        cost(m)
-                    }
-                })
-                .collect(),
-            impulse,
+        let mut rate = vec![0.0; accs];
+        let mut cost_of_key: Vec<Option<CostBreakdown>> = vec![None; keys.count()];
+        let mut amount_of_key: Vec<Option<f64>> = vec![None; keys.count() * impulses.len()];
+        let mut out = Self {
+            cost: Vec::with_capacity(graph.state_count()),
+            impulse: Vec::with_capacity(graph.state_count()),
+        };
+        for (s, m) in graph.states.iter().enumerate() {
+            let key = keys.of(s);
+            out.cost.push(match key {
+                _ if graph.absorbing[s] => CostBreakdown::default(),
+                None => cost(m),
+                Some(k) => *cost_of_key[k].get_or_insert_with(|| cost(m)),
+            });
+            rate.fill(0.0);
+            let shares = (graph.edges[s].iter().map(|e| (e.transition, e.rate)))
+                .chain(graph.self_loop_rates[s].iter().copied());
+            for (t, r) in shares {
+                if let Some(&a) = acc_of.get(t.index()).filter(|&&a| a != NONE) {
+                    rate[a] += r;
+                }
+            }
+            let mut impulse = 0.0;
+            for (i, (imp, &a)) in impulses.iter().zip(&acc_of_impulse).enumerate() {
+                if rate[a] > 0.0 {
+                    let amount = match key {
+                        None => (imp.amount)(m),
+                        Some(k) => *amount_of_key[k * impulses.len() + i]
+                            .get_or_insert_with(|| (imp.amount)(m)),
+                    };
+                    impulse += rate[a] * amount;
+                }
+            }
+            out.impulse.push(impulse);
         }
+        out
     }
 }
 
@@ -439,20 +558,23 @@ pub(crate) fn solve_rewards(
 /// The single-system evaluator on a CTMC that is already built — freshly
 /// via [`Ctmc::from_graph`] on the one-shot paths, or refreshed in place
 /// on the rebuild-free template path. `ctmc` must be the chain of
-/// `graph`'s current rates. Also returns the absorption analysis, from
-/// which the scenario evaluator reads its detection totals.
+/// `graph`'s current rates, and `keys` its states' reward keys
+/// ([`RewardKeys::population`] of `model`'s places). Also returns the
+/// absorption analysis, from which the scenario evaluator reads its
+/// detection totals.
 pub(crate) fn evaluate_with_ctmc(
     model: &GcsIdsModel,
     graph: &ReachabilityGraph,
     ctmc: &Ctmc,
+    keys: &RewardKeys,
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>, AbsorptionAnalysis), SpnError> {
     let cfg = &model.config;
     let places = model.places;
     let absorption = ctmc.mean_time_to_absorption()?;
     let rates = StateRates::new(
-        &model.net,
         graph,
+        keys,
         |m| cost_breakdown(cfg, &population(&places, m)),
         &eviction_impulses(model)?,
     );
@@ -594,10 +716,10 @@ mod tests {
 
     #[test]
     fn template_matches_fresh_evaluation_across_rate_knobs() {
-        // The template path (copy, re-weight, refresh, cached absorption
-        // structure) must reproduce a fresh exploration bit for bit — on
-        // hand-picked knobs and on the Figures 2–5 grid: m × detection
-        // shape × TIDS × two attacker rates.
+        // The template path (rate plan, refresh, cached absorption
+        // structure, keyed rewards) must reproduce a fresh exploration bit
+        // for bit — on hand-picked knobs and on the Figures 2–5 grid:
+        // m × detection shape × TIDS × two attacker rates.
         let base = small(12, 3, 120.0);
         let template = ExactTemplate::new(&base).unwrap();
         let mut variants = vec![
@@ -669,6 +791,31 @@ mod tests {
         }
         assert_eq!(template.stats().explorations, 1);
         assert_eq!(template.stats().pattern_builds, 1);
+    }
+
+    #[test]
+    fn template_matches_fresh_evaluation_at_paper_scale() {
+        // At N = 12 the group splits are few and many states share a rate
+        // key; at the paper's N = 100 the keys are as varied as the Figures
+        // 2–5 sweep sees them. One point per detection shape plus an m
+        // change, against one template.
+        let base = SystemConfig::paper_default();
+        let template = ExactTemplate::new(&base).unwrap();
+        let points = [
+            base.with_detection_shape(RateShape::Logarithmic)
+                .with_tids(480.0),
+            base.with_tids(60.0),
+            base.with_detection_shape(RateShape::Polynomial)
+                .with_tids(15.0),
+            base.with_vote_participants(9).with_tids(5.0),
+        ];
+        for cfg in &points {
+            let fast = template.evaluate(cfg).unwrap();
+            let slow = evaluate(cfg).unwrap();
+            assert_eq!(metric_bits(&fast), metric_bits(&slow), "{cfg:?}");
+            assert_eq!(fast.state_count, slow.state_count);
+        }
+        assert_eq!(template.stats().explorations, 1);
     }
 
     #[test]

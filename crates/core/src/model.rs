@@ -23,6 +23,12 @@
 //! | `T_MER` | `NG −= 1` | `ν_m · (NG − 1)` |
 //! | `T_RK`  | none (cost-only) | join/leave rekey event rate |
 //!
+//! Each rate reads only a few places, and each transition declares them
+//! ([`TransitionDef::reads`]): `T_CP` and `T_RK` read `Tm` and `UCm`,
+//! `T_IDS` and `T_FA` also `NG`, `T_DRQ` reads `UCm`, `T_PAR` and `T_MER`
+//! read `NG`. A template then evaluates each rate once per distinct key
+//! ([`spn::reach::RatePlan`]).
+//!
 //! Every transition is disabled once a failure condition holds (the global
 //! absorbing predicate): **C1** `mark(GF) > 0` (data leaked to a
 //! compromised member) or **C2** `U/(T+U) > 1/3` (Byzantine capture),
@@ -39,6 +45,7 @@ use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
 use spn::model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef};
 use spn::reach::MarkingCanonicalizer;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 /// Place handles of the constructed net.
 #[derive(Debug, Clone, Copy)]
@@ -401,12 +408,15 @@ fn add_subsystem(
                 attacker.rate(m.tokens(tm), m.tokens(ucm))
                     * scenario::burst_capture_multiplier(multiplier, m.tokens(am) >= 1)
             })
+            .reads(&[tm, ucm, am])
         }
         _ if focus > 0.0 => TransitionDef::timed(capture, move |m| {
             let (t, u) = (m.tokens(tm), m.tokens(ucm));
             attacker.rate(t, u) * scenario::targeted_capture_multiplier(focus, t, u)
-        }),
-        _ => TransitionDef::timed(capture, move |m| attacker.rate(m.tokens(tm), m.tokens(ucm))),
+        })
+        .reads(&[tm, ucm]),
+        _ => TransitionDef::timed(capture, move |m| attacker.rate(m.tokens(tm), m.tokens(ucm)))
+            .reads(&[tm, ucm]),
     };
     b.add_transition(guarded(t_cp.input(tm, 1).output(ucm, 1)));
 
@@ -417,13 +427,14 @@ fn add_subsystem(
     // goes where the response policy sends it: `DCm` for evict (with a
     // queued rekey for throttle), the quarantine for quarantine.
     let (ids, fa) = (format!("T_IDS{suffix}"), format!("T_FA{suffix}"));
+    let detection = detection_table(cfg);
     let (t_ids, t_fa) = if focus > 0.0 {
         let (c1, c2) = (cfg.clone(), cfg.clone());
         (
-            conviction(ids, cfg, places, true, move |pop| {
+            conviction(ids, &detection, places, true, move |pop| {
                 pfn_targeted(&c1, pop, focus)
             }),
-            conviction(fa, cfg, places, false, move |pop| {
+            conviction(fa, &detection, places, false, move |pop| {
                 pfp_targeted(&c2, pop, focus)
             }),
         )
@@ -431,8 +442,8 @@ fn add_subsystem(
         let pfn = memoized(&VOTING_MEMOS, cfg, VotingSide::FalseNegative);
         let pfp = memoized(&VOTING_MEMOS, cfg, VotingSide::FalsePositive);
         (
-            conviction(ids, cfg, places, true, pfn),
-            conviction(fa, cfg, places, false, pfp),
+            conviction(ids, &detection, places, true, pfn),
+            conviction(fa, &detection, places, false, pfp),
         )
     };
     let convict =
@@ -453,6 +464,7 @@ fn add_subsystem(
         TransitionDef::timed(format!("T_DRQ{suffix}"), move |m| {
             p1 * lambda_q * m.tokens(ucm) as f64
         })
+        .reads(&[ucm])
         .input(ucm, 1)
         .output(ucm, 1)
         .output(gf, 1),
@@ -467,6 +479,7 @@ fn add_subsystem(
         TransitionDef::timed(format!("T_PAR{suffix}"), move |m| {
             nu_p * m.tokens(ng) as f64
         })
+        .reads(&[ng])
         .output(ng, 1)
         .guard(move |m| {
             let g = m.tokens(ng);
@@ -478,6 +491,7 @@ fn add_subsystem(
         TransitionDef::timed(format!("T_MER{suffix}"), move |m| {
             nu_m * (m.tokens(ng).saturating_sub(1)) as f64
         })
+        .reads(&[ng])
         .input(ng, 1)
         .guard(move |m| m.tokens(ng) >= 2 && !frozen(m)),
     );
@@ -488,13 +502,13 @@ fn add_subsystem(
     let lambda = cfg.join_rate;
     let mu = cfg.leave_rate;
     let n_init = cfg.node_count;
-    b.add_transition(guarded(TransitionDef::timed(
-        format!("T_RK{suffix}"),
-        move |m| {
+    b.add_transition(guarded(
+        TransitionDef::timed(format!("T_RK{suffix}"), move |m| {
             let live = m.tokens(tm) + m.tokens(ucm);
             lambda * (n_init - live.min(n_init)) as f64 + mu * live as f64
-        },
-    )));
+        })
+        .reads(&[tm, ucm]),
+    ));
 
     // Burst phase race: an on/off exponential switch of the attacker mode.
     if let (
@@ -506,11 +520,14 @@ fn add_subsystem(
     {
         b.add_transition(
             TransitionDef::timed_const(format!("T_BURST_ON{suffix}"), on_rate)
+                .reads(&[])
                 .output(am, 1)
                 .guard(move |m| m.tokens(am) == 0 && !frozen(m)),
         );
         b.add_transition(guarded(
-            TransitionDef::timed_const(format!("T_BURST_OFF{suffix}"), off_rate).input(am, 1),
+            TransitionDef::timed_const(format!("T_BURST_OFF{suffix}"), off_rate)
+                .reads(&[])
+                .input(am, 1),
         ));
     }
 
@@ -529,6 +546,7 @@ fn add_subsystem(
             TransitionDef::timed(format!("T_REL_G{suffix}"), move |m| {
                 release_rate * m.tokens(qg) as f64
             })
+            .reads(&[qg])
             .input(qg, 1)
             .output(tm, 1),
         ));
@@ -536,6 +554,7 @@ fn add_subsystem(
             TransitionDef::timed(format!("T_REL_B{suffix}"), move |m| {
                 release_rate * false_release_prob * m.tokens(qb) as f64
             })
+            .reads(&[qb])
             .input(qb, 1)
             .output(ucm, 1),
         ));
@@ -543,6 +562,7 @@ fn add_subsystem(
             TransitionDef::timed(format!("T_CONF_B{suffix}"), move |m| {
                 release_rate * (1.0 - false_release_prob) * m.tokens(qb) as f64
             })
+            .reads(&[qb])
             .input(qb, 1)
             .output(dcm, 1),
         ));
@@ -552,12 +572,15 @@ fn add_subsystem(
     // data while an excluding rekey is pending (a C1 path).
     if let (Some(pr), ResponsePolicy::RekeyThrottle { max_rate }) = (pending_rekeys, sc.response) {
         b.add_transition(guarded(
-            TransitionDef::timed_const(format!("T_RKSRV{suffix}"), max_rate).input(pr, 1),
+            TransitionDef::timed_const(format!("T_RKSRV{suffix}"), max_rate)
+                .reads(&[])
+                .input(pr, 1),
         ));
         b.add_transition(guarded(
             TransitionDef::timed(format!("T_SLK{suffix}"), move |m| {
                 p1 * lambda_q * m.tokens(pr) as f64
             })
+            .reads(&[pr])
             .input(pr, 1)
             .output(pr, 1)
             .output(gf, 1),
@@ -567,18 +590,28 @@ fn add_subsystem(
     block
 }
 
+/// The detection rate `D(md)` of every live count `T + U` in `1..=N`,
+/// indexed by the live count: `md = N / (T + U)` depends on nothing else.
+/// Entry 0 is never read (a conviction needs a target) and holds NaN.
+fn detection_table(cfg: &SystemConfig) -> Arc<[f64]> {
+    let n = cfg.node_count;
+    std::iter::once(f64::NAN)
+        .chain((1..=n).map(|live| cfg.detection.rate(n, live, 0)))
+        .collect()
+}
+
 /// A conviction transition's rate: `U · D(md) · (1 − Pfn)` for `T_IDS`
-/// (`bad_target`), `T · D(md) · Pfp` for `T_FA`, with `p_err` the voting
-/// error probability (`Pfn` or `Pfp`). The caller adds the arcs.
+/// (`bad_target`), `T · D(md) · Pfp` for `T_FA`, with `D(md)` read from
+/// [`detection_table`] and `p_err` the voting error probability (`Pfn` or
+/// `Pfp`). The rate reads `Tm`, `UCm` and `NG`. The caller adds the arcs.
 fn conviction(
     name: String,
-    cfg: &SystemConfig,
+    detection: &Arc<[f64]>,
     places: Places,
     bad_target: bool,
     p_err: impl Fn(&Population) -> f64 + Send + Sync + 'static,
 ) -> TransitionDef {
-    let detection = cfg.detection;
-    let n_init = cfg.node_count;
+    let detection = Arc::clone(detection);
     TransitionDef::timed(name, move |m| {
         let pop = population(&places, m);
         let targets = if bad_target {
@@ -589,13 +622,14 @@ fn conviction(
         if targets == 0 {
             return 0.0;
         }
-        let d = detection.rate(n_init, pop.trusted, pop.undetected);
+        let d = detection[pop.live() as usize];
         if bad_target {
             pop.undetected as f64 * d * (1.0 - p_err(&pop))
         } else {
             pop.trusted as f64 * d * p_err(&pop)
         }
     })
+    .reads(&[places.tm, places.ucm, places.ng])
 }
 
 /// Build the SPN of the paper's Figure 1 for a configuration:
@@ -738,8 +772,7 @@ pub fn clustered_canonicalizer(model: &ClusteredModel) -> MarkingCanonicalizer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spn::reach::{explore, ExploreOptions};
-    use std::sync::Arc;
+    use spn::reach::{explore, ExploreOptions, RatePlan, ReachabilityGraph};
 
     fn small_cfg() -> SystemConfig {
         let mut c = SystemConfig::paper_default();
@@ -990,6 +1023,127 @@ mod tests {
             assert_eq!(pfn(pop).to_bits(), *bits);
             assert_eq!(cold(pop).to_bits(), *bits);
         }
+    }
+
+    /// The two rate-knob points of the key-honesty check: every system
+    /// rate, shape and voting knob differs between them, the structure
+    /// (`N`, `max_groups`) does not.
+    fn knob_points(node_count: u32) -> [SystemConfig; 2] {
+        let mut a = small_cfg();
+        a.node_count = node_count;
+        a.attacker.base_rate = 1.0 / 600.0;
+        let mut b = a.with_vote_participants(2).with_tids(45.0);
+        b.attacker.base_rate *= 3.0;
+        b.attacker.shape = ids::functions::RateShape::Polynomial;
+        b.detection.shape = ids::functions::RateShape::Logarithmic;
+        b.p1_host_false_negative = 0.05;
+        b.p2_host_false_positive = 0.02;
+        b.collusion = CollusionModel::Probabilistic(0.6);
+        b.group_comm_rate *= 2.0;
+        b.join_rate *= 1.5;
+        b.leave_rate *= 0.5;
+        b.partition_rate_per_group *= 4.0;
+        b.merge_rate_per_group *= 0.5;
+        [a, b]
+    }
+
+    /// Explore `nets` at both knob points; the plan of each exploration,
+    /// applied with the other point's net, must give that point's own
+    /// exploration bit for bit. Each edge and self-loop then carries the
+    /// rate at its key's representative, and the fresh exploration the
+    /// rate at its own state: a transition that reads a place it does not
+    /// declare gives two states of one key different rates and fails here.
+    fn assert_declared_keys_are_honest(name: &str, nets: [Spn; 2], opts: &ExploreOptions) {
+        let graphs = nets.each_ref().map(|net| explore(net, opts).unwrap());
+        assert_eq!(graphs[0].states, graphs[1].states, "{name}: structure");
+        let bits = |g: &ReachabilityGraph| {
+            let edges: Vec<u64> = g.edges.iter().flatten().map(|e| e.rate.to_bits()).collect();
+            let loops: Vec<u64> = (g.self_loop_rates.iter().flatten())
+                .map(|&(_, r)| r.to_bits())
+                .collect();
+            (edges, loops, g.absorbing.clone())
+        };
+        for (from, to) in [(0, 1), (1, 0)] {
+            let plan = RatePlan::new(&graphs[from], &nets[from]);
+            assert!(plan.key_count() > 0);
+            let mut working = graphs[from].clone();
+            plan.apply(&nets[to], &mut working).unwrap();
+            assert!(bits(&working) == bits(&graphs[to]), "{name}: {from} → {to}");
+        }
+    }
+
+    #[test]
+    fn declared_rate_keys_are_honest_on_every_net() {
+        let opts = ExploreOptions::default();
+        let [a, b] = knob_points(10);
+        assert_declared_keys_are_honest("paper", [build_model(&a).net, build_model(&b).net], &opts);
+        let with = |attacker, response| ScenarioConfig { attacker, response };
+        let axes = [
+            (
+                "burst",
+                with(
+                    AttackerStrategy::Burst {
+                        on_rate: 1.0 / 5_000.0,
+                        off_rate: 1.0 / 3_000.0,
+                        multiplier: 6.0,
+                    },
+                    ResponsePolicy::Evict,
+                ),
+            ),
+            (
+                "targeted",
+                with(
+                    AttackerStrategy::Targeted { focus: 0.7 },
+                    ResponsePolicy::Evict,
+                ),
+            ),
+            (
+                "stealth",
+                with(
+                    AttackerStrategy::Stealth {
+                        rate_factor: 0.5,
+                        evasion: 0.3,
+                    },
+                    ResponsePolicy::Evict,
+                ),
+            ),
+            (
+                "quarantine",
+                with(
+                    AttackerStrategy::Baseline,
+                    ResponsePolicy::QuarantineRejoin {
+                        release_rate: 1.0 / 600.0,
+                        false_release_prob: 0.2,
+                    },
+                ),
+            ),
+            (
+                "throttle",
+                with(
+                    AttackerStrategy::Baseline,
+                    ResponsePolicy::RekeyThrottle {
+                        max_rate: 1.0 / 300.0,
+                    },
+                ),
+            ),
+        ];
+        for (name, sc) in axes {
+            let nets = [&a, &b].map(|cfg| build_scenario_model(cfg, &sc).net);
+            assert_declared_keys_are_honest(name, nets, &opts);
+        }
+        // Three lumped clusters of five nodes: the keys read each block's
+        // own places on the canonical representatives.
+        let [a, b] = knob_points(5);
+        let topology = ClusterTopology {
+            clusters: 3,
+            failure_threshold: 2,
+        };
+        let models = [&a, &b].map(|cfg| build_clustered_model(cfg, &topology));
+        let lumped = ExploreOptions {
+            lumping: Some(clustered_canonicalizer(&models[0])),
+            ..Default::default()
+        };
+        assert_declared_keys_are_honest("clustered", models.map(|m| m.net), &lumped);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 //! test pins the two bit for bit.
 
 use crate::config::SystemConfig;
-use crate::metrics::{evaluate_with_ctmc, Evaluation};
+use crate::metrics::{evaluate_with_ctmc, Evaluation, RewardKeys};
 use crate::model::{build_scenario_model, GcsIdsModel};
 use scenario::{AttackerStrategy, ScenarioConfig};
 use spn::ctmc::Ctmc;
@@ -82,8 +82,9 @@ pub fn evaluate_scenario_graph(
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>, DetectionTotals), SpnError> {
     let ctmc = Ctmc::from_graph(graph)?;
+    let keys = RewardKeys::population(graph, &model.places);
     let (evaluation, survival, absorption) =
-        evaluate_with_ctmc(model, graph, &ctmc, mission_times)?;
+        evaluate_with_ctmc(model, graph, &ctmc, &keys, mission_times)?;
 
     // Detection-quality totals: expected firing counts from the sojourn
     // vector and the explored edge rates (only enabled transitions appear

@@ -15,6 +15,7 @@
 //!   arcs cannot express.
 
 use crate::error::SpnError;
+use crate::reach::MAX_RATE_KEY_PLACES;
 use std::fmt;
 use std::sync::Arc;
 
@@ -141,6 +142,7 @@ pub struct TransitionDef {
     pub(crate) inhibitors: Vec<(PlaceId, u32)>,
     pub(crate) guard: Option<GuardFn>,
     pub(crate) effect: Option<EffectFn>,
+    pub(crate) reads: Option<Vec<PlaceId>>,
 }
 
 impl TransitionDef {
@@ -159,6 +161,7 @@ impl TransitionDef {
             inhibitors: Vec::new(),
             guard: None,
             effect: None,
+            reads: None,
         }
     }
 
@@ -191,6 +194,7 @@ impl TransitionDef {
             inhibitors: Vec::new(),
             guard: None,
             effect: None,
+            reads: None,
         }
     }
 
@@ -224,6 +228,19 @@ impl TransitionDef {
         self.effect = Some(Arc::new(e));
         self
     }
+
+    /// Declare the places the rate function reads: its *rate key*. Two
+    /// markings with equal tokens on these places must get the same rate,
+    /// so a [`crate::reach::RatePlan`] evaluates the rate once per distinct
+    /// key instead of once per state. An empty list declares a constant
+    /// rate. Without a declaration the key is the whole marking. At most
+    /// four places may be declared ([`SpnBuilder::build`] refuses more).
+    /// Guards and arcs are not part of the key; they decide enabledness,
+    /// which a plan fixes when it is built.
+    pub fn reads(mut self, places: &[PlaceId]) -> Self {
+        self.reads = Some(places.to_vec());
+        self
+    }
 }
 
 pub(crate) struct Transition {
@@ -234,6 +251,8 @@ pub(crate) struct Transition {
     pub(crate) inhibitors: Vec<(PlaceId, u32)>,
     pub(crate) guard: Option<GuardFn>,
     pub(crate) effect: Option<EffectFn>,
+    /// The declared rate key (see [`TransitionDef::reads`]).
+    pub(crate) reads: Option<Vec<PlaceId>>,
 }
 
 /// Incrementally assembles an [`Spn`].
@@ -268,6 +287,7 @@ impl SpnBuilder {
             inhibitors: def.inhibitors,
             guard: def.guard,
             effect: def.effect,
+            reads: def.reads,
         });
         TransitionId(self.transitions.len() as u32 - 1)
     }
@@ -283,7 +303,8 @@ impl SpnBuilder {
     ///
     /// # Errors
     /// Returns [`SpnError::InvalidModel`] for duplicate place/transition
-    /// names, nets without places, or arcs pointing at unknown places.
+    /// names, nets without places, arcs or rate keys pointing at unknown
+    /// places, or a rate key of more than four places.
     pub fn build(self) -> Result<Spn, SpnError> {
         if self.place_names.is_empty() {
             return Err(SpnError::InvalidModel("net has no places".into()));
@@ -321,6 +342,23 @@ impl SpnBuilder {
                 if p.0 >= np {
                     return Err(SpnError::InvalidModel(format!(
                         "transition {} inhibitor references unknown place {:?}",
+                        t.name, p
+                    )));
+                }
+            }
+            let reads = t.reads.as_deref().unwrap_or_default();
+            if reads.len() > MAX_RATE_KEY_PLACES {
+                return Err(SpnError::InvalidModel(format!(
+                    "transition {} declares a rate key of {} places; at most \
+                     {MAX_RATE_KEY_PLACES} are supported — leave it undeclared",
+                    t.name,
+                    reads.len()
+                )));
+            }
+            for &p in reads {
+                if p.0 >= np {
+                    return Err(SpnError::InvalidModel(format!(
+                        "transition {} rate reads unknown place {:?}",
                         t.name, p
                     )));
                 }
@@ -638,6 +676,26 @@ mod tests {
         let p = b.add_place("X", 0);
         b.add_transition(TransitionDef::timed_const("t", 1.0).input(p, 0));
         assert!(matches!(b.build(), Err(SpnError::InvalidModel(_))));
+    }
+
+    #[test]
+    fn rate_keys_must_name_known_places_and_at_most_four() {
+        let build = |reads: &[PlaceId]| {
+            let mut b = SpnBuilder::new();
+            for i in 0..5 {
+                b.add_place(format!("P{i}"), 0);
+            }
+            b.add_transition(TransitionDef::timed_const("t", 1.0).reads(reads));
+            b.build()
+        };
+        let p = |i| PlaceId(i);
+        assert!(build(&[p(0), p(1), p(2), p(3)]).is_ok());
+        assert!(build(&[]).is_ok());
+        assert!(matches!(
+            build(&[p(0), p(1), p(2), p(3), p(4)]),
+            Err(SpnError::InvalidModel(_))
+        ));
+        assert!(matches!(build(&[p(5)]), Err(SpnError::InvalidModel(_))));
     }
 
     #[test]

@@ -17,6 +17,7 @@ use crate::error::SpnError;
 use crate::model::{Marking, PlaceId, Spn, TransitionId};
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Symmetry-lumping canonicalizer: maps every marking to a canonical
 /// representative of its orbit under permutations of indistinguishable
@@ -218,110 +219,30 @@ impl ReachabilityGraph {
     /// weight *ratios* are unchanged (trivially true for nets without
     /// immediate transitions, like the GCS model).
     ///
-    /// Per state the cost is one call of each enabled transition's rate
-    /// function plus a walk over the state's edges and self-loops. The
-    /// per-transition masses and new rates live in two dense arrays indexed
-    /// by [`TransitionId`], allocated once per call and reset only at the
-    /// slots a state touched; the enabled set goes into one reused buffer.
+    /// This is a one-use [`RatePlan`] built from the graph's current rates,
+    /// with one key per enabled (state, transition) pair: grouping the
+    /// pairs by their declared keys pays only when a plan is applied again.
+    /// A caller that re-weights one explored graph many times builds the
+    /// plan once ([`RatePlan::new`]) and applies it per point instead.
     ///
     /// # Errors
     /// * [`SpnError::InvalidModel`] if `net` enables a timed transition with
-    ///   positive rate in a state where the explored graph recorded no mass
-    ///   for it (the variation is structural; re-explore instead), or if
-    ///   `net` refers to a transition id outside this graph's vocabulary.
+    ///   positive rate in a state where the graph records no mass for it
+    ///   (the variation is structural; re-explore instead).
     /// * [`SpnError::BadRate`] from misbehaving rate functions.
+    ///
+    /// On error the graph is left unchanged.
     pub fn reweight_in_place(&mut self, net: &Spn) -> Result<(), SpnError> {
-        // Dense per-transition scratch of (explored mass, new rate). Both
-        // start at 0.0, which reads exactly like "no entry": a transition
-        // without positive mass can neither gain rate nor keep any.
-        let mut scratch = vec![(0.0_f64, 0.0_f64); net.transition_count()];
-        let mut enabled: Vec<(TransitionId, f64)> = Vec::new();
-        for s in 0..self.states.len() {
-            // Edges first, then self-loops: the summation order of a mass.
-            let shares = self.edges[s]
-                .iter()
-                .map(|e| (e.transition, e.rate))
-                .chain(self.self_loop_rates[s].iter().copied());
-            for (t, r) in shares {
-                // A graph explored from another net may carry transition
-                // ids past `net`'s vocabulary; grow the scratch to cover
-                // them.
-                if t.index() >= scratch.len() {
-                    scratch.resize(t.index() + 1, (0.0, 0.0));
-                }
-                scratch[t.index()].0 += r;
-            }
-            let marking = &self.states[s];
-            net.enabled_timed(marking, &mut enabled)?;
-            for &(t, r) in &enabled {
-                let slot = &mut scratch[t.index()];
-                if slot.0 > 0.0 {
-                    slot.1 = r;
-                } else {
-                    return Err(SpnError::InvalidModel(format!(
-                        "reweight: transition {} gained rate {r} in state {s} \
-                         where the explored graph has no mass for it; \
-                         the change is structural — re-explore",
-                        net.transition_name(t)
-                    )));
-                }
-            }
-            // Transitions not enabled now have rate zero (disabled-by-rate);
-            // their edges keep the graph's structure but contribute no CTMC
-            // mass. A transition whose mass is already zero (zeroed by a
-            // previous re-weight) stays zero — guarding the division avoids
-            // 0/0 → NaN on repeated re-weighting. (It cannot be revived
-            // either: its probability split is lost, and a positive new rate
-            // is rejected by the check above.)
-            //
-            // An edge carrying its transition's *entire* mass (no vanishing
-            // split — the only case in the GCS net) takes the new rate
-            // verbatim: `rate * (new / mass)` double-rounds and would leave
-            // a re-weighted graph one ULP off the same graph explored
-            // fresh, breaking bit-identical template-cache replays.
-            let reweight = |rate: &mut f64, t: TransitionId| {
-                let (mass, target) = scratch[t.index()];
-                if mass > 0.0 {
-                    if *rate == mass {
-                        *rate = target;
-                    } else {
-                        *rate *= target / mass;
-                    }
-                } else {
-                    *rate = 0.0;
-                }
-            };
-            for e in &mut self.edges[s] {
-                reweight(&mut e.rate, e.transition);
-            }
-            for sl in &mut self.self_loop_rates[s] {
-                reweight(&mut sl.1, sl.0);
-            }
-            // Reset only the slots this state touched: every enabled
-            // transition has mass here, so its slot is among them.
-            let touched = self.edges[s]
-                .iter()
-                .map(|e| e.transition)
-                .chain(self.self_loop_rates[s].iter().map(|&(t, _)| t));
-            for t in touched {
-                scratch[t.index()] = (0.0, 0.0);
-            }
-            // A rate that drops to zero can silence every remaining edge of
-            // a state, making it absorbing for CTMC purposes.
-            self.absorbing[s] =
-                net.is_absorbing_marking(marking) || self.edges[s].iter().all(|e| e.rate <= 0.0);
-        }
-        Ok(())
+        RatePlan::build(self, net, false).apply(net, self)
     }
 
     /// Reset this graph's rate-bearing parts (edge rates, self-loop rates,
     /// absorbing flags) from a structurally identical `pristine` graph,
-    /// reusing every allocation. This is the scratch-reset step of a
-    /// rebuild-free sweep: a working copy is re-armed from the explored
-    /// graph before each [`ReachabilityGraph::reweight_in_place`], so rate
-    /// families that zero a transition at one grid point can still revive
-    /// it at the next (re-weighting always starts from the explored mass,
-    /// never from an already-zeroed one).
+    /// reusing every allocation. A working copy re-armed this way before
+    /// each [`ReachabilityGraph::reweight_in_place`] re-weights from the
+    /// explored mass, so a rate family that zeroes a transition at one grid
+    /// point can still revive it at the next. A [`RatePlan`] holds the
+    /// pristine rates itself and needs no such reset.
     ///
     /// # Panics
     /// Panics if the state counts differ (the graphs are not copies of one
@@ -335,6 +256,295 @@ impl ReachabilityGraph {
         self.edges.clone_from(&pristine.edges);
         self.self_loop_rates.clone_from(&pristine.self_loop_rates);
         self.absorbing.clone_from(&pristine.absorbing);
+    }
+}
+
+/// One share whose edge or self-loop holds only part of its transition's
+/// explored mass (a vanishing split): it is rescaled as
+/// `rate * (target / mass)`. Every other share takes its target verbatim:
+/// for a share holding the whole mass (the only case in the GCS net) the
+/// rescaling would double-round and leave a re-weighted graph one ULP off
+/// the same graph explored fresh.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    /// Flat index of the share among the edges (or self-loops).
+    index: usize,
+    /// Pristine rate of the share.
+    rate: f64,
+    /// Explored mass of its (state, transition) pair.
+    mass: f64,
+}
+
+/// The edges (or self-loops) of a graph, flattened in state order, as a
+/// plan sees them: the value slot of each, and the splits among them.
+#[derive(Debug, Clone, Default)]
+struct Shares {
+    /// Value slot of every share.
+    slots: Vec<u32>,
+    /// The shares that hold part of their transition's mass, ascending.
+    splits: Vec<Split>,
+}
+
+impl Shares {
+    /// Append a share of pristine `rate` whose (state, transition) pair
+    /// has explored `mass` and value `slot` (0: no key, rate 0).
+    fn push(&mut self, slot: u32, rate: f64, mass: f64) {
+        if slot != 0 && rate != mass {
+            self.splits.push(Split {
+                index: self.slots.len(),
+                rate,
+                mass,
+            });
+        }
+        self.slots.push(slot);
+    }
+
+    /// The new rate of each share for the slot `values`.
+    fn rates<'a>(&'a self, values: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
+        let mut splits = self.splits.iter().peekable();
+        self.slots.iter().enumerate().map(move |(i, &k)| {
+            let target = values[k as usize];
+            match splits.next_if(|sp| sp.index == i) {
+                Some(sp) => sp.rate * (target / sp.mass),
+                None => target,
+            }
+        })
+    }
+}
+
+/// A multiplicative hasher (the Fx scheme) for packed rate keys: a plan
+/// looks one up per enabled (state, transition) pair, where SipHash's
+/// per-call set-up would dominate. The keys come from the explored
+/// markings, not from outside input.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl KeyHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for word in bytes.chunks(4) {
+            let mut le = [0; 4];
+            le[..word.len()].copy_from_slice(word);
+            self.add(u64::from(u32::from_le_bytes(le)));
+        }
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
+
+/// Per transition: the index of each rate key seen so far, by the tokens
+/// of its places (unused places hold 0).
+type KeyIndex = HashMap<[u32; MAX_RATE_KEY_PLACES], u32, BuildHasherDefault<KeyHasher>>;
+
+/// The most places a declared rate key may read.
+pub(crate) const MAX_RATE_KEY_PLACES: usize = 4;
+
+/// The re-weighting of one explored graph, prepared once for any number of
+/// rate-only variations of its net (Hahn, Hermanns & Zhang's parametric
+/// evaluation in its simplest form: group the rate evaluations, then
+/// scatter).
+///
+/// A timed transition's rate reads a few places of the marking, its *rate
+/// key* ([`crate::model::TransitionDef::reads`]; the whole marking when
+/// undeclared). The plan holds, per transition, the distinct keys of the
+/// states where it is enabled with explored mass, each with the first such
+/// state as its representative; every edge and self-loop points at its
+/// key. [`RatePlan::apply`] evaluates each key once, at its representative,
+/// and writes every edge and self-loop rate and every absorbing flag of a
+/// structurally identical graph from the pristine values the plan keeps,
+/// so a working copy needs no reset between points.
+///
+/// The arithmetic is [`ReachabilityGraph::reweight_in_place`]'s (which is a
+/// one-use plan): a share holding its transition's whole mass takes the new
+/// rate verbatim, a vanishing split is rescaled by `new / mass`, and a
+/// transition that is disabled, immediate or without mass gets rate 0. The
+/// same rate function on the same inputs gives the same bits, so a plan
+/// with honest keys reproduces a fresh exploration of the new net bit for
+/// bit.
+#[derive(Debug, Clone)]
+pub struct RatePlan {
+    /// The distinct rate keys in first-seen state order: the transition and
+    /// its representative state. Key `k` fills value slot `k + 1`; slot 0
+    /// holds the constant 0.
+    keys: Vec<(TransitionId, u32)>,
+    /// Every edge, flattened in state then edge order.
+    edges: Shares,
+    /// Every self-loop, flattened the same way.
+    loops: Shares,
+    /// The net's absorbing predicate, per state.
+    absorbing: Vec<bool>,
+    /// (state, transition) pairs where the transition is enabled but the
+    /// graph records no mass for it: a positive rate there is structural.
+    unexplored: Vec<(u32, TransitionId)>,
+}
+
+impl RatePlan {
+    /// Prepare the re-weighting of `graph` (its current rates are the
+    /// pristine ones) under nets with `net`'s structure. Enabledness and
+    /// the absorbing predicate are evaluated here, once per state; no rate
+    /// function is called.
+    pub fn new(graph: &ReachabilityGraph, net: &Spn) -> Self {
+        Self::build(graph, net, true)
+    }
+
+    /// [`RatePlan::new`], grouping the enabled pairs by their declared rate
+    /// keys when `keyed` is set and giving each pair its own key otherwise.
+    fn build(graph: &ReachabilityGraph, net: &Spn, keyed: bool) -> Self {
+        // A graph explored from another net may carry transition ids past
+        // `net`'s vocabulary; the dense scratch covers them.
+        let width = (graph.edges.iter().flatten().map(|e| e.transition))
+            .chain(graph.self_loop_rates.iter().flatten().map(|&(t, _)| t))
+            .map(|t| t.index() + 1)
+            .fold(net.transition_count(), usize::max);
+        // Per transition: explored mass and value slot in the current state.
+        let mut mass = vec![0.0_f64; width];
+        let mut slot = vec![0_u32; width];
+        let mut key_index: Vec<KeyIndex> = (0..net.transition_count())
+            .map(|_| KeyIndex::default())
+            .collect();
+        let mut plan = Self {
+            keys: Vec::new(),
+            edges: Shares {
+                slots: Vec::with_capacity(graph.edge_count()),
+                splits: Vec::new(),
+            },
+            loops: Shares::default(),
+            absorbing: Vec::with_capacity(graph.state_count()),
+            unexplored: Vec::new(),
+        };
+        for (s, marking) in graph.states.iter().enumerate() {
+            // Edges first, then self-loops: the summation order of a mass.
+            let shares = || {
+                (graph.edges[s].iter().map(|e| (e.transition, e.rate)))
+                    .chain(graph.self_loop_rates[s].iter().copied())
+            };
+            for (t, r) in shares() {
+                mass[t.index()] += r;
+            }
+            let absorbing = net.is_absorbing_marking(marking);
+            if !absorbing {
+                for t in net.transition_ids() {
+                    if net.is_immediate(t) || !net.is_enabled(t, marking) {
+                        continue;
+                    }
+                    // Without mass (explored at rate 0, or zeroed by an
+                    // earlier re-weight) the transition keeps rate 0.
+                    if mass[t.index()] <= 0.0 {
+                        plan.unexplored.push((s as u32, t));
+                        continue;
+                    }
+                    let mut new_key = || {
+                        plan.keys.push((t, s as u32));
+                        plan.keys.len() as u32 - 1
+                    };
+                    let k = match net.transition_ref(t).reads.as_ref().filter(|_| keyed) {
+                        None => new_key(),
+                        Some(places) => {
+                            let mut tokens = [0; MAX_RATE_KEY_PLACES];
+                            for (token, &p) in tokens.iter_mut().zip(places) {
+                                *token = marking.tokens(p);
+                            }
+                            *key_index[t.index()].entry(tokens).or_insert_with(new_key)
+                        }
+                    };
+                    slot[t.index()] = k + 1;
+                }
+            }
+            for e in &graph.edges[s] {
+                let t = e.transition.index();
+                plan.edges.push(slot[t], e.rate, mass[t]);
+            }
+            for &(t, r) in &graph.self_loop_rates[s] {
+                plan.loops.push(slot[t.index()], r, mass[t.index()]);
+            }
+            // Reset only the slots this state touched: every transition
+            // given a key has mass here, so its slot is among them.
+            for (t, _) in shares() {
+                mass[t.index()] = 0.0;
+                slot[t.index()] = 0;
+            }
+            plan.absorbing.push(absorbing);
+        }
+        plan
+    }
+
+    /// Distinct rate keys, summed over transitions: the rate evaluations
+    /// one [`RatePlan::apply`] makes besides the unexplored pairs.
+    pub fn key_count(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// Write `graph`'s edge rates, self-loop rates and absorbing flags for
+    /// `net`'s current rate functions. `graph` must have the states and
+    /// edges of the graph the plan was built from (its rates may be
+    /// anything), and `net` the structure of the plan's net: the same
+    /// transitions, arcs, guards and absorbing predicate, with rates that
+    /// honour their declared keys.
+    ///
+    /// # Errors
+    /// * [`SpnError::InvalidModel`] if `net` gives positive rate to a
+    ///   transition enabled in a state where the plan's graph has no mass
+    ///   for it (the variation is structural; re-explore instead).
+    /// * [`SpnError::BadRate`] from misbehaving rate functions.
+    ///
+    /// On error `graph` is left unchanged.
+    ///
+    /// # Panics
+    /// Panics if `graph` has a different number of states, edges or
+    /// self-loops than the plan's graph.
+    pub fn apply(&self, net: &Spn, graph: &mut ReachabilityGraph) -> Result<(), SpnError> {
+        assert_eq!(
+            graph.state_count(),
+            self.absorbing.len(),
+            "a rate plan applies to the graph it was built from"
+        );
+        for &(s, t) in &self.unexplored {
+            if let Some(r) = net.rate(t, &graph.states[s as usize])? {
+                if r > 0.0 {
+                    return Err(SpnError::InvalidModel(format!(
+                        "reweight: transition {} gained rate {r} in state {s} \
+                         where the explored graph has no mass for it; \
+                         the change is structural — re-explore",
+                        net.transition_name(t)
+                    )));
+                }
+            }
+        }
+        let mut values = Vec::with_capacity(self.keys.len() + 1);
+        values.push(0.0);
+        for &(t, s) in &self.keys {
+            let r = net.rate(t, &graph.states[s as usize])?.unwrap_or(0.0);
+            values.push(if r > 0.0 { r } else { 0.0 });
+        }
+        let mut rates = self.edges.rates(&values);
+        for (s, edges) in graph.edges.iter_mut().enumerate() {
+            let mut live = false;
+            for e in edges {
+                e.rate = rates.next().expect("the plan's edge count");
+                live |= e.rate > 0.0;
+            }
+            // A rate that drops to zero can silence every remaining edge
+            // of a state, making it absorbing for CTMC purposes.
+            graph.absorbing[s] = self.absorbing[s] || !live;
+        }
+        assert!(rates.next().is_none(), "the plan's edge count");
+        let mut rates = self.loops.rates(&values);
+        for sl in graph.self_loop_rates.iter_mut().flatten() {
+            sl.1 = rates.next().expect("the plan's self-loop count");
+        }
+        assert!(rates.next().is_none(), "the plan's self-loop count");
+        Ok(())
     }
 }
 
@@ -915,6 +1125,85 @@ mod tests {
             g.reweight_in_place(&scaled_death_chain(3, 1.0)),
             Err(SpnError::InvalidModel(_))
         ));
+    }
+
+    /// Tokens drain from `up` through a vanishing marking split 1:3 into
+    /// `left`/`right`; `die` reads only `up`, and `noop` is a constant
+    /// cost-only self-loop. `leak` is enabled everywhere `up` holds a token
+    /// but explored at rate 0.
+    fn keyed_net(die: f64, noop: f64, leak: f64) -> Spn {
+        let mut b = SpnBuilder::new();
+        let up = b.add_place("up", 3);
+        let mid = b.add_place("mid", 0);
+        let left = b.add_place("left", 0);
+        let right = b.add_place("right", 0);
+        b.add_transition(
+            TransitionDef::timed("die", move |m| die * m.tokens(up) as f64)
+                .reads(&[up])
+                .input(up, 1)
+                .output(mid, 1),
+        );
+        b.add_transition(
+            TransitionDef::immediate_weighted("l", |_| 1.0, 0)
+                .input(mid, 1)
+                .output(left, 1),
+        );
+        b.add_transition(
+            TransitionDef::immediate_weighted("r", |_| 3.0, 0)
+                .input(mid, 1)
+                .output(right, 1),
+        );
+        b.add_transition(TransitionDef::timed_const("noop", noop).reads(&[]));
+        b.add_transition(
+            TransitionDef::timed_const("leak", leak)
+                .reads(&[])
+                .input(up, 1),
+        );
+        b.build().unwrap()
+    }
+
+    fn rate_bits(g: &ReachabilityGraph) -> (Vec<u64>, Vec<u64>, Vec<bool>) {
+        (
+            g.edges.iter().flatten().map(|e| e.rate.to_bits()).collect(),
+            (g.self_loop_rates.iter().flatten())
+                .map(|&(_, r)| r.to_bits())
+                .collect(),
+            g.absorbing.clone(),
+        )
+    }
+
+    #[test]
+    fn rate_plan_rewrites_a_working_copy_like_a_reset_and_reweight() {
+        let pristine = explore(&keyed_net(1.3, 7.0, 0.0), &ExploreOptions::default()).unwrap();
+        let plan = RatePlan::new(&pristine, &keyed_net(1.3, 7.0, 0.0));
+        // `die` has one key per token count of `up` (3, 2, 1) across the
+        // left/right states; `noop` one constant key.
+        assert_eq!(plan.key_count(), 4);
+        let mut working = pristine.clone();
+        // A zero rate silences `die` at one point; the next point starts
+        // from the plan's pristine values, not from the zeroed copy.
+        for (die, noop) in [(0.0, 7.0), (2.9, 0.5), (0.7, 21.0), (1.3, 7.0)] {
+            let net = keyed_net(die, noop, 0.0);
+            plan.apply(&net, &mut working).unwrap();
+            let mut reference = pristine.clone();
+            reference.reweight_in_place(&net).unwrap();
+            assert_eq!(rate_bits(&working), rate_bits(&reference), "die {die}");
+        }
+        assert_eq!(rate_bits(&working), rate_bits(&pristine));
+    }
+
+    #[test]
+    fn rate_plan_refuses_a_gained_rate_and_leaves_the_graph_alone() {
+        let pristine = explore(&keyed_net(1.3, 7.0, 0.0), &ExploreOptions::default()).unwrap();
+        let plan = RatePlan::new(&pristine, &keyed_net(1.3, 7.0, 0.0));
+        let mut working = pristine.clone();
+        plan.apply(&keyed_net(2.0, 7.0, 0.0), &mut working).unwrap();
+        let before = rate_bits(&working);
+        assert!(matches!(
+            plan.apply(&keyed_net(1.3, 7.0, 0.5), &mut working),
+            Err(SpnError::InvalidModel(_))
+        ));
+        assert_eq!(rate_bits(&working), before);
     }
 
     #[test]

@@ -196,3 +196,22 @@ fn adaptive_interval_selection_pays_off_for_every_attacker() {
         );
     }
 }
+
+/// The Figures 2–5 CSVs that `--bin all` writes, byte for byte against
+/// `tests/fixtures/figures/`. Numbers print in their shortest round-trip
+/// form, so any change to a bit of any point fails here.
+#[test]
+fn figure_csvs_match_the_committed_goldens() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/figures");
+    let cfg = paper();
+    let tables = [
+        ("fig2_mttsf_vs_tids_by_m.csv", fig2(&cfg).unwrap()),
+        ("fig3_cost_vs_tids_by_m.csv", fig3(&cfg).unwrap()),
+        ("fig4_mttsf_vs_tids_by_detection.csv", fig4(&cfg).unwrap()),
+        ("fig5_cost_vs_tids_by_detection.csv", fig5(&cfg).unwrap()),
+    ];
+    for (name, table) in tables {
+        let golden = std::fs::read_to_string(dir.join(name)).unwrap();
+        assert!(table.csv() == golden, "{name} differs:\n{}", table.csv());
+    }
+}

@@ -15,7 +15,7 @@ use gcsids::clustered::{
     evaluate_clustered_graph, evaluate_clustered_with_survival, ClusteredPath,
 };
 use gcsids::config::{ClusterTopology, SystemConfig};
-use gcsids::metrics::ExactTemplate;
+use gcsids::metrics::{ExactTemplate, TemplateStats};
 use gcsids::model::build_clustered_model;
 use spn::ctmc::{Ctmc, TransientOptions};
 use spn::reach::{explore, ExploreOptions};
@@ -32,9 +32,10 @@ fn hot_system() -> SystemConfig {
     cfg
 }
 
-/// States and edges of the paper-default net at `n` nodes, and the
-/// transient telemetry of a 5-point survival sweep to 0.05 × MTTSF.
-fn exact_counts(n: u32) -> (usize, usize, TransientStats) {
+/// States and edges of the paper-default net at `n` nodes, the transient
+/// telemetry of a 5-point survival sweep to 0.05 × MTTSF, and the
+/// template's work counters.
+fn exact_counts(n: u32) -> (usize, usize, TransientStats, TemplateStats) {
     let mut cfg = SystemConfig::paper_default();
     cfg.node_count = n;
     let template = ExactTemplate::new(&cfg).unwrap();
@@ -43,7 +44,26 @@ fn exact_counts(n: u32) -> (usize, usize, TransientStats) {
     let horizon = 0.05 * ctmc.mean_time_to_absorption().unwrap().mtta;
     let grid: Vec<f64> = (1..=5).map(|i| horizon * f64::from(i) / 5.0).collect();
     let (_, stats) = ctmc.survival_curve_with_stats(&grid, &TransientOptions::default());
-    (graph.state_count(), graph.edge_count(), stats)
+    (
+        graph.state_count(),
+        graph.edge_count(),
+        stats,
+        template.stats(),
+    )
+}
+
+/// The counters of a freshly built template: one exploration and one
+/// pattern build, no lumping, and the distinct rate and reward keys that
+/// bound one point's rate and reward evaluations.
+fn template_stats(rate_keys: usize, reward_keys: usize) -> TemplateStats {
+    TemplateStats {
+        explorations: 1,
+        pattern_builds: 1,
+        orbits: 0,
+        orbit_members: 0,
+        rate_keys,
+        reward_keys,
+    }
 }
 
 #[test]
@@ -55,7 +75,10 @@ fn exact_pipeline_counts_at_n50() {
         transient_states: 1_825,
         absorbing_states: 1_825,
     };
-    assert_eq!(exact_counts(50), (3_650, 9_632, expected));
+    assert_eq!(
+        exact_counts(50),
+        (3_650, 9_632, expected, template_stats(4_380, 194))
+    );
 }
 
 #[test]
@@ -67,7 +90,10 @@ fn exact_pipeline_counts_at_n100() {
         transient_states: 6_993,
         absorbing_states: 6_993,
     };
-    assert_eq!(exact_counts(100), (13_986, 37_656, expected));
+    assert_eq!(
+        exact_counts(100),
+        (13_986, 37_656, expected, template_stats(17_117, 394))
+    );
 }
 
 /// Three 5-node clusters are still explorable unlumped: the lumped
