@@ -38,7 +38,7 @@
 use crate::config::{ClusterTopology, SystemConfig};
 use crate::cost::{cost_breakdown, CostBreakdown};
 use crate::metrics::{
-    eviction_impulses, rekey_impulses, solve_rewards, Evaluation, RewardKeys, StateRates,
+    eviction_impulses, rekey_impulses, solve_rewards, Evaluation, RewardKeys, RewardRates,
 };
 use crate::model::{
     build_clustered_model, build_model, cluster_failed, clustered_canonicalizer, population,
@@ -283,7 +283,8 @@ pub fn evaluate_clustered_graph(
         ResponsePolicy::Evict,
         (model.cluster_places.iter().enumerate()).map(|(i, p)| (format!("#{i}"), *p)),
     )?;
-    let rates = StateRates::new(
+    let mut rates = RewardRates::new(
+        &graph.states,
         graph,
         &RewardKeys::PerState,
         |m| {
@@ -298,7 +299,7 @@ pub fn evaluate_clustered_graph(
         &impulses,
     );
     let split = absorbing_flux_split(model, graph, &absorption.sojourn);
-    solve_rewards(graph, &ctmc, &absorption, &rates, split, mission_times)
+    solve_rewards(&ctmc, &absorption, &mut rates, split, mission_times)
 }
 
 /// Exact failure-cause split for a flat clustered graph: the probability
@@ -543,25 +544,22 @@ fn hierarchical_compose(
     // rate and the cause mix actually move.
     let places = cluster_model.places;
     let cfg = &cluster_model.config;
-    let rates = StateRates::new(
+    let keys = RewardKeys::population(&cluster_graph.states, &places);
+    let impulses = eviction_impulses(cluster_model)?;
+    let mut rates = RewardRates::new(
+        &cluster_graph.states,
         cluster_graph,
-        &RewardKeys::population(cluster_graph, &places),
+        &keys,
         |m| cost_breakdown(cfg, &population(&places, m)),
-        &eviction_impulses(cluster_model)?,
+        &impulses,
     );
-    // Absorbed clusters accrue nothing; live ones fold their rekey
-    // impulses into the rekey component.
-    let state_rates: Vec<CostBreakdown> = (rates.cost.into_iter().zip(rates.impulse))
-        .zip(&cluster_graph.absorbing)
-        .map(|((mut c, imp), &absorbed)| {
-            if absorbed {
-                CostBreakdown::default()
-            } else {
-                c.rekey += imp;
-                c
-            }
-        })
-        .collect();
+    // A live cluster folds its rekey impulses into the rekey component;
+    // an absorbed one accrues nothing.
+    let mut live_rate = |i: usize| {
+        let mut c = rates.cost(i);
+        c.rekey += rates.impulse(i);
+        c
+    };
 
     const PROBES: usize = 33;
     let probe_times: Vec<f64> = (0..PROBES)
@@ -590,7 +588,7 @@ fn hierarchical_compose(
                 }
             } else {
                 alive_mass += p;
-                rho = rho.add(&state_rates[i].scale(p));
+                rho = rho.add(&live_rate(i).scale(p));
             }
         }
         if alive_mass > 1e-300 {

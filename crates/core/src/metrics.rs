@@ -13,8 +13,8 @@ use crate::model::{build_model, population, GcsIdsModel, Places};
 use scenario::ResponsePolicy;
 use spn::ctmc::{AbsorptionAnalysis, Ctmc, CtmcTemplate, TransientOptions};
 use spn::error::SpnError;
-use spn::model::{Marking, Spn};
-use spn::reach::{explore, ExploreOptions, RatePlan, ReachabilityGraph};
+use spn::model::{Marking, Spn, TransitionId};
+use spn::reach::{explore, ExploreOptions, RatePlan, ReachabilityGraph, ShareRates};
 use spn::reward::{ImpulseReward, RateReward};
 use spn::transient::TransientStats;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -60,38 +60,44 @@ pub fn evaluate(cfg: &SystemConfig) -> Result<Evaluation, SpnError> {
 /// (`node_count`, `max_groups`); every other knob — detection interval,
 /// attacker intensity, rate shapes, vote participants, host-IDS error
 /// probabilities, traffic constants — only changes transition *rates* or
-/// reward values. A template explores the reachability graph once, builds
-/// the CTMC sparsity pattern once ([`CtmcTemplate`]) and the re-weighting
-/// plan once ([`RatePlan`]), and then evaluates any structurally
-/// compatible configuration **rebuild-free**: the plan writes a pooled
-/// scratch graph's rates straight from the pristine exploration
-/// ([`RatePlan::apply`]), and the cached CTMC's value arrays are rewritten
-/// in place ([`CtmcTemplate::refresh`]) — no graph clone and no matrix
-/// construction per evaluation. Evaluation takes `&self`, so one template
-/// serves a whole parallel batch of the engine's runner; each worker
-/// checks a scratch set out of the interior pool (one set per concurrent
-/// worker ever exists, all sharing the single CSR pattern).
+/// reward values. A template explores the reachability graph once and
+/// keeps its markings, the CTMC sparsity pattern ([`CtmcTemplate`]) and
+/// the re-weighting plan ([`RatePlan`]); it keeps no graph and no rates.
+/// It then evaluates any structurally compatible configuration in one flat
+/// pass: the plan evaluates the rates ([`RatePlan::share_rates`]), which go
+/// straight into a pooled CTMC's value array
+/// ([`CtmcTemplate::refresh_with`]) and, for the rekey impulses, into the
+/// rewards — no graph and no matrix construction per evaluation.
+/// Evaluation takes `&self`, so one template serves a whole parallel batch
+/// of the engine's runner; each worker checks a scratch set (a rate buffer
+/// and a CTMC on the single CSR pattern) out of the interior pool, and one
+/// set per concurrent worker ever exists.
 ///
-/// A point's cost is rate work only: each transition's rate function once
-/// per distinct rate key (the places it declares it reads; the voting
-/// probabilities of `T_IDS`/`T_FA` computed once per group split and
-/// voting key, in memos that every net of that key shares, so a rate-only
-/// point that keeps m, p1, p2 and the collusion model finds them warm),
-/// the value-array refresh, the cost components and rekey amounts once per
+/// A point's cost is rate work only: each rate factor once per distinct
+/// key (the conviction rates `T_IDS`/`T_FA` are a target-count factor
+/// keyed by (`Tm`, `UCm`) times a voting factor keyed by the target
+/// group's (good, bad) split, whose probabilities come from memos that
+/// every net of one voting key shares, so a rate-only point that keeps m,
+/// p1, p2 and the collusion model finds them warm), one product per rate,
+/// the value-array scatter, the cost components and rekey amounts once per
 /// reward key (`T + U`, `NG`), and the block solves of the absorption
 /// system. The scratch CTMC keeps the structural half of that solve
 /// (reachability, strongly connected blocks, coupling layout) from point
 /// to point while the positive-rate pattern stays the same.
 pub struct ExactTemplate {
-    /// The pristine explored graph; never mutated after construction.
-    graph: ReachabilityGraph,
-    /// Shared CSR patterns + slot maps, built once.
+    /// The explored markings, by state.
+    states: Vec<Marking>,
+    /// Shared CSR pattern + slot map, built once.
     ctmc: CtmcTemplate,
-    /// The re-weighting of the pristine graph, built once.
+    /// The re-weighting of the explored graph, built once.
     plan: RatePlan,
     /// Every state's reward key, built once.
     reward_keys: RewardKeys,
-    /// Pool of reusable (working graph, working CTMC) pairs.
+    /// Whether each state holds a leaked-data token (C1).
+    leaked: Vec<bool>,
+    /// Distinct keys of each rate factor, by transition name.
+    factor_keys: Vec<(String, Vec<usize>)>,
+    /// Pool of reusable (rate buffer, CTMC) sets.
     scratch: Mutex<Vec<Scratch>>,
     opts: ExploreOptions,
     node_count: u32,
@@ -100,17 +106,18 @@ pub struct ExactTemplate {
     pattern_builds: AtomicUsize,
 }
 
-/// One worker's mutable state: a re-weightable graph copy plus a CTMC laid
-/// out on the template's shared pattern.
+/// One worker's mutable state: the plan's value buffer and a CTMC laid out
+/// on the template's shared pattern (made at the worker's first point).
+#[derive(Default)]
 struct Scratch {
-    graph: ReachabilityGraph,
-    ctmc: Ctmc,
+    values: Vec<f64>,
+    ctmc: Option<Ctmc>,
 }
 
 /// Lifetime work counters of an [`ExactTemplate`] — the acceptance check
 /// for explore-once-solve-many sweeps: a rate-only sweep of any size must
 /// leave both counters at 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TemplateStats {
     /// State-space explorations performed (1 at construction; +1 per
     /// structural-fallback evaluation).
@@ -124,9 +131,12 @@ pub struct TemplateStats {
     /// lumping is off; lumping can only shrink the space when some orbit
     /// has ≥ 2 members).
     pub orbit_members: usize,
-    /// Distinct rate keys summed over transitions: the rate evaluations of
-    /// one re-weighting ([`RatePlan::key_count`]).
+    /// Distinct rate keys summed over transitions and factors: the rate
+    /// evaluations of one re-weighting ([`RatePlan::key_count`]).
     pub rate_keys: usize,
+    /// The same keys per transition (by name, in transition order), one
+    /// count per factor of its rate.
+    pub factor_keys: Vec<(String, Vec<usize>)>,
     /// Distinct reward keys (`T + U`, `NG`): at most this many cost and
     /// rekey-amount evaluations per point.
     pub reward_keys: usize,
@@ -151,12 +161,28 @@ impl ExactTemplate {
         let graph = explore(&model.net, opts)?;
         let ctmc = CtmcTemplate::new(&graph)?;
         let plan = RatePlan::new(&graph, &model.net);
-        let reward_keys = RewardKeys::population(&graph, &model.places);
+        let mut factor_keys: Vec<(String, Vec<usize>)> = Vec::new();
+        for (t, factor, keys) in plan.factor_key_counts() {
+            if factor == 0 {
+                factor_keys.push((model.net.transition_name(t).to_owned(), Vec::new()));
+            }
+            factor_keys
+                .last_mut()
+                .expect("factor 0 comes first")
+                .1
+                .push(keys);
+        }
+        let reward_keys = RewardKeys::population(&graph.states, &model.places);
+        let leaked = (graph.states.iter())
+            .map(|m| m.tokens(model.places.gf) > 0)
+            .collect();
         Ok(Self {
-            graph,
+            states: graph.states,
             ctmc,
             plan,
             reward_keys,
+            leaked,
+            factor_keys,
             scratch: Mutex::new(Vec::new()),
             opts: opts.clone(),
             node_count: cfg.node_count,
@@ -179,6 +205,7 @@ impl ExactTemplate {
             orbits,
             orbit_members,
             rate_keys: self.plan.key_count(),
+            factor_keys: self.factor_keys.clone(),
             reward_keys: self.reward_keys.count(),
         }
     }
@@ -188,14 +215,9 @@ impl ExactTemplate {
         cfg.node_count == self.node_count && cfg.max_groups == self.max_groups
     }
 
-    /// Number of tangible states in the cached graph.
+    /// Number of tangible states of the explored state space.
     pub fn state_count(&self) -> usize {
-        self.graph.state_count()
-    }
-
-    /// The cached reachability graph.
-    pub fn graph(&self) -> &ReachabilityGraph {
-        &self.graph
+        self.states.len()
     }
 
     /// Evaluate a configuration against the cached state space.
@@ -227,18 +249,26 @@ impl ExactTemplate {
             return self.evaluate_fresh(cfg, mission_times);
         }
         let model = build_model(cfg);
-        let mut scratch = self.take_scratch()?;
+        let mut scratch = self.pool().pop().unwrap_or_default();
         let result = (|| {
-            // The plan writes every rate from the pristine exploration, so
-            // a zeroed transition at one grid point cannot poison the next
-            // point's split.
-            self.plan.apply(&model.net, &mut scratch.graph)?;
-            self.ctmc.refresh(&scratch.graph, &mut scratch.ctmc)?;
+            // The plan computes every rate from the pristine exploration,
+            // so a zeroed transition at one grid point cannot poison the
+            // next point's split.
+            let rates = self
+                .plan
+                .share_rates(&model.net, &self.states, &mut scratch.values)?;
+            match &mut scratch.ctmc {
+                Some(ctmc) => self.ctmc.refresh_with(&rates, ctmc)?,
+                none => *none = Some(self.ctmc.instantiate_with(&rates)?),
+            }
+            let ctmc = scratch.ctmc.as_ref().expect("written above");
             evaluate_with_ctmc(
                 &model,
-                &scratch.graph,
-                &scratch.ctmc,
+                &self.states,
+                &rates,
+                ctmc,
                 &self.reward_keys,
+                |s| self.leaked[s],
                 mission_times,
             )
             .map(|(e, s, _)| (e, s))
@@ -254,23 +284,11 @@ impl ExactTemplate {
     }
 
     /// The scratch pool. A panic while the lock was held cannot break it —
-    /// it holds no invariant beyond "each set is a whole (graph, CTMC)
+    /// it holds no invariant beyond "each set is a whole (buffer, CTMC)
     /// pair", and sets are pushed and popped whole — so a poisoned lock is
     /// recovered, not propagated.
     fn pool(&self) -> MutexGuard<'_, Vec<Scratch>> {
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Check a scratch set out of the pool, creating one (on the shared
-    /// pattern — no pattern build) when all are in use.
-    fn take_scratch(&self) -> Result<Scratch, SpnError> {
-        if let Some(s) = self.pool().pop() {
-            return Ok(s);
-        }
-        Ok(Scratch {
-            graph: self.graph.clone(),
-            ctmc: self.ctmc.instantiate(&self.graph)?,
-        })
     }
 
     /// Fresh exploration under the template's own limits, so a
@@ -299,8 +317,18 @@ pub fn evaluate_graph(
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
     let ctmc = Ctmc::from_graph(graph)?;
-    let keys = RewardKeys::population(graph, &model.places);
-    evaluate_with_ctmc(model, graph, &ctmc, &keys, mission_times).map(|(e, s, _)| (e, s))
+    let keys = RewardKeys::population(&graph.states, &model.places);
+    let leaked = |s: usize| graph.states[s].tokens(model.places.gf) > 0;
+    evaluate_with_ctmc(
+        model,
+        &graph.states,
+        graph,
+        &ctmc,
+        &keys,
+        leaked,
+        mission_times,
+    )
+    .map(|(e, s, _)| (e, s))
 }
 
 /// The response policy's rekey impulse rewards, shared by the exact
@@ -377,18 +405,18 @@ pub(crate) enum RewardKeys {
 }
 
 impl RewardKeys {
-    /// Key every state of `graph` by (`T + U`, `NG`) of `places`.
-    pub(crate) fn population(graph: &ReachabilityGraph, places: &Places) -> Self {
+    /// Key every marking of `states` by (`T + U`, `NG`) of `places`.
+    pub(crate) fn population(states: &[Marking], places: &Places) -> Self {
         let key = |m: &Marking| {
             let pop = population(places, m);
             (pop.live() as usize, m.tokens(places.ng) as usize)
         };
-        let (live_max, ng_max) = (graph.states.iter().map(key))
-            .fold((0, 0), |(l, g), (live, ng)| (l.max(live), g.max(ng)));
+        let (live_max, ng_max) =
+            (states.iter().map(key)).fold((0, 0), |(l, g), (live, ng)| (l.max(live), g.max(ng)));
         // A dense (live, NG) table numbers the keys without hashing.
         let mut index = vec![u32::MAX; (live_max + 1) * (ng_max + 1)];
         let mut count = 0;
-        let of_state = (graph.states.iter().map(key))
+        let of_state = (states.iter().map(key))
             .map(|(live, ng)| {
                 let slot = &mut index[live * (ng_max + 1) + ng];
                 if *slot == u32::MAX {
@@ -418,35 +446,75 @@ impl RewardKeys {
     }
 }
 
-/// Per-state reward rates of an explored graph: the input of the reward
-/// core [`solve_rewards`].
-pub(crate) struct StateRates {
-    /// Cost components accrued per unit time in each state.
-    pub(crate) cost: Vec<CostBreakdown>,
-    /// Rekey-impulse hop·bits expected per unit time in each state.
-    pub(crate) impulse: Vec<f64>,
+/// A chain's rated shares, state by state: what the reward core reads of
+/// the rekey impulses' transitions. An explored (or re-weighted) graph's
+/// edges and self-loops, or a rate plan's evaluated rates.
+pub(crate) trait ShareSource {
+    /// Call `f` with each share of state `s`, edges then self-loops, as
+    /// (transition, rate). A source may leave out shares of rate 0.
+    fn for_each_share(&self, s: usize, f: impl FnMut(TransitionId, f64));
+
+    /// Number of CTMC edges.
+    fn edge_count(&self) -> usize;
 }
 
-impl StateRates {
-    /// `cost` evaluated on every live state, and the summed firing rates
-    /// of `impulses` weighted by their per-firing amounts. An absorbing
-    /// state keeps [`CostBreakdown::default`]: its sojourn is zero, and
-    /// every reader skips it. `cost` and each impulse amount are evaluated
-    /// once per key of `keys`, at its first state that needs them.
-    ///
-    /// In state `s` an impulse accrues at `rate(t, s) · amount(s)`, where
-    /// `rate(t, s)` sums the edges, then the self-loops, of its transition
-    /// out of `s` (as [`ImpulseReward::per_state`] does); the impulses are
-    /// summed in their order. One walk over a state's edges serves them
-    /// all.
+impl ShareSource for ReachabilityGraph {
+    fn for_each_share(&self, s: usize, mut f: impl FnMut(TransitionId, f64)) {
+        for e in &self.edges[s] {
+            f(e.transition, e.rate);
+        }
+        for &(t, r) in &self.self_loop_rates[s] {
+            f(t, r);
+        }
+    }
+
+    fn edge_count(&self) -> usize {
+        ReachabilityGraph::edge_count(self)
+    }
+}
+
+impl ShareSource for ShareRates<'_> {
+    fn for_each_share(&self, s: usize, f: impl FnMut(TransitionId, f64)) {
+        ShareRates::for_each_share(self, s, f);
+    }
+
+    fn edge_count(&self) -> usize {
+        ShareRates::edge_count(self)
+    }
+}
+
+/// The reward rates of a chain's live states, read by key: the input of
+/// the reward core [`solve_rewards`]. `cost` and each impulse amount are
+/// evaluated once per key of `keys`, at the first state that asks for
+/// them. In state `s` an impulse accrues at `rate(t, s) · amount(s)`,
+/// where `rate(t, s)` sums the shares of its transition out of `s`, edges
+/// then self-loops (as [`ImpulseReward::per_state`] does), and the
+/// impulses are summed in their order. Only the states a caller asks about
+/// are read, so the absorbing and unreachable ones cost nothing.
+pub(crate) struct RewardRates<'a, S, C> {
+    markings: &'a [Marking],
+    shares: &'a S,
+    keys: &'a RewardKeys,
+    cost: C,
+    impulses: &'a [ImpulseReward],
+    /// Rate accumulator of each transition with an impulse, and of each
+    /// impulse.
+    acc_of: Vec<usize>,
+    acc_of_impulse: Vec<usize>,
+    rate: Vec<f64>,
+    cost_of_key: Vec<Option<CostBreakdown>>,
+    amount_of_key: Vec<Option<f64>>,
+}
+
+impl<'a, S: ShareSource, C: Fn(&Marking) -> CostBreakdown> RewardRates<'a, S, C> {
     pub(crate) fn new(
-        graph: &ReachabilityGraph,
-        keys: &RewardKeys,
-        cost: impl Fn(&Marking) -> CostBreakdown,
-        impulses: &[ImpulseReward],
+        markings: &'a [Marking],
+        shares: &'a S,
+        keys: &'a RewardKeys,
+        cost: C,
+        impulses: &'a [ImpulseReward],
     ) -> Self {
         const NONE: usize = usize::MAX;
-        // Each impulse's transition gets a rate accumulator.
         let width = impulses.iter().map(|i| i.transition.index() + 1).max();
         let mut acc_of = vec![NONE; width.unwrap_or(0)];
         let mut acc_of_impulse = Vec::with_capacity(impulses.len());
@@ -459,69 +527,84 @@ impl StateRates {
             }
             acc_of_impulse.push(*slot);
         }
-        let mut rate = vec![0.0; accs];
-        let mut cost_of_key: Vec<Option<CostBreakdown>> = vec![None; keys.count()];
-        let mut amount_of_key: Vec<Option<f64>> = vec![None; keys.count() * impulses.len()];
-        let mut out = Self {
-            cost: Vec::with_capacity(graph.state_count()),
-            impulse: Vec::with_capacity(graph.state_count()),
-        };
-        for (s, m) in graph.states.iter().enumerate() {
-            let key = keys.of(s);
-            out.cost.push(match key {
-                _ if graph.absorbing[s] => CostBreakdown::default(),
-                None => cost(m),
-                Some(k) => *cost_of_key[k].get_or_insert_with(|| cost(m)),
-            });
-            rate.fill(0.0);
-            let shares = (graph.edges[s].iter().map(|e| (e.transition, e.rate)))
-                .chain(graph.self_loop_rates[s].iter().copied());
-            for (t, r) in shares {
-                if let Some(&a) = acc_of.get(t.index()).filter(|&&a| a != NONE) {
-                    rate[a] += r;
-                }
-            }
-            let mut impulse = 0.0;
-            for (i, (imp, &a)) in impulses.iter().zip(&acc_of_impulse).enumerate() {
-                if rate[a] > 0.0 {
-                    let amount = match key {
-                        None => (imp.amount)(m),
-                        Some(k) => *amount_of_key[k * impulses.len() + i]
-                            .get_or_insert_with(|| (imp.amount)(m)),
-                    };
-                    impulse += rate[a] * amount;
-                }
-            }
-            out.impulse.push(impulse);
+        Self {
+            markings,
+            shares,
+            keys,
+            cost,
+            impulses,
+            acc_of,
+            acc_of_impulse,
+            rate: vec![0.0; accs],
+            cost_of_key: vec![None; keys.count()],
+            amount_of_key: vec![None; keys.count() * impulses.len()],
         }
-        out
+    }
+
+    /// Cost components accrued per unit time in live state `s`.
+    pub(crate) fn cost(&mut self, s: usize) -> CostBreakdown {
+        let m = &self.markings[s];
+        match self.keys.of(s) {
+            None => (self.cost)(m),
+            Some(k) => *self.cost_of_key[k].get_or_insert_with(|| (self.cost)(m)),
+        }
+    }
+
+    /// Rekey-impulse hop·bits expected per unit time in live state `s`.
+    pub(crate) fn impulse(&mut self, s: usize) -> f64 {
+        let (acc_of, rate) = (&self.acc_of, &mut self.rate);
+        rate.fill(0.0);
+        self.shares.for_each_share(s, |t, r| {
+            if let Some(&a) = acc_of.get(t.index()).filter(|&&a| a != usize::MAX) {
+                rate[a] += r;
+            }
+        });
+        let m = &self.markings[s];
+        let key = self.keys.of(s);
+        let mut impulse = 0.0;
+        for (i, (imp, &a)) in self.impulses.iter().zip(&self.acc_of_impulse).enumerate() {
+            if self.rate[a] > 0.0 {
+                let amount = match key {
+                    None => (imp.amount)(m),
+                    Some(k) => *self.amount_of_key[k * self.impulses.len() + i]
+                        .get_or_insert_with(|| (imp.amount)(m)),
+                };
+                impulse += self.rate[a] * amount;
+            }
+        }
+        impulse
+    }
+
+    /// Number of CTMC edges of the chain.
+    fn edge_count(&self) -> usize {
+        self.shares.edge_count()
     }
 }
 
 /// The reward core of every single-chain exact evaluator (paper net,
-/// scenario net, flat clustered net): weight each state's cost components
-/// and rekey impulses by its expected sojourn until absorption, average
-/// over MTTSF, and sweep the optional mission grid on the same CTMC.
-/// `(p_c1, p_c2)` is the evaluator's own failure-cause split.
+/// scenario net, flat clustered net): weight each live state's cost
+/// components and rekey impulses by its expected sojourn until
+/// absorption, in state order, average over MTTSF, and sweep the optional
+/// mission grid on the same CTMC. `(p_c1, p_c2)` is the evaluator's own
+/// failure-cause split.
 ///
 /// # Errors
 /// [`SpnError::TransientDepthExceeded`] before the sweep when the grid's
 /// last time is deeper than [`spn::ctmc::MAX_POISSON_DEPTH`].
-pub(crate) fn solve_rewards(
-    graph: &ReachabilityGraph,
+pub(crate) fn solve_rewards<S: ShareSource, C: Fn(&Marking) -> CostBreakdown>(
     ctmc: &Ctmc,
     absorption: &AbsorptionAnalysis,
-    rates: &StateRates,
+    rates: &mut RewardRates<'_, S, C>,
     (p_c1, p_c2): (f64, f64),
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
     let mttsf = absorption.mtta;
     let mut accumulated = CostBreakdown::default();
     let mut accumulated_impulse = 0.0;
-    for (i, sojourn) in absorption.sojourn.iter().enumerate() {
-        if *sojourn > 0.0 {
-            accumulated = accumulated.add(&rates.cost[i].scale(*sojourn));
-            accumulated_impulse += rates.impulse[i] * sojourn;
+    for (i, &sojourn) in absorption.sojourn.iter().enumerate() {
+        if sojourn > 0.0 {
+            accumulated = accumulated.add(&rates.cost(i).scale(sojourn));
+            accumulated_impulse += rates.impulse(i) * sojourn;
         }
     }
     // Rekey impulses belong to the rekey component.
@@ -538,8 +621,8 @@ pub(crate) fn solve_rewards(
         cost_components: components,
         p_failure_c1: p_c1,
         p_failure_c2: p_c2,
-        state_count: graph.state_count(),
-        edge_count: graph.edge_count(),
+        state_count: ctmc.state_count(),
+        edge_count: rates.edge_count(),
         transient: None,
     };
     let survival = match mission_times.iter().max_by(|a, b| a.total_cmp(b)) {
@@ -557,26 +640,31 @@ pub(crate) fn solve_rewards(
 
 /// The single-system evaluator on a CTMC that is already built — freshly
 /// via [`Ctmc::from_graph`] on the one-shot paths, or refreshed in place
-/// on the rebuild-free template path. `ctmc` must be the chain of
-/// `graph`'s current rates, and `keys` its states' reward keys
-/// ([`RewardKeys::population`] of `model`'s places). Also returns the
+/// on the rebuild-free template path. `ctmc` must be the chain of the
+/// rates `shares` holds over `markings`, and `keys` its states' reward
+/// keys ([`RewardKeys::population`] of `model`'s places); `leaked` tells
+/// whether a state holds a leaked-data token (`GF`). Also returns the
 /// absorption analysis, from which the scenario evaluator reads its
 /// detection totals.
 pub(crate) fn evaluate_with_ctmc(
     model: &GcsIdsModel,
-    graph: &ReachabilityGraph,
+    markings: &[Marking],
+    shares: &impl ShareSource,
     ctmc: &Ctmc,
     keys: &RewardKeys,
+    leaked: impl Fn(usize) -> bool,
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>, AbsorptionAnalysis), SpnError> {
     let cfg = &model.config;
     let places = model.places;
     let absorption = ctmc.mean_time_to_absorption()?;
-    let rates = StateRates::new(
-        graph,
+    let impulses = eviction_impulses(model)?;
+    let mut rates = RewardRates::new(
+        markings,
+        shares,
         keys,
         |m| cost_breakdown(cfg, &population(&places, m)),
-        &eviction_impulses(model)?,
+        &impulses,
     );
 
     // Failure-cause split: a leaked-data token marks C1, anything else C2.
@@ -586,21 +674,15 @@ pub(crate) fn evaluate_with_ctmc(
         if p <= 0.0 {
             continue;
         }
-        if graph.states[i].tokens(places.gf) > 0 {
+        if leaked(i) {
             p_c1 += p;
         } else {
             p_c2 += p;
         }
     }
 
-    let (evaluation, survival) = solve_rewards(
-        graph,
-        ctmc,
-        &absorption,
-        &rates,
-        (p_c1, p_c2),
-        mission_times,
-    )?;
+    let (evaluation, survival) =
+        solve_rewards(ctmc, &absorption, &mut rates, (p_c1, p_c2), mission_times)?;
     Ok((evaluation, survival, absorption))
 }
 
@@ -722,6 +804,7 @@ mod tests {
         // m × detection shape × TIDS × two attacker rates.
         let base = small(12, 3, 120.0);
         let template = ExactTemplate::new(&base).unwrap();
+        let graph = explore(&build_model(&base).net, &ExploreOptions::default()).unwrap();
         let mut variants = vec![
             base.with_tids(5.0),
             base.with_tids(600.0),
@@ -772,7 +855,7 @@ mod tests {
             let places = model.places;
             for (name, bad_target) in [("T_IDS", true), ("T_FA", false)] {
                 let t = model.net.transition_by_name(name).unwrap();
-                for m in &template.graph().states {
+                for m in &graph.states {
                     let Some(rate) = model.net.rate(t, m).unwrap() else {
                         continue;
                     };

@@ -16,8 +16,8 @@
 //! | transition | effect | rate |
 //! |---|---|---|
 //! | `T_CP`  | `Tm → UCm` | `A(mc)`, `mc = (T+U)/T` |
-//! | `T_IDS` | `UCm → DCm` | `U · D(md) · (1 − Pfn)` |
-//! | `T_FA`  | `Tm → DCm` | `T · D(md) · Pfp` |
+//! | `T_IDS` | `UCm → DCm` | `(U · D(md)) · (1 − Pfn)` |
+//! | `T_FA`  | `Tm → DCm` | `(T · D(md)) · Pfp` |
 //! | `T_DRQ` | token into `GF` | `p1 · λq · U` |
 //! | `T_PAR` | `NG += 1` | `ν_p · NG` |
 //! | `T_MER` | `NG −= 1` | `ν_m · (NG − 1)` |
@@ -25,9 +25,15 @@
 //!
 //! Each rate reads only a few places, and each transition declares them
 //! ([`TransitionDef::reads`]): `T_CP` and `T_RK` read `Tm` and `UCm`,
-//! `T_IDS` and `T_FA` also `NG`, `T_DRQ` reads `UCm`, `T_PAR` and `T_MER`
-//! read `NG`. A template then evaluates each rate once per distinct key
-//! ([`spn::reach::RatePlan`]).
+//! `T_DRQ` reads `UCm`, `T_PAR` and `T_MER` read `NG`. `T_IDS` and `T_FA`
+//! are products of two keyed factors ([`TransitionDef::timed_product`],
+//! bracketed in the table): the target count times `D(md)`, which reads
+//! `Tm` and `UCm`, and the voting factor, keyed by the target group's
+//! (good, bad) split (by `Tm`, `UCm` and `NG` under a targeted attacker,
+//! whose voting error also reads the foothold). A template then evaluates
+//! each factor once per distinct key ([`spn::reach::RatePlan`]): at
+//! N = 100, about 1 700 splits per voting factor where the population
+//! (`Tm`, `UCm`, `NG`) takes about 6 600 values.
 //!
 //! Every transition is disabled once a failure condition holds (the global
 //! absorbing predicate): **C1** `mark(GF) > 0` (data leaked to a
@@ -42,7 +48,7 @@ use ids::voting::{
 };
 use numerics::UnionFind;
 use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
-use spn::model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef};
+use spn::model::{Marking, PlaceId, RateFactor, Spn, SpnBuilder, TransitionDef};
 use spn::reach::MarkingCanonicalizer;
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -429,21 +435,45 @@ fn add_subsystem(
     let (ids, fa) = (format!("T_IDS{suffix}"), format!("T_FA{suffix}"));
     let detection = detection_table(cfg);
     let (t_ids, t_fa) = if focus > 0.0 {
+        // The targeted voting error also reads the global foothold: key
+        // the voting factor by the whole population.
         let (c1, c2) = (cfg.clone(), cfg.clone());
+        let reads = [tm, ucm, ng];
+        let pfn = voting_factor(places, true, move |pop| pfn_targeted(&c1, pop, focus));
+        let pfp = voting_factor(places, false, move |pop| pfp_targeted(&c2, pop, focus));
         (
-            conviction(ids, &detection, places, true, move |pop| {
-                pfn_targeted(&c1, pop, focus)
-            }),
-            conviction(fa, &detection, places, false, move |pop| {
-                pfp_targeted(&c2, pop, focus)
-            }),
+            conviction(
+                ids,
+                &detection,
+                places,
+                true,
+                RateFactor::reads(&reads, pfn),
+            ),
+            conviction(
+                fa,
+                &detection,
+                places,
+                false,
+                RateFactor::reads(&reads, pfp),
+            ),
         )
     } else {
-        let pfn = memoized(&VOTING_MEMOS, cfg, VotingSide::FalseNegative);
-        let pfp = memoized(&VOTING_MEMOS, cfg, VotingSide::FalsePositive);
+        let memoized_factor = |side| split_keyed(&VOTING_MEMOS, cfg, side, places);
         (
-            conviction(ids, &detection, places, true, pfn),
-            conviction(fa, &detection, places, false, pfp),
+            conviction(
+                ids,
+                &detection,
+                places,
+                true,
+                memoized_factor(VotingSide::FalseNegative),
+            ),
+            conviction(
+                fa,
+                &detection,
+                places,
+                false,
+                memoized_factor(VotingSide::FalsePositive),
+            ),
         )
     };
     let convict =
@@ -600,36 +630,83 @@ fn detection_table(cfg: &SystemConfig) -> Arc<[f64]> {
         .collect()
 }
 
-/// A conviction transition's rate: `U · D(md) · (1 − Pfn)` for `T_IDS`
-/// (`bad_target`), `T · D(md) · Pfp` for `T_FA`, with `D(md)` read from
-/// [`detection_table`] and `p_err` the voting error probability (`Pfn` or
-/// `Pfp`). The rate reads `Tm`, `UCm` and `NG`. The caller adds the arcs.
-fn conviction(
+/// The number of nodes a conviction can target: `U` for `T_IDS`
+/// (`bad_target`), `T` for `T_FA`.
+fn targets(pop: &Population, bad_target: bool) -> u32 {
+    if bad_target {
+        pop.undetected
+    } else {
+        pop.trusted
+    }
+}
+
+/// A conviction transition: `T_IDS` (`bad_target`) convicts an
+/// undetected compromised node at `U · D(md) · (1 − Pfn)`, `T_FA` a
+/// trusted one at `T · D(md) · Pfp`. The rate is the product, left to
+/// right, of two factors: the target count times `D(md)` (read from
+/// [`detection_table`]), which reads `Tm` and `UCm`, and the `voting`
+/// factor ([`voting_factor`]) with its own key. The caller adds the arcs.
+fn conviction<F: Fn(&Marking) -> f64 + Send + Sync + 'static>(
     name: String,
     detection: &Arc<[f64]>,
     places: Places,
     bad_target: bool,
-    p_err: impl Fn(&Population) -> f64 + Send + Sync + 'static,
+    voting: RateFactor<F>,
 ) -> TransitionDef {
     let detection = Arc::clone(detection);
-    TransitionDef::timed(name, move |m| {
+    let count = RateFactor::reads(&[places.tm, places.ucm], move |m| {
         let pop = population(&places, m);
-        let targets = if bad_target {
-            pop.undetected
-        } else {
-            pop.trusted
-        };
-        if targets == 0 {
+        let n = targets(&pop, bad_target);
+        if n == 0 {
             return 0.0;
         }
-        let d = detection[pop.live() as usize];
-        if bad_target {
-            pop.undetected as f64 * d * (1.0 - p_err(&pop))
-        } else {
-            pop.trusted as f64 * d * p_err(&pop)
+        n as f64 * detection[pop.live() as usize]
+    });
+    TransitionDef::timed_product(name, count, voting)
+}
+
+/// The voting factor of a conviction: `1 − Pfn` for a bad target, `Pfp`
+/// for a good one, with `p_err` the voting error probability; 0 without a
+/// target.
+fn voting_factor(
+    places: Places,
+    bad_target: bool,
+    p_err: impl Fn(&Population) -> f64 + Send + Sync + 'static,
+) -> impl Fn(&Marking) -> f64 + Send + Sync + 'static {
+    move |m| {
+        let pop = population(&places, m);
+        match targets(&pop, bad_target) {
+            0 => 0.0,
+            _ if bad_target => 1.0 - p_err(&pop),
+            _ => p_err(&pop),
         }
-    })
-    .reads(&[places.tm, places.ucm, places.ng])
+    }
+}
+
+/// The memoized voting factor of one side, keyed by the target group's
+/// (good, bad) split: all that the voting error reads without a targeted
+/// attacker.
+fn split_keyed(
+    table: &MemoTable<VotingKey>,
+    cfg: &SystemConfig,
+    side: VotingSide,
+    places: Places,
+) -> RateFactor<impl Fn(&Marking) -> f64 + Send + Sync + 'static> {
+    let key = VotingKey::new(cfg, side);
+    let bad_target = side == VotingSide::FalseNegative;
+    let split = move |m: &Marking| {
+        let pop = population(&places, m);
+        if targets(&pop, bad_target) == 0 {
+            // No real split has an empty group.
+            return [0; 4];
+        }
+        let (good, bad) = key.split(&pop);
+        [good, bad, 0, 0]
+    };
+    RateFactor::keyed(
+        split,
+        voting_factor(places, bad_target, memoized(table, cfg, side)),
+    )
 }
 
 /// Build the SPN of the paper's Figure 1 for a configuration:
@@ -1066,6 +1143,17 @@ mod tests {
         for (from, to) in [(0, 1), (1, 0)] {
             let plan = RatePlan::new(&graphs[from], &nets[from]);
             assert!(plan.key_count() > 0);
+            // The conviction rates, and only they, are keyed per factor:
+            // their voting factors' keys are checked here too.
+            let factored: std::collections::BTreeSet<&str> = (plan.factor_key_counts())
+                .filter(|&(_, factor, keys)| factor == 1 && keys > 0)
+                .map(|(t, _, _)| nets[from].transition_name(t))
+                .collect();
+            assert!(
+                !factored.is_empty()
+                    && (factored.iter()).all(|n| n.starts_with("T_IDS") || n.starts_with("T_FA")),
+                "{name}: factored {factored:?}"
+            );
             let mut working = graphs[from].clone();
             plan.apply(&nets[to], &mut working).unwrap();
             assert!(bits(&working) == bits(&graphs[to]), "{name}: {from} → {to}");

@@ -82,9 +82,17 @@ pub fn evaluate_scenario_graph(
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>, DetectionTotals), SpnError> {
     let ctmc = Ctmc::from_graph(graph)?;
-    let keys = RewardKeys::population(graph, &model.places);
-    let (evaluation, survival, absorption) =
-        evaluate_with_ctmc(model, graph, &ctmc, &keys, mission_times)?;
+    let keys = RewardKeys::population(&graph.states, &model.places);
+    let leaked = |s: usize| graph.states[s].tokens(model.places.gf) > 0;
+    let (evaluation, survival, absorption) = evaluate_with_ctmc(
+        model,
+        &graph.states,
+        graph,
+        &ctmc,
+        &keys,
+        leaked,
+        mission_times,
+    )?;
 
     // Detection-quality totals: expected firing counts from the sojourn
     // vector and the explored edge rates (only enabled transitions appear

@@ -321,10 +321,7 @@ fn compare_main(args: &mut dyn Iterator<Item = String>) -> ExitCode {
         usage()
     };
     let load = |path: &PathBuf| -> Result<ScenarioSpec, String> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-        let mut spec =
-            ScenarioSpec::from_json(&text).map_err(|e| format!("{}: {e}", path.display()))?;
+        let mut spec = ScenarioSpec::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
         if let Some(kind) = backend {
             spec.backend = kind;
         }

@@ -487,9 +487,7 @@ pub fn load_spec_dir_lenient(dir: &Path) -> Result<LenientSpecs, EngineError> {
     let mut loaded = Vec::new();
     let mut failures = Vec::new();
     for p in paths {
-        let outcome = std::fs::read_to_string(&p)
-            .map_err(|e| EngineError::Json(format!("cannot read: {e}")))
-            .and_then(|text| ScenarioSpec::from_json(&text));
+        let outcome = ScenarioSpec::read(&p);
         match outcome {
             Ok(spec) => loaded.push((p, spec)),
             Err(e) => failures.push(SpecFailure {

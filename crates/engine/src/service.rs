@@ -406,31 +406,27 @@ fn write_atomic(path: &Path, contents: &str) -> Result<(), EngineError> {
 /// Returns whether the evaluation succeeded.
 fn process_job(job: &Job, runner: &Runner, results: &Path) -> bool {
     let progress_path = results.join(format!("{}.progress.jsonl", job.stem));
-    let outcome = fs::read_to_string(&job.claimed)
-        .map_err(|e| io_err("read spec", &e))
-        .and_then(|text| ScenarioSpec::from_json(&text))
-        .and_then(|spec| {
-            // Progress is appended per adaptive round as it happens — the
-            // "streaming" half of the protocol. Best-effort throughout: a
-            // progress stream that cannot be created (read-only results
-            // dir, quota) or written must not fail the evaluation, so
-            // creation failure is remembered (`Some(None)`) and rounds
-            // simply skip the write instead of panicking the worker.
-            let mut progress_file: Option<Option<fs::File>> = None;
-            runner.run_cached_observed(&spec, &mut |p| {
-                let slot =
-                    progress_file.get_or_insert_with(|| fs::File::create(&progress_path).ok());
-                let Some(file) = slot.as_mut() else {
-                    return;
-                };
-                let line = Value::obj([
-                    ("precision", p.precision.map_or(Value::Null, Value::Num)),
-                    ("replications", Value::Num(p.replications as f64)),
-                ])
-                .encode();
-                let _ = writeln!(file, "{line}");
-            })
-        });
+    let outcome = ScenarioSpec::read(&job.claimed).and_then(|spec| {
+        // Progress is appended per adaptive round as it happens — the
+        // "streaming" half of the protocol. Best-effort throughout: a
+        // progress stream that cannot be created (read-only results
+        // dir, quota) or written must not fail the evaluation, so
+        // creation failure is remembered (`Some(None)`) and rounds
+        // simply skip the write instead of panicking the worker.
+        let mut progress_file: Option<Option<fs::File>> = None;
+        runner.run_cached_observed(&spec, &mut |p| {
+            let slot = progress_file.get_or_insert_with(|| fs::File::create(&progress_path).ok());
+            let Some(file) = slot.as_mut() else {
+                return;
+            };
+            let line = Value::obj([
+                ("precision", p.precision.map_or(Value::Null, Value::Num)),
+                ("replications", Value::Num(p.replications as f64)),
+            ])
+            .encode();
+            let _ = writeln!(file, "{line}");
+        })
+    });
     let ok = outcome.is_ok();
     let artifact = match outcome {
         Ok(report) => (

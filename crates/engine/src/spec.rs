@@ -15,6 +15,9 @@ use ids::functions::{AttackerProfile, DetectionProfile, RateShape};
 use ids::voting::CollusionModel;
 pub use numerics::replicate::SamplingPlan;
 pub use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
+use std::fs::File;
+use std::io::Read;
+use std::path::Path;
 
 /// Which evaluator runs the scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -119,6 +122,10 @@ impl Default for MobilityOptions {
     }
 }
 
+/// The largest spec file [`ScenarioSpec::read`] accepts: 1 MiB, about a
+/// thousand times the largest committed spec.
+pub const MAX_SPEC_BYTES: usize = 1 << 20;
+
 /// A complete, self-contained description of one experiment.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
@@ -174,20 +181,6 @@ impl ScenarioSpec {
     /// Same spec with a mission-time grid (builder style).
     pub fn with_mission_times(mut self, times: &[f64]) -> Self {
         self.mission_times = times.to_vec();
-        self
-    }
-
-    /// Same spec as a clustered deployment (builder style).
-    // detlint::allow(U001): builds the clustered specs of the backend, runner and service tests and fixtures.rs
-    pub fn with_clusters(mut self, topology: ClusterTopology) -> Self {
-        self.clustered = Some(topology);
-        self
-    }
-
-    /// Same spec under an adversary/response scenario (builder style).
-    // detlint::allow(U001): builds the scenario specs of the spec, backend and crossval tests
-    pub fn with_scenario(mut self, scenario: ScenarioConfig) -> Self {
-        self.scenario = Some(scenario);
         self
     }
 
@@ -356,6 +349,29 @@ impl ScenarioSpec {
 
     /// Parse a spec serialized by [`ScenarioSpec::to_json`].
     ///
+    /// Read and parse the spec file at `path`. At most
+    /// [`MAX_SPEC_BYTES`] are read: a larger file is refused with a named
+    /// `size` error before it is read whole or parsed.
+    ///
+    /// # Errors
+    /// Returns [`EngineError::Json`] for an unreadable, oversized or
+    /// non-UTF-8 file, and otherwise as [`ScenarioSpec::from_json`].
+    pub fn read(path: &Path) -> Result<Self, EngineError> {
+        let unreadable = |e: std::io::Error| EngineError::Json(format!("cannot read: {e}"));
+        let mut bytes = Vec::new();
+        File::open(path)
+            .and_then(|f| f.take(MAX_SPEC_BYTES as u64 + 1).read_to_end(&mut bytes))
+            .map_err(unreadable)?;
+        if bytes.len() > MAX_SPEC_BYTES {
+            return Err(EngineError::Json(format!(
+                "spec size exceeds the limit of {MAX_SPEC_BYTES} bytes"
+            )));
+        }
+        let text = String::from_utf8(bytes)
+            .map_err(|e| EngineError::Json(format!("cannot read: not UTF-8: {e}")))?;
+        Self::from_json(&text)
+    }
+
     /// # Errors
     /// Returns [`EngineError::Json`] for malformed documents and
     /// [`EngineError::InvalidSpec`] when the parsed spec fails validation.
@@ -701,6 +717,22 @@ fn system_from_value(v: &Value) -> Result<SystemConfig, EngineError> {
         status_period: v.field("status_period")?.as_f64()?,
         beacon_period: v.field("beacon_period")?.as_f64()?,
     })
+}
+
+/// Builders of the engine's unit tests.
+#[cfg(test)]
+impl ScenarioSpec {
+    /// Same spec as a clustered deployment (builder style).
+    pub(crate) fn with_clusters(mut self, topology: ClusterTopology) -> Self {
+        self.clustered = Some(topology);
+        self
+    }
+
+    /// Same spec under an adversary/response scenario (builder style).
+    pub(crate) fn with_scenario(mut self, scenario: ScenarioConfig) -> Self {
+        self.scenario = Some(scenario);
+        self
+    }
 }
 
 #[cfg(test)]

@@ -1,8 +1,10 @@
-//! Hostile specs from `tests/fixtures/hostile/` end as named errors, and
-//! the process exits normally: dropped into a spool for `runner serve
-//! --drain`, and read as a spec directory by plain `runner --specs`.
+//! Hostile specs from `tests/fixtures/hostile/`, plus one oversized spec
+//! written at test time, end as named errors, and the process exits
+//! normally: dropped into a spool for `runner serve --drain`, and read as
+//! a spec directory by plain `runner --specs`.
 
 use engine::json::Value;
+use engine::spec::MAX_SPEC_BYTES;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -23,6 +25,18 @@ const CAUSES: [(&str, &str); 5] = [
     // before exploration evaluates a shape.
     ("detection-exponent-1", "exponent"),
 ];
+
+/// A spec file one byte over [`MAX_SPEC_BYTES`], written at test time (the
+/// corpus commits none), and what its error must name. Its text is valid
+/// JSON, so only the size cap can refuse it.
+const OVERSIZE: (&str, &str) = ("oversize", "size");
+
+fn write_oversize(dir: &Path) {
+    let padding = MAX_SPEC_BYTES + 1 - r#"{"name": ""}"#.len();
+    let text = format!(r#"{{"name": "{}"}}"#, "x".repeat(padding));
+    assert_eq!(text.len(), MAX_SPEC_BYTES + 1);
+    fs::write(dir.join(format!("{}.json", OVERSIZE.0)), text).unwrap();
+}
 
 /// The committed corpus directory.
 fn corpus() -> PathBuf {
@@ -62,7 +76,8 @@ fn serve_drain_writes_one_named_error_artifact_per_hostile_file() {
         let name = format!("{stem}.json");
         fs::copy(corpus().join(&name), spool.join(&name)).unwrap();
     }
-    let causes: BTreeMap<&str, &str> = CAUSES.into_iter().collect();
+    write_oversize(&spool);
+    let causes: BTreeMap<&str, &str> = CAUSES.into_iter().chain([OVERSIZE]).collect();
 
     let out = Command::new(env!("CARGO_BIN_EXE_runner"))
         .arg("serve")
@@ -87,7 +102,7 @@ fn serve_drain_writes_one_named_error_artifact_per_hostile_file() {
         .filter(|name| name != "service.summary.json")
         .collect();
     artifacts.sort();
-    let expected: Vec<String> = stems.iter().map(|s| format!("{s}.error.json")).collect();
+    let expected: Vec<String> = causes.keys().map(|s| format!("{s}.error.json")).collect();
     assert_eq!(artifacts, expected);
     for (stem, cause) in &causes {
         let error = fs::read_to_string(results.join(format!("{stem}.error.json"))).unwrap();
@@ -97,19 +112,27 @@ fn serve_drain_writes_one_named_error_artifact_per_hostile_file() {
     fs::remove_dir_all(&root).unwrap();
 }
 
-/// Plain `runner --specs` over the corpus: every file is one entry of the
-/// report's `failures`, naming its cause, and the runner exits with the
-/// documented failure code.
+/// Plain `runner --specs` over the corpus (and the oversized file): every
+/// file is one entry of the report's `failures`, naming its cause, and the
+/// runner exits with the documented failure code.
 #[test]
 fn runner_specs_names_one_failure_per_hostile_file() {
-    let stems = corpus_stems();
     let root = std::env::temp_dir().join(format!("gcsids-hostile-specs-{}", std::process::id()));
     let _ = fs::remove_dir_all(&root);
-    fs::create_dir_all(&root).unwrap();
+    let specs = root.join("specs");
+    fs::create_dir_all(&specs).unwrap();
+    let mut stems = corpus_stems();
+    for stem in &stems {
+        let name = format!("{stem}.json");
+        fs::copy(corpus().join(&name), specs.join(&name)).unwrap();
+    }
+    write_oversize(&specs);
+    stems.push(OVERSIZE.0.to_string());
+    stems.sort();
     let report = root.join("report.json");
     let out = Command::new(env!("CARGO_BIN_EXE_runner"))
         .arg("--specs")
-        .arg(corpus())
+        .arg(&specs)
         .arg("--out")
         .arg(&report)
         .output()
@@ -133,7 +156,7 @@ fn runner_specs_names_one_failure_per_hostile_file() {
     failures.sort();
     let named: Vec<&str> = failures.iter().map(|(stem, _)| stem.as_str()).collect();
     assert_eq!(named, stems, "one failure per corpus file");
-    let causes: BTreeMap<&str, &str> = CAUSES.into_iter().collect();
+    let causes: BTreeMap<&str, &str> = CAUSES.into_iter().chain([OVERSIZE]).collect();
     for (stem, error) in &failures {
         assert!(error.contains(causes[stem.as_str()]), "{stem}: {error}");
     }

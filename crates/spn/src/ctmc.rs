@@ -21,7 +21,7 @@
 //! `P = I + Q/q` off it row by row.
 
 use crate::error::SpnError;
-use crate::reach::ReachabilityGraph;
+use crate::reach::{ReachabilityGraph, ShareRates};
 use crate::transient::{TransientEngine, TransientStats};
 use numerics::linsolve::IterConfig;
 use numerics::sparse::{Csr, CsrPattern, Triplets};
@@ -640,16 +640,33 @@ impl CtmcTemplate {
     /// # Errors
     /// Same conditions as [`CtmcTemplate::refresh`].
     pub fn instantiate(&self, graph: &ReachabilityGraph) -> Result<Ctmc, SpnError> {
-        let mut ctmc = Ctmc {
+        let mut ctmc = self.blank();
+        self.refresh(graph, &mut ctmc)?;
+        Ok(ctmc)
+    }
+
+    /// [`CtmcTemplate::instantiate`] from a rate plan's evaluated rates
+    /// instead of a graph; reuse the chain via
+    /// [`CtmcTemplate::refresh_with`].
+    ///
+    /// # Errors
+    /// Same conditions as [`CtmcTemplate::refresh_with`].
+    pub fn instantiate_with(&self, rates: &ShareRates<'_>) -> Result<Ctmc, SpnError> {
+        let mut ctmc = self.blank();
+        self.refresh_with(rates, &mut ctmc)?;
+        Ok(ctmc)
+    }
+
+    /// A chain on the shared pattern with every value still to be written.
+    fn blank(&self) -> Ctmc {
+        Ctmc {
             rates: Csr::from_pattern(self.pattern.clone(), vec![0.0; self.pattern.nnz()]),
             exit: vec![0.0; self.n],
             q: 0.0,
             initial: self.initial.clone(),
             absorbing: vec![false; self.n],
             absorb: OnceLock::new(),
-        };
-        self.refresh(graph, &mut ctmc)?;
-        Ok(ctmc)
+        }
     }
 
     /// Rewrite `ctmc`'s rate values, exit rates, uniformization rate and
@@ -671,6 +688,65 @@ impl CtmcTemplate {
                 graph.state_count()
             )));
         }
+        for (s, elist) in graph.edges.iter().enumerate() {
+            let slots =
+                &self.slots[self.edge_offsets[s] as usize..self.edge_offsets[s + 1] as usize];
+            if elist.len() != slots.len() {
+                return Err(SpnError::InvalidModel(format!(
+                    "state {s}: edge count changed; the variation is \
+                     structural — re-explore"
+                )));
+            }
+            if (elist.iter().zip(slots))
+                .any(|(e, &k)| self.pattern.col(k as usize) != e.target as usize)
+            {
+                return Err(SpnError::InvalidModel(format!(
+                    "state {s}: edge target changed; the variation is \
+                     structural — re-explore"
+                )));
+            }
+        }
+        let rates = graph.edges.iter().flatten().map(|e| e.rate);
+        self.scatter(rates, &graph.absorbing, ctmc)
+    }
+
+    /// [`CtmcTemplate::refresh`] from a rate plan's evaluated rates: the
+    /// plan's edge rates go straight into the value array through the
+    /// template's slot map, with no graph in between. The plan must have
+    /// been built from the graph this template was built from; a chain
+    /// refreshed this way equals one refreshed from that graph after
+    /// [`RatePlan::apply`] bit for bit.
+    ///
+    /// [`RatePlan::apply`]: crate::reach::RatePlan::apply
+    ///
+    /// # Errors
+    /// Returns [`SpnError::InvalidModel`] when the plan's state or edge
+    /// count differs from the template's, or when `ctmc` was not
+    /// instantiated from this template.
+    pub fn refresh_with(&self, rates: &ShareRates<'_>, ctmc: &mut Ctmc) -> Result<(), SpnError> {
+        if rates.state_count() != self.n || rates.edge_count() != self.slots.len() {
+            return Err(SpnError::InvalidModel(format!(
+                "template has {} states and {} edges, the rate plan {} and {}",
+                self.n,
+                self.slots.len(),
+                rates.state_count(),
+                rates.edge_count()
+            )));
+        }
+        self.scatter(rates.edges(), rates.absorbing(), ctmc)
+    }
+
+    /// Write the value array, exit rates, uniformization rate and
+    /// absorbing flags from every edge's rate, in state then edge order:
+    /// each positive rate is added into its slot and its state's exit
+    /// rate, so parallel edges sum in graph-edge order. A state absorbs
+    /// when `flagged` or when nothing leaves it.
+    fn scatter(
+        &self,
+        mut edge_rates: impl Iterator<Item = f64>,
+        flagged: &[bool],
+        ctmc: &mut Ctmc,
+    ) -> Result<(), SpnError> {
         if !Arc::ptr_eq(ctmc.rates.pattern(), &self.pattern) {
             return Err(SpnError::InvalidModel(
                 "refresh target was not instantiated from this template".into(),
@@ -684,35 +760,21 @@ impl CtmcTemplate {
             absorb,
             ..
         } = ctmc;
-
-        // Rate values + exit rates, accumulated in graph-edge order.
         let values = rates.values_mut();
         values.fill(0.0);
-        let mut k = 0usize;
-        for (s, elist) in graph.edges.iter().enumerate() {
-            if elist.len() != (self.edge_offsets[s + 1] - self.edge_offsets[s]) as usize {
-                return Err(SpnError::InvalidModel(format!(
-                    "state {s}: edge count changed; the variation is \
-                     structural — re-explore"
-                )));
-            }
+        for s in 0..self.n {
             let mut exit_s = 0.0;
-            for e in elist {
-                let slot = self.slots[k] as usize;
-                if self.pattern.col(slot) != e.target as usize {
-                    return Err(SpnError::InvalidModel(format!(
-                        "state {s}: edge target changed; the variation is \
-                         structural — re-explore"
-                    )));
+            for &slot in
+                &self.slots[self.edge_offsets[s] as usize..self.edge_offsets[s + 1] as usize]
+            {
+                let rate = edge_rates.next().expect("one rate per templated edge");
+                if rate > 0.0 {
+                    values[slot as usize] += rate;
+                    exit_s += rate;
                 }
-                if e.rate > 0.0 {
-                    values[slot] += e.rate;
-                    exit_s += e.rate;
-                }
-                k += 1;
             }
             exit[s] = exit_s;
-            absorbing[s] = graph.absorbing[s] || exit_s == 0.0;
+            absorbing[s] = flagged[s] || exit_s == 0.0;
         }
         *q = uniformization_q(exit);
 
@@ -993,8 +1055,8 @@ fn tarjan_scc(succ_ptr: &[u32], succ: &[u32]) -> (Vec<u32>, Vec<u32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{SpnBuilder, TransitionDef};
-    use crate::reach::{explore, ExploreOptions};
+    use crate::model::{RateFactor, SpnBuilder, TransitionDef};
+    use crate::reach::{explore, ExploreOptions, RatePlan};
 
     fn build(netf: impl FnOnce(&mut SpnBuilder)) -> Ctmc {
         let mut b = SpnBuilder::new();
@@ -1408,6 +1470,77 @@ mod tests {
         let (a_t, _) = ctmc.survival_at(&times, &opts);
         let (a_f, _) = fresh.survival_at(&times, &opts);
         assert_eq!(bits(&a_t), bits(&a_f));
+    }
+
+    #[test]
+    fn template_flat_write_matches_a_reweighted_graph() {
+        // A rate plan's rates written straight into the chain must equal
+        // the same rates written into a graph and refreshed from it, bit
+        // for bit: values, exit rates, q and absorbing flags. `die` is a
+        // factored rate into a vanishing split, and `leak` goes silent at
+        // one point.
+        let build = |die: f64, leak: f64| {
+            let mut b = SpnBuilder::new();
+            let up = b.add_place("up", 3);
+            let mid = b.add_place("mid", 0);
+            let down = b.add_place("down", 0);
+            let gone = b.add_place("gone", 0);
+            let count = RateFactor::reads(&[up], move |m| m.tokens(up) as f64);
+            let scale = RateFactor::reads(&[], move |_| die);
+            b.add_transition(
+                TransitionDef::timed_product("die", count, scale)
+                    .input(up, 1)
+                    .output(mid, 1),
+            );
+            b.add_transition(
+                TransitionDef::immediate_weighted("fall", |_| 1.0, 0)
+                    .input(mid, 1)
+                    .output(down, 1),
+            );
+            b.add_transition(
+                TransitionDef::immediate_weighted("vanish", |_| 2.0, 0)
+                    .input(mid, 1)
+                    .output(gone, 1),
+            );
+            b.add_transition(
+                TransitionDef::timed_const("leak", leak)
+                    .reads(&[])
+                    .input(down, 1)
+                    .output(gone, 1),
+            );
+            b.build().unwrap()
+        };
+        let pristine = explore(&build(1.0, 0.5), &ExploreOptions::default()).unwrap();
+        let template = CtmcTemplate::new(&pristine).unwrap();
+        let plan = RatePlan::new(&pristine, &build(1.0, 0.5));
+        let mut values = Vec::new();
+        let mut flat: Option<Ctmc> = None;
+        let mut via_graph = template.instantiate(&pristine).unwrap();
+        let bits = |c: &Ctmc| {
+            let mut v: Vec<u64> = c.rates.values().iter().map(|x| x.to_bits()).collect();
+            v.extend(c.exit.iter().map(|x| x.to_bits()));
+            v.push(c.q.to_bits());
+            (v, c.absorbing.clone())
+        };
+        for (die, leak) in [(2.5, 0.0), (0.3, 0.5), (1.0, 4.0)] {
+            let net = build(die, leak);
+            let rates = plan
+                .share_rates(&net, &pristine.states, &mut values)
+                .unwrap();
+            match &mut flat {
+                Some(c) => template.refresh_with(&rates, c).unwrap(),
+                none => *none = Some(template.instantiate_with(&rates).unwrap()),
+            }
+            let mut working = pristine.clone();
+            working.reweight_in_place(&net).unwrap();
+            template.refresh(&working, &mut via_graph).unwrap();
+            let flat = flat.as_ref().unwrap();
+            assert_eq!(bits(flat), bits(&via_graph), "die {die} leak {leak}");
+            assert_eq!(
+                flat.mean_time_to_absorption().unwrap().mtta.to_bits(),
+                via_graph.mean_time_to_absorption().unwrap().mtta.to_bits()
+            );
+        }
     }
 
     #[test]

@@ -3,7 +3,9 @@
 //! The transition vocabulary follows extended SPNs à la SPNP:
 //!
 //! * **timed** transitions fire after an exponentially distributed delay
-//!   whose rate may depend on the whole marking (`Fn(&Marking) -> f64`);
+//!   whose rate may depend on the whole marking (`Fn(&Marking) -> f64`),
+//!   optionally as an ordered product of keyed factors
+//!   ([`TransitionDef::timed_product`]);
 //! * **immediate** transitions fire in zero time, resolved by priority then
 //!   probabilistic weight;
 //! * arcs carry multiplicities; **inhibitor** arcs disable a transition when
@@ -102,6 +104,59 @@ pub type MarkingFn = Arc<dyn Fn(&Marking) -> f64 + Send + Sync>;
 pub type GuardFn = Arc<dyn Fn(&Marking) -> bool + Send + Sync>;
 /// In-place marking transformation applied after arc arithmetic.
 pub type EffectFn = Arc<dyn Fn(&mut Marking) + Send + Sync>;
+/// A derived rate key: the few words a rate factor depends on.
+type KeyFn = Arc<dyn Fn(&Marking) -> [u32; MAX_RATE_KEY_PLACES] + Send + Sync>;
+
+/// What a rate factor's value depends on: two markings with equal keys
+/// must give it the same value.
+#[derive(Clone)]
+pub(crate) enum FactorKey {
+    /// The whole marking (nothing declared).
+    Marking,
+    /// The tokens of these places, at most [`MAX_RATE_KEY_PLACES`].
+    Places(Vec<PlaceId>),
+    /// A derived key of at most [`MAX_RATE_KEY_PLACES`] words.
+    Derived(KeyFn),
+}
+
+/// One keyed factor of a timed rate, as a built net holds it.
+#[derive(Clone)]
+pub(crate) struct Factor {
+    pub(crate) key: FactorKey,
+    pub(crate) value: MarkingFn,
+}
+
+/// One factor of a factored timed rate ([`TransitionDef::timed_product`]):
+/// a marking-dependent value and the key it depends on. A
+/// [`crate::reach::RatePlan`] evaluates a factor once per distinct key.
+pub struct RateFactor<F> {
+    key: FactorKey,
+    value: F,
+}
+
+impl<F: Fn(&Marking) -> f64 + Send + Sync + 'static> RateFactor<F> {
+    /// A factor whose value reads only the tokens of `places` (at most
+    /// four; see [`TransitionDef::reads`]).
+    pub fn reads(places: &[PlaceId], value: F) -> Self {
+        Self {
+            key: FactorKey::Places(places.to_vec()),
+            value,
+        }
+    }
+
+    /// A factor whose value depends on the marking only through `key`, a
+    /// derived key of at most four words — the target group's (good, bad)
+    /// split, say. Markings with equal keys must get equal values.
+    pub fn keyed(
+        key: impl Fn(&Marking) -> [u32; MAX_RATE_KEY_PLACES] + Send + Sync + 'static,
+        value: F,
+    ) -> Self {
+        Self {
+            key: FactorKey::Derived(Arc::new(key)),
+            value,
+        }
+    }
+}
 
 /// Firing semantics of a transition.
 #[derive(Clone)]
@@ -143,6 +198,11 @@ pub struct TransitionDef {
     pub(crate) guard: Option<GuardFn>,
     pub(crate) effect: Option<EffectFn>,
     pub(crate) reads: Option<Vec<PlaceId>>,
+    /// The keyed factors whose ordered product is the rate: the declared
+    /// ones of a [`TransitionDef::timed_product`]; in a built net, the
+    /// rate itself keyed by [`TransitionDef::reads`] otherwise. Empty for
+    /// an immediate transition.
+    pub(crate) factors: Vec<Factor>,
 }
 
 impl TransitionDef {
@@ -162,7 +222,37 @@ impl TransitionDef {
             guard: None,
             effect: None,
             reads: None,
+            factors: Vec::new(),
         }
+    }
+
+    /// A timed transition whose rate is the ordered product `a · b` of two
+    /// keyed factors. Exploration and simulation call one closure that
+    /// multiplies the two (both called statically from it), so the rate is
+    /// exactly the same expression written as one closure; a
+    /// [`crate::reach::RatePlan`] evaluates each factor once per distinct
+    /// key of its own and multiplies per rate. Factoring pays when a costly
+    /// part of a rate takes few distinct keys where the whole rate takes
+    /// many.
+    pub fn timed_product<A, B>(name: impl Into<String>, a: RateFactor<A>, b: RateFactor<B>) -> Self
+    where
+        A: Fn(&Marking) -> f64 + Send + Sync + 'static,
+        B: Fn(&Marking) -> f64 + Send + Sync + 'static,
+    {
+        let (fa, fb) = (Arc::new(a.value), Arc::new(b.value));
+        let (ca, cb) = (Arc::clone(&fa), Arc::clone(&fb));
+        let mut def = Self::timed(name, move |m| ca(m) * cb(m));
+        def.factors = vec![
+            Factor {
+                key: a.key,
+                value: fa,
+            },
+            Factor {
+                key: b.key,
+                value: fb,
+            },
+        ];
+        def
     }
 
     /// A timed transition with a constant rate.
@@ -195,6 +285,7 @@ impl TransitionDef {
             guard: None,
             effect: None,
             reads: None,
+            factors: Vec::new(),
         }
     }
 
@@ -236,23 +327,13 @@ impl TransitionDef {
     /// rate. Without a declaration the key is the whole marking. At most
     /// four places may be declared ([`SpnBuilder::build`] refuses more).
     /// Guards and arcs are not part of the key; they decide enabledness,
-    /// which a plan fixes when it is built.
+    /// which a plan fixes when it is built. A factored rate
+    /// ([`TransitionDef::timed_product`]) declares its keys per factor
+    /// instead ([`SpnBuilder::build`] refuses both).
     pub fn reads(mut self, places: &[PlaceId]) -> Self {
         self.reads = Some(places.to_vec());
         self
     }
-}
-
-pub(crate) struct Transition {
-    pub(crate) name: String,
-    pub(crate) kind: TransitionKind,
-    pub(crate) inputs: Vec<(PlaceId, u32)>,
-    pub(crate) outputs: Vec<(PlaceId, u32)>,
-    pub(crate) inhibitors: Vec<(PlaceId, u32)>,
-    pub(crate) guard: Option<GuardFn>,
-    pub(crate) effect: Option<EffectFn>,
-    /// The declared rate key (see [`TransitionDef::reads`]).
-    pub(crate) reads: Option<Vec<PlaceId>>,
 }
 
 /// Incrementally assembles an [`Spn`].
@@ -260,7 +341,7 @@ pub(crate) struct Transition {
 pub struct SpnBuilder {
     place_names: Vec<String>,
     initial: Vec<u32>,
-    transitions: Vec<Transition>,
+    transitions: Vec<TransitionDef>,
     absorbing: Option<GuardFn>,
 }
 
@@ -279,16 +360,7 @@ impl SpnBuilder {
 
     /// Add a transition described by `def`; returns its id.
     pub fn add_transition(&mut self, def: TransitionDef) -> TransitionId {
-        self.transitions.push(Transition {
-            name: def.name,
-            kind: def.kind,
-            inputs: def.inputs,
-            outputs: def.outputs,
-            inhibitors: def.inhibitors,
-            guard: def.guard,
-            effect: def.effect,
-            reads: def.reads,
-        });
+        self.transitions.push(def);
         TransitionId(self.transitions.len() as u32 - 1)
     }
 
@@ -304,7 +376,8 @@ impl SpnBuilder {
     /// # Errors
     /// Returns [`SpnError::InvalidModel`] for duplicate place/transition
     /// names, nets without places, arcs or rate keys pointing at unknown
-    /// places, or a rate key of more than four places.
+    /// places, a rate key of more than four places, or a factored rate
+    /// that also declares [`TransitionDef::reads`].
     pub fn build(self) -> Result<Spn, SpnError> {
         if self.place_names.is_empty() {
             return Err(SpnError::InvalidModel("net has no places".into()));
@@ -346,28 +419,50 @@ impl SpnBuilder {
                     )));
                 }
             }
-            let reads = t.reads.as_deref().unwrap_or_default();
-            if reads.len() > MAX_RATE_KEY_PLACES {
+            if t.reads.is_some() && !t.factors.is_empty() {
                 return Err(SpnError::InvalidModel(format!(
-                    "transition {} declares a rate key of {} places; at most \
-                     {MAX_RATE_KEY_PLACES} are supported — leave it undeclared",
-                    t.name,
-                    reads.len()
+                    "transition {} declares both a rate key and rate factors; \
+                     a factored rate keys each factor",
+                    t.name
                 )));
             }
-            for &p in reads {
-                if p.0 >= np {
+            let keys = (t.reads.iter()).chain(t.factors.iter().filter_map(|f| match &f.key {
+                FactorKey::Places(places) => Some(places),
+                _ => None,
+            }));
+            for reads in keys {
+                if reads.len() > MAX_RATE_KEY_PLACES {
                     return Err(SpnError::InvalidModel(format!(
-                        "transition {} rate reads unknown place {:?}",
-                        t.name, p
+                        "transition {} declares a rate key of {} places; at most \
+                         {MAX_RATE_KEY_PLACES} are supported — leave it undeclared",
+                        t.name,
+                        reads.len()
                     )));
                 }
+                for &p in reads {
+                    if p.0 >= np {
+                        return Err(SpnError::InvalidModel(format!(
+                            "transition {} rate reads unknown place {:?}",
+                            t.name, p
+                        )));
+                    }
+                }
+            }
+        }
+        // An unfactored timed rate is one factor keyed by its `reads`.
+        let mut transitions = self.transitions;
+        for t in &mut transitions {
+            if let (TransitionKind::Timed { rate }, true) = (&t.kind, t.factors.is_empty()) {
+                t.factors = vec![Factor {
+                    key: t.reads.take().map_or(FactorKey::Marking, FactorKey::Places),
+                    value: Arc::clone(rate),
+                }];
             }
         }
         Ok(Spn {
             place_names: self.place_names,
             initial: Marking::new(self.initial),
-            transitions: self.transitions,
+            transitions,
             absorbing: self.absorbing,
         })
     }
@@ -377,7 +472,7 @@ impl SpnBuilder {
 pub struct Spn {
     place_names: Vec<String>,
     initial: Marking,
-    transitions: Vec<Transition>,
+    transitions: Vec<TransitionDef>,
     absorbing: Option<GuardFn>,
 }
 
@@ -403,7 +498,7 @@ impl Spn {
     }
 
     /// Crate-internal access to the full transition record.
-    pub(crate) fn transition_ref(&self, t: TransitionId) -> &Transition {
+    pub(crate) fn transition_ref(&self, t: TransitionId) -> &TransitionDef {
         &self.transitions[t.0 as usize]
     }
 
@@ -473,18 +568,21 @@ impl Spn {
     pub fn rate(&self, t: TransitionId, m: &Marking) -> Result<Option<f64>, SpnError> {
         let tr = &self.transitions[t.0 as usize];
         match &tr.kind {
-            TransitionKind::Timed { rate } => {
-                let r = rate(m);
-                if !r.is_finite() || r < 0.0 {
-                    return Err(SpnError::BadRate {
-                        transition: tr.name.clone(),
-                        value: r,
-                    });
-                }
-                Ok(Some(r))
-            }
+            TransitionKind::Timed { rate } => self.checked_rate(t, rate(m)).map(Some),
             TransitionKind::Immediate { .. } => Ok(None),
         }
+    }
+
+    /// `r` as the rate of `t`, or [`SpnError::BadRate`] naming `t` when
+    /// it is negative or not finite.
+    pub(crate) fn checked_rate(&self, t: TransitionId, r: f64) -> Result<f64, SpnError> {
+        if !r.is_finite() || r < 0.0 {
+            return Err(SpnError::BadRate {
+                transition: self.transitions[t.0 as usize].name.clone(),
+                value: r,
+            });
+        }
+        Ok(r)
     }
 
     /// Weight and priority of immediate transition `t` in `m`, or `None`
@@ -696,6 +794,34 @@ mod tests {
             Err(SpnError::InvalidModel(_))
         ));
         assert!(matches!(build(&[p(5)]), Err(SpnError::InvalidModel(_))));
+    }
+
+    #[test]
+    fn factor_keys_are_checked_like_rate_keys() {
+        let build = |reads: &[PlaceId], declare: bool| {
+            let mut b = SpnBuilder::new();
+            for i in 0..5 {
+                b.add_place(format!("P{i}"), 0);
+            }
+            let first = RateFactor::reads(reads, |_| 2.0);
+            let second = RateFactor::keyed(|_| [0; 4], |_| 3.0);
+            let def = TransitionDef::timed_product("t", first, second);
+            b.add_transition(if declare { def.reads(&[]) } else { def });
+            b.build()
+        };
+        let p = |i| PlaceId(i);
+        let net = build(&[p(0), p(1)], false).unwrap();
+        // The composed closure multiplies the factors.
+        let t = TransitionId(0);
+        assert_eq!(net.rate(t, &net.initial_marking()).unwrap(), Some(6.0));
+        for bad in [
+            build(&[p(0), p(1), p(2), p(3), p(4)], false),
+            build(&[p(5)], false),
+            // A factored rate keys each factor, not the transition.
+            build(&[p(0)], true),
+        ] {
+            assert!(matches!(bad, Err(SpnError::InvalidModel(_))));
+        }
     }
 
     #[test]

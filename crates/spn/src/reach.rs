@@ -14,7 +14,7 @@
 //! accounting.
 
 use crate::error::SpnError;
-use crate::model::{Marking, PlaceId, Spn, TransitionId};
+use crate::model::{FactorKey, Marking, PlaceId, Spn, TransitionId};
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -220,8 +220,9 @@ impl ReachabilityGraph {
     /// immediate transitions, like the GCS model).
     ///
     /// This is a one-use [`RatePlan`] built from the graph's current rates,
-    /// with one key per enabled (state, transition) pair: grouping the
-    /// pairs by their declared keys pays only when a plan is applied again.
+    /// with its own key of every rate factor per enabled (state,
+    /// transition) pair: grouping the pairs by their declared keys pays
+    /// only when a plan is applied again.
     /// A caller that re-weights one explored graph many times builds the
     /// plan once ([`RatePlan::new`]) and applies it per point instead.
     ///
@@ -276,18 +277,31 @@ struct Split {
 }
 
 /// The edges (or self-loops) of a graph, flattened in state order, as a
-/// plan sees them: the value slot of each, and the splits among them.
-#[derive(Debug, Clone, Default)]
+/// plan sees them: the rate slot of each, where each state's shares start,
+/// and the splits among them.
+#[derive(Debug, Clone)]
 struct Shares {
-    /// Value slot of every share.
+    /// Rate slot of every share.
     slots: Vec<u32>,
+    /// Per-state offsets into `slots` (length states + 1).
+    offsets: Vec<u32>,
     /// The shares that hold part of their transition's mass, ascending.
     splits: Vec<Split>,
 }
 
 impl Shares {
+    fn with_capacity(shares: usize, states: usize) -> Self {
+        let mut offsets = Vec::with_capacity(states + 1);
+        offsets.push(0);
+        Self {
+            slots: Vec::with_capacity(shares),
+            offsets,
+            splits: Vec::new(),
+        }
+    }
+
     /// Append a share of pristine `rate` whose (state, transition) pair
-    /// has explored `mass` and value `slot` (0: no key, rate 0).
+    /// has explored `mass` and rate `slot` (0: no rate, rate 0).
     fn push(&mut self, slot: u32, rate: f64, mass: f64) {
         if slot != 0 && rate != mass {
             self.splits.push(Split {
@@ -299,16 +313,33 @@ impl Shares {
         self.slots.push(slot);
     }
 
-    /// The new rate of each share for the slot `values`.
-    fn rates<'a>(&'a self, values: &'a [f64]) -> impl Iterator<Item = f64> + 'a {
-        let mut splits = self.splits.iter().peekable();
-        self.slots.iter().enumerate().map(move |(i, &k)| {
-            let target = values[k as usize];
+    /// Close the current state's shares.
+    fn end_state(&mut self) {
+        self.offsets.push(self.slots.len() as u32);
+    }
+
+    /// The rate slot and new rate of each share in `range`, for the slot
+    /// `rates`.
+    fn rates_in<'a>(
+        &'a self,
+        range: std::ops::Range<usize>,
+        rates: &'a [f64],
+    ) -> impl Iterator<Item = (u32, f64)> + 'a {
+        let first = self.splits.partition_point(|sp| sp.index < range.start);
+        let mut splits = self.splits[first..].iter().peekable();
+        range.map(move |i| {
+            let k = self.slots[i];
+            let target = rates[k as usize];
             match splits.next_if(|sp| sp.index == i) {
-                Some(sp) => sp.rate * (target / sp.mass),
-                None => target,
+                Some(sp) => (k, sp.rate * (target / sp.mass)),
+                None => (k, target),
             }
         })
+    }
+
+    /// The shares of state `s` as a range of flat indices.
+    fn of_state(&self, s: usize) -> std::ops::Range<usize> {
+        self.offsets[s] as usize..self.offsets[s + 1] as usize
     }
 }
 
@@ -343,41 +374,78 @@ impl Hasher for KeyHasher {
     }
 }
 
-/// Per transition: the index of each rate key seen so far, by the tokens
-/// of its places (unused places hold 0).
+/// The index of each rate key seen so far, by its words (unused words 0).
 type KeyIndex = HashMap<[u32; MAX_RATE_KEY_PLACES], u32, BuildHasherDefault<KeyHasher>>;
 
-/// The most places a declared rate key may read.
+/// The most places a declared rate key may read, and the most words of a
+/// derived factor key.
 pub(crate) const MAX_RATE_KEY_PLACES: usize = 4;
+
+/// The most factors a rate may have ([`crate::model::TransitionDef::timed_product`]).
+const MAX_RATE_FACTORS: usize = 2;
+
+/// "No index" marker: an unused factor of a rate.
+const NONE: u32 = u32::MAX;
+
+/// The keys of one factor of one timed transition: the factor is
+/// evaluated once per key, at the key's first state.
+#[derive(Debug, Clone)]
+struct FactorGroup {
+    transition: TransitionId,
+    /// Index among the transition's factors.
+    factor: usize,
+    /// Representative state of each key, in first-seen state order.
+    states: Vec<u32>,
+}
+
+/// One rate of a plan: the ordered product of its factor values, checked
+/// as a rate of its transition.
+#[derive(Debug, Clone, Copy)]
+struct Rate {
+    transition: TransitionId,
+    /// Factor value indices; unused ones hold [`NONE`].
+    factors: [u32; MAX_RATE_FACTORS],
+}
 
 /// The re-weighting of one explored graph, prepared once for any number of
 /// rate-only variations of its net (Hahn, Hermanns & Zhang's parametric
-/// evaluation in its simplest form: group the rate evaluations, then
-/// scatter).
+/// evaluation: group the rate evaluations, then scatter).
 ///
-/// A timed transition's rate reads a few places of the marking, its *rate
-/// key* ([`crate::model::TransitionDef::reads`]; the whole marking when
-/// undeclared). The plan holds, per transition, the distinct keys of the
-/// states where it is enabled with explored mass, each with the first such
-/// state as its representative; every edge and self-loop points at its
-/// key. [`RatePlan::apply`] evaluates each key once, at its representative,
-/// and writes every edge and self-loop rate and every absorbing flag of a
-/// structurally identical graph from the pristine values the plan keeps,
-/// so a working copy needs no reset between points.
+/// A timed transition's rate is an ordered product of factors (one factor,
+/// the rate itself, unless it is declared with
+/// [`crate::model::TransitionDef::timed_product`]), and each factor reads
+/// a few places of the marking or a derived key of at most four words: its
+/// *rate key* ([`crate::model::TransitionDef::reads`],
+/// [`crate::model::RateFactor`]; the whole marking when undeclared). The
+/// plan holds, per factor of each transition, the distinct keys of the
+/// states where the transition is enabled with explored mass, each with
+/// the first such state as its representative; per enabled pair the rate
+/// its factor keys make; and per edge and self-loop the rate it takes.
+/// [`RatePlan::share_rates`] evaluates each factor key once (the keys of
+/// one factor of one transition one after another), multiplies each rate's
+/// factors in their declared order and checks the product
+/// ([`SpnError::BadRate`]), and then yields every edge and self-loop rate
+/// from the pristine values the plan keeps, so no working copy needs a
+/// reset between points. Those rates feed both writers: a graph's rates
+/// ([`RatePlan::apply`]) and a chain's value array
+/// ([`crate::ctmc::CtmcTemplate::refresh_with`]).
 ///
 /// The arithmetic is [`ReachabilityGraph::reweight_in_place`]'s (which is a
 /// one-use plan): a share holding its transition's whole mass takes the new
 /// rate verbatim, a vanishing split is rescaled by `new / mass`, and a
-/// transition that is disabled, immediate or without mass gets rate 0. The
-/// same rate function on the same inputs gives the same bits, so a plan
-/// with honest keys reproduces a fresh exploration of the new net bit for
-/// bit.
+/// transition that is disabled, immediate or without mass gets rate 0. A
+/// factored rate is the product its one closure computes, so the same
+/// functions on the same inputs give the same bits, and a plan with honest
+/// keys reproduces a fresh exploration of the new net bit for bit.
 #[derive(Debug, Clone)]
 pub struct RatePlan {
-    /// The distinct rate keys in first-seen state order: the transition and
-    /// its representative state. Key `k` fills value slot `k + 1`; slot 0
-    /// holds the constant 0.
-    keys: Vec<(TransitionId, u32)>,
+    /// Factor keys, grouped by transition, then factor. Factor value `i`
+    /// is the `i`-th key in this order.
+    groups: Vec<FactorGroup>,
+    /// The rates, in first-seen state order: one per key of a one-factor
+    /// rate, one per enabled pair of a product. Rate `r` fills rate slot
+    /// `r + 1`; slot 0 holds the constant 0.
+    rates: Vec<Rate>,
     /// Every edge, flattened in state then edge order.
     edges: Shares,
     /// Every self-loop, flattened the same way.
@@ -391,15 +459,16 @@ pub struct RatePlan {
 
 impl RatePlan {
     /// Prepare the re-weighting of `graph` (its current rates are the
-    /// pristine ones) under nets with `net`'s structure. Enabledness and
-    /// the absorbing predicate are evaluated here, once per state; no rate
-    /// function is called.
+    /// pristine ones) under nets with `net`'s structure. Enabledness, the
+    /// absorbing predicate and the factor keys are evaluated here, once
+    /// per state; no rate function is called.
     pub fn new(graph: &ReachabilityGraph, net: &Spn) -> Self {
         Self::build(graph, net, true)
     }
 
-    /// [`RatePlan::new`], grouping the enabled pairs by their declared rate
-    /// keys when `keyed` is set and giving each pair its own key otherwise.
+    /// [`RatePlan::new`], grouping the enabled pairs by their factor keys
+    /// when `keyed` is set, and otherwise giving each pair its own key of
+    /// every factor.
     fn build(graph: &ReachabilityGraph, net: &Spn, keyed: bool) -> Self {
         // A graph explored from another net may carry transition ids past
         // `net`'s vocabulary; the dense scratch covers them.
@@ -407,22 +476,35 @@ impl RatePlan {
             .chain(graph.self_loop_rates.iter().flatten().map(|&(t, _)| t))
             .map(|t| t.index() + 1)
             .fold(net.transition_count(), usize::max);
-        // Per transition: explored mass and value slot in the current state.
+        // Per transition: explored mass and rate slot in the current state.
         let mut mass = vec![0.0_f64; width];
         let mut slot = vec![0_u32; width];
-        let mut key_index: Vec<KeyIndex> = (0..net.transition_count())
-            .map(|_| KeyIndex::default())
-            .collect();
-        let mut plan = Self {
-            keys: Vec::new(),
-            edges: Shares {
-                slots: Vec::with_capacity(graph.edge_count()),
-                splits: Vec::new(),
-            },
-            loops: Shares::default(),
-            absorbing: Vec::with_capacity(graph.state_count()),
-            unexplored: Vec::new(),
-        };
+        // One key group per factor of each timed transition, in
+        // transition order, and the index of each group's keys.
+        let mut groups: Vec<FactorGroup> = Vec::new();
+        let mut first_group = Vec::with_capacity(net.transition_count());
+        for t in net.transition_ids() {
+            first_group.push(groups.len());
+            let count = net.transition_ref(t).factors.len();
+            debug_assert!(count <= MAX_RATE_FACTORS);
+            groups.extend((0..count).map(|factor| FactorGroup {
+                transition: t,
+                factor,
+                states: Vec::new(),
+            }));
+        }
+        first_group.push(groups.len());
+        let mut key_index: Vec<KeyIndex> = groups.iter().map(|_| KeyIndex::default()).collect();
+        // A rate's factors hold each key's index in its group until every
+        // key is numbered below. A one-factor rate is its key's
+        // (`rate_of_key`, per group); a product gets one rate per enabled
+        // pair.
+        let mut rate_of_key: Vec<Vec<u32>> = vec![Vec::new(); groups.len()];
+        let mut rates: Vec<Rate> = Vec::with_capacity(graph.edge_count());
+        let mut edges = Shares::with_capacity(graph.edge_count(), graph.state_count());
+        let mut loops = Shares::with_capacity(0, graph.state_count());
+        let mut absorbing = Vec::with_capacity(graph.state_count());
+        let mut unexplored = Vec::new();
         for (s, marking) in graph.states.iter().enumerate() {
             // Edges first, then self-loops: the summation order of a mass.
             let shares = || {
@@ -432,8 +514,8 @@ impl RatePlan {
             for (t, r) in shares() {
                 mass[t.index()] += r;
             }
-            let absorbing = net.is_absorbing_marking(marking);
-            if !absorbing {
+            let absorbs = net.is_absorbing_marking(marking);
+            if !absorbs {
                 for t in net.transition_ids() {
                     if net.is_immediate(t) || !net.is_enabled(t, marking) {
                         continue;
@@ -441,76 +523,140 @@ impl RatePlan {
                     // Without mass (explored at rate 0, or zeroed by an
                     // earlier re-weight) the transition keeps rate 0.
                     if mass[t.index()] <= 0.0 {
-                        plan.unexplored.push((s as u32, t));
+                        unexplored.push((s as u32, t));
                         continue;
                     }
-                    let mut new_key = || {
-                        plan.keys.push((t, s as u32));
-                        plan.keys.len() as u32 - 1
-                    };
-                    let k = match net.transition_ref(t).reads.as_ref().filter(|_| keyed) {
-                        None => new_key(),
-                        Some(places) => {
-                            let mut tokens = [0; MAX_RATE_KEY_PLACES];
-                            for (token, &p) in tokens.iter_mut().zip(places) {
-                                *token = marking.tokens(p);
+                    let factors = &net.transition_ref(t).factors;
+                    let own = first_group[t.index()]..first_group[t.index() + 1];
+                    let mut keys = [NONE; MAX_RATE_FACTORS];
+                    for (k, g) in keys.iter_mut().zip(own.clone()) {
+                        let states = &mut groups[g].states;
+                        let mut new_key = || {
+                            states.push(s as u32);
+                            states.len() as u32 - 1
+                        };
+                        // A one-use plan gives every pair its own keys.
+                        let key = match keyed.then(|| &factors[g - own.start].key) {
+                            None | Some(FactorKey::Marking) => None,
+                            Some(FactorKey::Places(places)) => {
+                                let mut tokens = [0; MAX_RATE_KEY_PLACES];
+                                for (token, &p) in tokens.iter_mut().zip(places) {
+                                    *token = marking.tokens(p);
+                                }
+                                Some(tokens)
                             }
-                            *key_index[t.index()].entry(tokens).or_insert_with(new_key)
-                        }
+                            Some(FactorKey::Derived(key)) => Some(key(marking)),
+                        };
+                        *k = match key {
+                            None => new_key(),
+                            Some(key) => *key_index[g].entry(key).or_insert_with(new_key),
+                        };
+                    }
+                    let mut new_rate = || {
+                        rates.push(Rate {
+                            transition: t,
+                            factors: keys,
+                        });
+                        rates.len() as u32
                     };
-                    slot[t.index()] = k + 1;
+                    slot[t.index()] = match own.len() {
+                        1 => {
+                            let known = &mut rate_of_key[own.start];
+                            if keys[0] as usize == known.len() {
+                                known.push(new_rate());
+                            }
+                            known[keys[0] as usize]
+                        }
+                        _ => new_rate(),
+                    };
                 }
             }
             for e in &graph.edges[s] {
                 let t = e.transition.index();
-                plan.edges.push(slot[t], e.rate, mass[t]);
+                edges.push(slot[t], e.rate, mass[t]);
             }
             for &(t, r) in &graph.self_loop_rates[s] {
-                plan.loops.push(slot[t.index()], r, mass[t.index()]);
+                loops.push(slot[t.index()], r, mass[t.index()]);
             }
+            edges.end_state();
+            loops.end_state();
             // Reset only the slots this state touched: every transition
-            // given a key has mass here, so its slot is among them.
+            // given a rate has mass here, so its slot is among them.
             for (t, _) in shares() {
                 mass[t.index()] = 0.0;
                 slot[t.index()] = 0;
             }
-            plan.absorbing.push(absorbing);
+            absorbing.push(absorbs);
         }
-        plan
+        // Number every factor key in group order.
+        let mut base = Vec::with_capacity(groups.len());
+        let mut next = 0;
+        for g in &groups {
+            base.push(next);
+            next += g.states.len() as u32;
+        }
+        for rate in &mut rates {
+            let first = first_group[rate.transition.index()];
+            for (k, base) in rate.factors.iter_mut().zip(&base[first..]) {
+                if *k != NONE {
+                    *k += base;
+                }
+            }
+        }
+        Self {
+            groups,
+            rates,
+            edges,
+            loops,
+            absorbing,
+            unexplored,
+        }
     }
 
-    /// Distinct rate keys, summed over transitions: the rate evaluations
-    /// one [`RatePlan::apply`] makes besides the unexplored pairs.
+    /// Distinct factor keys, summed over transitions and factors: the rate
+    /// evaluations one [`RatePlan::share_rates`] makes besides the
+    /// unexplored pairs.
     pub fn key_count(&self) -> usize {
-        self.keys.len()
+        self.groups.iter().map(|g| g.states.len()).sum()
     }
 
-    /// Write `graph`'s edge rates, self-loop rates and absorbing flags for
-    /// `net`'s current rate functions. `graph` must have the states and
-    /// edges of the graph the plan was built from (its rates may be
-    /// anything), and `net` the structure of the plan's net: the same
-    /// transitions, arcs, guards and absorbing predicate, with rates that
-    /// honour their declared keys.
+    /// The distinct keys of each factor of each transition: (transition,
+    /// factor index, key count), by transition, then factor.
+    pub fn factor_key_counts(&self) -> impl Iterator<Item = (TransitionId, usize, usize)> + '_ {
+        (self.groups.iter()).map(|g| (g.transition, g.factor, g.states.len()))
+    }
+
+    /// Evaluate `net`'s rates on the plan's graph: each factor key once,
+    /// at its representative in `states` (the graph's markings), then each
+    /// rate as the product of its factors. `values` is the buffer the
+    /// result lives in, reused from point to point. `net` must have the
+    /// structure of the plan's net: the same transitions, arcs, guards,
+    /// absorbing predicate and rate factors, with rates that honour their
+    /// declared keys.
     ///
     /// # Errors
     /// * [`SpnError::InvalidModel`] if `net` gives positive rate to a
     ///   transition enabled in a state where the plan's graph has no mass
-    ///   for it (the variation is structural; re-explore instead).
-    /// * [`SpnError::BadRate`] from misbehaving rate functions.
-    ///
-    /// On error `graph` is left unchanged.
+    ///   for it (the variation is structural; re-explore instead), or
+    ///   lacks a factor the plan evaluates.
+    /// * [`SpnError::BadRate`] when a rate (the product, for a factored
+    ///   one) is negative or not finite.
     ///
     /// # Panics
-    /// Panics if `graph` has a different number of states, edges or
-    /// self-loops than the plan's graph.
-    pub fn apply(&self, net: &Spn, graph: &mut ReachabilityGraph) -> Result<(), SpnError> {
+    /// Panics if `states` is not the plan's graph's state list in length.
+    pub fn share_rates<'a>(
+        &'a self,
+        net: &Spn,
+        states: &[Marking],
+        values: &'a mut Vec<f64>,
+    ) -> Result<ShareRates<'a>, SpnError> {
         assert_eq!(
-            graph.state_count(),
+            states.len(),
             self.absorbing.len(),
             "a rate plan applies to the graph it was built from"
         );
         for &(s, t) in &self.unexplored {
-            if let Some(r) = net.rate(t, &graph.states[s as usize])? {
+            if let Some(r) = net.rate(t, &states[s as usize])? {
                 if r > 0.0 {
                     return Err(SpnError::InvalidModel(format!(
                         "reweight: transition {} gained rate {r} in state {s} \
@@ -521,30 +667,115 @@ impl RatePlan {
                 }
             }
         }
-        let mut values = Vec::with_capacity(self.keys.len() + 1);
+        values.clear();
+        for g in &self.groups {
+            let tr = net.transition_ref(g.transition);
+            let Some(factor) = tr.factors.get(g.factor) else {
+                return Err(SpnError::InvalidModel(format!(
+                    "reweight: transition {} has no rate factor {}; \
+                     the change is structural — re-explore",
+                    tr.name, g.factor
+                )));
+            };
+            values.extend((g.states.iter()).map(|&s| (factor.value)(&states[s as usize])));
+        }
+        let factors = values.len();
         values.push(0.0);
-        for &(t, s) in &self.keys {
-            let r = net.rate(t, &graph.states[s as usize])?.unwrap_or(0.0);
+        for rate in &self.rates {
+            let mut r = values[rate.factors[0] as usize];
+            for &f in &rate.factors[1..] {
+                if f != NONE {
+                    r *= values[f as usize];
+                }
+            }
+            let r = net.checked_rate(rate.transition, r)?;
             values.push(if r > 0.0 { r } else { 0.0 });
         }
-        let mut rates = self.edges.rates(&values);
+        Ok(ShareRates {
+            plan: self,
+            rates: &values[factors..],
+        })
+    }
+
+    /// Write `graph`'s edge rates, self-loop rates and absorbing flags for
+    /// `net`'s current rate functions ([`RatePlan::share_rates`] on
+    /// `graph`'s markings). `graph` must have the states and edges of the
+    /// graph the plan was built from (its rates may be anything).
+    ///
+    /// # Errors
+    /// As [`RatePlan::share_rates`]. On error `graph` is left unchanged.
+    ///
+    /// # Panics
+    /// Panics if `graph` has a different number of states, edges or
+    /// self-loops than the plan's graph.
+    pub fn apply(&self, net: &Spn, graph: &mut ReachabilityGraph) -> Result<(), SpnError> {
+        let mut values = Vec::new();
+        let rates = self.share_rates(net, &graph.states, &mut values)?;
+        let mut edge_rates = rates.edges();
         for (s, edges) in graph.edges.iter_mut().enumerate() {
             let mut live = false;
             for e in edges {
-                e.rate = rates.next().expect("the plan's edge count");
+                e.rate = edge_rates.next().expect("the plan's edge count");
                 live |= e.rate > 0.0;
             }
             // A rate that drops to zero can silence every remaining edge
             // of a state, making it absorbing for CTMC purposes.
             graph.absorbing[s] = self.absorbing[s] || !live;
         }
-        assert!(rates.next().is_none(), "the plan's edge count");
-        let mut rates = self.loops.rates(&values);
+        assert!(edge_rates.next().is_none(), "the plan's edge count");
+        let mut loop_rates = self.loops.rates_in(0..self.loops.slots.len(), rates.rates);
         for sl in graph.self_loop_rates.iter_mut().flatten() {
-            sl.1 = rates.next().expect("the plan's self-loop count");
+            sl.1 = loop_rates.next().expect("the plan's self-loop count").1;
         }
-        assert!(rates.next().is_none(), "the plan's self-loop count");
+        assert!(loop_rates.next().is_none(), "the plan's self-loop count");
         Ok(())
+    }
+}
+
+/// The rates one [`RatePlan::share_rates`] evaluated: every edge and
+/// self-loop rate of the plan's graph, read through the plan.
+#[derive(Debug, Clone, Copy)]
+pub struct ShareRates<'a> {
+    plan: &'a RatePlan,
+    /// The value of each rate slot (slot 0 is the constant 0).
+    rates: &'a [f64],
+}
+
+impl<'a> ShareRates<'a> {
+    /// Number of states of the plan's graph.
+    pub fn state_count(&self) -> usize {
+        self.plan.absorbing.len()
+    }
+
+    /// Number of edges of the plan's graph.
+    pub fn edge_count(&self) -> usize {
+        self.plan.edges.slots.len()
+    }
+
+    /// Every edge rate, flattened in state then edge order.
+    pub fn edges(&self) -> impl Iterator<Item = f64> + 'a {
+        let edges = &self.plan.edges;
+        (edges.rates_in(0..edges.slots.len(), self.rates)).map(|(_, r)| r)
+    }
+
+    /// The net's absorbing predicate per state (a state whose edges all
+    /// carry rate 0 absorbs too; the writers add that).
+    pub fn absorbing(&self) -> &'a [bool] {
+        &self.plan.absorbing
+    }
+
+    /// Call `f` with each rated share of state `s`: its edges, then its
+    /// self-loops, as (transition, rate). Shares without a rate (their
+    /// transition is disabled, immediate or without mass under the plan's
+    /// net) are left out; their rate is 0.
+    pub fn for_each_share(&self, s: usize, mut f: impl FnMut(TransitionId, f64)) {
+        for shares in [&self.plan.edges, &self.plan.loops] {
+            for (k, rate) in shares.rates_in(shares.of_state(s), self.rates) {
+                if k != 0 {
+                    f(self.plan.rates[k as usize - 1].transition, rate);
+                }
+            }
+        }
     }
 }
 
@@ -718,7 +949,7 @@ pub fn explore(net: &Spn, opts: &ExploreOptions) -> Result<ReachabilityGraph, Sp
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::{SpnBuilder, TransitionDef};
+    use crate::model::{RateFactor, SpnBuilder, TransitionDef};
 
     /// Pure-death chain: N tokens drain one by one.
     fn death_chain(n: u32) -> Spn {
@@ -1204,6 +1435,142 @@ mod tests {
             Err(SpnError::InvalidModel(_))
         ));
         assert_eq!(rate_bits(&working), before);
+    }
+
+    /// `die` drains `up` into a vanishing marking split 1:3 into
+    /// `left`/`right`, at the product of a count factor keyed by `up` and a
+    /// parity factor keyed by a derived key (`up` mod 2): `b` on even
+    /// counts, 1 on odd ones.
+    fn factored_net(k: f64, b: f64) -> Spn {
+        let mut net = SpnBuilder::new();
+        let up = net.add_place("up", 4);
+        let mid = net.add_place("mid", 0);
+        let left = net.add_place("left", 0);
+        let right = net.add_place("right", 0);
+        let count = RateFactor::reads(&[up], move |m| k * m.tokens(up) as f64);
+        let parity = RateFactor::keyed(
+            move |m| [m.tokens(up) % 2, 0, 0, 0],
+            move |m| {
+                if m.tokens(up).is_multiple_of(2) {
+                    b
+                } else {
+                    1.0
+                }
+            },
+        );
+        net.add_transition(
+            TransitionDef::timed_product("die", count, parity)
+                .input(up, 1)
+                .output(mid, 1),
+        );
+        net.add_transition(
+            TransitionDef::immediate_weighted("l", |_| 1.0, 0)
+                .input(mid, 1)
+                .output(left, 1),
+        );
+        net.add_transition(
+            TransitionDef::immediate_weighted("r", |_| 3.0, 0)
+                .input(mid, 1)
+                .output(right, 1),
+        );
+        net.build().unwrap()
+    }
+
+    #[test]
+    fn factored_rate_rescales_a_vanishing_split_by_its_product() {
+        let pristine = explore(&factored_net(1.3, 0.5), &ExploreOptions::default()).unwrap();
+        let plan = RatePlan::new(&pristine, &factored_net(1.3, 0.5));
+        // `die` fires from up = 4, 3, 2, 1 on every left/right branch:
+        // four count keys, two parity keys.
+        let die = TransitionId(0);
+        let counts: Vec<_> = plan.factor_key_counts().collect();
+        assert_eq!(counts, vec![(die, 0, 4), (die, 1, 2)]);
+        assert_eq!(plan.key_count(), 6);
+        let (k, b) = (2.9, 0.25);
+        let net = factored_net(k, b);
+        let mut working = pristine.clone();
+        plan.apply(&net, &mut working).unwrap();
+        // Each share is `rate * (new / mass)`, with `new` the product of
+        // the two factors at the share's state.
+        for (s, edges) in pristine.edges.iter().enumerate() {
+            let m = &pristine.states[s];
+            let Some(Some(new)) = (!edges.is_empty()).then(|| net.rate(die, m).unwrap()) else {
+                continue;
+            };
+            let mass: f64 = edges.iter().map(|e| e.rate).sum();
+            for (e, w) in edges.iter().zip(&working.edges[s]) {
+                assert_eq!(w.rate.to_bits(), (e.rate * (new / mass)).to_bits());
+            }
+            let up = m.tokens(PlaceId(0)) as f64;
+            let parity = if m.tokens(PlaceId(0)).is_multiple_of(2) {
+                b
+            } else {
+                1.0
+            };
+            assert_eq!(new.to_bits(), (k * up * parity).to_bits());
+        }
+        // The one-use plan evaluates both factors at every pair: the same
+        // bits.
+        let mut one_use = pristine.clone();
+        one_use.reweight_in_place(&net).unwrap();
+        assert_eq!(rate_bits(&working), rate_bits(&one_use));
+        let fresh = explore(&net, &ExploreOptions::default()).unwrap();
+        for (a, f) in working
+            .edges
+            .iter()
+            .flatten()
+            .zip(fresh.edges.iter().flatten())
+        {
+            assert!(
+                (a.rate - f.rate).abs() <= 1e-12 * f.rate,
+                "{} vs {}",
+                a.rate,
+                f.rate
+            );
+        }
+    }
+
+    #[test]
+    fn factored_rate_gained_where_unexplored_is_structural() {
+        // b = 0 stops `die` at the initial even count: the graph has no
+        // mass there, so a positive product is a structural change.
+        let pristine = explore(&factored_net(1.0, 0.0), &ExploreOptions::default()).unwrap();
+        assert_eq!(pristine.state_count(), 1);
+        let plan = RatePlan::new(&pristine, &factored_net(1.0, 0.0));
+        let mut working = pristine.clone();
+        plan.apply(&factored_net(2.0, 0.0), &mut working).unwrap();
+        assert!(matches!(
+            plan.apply(&factored_net(1.0, 0.5), &mut working),
+            Err(SpnError::InvalidModel(_))
+        ));
+    }
+
+    #[test]
+    fn overflowing_product_is_a_bad_rate_of_its_transition() {
+        // Each factor is finite; their product is not.
+        let build = |a: f64| {
+            let mut net = SpnBuilder::new();
+            let up = net.add_place("up", 2);
+            let first = RateFactor::reads(&[up], move |_| a);
+            let second = RateFactor::reads(&[], move |_| a);
+            net.add_transition(TransitionDef::timed_product("die", first, second).input(up, 1));
+            net.build().unwrap()
+        };
+        let pristine = explore(&build(1.0), &ExploreOptions::default()).unwrap();
+        let plan = RatePlan::new(&pristine, &build(1.0));
+        let mut working = pristine.clone();
+        let hot = build(1e200);
+        for err in [
+            plan.apply(&hot, &mut working).unwrap_err(),
+            hot.rate(TransitionId(0), &pristine.states[0]).unwrap_err(),
+        ] {
+            assert!(
+                matches!(&err, SpnError::BadRate { transition, value }
+                    if transition == "die" && *value == f64::INFINITY),
+                "{err}"
+            );
+        }
+        assert_eq!(rate_bits(&working), rate_bits(&pristine));
     }
 
     #[test]

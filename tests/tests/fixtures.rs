@@ -96,7 +96,7 @@ fn fixture_specs() -> Vec<(&'static str, ScenarioSpec)> {
     // the 3-of-10 system fails around ≈1.7e3 s; the grid spans that decay.
     let mut clustered = hot.clone();
     clustered.name = "clustered-mission".into();
-    clustered = clustered.with_clusters(engine::ClusterTopology {
+    clustered.clustered = Some(engine::ClusterTopology {
         clusters: 10,
         failure_threshold: 3,
     });

@@ -16,7 +16,7 @@ use gcsids::clustered::{
 };
 use gcsids::config::{ClusterTopology, SystemConfig};
 use gcsids::metrics::{ExactTemplate, TemplateStats};
-use gcsids::model::build_clustered_model;
+use gcsids::model::{build_clustered_model, build_model};
 use spn::ctmc::{Ctmc, TransientOptions};
 use spn::reach::{explore, ExploreOptions};
 use spn::transient::TransientStats;
@@ -39,8 +39,8 @@ fn exact_counts(n: u32) -> (usize, usize, TransientStats, TemplateStats) {
     let mut cfg = SystemConfig::paper_default();
     cfg.node_count = n;
     let template = ExactTemplate::new(&cfg).unwrap();
-    let graph = template.graph();
-    let ctmc = Ctmc::from_graph(graph).unwrap();
+    let graph = explore(&build_model(&cfg).net, &ExploreOptions::default()).unwrap();
+    let ctmc = Ctmc::from_graph(&graph).unwrap();
     let horizon = 0.05 * ctmc.mean_time_to_absorption().unwrap().mtta;
     let grid: Vec<f64> = (1..=5).map(|i| horizon * f64::from(i) / 5.0).collect();
     let (_, stats) = ctmc.survival_curve_with_stats(&grid, &TransientOptions::default());
@@ -53,15 +53,22 @@ fn exact_counts(n: u32) -> (usize, usize, TransientStats, TemplateStats) {
 }
 
 /// The counters of a freshly built template: one exploration and one
-/// pattern build, no lumping, and the distinct rate and reward keys that
-/// bound one point's rate and reward evaluations.
-fn template_stats(rate_keys: usize, reward_keys: usize) -> TemplateStats {
+/// pattern build, no lumping, the distinct keys of each rate factor (their
+/// sum bounds one point's rate evaluations) and the distinct reward keys.
+fn template_stats(
+    rate_keys: usize,
+    factor_keys: &[(&str, &[usize])],
+    reward_keys: usize,
+) -> TemplateStats {
     TemplateStats {
         explorations: 1,
         pattern_builds: 1,
         orbits: 0,
         orbit_members: 0,
         rate_keys,
+        factor_keys: (factor_keys.iter())
+            .map(|(name, keys)| (name.to_string(), keys.to_vec()))
+            .collect(),
         reward_keys,
     }
 }
@@ -77,7 +84,24 @@ fn exact_pipeline_counts_at_n50() {
     };
     assert_eq!(
         exact_counts(50),
-        (3_650, 9_632, expected, template_stats(4_380, 194))
+        (
+            3_650,
+            9_632,
+            expected,
+            template_stats(
+                2_684,
+                &[
+                    ("T_CP", &[458]),
+                    ("T_IDS", &[408, 416]),
+                    ("T_FA", &[457, 465]),
+                    ("T_DRQ", &[16]),
+                    ("T_PAR", &[3]),
+                    ("T_MER", &[3]),
+                    ("T_RK", &[458]),
+                ],
+                194
+            )
+        )
     );
 }
 
@@ -92,7 +116,26 @@ fn exact_pipeline_counts_at_n100() {
     };
     assert_eq!(
         exact_counts(100),
-        (13_986, 37_656, expected, template_stats(17_117, 394))
+        (
+            13_986,
+            37_656,
+            expected,
+            template_stats(
+                10_371,
+                &[
+                    ("T_CP", &[1_750]),
+                    // (T, U) keys of U · D(T + U), then Pfn splits.
+                    ("T_IDS", &[1_650, 1_667]),
+                    // (T, U) keys of T · D(T + U), then Pfp splits.
+                    ("T_FA", &[1_749, 1_766]),
+                    ("T_DRQ", &[33]),
+                    ("T_PAR", &[3]),
+                    ("T_MER", &[3]),
+                    ("T_RK", &[1_750]),
+                ],
+                394
+            )
+        )
     );
 }
 
