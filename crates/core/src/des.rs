@@ -19,11 +19,12 @@
 //!
 //! * [`run_des`] (this module) — groups split and merge as a birth–death
 //!   process with the mobility-calibrated rates, and time advances by an
-//!   exact exponential race (rates refreshed after every event) over
-//!   compromise (`A(mc)`), per-node IDS evaluation (`(T+U)·D(md)`), data
-//!   request by a compromised node (`λq·U`, leaks with probability `p1` —
-//!   condition C1), group partition/merge, and join/leave rekey events
-//!   (population-neutral, matching the SPN's cost-only `T_RK`);
+//!   exact exponential race (rates refreshed after every event that
+//!   changes the state) over compromise (`A(mc)`), per-node IDS evaluation
+//!   (`(T+U)·D(md)`), data request by a compromised node (`λq·U`, leaks
+//!   with probability `p1` — condition C1), group partition/merge, and
+//!   join/leave rekey events (population-neutral, matching the SPN's
+//!   cost-only `T_RK`);
 //! * [`crate::des_mobility::run_mobility_des`] — groups are the live
 //!   connected components of a random-waypoint network, and protocol
 //!   events fire by thinning within fixed mobility steps.
@@ -123,7 +124,8 @@ pub struct DesOutcome {
     pub first_true_detection: Option<f64>,
 }
 
-/// Protocol status of one node.
+/// Protocol status of one node; `as usize` indexes [`Replication`]'s
+/// per-status counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum NodeStatus {
     Trusted,
@@ -136,6 +138,8 @@ pub(crate) enum NodeStatus {
 }
 
 impl NodeStatus {
+    const COUNT: usize = 5;
+
     /// A group member: trusted or compromised-but-undetected.
     pub(crate) fn is_live(self) -> bool {
         matches!(self, NodeStatus::Trusted | NodeStatus::Compromised)
@@ -179,7 +183,10 @@ pub(crate) struct Replication {
     quarantine: Option<(f64, f64)>,
     /// Rekey-throttle service rate.
     throttle: Option<f64>,
-    pub(crate) status: Vec<NodeStatus>,
+    /// Every node's status, written only by [`Replication::set_status`].
+    status: Vec<NodeStatus>,
+    /// Nodes per status, indexed by `NodeStatus as usize`.
+    counts: [u32; NodeStatus::COUNT],
     /// Reused candidate list of [`Replication::pick`].
     candidates: Vec<usize>,
     /// Reused voter order of [`Replication::vote`].
@@ -221,6 +228,11 @@ impl Replication {
             quarantine,
             throttle,
             status: vec![NodeStatus::Trusted; sys.node_count as usize],
+            counts: {
+                let mut counts = [0; NodeStatus::COUNT];
+                counts[NodeStatus::Trusted as usize] = sys.node_count;
+                counts
+            },
             candidates: Vec::with_capacity(sys.node_count as usize),
             voter_order: Vec::with_capacity(sys.node_count as usize),
             burst_active: false,
@@ -232,23 +244,47 @@ impl Replication {
         }
     }
 
-    pub(crate) fn count(&self, s: NodeStatus) -> u32 {
-        self.status.iter().filter(|&&x| x == s).count() as u32
+    pub(crate) fn status(&self) -> &[NodeStatus] {
+        &self.status
     }
 
-    /// A uniformly random node whose status satisfies `pred`.
+    /// Move `node` to `status`, keeping the per-status counts.
+    pub(crate) fn set_status(&mut self, node: usize, status: NodeStatus) {
+        self.counts[self.status[node] as usize] -= 1;
+        self.counts[status as usize] += 1;
+        self.status[node] = status;
+    }
+
+    /// Nodes with status `s`, in O(1).
+    pub(crate) fn count(&self, s: NodeStatus) -> u32 {
+        self.counts[s as usize]
+    }
+
+    /// Trusted plus undetected compromised nodes.
+    pub(crate) fn live(&self) -> u32 {
+        self.count(NodeStatus::Trusted) + self.count(NodeStatus::Compromised)
+    }
+
+    /// Whether the per-status counts equal a recount of the statuses.
+    fn counts_are_exact(&self) -> bool {
+        let mut recount = [0; NodeStatus::COUNT];
+        for &s in &self.status {
+            recount[s as usize] += 1;
+        }
+        recount == self.counts
+    }
+
+    /// A uniformly random node whose status satisfies `pred`, or `None`
+    /// (and no draw) when there is none.
     pub(crate) fn pick<R: Rng + ?Sized>(
         &mut self,
         rng: &mut R,
         pred: impl Fn(NodeStatus) -> bool,
-    ) -> usize {
+    ) -> Option<usize> {
         self.candidates.clear();
         self.candidates
             .extend((0..self.status.len()).filter(|&n| pred(self.status[n])));
-        *self
-            .candidates
-            .choose(rng)
-            .expect("a node with the picked status exists")
+        self.candidates.choose(rng).copied()
     }
 
     /// Capture rate `A(mc)`, modulated by the targeted and burst axes.
@@ -309,12 +345,16 @@ impl Replication {
         rng.gen::<f64>() < self.sys.p1_host_false_negative
     }
 
-    /// The attacker compromises a random trusted node.
-    pub(crate) fn compromise<R: Rng + ?Sized>(&mut self, rng: &mut R) {
-        let victim = self.pick(rng, |s| s == NodeStatus::Trusted);
-        self.status[victim] = NodeStatus::Compromised;
+    /// The attacker compromises a random trusted node; `false` when none
+    /// is left.
+    pub(crate) fn compromise<R: Rng + ?Sized>(&mut self, rng: &mut R) -> bool {
+        let Some(victim) = self.pick(rng, |s| s == NodeStatus::Trusted) else {
+            return false;
+        };
+        self.set_status(victim, NodeStatus::Compromised);
         self.k.compromises += 1;
         self.k.first_compromise.get_or_insert(self.t);
+        true
     }
 
     /// One voting round on `target` by the live members of its group
@@ -366,12 +406,13 @@ impl Replication {
         } else {
             self.k.false_evictions += 1;
         }
-        self.status[target] = match (self.quarantine, target_bad) {
+        let held = match (self.quarantine, target_bad) {
             // conviction quarantines instead of evicting
             (Some(_), true) => NodeStatus::QuarantinedBad,
             (Some(_), false) => NodeStatus::QuarantinedGood,
             (None, _) => NodeStatus::Evicted,
         };
+        self.set_status(target, held);
         if self.throttle.is_some() {
             // the rekey is queued, not charged — the old key stays live
             // until served
@@ -420,9 +461,12 @@ const EVENT_RELEASE_BAD: usize = 8;
 const EVENT_CONFIRM_BAD: usize = 9;
 const EVENT_REKEY_SERVE: usize = 10;
 const EVENT_STALE_LEAK: usize = 11;
+/// Slots of the race, the join/leave rekey event included.
+const EVENTS: usize = 13;
 
 /// Winner of an exponential race: the first slot whose cumulative rate mass
-/// exceeds `pick` (the final slot absorbs floating-point residue).
+/// exceeds `pick` (the final slot absorbs floating-point residue). A slot
+/// of rate zero other than the last never wins: `pick` stays non-negative.
 fn sample_event_index(mut pick: f64, rates: &[f64]) -> usize {
     for (i, &r) in rates.iter().enumerate() {
         if pick < r {
@@ -447,36 +491,29 @@ fn rekey_random_group<R: Rng + ?Sized>(
     gdh_rekey_hop_bits(sys, groups[gi].len() as u32)
 }
 
-/// Run one replication with birth–death group dynamics.
-pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
-    let mut r = Replication::new(&cfg.system, &cfg.scenario);
-    // detlint::allow(D003): leaf constructor — `seed` is a child_seed from the replicate grid, passed down by the executor
-    let mut rng = StdRng::seed_from_u64(seed);
-    // Group member lists; evicted and quarantined nodes have left theirs.
-    let mut groups: Vec<Vec<usize>> = vec![(0..r.status.len()).collect()];
-    // Compromise flags of an evaluated node's group peers.
-    let mut peers: Vec<bool> = Vec::new();
-    let background = |r: &Replication, groups: &[Vec<usize>]| {
-        groups
-            .iter()
-            .fold(0.0, |acc, g| r.add_group_traffic(acc, g.len() as u32))
-    };
+/// The exponential race of one state of [`run_des`].
+#[derive(Clone, Copy, Default)]
+struct Rates {
+    /// Event rates in slot order.
+    slots: [f64; EVENTS],
+    /// `slots` summed in slot order.
+    total: f64,
+    /// Background traffic of every group (hop·bits/s).
+    background: f64,
+}
 
-    loop {
+impl Rates {
+    /// The race of the replication's state with these groups: the one
+    /// definition of every rate, which both fills and checks [`Race`].
+    fn of(r: &Replication, groups: &[Vec<usize>]) -> Self {
         let trusted = r.count(NodeStatus::Trusted);
         let undetected = r.count(NodeStatus::Compromised);
         let live = trusted + undetected;
         let qg = r.count(NodeStatus::QuarantinedGood) as f64;
         let qb = r.count(NodeStatus::QuarantinedBad) as f64;
-        // Attrition requires the quarantine to be empty too: a held node may
-        // still be released back into the system.
-        if live == 0 && qg + qb == 0.0 {
-            return r.finish(FailureCause::Attrition);
-        }
         let g = groups.len() as f64;
         let sys = &r.sys;
 
-        // --- event rates ---------------------------------------------------
         let r_compromise = r.compromise_rate(trusted, undetected);
         let r_evaluate = r.evaluate_rate(trusted, undetected);
         let r_leak = r.leak_rate(undetected);
@@ -520,7 +557,7 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
         } else {
             r.join_leave_rate(live)
         };
-        let rates = [
+        let slots = [
             r_compromise,
             r_evaluate,
             r_leak,
@@ -535,16 +572,130 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
             r_stale,
             r_joinleave,
         ];
-        let total: f64 = rates.iter().sum();
+        Self {
+            slots,
+            total: slots.iter().sum(),
+            background: groups
+                .iter()
+                .fold(0.0, |acc, g| r.add_group_traffic(acc, g.len() as u32)),
+        }
+    }
+
+    fn bits(&self) -> impl Iterator<Item = u64> + '_ {
+        self.slots
+            .iter()
+            .chain([&self.total, &self.background])
+            .map(|x| x.to_bits())
+    }
+}
+
+/// What [`run_des`] reads from its state between events: the race, the
+/// live nodes in index order (the candidates of a vote's target) and each
+/// live node's group.
+///
+/// Only an event that changes a status, a group, the burst phase or the
+/// rekey queue moves any of it, so the loop refreshes the cache after
+/// those events alone. A rejected vote, a data request that leaks nothing
+/// and a join/leave rekey reuse it: the dependency rule of Gibson and
+/// Bruck's next-reaction method, with every random draw unchanged.
+struct Race {
+    rates: Rates,
+    live: Vec<usize>,
+    /// Group index of every live node (stale for the others).
+    group_of: Vec<usize>,
+}
+
+impl Race {
+    fn new(r: &Replication, groups: &[Vec<usize>]) -> Self {
+        let n = r.status().len();
+        let mut race = Self {
+            rates: Rates::default(),
+            live: Vec::with_capacity(n),
+            group_of: vec![0; n],
+        };
+        race.refresh(r, groups);
+        race
+    }
+
+    fn refresh(&mut self, r: &Replication, groups: &[Vec<usize>]) {
+        self.rates = Rates::of(r, groups);
+        let status = r.status();
+        self.live.clear();
+        self.live
+            .extend((0..status.len()).filter(|&n| status[n].is_live()));
+        for (gi, g) in groups.iter().enumerate() {
+            for &n in g {
+                self.group_of[n] = gi;
+            }
+        }
+    }
+
+    /// Whether the cache equals a fresh computation from the state, bit for
+    /// bit, the groups hold exactly the live nodes, and the per-status
+    /// counts equal a recount.
+    fn is_fresh(&self, r: &Replication, groups: &[Vec<usize>]) -> bool {
+        let status = r.status();
+        self.rates.bits().eq(Rates::of(r, groups).bits())
+            && self
+                .live
+                .iter()
+                .copied()
+                .eq((0..status.len()).filter(|&n| status[n].is_live()))
+            && groups.iter().map(Vec::len).sum::<usize>() == self.live.len()
+            && groups.iter().enumerate().all(|(gi, g)| {
+                g.iter()
+                    .all(|&n| status[n].is_live() && self.group_of[n] == gi)
+            })
+            && r.counts_are_exact()
+    }
+}
+
+/// Run one replication with birth–death group dynamics.
+pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
+    let mut r = Replication::new(&cfg.system, &cfg.scenario);
+    // detlint::allow(D003): leaf constructor — `seed` is a child_seed from the replicate grid, passed down by the executor
+    let mut rng = StdRng::seed_from_u64(seed);
+    let n = r.status().len();
+    // Group member lists; evicted and quarantined nodes have left theirs.
+    // A group is never empty, so there are at most `n`, and every list has
+    // room for all nodes: no step reallocates one.
+    let mut groups: Vec<Vec<usize>> = Vec::with_capacity(n.max(1));
+    groups.push((0..n).collect());
+    // Emptied member lists, reused by the next partition or release.
+    let mut spare: Vec<Vec<usize>> = Vec::with_capacity(n);
+    let new_group =
+        |spare: &mut Vec<Vec<usize>>| spare.pop().unwrap_or_else(|| Vec::with_capacity(n));
+    // The groups a partition may split.
+    let mut splittable: Vec<usize> = Vec::with_capacity(n);
+    // Compromise flags of an evaluated node's group peers.
+    let mut peers: Vec<bool> = Vec::with_capacity(n);
+    let mut race = Race::new(&r, &groups);
+
+    loop {
+        debug_assert!(race.is_fresh(&r, &groups), "stale race at t = {}", r.t);
+        let trusted = r.count(NodeStatus::Trusted);
+        let undetected = r.count(NodeStatus::Compromised);
+        // Attrition requires the quarantine to be empty too: a held node may
+        // still be released back into the system.
+        if trusted + undetected == 0
+            && r.count(NodeStatus::QuarantinedGood) + r.count(NodeStatus::QuarantinedBad) == 0
+        {
+            return r.finish(FailureCause::Attrition);
+        }
+        let Rates {
+            slots,
+            total,
+            background,
+        } = race.rates;
         if total <= 0.0 {
-            r.hop_bits += background(&r, &groups) * (cfg.max_time - r.t);
+            r.hop_bits += background * (cfg.max_time - r.t);
             r.t = cfg.max_time;
             return r.finish(FailureCause::Censored);
         }
 
         let dt = sample_exponential(&mut rng, total);
         let step = dt.min(cfg.max_time - r.t);
-        r.hop_bits += background(&r, &groups) * step;
+        r.hop_bits += background * step;
         if r.t + dt >= cfg.max_time {
             r.t = cfg.max_time;
             return r.finish(FailureCause::Censored);
@@ -552,52 +703,57 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
         r.t += dt;
 
         // --- the winner of the exponential race ----------------------------
-        let event = sample_event_index(rng.gen::<f64>() * total, &rates);
-        match event {
+        // Each arm says whether it changed the state the race reads.
+        let event = sample_event_index(rng.gen::<f64>() * total, &slots);
+        let changed = match event {
             EVENT_COMPROMISE => r.compromise(&mut rng),
-            EVENT_EVALUATE => {
-                // evaluate a random live node with an actual voting round
-                let target = r.pick(&mut rng, NodeStatus::is_live);
-                let gi = groups
-                    .iter()
-                    .position(|g| g.contains(&target))
-                    .expect("every live node belongs to a group");
-                peers.clear();
-                peers.extend(
-                    groups[gi]
-                        .iter()
-                        .filter(|&&n| n != target)
-                        .map(|&n| r.status[n] == NodeStatus::Compromised),
-                );
-                if r.vote(target, &peers, trusted, undetected, &mut rng) {
-                    groups[gi].retain(|&n| n != target);
-                    if groups[gi].is_empty() {
-                        groups.remove(gi);
+            // evaluate a random live node with an actual voting round
+            EVENT_EVALUATE => match race.live.choose(&mut rng) {
+                Some(&target) => {
+                    let gi = race.group_of[target];
+                    peers.clear();
+                    peers.extend(
+                        groups[gi]
+                            .iter()
+                            .filter(|&&n| n != target)
+                            .map(|&n| r.status()[n] == NodeStatus::Compromised),
+                    );
+                    let convicted = r.vote(target, &peers, trusted, undetected, &mut rng);
+                    if convicted {
+                        groups[gi].retain(|&n| n != target);
+                        if groups[gi].is_empty() {
+                            spare.push(groups.remove(gi));
+                        }
                     }
+                    convicted
                 }
-            }
+                None => false,
+            },
             EVENT_LEAK => {
                 if r.data_request_leaks(&mut rng) {
                     return r.finish(FailureCause::DataLeak);
                 }
+                false
             }
             EVENT_PARTITION => {
                 // split a random group (≥ 2 members) in half
-                let candidates: Vec<usize> = (0..groups.len())
-                    .filter(|&i| groups[i].len() >= 2)
-                    .collect();
-                let &gi = candidates
-                    .choose(&mut rng)
-                    .expect("partitionable group exists");
-                let mut members = std::mem::take(&mut groups[gi]);
-                members.shuffle(&mut rng);
-                let half = members.len() / 2;
-                let other = members.split_off(half);
-                r.hop_bits += gdh_rekey_hop_bits(&r.sys, members.len() as u32)
-                    + gdh_rekey_hop_bits(&r.sys, other.len() as u32);
-                r.k.partitions += 1;
-                groups[gi] = members;
-                groups.push(other);
+                splittable.clear();
+                splittable.extend((0..groups.len()).filter(|&i| groups[i].len() >= 2));
+                match splittable.choose(&mut rng) {
+                    Some(&gi) => {
+                        let mut other = new_group(&mut spare);
+                        let members = &mut groups[gi];
+                        members.shuffle(&mut rng);
+                        let half = members.len() / 2;
+                        other.extend(members.drain(half..));
+                        r.hop_bits += gdh_rekey_hop_bits(&r.sys, members.len() as u32)
+                            + gdh_rekey_hop_bits(&r.sys, other.len() as u32);
+                        r.k.partitions += 1;
+                        groups.push(other);
+                        true
+                    }
+                    None => false,
+                }
             }
             EVENT_MERGE => {
                 // merge two random groups
@@ -606,14 +762,18 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
                 if b >= a {
                     b += 1;
                 }
-                let moved = std::mem::take(&mut groups[b]);
-                groups[a].extend(moved);
+                let mut moved = std::mem::take(&mut groups[b]);
+                groups[a].append(&mut moved);
                 r.hop_bits += gdh_rekey_hop_bits(&r.sys, groups[a].len() as u32);
                 r.k.merges += 1;
                 groups.remove(b);
+                spare.push(moved);
+                true
             }
-            EVENT_BURST_ON => r.burst_active = true,
-            EVENT_BURST_OFF => r.burst_active = false,
+            EVENT_BURST_ON | EVENT_BURST_OFF => {
+                r.burst_active = event == EVENT_BURST_ON;
+                true
+            }
             EVENT_RELEASE_GOOD | EVENT_RELEASE_BAD => {
                 // quarantine review clears a node — rightly a good one,
                 // wrongly a compromised one — and it rejoins a random group,
@@ -624,26 +784,39 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
                 } else {
                     (NodeStatus::QuarantinedBad, NodeStatus::Compromised)
                 };
-                let node = r.pick(&mut rng, |s| s == held);
-                r.status[node] = released;
-                if groups.is_empty() {
-                    groups.push(vec![node]);
-                } else {
-                    let gi = rng.gen_range(0..groups.len());
-                    groups[gi].push(node);
-                    r.hop_bits += gdh_rekey_hop_bits(&r.sys, groups[gi].len() as u32);
+                match r.pick(&mut rng, |s| s == held) {
+                    Some(node) => {
+                        r.set_status(node, released);
+                        if groups.is_empty() {
+                            let mut group = new_group(&mut spare);
+                            group.push(node);
+                            groups.push(group);
+                        } else {
+                            let gi = rng.gen_range(0..groups.len());
+                            groups[gi].push(node);
+                            r.hop_bits += gdh_rekey_hop_bits(&r.sys, groups[gi].len() as u32);
+                        }
+                        true
+                    }
+                    None => false,
                 }
             }
             EVENT_CONFIRM_BAD => {
                 // quarantine review confirms the conviction: permanent
                 // eviction, no further rekey (the group already rekeyed)
-                let node = r.pick(&mut rng, |s| s == NodeStatus::QuarantinedBad);
-                r.status[node] = NodeStatus::Evicted;
+                match r.pick(&mut rng, |s| s == NodeStatus::QuarantinedBad) {
+                    Some(node) => {
+                        r.set_status(node, NodeStatus::Evicted);
+                        true
+                    }
+                    None => false,
+                }
             }
             EVENT_REKEY_SERVE => {
                 // the throttled rekey service completes one pending rekey
                 r.pending_rekeys -= 1;
                 r.hop_bits += rekey_random_group(&r.sys, &groups, &mut rng);
+                true
             }
             EVENT_STALE_LEAK => {
                 // a stale group key (rekey still pending) lets an evicted
@@ -657,19 +830,24 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
                 // with every member quarantined — then there is nothing to
                 // rekey.
                 r.hop_bits += rekey_random_group(&r.sys, &groups, &mut rng);
+                false
             }
-        }
+        };
 
-        // --- C2 check on actual per-group composition ------------------------
-        let any_byzantine = groups.iter().any(|g| {
-            let bad = g
-                .iter()
-                .filter(|&&n| r.status[n] == NodeStatus::Compromised)
-                .count() as u32;
-            byzantine(g.len() as u32 - bad, bad)
-        });
-        if any_byzantine {
-            return r.finish(FailureCause::ByzantineCapture);
+        if changed {
+            // --- C2 check on actual per-group composition --------------------
+            // Only a changed status or group can make it hold.
+            let any_byzantine = groups.iter().any(|g| {
+                let bad = g
+                    .iter()
+                    .filter(|&&n| r.status()[n] == NodeStatus::Compromised)
+                    .count() as u32;
+                byzantine(g.len() as u32 - bad, bad)
+            });
+            if any_byzantine {
+                return r.finish(FailureCause::ByzantineCapture);
+            }
+            race.refresh(&r, &groups);
         }
     }
 }

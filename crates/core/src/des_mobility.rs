@@ -84,7 +84,7 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut mobility = RandomWaypoint::new(
         MobilityConfig {
-            node_count: r.status.len(),
+            node_count: r.status().len(),
             ..cfg.mobility
         },
         &mut rng,
@@ -93,7 +93,7 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
     let mut prev_components = graph.component_count();
     // Per-component live and undetected-compromised counts, and the voting
     // peers of a target: sized for the population once, reused every step.
-    let n = r.status.len();
+    let n = r.status().len();
     let (mut live_per_comp, mut bad_per_comp) = (Vec::with_capacity(n), Vec::with_capacity(n));
     let mut peers: Vec<bool> = Vec::with_capacity(n);
 
@@ -124,7 +124,7 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
         }
 
         // --- background traffic over actual components ----------------------
-        members_per_component(&graph, &r.status, &mut live_per_comp, &mut bad_per_comp);
+        members_per_component(&graph, r.status(), &mut live_per_comp, &mut bad_per_comp);
         let background: f64 = live_per_comp
             .iter()
             .map(|&n| r.add_group_traffic(0.0, n))
@@ -146,17 +146,19 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
 
         if fires(&mut rng, r.evaluate_rate(trusted, undetected), cfg.dt) {
             // evaluate one random live node within its actual component
-            let target = r.pick(&mut rng, NodeStatus::is_live);
-            let comp = graph.component_of(target);
-            peers.clear();
-            peers.extend(
-                (0..r.status.len())
-                    .filter(|&n| {
-                        n != target && r.status[n].is_live() && graph.component_of(n) == comp
-                    })
-                    .map(|n| r.status[n] == NodeStatus::Compromised),
-            );
-            r.vote(target, &peers, trusted, undetected, &mut rng);
+            if let Some(target) = r.pick(&mut rng, NodeStatus::is_live) {
+                let comp = graph.component_of(target);
+                let status = r.status();
+                peers.clear();
+                peers.extend(
+                    (0..status.len())
+                        .filter(|&n| {
+                            n != target && status[n].is_live() && graph.component_of(n) == comp
+                        })
+                        .map(|n| status[n] == NodeStatus::Compromised),
+                );
+                r.vote(target, &peers, trusted, undetected, &mut rng);
+            }
         }
 
         if undetected > 0
@@ -171,7 +173,7 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
         }
 
         // --- C2 check on real components ------------------------------------
-        members_per_component(&graph, &r.status, &mut live_per_comp, &mut bad_per_comp);
+        members_per_component(&graph, r.status(), &mut live_per_comp, &mut bad_per_comp);
         if live_per_comp
             .iter()
             .zip(&bad_per_comp)
@@ -204,7 +206,7 @@ fn members_per_component(
 }
 
 fn mean_live_group_size(graph: &ConnectivityGraph, r: &Replication) -> u32 {
-    let live = r.status.iter().filter(|s| s.is_live()).count() as u32;
+    let live = r.live();
     let comps = graph.component_count().max(1) as u32;
     (live / comps).max(1)
 }

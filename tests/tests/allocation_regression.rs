@@ -1,6 +1,6 @@
 //! A simulator step allocates nothing: the allocation count of a
-//! mobility-DES replication and of an SPN token-game replication does not
-//! grow with the replication's horizon.
+//! mobility-DES replication, of a protocol-DES replication and of an SPN
+//! token-game replication does not grow with the replication's horizon.
 //!
 //! Every allocation in this test binary is counted by a wrapping global
 //! allocator, so the file holds a single test: no other test thread can
@@ -8,13 +8,16 @@
 //!
 //! A replication sizes its buffers for the population up front, except the
 //! connectivity graph's edge buffers, which grow to the densest topology
-//! seen so far. The short run below already meets that topology, so the
-//! two horizons must cost the same allocations. A simulator that cloned
+//! seen so far, and the protocol DES's group member lists, one per group
+//! at the most groups seen so far. The short runs below already meet that
+//! topology and that group count, so the two horizons must cost the same
+//! allocations. A simulator that cloned
 //! the marking per firing or allocated a graph per step would make about
 //! ten times as many at the ten-times-longer horizon.
 
+use engine::ResponsePolicy;
 use gcsids::config::SystemConfig;
-use gcsids::des::FailureCause;
+use gcsids::des::{run_des, DesConfig, FailureCause};
 use gcsids::des_mobility::{run_mobility_des, MobilityDesConfig};
 use gcsids::metrics::{eviction_impulses, total_cost_reward};
 use gcsids::model::build_model;
@@ -94,6 +97,40 @@ fn replication_allocations_do_not_grow_with_the_horizon() {
     assert!(
         long <= short,
         "mobility DES: {short} allocations over 1 000 steps, {long} over 10 000"
+    );
+
+    // Protocol DES with the group rates calibrated at the 12-node mobility
+    // geometry: groups split and merge every few minutes, and frequent
+    // false convictions under quarantine-rejoin move nodes out of their
+    // groups and back into random ones.
+    let des = |max_time: f64| {
+        let mut sys = quiet_system(12);
+        sys.partition_rate_per_group = 7.94e-3;
+        sys.merge_rate_per_group = 0.0181;
+        sys.p2_host_false_positive = 0.3;
+        let mut cfg = DesConfig::new(sys);
+        cfg.scenario.response = ResponsePolicy::QuarantineRejoin {
+            release_rate: 1.0 / 200.0,
+            false_release_prob: 0.0,
+        };
+        cfg.max_time = max_time;
+        counted(|| run_des(&cfg, SEED))
+    };
+    let (short, o_short) = des(5_000.0);
+    let (long, o_long) = des(50_000.0);
+    for o in [&o_short, &o_long] {
+        assert_eq!(o.cause, FailureCause::Censored);
+    }
+    let group_events = |o: &gcsids::DesOutcome| o.partitions + o.merges + o.false_evictions;
+    assert!(
+        group_events(&o_long) >= 5 * group_events(&o_short).max(1),
+        "{o_short:?} {o_long:?}"
+    );
+    assert!(
+        long <= short,
+        "protocol DES: {short} allocations over {} group events, {long} over {}",
+        group_events(&o_short),
+        group_events(&o_long)
     );
 
     // Token game on the paper net: every timed firing fires in place.
