@@ -22,18 +22,19 @@
 //!   over the cluster failure law `F = 1 − S`, the system MTTSF is its
 //!   integral (Simpson quadrature on a horizon where `S_sys < 1e-12`), and
 //!   the failure-cause split is the K-th-order-statistic integral
-//!   `C·C(C−1,K−1) ∫ F^{K−1} S^{C−K} dF_cause`. Cost uses the exact
-//!   per-cluster transient expected rate `ρ(t) = E[rate | alive]` at 33
-//!   probe times, all read from one shared uniformization pass
-//!   ([`Ctmc::transient_distributions`]: one iterate sequence to the last
-//!   probe, each probe's Poisson mixture bit-identical to its own solve),
-//!   and interpolated onto the quadrature grid; only that interpolation is
-//!   inexact, and it converges with the probe count. The horizon search
-//!   likewise evaluates each candidate with its whole `/1.6` chain in one
-//!   survival pass ([`Ctmc::survival_at`]). A parent aggregate SPN (one
-//!   `fail` transition per cluster at rate `1/MTTSF_c`, explored through
-//!   the same lumping pipeline) realises the inter-cluster model whose
-//!   counts the stats report.
+//!   `C·C(C−1,K−1) ∫ F^{K−1} S^{C−K} h_cause dt` over the cluster's
+//!   instantaneous C1 and C2 failure hazards `h_cause(t) = π_T(t)·f_cause`
+//!   (`f_cause`: each live state's summed rate into C1- or C2-absorbing
+//!   states). Cost integrates `C·b_other(t)·π_T(t)·r`, the per-cluster
+//!   cost rate while fewer than K of the other clusters have failed. Both
+//!   read the live distribution `π_T(t)` at every quadrature point of the
+//!   one survival sweep that yields `S` ([`Ctmc::survival_curve_observed`]),
+//!   so cost and cause are exact up to the same quadrature as the MTTSF.
+//!   The horizon search evaluates each candidate with its whole `/1.6`
+//!   chain in one survival pass ([`Ctmc::survival_at`]). A parent aggregate
+//!   SPN (one `fail` transition per cluster at rate `1/MTTSF_c`, explored
+//!   through the same lumping pipeline) realises the inter-cluster model
+//!   whose counts the stats report.
 
 use crate::config::{ClusterTopology, SystemConfig};
 use crate::cost::{cost_breakdown, CostBreakdown};
@@ -84,9 +85,9 @@ pub struct LumpingStats {
     /// `unlumped_state_estimate / states` — the observable reduction
     /// factor.
     pub reduction: f64,
-    /// Matvecs of the hierarchical composition's multi-horizon passes
-    /// (horizon search and cost/cause probes); the report's transient
-    /// counter covers only the quadrature grid and the mission curve.
+    /// Matvecs of the hierarchical composition's horizon-search passes;
+    /// the report's transient counter covers the quadrature grid (which
+    /// also yields cost and cause) and the mission curve.
     /// Zero on the flat path.
     pub composition_matvecs: u64,
 }
@@ -198,31 +199,11 @@ pub fn evaluate_clustered_with_survival(
             "cluster MTTSF {cluster_mttsf} is not a positive finite time; cannot compose"
         )));
     }
-    // Marginal cause split as interpolation fallback for probe times where
-    // no absorbed mass exists yet.
-    let mut marginal_c1 = 0.0;
-    let mut marginal_all = 0.0;
-    for (i, &p) in absorption.absorption_probability.iter().enumerate() {
-        if p <= 0.0 {
-            continue;
-        }
-        marginal_all += p;
-        if cluster_graph.states[i].tokens(cluster_model.places.gf) > 0 {
-            marginal_c1 += p;
-        }
-    }
-    let fallback_phi = if marginal_all > 0.0 {
-        marginal_c1 / marginal_all
-    } else {
-        0.0
-    };
-
     let (mut evaluation, survival, composition_matvecs) = hierarchical_compose(
         &cluster_model,
         &cluster_graph,
         &ctmc,
         cluster_mttsf,
-        fallback_phi,
         topo,
         mission_times,
     )?;
@@ -414,82 +395,39 @@ fn simpson_scalar(values: &[f64], h: f64) -> f64 {
     let m = values.len() - 1;
     let mut acc = values[0] + values[m];
     for (i, v) in values.iter().enumerate().take(m).skip(1) {
-        acc += if i % 2 == 1 { 4.0 * v } else { 2.0 * v };
+        acc += simpson_weight(i, m) * v;
     }
     acc * h / 3.0
 }
 
-/// Composite Simpson over per-component cost breakdowns.
-fn simpson_breakdown(values: &[CostBreakdown], h: f64) -> CostBreakdown {
-    debug_assert!(values.len() >= 3 && values.len() % 2 == 1);
-    let m = values.len() - 1;
-    let mut acc = values[0].add(&values[m]);
-    for (i, v) in values.iter().enumerate().take(m).skip(1) {
-        let w = if i % 2 == 1 { 4.0 } else { 2.0 };
-        acc = acc.add(&v.scale(w));
+/// Weight of sample `i` of `m + 1` in the composite Simpson rule, before
+/// the `h/3` factor: 1 at both ends, 4 at odd and 2 at even interior
+/// samples.
+fn simpson_weight(i: usize, m: usize) -> f64 {
+    if i == 0 || i == m {
+        1.0
+    } else if i % 2 == 1 {
+        4.0
+    } else {
+        2.0
     }
-    acc.scale(h / 3.0)
-}
-
-/// Piecewise-linear interpolation of probe samples onto an ascending grid
-/// (probe times bracket the grid by construction).
-fn lerp_grid(probe_t: &[f64], probe_v: &[f64], grid: &[f64]) -> Vec<f64> {
-    let mut out = Vec::with_capacity(grid.len());
-    let mut seg = 0usize;
-    for &t in grid {
-        while seg + 2 < probe_t.len() && probe_t[seg + 1] < t {
-            seg += 1;
-        }
-        let (t0, t1) = (probe_t[seg], probe_t[seg + 1]);
-        let a = if t1 > t0 {
-            ((t - t0) / (t1 - t0)).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        out.push(probe_v[seg] * (1.0 - a) + probe_v[seg + 1] * a);
-    }
-    out
-}
-
-/// As [`lerp_grid`], componentwise over cost breakdowns.
-fn lerp_grid_breakdown(
-    probe_t: &[f64],
-    probe_v: &[CostBreakdown],
-    grid: &[f64],
-) -> Vec<CostBreakdown> {
-    let mut out = Vec::with_capacity(grid.len());
-    let mut seg = 0usize;
-    for &t in grid {
-        while seg + 2 < probe_t.len() && probe_t[seg + 1] < t {
-            seg += 1;
-        }
-        let (t0, t1) = (probe_t[seg], probe_t[seg + 1]);
-        let a = if t1 > t0 {
-            ((t - t0) / (t1 - t0)).clamp(0.0, 1.0)
-        } else {
-            0.0
-        };
-        out.push(probe_v[seg].scale(1.0 - a).add(&probe_v[seg + 1].scale(a)));
-    }
-    out
 }
 
 /// The hierarchical order-statistic composition over one solved cluster
 /// chain. Returns the system evaluation (state/edge counts still those of
 /// the cluster chain — the caller adds the parent aggregate), the mission
-/// survival curve, and the matvecs of the horizon-search and probe passes.
+/// survival curve, and the matvecs of the horizon-search passes.
 ///
 /// # Errors
 /// [`SpnError::TransientDepthExceeded`] before any pass deeper than
 /// [`spn::ctmc::MAX_POISSON_DEPTH`] (a mission time or a horizon
-/// candidate), and a non-positive or non-finite composed MTTSF.
-#[allow(clippy::too_many_arguments)]
+/// candidate), and [`SpnError::InvalidModel`] for a non-positive or
+/// non-finite composed MTTSF or a failure split with no mass.
 fn hierarchical_compose(
     cluster_model: &GcsIdsModel,
     cluster_graph: &ReachabilityGraph,
     ctmc: &Ctmc,
     cluster_mttsf: f64,
-    fallback_phi: f64,
     topo: &ClusterTopology,
     mission_times: &[f64],
 ) -> Result<(Evaluation, Option<Vec<f64>>, u64), SpnError> {
@@ -531,85 +469,33 @@ fn hierarchical_compose(
         break;
     }
 
-    // --- quadrature grid with exact cluster survival ----------------------
+    // --- quadrature grid: one survival sweep, rewards read at each point --
     // S_sys decays on the scale of the K-th order statistic, which shrinks
-    // as C grows — refine the grid for wide systems.
+    // as C grows — refine the grid for wide systems. At each grid point
+    // the sweep's live distribution π_T(t) is folded into two weighted
+    // occupancies, one per integrand, so the rewards are dotted once at
+    // the end:
+    // * cost: an alive cluster accrues its rate while fewer than K of the
+    //   OTHER C−1 clusters have failed, weight C·b_other(t) on π_T(t);
+    // * cause: the K-th failure happens at t with order-statistic density
+    //   C·pmf(K−1; C−1, F(t)) times one cluster's failure hazard π_T(t)·f,
+    //   and its cause is that hazard's split into C1 and C2 edges.
     let m_intervals: usize = if c <= 64 { 2048 } else { 8192 };
     let h = t_end / m_intervals as f64;
     let grid: Vec<f64> = (0..=m_intervals).map(|i| i as f64 * h).collect();
-    let (s_grid, mut tstats) = ctmc.survival_curve_with_stats(&grid, &topts);
-
-    // --- probe distributions: ρ(t) = E[rate | alive], φ(t) = C1 share ----
-    // Quadratically-spaced probes front-load resolution where the cost
-    // rate and the cause mix actually move.
-    let places = cluster_model.places;
-    let cfg = &cluster_model.config;
-    let keys = RewardKeys::population(&cluster_graph.states, &places);
-    let impulses = eviction_impulses(cluster_model)?;
-    let mut rates = RewardRates::new(
-        &cluster_graph.states,
-        cluster_graph,
-        &keys,
-        |m| cost_breakdown(cfg, &population(&places, m)),
-        &impulses,
-    );
-    // A live cluster folds its rekey impulses into the rekey component;
-    // an absorbed one accrues nothing.
-    let mut live_rate = |i: usize| {
-        let mut c = rates.cost(i);
-        c.rekey += rates.impulse(i);
-        c
-    };
-
-    const PROBES: usize = 33;
-    let probe_times: Vec<f64> = (0..PROBES)
-        .map(|p| t_end * (p as f64 / (PROBES - 1) as f64).powi(2))
-        .collect();
-    let (probe_pis, st) = ctmc.transient_distributions(&probe_times, &topts);
-    pass_matvecs += st.matvecs;
-    let mut probe_rho: Vec<CostBreakdown> = Vec::with_capacity(PROBES);
-    let mut probe_phi: Vec<f64> = Vec::with_capacity(PROBES);
-    let mut last_rho = CostBreakdown::default();
-    let mut have_rho = false;
-    let mut last_phi: Option<f64> = None;
-    for pi in &probe_pis {
-        let mut alive_mass = 0.0;
-        let mut rho = CostBreakdown::default();
-        let mut f_c1 = 0.0;
-        let mut f_all = 0.0;
-        for (i, &p) in pi.iter().enumerate() {
-            if p <= 0.0 {
-                continue;
-            }
-            if cluster_graph.absorbing[i] {
-                f_all += p;
-                if cluster_graph.states[i].tokens(places.gf) > 0 {
-                    f_c1 += p;
-                }
-            } else {
-                alive_mass += p;
-                rho = rho.add(&live_rate(i).scale(p));
-            }
+    let n = cluster_graph.state_count();
+    let mut cost_occupancy = vec![0.0; n];
+    let mut cause_occupancy = vec![0.0; n];
+    let (s_grid, mut tstats) = ctmc.survival_curve_observed(&grid, &topts, |p| {
+        let w = simpson_weight(p.index, m_intervals) * f64::from(c);
+        let (s, f) = (p.survival, 1.0 - p.survival);
+        let b_other: f64 = (0..k.min(c)).map(|j| binomial_pmf(c - 1, j, f, s)).sum();
+        let (w_cost, w_cause) = (w * b_other, w * binomial_pmf(c - 1, k - 1, f, s));
+        for (&state, &mass) in p.states.iter().zip(p.mass) {
+            cost_occupancy[state as usize] += w_cost * mass;
+            cause_occupancy[state as usize] += w_cause * mass;
         }
-        if alive_mass > 1e-300 {
-            last_rho = rho.scale(1.0 / alive_mass);
-            have_rho = true;
-        }
-        probe_rho.push(if have_rho {
-            last_rho
-        } else {
-            CostBreakdown::default()
-        });
-        if f_all > 1e-300 {
-            last_phi = Some(f_c1 / f_all);
-        }
-        // Probes before any absorbed mass exists fall back to the marginal
-        // cause mix; they carry near-zero weight in the split integral.
-        probe_phi.push(last_phi.unwrap_or(fallback_phi));
-    }
-
-    let rho_grid = lerp_grid_breakdown(&probe_times, &probe_rho, &grid);
-    let phi_grid = lerp_grid(&probe_times, &probe_phi, &grid);
+    });
 
     // --- compose ----------------------------------------------------------
     let s_sys: Vec<f64> = s_grid
@@ -623,46 +509,50 @@ fn hierarchical_compose(
         )));
     }
 
-    // Cost: each alive cluster accrues ρ(t) while fewer than K of the
-    // OTHER C−1 clusters have failed (its own survival is the S factor).
-    let cost_integrand: Vec<CostBreakdown> = (0..=m_intervals)
-        .map(|i| {
-            let s = s_grid[i];
-            let f = 1.0 - s;
-            let mut b_other = 0.0;
-            for j in 0..k.min(c) {
-                b_other += binomial_pmf(c - 1, j, f, s);
-            }
-            rho_grid[i].scale(f64::from(c) * s * b_other)
-        })
-        .collect();
-    let accumulated = simpson_breakdown(&cost_integrand, h);
-    let components = accumulated.scale(1.0 / mttsf_sys);
-
-    // Failure split: the K-th failure is cluster-cause-weighted by the
-    // order-statistic density C·C(C−1,K−1)·F^{K−1}·S^{C−K}·dF, integrated
-    // against dF on the fine grid and renormalised (the system fails with
-    // probability 1, so the raw integral only misses quadrature dust).
-    let mut c1_raw = 0.0;
-    let mut c2_raw = 0.0;
-    for i in 0..m_intervals {
-        let df = (1.0 - s_grid[i + 1]) - (1.0 - s_grid[i]);
-        if df <= 0.0 {
+    let places = cluster_model.places;
+    let cfg = &cluster_model.config;
+    let keys = RewardKeys::population(&cluster_graph.states, &places);
+    let impulses = eviction_impulses(cluster_model)?;
+    let mut rates = RewardRates::new(
+        &cluster_graph.states,
+        cluster_graph,
+        &keys,
+        |m| cost_breakdown(cfg, &population(&places, m)),
+        &impulses,
+    );
+    let mut accumulated = CostBreakdown::default();
+    let (mut c1_raw, mut c2_raw) = (0.0, 0.0);
+    for (u, edges) in cluster_graph.edges.iter().enumerate() {
+        if cluster_graph.absorbing[u] {
             continue;
         }
-        let w0 = f64::from(c) * binomial_pmf(c - 1, k - 1, 1.0 - s_grid[i], s_grid[i]);
-        let w1 = f64::from(c) * binomial_pmf(c - 1, k - 1, 1.0 - s_grid[i + 1], s_grid[i + 1]);
-        let w = 0.5 * (w0 + w1);
-        let phi = 0.5 * (phi_grid[i] + phi_grid[i + 1]);
-        c1_raw += w * df * phi;
-        c2_raw += w * df * (1.0 - phi);
+        // A live cluster folds its rekey impulses into the rekey component;
+        // an absorbed one accrues nothing.
+        let mut rate = rates.cost(u);
+        rate.rekey += rates.impulse(u);
+        accumulated = accumulated.add(&rate.scale(cost_occupancy[u]));
+        for e in edges {
+            let target = e.target as usize;
+            if !cluster_graph.absorbing[target] {
+                continue;
+            }
+            let hazard = cause_occupancy[u] * e.rate;
+            if cluster_graph.states[target].tokens(places.gf) > 0 {
+                c1_raw += hazard;
+            } else {
+                c2_raw += hazard;
+            }
+        }
     }
+    let components = accumulated.scale(h / (3.0 * mttsf_sys));
+    // The system fails with probability 1, so the split integrals (left
+    // without Simpson's h/3) sum to 3/h up to quadrature dust: renormalise.
     let split_total = c1_raw + c2_raw;
-    let (p_c1, p_c2) = if split_total > 0.0 {
-        (c1_raw / split_total, c2_raw / split_total)
-    } else {
-        (fallback_phi, 1.0 - fallback_phi)
-    };
+    if !(split_total.is_finite() && split_total > 0.0) {
+        return Err(SpnError::InvalidModel(format!(
+            "composed failure split {split_total} has no mass to divide"
+        )));
+    }
 
     // Mission survival: exact cluster survival at the requested horizons,
     // composed through the binomial tail — no quadrature involved.
@@ -683,8 +573,8 @@ fn hierarchical_compose(
         mttsf_seconds: mttsf_sys,
         c_total_hop_bits_per_sec: components.total(),
         cost_components: components,
-        p_failure_c1: p_c1,
-        p_failure_c2: p_c2,
+        p_failure_c1: c1_raw / split_total,
+        p_failure_c2: c2_raw / split_total,
         state_count: cluster_graph.state_count(),
         edge_count: cluster_graph.edge_count(),
         transient: Some(tstats),
@@ -780,57 +670,82 @@ mod tests {
         }
     }
 
+    /// The hierarchical composition reads cost and cause off the same
+    /// quadrature grid as its MTTSF, so on three clusters with K = 2 it
+    /// matches the exact flat lumped chain on split and cost. On the hot
+    /// cluster (attacker 1/600 /s, T_IDS = 120 s) both agree within 1e-7
+    /// relative (measured 2.1e-8 and 1.3e-9 on the split, 3.7e-9 and
+    /// 4.6e-10 on cost, at N = 4 and 6). The paper-default cluster starts
+    /// with a boundary layer about T_IDS wide, as compromised nodes build
+    /// up to their detection balance, that the 2 048-interval grid only
+    /// just resolves: measured 2.9e-6 and 1.1e-6, bounded at 5e-6 (a 4×
+    /// finer grid gives 4e-8, so it is quadrature, not the formula).
     #[test]
     fn hierarchical_agrees_with_flat_lumped() {
-        let cfg = tiny_cluster_cfg();
-        let t = topo(3, 2);
-        let flat =
-            evaluate_clustered_with_survival(&cfg, &t, &[], &ExploreOptions::default()).unwrap();
-        assert_eq!(flat.stats.path, ClusteredPath::FlatLumped);
-        let m = flat.evaluation.mttsf_seconds;
-        let times = [0.25 * m, m, 2.0 * m];
-        let flat =
-            evaluate_clustered_with_survival(&cfg, &t, &times, &ExploreOptions::default()).unwrap();
+        // (N, budget that forces the composition, hot cluster, bound)
+        for (node_count, max_states, hot, bound) in [
+            (4, 100, true, 1e-7),
+            (6, 200, true, 1e-7),
+            (4, 100, false, 5e-6),
+            (6, 200, false, 5e-6),
+        ] {
+            let mut cfg = tiny_cluster_cfg();
+            cfg.node_count = node_count;
+            if hot {
+                cfg.attacker.base_rate = 1.0 / 600.0;
+                cfg.detection = cfg.detection.with_interval(120.0);
+            }
+            let t = topo(3, 2);
+            let flat = evaluate_clustered_with_survival(&cfg, &t, &[], &ExploreOptions::default())
+                .unwrap();
+            assert_eq!(flat.stats.path, ClusteredPath::FlatLumped);
+            let m = flat.evaluation.mttsf_seconds;
+            let times = [0.25 * m, m, 2.0 * m];
+            let flat =
+                evaluate_clustered_with_survival(&cfg, &t, &times, &ExploreOptions::default())
+                    .unwrap();
 
-        let tight = ExploreOptions {
-            max_states: 100,
-            ..ExploreOptions::default()
-        };
-        let hier = evaluate_clustered_with_survival(&cfg, &t, &times, &tight).unwrap();
-        assert_eq!(hier.stats.path, ClusteredPath::Hierarchical);
-        assert!(hier.stats.states < flat.stats.states);
+            let tight = ExploreOptions {
+                max_states,
+                ..ExploreOptions::default()
+            };
+            let hier = evaluate_clustered_with_survival(&cfg, &t, &times, &tight).unwrap();
+            assert_eq!(hier.stats.path, ClusteredPath::Hierarchical);
+            assert!(hier.stats.states < flat.stats.states);
 
-        let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
-        assert!(
-            rel(hier.evaluation.mttsf_seconds, flat.evaluation.mttsf_seconds) < 1e-4,
-            "MTTSF hier {} vs flat {}",
-            hier.evaluation.mttsf_seconds,
-            flat.evaluation.mttsf_seconds
-        );
-        for (a, b) in hier
-            .survival
-            .as_ref()
-            .unwrap()
-            .iter()
-            .zip(flat.survival.as_ref().unwrap().iter())
-        {
-            assert!((a - b).abs() < 1e-6, "survival hier {a} vs flat {b}");
+            let (h, f) = (&hier.evaluation, &flat.evaluation);
+            let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
+            assert!(
+                rel(h.mttsf_seconds, f.mttsf_seconds) < 1e-4,
+                "N={node_count}, hot={hot}: MTTSF hier {} vs flat {}",
+                h.mttsf_seconds,
+                f.mttsf_seconds
+            );
+            for (a, b) in hier
+                .survival
+                .as_ref()
+                .unwrap()
+                .iter()
+                .zip(flat.survival.as_ref().unwrap().iter())
+            {
+                assert!((a - b).abs() < 1e-6, "survival hier {a} vs flat {b}");
+            }
+            for (what, a, b) in [
+                (
+                    "cost",
+                    h.c_total_hop_bits_per_sec,
+                    f.c_total_hop_bits_per_sec,
+                ),
+                ("P_C1", h.p_failure_c1, f.p_failure_c1),
+                ("P_C2", h.p_failure_c2, f.p_failure_c2),
+            ] {
+                assert!(
+                    rel(a, b) <= bound,
+                    "N={node_count}, hot={hot}: {what} hier {a} vs flat {b} (rel {:e})",
+                    rel(a, b)
+                );
+            }
         }
-        assert!(
-            rel(
-                hier.evaluation.c_total_hop_bits_per_sec,
-                flat.evaluation.c_total_hop_bits_per_sec
-            ) < 1e-2,
-            "cost hier {} vs flat {}",
-            hier.evaluation.c_total_hop_bits_per_sec,
-            flat.evaluation.c_total_hop_bits_per_sec
-        );
-        assert!(
-            (hier.evaluation.p_failure_c1 - flat.evaluation.p_failure_c1).abs() < 2e-2,
-            "split hier {} vs flat {}",
-            hier.evaluation.p_failure_c1,
-            flat.evaluation.p_failure_c1
-        );
     }
 
     #[test]

@@ -1,9 +1,11 @@
 //! Cross-backend validation: make the evaluators check each other.
 //!
 //! One scenario is run on the exact backend and on every applicable
-//! stochastic backend, then compared metric-by-metric: MTTSF (when the
-//! stochastic run observed uncensored failures) and every mission-grid
-//! survival point. A stochastic estimate *agrees* with the exact value when
+//! stochastic backend, then compared metric-by-metric: MTTSF and Ĉtotal
+//! (when the stochastic run observed uncensored failures), the failure
+//! split `p_c1` (the C1 share of uncensored security failures, with
+//! Wilson bounds widened over the censored runs' unknown causes and no
+//! modeling tolerance) and every mission-grid survival point. A stochastic estimate *agrees* with the exact value when
 //! the exact value lies inside its confidence interval (level configurable
 //! via [`CrossValOptions::confidence`] — the "z" knob) or, failing that,
 //! when the discrepancy is inside an explicit modeling tolerance (the
@@ -22,6 +24,7 @@ use crate::json::Value;
 use crate::report::{Estimate, RunReport};
 use crate::runner::Runner;
 use crate::spec::{BackendKind, ScenarioSpec};
+use numerics::stats::proportion_ci;
 use std::path::{Path, PathBuf};
 
 /// Agreement-check configuration.
@@ -89,7 +92,7 @@ impl CrossValOptions {
 /// One exact-vs-stochastic comparison of a single metric.
 #[derive(Debug, Clone)]
 pub struct MetricCheck {
-    /// Metric label (`mttsf` or `survival@<t>`).
+    /// Metric label (`mttsf`, `c_total`, `p_c1` or `survival@<t>`).
     pub metric: String,
     /// The exact backend's value.
     pub exact: f64,
@@ -358,6 +361,37 @@ fn compare(exact: &RunReport, stoch: RunReport, opts: &CrossValOptions) -> Backe
         ));
     }
 
+    // The failure split: the C1 share of the uncensored runs that ended
+    // in a security failure (attrition is no paper failure mode) against
+    // exact P_C1, with Wilson bounds at the harness's confidence and no
+    // modeling tolerance. A censored run's cause is unknown, so the
+    // interval spans every assignment of those runs to C1 or C2.
+    if let (Some(n), Some(censored)) = (stoch.replications, stoch.censored) {
+        let ended = n.saturating_sub(censored) as f64;
+        let c1 = (stoch.failure.p_c1 * ended).round() as u64;
+        let c2 = (stoch.failure.p_c2 * ended).round() as u64;
+        let all = c1 + c2 + censored;
+        let low = proportion_ci(c1, all, opts.confidence);
+        let high = proportion_ci(c1 + censored, all, opts.confidence);
+        match (low, high) {
+            (Some(low), Some(high)) if c1 + c2 > 0 => {
+                let estimate = Estimate {
+                    value: c1 as f64 / (c1 + c2) as f64,
+                    ci: Some((low.lo(), high.hi())),
+                };
+                let exact_c1 = exact.failure.p_c1;
+                checks.push(MetricCheck::new(
+                    "p_c1".into(),
+                    exact_c1,
+                    estimate,
+                    0.0,
+                    false,
+                ));
+            }
+            _ => skipped.push("p_c1 (no uncensored security failure)".into()),
+        }
+    }
+
     let mut survival_sup_delta: Option<f64> = None;
     match (&exact.survival, &stoch.survival) {
         (Some(exact_points), Some(stoch_points)) => {
@@ -546,6 +580,7 @@ pub fn cross_validate_dir(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::FailureSplit;
     use crate::spec::SamplingPlan;
     use gcsids::config::SystemConfig;
 
@@ -605,8 +640,63 @@ mod tests {
                 c.backend,
                 c.skipped
             );
-            assert!(c.checks.iter().all(|ch| ch.metric.starts_with("survival")));
+            // the split still compares: censoring widens its interval
+            assert!(c.checks.iter().any(|ch| ch.metric == "p_c1"));
+            assert!(c
+                .checks
+                .iter()
+                .all(|ch| ch.metric.starts_with("survival") || ch.metric == "p_c1"));
         }
+    }
+
+    /// The failure split is checked with Wilson bounds over the security
+    /// failures and no tolerance: attrition stays out of the count,
+    /// censored runs widen the interval over their unknown cause, and a
+    /// run without a security failure skips the check.
+    #[test]
+    fn failure_split_is_checked_by_a_wilson_interval() {
+        let split = |c1: u64, c2: u64, other: u64, censored: u64, exact_c1: f64| {
+            let mut exact = exact_stub();
+            exact.failure = FailureSplit {
+                p_c1: exact_c1,
+                p_c2: 1.0 - exact_c1,
+                p_other: 0.0,
+            };
+            let mut stoch = exact_stub();
+            stoch.backend = BackendKind::SpnSim;
+            let ended = (c1 + c2 + other) as f64;
+            stoch.failure = FailureSplit {
+                p_c1: c1 as f64 / ended,
+                p_c2: c2 as f64 / ended,
+                p_other: other as f64 / ended,
+            };
+            stoch.replications = Some(c1 + c2 + other + censored);
+            stoch.censored = Some(censored);
+            compare(&exact, stoch, &CrossValOptions::default())
+        };
+        let check =
+            |out: &BackendComparison| out.checks.iter().find(|c| c.metric == "p_c1").cloned();
+        // 10 C1 failures in 120 (the clustered-mission spn-sim golden):
+        // the interval holds the composed P_C1 0.108 and excludes 0.334
+        let wilson = Estimate::proportion(10, 120, 0.99);
+        let inside = check(&split(10, 110, 0, 0, 0.108)).unwrap();
+        assert!(inside.inside_ci && inside.agrees);
+        assert_eq!(inside.estimate, wilson);
+        assert!(!check(&split(10, 110, 0, 0, 0.334)).unwrap().agrees);
+        // attrition is not a security failure
+        assert_eq!(
+            check(&split(10, 110, 7, 0, 0.108)).unwrap().estimate,
+            wilson
+        );
+        // censored runs widen the interval toward both causes
+        let widened = check(&split(10, 110, 0, 30, 0.108)).unwrap().estimate;
+        let ((lo, hi), (wlo, whi)) = (widened.ci.unwrap(), wilson.ci.unwrap());
+        assert!(lo < wlo && hi > whi, "{lo} {hi} vs {wlo} {whi}");
+        assert_eq!(widened.value, wilson.value);
+        // no security failure at all: skipped and reported
+        let out = split(0, 0, 5, 3, 0.1);
+        assert!(check(&out).is_none());
+        assert!(out.skipped.iter().any(|m| m.starts_with("p_c1")));
     }
 
     #[test]

@@ -22,7 +22,7 @@
 
 use crate::error::SpnError;
 use crate::reach::{ReachabilityGraph, ShareRates};
-use crate::transient::{TransientEngine, TransientStats};
+use crate::transient::{SweepPoint, TransientEngine, TransientStats};
 use numerics::linsolve::IterConfig;
 use numerics::sparse::{Csr, CsrPattern, Triplets};
 use std::sync::{Arc, OnceLock};
@@ -373,38 +373,23 @@ impl Ctmc {
     }
 
     /// Transient state distribution `π(t)` from the initial distribution:
-    /// the one-horizon case of [`Ctmc::transient_distributions`].
+    /// one fresh full-tracking engine advanced to `t`.
     ///
     /// # Panics
     /// Panics if `t` is negative or not finite.
     pub fn transient_distribution(&self, t: f64, opts: &TransientOptions) -> Vec<f64> {
-        self.transient_distributions(&[t], opts).0.swap_remove(0)
-    }
-
-    /// Transient distributions `π(t)` at each of `times` (any order,
-    /// duplicates allowed), plus the pass's telemetry.
-    ///
-    /// Every from-zero solve multiplies the same uniformized iterates and
-    /// differs only in its Poisson weights, so one multi-horizon pass of
-    /// [`TransientEngine::distributions_at`] serves them all, with the
-    /// matvecs of the deepest horizon alone. Each distribution is
-    /// bit-identical to a fresh one-horizon solve.
-    ///
-    /// # Panics
-    /// Panics if a time is negative or not finite.
-    pub fn transient_distributions(
-        &self,
-        times: &[f64],
-        opts: &TransientOptions,
-    ) -> (Vec<Vec<f64>>, TransientStats) {
-        TransientEngine::new(self, opts).distributions_at(times)
+        assert!(t.is_finite() && t >= 0.0, "bad horizon {t}");
+        let mut engine = TransientEngine::new(self, opts);
+        if t > 0.0 {
+            engine.advance(t);
+        }
+        engine.distribution()
     }
 
     /// Survival `S(t) = P[no absorption by t]` at each of `times` (any
     /// order, duplicates allowed) from one survival-only multi-horizon pass,
-    /// plus its telemetry: the batched twin of
-    /// [`Ctmc::transient_distributions`]. Each value is bit-identical to a
-    /// one-point [`Ctmc::survival_curve`].
+    /// plus its telemetry. Each value is bit-identical to a one-point
+    /// [`Ctmc::survival_curve`].
     ///
     /// # Panics
     /// Panics if a time is negative or not finite.
@@ -469,6 +454,23 @@ impl Ctmc {
         times: &[f64],
         opts: &TransientOptions,
     ) -> (Vec<f64>, TransientStats) {
+        self.survival_curve_observed(times, opts, |_| {})
+    }
+
+    /// [`Ctmc::survival_curve_with_stats`] that also hands each swept grid
+    /// point to `observe`: its survival value and the live distribution
+    /// `π_T(t)` it was read from ([`SweepPoint`]). A caller reads rewards
+    /// off the very iterates of the survival sweep, with no second pass;
+    /// the curve and telemetry are those of the unobserved sweep.
+    ///
+    /// # Panics
+    /// Same conditions as [`Ctmc::survival_curve`].
+    pub fn survival_curve_observed(
+        &self,
+        times: &[f64],
+        opts: &TransientOptions,
+        observe: impl FnMut(SweepPoint<'_>),
+    ) -> (Vec<f64>, TransientStats) {
         let mut prev = 0.0_f64;
         for &t in times {
             assert!(t.is_finite() && t >= 0.0, "bad mission time {t}");
@@ -476,7 +478,7 @@ impl Ctmc {
             prev = t;
         }
         let mut engine = TransientEngine::for_survival(self, opts);
-        let out = engine.survival_curve(times);
+        let out = engine.survival_curve(times, observe);
         (out, engine.stats().clone())
     }
 

@@ -62,4 +62,4 @@ pub use reach::{explore, ExploreOptions, ReachabilityGraph};
 pub use reward::{ImpulseReward, RateReward, RewardSet};
 pub use sim::{ReplicationStats, SimOptions, SimOutcome, Simulator};
 pub use structural::{analyze as structural_analyze, StructuralReport};
-pub use transient::{TransientEngine, TransientStats};
+pub use transient::{SweepPoint, TransientEngine, TransientStats};

@@ -1,9 +1,10 @@
 //! The transient engine: uniformization specialized for absorbing chains.
 //!
 //! [`TransientEngine`] is the hot path behind [`Ctmc::survival_curve`],
-//! [`Ctmc::transient_distributions`], [`Ctmc::survival_at`] and
-//! [`Ctmc::expected_occupancy`]. It restructures Jensen uniformization
-//! around five compounding optimizations:
+//! [`Ctmc::survival_curve_observed`], [`Ctmc::survival_at`],
+//! [`Ctmc::transient_distribution`] and [`Ctmc::expected_occupancy`]. It
+//! restructures Jensen uniformization around five compounding
+//! optimizations:
 //!
 //! 1. **Transient-submatrix propagation.** States are partitioned into the
 //!    *transient block* (positive exit rate) and *frozen classes* (zero exit
@@ -29,14 +30,16 @@
 //!    [`TransientEngine::new`] returns.
 //! 5. **One pass for many horizons.** Every from-zero solve multiplies the
 //!    same DTMC iterates `v_k = v₀Pᵏ` and differs only in its Poisson
-//!    weights, so [`TransientEngine::distributions_at`] and
-//!    [`TransientEngine::survival_at`] walk one iterate sequence to the
-//!    largest right truncation point and add `w_k(t_p)·v_k` to each still
-//!    open horizon's accumulator. Each horizon sums its terms in the order
-//!    a fresh engine would, and a steady-state detection applies each open
-//!    horizon's own `1 − cum_p` tail, so every result is bit-identical to
-//!    one fresh engine per horizon. [`TransientEngine::advance`] is the
-//!    one-horizon case of the same loop.
+//!    weights, so [`TransientEngine::survival_at`] walks one iterate
+//!    sequence to the largest right truncation point and adds
+//!    `w_k(t_p)·v_k` to each still open horizon's accumulator. Each
+//!    horizon sums its terms in the order a fresh engine would, and a
+//!    steady-state detection applies each open horizon's own `1 − cum_p`
+//!    tail, so every result is bit-identical to one fresh engine per
+//!    horizon. [`TransientEngine::advance`] is the one-horizon case of the
+//!    same loop. A grid sweep hands each point's live block `π_T(t)` to a
+//!    read-only observer ([`SweepPoint`]), so a reward read at the grid
+//!    points costs no second pass.
 //!
 //! The engine builds its gather blocks straight from the chain's rate
 //! matrix: the chain stores no uniformized DTMC, and a sweep that runs no
@@ -79,6 +82,22 @@ impl TransientStats {
         self.transient_states = self.transient_states.max(other.transient_states);
         self.absorbing_states = self.absorbing_states.max(other.absorbing_states);
     }
+}
+
+/// One grid point of a survival sweep, as its observer sees it: the
+/// transient-block distribution `π_T(t)` the survival value was read from.
+/// Frozen classes have no slot. A state flagged absorbing despite a
+/// positive exit rate keeps its slot, though survival counts it as failed.
+#[derive(Debug, Clone, Copy)]
+pub struct SweepPoint<'a> {
+    /// Position of the point in the grid.
+    pub index: usize,
+    /// Survival at the point, the value the curve reports.
+    pub survival: f64,
+    /// Global state id of each transient-block slot, ascending.
+    pub states: &'a [u32],
+    /// Probability mass of each transient-block slot.
+    pub mass: &'a [f64],
 }
 
 /// Check for steady state every this many matvecs: the O(nt) max-norm diff
@@ -448,26 +467,6 @@ impl TransientEngine {
         (out, self.stats)
     }
 
-    /// Full-length distributions at each of `times` (any order, duplicates
-    /// allowed) from one multi-horizon pass, each bit-identical to a fresh
-    /// [`TransientEngine::advance`] + [`TransientEngine::distribution`].
-    /// Consumes the engine like [`TransientEngine::survival_at`].
-    ///
-    /// # Panics
-    /// Panics if a time is negative or not finite.
-    pub fn distributions_at(mut self, times: &[f64]) -> (Vec<Vec<f64>>, TransientStats) {
-        debug_assert!(
-            self.track_absorbed,
-            "distributions_at() needs a full-tracking engine (TransientEngine::new)"
-        );
-        self.pass(times);
-        let out = self.horizons[..times.len()]
-            .iter()
-            .map(|h| self.scatter(&h.acc_v, &h.acc_abs))
-            .collect();
-        (out, self.stats)
-    }
-
     /// Survival probability of the split state `(v, absorbed)`, clamped to
     /// [0, 1]: live transient mass minus flagged-live mass in survival-only
     /// mode, `1 − (absorbed + flagged live)` when the per-class split is
@@ -488,13 +487,18 @@ impl TransientEngine {
         self.v.iter().sum()
     }
 
-    /// Sweep an ascending mission grid, reading survival at each point.
+    /// Sweep an ascending mission grid, reading survival at each point and
+    /// handing it to `observe` with the live block it was read from.
     ///
     /// Propagation is segment-by-segment (`t_{k-1} → t_k`); once live
     /// transient mass drops below `epsilon` with points still remaining
     /// (and early exit is enabled), the rest of the curve is filled with
-    /// zeros without further matvecs.
-    pub fn survival_curve(&mut self, times: &[f64]) -> Vec<f64> {
+    /// zeros without further matvecs, and those points are not observed.
+    pub fn survival_curve(
+        &mut self,
+        times: &[f64],
+        mut observe: impl FnMut(SweepPoint<'_>),
+    ) -> Vec<f64> {
         let mut out = Vec::with_capacity(times.len());
         let mut now = 0.0_f64;
         for (i, &t) in times.iter().enumerate() {
@@ -502,7 +506,14 @@ impl TransientEngine {
                 self.advance(t - now);
                 now = t;
             }
-            out.push(self.survival_of(&self.v, &self.absorbed));
+            let survival = self.survival_of(&self.v, &self.absorbed);
+            observe(SweepPoint {
+                index: i,
+                survival,
+                states: &self.transient_index,
+                mass: &self.v,
+            });
+            out.push(survival);
             if self.early_exit_enabled && i + 1 < times.len() && self.live_mass() < self.epsilon {
                 self.stats.early_exit = true;
                 out.resize(times.len(), 0.0);
@@ -514,7 +525,6 @@ impl TransientEngine {
 
     /// Full-length distribution at the current time point (transient slots
     /// and frozen classes scattered back to global state indices).
-    // detlint::allow(U001): fresh-engine oracle of transient_props::multi_horizon_pass_is_bit_identical_to_fresh_engines
     pub fn distribution(&self) -> Vec<f64> {
         debug_assert!(
             self.track_absorbed,

@@ -1,9 +1,10 @@
 //! Property-based checks of the [`spn::TransientEngine`]: the optimized
 //! submatrix/ELL path must agree with a naive dense uniformization
 //! reference, steady-state detection must only collapse tails it has
-//! earned, early-exit grids must agree with full propagation, and a
+//! earned, early-exit grids must agree with full propagation, a
 //! multi-horizon pass must reproduce one fresh engine per horizon bit for
-//! bit.
+//! bit, and an observed sweep must hand over the live distribution it
+//! reads survival from.
 
 use numerics::foxglynn::PoissonWeights;
 use proptest::prelude::*;
@@ -85,47 +86,29 @@ fn death_chain(n: u32, base: f64, with_bypass: bool) -> Ctmc {
     Ctmc::from_graph(&graph).unwrap()
 }
 
-/// One fresh full-tracking engine per time: the distribution at `t`.
-fn fresh_distribution(ctmc: &Ctmc, t: f64, opts: &TransientOptions) -> (Vec<f64>, TransientStats) {
-    let mut engine = TransientEngine::new(ctmc, opts);
-    if t > 0.0 {
-        engine.advance(t);
-    }
-    (engine.distribution(), engine.stats().clone())
-}
-
 /// One fresh survival-only engine per time: the one-point curve at `t`.
 fn fresh_survival(ctmc: &Ctmc, t: f64, opts: &TransientOptions) -> (f64, TransientStats) {
     let mut engine = TransientEngine::for_survival(ctmc, opts);
-    let s = engine.survival_curve(&[t])[0];
+    let s = engine.survival_curve(&[t], |_| {})[0];
     (s, engine.stats().clone())
 }
 
-/// Assert that the multi-horizon passes (distribution and survival mode)
-/// equal one fresh engine per time by `to_bits`, and that each pass costs
-/// the deepest fresh engine's matvecs and detects where it does.
+/// Assert that the multi-horizon survival pass equals one fresh engine
+/// per time by `to_bits`, and that it costs the deepest fresh engine's
+/// matvecs and detects where it does.
 fn assert_pass_matches_fresh_engines(ctmc: &Ctmc, times: &[f64], opts: &TransientOptions) {
-    let (dists, dstats) = ctmc.transient_distributions(times, opts);
-    let (survs, sstats) = ctmc.survival_at(times, opts);
-    assert_eq!(dists.len(), times.len());
+    let (survs, pass) = ctmc.survival_at(times, opts);
     assert_eq!(survs.len(), times.len());
-    let mut fresh_d = Vec::new();
-    let mut fresh_s = Vec::new();
+    let mut fresh = Vec::new();
     for (i, &t) in times.iter().enumerate() {
-        let (d, st) = fresh_distribution(ctmc, t, opts);
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(&dists[i]), bits(&d), "distribution at t[{i}] = {t}");
-        fresh_d.push(st);
         let (s, st) = fresh_survival(ctmc, t, opts);
         assert_eq!(survs[i].to_bits(), s.to_bits(), "survival at t[{i}] = {t}");
-        fresh_s.push(st);
+        fresh.push(st);
     }
-    for (pass, fresh) in [(&dstats, &fresh_d), (&sstats, &fresh_s)] {
-        let deepest = fresh.iter().map(|s| s.matvecs).max().unwrap_or(0);
-        assert_eq!(pass.matvecs, deepest);
-        let detected = fresh.iter().filter_map(|s| s.detection_step).max();
-        assert_eq!(pass.detection_step, detected);
-    }
+    let deepest = fresh.iter().map(|s| s.matvecs).max().unwrap_or(0);
+    assert_eq!(pass.matvecs, deepest);
+    let detected = fresh.iter().filter_map(|s| s.detection_step).max();
+    assert_eq!(pass.detection_step, detected);
 }
 
 /// A horizon whose Fox–Glynn window ends exactly at the pass's detection
@@ -172,9 +155,9 @@ fn horizon_ending_at_the_detection_step_matches_fresh_engines() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    // (d) A multi-horizon pass equals one fresh engine per time by
-    // `to_bits`, in distribution and survival mode, on unsorted times with
-    // a duplicate and t = 0, with steady-state detection on and off.
+    // (d) A multi-horizon survival pass equals one fresh engine per time
+    // by `to_bits`, on unsorted times with a duplicate and t = 0, with
+    // steady-state detection on and off.
     #[test]
     fn multi_horizon_pass_is_bit_identical_to_fresh_engines(
         n in 1u32..9,
@@ -284,6 +267,45 @@ proptest! {
         prop_assert!(fast_stats.matvecs < full_stats.matvecs);
         for (i, (a, b)) in fast.iter().zip(&full).enumerate() {
             prop_assert!((a - b).abs() < 1e-8, "t[{i}]: early-exit {a} vs full {b}");
+        }
+    }
+
+    // (e) An observed sweep is the unobserved one: same curve and
+    // telemetry bit for bit, every point handed over once in order with
+    // the survival value the curve reports, and the live mass it hands
+    // over is the transient part of the fresh full-tracking distribution.
+    #[test]
+    fn observed_sweep_hands_over_the_live_distribution(
+        n in 1u32..9,
+        base in 0.1f64..3.0,
+        bypass in any::<bool>(),
+        factor in 0.05f64..4.0,
+    ) {
+        let ctmc = death_chain(n, base, bypass);
+        let mtta = ctmc.mean_time_to_absorption().unwrap().mtta;
+        let t = factor * mtta;
+        let opts = TransientOptions::default();
+        let mut seen = Vec::new();
+        let (curve, stats) = ctmc.survival_curve_observed(&[0.0, t], &opts, |p| {
+            let live: Vec<(u32, f64)> =
+                p.states.iter().copied().zip(p.mass.iter().copied()).collect();
+            seen.push((p.index, p.survival, live));
+        });
+        let (plain, plain_stats) = ctmc.survival_curve_with_stats(&[0.0, t], &opts);
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&curve), bits(&plain));
+        prop_assert_eq!(stats, plain_stats);
+        prop_assert_eq!(seen.len(), 2);
+        let full = ctmc.transient_distribution(t, &opts);
+        for (i, (index, survival, live)) in seen.iter().enumerate() {
+            prop_assert_eq!(*index, i);
+            prop_assert_eq!(survival.to_bits(), curve[i].to_bits());
+            prop_assert!(!live.is_empty());
+            if i == 1 {
+                for &(state, mass) in live {
+                    prop_assert_eq!(mass.to_bits(), full[state as usize].to_bits());
+                }
+            }
         }
     }
 }

@@ -250,8 +250,8 @@ fn crossval_harness_agrees_on_committed_fixture_specs() {
         );
     }
     // the clustered fixture runs on the lumped/composed exact path and
-    // must compare both MTTSF and survival against the stochastic
-    // backends' order-statistic compositions
+    // must compare MTTSF, survival and the failure split against the
+    // stochastic backends' order-statistic compositions
     let clustered = report
         .specs
         .iter()
@@ -272,6 +272,12 @@ fn crossval_harness_agrees_on_committed_fixture_specs() {
             c.checks.iter().any(|ch| ch.metric.starts_with("survival@")),
             "{:?} compared no clustered survival points",
             c.backend
+        );
+        assert!(
+            c.checks.iter().any(|ch| ch.metric == "p_c1"),
+            "{:?} compared no clustered failure split: {:?}",
+            c.backend,
+            c.skipped
         );
     }
     // the adaptive fixture must have chosen its replication count at

@@ -106,7 +106,7 @@ proptest! {
 
     // The hierarchical composition (forced by a state budget that only
     // admits the single-cluster chain) agrees with the flat lumped
-    // solution within the documented composition tolerances.
+    // solution to quadrature precision.
     #[test]
     fn hierarchical_composition_agrees_with_flat_lumped(
         clusters in 2u32..=3,
@@ -162,14 +162,24 @@ proptest! {
             hier.evaluation.mttsf_seconds,
             flat.evaluation.mttsf_seconds
         );
+        // Cost and cause come off the same quadrature grid as the MTTSF.
+        // A scan of the whole domain (every topology, 49 rate scales) peaks
+        // at rate scale 0.8 with 2.7e-8 relative on cost and 2.7e-9
+        // absolute on P_C1: both bounds keep a margin of about 3.7×.
         prop_assert!(
             rel(
                 hier.evaluation.c_total_hop_bits_per_sec,
                 flat.evaluation.c_total_hop_bits_per_sec
-            ) < 3e-2
+            ) < 1e-7,
+            "cost {} vs {}",
+            hier.evaluation.c_total_hop_bits_per_sec,
+            flat.evaluation.c_total_hop_bits_per_sec
         );
         prop_assert!(
-            (hier.evaluation.p_failure_c1 - flat.evaluation.p_failure_c1).abs() < 5e-2
+            (hier.evaluation.p_failure_c1 - flat.evaluation.p_failure_c1).abs() < 1e-8,
+            "P_C1 {} vs {}",
+            hier.evaluation.p_failure_c1,
+            flat.evaluation.p_failure_c1
         );
         let sh = hier.survival.as_ref().unwrap();
         let sf = flat.survival.as_ref().unwrap();
