@@ -250,10 +250,18 @@ pub type WordCounts = BTreeMap<String, usize>;
 /// Add every word of the unmasked lines' code to `counts`. Words are
 /// maximal runs of identifier characters, the same boundary
 /// [`word_positions`] uses, so comments and string contents never count.
+/// Neither do `pub use` re-export statements, to their closing `;`: a
+/// re-export names an item without using it.
 pub fn count_words(lines: &[SourceLine], mask: &[bool], counts: &mut WordCounts) {
     let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+    let mut reexport = false;
     for (line, &masked) in lines.iter().zip(mask) {
         if masked {
+            continue;
+        }
+        reexport |= line.code.trim_start().starts_with("pub use ");
+        if reexport {
+            reexport = !line.code.contains(';');
             continue;
         }
         for word in line.code.split(|c: char| !is_ident(c)) {

@@ -34,7 +34,7 @@ fn violating_fixtures_pin_exact_counts() {
         ("d004_violating.rs", Rule::D004, 1),
         ("d004_violating_gather.rs", Rule::D004, 1),
         ("r001_violating.rs", Rule::R001, 3),
-        ("u001_violating.rs", Rule::U001, 10),
+        ("u001_violating.rs", Rule::U001, 12),
     ];
     for (name, rule, expected) in expectations {
         let report = scan_fixture(name, rule);
@@ -163,7 +163,7 @@ fn workspace_tree_scans_clean() {
             ("D003", 0, 5),
             ("D004", 0, 1),
             ("R001", 0, 5),
-            ("U001", 0, 18),
+            ("U001", 0, 17),
         ]
     );
 }

@@ -1,6 +1,6 @@
 //! U001 clean fixture: every `pub` item is named by other non-test code,
-//! and restricted or test-only items are not public API. Expected
-//! findings: 0.
+//! re-exported or not, and restricted or test-only items are not public
+//! API. Expected findings: 0.
 
 pub const SCALE: f64 = 2.0;
 
@@ -31,6 +31,16 @@ pub fn test_support() -> u32 {
     5
 }
 
+mod units {
+    pub fn halved(x: f64) -> f64 {
+        x / 2.0
+    }
+}
+
+pub use units::{
+    halved,
+};
+
 fn entry() -> f64 {
-    scaled(1.0).doubled().value
+    halved(scaled(1.0).doubled().value)
 }

@@ -1,7 +1,8 @@
 //! U001 fixture: `pub` items that no non-test code names outside their
 //! own definition line, one of each audited kind, plus a function named
-//! only in comments and strings and one named only by a test. Expected
-//! findings: 10.
+//! only in comments and strings, one named only by a test, and two named
+//! only by `pub use` re-exports (one on one line, one across several).
+//! Expected findings: 12.
 
 pub fn orphan(x: u32) -> u32 {
     x + 1
@@ -38,6 +39,21 @@ pub fn named_in_docs_only() -> &'static str {
 pub fn tested_only() -> u32 {
     1
 }
+
+mod reexports {
+    pub fn reexported_once() -> u32 {
+        2
+    }
+
+    pub fn reexported_across_lines() -> u32 {
+        3
+    }
+}
+
+pub use reexports::reexported_once;
+pub use reexports::{
+    reexported_across_lines,
+};
 
 #[cfg(test)]
 mod tests {

@@ -31,10 +31,10 @@
 //!   one survival sweep that yields `S` ([`Ctmc::survival_curve_observed`]),
 //!   so cost and cause are exact up to the same quadrature as the MTTSF.
 //!   The horizon search evaluates each candidate with its whole `/1.6`
-//!   chain in one survival pass ([`Ctmc::survival_at`]). A parent aggregate
-//!   SPN (one `fail` transition per cluster at rate `1/MTTSF_c`, explored
-//!   through the same lumping pipeline) realises the inter-cluster model
-//!   whose counts the stats report.
+//!   chain in one survival pass ([`Ctmc::survival_at`]). The stats add the
+//!   inter-cluster chain, counted in closed form: lumped over its one orbit
+//!   of `C` clusters it has `K + 1` states (0 to `K` failed) and
+//!   `Σ_{j<K} (C − j)` edges, one per up cluster at each live level.
 
 use crate::config::{ClusterTopology, SystemConfig};
 use crate::cost::{cost_breakdown, CostBreakdown};
@@ -49,8 +49,7 @@ use numerics::special::ln_binomial;
 use scenario::ResponsePolicy;
 use spn::ctmc::{Ctmc, TransientOptions};
 use spn::error::SpnError;
-use spn::model::{Marking, PlaceId, Spn, SpnBuilder, TransitionDef};
-use spn::reach::{explore, ExploreOptions, MarkingCanonicalizer, ReachabilityGraph};
+use spn::reach::{explore, ExploreOptions, ReachabilityGraph};
 
 /// Which solution path [`evaluate_clustered_with_survival`] took.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,9 +57,7 @@ pub enum ClusteredPath {
     /// The lumped flat chain fit the exploration budget and was solved
     /// directly.
     FlatLumped,
-    /// The single-cluster chain was solved and composed analytically,
-    /// with the parent aggregate chain explored for the inter-cluster
-    /// model.
+    /// The single-cluster chain was solved and composed analytically.
     Hierarchical,
 }
 
@@ -70,8 +67,8 @@ pub enum ClusteredPath {
 pub struct LumpingStats {
     /// Solution path taken.
     pub path: ClusteredPath,
-    /// Tangible states actually solved (lumped flat chain, or cluster
-    /// chain + parent aggregate chain on the hierarchical path).
+    /// States actually solved (lumped flat chain, or cluster chain +
+    /// lumped inter-cluster chain on the hierarchical path).
     pub states: usize,
     /// CTMC edges actually solved.
     pub edges: usize,
@@ -115,17 +112,6 @@ pub fn multiset_count(d: usize, c: u32) -> f64 {
         }
     }
     v
-}
-
-/// Evaluate a clustered deployment with the default exploration budget.
-///
-/// # Errors
-/// Propagates validation, exploration, and solver failures.
-pub fn evaluate_clustered(
-    cfg: &SystemConfig,
-    topo: &ClusterTopology,
-) -> Result<ClusteredEvaluation, SpnError> {
-    evaluate_clustered_with_survival(cfg, topo, &[], &ExploreOptions::default())
 }
 
 /// Evaluate a clustered deployment: exact MTTSF, cost, failure split, and
@@ -208,28 +194,20 @@ pub fn evaluate_clustered_with_survival(
         mission_times,
     )?;
 
-    // The parent inter-cluster model: one aggregate failure transition per
-    // cluster, explored through the same lumping pipeline (K+1 lumped
-    // states against the Σ_{j≤K} C(C,j) unlumped front).
-    let (parent_net, parent_canon) = parent_aggregate_model(cluster_mttsf, topo);
-    let orbits = parent_canon.orbit_count();
-    let orbit_members = parent_canon.member_count();
-    let parent_opts = ExploreOptions {
-        lumping: Some(parent_canon),
-        ..opts.clone()
-    };
-    let parent_graph = explore(&parent_net, &parent_opts)?;
-
-    let states = cluster_graph.state_count() + parent_graph.state_count();
-    let edges = cluster_graph.edge_count() + parent_graph.edge_count();
+    // The inter-cluster chain, lumped over one orbit of C clusters: j = 0
+    // to K failed (K + 1 states), and from each live level j one failure
+    // edge per up cluster (C − j).
+    let (c, k) = (topo.clusters as usize, topo.failure_threshold as usize);
+    let states = cluster_graph.state_count() + k + 1;
+    let edges = cluster_graph.edge_count() + k * c - k * (k - 1) / 2;
     evaluation.state_count = states;
     evaluation.edge_count = edges;
     let stats = LumpingStats {
         path: ClusteredPath::Hierarchical,
         states,
         edges,
-        orbits,
-        orbit_members,
+        orbits: 1,
+        orbit_members: c,
         unlumped_state_estimate: unlumped_estimate,
         reduction: unlumped_estimate / states.max(1) as f64,
         composition_matvecs,
@@ -332,36 +310,6 @@ fn absorbing_flux_split(
     }
 }
 
-/// The parent inter-cluster model of the hierarchical path: one place per
-/// cluster (token = cluster up), one aggregate failure transition per
-/// cluster at rate `1/MTTSF_cluster`, absorbing once
-/// `topo.failure_threshold` tokens are gone — plus the single-orbit
-/// canonicalizer that lumps it to `K+1` states.
-pub fn parent_aggregate_model(
-    cluster_mttsf: f64,
-    topo: &ClusterTopology,
-) -> (Spn, MarkingCanonicalizer) {
-    let mut b = SpnBuilder::new();
-    let rate = 1.0 / cluster_mttsf;
-    let places: Vec<PlaceId> = (0..topo.clusters)
-        .map(|i| b.add_place(format!("Up#{i}"), 1))
-        .collect();
-    for (i, &p) in places.iter().enumerate() {
-        b.add_transition(TransitionDef::timed(format!("fail#{i}"), move |_| rate).input(p, 1));
-    }
-    let threshold = topo.failure_threshold;
-    let clusters = topo.clusters;
-    let pl = places.clone();
-    b.absorbing_when(move |m: &Marking| {
-        let alive: u32 = pl.iter().map(|&p| m.tokens(p)).sum();
-        clusters - alive >= threshold
-    });
-    let net = b.build().expect("parent aggregate net is consistent");
-    let orbit: Vec<Vec<PlaceId>> = places.iter().map(|&p| vec![p]).collect();
-    let canon = MarkingCanonicalizer::new(vec![orbit]).expect("singleton blocks are disjoint");
-    (net, canon)
-}
-
 /// `P[fewer than k of c iid clusters have failed]` given per-cluster
 /// survival `s`, in log space so large `c` stays finite.
 fn binomial_tail_survival(s: f64, c: u32, k: u32) -> f64 {
@@ -415,8 +363,8 @@ fn simpson_weight(i: usize, m: usize) -> f64 {
 
 /// The hierarchical order-statistic composition over one solved cluster
 /// chain. Returns the system evaluation (state/edge counts still those of
-/// the cluster chain — the caller adds the parent aggregate), the mission
-/// survival curve, and the matvecs of the horizon-search passes.
+/// the cluster chain — the caller adds the inter-cluster chain's), the
+/// mission survival curve, and the matvecs of the horizon-search passes.
 ///
 /// # Errors
 /// [`SpnError::TransientDepthExceeded`] before any pass deeper than
@@ -586,6 +534,14 @@ fn hierarchical_compose(
 mod tests {
     use super::*;
     use crate::metrics::evaluate;
+
+    /// Evaluate a clustered deployment with the default exploration budget.
+    fn evaluate_clustered(
+        cfg: &SystemConfig,
+        topo: &ClusterTopology,
+    ) -> Result<ClusteredEvaluation, SpnError> {
+        evaluate_clustered_with_survival(cfg, topo, &[], &ExploreOptions::default())
+    }
 
     fn tiny_cluster_cfg() -> SystemConfig {
         let mut c = SystemConfig::paper_default();
@@ -763,34 +719,6 @@ mod tests {
         );
         assert!((clustered.evaluation.p_failure_c1 - plain.p_failure_c1).abs() < 1e-9);
         assert_eq!(clustered.evaluation.state_count, plain.state_count);
-    }
-
-    #[test]
-    fn parent_aggregate_lumps_to_threshold_plus_one() {
-        let t = topo(6, 3);
-        let (net, canon) = parent_aggregate_model(1000.0, &t);
-        let lumped = explore(
-            &net,
-            &ExploreOptions {
-                lumping: Some(canon),
-                ..ExploreOptions::default()
-            },
-        )
-        .unwrap();
-        assert_eq!(lumped.state_count(), 4); // 0, 1, 2 failed + absorbing
-
-        let unlumped = explore(&net, &ExploreOptions::default()).unwrap();
-        // Σ_{j≤3} C(6,j) = 1 + 6 + 15 + 20
-        assert_eq!(unlumped.state_count(), 42);
-
-        // Exponential order statistics: MTTA = Σ_{j<K} MTTSF_c / (C − j).
-        let mtta = Ctmc::from_graph(&lumped)
-            .unwrap()
-            .mean_time_to_absorption()
-            .unwrap()
-            .mtta;
-        let expect = 1000.0 * (1.0 / 6.0 + 1.0 / 5.0 + 1.0 / 4.0);
-        assert!((mtta - expect).abs() < 1e-6, "{mtta} vs {expect}");
     }
 
     #[test]

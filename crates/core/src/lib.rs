@@ -54,8 +54,7 @@ pub mod model;
 pub mod scenario_model;
 
 pub use clustered::{
-    evaluate_clustered, evaluate_clustered_with_survival, ClusteredEvaluation, ClusteredPath,
-    LumpingStats,
+    evaluate_clustered_with_survival, ClusteredEvaluation, ClusteredPath, LumpingStats,
 };
 pub use config::{ClusterTopology, SystemConfig};
 pub use cost::CostBreakdown;
@@ -65,6 +64,4 @@ pub use metrics::{evaluate, Evaluation};
 pub use model::{
     build_clustered_model, build_scenario_model, clustered_canonicalizer, ClusteredModel,
 };
-pub use scenario_model::{
-    evaluate_scenario, evaluate_scenario_graph, scenario_system, DetectionTotals,
-};
+pub use scenario_model::{evaluate_scenario_graph, scenario_system, DetectionTotals};

@@ -33,7 +33,7 @@ pub struct Evaluation {
     pub p_failure_c1: f64,
     /// Probability the failure was Byzantine capture (condition C2).
     pub p_failure_c2: f64,
-    /// Number of tangible CTMC states.
+    /// Number of CTMC states.
     pub state_count: usize,
     /// Number of CTMC transitions.
     pub edge_count: usize,
@@ -215,7 +215,7 @@ impl ExactTemplate {
         cfg.node_count == self.node_count && cfg.max_groups == self.max_groups
     }
 
-    /// Number of tangible states of the explored state space.
+    /// Number of states of the explored state space.
     pub fn state_count(&self) -> usize {
         self.states.len()
     }
@@ -856,9 +856,7 @@ mod tests {
             for (name, bad_target) in [("T_IDS", true), ("T_FA", false)] {
                 let t = model.net.transition_by_name(name).unwrap();
                 for m in &graph.states {
-                    let Some(rate) = model.net.rate(t, m).unwrap() else {
-                        continue;
-                    };
+                    let rate = model.net.rate(t, m).unwrap();
                     let pop = population(&places, m);
                     let d = cfg
                         .detection

@@ -1,8 +1,8 @@
 //! Scenario-modulated exact evaluation.
 //!
 //! The scenario nets come from the one block builder in [`crate::model`]
-//! ([`build_scenario_model`]), which resolves the two axes of the
-//! [`scenario`] crate while it builds the paper's Figure-1 block:
+//! ([`crate::model::build_scenario_model`]), which resolves the two axes
+//! of the [`scenario`] crate while it builds the paper's Figure-1 block:
 //!
 //! - **Attacker strategies.** `stealth` is a pure configuration transform
 //!   ([`scenario_system`]) — reduced capture intensity, raised effective
@@ -29,7 +29,7 @@
 
 use crate::config::SystemConfig;
 use crate::metrics::{evaluate_with_ctmc, Evaluation, RewardKeys};
-use crate::model::{build_scenario_model, GcsIdsModel};
+use crate::model::GcsIdsModel;
 use scenario::{AttackerStrategy, ScenarioConfig};
 use spn::ctmc::Ctmc;
 use spn::error::SpnError;
@@ -125,28 +125,25 @@ pub fn evaluate_scenario_graph(
     Ok((evaluation, survival, detection))
 }
 
-/// One-shot scenario evaluation: build, explore, evaluate.
-///
-/// # Errors
-/// Propagates configuration/scenario validation failures (as
-/// [`SpnError::InvalidModel`]) and solver errors.
-pub fn evaluate_scenario(
-    cfg: &SystemConfig,
-    sc: &ScenarioConfig,
-    mission_times: &[f64],
-) -> Result<(Evaluation, Option<Vec<f64>>, DetectionTotals), SpnError> {
-    cfg.validate().map_err(SpnError::InvalidModel)?;
-    sc.validate().map_err(SpnError::InvalidModel)?;
-    let model = build_scenario_model(cfg, sc);
-    let graph = spn::reach::explore(&model.net, &spn::reach::ExploreOptions::default())?;
-    evaluate_scenario_graph(&model, &graph, mission_times)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::evaluate;
+    use crate::model::build_scenario_model;
     use scenario::ResponsePolicy;
+
+    /// One-shot scenario evaluation: validate, build, explore, evaluate.
+    fn evaluate_scenario(
+        cfg: &SystemConfig,
+        sc: &ScenarioConfig,
+        mission_times: &[f64],
+    ) -> Result<(Evaluation, Option<Vec<f64>>, DetectionTotals), SpnError> {
+        cfg.validate().map_err(SpnError::InvalidModel)?;
+        sc.validate().map_err(SpnError::InvalidModel)?;
+        let model = build_scenario_model(cfg, sc);
+        let graph = spn::reach::explore(&model.net, &spn::reach::ExploreOptions::default())?;
+        evaluate_scenario_graph(&model, &graph, mission_times)
+    }
 
     fn small(n: u32) -> SystemConfig {
         let mut c = SystemConfig::paper_default();

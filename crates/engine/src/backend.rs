@@ -39,7 +39,7 @@ use std::time::Instant;
 /// Resource limits applied to a run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RunBudget {
-    /// Cap on tangible states explored by the exact backend.
+    /// Cap on states explored by the exact backend.
     pub max_states: usize,
     /// Optional cap on stochastic replication budgets (clamps a fixed
     /// plan's count and an adaptive plan's `min`/`max` when smaller).

@@ -483,21 +483,6 @@ fn compare_against(
     })
 }
 
-/// Cross-validate one scenario: exact reference vs every applicable
-/// stochastic backend. The spec's own `backend` field is ignored — the
-/// harness decides where it runs.
-///
-/// # Errors
-/// Propagates spec validation and backend failures.
-pub fn cross_validate(
-    spec: &ScenarioSpec,
-    opts: &CrossValOptions,
-) -> Result<SpecCrossValidation, EngineError> {
-    let base = harness_base(spec, opts);
-    let exact = backend_for(BackendKind::Exact).run(&base, &opts.budget)?;
-    compare_against(&base, exact, opts)
-}
-
 /// What [`load_spec_dir_lenient`] yields: the specs that parsed (with
 /// their source paths) and the per-file failures.
 pub type LenientSpecs = (Vec<(PathBuf, ScenarioSpec)>, Vec<SpecFailure>);
@@ -583,6 +568,17 @@ mod tests {
     use crate::report::FailureSplit;
     use crate::spec::SamplingPlan;
     use gcsids::config::SystemConfig;
+
+    /// Cross-validate one scenario: exact reference vs every applicable
+    /// stochastic backend, the spec's own `backend` field ignored.
+    fn cross_validate(
+        spec: &ScenarioSpec,
+        opts: &CrossValOptions,
+    ) -> Result<SpecCrossValidation, EngineError> {
+        let base = harness_base(spec, opts);
+        let exact = backend_for(BackendKind::Exact).run(&base, &opts.budget)?;
+        compare_against(&base, exact, opts)
+    }
 
     /// Small, fast-failing system mirroring the backend tests.
     fn hot_spec() -> ScenarioSpec {

@@ -57,15 +57,14 @@ pub mod spec;
 
 pub use backend::{backend_for, Backend, BatchProgress, ExactBackend, RunBudget};
 pub use crossval::{
-    cross_validate, cross_validate_dir, CrossValOptions, CrossValReport, MetricCheck,
-    SpecCrossValidation,
+    cross_validate_dir, CrossValOptions, CrossValReport, MetricCheck, SpecCrossValidation,
 };
 pub use error::EngineError;
 pub use gcsids::config::ClusterTopology;
 pub use paired::{compare, ComparisonReport, DeltaEstimate};
 pub use report::{
-    survival_estimates, survival_estimates_streaming, CacheOutcome, DetectionInfo, Estimate,
-    FailureSplit, RunReport, TemplateCacheInfo, TransientInfo,
+    survival_estimates_streaming, CacheOutcome, DetectionInfo, Estimate, FailureSplit, RunReport,
+    TemplateCacheInfo, TransientInfo,
 };
 pub use runner::{Runner, ScenarioGrid};
 pub use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};

@@ -4,7 +4,7 @@ use crate::error::EngineError;
 use crate::json::Value;
 use crate::spec::BackendKind;
 use gcsids::cost::CostBreakdown;
-use numerics::stats::{at_risk_surviving, proportion_ci, SurvivalAccumulator, Welford};
+use numerics::stats::{proportion_ci, SurvivalAccumulator, Welford};
 
 /// A point estimate with an optional confidence interval (exact backends
 /// report the value alone; stochastic backends attach the interval).
@@ -71,8 +71,11 @@ impl Estimate {
 }
 
 /// Kaplan–Meier-style survival estimates on a mission-time grid from
-/// right-censored replication outcomes (`events` holds `(time, censored)`
-/// pairs), each point a binomial proportion with its confidence interval.
+/// right-censored replication outcomes, each point a binomial proportion
+/// with its confidence interval. The counts come from a
+/// [`SurvivalAccumulator`] maintained incrementally by a replication sink,
+/// so no event list is ever materialized; the grid is the accumulator's
+/// own.
 ///
 /// The estimator assumes a common censoring horizon: past the earliest
 /// censoring time the remaining at-risk set consists only of replications
@@ -81,34 +84,6 @@ impl Estimate {
 /// is therefore reported as the `NaN` "not estimable" marker (spec
 /// validation already rejects grids beyond the horizon; this guards the
 /// remaining early-censoring paths, e.g. a simulation firing cap).
-pub fn survival_estimates(
-    events: &[(f64, bool)],
-    mission_times: &[f64],
-    confidence: f64,
-) -> Vec<(f64, Estimate)> {
-    mission_times
-        .iter()
-        .map(|&t| {
-            let censored_earlier = events.iter().any(|&(time, censored)| censored && time < t);
-            if censored_earlier {
-                return (
-                    t,
-                    Estimate {
-                        value: f64::NAN,
-                        ci: None,
-                    },
-                );
-            }
-            let (surviving, at_risk) = at_risk_surviving(events, t);
-            (t, Estimate::proportion(surviving, at_risk, confidence))
-        })
-        .collect()
-}
-
-/// The streaming twin of [`survival_estimates`]: the same estimator fed
-/// from a [`SurvivalAccumulator`] maintained incrementally by a
-/// replication sink, so no event list is ever materialized. The grid is
-/// the accumulator's own.
 pub fn survival_estimates_streaming(
     acc: &SurvivalAccumulator,
     confidence: f64,
@@ -190,7 +165,7 @@ pub struct TemplateCacheInfo {
     pub bypasses: u64,
     /// Templates resident after this submission.
     pub entries: u64,
-    /// Total tangible CTMC states across resident templates.
+    /// Total CTMC states across resident templates.
     pub cached_states: u64,
 }
 
@@ -369,7 +344,7 @@ pub struct RunReport {
     pub cost_components: Option<CostBreakdown>,
     /// Failure-mode split.
     pub failure: FailureSplit,
-    /// Tangible CTMC states (exact backend only).
+    /// CTMC states (exact backend only).
     pub state_count: Option<usize>,
     /// CTMC edges (exact backend only).
     pub edge_count: Option<usize>,
@@ -603,6 +578,27 @@ impl RunReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The batch estimator over a full `(time, censored)` event list: the
+    /// oracle of [`survival_estimates_streaming`].
+    fn survival_estimates(
+        events: &[(f64, bool)],
+        mission_times: &[f64],
+        confidence: f64,
+    ) -> Vec<(f64, Estimate)> {
+        let at = |t: f64| {
+            if events.iter().any(|&(time, censored)| censored && time < t) {
+                return Estimate {
+                    value: f64::NAN,
+                    ci: None,
+                };
+            }
+            // No run was censored before t, so every run is at risk.
+            let surviving = events.iter().filter(|&&(time, _)| time >= t).count();
+            Estimate::proportion(surviving as u64, events.len() as u64, confidence)
+        };
+        mission_times.iter().map(|&t| (t, at(t))).collect()
+    }
 
     #[test]
     fn estimate_from_welford_attaches_interval() {

@@ -29,8 +29,8 @@
 //! (pristine reachability graph + CTMC sparsity pattern) is memoized
 //! across submissions, so repeat-family requests skip exploration and
 //! pattern building entirely — the dominant per-family cost. Eviction is
-//! LRU under a dual budget (entry count and total cached tangible
-//! states); hit/miss/eviction counters are surfaced in every report's
+//! LRU under a dual budget (entry count and total cached states);
+//! hit/miss/eviction counters are surfaced in every report's
 //! `template_cache` field and in the bench snapshot.
 //!
 //! **Clustered keying.** [`FamilyKey`] includes the spec's
@@ -97,7 +97,7 @@ impl FamilyKey {
 pub struct CacheBudget {
     /// Maximum resident templates.
     pub max_templates: usize,
-    /// Maximum total tangible CTMC states across resident templates — the
+    /// Maximum total CTMC states across resident templates — the
     /// size proxy (state count dominates a template's memory footprint).
     pub max_cached_states: usize,
 }
@@ -124,7 +124,7 @@ pub struct CacheStats {
     pub bypasses: u64,
     /// Templates currently resident.
     pub entries: u64,
-    /// Total tangible states across resident templates.
+    /// Total states across resident templates.
     pub cached_states: u64,
 }
 

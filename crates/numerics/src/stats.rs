@@ -216,29 +216,6 @@ impl ConfidenceInterval {
     }
 }
 
-/// Survival counts at horizon `t` for right-censored event times.
-///
-/// `events` holds `(time, censored)` pairs: a failure observed at `time`,
-/// or a run censored (still alive, no longer observed) at `time`. Runs
-/// censored *before* `t` carry no information about surviving to `t` and
-/// are excluded; everything else is at risk, and survives when its event
-/// time is `≥ t`. Returns `(surviving, at_risk)` — the simplified
-/// Kaplan–Meier numerator/denominator for a common censoring horizon.
-pub fn at_risk_surviving(events: &[(f64, bool)], t: f64) -> (u64, u64) {
-    let mut at_risk = 0u64;
-    let mut surviving = 0u64;
-    for &(time, censored) in events {
-        if censored && time < t {
-            continue;
-        }
-        at_risk += 1;
-        if time >= t {
-            surviving += 1;
-        }
-    }
-    (surviving, at_risk)
-}
-
 /// Wilson score interval for a binomial proportion `successes / n`.
 ///
 /// The returned [`ConfidenceInterval`] is centred on the **Wilson
@@ -284,9 +261,11 @@ pub fn proportion_ci(successes: u64, n: u64, level: f64) -> Option<ConfidenceInt
 
 /// Streaming Kaplan–Meier-style survival counts on a fixed horizon grid.
 ///
-/// The batch helper [`at_risk_surviving`] needs the full event list; this
-/// accumulator maintains the same numerator/denominator per grid point
-/// incrementally from `(time, censored)` events, so replication engines
+/// Runs censored *before* a grid point carry no information about
+/// surviving to it and are excluded; every other run is at risk there, and
+/// survives when its event time is at or past the point. The accumulator
+/// maintains that numerator/denominator per grid point incrementally from
+/// `(time, censored)` events, so replication engines
 /// can aggregate survival without materializing outcomes. Merging two
 /// accumulators over the same grid is exact (integer counters), which
 /// makes it safe for parallel per-worker sinks.
@@ -345,8 +324,7 @@ impl SurvivalAccumulator {
         }
     }
 
-    /// `(surviving, at_risk)` at grid point `i`, matching
-    /// [`at_risk_surviving`] over the same events.
+    /// `(surviving, at_risk)` at grid point `i`.
     pub fn counts(&self, i: usize) -> (u64, u64) {
         (self.surviving[i], self.at_risk[i])
     }
@@ -458,6 +436,29 @@ mod tests {
         // wider level => wider interval
         let ci99 = w.confidence_interval(0.99);
         assert!(ci99.half_width > ci.half_width);
+    }
+
+    /// Survival counts at horizon `t` for right-censored event times.
+    ///
+    /// `events` holds `(time, censored)` pairs: a failure observed at `time`,
+    /// or a run censored (still alive, no longer observed) at `time`. Runs
+    /// censored *before* `t` carry no information about surviving to `t` and
+    /// are excluded; everything else is at risk, and survives when its event
+    /// time is `≥ t`. Returns `(surviving, at_risk)` — the simplified
+    /// Kaplan–Meier numerator/denominator for a common censoring horizon.
+    fn at_risk_surviving(events: &[(f64, bool)], t: f64) -> (u64, u64) {
+        let mut at_risk = 0u64;
+        let mut surviving = 0u64;
+        for &(time, censored) in events {
+            if censored && time < t {
+                continue;
+            }
+            at_risk += 1;
+            if time >= t {
+                surviving += 1;
+            }
+        }
+        (surviving, at_risk)
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! Continuous-time Markov chain analysis over the tangible reachability
-//! graph.
+//! Continuous-time Markov chain analysis over the reachability graph.
 //!
 //! Three solver families:
 //!
@@ -1479,12 +1478,10 @@ mod tests {
         // A rate plan's rates written straight into the chain must equal
         // the same rates written into a graph and refreshed from it, bit
         // for bit: values, exit rates, q and absorbing flags. `die` is a
-        // factored rate into a vanishing split, and `leak` goes silent at
-        // one point.
+        // factored rate, and `leak` goes silent at one point.
         let build = |die: f64, leak: f64| {
             let mut b = SpnBuilder::new();
             let up = b.add_place("up", 3);
-            let mid = b.add_place("mid", 0);
             let down = b.add_place("down", 0);
             let gone = b.add_place("gone", 0);
             let count = RateFactor::reads(&[up], move |m| m.tokens(up) as f64);
@@ -1492,17 +1489,7 @@ mod tests {
             b.add_transition(
                 TransitionDef::timed_product("die", count, scale)
                     .input(up, 1)
-                    .output(mid, 1),
-            );
-            b.add_transition(
-                TransitionDef::immediate_weighted("fall", |_| 1.0, 0)
-                    .input(mid, 1)
                     .output(down, 1),
-            );
-            b.add_transition(
-                TransitionDef::immediate_weighted("vanish", |_| 2.0, 0)
-                    .input(mid, 1)
-                    .output(gone, 1),
             );
             b.add_transition(
                 TransitionDef::timed_const("leak", leak)

@@ -20,14 +20,9 @@ pub fn net_to_dot(net: &Spn) -> String {
         .unwrap();
     }
     for t in net.transition_ids() {
-        let style = if net.is_immediate(t) {
-            "filled"
-        } else {
-            "solid"
-        };
         writeln!(
             s,
-            "  t{} [shape=box, style={style}, label=\"{}\"];",
+            "  t{} [shape=box, style=solid, label=\"{}\"];",
             t.index(),
             net.transition_name(t)
         )
@@ -105,7 +100,11 @@ mod tests {
                 .output(c, 1)
                 .inhibitor(c, 5),
         );
-        b.add_transition(TransitionDef::immediate("snap").input(c, 2).output(a, 2));
+        b.add_transition(
+            TransitionDef::timed_const("snap", 2.0)
+                .input(c, 2)
+                .output(a, 2),
+        );
         b.build().unwrap()
     }
 

@@ -12,12 +12,7 @@ pub enum SpnError {
         /// The configured cap that was hit.
         cap: usize,
     },
-    /// A chain of immediate transitions did not reach a tangible marking.
-    VanishingLoop {
-        /// Textual description of the offending marking.
-        marking: String,
-    },
-    /// A rate/weight function returned a negative or non-finite value.
+    /// A rate function returned a negative or non-finite value.
     BadRate {
         /// Transition whose rate misbehaved.
         transition: String,
@@ -50,9 +45,6 @@ impl fmt::Display for SpnError {
             SpnError::InvalidModel(msg) => write!(f, "invalid SPN model: {msg}"),
             SpnError::StateSpaceExceeded { cap } => {
                 write!(f, "reachability exceeded state cap of {cap}")
-            }
-            SpnError::VanishingLoop { marking } => {
-                write!(f, "immediate-transition loop at marking {marking}")
             }
             SpnError::BadRate { transition, value } => {
                 write!(f, "transition {transition} returned invalid rate {value}")

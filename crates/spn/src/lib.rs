@@ -2,11 +2,11 @@
 //!
 //! This crate reimplements, from scratch, the modelling machinery the paper
 //! used (an SPNP-style tool): extended stochastic Petri nets with
-//! marking-dependent exponential rates, guards, inhibitor arcs, immediate
-//! transitions, and general marking-transform effects; reachability-graph
-//! generation with vanishing-marking elimination; extraction of the
-//! underlying continuous-time Markov chain (CTMC); and the solvers needed by
-//! the evaluation:
+//! marking-dependent exponential rates, guards, inhibitor arcs and general
+//! marking-transform effects; reachability-graph generation; extraction of
+//! the underlying continuous-time Markov chain (CTMC); and the solvers
+//! needed by the evaluation. Every transition is timed, as in the paper's
+//! Figure-1 net, so every reachable marking is a CTMC state. The solvers:
 //!
 //! * **mean time to absorption** (the paper's MTTSF) via the sparse linear
 //!   system over expected sojourn times,

@@ -2,12 +2,10 @@
 //!
 //! The transition vocabulary follows extended SPNs à la SPNP:
 //!
-//! * **timed** transitions fire after an exponentially distributed delay
-//!   whose rate may depend on the whole marking (`Fn(&Marking) -> f64`),
-//!   optionally as an ordered product of keyed factors
-//!   ([`TransitionDef::timed_product`]);
-//! * **immediate** transitions fire in zero time, resolved by priority then
-//!   probabilistic weight;
+//! * every transition is **timed**: it fires after an exponentially
+//!   distributed delay whose rate may depend on the whole marking
+//!   (`Fn(&Marking) -> f64`), optionally as an ordered product of keyed
+//!   factors ([`TransitionDef::timed_product`]);
 //! * arcs carry multiplicities; **inhibitor** arcs disable a transition when
 //!   a place holds at least the arc's multiplicity;
 //! * optional **guards** (enabling functions) veto firing;
@@ -158,40 +156,13 @@ impl<F: Fn(&Marking) -> f64 + Send + Sync + 'static> RateFactor<F> {
     }
 }
 
-/// Firing semantics of a transition.
-#[derive(Clone)]
-pub enum TransitionKind {
-    /// Exponential delay with marking-dependent rate.
-    Timed {
-        /// Rate function; must return a finite, non-negative value. A zero
-        /// rate disables the transition in that marking.
-        rate: MarkingFn,
-    },
-    /// Zero-delay transition resolved by priority, then weight.
-    Immediate {
-        /// Relative weight among same-priority enabled immediates.
-        weight: MarkingFn,
-        /// Higher priority fires first.
-        priority: u8,
-    },
-}
-
-impl fmt::Debug for TransitionKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TransitionKind::Timed { .. } => write!(f, "Timed"),
-            TransitionKind::Immediate { priority, .. } => {
-                write!(f, "Immediate(priority={priority})")
-            }
-        }
-    }
-}
-
 /// Declarative description of one transition, built fluently and passed to
 /// [`SpnBuilder::add_transition`].
 pub struct TransitionDef {
     pub(crate) name: String,
-    pub(crate) kind: TransitionKind,
+    /// Rate function; must return a finite, non-negative value. A zero
+    /// rate disables the transition in that marking.
+    pub(crate) rate: MarkingFn,
     pub(crate) inputs: Vec<(PlaceId, u32)>,
     pub(crate) outputs: Vec<(PlaceId, u32)>,
     pub(crate) inhibitors: Vec<(PlaceId, u32)>,
@@ -200,8 +171,7 @@ pub struct TransitionDef {
     pub(crate) reads: Option<Vec<PlaceId>>,
     /// The keyed factors whose ordered product is the rate: the declared
     /// ones of a [`TransitionDef::timed_product`]; in a built net, the
-    /// rate itself keyed by [`TransitionDef::reads`] otherwise. Empty for
-    /// an immediate transition.
+    /// rate itself keyed by [`TransitionDef::reads`] otherwise.
     pub(crate) factors: Vec<Factor>,
 }
 
@@ -213,9 +183,7 @@ impl TransitionDef {
     ) -> Self {
         Self {
             name: name.into(),
-            kind: TransitionKind::Timed {
-                rate: Arc::new(rate),
-            },
+            rate: Arc::new(rate),
             inputs: Vec::new(),
             outputs: Vec::new(),
             inhibitors: Vec::new(),
@@ -258,35 +226,6 @@ impl TransitionDef {
     /// A timed transition with a constant rate.
     pub fn timed_const(name: impl Into<String>, rate: f64) -> Self {
         Self::timed(name, move |_| rate)
-    }
-
-    /// An immediate transition with constant weight 1 and priority 0.
-    // detlint::allow(U001): builds the vanishing-state nets of the reach, sim and dot tests and failure_injection.rs
-    pub fn immediate(name: impl Into<String>) -> Self {
-        Self::immediate_weighted(name, |_| 1.0, 0)
-    }
-
-    /// An immediate transition with marking-dependent weight and a priority
-    /// level (higher fires first).
-    pub fn immediate_weighted(
-        name: impl Into<String>,
-        weight: impl Fn(&Marking) -> f64 + Send + Sync + 'static,
-        priority: u8,
-    ) -> Self {
-        Self {
-            name: name.into(),
-            kind: TransitionKind::Immediate {
-                weight: Arc::new(weight),
-                priority,
-            },
-            inputs: Vec::new(),
-            outputs: Vec::new(),
-            inhibitors: Vec::new(),
-            guard: None,
-            effect: None,
-            reads: None,
-            factors: Vec::new(),
-        }
     }
 
     /// Add an input arc of the given multiplicity.
@@ -449,13 +388,13 @@ impl SpnBuilder {
                 }
             }
         }
-        // An unfactored timed rate is one factor keyed by its `reads`.
+        // An unfactored rate is one factor keyed by its `reads`.
         let mut transitions = self.transitions;
         for t in &mut transitions {
-            if let (TransitionKind::Timed { rate }, true) = (&t.kind, t.factors.is_empty()) {
+            if t.factors.is_empty() {
                 t.factors = vec![Factor {
                     key: t.reads.take().map_or(FactorKey::Marking, FactorKey::Places),
-                    value: Arc::clone(rate),
+                    value: Arc::clone(&t.rate),
                 }];
             }
         }
@@ -508,7 +447,7 @@ impl Spn {
     }
 
     /// Look up a place id by name.
-    // detlint::allow(U001): place lookup of the reward and sim tests and spn proptests.rs
+    // detlint::allow(U001): place lookup of the model and sim tests and spn proptests.rs
     pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
         self.place_names
             .iter()
@@ -561,16 +500,12 @@ impl Spn {
         true
     }
 
-    /// Rate of timed transition `t` in `m`, or `None` for immediates.
+    /// Rate of transition `t` in `m`.
     ///
     /// # Errors
     /// Returns [`SpnError::BadRate`] for negative/non-finite rates.
-    pub fn rate(&self, t: TransitionId, m: &Marking) -> Result<Option<f64>, SpnError> {
-        let tr = &self.transitions[t.0 as usize];
-        match &tr.kind {
-            TransitionKind::Timed { rate } => self.checked_rate(t, rate(m)).map(Some),
-            TransitionKind::Immediate { .. } => Ok(None),
-        }
+    pub fn rate(&self, t: TransitionId, m: &Marking) -> Result<f64, SpnError> {
+        self.checked_rate(t, (self.transitions[t.0 as usize].rate)(m))
     }
 
     /// `r` as the rate of `t`, or [`SpnError::BadRate`] naming `t` when
@@ -583,40 +518,6 @@ impl Spn {
             });
         }
         Ok(r)
-    }
-
-    /// Weight and priority of immediate transition `t` in `m`, or `None`
-    /// for timed transitions.
-    ///
-    /// # Errors
-    /// Returns [`SpnError::BadRate`] for negative/non-finite weights.
-    pub fn immediate_weight(
-        &self,
-        t: TransitionId,
-        m: &Marking,
-    ) -> Result<Option<(f64, u8)>, SpnError> {
-        let tr = &self.transitions[t.0 as usize];
-        match &tr.kind {
-            TransitionKind::Immediate { weight, priority } => {
-                let w = weight(m);
-                if !w.is_finite() || w < 0.0 {
-                    return Err(SpnError::BadRate {
-                        transition: tr.name.clone(),
-                        value: w,
-                    });
-                }
-                Ok(Some((w, *priority)))
-            }
-            TransitionKind::Timed { .. } => Ok(None),
-        }
-    }
-
-    /// True when `t` is an immediate transition.
-    pub fn is_immediate(&self, t: TransitionId) -> bool {
-        matches!(
-            self.transitions[t.0 as usize].kind,
-            TransitionKind::Immediate { .. }
-        )
     }
 
     /// Fire `t` in `m`, returning the successor marking (a clone of `m`
@@ -649,7 +550,7 @@ impl Spn {
         }
     }
 
-    /// Fill `out` with the enabled timed transitions and their rates, in
+    /// Fill `out` with the enabled transitions and their rates, in
     /// transition order; rate-zero transitions are filtered out. `out` is
     /// cleared first and left empty for absorbing markings. Callers that
     /// walk many markings (exploration, re-weighting, simulation) keep one
@@ -671,43 +572,12 @@ impl Spn {
             if !self.is_enabled(t, m) {
                 continue;
             }
-            if let Some(r) = self.rate(t, m)? {
-                if r > 0.0 {
-                    out.push((t, r));
-                }
+            let r = self.rate(t, m)?;
+            if r > 0.0 {
+                out.push((t, r));
             }
         }
         Ok(())
-    }
-
-    /// Enabled immediate transitions of the **highest enabled priority**
-    /// with their weights; weight-zero transitions are filtered. Empty for
-    /// absorbing markings.
-    ///
-    /// # Errors
-    /// Propagates [`SpnError::BadRate`].
-    pub fn enabled_immediate(&self, m: &Marking) -> Result<Vec<(TransitionId, f64)>, SpnError> {
-        if self.is_absorbing_marking(m) {
-            return Ok(Vec::new());
-        }
-        let mut best_priority = 0u8;
-        let mut out: Vec<(TransitionId, f64, u8)> = Vec::new();
-        for t in self.transition_ids() {
-            if !self.is_enabled(t, m) {
-                continue;
-            }
-            if let Some((w, pr)) = self.immediate_weight(t, m)? {
-                if w > 0.0 {
-                    best_priority = best_priority.max(pr);
-                    out.push((t, w, pr));
-                }
-            }
-        }
-        Ok(out
-            .into_iter()
-            .filter(|&(_, _, pr)| pr == best_priority)
-            .map(|(t, w, _)| (t, w))
-            .collect())
     }
 }
 
@@ -813,7 +683,7 @@ mod tests {
         let net = build(&[p(0), p(1)], false).unwrap();
         // The composed closure multiplies the factors.
         let t = TransitionId(0);
-        assert_eq!(net.rate(t, &net.initial_marking()).unwrap(), Some(6.0));
+        assert_eq!(net.rate(t, &net.initial_marking()).unwrap(), 6.0);
         for bad in [
             build(&[p(0), p(1), p(2), p(3), p(4)], false),
             build(&[p(5)], false),
@@ -917,7 +787,7 @@ mod tests {
         let net2 = b.build().unwrap();
         let t = net2.transition_by_name("drain").unwrap();
         let m = net2.initial_marking();
-        assert_eq!(net2.rate(t, &m).unwrap(), Some(3.5));
+        assert_eq!(net2.rate(t, &m).unwrap(), 3.5);
         let _ = (net, a);
     }
 
@@ -951,19 +821,6 @@ mod tests {
         assert!(net.is_absorbing_marking(&m2));
         net.enabled_timed(&m2, &mut en).unwrap();
         assert!(en.is_empty());
-    }
-
-    #[test]
-    fn immediate_priority_filtering() {
-        let mut b = SpnBuilder::new();
-        let a = b.add_place("A", 1);
-        b.add_transition(TransitionDef::immediate_weighted("lo", |_| 1.0, 0).input(a, 1));
-        b.add_transition(TransitionDef::immediate_weighted("hi", |_| 3.0, 2).input(a, 1));
-        b.add_transition(TransitionDef::immediate_weighted("hi2", |_| 1.0, 2).input(a, 1));
-        let net = b.build().unwrap();
-        let en = net.enabled_immediate(&net.initial_marking()).unwrap();
-        let names: Vec<&str> = en.iter().map(|&(t, _)| net.transition_name(t)).collect();
-        assert_eq!(names, vec!["hi", "hi2"]);
     }
 
     #[test]

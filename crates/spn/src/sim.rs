@@ -1,10 +1,9 @@
 //! Monte-Carlo token-game simulation of an SPN.
 //!
-//! The simulator plays the net directly: in each tangible marking it samples
-//! the exponential race among enabled timed transitions, advances time,
-//! accrues rate rewards, fires, resolves any enabled immediate transitions
-//! (priority then weighted choice), and repeats until an absorbing marking
-//! or a time/step cap. Replications run in parallel on `numerics::exec` with
+//! The simulator plays the net directly: in each marking it samples the
+//! exponential race among enabled transitions, advances time, accrues rate
+//! rewards, fires, and repeats until an absorbing marking or a time/step
+//! cap. Replications run in parallel on `numerics::exec` with
 //! deterministic per-replication seeds, providing an independent check of
 //! the analytic CTMC solvers (the `runner` cross-validation harness and
 //! `tests/tests/cross_validation.rs` check the agreement).
@@ -22,10 +21,8 @@ use rand::{Rng, SeedableRng};
 pub struct SimOptions {
     /// Stop (censor) a replication at this simulated time.
     pub max_time: f64,
-    /// Stop (censor) a replication after this many timed firings.
+    /// Stop (censor) a replication after this many firings.
     pub max_firings: u64,
-    /// Cap on consecutive immediate firings (loop guard).
-    pub max_immediate_chain: usize,
 }
 
 impl Default for SimOptions {
@@ -33,7 +30,6 @@ impl Default for SimOptions {
         Self {
             max_time: f64::INFINITY,
             max_firings: 50_000_000,
-            max_immediate_chain: 64,
         }
     }
 }
@@ -174,30 +170,21 @@ pub struct Simulator<'a> {
     net: &'a Spn,
     rewards: &'a RewardSet,
     opts: SimOptions,
-    /// Whether the net has any immediate transition; without one every
-    /// marking is tangible and no firing needs settling.
-    has_immediates: bool,
 }
 
 impl<'a> Simulator<'a> {
     /// Create a simulator for `net` accruing `rewards`.
     pub fn new(net: &'a Spn, rewards: &'a RewardSet, opts: SimOptions) -> Self {
-        let has_immediates = net.transition_ids().any(|t| net.is_immediate(t));
-        Self {
-            net,
-            rewards,
-            opts,
-            has_immediates,
-        }
+        Self { net, rewards, opts }
     }
 
-    /// Run one replication with the given RNG seed. A timed step fires in
-    /// place and counts into dense per-transition vectors, so on a net
-    /// without immediate transitions a replication allocates only its
-    /// outcome and one enabled-set buffer, whatever its length.
+    /// Run one replication with the given RNG seed. A step fires in place
+    /// and counts into dense per-transition vectors, so a replication
+    /// allocates only its outcome and one enabled-set buffer, whatever its
+    /// length.
     ///
     /// # Errors
-    /// Propagates rate-function failures and immediate-loop detection.
+    /// Propagates rate-function failures.
     pub fn run_one(&self, seed: u64) -> Result<SimOutcome, SpnError> {
         // detlint::allow(D003): leaf constructor — `seed` is a child_seed from the replicate grid, passed down by the executor
         let mut rng = SmallRng::seed_from_u64(seed);
@@ -207,20 +194,8 @@ impl<'a> Simulator<'a> {
         let mut accumulated = vec![0.0_f64; n_rates + self.rewards.impulses.len()];
         let mut firings = vec![0u64; self.net.transition_count()];
         let mut first_firings = vec![None; self.net.transition_count()];
-        let mut timed_firings = 0u64;
+        let mut fired = 0u64;
         let mut enabled: Vec<(TransitionId, f64)> = Vec::with_capacity(self.net.transition_count());
-
-        // Resolve immediates at t=0 (vanishing initial marking).
-        if self.has_immediates {
-            self.settle_immediates(
-                &mut marking,
-                &mut rng,
-                &mut firings,
-                &mut first_firings,
-                time,
-                &mut accumulated,
-            )?;
-        }
 
         loop {
             // Empty both in an absorbing marking and in a dead one.
@@ -272,8 +247,8 @@ impl<'a> Simulator<'a> {
             self.net.fire_in_place(chosen, &mut marking);
             firings[chosen.index()] += 1;
             first_firings[chosen.index()].get_or_insert(time);
-            timed_firings += 1;
-            if timed_firings >= self.opts.max_firings {
+            fired += 1;
+            if fired >= self.opts.max_firings {
                 return Ok(SimOutcome {
                     time,
                     absorbed: false,
@@ -283,58 +258,7 @@ impl<'a> Simulator<'a> {
                     final_marking: marking,
                 });
             }
-            if self.has_immediates {
-                self.settle_immediates(
-                    &mut marking,
-                    &mut rng,
-                    &mut firings,
-                    &mut first_firings,
-                    time,
-                    &mut accumulated,
-                )?;
-            }
         }
-    }
-
-    /// Fire enabled immediate transitions (in zero time) until the marking
-    /// is tangible.
-    fn settle_immediates(
-        &self,
-        marking: &mut Marking,
-        rng: &mut SmallRng,
-        firings: &mut [u64],
-        first_firings: &mut [Option<f64>],
-        time: f64,
-        accumulated: &mut [f64],
-    ) -> Result<(), SpnError> {
-        let n_rates = self.rewards.rates.len();
-        for _ in 0..self.opts.max_immediate_chain {
-            let immediates = self.net.enabled_immediate(marking)?;
-            if immediates.is_empty() {
-                return Ok(());
-            }
-            let total: f64 = immediates.iter().map(|&(_, w)| w).sum();
-            let mut pick = rng.gen::<f64>() * total;
-            let mut chosen = immediates[immediates.len() - 1].0;
-            for &(t, w) in &immediates {
-                if pick < w {
-                    chosen = t;
-                    break;
-                }
-                pick -= w;
-            }
-            for (k, imp) in self.rewards.impulses.iter().enumerate() {
-                if imp.transition == chosen {
-                    accumulated[n_rates + k] += (imp.amount)(marking);
-                }
-            }
-            self.net.fire_in_place(chosen, marking);
-            firings[chosen.index()] += 1;
-            first_firings[chosen.index()].get_or_insert(time);
-        }
-        Err(SpnError::VanishingLoop {
-            marking: format!("{marking:?}"),
-        })
     }
 
     /// Run `n` replications in parallel with deterministic per-replication
@@ -469,43 +393,6 @@ mod tests {
         assert!(o.absorbed);
         assert_eq!(o.firings[t.index()], 4);
         assert!((o.accumulated[0] - 10.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn immediate_transitions_resolve_in_zero_time() {
-        let mut b = SpnBuilder::new();
-        let s = b.add_place("s", 1);
-        let v = b.add_place("v", 0);
-        let done = b.add_place("done", 0);
-        b.add_transition(
-            TransitionDef::timed_const("go", 4.0)
-                .input(s, 1)
-                .output(v, 1),
-        );
-        b.add_transition(TransitionDef::immediate("snap").input(v, 1).output(done, 1));
-        let net = b.build().unwrap();
-        let rewards = RewardSet::new();
-        let sim = Simulator::new(&net, &rewards, SimOptions::default());
-        let o = sim.run_one(11).unwrap();
-        assert!(o.absorbed);
-        assert_eq!(o.final_marking.tokens(done), 1);
-        assert_eq!(o.firings, vec![1, 1]);
-    }
-
-    #[test]
-    fn immediate_loop_reports_error() {
-        let mut b = SpnBuilder::new();
-        let a = b.add_place("a", 1);
-        let c = b.add_place("c", 0);
-        b.add_transition(TransitionDef::immediate("ab").input(a, 1).output(c, 1));
-        b.add_transition(TransitionDef::immediate("ba").input(c, 1).output(a, 1));
-        let net = b.build().unwrap();
-        let rewards = RewardSet::new();
-        let sim = Simulator::new(&net, &rewards, SimOptions::default());
-        assert!(matches!(
-            sim.run_one(1),
-            Err(SpnError::VanishingLoop { .. })
-        ));
     }
 
     #[test]

@@ -33,53 +33,6 @@ fn negative_rate_rejected_during_simulation() {
 }
 
 #[test]
-fn negative_immediate_weight_rejected() {
-    let mut b = SpnBuilder::new();
-    let a = b.add_place("a", 1);
-    b.add_transition(TransitionDef::immediate_weighted("w", |_| -1.0, 0).input(a, 1));
-    let net = b.build().unwrap();
-    assert!(matches!(
-        explore(&net, &ExploreOptions::default()),
-        Err(SpnError::BadRate { .. })
-    ));
-}
-
-#[test]
-fn vanishing_depth_option_controls_loop_detection() {
-    // a chain of immediates longer than the configured depth
-    let mut b = SpnBuilder::new();
-    let start = b.add_place("start", 1);
-    let mut places = vec![start];
-    for i in 0..6 {
-        places.push(b.add_place(format!("v{i}"), 0));
-    }
-    b.add_transition(
-        TransitionDef::timed_const("go", 1.0)
-            .input(start, 1)
-            .output(places[1], 1),
-    );
-    for i in 1..6 {
-        b.add_transition(
-            TransitionDef::immediate(format!("i{i}"))
-                .input(places[i], 1)
-                .output(places[i + 1], 1),
-        );
-    }
-    let net = b.build().unwrap();
-    // depth 3 < chain length 5 → reported as a loop
-    let tight = ExploreOptions {
-        max_vanishing_depth: 3,
-        ..Default::default()
-    };
-    assert!(matches!(
-        explore(&net, &tight),
-        Err(SpnError::VanishingLoop { .. })
-    ));
-    // default depth succeeds
-    assert!(explore(&net, &ExploreOptions::default()).is_ok());
-}
-
-#[test]
 fn parallel_replications_propagate_first_error() {
     let mut b = SpnBuilder::new();
     let a = b.add_place("a", 3);

@@ -181,8 +181,8 @@ fn lumped_counts(cfg: &SystemConfig, clusters: u32, threshold: u32) -> (usize, u
 }
 
 /// Deployments only the lumped or composed path reaches: ten 12-node
-/// clusters (the 120-node crossval fixture), and ten or twenty 5-node
-/// clusters (50 and 100 nodes).
+/// clusters (the 120-node crossval fixture), and ten, twenty or a hundred
+/// 5-node clusters (50, 100 and 500 nodes).
 #[test]
 fn clustered_lumping_counts_past_the_flat_budget() {
     let c10 = (262, 635, 4.987647683877605e21, 1.3067636931759326e24);
@@ -193,6 +193,12 @@ fn clustered_lumping_counts_past_the_flat_budget() {
     assert_eq!(lumped_counts(&small, 10, 3), n50);
     let n100 = (56, 182, 1.7029898507254466e32, 9.5367431640625e33);
     assert_eq!(lumped_counts(&small, 20, 5), n100);
+    // The composed path adds the lumped inter-cluster chain to the d-state,
+    // e-edge cluster chain: K + 1 states and Σ_{j<K} (C − j) edges.
+    let cluster = explore(&build_model(&small).net, &ExploreOptions::default()).unwrap();
+    let (d, e) = (cluster.state_count(), cluster.edge_count());
+    let (states, edges, _, _) = lumped_counts(&small, 100, 50);
+    assert_eq!((states, edges), (d + 51, e + 3_775));
 }
 
 /// The `clustered-mission` fixture on the hierarchical path. The report's
