@@ -592,26 +592,27 @@ fn stochastic_task<T>(
         )),
         (BackendKind::SpnSim, clustered) => {
             let setup = spn_sim_setup(spec)?;
-            let opts = |max_time| SimOptions {
+            let opts = SimOptions {
                 max_time,
                 ..Default::default()
             };
+            let sim = Simulator::new(&setup.net, &setup.rewards, opts);
             match clustered {
                 // validate() rejects scenario + clustered, so this is
-                // always the paper net.
+                // always the paper net. Every cluster run and rerun plays
+                // the one simulator, so they share its memoized races.
                 Some(topo) => f(&ClusteredTask {
                     clusters: topo.clusters,
                     threshold: topo.failure_threshold,
                     max_time,
                     cluster: |seed, horizon| {
-                        let o = Simulator::new(&setup.net, &setup.rewards, opts(horizon))
-                            .run_one(seed)?;
+                        let o = sim.run_until(seed, horizon)?;
                         let cause = spn_cause(&setup.places, &o);
                         Ok(Rep::basic(o.time, o.accumulated.iter().sum(), cause))
                     },
                 }),
                 None => f(&SpnSimTask {
-                    sim: Simulator::new(&setup.net, &setup.rewards, opts(max_time)),
+                    sim,
                     places: setup.places,
                     detect: setup.detect,
                 }),

@@ -46,6 +46,11 @@ use crate::rng::child_seed;
 /// floating-point merge association and therefore the low-order bits.
 const CHUNK: u64 = 64;
 
+/// Chunks one parallel pass of [`extend`] folds. It bounds the chunk
+/// list a pass holds, whatever the replication count; results do not
+/// depend on it, since chunks merge in chunk order across passes too.
+const WINDOW: u64 = 1024;
+
 /// A replicable stochastic experiment.
 ///
 /// Implementations must be pure per seed: `run_one(s)` called twice with
@@ -264,11 +269,13 @@ where
         }
     }
     // 2. Remaining grid-aligned chunks fold independently (each worker
-    //    owns a chunk and its private sink) and merge in chunk order.
-    if state.next < to {
-        let pieces: Vec<(u64, u64)> = (state.next..to)
+    //    owns a chunk and its private sink) and merge in chunk order, one
+    //    window of at most WINDOW chunks at a time.
+    while state.next < to {
+        let end = to.min(state.next.saturating_add(WINDOW * CHUNK));
+        let pieces: Vec<(u64, u64)> = (state.next..end)
             .step_by(CHUNK as usize)
-            .map(|a| (a, to.min(a + CHUNK)))
+            .map(|a| (a, end.min(a + CHUNK)))
             .collect();
         let sinks = exec::map(pieces, |(a, b)| {
             let mut s = new_sink();
@@ -281,12 +288,12 @@ where
             if b.is_multiple_of(CHUNK) {
                 state.absorb_chunk(s);
             } else {
-                // Only the trailing piece can be partial; it becomes the
-                // carried-over in-progress chunk.
+                // Only the trailing piece of the last window can be
+                // partial; it becomes the carried-over in-progress chunk.
                 state.partial = Some(s);
             }
         }
-        state.next = to;
+        state.next = end;
     }
 }
 
@@ -421,6 +428,55 @@ mod tests {
         assert_eq!(done.target_met, None);
         // uniform mean is near 1/2
         assert!((done.sink.0.mean() - 0.5).abs() < 0.2);
+    }
+
+    #[test]
+    fn windows_merge_in_chunk_order() {
+        // two full windows and a partial chunk: the same folds and merges
+        // as one chunk at a time, in order
+        let n = 2 * WINDOW * CHUNK + 100;
+        let done = run_plan(&Uniform, &SamplingPlan::Fixed(n), 11, MeanSink::new);
+        let mut master = MeanSink::new();
+        for a in (0..n).step_by(CHUNK as usize) {
+            let mut chunk = MeanSink::new();
+            for i in a..n.min(a + CHUNK) {
+                chunk.record(Uniform.run_one(child_seed(11, i)));
+            }
+            if a == 0 {
+                master = chunk;
+            } else {
+                master.merge(chunk);
+            }
+        }
+        assert_eq!(done.sink.0, master.0);
+    }
+
+    #[test]
+    fn a_huge_fixed_plan_unwinds_with_the_task_panic() {
+        // 10^15 replications: the chunk bounds alone would take 250 TB
+        struct PanicsAt(std::sync::atomic::AtomicU64);
+        impl Replicate for PanicsAt {
+            type Outcome = f64;
+            fn run_one(&self, seed: u64) -> f64 {
+                let calls = self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed) + 1;
+                assert!(calls != 10_000, "task failed on call {calls}");
+                SplitMix64::new(seed).next_f64()
+            }
+        }
+        let task = PanicsAt(std::sync::atomic::AtomicU64::new(0));
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            run_plan(
+                &task,
+                &SamplingPlan::Fixed(1_000_000_000_000_000),
+                1,
+                MeanSink::new,
+            );
+        }));
+        let payload = caught.expect_err("the task's panic must propagate");
+        let message = payload
+            .downcast_ref::<String>()
+            .expect("a formatted panic message");
+        assert_eq!(message, "task failed on call 10000");
     }
 
     #[test]

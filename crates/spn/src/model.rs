@@ -88,6 +88,11 @@ impl Marking {
     pub fn as_slice(&self) -> &[u32] {
         &self.0
     }
+
+    /// Raw mutable view.
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [u32] {
+        &mut self.0
+    }
 }
 
 impl fmt::Debug for Marking {

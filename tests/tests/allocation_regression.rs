@@ -133,21 +133,19 @@ fn replication_allocations_do_not_grow_with_the_horizon() {
         group_events(&o_long)
     );
 
-    // Token game on the paper net: every timed firing fires in place.
+    // Token game on the paper net: every timed firing fires in place, and
+    // once the simulator has memoized the race of every marking a
+    // replication visits, a step reads that race and allocates nothing.
     let model = build_model(&quiet_system(12));
     let mut rewards = RewardSet::new().with_rate(total_cost_reward(&model.config, &model));
     for imp in eviction_impulses(&model).unwrap() {
         rewards = rewards.with_impulse(imp);
     }
-    let spn = |max_time: f64| {
-        let opts = SimOptions {
-            max_time,
-            ..Default::default()
-        };
-        let sim = Simulator::new(&model.net, &rewards, opts);
-        counted(|| sim.run_one(SEED).unwrap())
-    };
-    // The rate closures fill shared voting memos on first use; warm them.
+    let sim = Simulator::new(&model.net, &rewards, SimOptions::default());
+    let spn = |max_time: f64| counted(|| sim.run_until(SEED, max_time).unwrap());
+    // The rate closures fill shared voting memos on first use, and the
+    // simulator memoizes each marking's race on first entry; the longest
+    // run with the same seed visits every marking the shorter ones do.
     spn(1e7);
     let (short, o_short) = spn(1e6);
     let (long, o_long) = spn(1e7);
@@ -164,5 +162,13 @@ fn replication_allocations_do_not_grow_with_the_horizon() {
         "token game: {short} allocations over {} firings, {long} over {}",
         firings(&o_short),
         firings(&o_long)
+    );
+    // A warm replication allocates its outcome only: the accumulated
+    // rewards, the firing counts, the first-firing times and the final
+    // marking.
+    assert_eq!(
+        (short, long),
+        (4, 4),
+        "token game: allocations of a warm replication"
     );
 }
