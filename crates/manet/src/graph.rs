@@ -4,41 +4,59 @@
 //! One graph is meant to be rebuilt in place at every mobility step
 //! ([`ConnectivityGraph::rebuild`]); its buffers keep their capacity, so a
 //! step allocates nothing once the graph has seen the population.
+//!
+//! The adjacency is one bit matrix: node `i`'s row is ⌈N/64⌉ `u64` words
+//! whose set bits are its neighbours, N·⌈N/64⌉·8 bytes in all, N²/8 once
+//! the rows fill their words (96 bytes at N = 12, 1.6 KB at N = 100). A
+//! compressed neighbour list of 32-bit indices spends 8 bytes per linked
+//! pair, so the matrix is the smaller one whenever more than one pair in
+//! 32 is linked; unit-disc graphs in the paper's geometry (250 m range in
+//! a 500 m-radius disc) link a large share of all pairs.
 
 use crate::geometry::Vec2;
 use std::collections::VecDeque;
+
+/// Bits per adjacency word.
+const WORD: usize = u64::BITS as usize;
 
 /// Snapshot of the communication graph at one instant.
 ///
 /// Component labels are dense and numbered by each component's lowest node
 /// index (node 0 is always in component 0), so [`labels`](Self::labels) and
 /// [`component_sizes`](Self::component_sizes) are a function of the
-/// partition alone. Each node's neighbours are listed in ascending index
-/// order.
-#[derive(Debug)]
+/// partition alone. Each node's neighbours come in ascending index order.
+#[derive(Debug, Default)]
 pub struct ConnectivityGraph {
-    /// Linked pairs `(i, j)` with `i < j`, in ascending order.
-    pairs: Vec<(u32, u32)>,
-    /// Node `i`'s neighbours are `neighbors[offsets[i]..offsets[i + 1]]`.
-    offsets: Vec<usize>,
-    neighbors: Vec<u32>,
+    /// Words per adjacency row, ⌈N/64⌉.
+    words: usize,
+    /// Node `i`'s neighbours are the set bits of
+    /// `rows[i * words..(i + 1) * words]`, bit `j % 64` of word `j / 64`
+    /// standing for node `j`.
+    rows: Vec<u64>,
     labels: Vec<u32>,
     component_sizes: Vec<u32>,
+    /// Nodes the labelling pass has not reached yet, one bit each.
+    unlabelled: Vec<u64>,
     /// Depth-first search stack of the labelling pass.
     stack: Vec<u32>,
 }
 
-impl Default for ConnectivityGraph {
-    /// The graph over no nodes.
-    fn default() -> Self {
-        Self {
-            pairs: Vec::new(),
-            offsets: vec![0],
-            neighbors: Vec::new(),
-            labels: Vec::new(),
-            component_sizes: Vec::new(),
-            stack: Vec::new(),
+/// The set bits of one adjacency word, ascending, offset by `base`.
+struct Bits {
+    word: u64,
+    base: u32,
+}
+
+impl Iterator for Bits {
+    type Item = u32;
+
+    fn next(&mut self) -> Option<u32> {
+        if self.word == 0 {
+            return None;
         }
+        let bit = self.word.trailing_zeros();
+        self.word &= self.word - 1;
+        Some(self.base + bit)
     }
 }
 
@@ -54,70 +72,76 @@ impl ConnectivityGraph {
     /// Replace this graph with the unit-disc graph over `positions`,
     /// reusing its buffers: the result equals
     /// [`build`](Self::build)`(positions, radio_range)`. Once the buffers
-    /// have grown to the population and its densest topology so far, a
-    /// rebuild allocates nothing.
+    /// have grown to the population, a rebuild allocates nothing.
     ///
-    /// Every pair `i < j` is tested. In the paper's geometry (250 m range
-    /// in a 500 m-radius disc) a cell grid as wide as the range prunes too
-    /// few pairs to pay for its own construction.
+    /// Every pair `i < j` is tested once, and the test's outcome is the
+    /// bit written to both rows, with no branch on it. In the paper's
+    /// geometry (250 m range in a 500 m-radius disc) a cell grid as wide
+    /// as the range prunes too few pairs to pay for binning the nodes, the
+    /// less so as a pair costs one squared distance and two bit writes.
     pub fn rebuild(&mut self, positions: &[Vec2], radio_range: f64) {
         let n = positions.len();
-        self.pairs.clear();
+        let words = n.div_ceil(WORD);
+        self.words = words;
+        self.rows.clear();
+        self.rows.resize(n * words, 0);
         let r2 = radio_range * radio_range;
         for (i, &p) in positions.iter().enumerate() {
-            for (j, &q) in positions.iter().enumerate().skip(i + 1) {
-                if p.distance_sq(q) <= r2 {
-                    self.pairs.push((i as u32, j as u32));
+            let (head, later_rows) = self.rows.split_at_mut((i + 1) * words);
+            let row = &mut head[i * words..];
+            // Row i's bits for the later nodes gather in `acc`, a word at
+            // a time; each later node's row gets bit i directly.
+            let mut acc = 0;
+            for (j, (&q, other)) in (i + 1..).zip(
+                positions[i + 1..]
+                    .iter()
+                    .zip(later_rows.chunks_exact_mut(words)),
+            ) {
+                let linked = u64::from(p.distance_sq(q) <= r2);
+                other[i / WORD] |= linked << (i % WORD);
+                acc |= linked << (j % WORD);
+                if j % WORD == WORD - 1 || j == n - 1 {
+                    row[j / WORD] |= acc;
+                    acc = 0;
                 }
             }
         }
 
-        // Adjacency: degrees, then their prefix sums (offsets[i] = start of
-        // node i), then one pass over the pairs that uses offsets[i] as
-        // node i's write cursor. The cursors end at the next node's start,
-        // so shifting them one place right restores the starts. Pairs come
-        // in ascending order, so every neighbour list is ascending.
-        self.offsets.clear();
-        self.offsets.resize(n + 1, 0);
-        for &(i, j) in &self.pairs {
-            self.offsets[i as usize + 1] += 1;
-            self.offsets[j as usize + 1] += 1;
-        }
-        for i in 0..n {
-            self.offsets[i + 1] += self.offsets[i];
-        }
-        self.neighbors.clear();
-        self.neighbors.resize(2 * self.pairs.len(), 0);
-        for &(i, j) in &self.pairs {
-            for (from, to) in [(i, j), (j, i)] {
-                let cursor = &mut self.offsets[from as usize];
-                self.neighbors[*cursor] = to;
-                *cursor += 1;
-            }
-        }
-        self.offsets.copy_within(0..n, 1);
-        self.offsets[0] = 0;
-
-        // Components by depth-first search from each unlabelled node in
-        // ascending order, so labels follow each component's lowest node.
+        // Components by flooding rows from the lowest unlabelled node, so
+        // labels follow each component's lowest node: a node's unlabelled
+        // neighbours are its row masked by the unlabelled set. The flood is
+        // a depth-first search whose stack holds the labelled nodes whose
+        // rows are still to be read.
         self.labels.clear();
-        self.labels.resize(n, u32::MAX);
+        self.labels.resize(n, 0);
         self.component_sizes.clear();
         self.component_sizes.reserve(n);
+        self.unlabelled.clear();
+        self.unlabelled.resize(words, u64::MAX);
+        if let Some(last) = self.unlabelled.last_mut() {
+            *last = u64::MAX >> (words * WORD - n);
+        }
         self.stack.reserve(n);
         for start in 0..n {
-            if self.labels[start] != u32::MAX {
+            if self.unlabelled[start / WORD] & (1 << (start % WORD)) == 0 {
                 continue;
             }
             let label = self.component_sizes.len() as u32;
             self.labels[start] = label;
+            self.unlabelled[start / WORD] &= !(1 << (start % WORD));
             self.stack.push(start as u32);
             let mut size = 0;
             while let Some(u) = self.stack.pop() {
                 size += 1;
-                let u = u as usize;
-                for &v in &self.neighbors[self.offsets[u]..self.offsets[u + 1]] {
-                    if self.labels[v as usize] == u32::MAX {
+                let row = &self.rows[u as usize * words..][..words];
+                for (w, (&adjacent, unlabelled)) in row.iter().zip(&mut self.unlabelled).enumerate()
+                {
+                    let fresh = adjacent & *unlabelled;
+                    *unlabelled &= !fresh;
+                    for v in (Bits {
+                        word: fresh,
+                        base: (w * WORD) as u32,
+                    }) {
                         self.labels[v as usize] = label;
                         self.stack.push(v);
                     }
@@ -133,8 +157,12 @@ impl ConnectivityGraph {
     }
 
     /// Neighbors of node `i`, in ascending index order.
-    pub fn neighbors(&self, i: usize) -> &[u32] {
-        &self.neighbors[self.offsets[i]..self.offsets[i + 1]]
+    pub fn neighbors(&self, i: usize) -> impl Iterator<Item = u32> + '_ {
+        let row = &self.rows[i * self.words..][..self.words];
+        row.iter().enumerate().flat_map(|(w, &word)| Bits {
+            word,
+            base: (w * WORD) as u32,
+        })
     }
 
     /// Dense component label of node `i`.
@@ -159,7 +187,11 @@ impl ConnectivityGraph {
 
     /// Total edge count.
     pub fn edge_count(&self) -> usize {
-        self.pairs.len()
+        self.rows
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum::<usize>()
+            / 2
     }
 
     /// BFS hop distances from `source` (`u32::MAX` for unreachable nodes).
@@ -170,7 +202,7 @@ impl ConnectivityGraph {
         q.push_back(source as u32);
         while let Some(u) = q.pop_front() {
             let du = dist[u as usize];
-            for &v in self.neighbors(u as usize) {
+            for v in self.neighbors(u as usize) {
                 if dist[v as usize] == u32::MAX {
                     dist[v as usize] = du + 1;
                     q.push_back(v);
@@ -216,7 +248,7 @@ mod tests {
         let g = ConnectivityGraph::build(&pts, 150.0);
         assert_eq!(g.component_count(), 1);
         assert_eq!(g.edge_count(), 4);
-        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [1]);
         assert_eq!(g.hop_distances(0), vec![0, 1, 2, 3, 4]);
         assert_eq!(g.mean_hops_from(0), Some(2.5));
     }
@@ -325,7 +357,11 @@ mod oracle_tests {
         assert_eq!(g.edge_count(), nbrs.iter().map(Vec::len).sum::<usize>() / 2);
         for (i, expected) in nbrs.iter().enumerate() {
             // neighbour lists are documented ascending, so compare as is
-            assert_eq!(g.neighbors(i), &expected[..], "neighbours of node {i}");
+            assert_eq!(
+                g.neighbors(i).collect::<Vec<_>>(),
+                *expected,
+                "neighbours of node {i}"
+            );
         }
     }
 
@@ -369,7 +405,10 @@ mod oracle_tests {
             assert_eq!(reused.labels(), fresh.labels());
             assert_eq!(reused.component_sizes(), fresh.component_sizes());
             for i in 0..n {
-                assert_eq!(reused.neighbors(i), fresh.neighbors(i));
+                assert_eq!(
+                    reused.neighbors(i).collect::<Vec<_>>(),
+                    fresh.neighbors(i).collect::<Vec<_>>()
+                );
             }
         }
     }
@@ -382,6 +421,29 @@ mod oracle_tests {
             let points = disc_points(&mut rng, n);
             g.rebuild(&points, 250.0);
             assert_matches_oracle(&g, &points, 250.0);
+        }
+    }
+
+    #[test]
+    fn word_boundary_sizes_fully_linked_and_fully_isolated() {
+        // one node short of a full adjacency word, a full word, one node
+        // into the next word, two full words and one node past them
+        let mut g = ConnectivityGraph::default();
+        for n in [63, 64, 65, 128, 129] {
+            let points: Vec<Vec2> = (0..n).map(|i| Vec2::new(i as f64, 0.0)).collect();
+            let linked = ConnectivityGraph::build(&points, n as f64);
+            assert_matches_oracle(&linked, &points, n as f64);
+            assert_eq!(linked.component_sizes(), &[n as u32]);
+            assert_eq!(linked.edge_count(), n * (n - 1) / 2);
+            let isolated = ConnectivityGraph::build(&points, 0.5);
+            assert_matches_oracle(&isolated, &points, 0.5);
+            assert_eq!(isolated.component_count(), n);
+            assert_eq!(isolated.edge_count(), 0);
+            // the reused graph, alternating between the two extremes
+            for range in [n as f64, 0.5, n as f64] {
+                g.rebuild(&points, range);
+                assert_matches_oracle(&g, &points, range);
+            }
         }
     }
 
@@ -425,7 +487,7 @@ mod oracle_tests {
         // points in adjacent cells, just within range
         let pts = [Vec2::new(9.9, 0.0), Vec2::new(10.1, 0.0)];
         let g = ConnectivityGraph::build(&pts, 10.0);
-        assert_eq!(g.neighbors(0), &[1]);
+        assert_eq!(g.neighbors(0).collect::<Vec<_>>(), [1]);
         assert_eq!(g.edge_count(), 1);
         assert_matches_oracle(&g, &pts, 10.0);
     }

@@ -6,14 +6,13 @@
 //! allocator, so the file holds a single test: no other test thread can
 //! allocate while a replication is measured.
 //!
-//! A replication sizes its buffers for the population up front, except the
-//! connectivity graph's edge buffers, which grow to the densest topology
-//! seen so far, and the protocol DES's group member lists, one per group
-//! at the most groups seen so far. The short runs below already meet that
-//! topology and that group count, so the two horizons must cost the same
-//! allocations. A simulator that cloned
-//! the marking per firing or allocated a graph per step would make about
-//! ten times as many at the ten-times-longer horizon.
+//! A replication sizes its buffers for the population up front (the
+//! connectivity graph's bit-matrix rows among them), except the protocol
+//! DES's group member lists, one per group at the most groups seen so far.
+//! The short runs below already meet that group count, so the two
+//! horizons must cost the same allocations. A simulator that cloned the
+//! marking per firing or allocated a graph per step would make about ten
+//! times as many at the ten-times-longer horizon.
 
 use engine::ResponsePolicy;
 use gcsids::config::SystemConfig;
@@ -80,24 +79,36 @@ fn quiet_system(node_count: u32) -> SystemConfig {
 fn replication_allocations_do_not_grow_with_the_horizon() {
     const SEED: u64 = 5;
 
-    // Mobility DES: every 2 s step rebuilds connectivity and may vote.
-    let mobility = |max_time: f64| {
-        let mut cfg = MobilityDesConfig::new(quiet_system(30));
-        cfg.system.detection = cfg.system.detection.with_interval(60.0);
-        cfg.dt = 2.0;
-        cfg.max_time = max_time;
-        counted(|| run_mobility_des(&cfg, SEED))
-    };
-    let (short, o_short) = mobility(2_000.0);
-    let (long, o_long) = mobility(20_000.0);
-    for o in [&o_short, &o_long] {
-        assert_eq!(o.cause, FailureCause::Censored);
+    // Mobility DES: every 2 s step rebuilds connectivity and may vote. At
+    // the paper's 250 m range the 30 nodes mostly stay one group; at 120 m
+    // the partition changes every few steps.
+    for radio_range in [250.0, 120.0] {
+        let mobility = |max_time: f64| {
+            let mut cfg = MobilityDesConfig::new(quiet_system(30));
+            cfg.system.detection = cfg.system.detection.with_interval(60.0);
+            cfg.radio_range = radio_range;
+            cfg.dt = 2.0;
+            cfg.max_time = max_time;
+            counted(|| run_mobility_des(&cfg, SEED))
+        };
+        let (short, o_short) = mobility(2_000.0);
+        let (long, o_long) = mobility(20_000.0);
+        for o in [&o_short, &o_long] {
+            assert_eq!(o.cause, FailureCause::Censored);
+        }
+        assert!(o_long.votes >= 10 * o_short.votes.max(1) / 2, "{o_long:?}");
+        if radio_range < 250.0 {
+            assert!(
+                o_short.partitions > 100 && o_long.partitions >= 5 * o_short.partitions,
+                "{o_short:?} {o_long:?}"
+            );
+        }
+        assert!(
+            long <= short,
+            "mobility DES at {radio_range} m: {short} allocations over 1 000 steps, \
+             {long} over 10 000"
+        );
     }
-    assert!(o_long.votes >= 10 * o_short.votes.max(1) / 2, "{o_long:?}");
-    assert!(
-        long <= short,
-        "mobility DES: {short} allocations over 1 000 steps, {long} over 10 000"
-    );
 
     // Protocol DES with the group rates calibrated at the 12-node mobility
     // geometry: groups split and merge every few minutes, and frequent

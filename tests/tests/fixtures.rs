@@ -279,8 +279,10 @@ fn fixture_reports() -> Vec<(&'static str, RunReport)> {
 const GOLDEN_REPLICATIONS: u64 = 120;
 
 /// Replication cap of the mobility-des goldens. Every replication rebuilds
-/// connectivity once per mobility step, so the cap is kept small enough
-/// for the golden check to stay a few seconds in a debug build.
+/// connectivity once per mobility step and, in a debug build, recounts
+/// its components after each step to check the driver's cached counts,
+/// so the cap is kept small enough for the golden check to stay a few
+/// seconds in a debug build.
 const MOBILITY_GOLDEN_REPLICATIONS: u64 = 8;
 
 /// The computed report goldens, as `(file name, canonical JSON)`: for every
