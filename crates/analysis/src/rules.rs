@@ -93,8 +93,9 @@ impl fmt::Display for Rule {
 /// * `numerics/src/{replicate,rng}.rs` own the `child_seed` grid, and
 ///   `numerics/src/exec.rs` is the one place that starts threads.
 /// * R001 guards the long-running service: everything under
-///   `crates/engine/src/`, plus the scenario subsystem it evaluates
-///   (`crates/scenario/src/` and `crates/core/src/scenario_model.rs`).
+///   `crates/engine/src/`, plus the scenario subsystem and exact evaluator
+///   it runs (`crates/scenario/src/`, `crates/core/src/scenario_model.rs`
+///   and `crates/core/src/metrics.rs`).
 /// * U001 audits library code: a crate's `src/`, minus `src/bin/` and
 ///   `main.rs`, whose `pub` items are visible to other crates.
 pub fn rules_for_path(path: &str) -> Vec<Rule> {
@@ -113,11 +114,12 @@ pub fn rules_for_path(path: &str) -> Vec<Rule> {
     if path.starts_with("crates/engine/src/")
         || path.starts_with("crates/scenario/src/")
         || path == "crates/core/src/scenario_model.rs"
+        || path == "crates/core/src/metrics.rs"
     {
-        // The scenario subsystem is service-facing too: scenario specs are
-        // evaluated by the long-running daemon, so a panic in scenario
-        // validation or evaluation kills worker threads the same way an
-        // engine panic would.
+        // The scenario subsystem and the exact evaluator are service-facing
+        // too: the long-running daemon validates scenario specs and solves
+        // every single-system spec through `ExactTemplate`, so a panic
+        // there kills worker threads the same way an engine panic would.
         rules.push(Rule::R001);
     }
     if path

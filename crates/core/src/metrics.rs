@@ -9,8 +9,9 @@
 
 use crate::config::SystemConfig;
 use crate::cost::{cost_breakdown, gdh_rekey_hop_bits, CostBreakdown};
-use crate::model::{build_model, population, GcsIdsModel, Places};
-use scenario::ResponsePolicy;
+use crate::model::{build_model, build_scenario_model, population, GcsIdsModel, Places};
+use crate::scenario_model::{detection_totals, evaluate_scenario_graph, DetectionTotals};
+use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
 use spn::ctmc::{AbsorptionAnalysis, Ctmc, CtmcTemplate, TransientOptions};
 use spn::error::SpnError;
 use spn::model::{Marking, Spn, TransitionId};
@@ -42,7 +43,8 @@ pub struct Evaluation {
     pub transient: Option<TransientStats>,
 }
 
-/// Evaluate MTTSF and Ĉtotal for a configuration.
+/// Evaluate MTTSF and Ĉtotal for a configuration on a freshly explored
+/// graph: the oracle [`evaluate_scenario_graph`] on the paper's net.
 ///
 /// # Errors
 /// Propagates configuration validation failures (as
@@ -51,16 +53,55 @@ pub fn evaluate(cfg: &SystemConfig) -> Result<Evaluation, SpnError> {
     cfg.validate().map_err(SpnError::InvalidModel)?;
     let model = build_model(cfg);
     let graph = explore(&model.net, &ExploreOptions::default())?;
-    evaluate_graph(&model, &graph, &[]).map(|(e, _)| e)
+    evaluate_scenario_graph(&model, &graph, &[]).map(|(e, _, _)| e)
 }
 
-/// Explore-once-solve-many evaluator for rate-only configuration families.
+/// One exact solve: the steady metrics, the survival curve on the mission
+/// grid (`None` for an empty one) and, for a scenario, the detection totals.
+pub type Solution = (Evaluation, Option<Vec<f64>>, Option<DetectionTotals>);
+
+/// The family of a single-system net: its node count, group cap, the
+/// places its scenario adds to the paper's net (`AM` for a burst attacker,
+/// `QGm`/`QBm` for quarantine-and-rejoin, `PRm` for rekey throttle;
+/// baseline, stealth and targeted attackers add none), and whether a
+/// targeted attacker keys the voting rates by the whole population instead
+/// of the target group's split. Nets of one family differ in their rates
+/// only, and one rate plan groups their states alike.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TemplateKey {
+    node_count: u32,
+    max_groups: u32,
+    attack_mode: bool,
+    quarantine: bool,
+    pending_rekeys: bool,
+    population_keyed: bool,
+}
+
+impl TemplateKey {
+    /// The family of `cfg` under `scenario`.
+    pub fn of(cfg: &SystemConfig, scenario: &ScenarioConfig) -> Self {
+        Self {
+            node_count: cfg.node_count,
+            max_groups: cfg.max_groups,
+            attack_mode: matches!(scenario.attacker, AttackerStrategy::Burst { .. }),
+            quarantine: matches!(scenario.response, ResponsePolicy::QuarantineRejoin { .. }),
+            pending_rekeys: matches!(scenario.response, ResponsePolicy::RekeyThrottle { .. }),
+            population_keyed: scenario.attacker.focus() > 0.0,
+        }
+    }
+}
+
+/// Explore-once-solve-many evaluator for rate-only configuration families,
+/// and the one exact pipeline of every single-system spec (a standalone
+/// run is a one-use template).
 ///
 /// The Cho–Chen state space depends only on the structural parameters
-/// (`node_count`, `max_groups`); every other knob — detection interval,
-/// attacker intensity, rate shapes, vote participants, host-IDS error
-/// probabilities, traffic constants — only changes transition *rates* or
-/// reward values. A template explores the reachability graph once and
+/// ([`TemplateKey`]: `node_count`, `max_groups` and the places the
+/// scenario adds); every other knob — detection interval, attacker
+/// intensity, rate shapes, vote participants, host-IDS error
+/// probabilities, traffic constants, the scenario's own rates — only
+/// changes transition *rates* or reward values. A template explores the
+/// reachability graph once and
 /// keeps its markings, the CTMC sparsity pattern ([`CtmcTemplate`]) and
 /// the re-weighting plan ([`RatePlan`]); it keeps no graph and no rates.
 /// It then evaluates any structurally compatible configuration in one flat
@@ -100,8 +141,7 @@ pub struct ExactTemplate {
     /// Pool of reusable (rate buffer, CTMC) sets.
     scratch: Mutex<Vec<Scratch>>,
     opts: ExploreOptions,
-    node_count: u32,
-    max_groups: u32,
+    key: TemplateKey,
     explorations: AtomicUsize,
     pattern_builds: AtomicUsize,
 }
@@ -143,34 +183,29 @@ pub struct TemplateStats {
 }
 
 impl ExactTemplate {
-    /// Explore the state space of `cfg`'s structural family.
+    /// Explore the state space of the family of `cfg` under `scenario`
+    /// ([`build_scenario_model`]), within `opts`'s limits.
     ///
     /// # Errors
     /// Propagates validation and exploration failures.
-    pub fn new(cfg: &SystemConfig) -> Result<Self, SpnError> {
-        Self::with_options(cfg, &ExploreOptions::default())
-    }
-
-    /// Template with explicit exploration limits.
-    ///
-    /// # Errors
-    /// Propagates validation and exploration failures.
-    pub fn with_options(cfg: &SystemConfig, opts: &ExploreOptions) -> Result<Self, SpnError> {
+    pub fn with_options(
+        cfg: &SystemConfig,
+        scenario: &ScenarioConfig,
+        opts: &ExploreOptions,
+    ) -> Result<Self, SpnError> {
         cfg.validate().map_err(SpnError::InvalidModel)?;
-        let model = build_model(cfg);
+        scenario.validate().map_err(SpnError::InvalidModel)?;
+        let model = build_scenario_model(cfg, scenario);
         let graph = explore(&model.net, opts)?;
         let ctmc = CtmcTemplate::new(&graph)?;
         let plan = RatePlan::new(&graph, &model.net);
+        // The plan lists a transition's factors in order, factor 0 first.
         let mut factor_keys: Vec<(String, Vec<usize>)> = Vec::new();
         for (t, factor, keys) in plan.factor_key_counts() {
-            if factor == 0 {
-                factor_keys.push((model.net.transition_name(t).to_owned(), Vec::new()));
+            match factor_keys.last_mut() {
+                Some((_, counts)) if factor > 0 => counts.push(keys),
+                _ => factor_keys.push((model.net.transition_name(t).to_owned(), vec![keys])),
             }
-            factor_keys
-                .last_mut()
-                .expect("factor 0 comes first")
-                .1
-                .push(keys);
         }
         let reward_keys = RewardKeys::population(&graph.states, &model.places);
         let leaked = (graph.states.iter())
@@ -185,8 +220,7 @@ impl ExactTemplate {
             factor_keys,
             scratch: Mutex::new(Vec::new()),
             opts: opts.clone(),
-            node_count: cfg.node_count,
-            max_groups: cfg.max_groups,
+            key: TemplateKey::of(cfg, scenario),
             explorations: AtomicUsize::new(1),
             pattern_builds: AtomicUsize::new(1),
         })
@@ -210,9 +244,9 @@ impl ExactTemplate {
         }
     }
 
-    /// True when `cfg` shares this template's state space.
-    pub fn compatible(&self, cfg: &SystemConfig) -> bool {
-        cfg.node_count == self.node_count && cfg.max_groups == self.max_groups
+    /// The family of nets this template serves.
+    pub fn key(&self) -> TemplateKey {
+        self.key
     }
 
     /// Number of states of the explored state space.
@@ -220,35 +254,52 @@ impl ExactTemplate {
         self.states.len()
     }
 
-    /// Evaluate a configuration against the cached state space.
+    /// Evaluate `cfg` under `scenario` (the paper's net when `None`) on
+    /// the cached state space: the steady metrics, the exact mission
+    /// survival curve `P[no security failure by t]` on `mission_times`
+    /// (ascending; an empty grid skips the transient solve) and, only when
+    /// a scenario is given, the detection totals.
     ///
-    /// Structurally compatible configurations reuse the cached graph via
-    /// re-weighting; incompatible ones transparently fall back to a fresh
-    /// exploration (same result, no reuse).
-    ///
-    /// # Errors
-    /// Propagates validation, re-weighting, and solver failures.
-    pub fn evaluate(&self, cfg: &SystemConfig) -> Result<Evaluation, SpnError> {
-        self.evaluate_with_survival(cfg, &[]).map(|(e, _)| e)
-    }
-
-    /// Evaluate and additionally compute the exact mission survival curve
-    /// `P[no security failure by t]` on `mission_times` (ascending), over
-    /// the same (re-weighted) graph the steady metrics use. An empty grid
-    /// skips the transient solve and returns `None`.
+    /// A configuration outside the template's family, or one whose rates
+    /// reach states that a zero rate pruned from the template's
+    /// exploration, is solved on a one-use template at its own point
+    /// (same result, no reuse).
     ///
     /// # Errors
     /// Propagates validation, re-weighting, and solver failures.
     pub fn evaluate_with_survival(
         &self,
         cfg: &SystemConfig,
+        scenario: Option<&ScenarioConfig>,
         mission_times: &[f64],
-    ) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
+    ) -> Result<Solution, SpnError> {
         cfg.validate().map_err(SpnError::InvalidModel)?;
-        if !self.compatible(cfg) {
-            return self.evaluate_fresh(cfg, mission_times);
+        let sc = scenario.copied().unwrap_or_default();
+        sc.validate().map_err(SpnError::InvalidModel)?;
+        if TemplateKey::of(cfg, &sc) == self.key {
+            match self.solve(cfg, scenario, mission_times) {
+                // Structural mismatch despite matching keys — e.g. a rate
+                // that was zero at template-build time pruned states that
+                // this configuration can reach.
+                Err(SpnError::InvalidModel(_)) => {}
+                other => return other,
+            }
         }
-        let model = build_model(cfg);
+        // A one-use template at the point, under this template's limits,
+        // so a caller-imposed state budget is never silently bypassed.
+        self.explorations.fetch_add(1, Ordering::Relaxed);
+        self.pattern_builds.fetch_add(1, Ordering::Relaxed);
+        Self::with_options(cfg, &sc, &self.opts)?.solve(cfg, scenario, mission_times)
+    }
+
+    /// One point on the cached state space, without a fallback.
+    fn solve(
+        &self,
+        cfg: &SystemConfig,
+        scenario: Option<&ScenarioConfig>,
+        mission_times: &[f64],
+    ) -> Result<Solution, SpnError> {
+        let model = build_scenario_model(cfg, &scenario.copied().unwrap_or_default());
         let mut scratch = self.pool().pop().unwrap_or_default();
         let result = (|| {
             // The plan computes every rate from the pristine exploration,
@@ -257,12 +308,11 @@ impl ExactTemplate {
             let rates = self
                 .plan
                 .share_rates(&model.net, &self.states, &mut scratch.values)?;
-            match &mut scratch.ctmc {
-                Some(ctmc) => self.ctmc.refresh_with(&rates, ctmc)?,
-                none => *none = Some(self.ctmc.instantiate_with(&rates)?),
-            }
-            let ctmc = scratch.ctmc.as_ref().expect("written above");
-            evaluate_with_ctmc(
+            let ctmc = match &mut scratch.ctmc {
+                Some(ctmc) => self.ctmc.refresh_with(&rates, ctmc).map(|()| ctmc)?,
+                none => none.insert(self.ctmc.instantiate_with(&rates)?),
+            };
+            let (evaluation, survival, absorption) = evaluate_with_ctmc(
                 &model,
                 &self.states,
                 &rates,
@@ -270,17 +320,12 @@ impl ExactTemplate {
                 &self.reward_keys,
                 |s| self.leaked[s],
                 mission_times,
-            )
-            .map(|(e, s, _)| (e, s))
+            )?;
+            let detection = scenario.map(|_| detection_totals(&model, &rates, &absorption.sojourn));
+            Ok((evaluation, survival, detection.transpose()?))
         })();
         self.pool().push(scratch);
-        match result {
-            // Structural mismatch despite matching keys — e.g. a rate that
-            // was zero at template-build time pruned states that this
-            // configuration can reach. Fall back to a fresh exploration.
-            Err(SpnError::InvalidModel(_)) => self.evaluate_fresh(cfg, mission_times),
-            other => other,
-        }
+        result
     }
 
     /// The scratch pool. A panic while the lock was held cannot break it —
@@ -290,45 +335,6 @@ impl ExactTemplate {
     fn pool(&self) -> MutexGuard<'_, Vec<Scratch>> {
         self.scratch.lock().unwrap_or_else(PoisonError::into_inner)
     }
-
-    /// Fresh exploration under the template's own limits, so a
-    /// caller-imposed state budget is never silently bypassed.
-    fn evaluate_fresh(
-        &self,
-        cfg: &SystemConfig,
-        mission_times: &[f64],
-    ) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
-        self.explorations.fetch_add(1, Ordering::Relaxed);
-        self.pattern_builds.fetch_add(1, Ordering::Relaxed);
-        let model = build_model(cfg);
-        let graph = explore(&model.net, &self.opts)?;
-        evaluate_graph(&model, &graph, mission_times)
-    }
-}
-
-/// Steady metrics plus the optional exact survival curve on one graph,
-/// sharing a single CTMC build between the absorption and transient solves.
-///
-/// # Errors
-/// Propagates solver failures.
-pub fn evaluate_graph(
-    model: &GcsIdsModel,
-    graph: &ReachabilityGraph,
-    mission_times: &[f64],
-) -> Result<(Evaluation, Option<Vec<f64>>), SpnError> {
-    let ctmc = Ctmc::from_graph(graph)?;
-    let keys = RewardKeys::population(&graph.states, &model.places);
-    let leaked = |s: usize| graph.states[s].tokens(model.places.gf) > 0;
-    evaluate_with_ctmc(
-        model,
-        &graph.states,
-        graph,
-        &ctmc,
-        &keys,
-        leaked,
-        mission_times,
-    )
-    .map(|(e, s, _)| (e, s))
 }
 
 /// The response policy's rekey impulse rewards, shared by the exact
@@ -638,14 +644,13 @@ pub(crate) fn solve_rewards<S: ShareSource, C: Fn(&Marking) -> CostBreakdown>(
     Ok((evaluation, survival))
 }
 
-/// The single-system evaluator on a CTMC that is already built — freshly
-/// via [`Ctmc::from_graph`] on the one-shot paths, or refreshed in place
-/// on the rebuild-free template path. `ctmc` must be the chain of the
+/// The single-system evaluator on a CTMC that is already built — refreshed
+/// in place on the template path, or via [`Ctmc::from_graph`] on the
+/// oracle [`evaluate_scenario_graph`]. `ctmc` must be the chain of the
 /// rates `shares` holds over `markings`, and `keys` its states' reward
 /// keys ([`RewardKeys::population`] of `model`'s places); `leaked` tells
 /// whether a state holds a leaked-data token (`GF`). Also returns the
-/// absorption analysis, from which the scenario evaluator reads its
-/// detection totals.
+/// absorption analysis, from which the detection totals are read.
 pub(crate) fn evaluate_with_ctmc(
     model: &GcsIdsModel,
     markings: &[Marking],
@@ -700,6 +705,32 @@ pub fn total_cost_reward(cfg: &SystemConfig, model: &GcsIdsModel) -> RateReward 
 mod tests {
     use super::*;
     use ids::functions::RateShape;
+
+    /// A paper-net template with the default exploration limits.
+    fn template_of(cfg: &SystemConfig) -> ExactTemplate {
+        ExactTemplate::with_options(cfg, &ScenarioConfig::baseline(), &ExploreOptions::default())
+            .unwrap()
+    }
+
+    /// Whether `template` serves `cfg`'s paper net under `scenario`.
+    fn serves(template: &ExactTemplate, cfg: &SystemConfig, scenario: &ScenarioConfig) -> bool {
+        template.key() == TemplateKey::of(cfg, scenario)
+    }
+
+    /// One paper-net point on `template`.
+    fn point(template: &ExactTemplate, cfg: &SystemConfig) -> Evaluation {
+        template.evaluate_with_survival(cfg, None, &[]).unwrap().0
+    }
+
+    /// The oracle on a fresh exploration of `cfg`'s paper net.
+    fn oracle(
+        cfg: &SystemConfig,
+        times: &[f64],
+    ) -> Result<(Evaluation, Option<Vec<f64>>, DetectionTotals), SpnError> {
+        let model = build_model(cfg);
+        let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
+        evaluate_scenario_graph(&model, &graph, times)
+    }
 
     fn small(n: u32, m: u32, tids: f64) -> SystemConfig {
         let mut c = SystemConfig::paper_default();
@@ -803,7 +834,7 @@ mod tests {
         // for bit — on hand-picked knobs and on the Figures 2–5 grid:
         // m × detection shape × TIDS × two attacker rates.
         let base = small(12, 3, 120.0);
-        let template = ExactTemplate::new(&base).unwrap();
+        let template = template_of(&base);
         let graph = explore(&build_model(&base).net, &ExploreOptions::default()).unwrap();
         let mut variants = vec![
             base.with_tids(5.0),
@@ -839,8 +870,8 @@ mod tests {
             }
         }
         for cfg in &variants {
-            assert!(template.compatible(cfg));
-            let fast = template.evaluate(cfg).unwrap();
+            assert!(serves(&template, cfg, &ScenarioConfig::baseline()));
+            let fast = point(&template, cfg);
             let slow = evaluate(cfg).unwrap();
             assert_eq!(
                 metric_bits(&fast),
@@ -881,7 +912,7 @@ mod tests {
         // 2–5 sweep sees them. One point per detection shape plus an m
         // change, against one template.
         let base = SystemConfig::paper_default();
-        let template = ExactTemplate::new(&base).unwrap();
+        let template = template_of(&base);
         let points = [
             base.with_detection_shape(RateShape::Logarithmic)
                 .with_tids(480.0),
@@ -891,7 +922,7 @@ mod tests {
             base.with_vote_participants(9).with_tids(5.0),
         ];
         for cfg in &points {
-            let fast = template.evaluate(cfg).unwrap();
+            let fast = point(&template, cfg);
             let slow = evaluate(cfg).unwrap();
             assert_eq!(metric_bits(&fast), metric_bits(&slow), "{cfg:?}");
             assert_eq!(fast.state_count, slow.state_count);
@@ -904,8 +935,8 @@ mod tests {
         // A panic while the pool lock is held poisons it; the pool holds
         // no invariant such a panic could break, so evaluation goes on.
         let base = small(12, 3, 120.0);
-        let template = ExactTemplate::new(&base).unwrap();
-        let before = template.evaluate(&base).unwrap();
+        let template = template_of(&base);
+        let before = point(&template, &base);
         let poisoner = std::thread::scope(|s| {
             s.spawn(|| {
                 let _guard = template.scratch.lock();
@@ -915,15 +946,12 @@ mod tests {
         });
         assert!(poisoner.is_err());
         assert!(template.scratch.is_poisoned());
-        let after = template.evaluate(&base.with_tids(60.0)).unwrap();
+        let after = point(&template, &base.with_tids(60.0));
         assert_eq!(
             metric_bits(&after),
             metric_bits(&evaluate(&base.with_tids(60.0)).unwrap())
         );
-        assert_eq!(
-            metric_bits(&template.evaluate(&base).unwrap()),
-            metric_bits(&before)
-        );
+        assert_eq!(metric_bits(&point(&template, &base)), metric_bits(&before));
     }
 
     #[test]
@@ -933,10 +961,10 @@ mod tests {
         // partitions back on must transparently re-explore, not error.
         let mut frozen = small(12, 3, 120.0);
         frozen.partition_rate_per_group = 0.0;
-        let template = ExactTemplate::new(&frozen).unwrap();
+        let template = template_of(&frozen);
         let live = small(12, 3, 120.0);
-        assert!(template.compatible(&live));
-        let via_template = template.evaluate(&live).unwrap();
+        assert!(serves(&template, &live, &ScenarioConfig::baseline()));
+        let via_template = point(&template, &live);
         let direct = evaluate(&live).unwrap();
         assert!(via_template.state_count > template.state_count());
         assert_eq!(via_template.state_count, direct.state_count);
@@ -948,11 +976,37 @@ mod tests {
     }
 
     #[test]
+    fn template_falls_back_when_the_net_keys_a_rate_otherwise() {
+        // A targeted attacker adds no place, but keys its voting factor by
+        // the whole population, not by the target group's split: the paper
+        // net's plan cannot group its states, so the targeted net is of
+        // another family, and its point runs on a one-use template.
+        let cfg = small(12, 3, 120.0);
+        let targeted = ScenarioConfig {
+            attacker: AttackerStrategy::Targeted { focus: 0.8 },
+            response: ResponsePolicy::Evict,
+        };
+        let template = template_of(&cfg);
+        assert!(!serves(&template, &cfg, &targeted));
+        let (shared, _, shared_det) = template
+            .evaluate_with_survival(&cfg, Some(&targeted), &[])
+            .unwrap();
+        let (alone, _, alone_det) =
+            ExactTemplate::with_options(&cfg, &targeted, &ExploreOptions::default())
+                .unwrap()
+                .evaluate_with_survival(&cfg, Some(&targeted), &[])
+                .unwrap();
+        assert_eq!(metric_bits(&shared), metric_bits(&alone));
+        assert_eq!(shared_det, alone_det);
+        assert_eq!(template.stats().explorations, 2);
+    }
+
+    #[test]
     fn template_falls_back_on_structural_change() {
-        let template = ExactTemplate::new(&small(12, 3, 120.0)).unwrap();
+        let template = template_of(&small(12, 3, 120.0));
         let other = small(14, 3, 120.0);
-        assert!(!template.compatible(&other));
-        let via_template = template.evaluate(&other).unwrap();
+        assert!(!serves(&template, &other, &ScenarioConfig::baseline()));
+        let via_template = point(&template, &other);
         let direct = evaluate(&other).unwrap();
         assert_eq!(via_template.state_count, direct.state_count);
         assert!((via_template.mttsf_seconds - direct.mttsf_seconds).abs() < 1e-9);
@@ -963,13 +1017,10 @@ mod tests {
         // Fresh and template paths both refuse the solve before Fox–Glynn
         // sizes a window for q·1e308.
         let cfg = small(12, 3, 120.0);
-        let model = build_model(&cfg);
-        let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
         let times = [0.0, 1.0e3, 1.0e308];
-        let fresh = evaluate_graph(&model, &graph, &times).unwrap_err();
-        let template = ExactTemplate::new(&cfg)
-            .unwrap()
-            .evaluate_with_survival(&cfg, &times)
+        let fresh = oracle(&cfg, &times).unwrap_err();
+        let template = template_of(&cfg)
+            .evaluate_with_survival(&cfg, None, &times)
             .unwrap_err();
         for err in [fresh, template] {
             assert!(
@@ -985,12 +1036,13 @@ mod tests {
         // t = MTTSF the survival of a roughly-exponential failure law sits
         // near e^{-1}.
         let cfg = small(12, 3, 120.0);
-        let model = build_model(&cfg);
-        let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
-        let (e, _) = evaluate_graph(&model, &graph, &[]).unwrap();
-        let m = e.mttsf_seconds;
+        let template = template_of(&cfg);
+        let m = point(&template, &cfg).mttsf_seconds;
         let times = [0.0, 0.25 * m, m, 4.0 * m];
-        let s = evaluate_graph(&model, &graph, &times).unwrap().1.unwrap();
+        let s = (template.evaluate_with_survival(&cfg, None, &times))
+            .unwrap()
+            .1
+            .unwrap();
         assert!((s[0] - 1.0).abs() < 1e-9);
         for w in s.windows(2) {
             assert!(w[1] <= w[0] + 1e-9, "{s:?}");
@@ -1002,17 +1054,14 @@ mod tests {
     #[test]
     fn template_survival_matches_fresh_graph() {
         let base = small(12, 3, 120.0);
-        let template = ExactTemplate::new(&base).unwrap();
+        let template = template_of(&base);
         let variant = base.with_tids(45.0);
-        let (eval, surv) = template
-            .evaluate_with_survival(&variant, &[1.0e4, 1.0e5])
+        let (eval, surv, detection) = template
+            .evaluate_with_survival(&variant, None, &[1.0e4, 1.0e5])
             .unwrap();
-        let model = build_model(&variant);
-        let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
-        let direct = evaluate_graph(&model, &graph, &[1.0e4, 1.0e5])
-            .unwrap()
-            .1
-            .unwrap();
+        // A point without a scenario does no detection pass.
+        assert!(detection.is_none());
+        let direct = oracle(&variant, &[1.0e4, 1.0e5]).unwrap().1.unwrap();
         let surv = surv.unwrap();
         assert_eq!(surv.len(), direct.len());
         for (a, b) in surv.iter().zip(&direct) {
@@ -1020,7 +1069,9 @@ mod tests {
         }
         assert!(eval.mttsf_seconds > 0.0);
         // empty grid skips the transient solve
-        let (_, none) = template.evaluate_with_survival(&variant, &[]).unwrap();
+        let (_, none, _) = template
+            .evaluate_with_survival(&variant, None, &[])
+            .unwrap();
         assert!(none.is_none());
     }
 

@@ -23,12 +23,12 @@
 //!   key leaks group data via `T_SLK` (a C1 failure path).
 //!
 //! With both axes at baseline the builder yields the paper's net itself
-//! ([`crate::model::build_model`] is that call), and this module's
-//! evaluator is the paper evaluator plus the detection-quality totals; a
-//! test pins the two bit for bit.
+//! ([`crate::model::build_model`] is that call). Every single-system net
+//! is solved by [`crate::metrics::ExactTemplate`]; [`evaluate_scenario_graph`]
+//! is its independent oracle, on a fresh exploration's own edge rates.
 
 use crate::config::SystemConfig;
-use crate::metrics::{evaluate_with_ctmc, Evaluation, RewardKeys};
+use crate::metrics::{evaluate_with_ctmc, Evaluation, RewardKeys, ShareSource};
 use crate::model::GcsIdsModel;
 use scenario::{AttackerStrategy, ScenarioConfig};
 use spn::ctmc::Ctmc;
@@ -69,10 +69,11 @@ pub struct DetectionTotals {
     pub false_alarms: f64,
 }
 
-/// Evaluate a model on an already-explored graph: the paper evaluator
-/// ([`crate::metrics::evaluate_graph`], which charges the response
-/// policy's rekey actions), plus the detection-quality firing totals read
-/// off the sojourn vector.
+/// Evaluate a model on an already-explored graph — the oracle of the exact
+/// pipeline: the graph's own edge rates in a [`Ctmc::from_graph`] chain,
+/// the reward core (which charges the response policy's rekey actions),
+/// and the detection-quality firing totals read off the sojourn vector.
+/// [`crate::metrics::ExactTemplate`] reproduces it bit for bit.
 ///
 /// # Errors
 /// Propagates solver failures.
@@ -93,10 +94,20 @@ pub fn evaluate_scenario_graph(
         leaked,
         mission_times,
     )?;
+    let detection = detection_totals(model, graph, &absorption.sojourn)?;
+    Ok((evaluation, survival, detection))
+}
 
-    // Detection-quality totals: expected firing counts from the sojourn
-    // vector and the explored edge rates (only enabled transitions appear
-    // as edges, so disabled-state rates contribute nothing).
+/// Detection-quality totals: the expected firings of `T_CP`, `T_IDS` and
+/// `T_FA`, summed in state order over the states of positive sojourn, each
+/// share's rate times the sojourn. Those transitions always move a token,
+/// so their shares are edges, never self-loops; only enabled transitions
+/// have shares, so disabled-state rates contribute nothing.
+pub(crate) fn detection_totals(
+    model: &GcsIdsModel,
+    shares: &impl ShareSource,
+    sojourn: &[f64],
+) -> Result<DetectionTotals, SpnError> {
     let lookup = |name: &str| {
         model
             .net
@@ -107,22 +118,21 @@ pub fn evaluate_scenario_graph(
     let t_ids = lookup("T_IDS")?;
     let t_fa = lookup("T_FA")?;
     let mut detection = DetectionTotals::default();
-    for (i, edges) in graph.edges.iter().enumerate() {
-        let s = absorption.sojourn[i];
+    for (i, &s) in sojourn.iter().enumerate() {
         if s <= 0.0 {
             continue;
         }
-        for e in edges {
-            if e.transition == t_cp {
-                detection.compromises += s * e.rate;
-            } else if e.transition == t_ids {
-                detection.detections += s * e.rate;
-            } else if e.transition == t_fa {
-                detection.false_alarms += s * e.rate;
+        shares.for_each_share(i, |t, rate| {
+            if t == t_cp {
+                detection.compromises += s * rate;
+            } else if t == t_ids {
+                detection.detections += s * rate;
+            } else if t == t_fa {
+                detection.false_alarms += s * rate;
             }
-        }
+        });
     }
-    Ok((evaluation, survival, detection))
+    Ok(detection)
 }
 
 #[cfg(test)]
@@ -159,8 +169,10 @@ mod tests {
 
     #[test]
     fn baseline_scenario_matches_paper_net() {
-        use crate::metrics::evaluate_graph;
-        use crate::model::build_model;
+        // The baseline scenario builds the paper's net, and the template
+        // path reproduces the oracle on it bit for bit, detection totals
+        // included.
+        use crate::metrics::ExactTemplate;
         use spn::reach::{explore, ExploreOptions};
         let bits = |e: &Evaluation| {
             let c = e.cost_components;
@@ -178,24 +190,30 @@ mod tests {
             ]
             .map(f64::to_bits)
         };
+        let det_bits =
+            |d: &DetectionTotals| [d.compromises, d.detections, d.false_alarms].map(f64::to_bits);
+        let baseline = ScenarioConfig::baseline();
         for n in [8, 12, 20] {
             let cfg = small(n);
             let times = [1.0e3, 1.0e4, 1.0e5];
-            let m = build_scenario_model(&cfg, &ScenarioConfig::baseline());
+            let m = build_scenario_model(&cfg, &baseline);
             assert_eq!(m.net.place_count(), 5);
             assert_eq!(m.net.transition_count(), 7);
             let g = explore(&m.net, &ExploreOptions::default()).unwrap();
             let (e, surv, det) = evaluate_scenario_graph(&m, &g, &times).unwrap();
 
-            let paper = build_model(&cfg);
-            let pg = explore(&paper.net, &ExploreOptions::default()).unwrap();
-            let (base, base_surv) = evaluate_graph(&paper, &pg, &times).unwrap();
+            let template =
+                ExactTemplate::with_options(&cfg, &baseline, &ExploreOptions::default()).unwrap();
+            let (base, base_surv, base_det) = template
+                .evaluate_with_survival(&cfg, Some(&baseline), &times)
+                .unwrap();
 
             assert_eq!(bits(&e), bits(&base), "N={n}");
             assert_eq!(e.state_count, base.state_count);
             assert_eq!(e.edge_count, base.edge_count);
             let to_bits = |s: Vec<f64>| s.into_iter().map(f64::to_bits).collect::<Vec<_>>();
             assert_eq!(to_bits(surv.unwrap()), to_bits(base_surv.unwrap()), "N={n}");
+            assert_eq!(det_bits(&det), det_bits(&base_det.unwrap()), "N={n}");
             assert!(det.compromises > 0.0 && det.detections > 0.0 && det.false_alarms > 0.0);
         }
     }

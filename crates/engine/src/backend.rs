@@ -23,9 +23,9 @@ use crate::spec::{BackendKind, SamplingPlan, ScenarioSpec};
 use gcsids::clustered::evaluate_clustered_with_survival;
 use gcsids::des::{run_des, DesConfig, DesOutcome, FailureCause};
 use gcsids::des_mobility::MobilityDesConfig;
-use gcsids::metrics::{eviction_impulses, total_cost_reward, ExactTemplate};
+use gcsids::metrics::{eviction_impulses, total_cost_reward, ExactTemplate, TemplateKey};
 use gcsids::model::Places;
-use gcsids::{build_scenario_model, evaluate_scenario_graph, DetectionTotals};
+use gcsids::{build_scenario_model, DetectionTotals};
 use numerics::replicate::{run_plan_observed, OutcomeSink, Replicate};
 use numerics::rng::child_seed;
 use numerics::stats::{SurvivalAccumulator, Welford};
@@ -114,15 +114,19 @@ pub fn backend_for(kind: BackendKind) -> &'static dyn Backend {
     }
 }
 
-/// Exact CTMC absorption analysis (the paper's analytic path).
+/// Exact CTMC absorption analysis (the paper's analytic path). Every
+/// single-system spec, scenario or not, is solved through an
+/// [`ExactTemplate`]; clustered specs go to the clustered evaluator.
 pub struct ExactBackend;
 
 impl ExactBackend {
     /// Evaluate against an already-explored template (the runner's
-    /// explore-once-solve-many path for batched rate-only scenarios).
+    /// explore-once-solve-many path for batched rate-only specs).
     ///
     /// # Errors
-    /// Propagates evaluation failures.
+    /// [`EngineError::InvalidSpec`] for a clustered spec, or a spec whose
+    /// net is outside the template's family ([`TemplateKey`]); otherwise
+    /// propagates evaluation failures.
     pub fn run_with_template(
         template: &ExactTemplate,
         spec: &ScenarioSpec,
@@ -135,22 +139,27 @@ impl ExactBackend {
                 "clustered specs are not template-batchable — use Backend::run".into(),
             ));
         }
-        if spec.scenario.is_some() {
-            // A scenario changes the net structure (extra places and
-            // transitions), not just rates — the cached graph does not apply.
-            return Err(EngineError::InvalidSpec(
-                "scenario specs are not template-batchable — use Backend::run".into(),
-            ));
+        let family = TemplateKey::of(&spec.system, &spec.scenario_or_baseline());
+        if family != template.key() {
+            return Err(EngineError::InvalidSpec(format!(
+                "net family {family:?} of spec {:?} is not the template's {:?}",
+                spec.name,
+                template.key()
+            )));
         }
         // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
         let t0 = Instant::now();
-        let (e, survival) = template.evaluate_with_survival(&spec.system, &spec.mission_times)?;
-        Ok(Self::report_from_evaluation(
-            spec,
-            &e,
-            survival,
-            t0.elapsed().as_secs_f64(),
-        ))
+        let (e, survival, totals) = template.evaluate_with_survival(
+            &spec.system,
+            spec.scenario.as_ref(),
+            &spec.mission_times,
+        )?;
+        let mut report =
+            Self::report_from_evaluation(spec, &e, survival, t0.elapsed().as_secs_f64());
+        // Detection metrics are a scenario-mode observable: baseline specs
+        // keep their pre-scenario report shape byte for byte.
+        report.detection = totals.as_ref().map(exact_detection);
+        Ok(report)
     }
 
     fn report_from_evaluation(
@@ -243,8 +252,6 @@ impl Backend for ExactBackend {
         spec.validate()?;
         // detlint::allow(D002): feeds the report's explicit wall_seconds timing field only
         let t0 = Instant::now();
-        // A standalone run solves on the freshly explored graph directly;
-        // the template/re-weight machinery only pays off across a batch.
         let opts = ExploreOptions {
             max_states: budget.max_states,
             ..Default::default()
@@ -261,15 +268,11 @@ impl Backend for ExactBackend {
             report.lumping_reduction = Some(ce.stats.reduction);
             return Ok(report);
         }
-        let model = build_scenario_model(&spec.system, &spec.scenario_or_baseline());
-        let graph = spn::reach::explore(&model.net, &opts)?;
-        // One CTMC build serves both the absorption and the survival solve.
-        let (e, survival, totals) = evaluate_scenario_graph(&model, &graph, &spec.mission_times)?;
-        let mut report =
-            Self::report_from_evaluation(spec, &e, survival, t0.elapsed().as_secs_f64());
-        // Detection metrics are a scenario-mode observable: baseline specs
-        // keep their pre-scenario report shape byte for byte.
-        report.detection = spec.scenario.is_some().then(|| exact_detection(&totals));
+        // A standalone run is a one-use template, timed with its build.
+        let template =
+            ExactTemplate::with_options(&spec.system, &spec.scenario_or_baseline(), &opts)?;
+        let mut report = Self::run_with_template(&template, spec)?;
+        report.wall_seconds = t0.elapsed().as_secs_f64();
         Ok(report)
     }
 }
@@ -1230,10 +1233,47 @@ mod tests {
         };
         let plain = hot_spec(BackendKind::Exact);
         let opts = ExploreOptions::default();
-        let template = ExactTemplate::with_options(&plain.system, &opts).unwrap();
+        let template =
+            ExactTemplate::with_options(&plain.system, &plain.scenario_or_baseline(), &opts)
+                .unwrap();
         let clustered = plain.with_clusters(topo);
         let out = ExactBackend::run_with_template(&template, &clustered);
         assert!(matches!(out, Err(EngineError::InvalidSpec(_))), "{out:?}");
+    }
+
+    #[test]
+    fn scenario_spec_of_another_net_family_is_rejected_by_template_path() {
+        use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
+        let mut throttle = hot_spec(BackendKind::Exact);
+        throttle.scenario = Some(ScenarioConfig {
+            attacker: AttackerStrategy::Baseline,
+            response: ResponsePolicy::RekeyThrottle {
+                max_rate: 1.0 / 300.0,
+            },
+        });
+        let mut quarantine = hot_spec(BackendKind::Exact);
+        quarantine.scenario = Some(ScenarioConfig {
+            attacker: AttackerStrategy::Baseline,
+            response: ResponsePolicy::QuarantineRejoin {
+                release_rate: 1.0 / 600.0,
+                false_release_prob: 0.1,
+            },
+        });
+        let template = ExactTemplate::with_options(
+            &throttle.system,
+            &throttle.scenario_or_baseline(),
+            &ExploreOptions::default(),
+        )
+        .unwrap();
+        let out = ExactBackend::run_with_template(&template, &quarantine);
+        let Err(EngineError::InvalidSpec(msg)) = out else {
+            panic!("expected a named InvalidSpec, got {out:?}");
+        };
+        assert!(msg.contains("net family"), "{msg}");
+        assert!(msg.contains("quarantine: true"), "{msg}");
+        // The throttle spec itself is served by its own family's template.
+        let own = ExactBackend::run_with_template(&template, &throttle).unwrap();
+        assert!(own.detection.is_some());
     }
 
     #[test]

@@ -114,8 +114,8 @@ pub enum CacheOutcome {
     Hit,
     /// No template was cached for the family; one was built and inserted.
     Miss,
-    /// The spec is not cacheable (stochastic backends and clustered exact
-    /// specs route around the template cache — see
+    /// The spec is not cacheable (stochastic backends, scenario and
+    /// clustered exact specs route around the template cache — see
     /// [`crate::service::TemplateCache`]).
     Bypass,
 }

@@ -1,13 +1,14 @@
 //! Batched scenario execution with explore-once-solve-many for the exact
 //! backend.
 //!
-//! [`Runner::run_batch`] partitions a batch by backend. Exact scenarios are
-//! further grouped by their structural key (`node_count`, `max_groups`):
-//! each group explores its reachability graph **once** and every member
-//! solves against the re-weighted cached graph, in parallel on
-//! [`numerics::exec`].
-//! Stochastic scenarios run one-by-one (each already parallelizes across
-//! its replications). Report order matches spec order.
+//! [`Runner::run_batch`] partitions a batch by backend. Flat exact specs
+//! are further grouped by their structural key (`node_count`,
+//! `max_groups`): each group explores its state space **once** into an
+//! [`ExactTemplate`] and every member solves on it, in parallel on
+//! [`numerics::exec`]. Scenario and clustered exact specs, and stochastic
+//! specs, run one-by-one through their backend (a scenario spec on a
+//! one-use template; each stochastic run already parallelizes across its
+//! replications). Report order matches spec order.
 
 use crate::backend::{backend_for, BatchProgress, ExactBackend, RunBudget};
 use crate::error::EngineError;
@@ -74,7 +75,8 @@ impl Runner {
 
     /// Run one scenario through the template cache: flat exact specs
     /// resolve their structural family against the cache (hit or miss)
-    /// and solve on the memoized template; everything else bypasses. The
+    /// and solve on the memoized template; everything else bypasses (a
+    /// scenario spec then solves on a one-use template). The
     /// report carries the cache telemetry in
     /// [`RunReport::template_cache`]. Results are bit-identical to
     /// [`Runner::run`] up to `wall_seconds` and that field.
@@ -153,7 +155,8 @@ impl Runner {
                 Ok((_, outcome)) => *outcome,
             };
             if slots[i].is_none() {
-                // Bypassed specs (stochastic backends, clustered exact).
+                // Bypassed specs (stochastic backends, scenario and
+                // clustered exact).
                 slots[i] = Some(backend_for(spec.backend).run(spec, &self.budget));
             }
             if let Some(Ok(report)) = &mut slots[i] {

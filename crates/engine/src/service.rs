@@ -24,21 +24,26 @@
 //!    `results/service.summary.json`. [`ServiceConfig::drain`] instead
 //!    exits as soon as one scan finds the spool empty (batch mode).
 //!
-//! The cross-request unlock is [`TemplateCache`]: exact specs are keyed
-//! by structural family ([`FamilyKey`]) and their [`ExactTemplate`]
-//! (pristine reachability graph + CTMC sparsity pattern) is memoized
-//! across submissions, so repeat-family requests skip exploration and
-//! pattern building entirely — the dominant per-family cost. Eviction is
-//! LRU under a dual budget (entry count and total cached states);
-//! hit/miss/eviction counters are surfaced in every report's
+//! The cross-request unlock is [`TemplateCache`]: flat exact specs are
+//! keyed by structural family ([`FamilyKey`]) and their [`ExactTemplate`]
+//! (explored markings, CTMC sparsity pattern and rate plan; no graph) is
+//! memoized across submissions, so repeat-family requests skip
+//! exploration and pattern building entirely — the dominant per-family
+//! cost. Eviction is LRU under a dual budget (entry count and total cached
+//! states); hit/miss/eviction counters are surfaced in every report's
 //! `template_cache` field and in the bench snapshot.
+//!
+//! **Scenario bypass.** A scenario spec runs on a one-use
+//! [`ExactTemplate`]: caching scenario families would change the drain
+//! benchmark's pinned hit, miss and bypass counts, so it waits for a
+//! change to that benchmark.
 //!
 //! **Clustered keying.** [`FamilyKey`] includes the spec's
 //! [`ClusterTopology`], so a flat-family entry can never satisfy a
 //! clustered spec (and vice versa). Clustered exact specs are still
 //! *bypassed* rather than cached: their evaluation lumps or composes a
 //! different chain whose template shape ([`ExactTemplate`]) caches only
-//! the single-system graph, so there is nothing reusable to store yet.
+//! a single-system state space, so there is nothing reusable to store yet.
 //! The bypass is sound — the key separation guarantees no stale flat hit
 //! — and recorded per-request in the `bypasses` counter.
 
@@ -173,9 +178,9 @@ pub type CacheLookup = (Option<Arc<ExactTemplate>>, CacheOutcome);
 /// repeat-family submissions skip state-space exploration and CTMC
 /// pattern building.
 ///
-/// Only flat exact specs are cacheable; stochastic and clustered-exact
-/// lookups return [`CacheOutcome::Bypass`] (see the module docs for why
-/// the clustered bypass is sound). A miss builds the template **inside**
+/// Only flat exact specs are cacheable; stochastic, scenario and
+/// clustered-exact lookups return [`CacheOutcome::Bypass`] (see the module
+/// docs for why). A miss builds the template **inside**
 /// the cache lock: concurrent same-family requests then cost one
 /// exploration instead of racing to duplicate it, and the counters stay
 /// deterministic under any worker count — the trade-off is that
@@ -257,8 +262,8 @@ impl TemplateCache {
         opts: &ExploreOptions,
     ) -> Result<CacheLookup, EngineError> {
         let mut s = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        // Scenario specs bypass too: a scenario net has extra places and
-        // transitions, so the cached single-system graph does not apply.
+        // Scenario specs bypass too (each runs a one-use template): caching
+        // them would re-pin the drain benchmark's cache counts.
         if spec.backend != BackendKind::Exact || spec.clustered.is_some() || spec.scenario.is_some()
         {
             s.bypasses += 1;
@@ -273,7 +278,8 @@ impl TemplateCache {
             s.hits += 1;
             return Ok((Some(template), CacheOutcome::Hit));
         }
-        let template = Arc::new(ExactTemplate::with_options(&spec.system, opts)?);
+        let scenario = spec.scenario_or_baseline();
+        let template = Arc::new(ExactTemplate::with_options(&spec.system, &scenario, opts)?);
         s.misses += 1;
         s.entries.insert(
             key,

@@ -81,6 +81,10 @@ impl DynamicsTracker {
         for &s in graph.component_sizes() {
             self.group_size_stats.push(s as f64);
         }
+        // Unchanged labels: no group split or merged, and no event.
+        if graph.labels() == self.prev_labels {
+            return Vec::new();
+        }
 
         let mut events = Vec::new();
         // old component -> set of new components its members now occupy.

@@ -26,7 +26,8 @@ use numerics::linsolve::IterConfig;
 use numerics::sparse::{Csr, CsrPattern, Triplets};
 use std::sync::{Arc, OnceLock};
 
-/// A CTMC extracted from a reachability graph.
+/// A CTMC extracted from a reachability graph. It starts in state 0,
+/// the net's initial marking, with probability 1.
 #[derive(Debug, Clone)]
 pub struct Ctmc {
     /// Off-diagonal rate matrix (row = source state) on its
@@ -38,8 +39,6 @@ pub struct Ctmc {
     /// Uniformization rate of `exit` (`uniformization_q`), set wherever
     /// `exit` is.
     q: f64,
-    /// Initial distribution as (state, probability) pairs.
-    initial: Vec<(u32, f64)>,
     /// Absorbing flags.
     absorbing: Vec<bool>,
     /// The structural half of the absorption solve, built on the first
@@ -83,7 +82,7 @@ pub const MAX_POISSON_DEPTH: f64 = 1e7;
 /// Result of the absorption solve.
 #[derive(Debug, Clone)]
 pub struct AbsorptionAnalysis {
-    /// Mean time to absorption from the initial distribution.
+    /// Mean time to absorption from state 0.
     pub mtta: f64,
     /// Expected total time spent in each state before absorption
     /// (zero for absorbing/unreachable states).
@@ -127,20 +126,11 @@ impl Ctmc {
         &self.absorbing
     }
 
-    /// States reachable (with positive probability) from the initial
-    /// distribution.
-    fn reachable_from_initial(&self) -> Vec<bool> {
-        let n = self.state_count();
-        let mut seen = vec![false; n];
-        let mut stack: Vec<usize> = self
-            .initial
-            .iter()
-            .filter(|&&(_, p)| p > 0.0)
-            .map(|&(s, _)| s as usize)
-            .collect();
-        for &s in &stack {
-            seen[s] = true;
-        }
+    /// States reachable (with positive probability) from state 0.
+    fn reachable_from_start(&self) -> Vec<bool> {
+        let mut seen = vec![false; self.state_count()];
+        seen[0] = true;
+        let mut stack = vec![0];
         while let Some(s) = stack.pop() {
             // Explicit zeros in a template-instantiated pattern carry no
             // probability flow — skip them, they are structure only.
@@ -221,9 +211,7 @@ impl Ctmc {
         if nt == 0 {
             // Start inside an absorbing state.
             let mut absorption_probability = vec![0.0; n];
-            for &(s, p) in &self.initial {
-                absorption_probability[s as usize] += p;
-            }
+            absorption_probability[0] = 1.0;
             return Ok(AbsorptionAnalysis {
                 mtta: 0.0,
                 sojourn: vec![0.0; n],
@@ -233,11 +221,8 @@ impl Ctmc {
 
         let values = self.rates.values();
         let mut b = vec![0.0; nt];
-        for &(s, p) in &self.initial {
-            let k = st.position[s as usize];
-            if k != NONE {
-                b[k as usize] = -p;
-            }
+        if st.position[0] != NONE {
+            b[st.position[0] as usize] = -1.0;
         }
         let mut sigma = vec![0.0; nt];
         let mut rhs: Vec<f64> = Vec::new();
@@ -326,12 +311,10 @@ impl Ctmc {
         let mtta: f64 = sojourn.iter().sum();
 
         // Absorption probabilities: prob of ending in absorbing state a is
-        // Σ_i σ_i rate(i→a), plus initial mass already in a.
+        // Σ_i σ_i rate(i→a), plus the start's mass if it absorbs.
         let mut absorption_probability = vec![0.0; n];
-        for &(s, p) in &self.initial {
-            if self.absorbing[s as usize] {
-                absorption_probability[s as usize] += p;
-            }
+        if self.absorbing[0] {
+            absorption_probability[0] = 1.0;
         }
         for &(gi, slot, gj) in &st.exits {
             let s = sojourn[gi as usize];
@@ -356,11 +339,6 @@ impl Ctmc {
         &self.exit
     }
 
-    /// Initial distribution as sparse (state, probability) pairs.
-    pub(crate) fn initial_pairs(&self) -> &[(u32, f64)] {
-        &self.initial
-    }
-
     /// Row `s` of the uniformized DTMC `P = I + Q/q` as (column, value):
     /// the diagonal `1 − exit/q`, then `rate/q` per rate entry in ascending
     /// column order. Zero values (explicit-zero edges) are skipped.
@@ -371,7 +349,7 @@ impl Ctmc {
             .filter(|&(_, p)| p != 0.0)
     }
 
-    /// Transient state distribution `π(t)` from the initial distribution:
+    /// Transient state distribution `π(t)` from state 0:
     /// one fresh full-tracking engine advanced to `t`.
     ///
     /// # Panics
@@ -561,16 +539,15 @@ pub struct CtmcTemplate {
     slots: Vec<u32>,
     /// Per-state offsets into `slots` (length `n + 1`) for structure checks.
     edge_offsets: Vec<u32>,
-    initial: Vec<(u32, f64)>,
 }
 
 impl CtmcTemplate {
     /// Build the rate-matrix pattern from a graph's structure.
     ///
     /// # Errors
-    /// Returns [`SpnError::InvalidModel`] for an empty graph, an initial
-    /// distribution that does not sum to 1, or a self-targeting edge (the
-    /// reachability exploration never produces one).
+    /// Returns [`SpnError::InvalidModel`] for an empty graph or a
+    /// self-targeting edge (the reachability exploration never produces
+    /// one).
     pub fn new(graph: &ReachabilityGraph) -> Result<Self, SpnError> {
         let n = graph.state_count();
         if n == 0 {
@@ -578,13 +555,6 @@ impl CtmcTemplate {
                 "reachability graph has no states".into(),
             ));
         }
-        let mass: f64 = graph.initial_distribution.iter().map(|&(_, p)| p).sum();
-        if (mass - 1.0).abs() > 1e-9 {
-            return Err(SpnError::InvalidModel(format!(
-                "initial distribution sums to {mass}, expected 1"
-            )));
-        }
-
         // Graph edges per state are sorted by (target, transition), so equal
         // targets are adjacent; dedup them into one slot each. Sort
         // defensively anyway: hand-assembled graphs are legal inputs.
@@ -625,7 +595,6 @@ impl CtmcTemplate {
             pattern: Arc::new(CsrPattern::new(n, n, row_ptr, col_idx)),
             slots,
             edge_offsets,
-            initial: graph.initial_distribution.clone(),
         })
     }
 
@@ -664,7 +633,6 @@ impl CtmcTemplate {
             rates: Csr::from_pattern(self.pattern.clone(), vec![0.0; self.pattern.nnz()]),
             exit: vec![0.0; self.n],
             q: 0.0,
-            initial: self.initial.clone(),
             absorbing: vec![false; self.n],
             absorb: OnceLock::new(),
         }
@@ -842,11 +810,11 @@ impl AbsorptionStructure {
         let n = ctmc.state_count();
         let pattern = ctmc.rates.pattern();
         let positive: Vec<bool> = ctmc.rates.values().iter().map(|&v| v > 0.0).collect();
-        let reachable = ctmc.reachable_from_initial();
+        let reachable = ctmc.reachable_from_start();
         let can_absorb = ctmc.can_reach_absorbing();
         if !(0..n).any(|i| reachable[i] && ctmc.absorbing[i]) {
             return Err(SpnError::AnalysisUnavailable(
-                "no absorbing state reachable from the initial distribution".into(),
+                "no absorbing state reachable from the initial marking".into(),
             ));
         }
         if let Some(i) = (0..n).find(|&i| reachable[i] && !can_absorb[i]) {
@@ -1359,6 +1327,8 @@ mod tests {
         let template = CtmcTemplate::new(&pristine).unwrap();
         let n = pristine.state_count();
         assert_eq!(template.state_count(), n);
+        // Every chain starts at state 0: the explored initial marking.
+        assert_eq!(pristine.states[0], build(0.1).initial_marking());
         let mut silenced = pristine.clone();
         silenced.reweight_in_place(&build(0.0)).unwrap();
         for g in [&pristine, &silenced] {
@@ -1369,10 +1339,6 @@ mod tests {
                     dense[s * n + e.target as usize] += e.rate;
                     exit[s] += e.rate;
                 }
-            }
-            let mut pi0 = vec![0.0; n];
-            for &(s, p) in &g.initial_distribution {
-                pi0[s as usize] += p;
             }
             let c = template.instantiate(g).unwrap();
             for s in 0..n {
@@ -1386,11 +1352,6 @@ mod tests {
                 }
                 assert_eq!(c.absorbing()[s], g.absorbing[s] || exit[s] == 0.0);
             }
-            let mut c_pi0 = vec![0.0; n];
-            for &(s, p) in c.initial_pairs() {
-                c_pi0[s as usize] += p;
-            }
-            assert_eq!(c_pi0, pi0);
             let qmax = exit.iter().copied().fold(0.0, f64::max);
             assert_eq!(c.uniformization_rate(), qmax * 1.02);
         }

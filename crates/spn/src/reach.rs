@@ -158,9 +158,6 @@ pub struct ReachabilityGraph {
     pub edges: Vec<Vec<Edge>>,
     /// Summed rate of dropped self-loop edges per state, by transition.
     pub self_loop_rates: Vec<Vec<(TransitionId, f64)>>,
-    /// Initial probability distribution over states: the point mass
-    /// `[(0, 1.0)]` on the initial marking.
-    pub initial_distribution: Vec<(u32, f64)>,
     /// `true` for states where the net's global absorbing predicate holds or
     /// no transition is enabled.
     pub absorbing: Vec<bool>,
@@ -812,7 +809,6 @@ pub fn explore(net: &Spn, opts: &ExploreOptions) -> Result<ReachabilityGraph, Sp
         states,
         edges,
         self_loop_rates: self_loops,
-        initial_distribution: vec![(0, 1.0)],
         absorbing,
     })
 }
@@ -848,7 +844,8 @@ mod tests {
     fn initial_distribution_is_point_mass_for_tangible_start() {
         let net = death_chain(2);
         let g = explore(&net, &ExploreOptions::default()).unwrap();
-        assert_eq!(g.initial_distribution, vec![(0, 1.0)]);
+        // The chain starts at state 0 with probability 1.
+        assert_eq!(g.states[0], net.initial_marking());
     }
 
     #[test]

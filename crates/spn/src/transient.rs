@@ -108,7 +108,7 @@ const DETECT_STRIDE: u64 = 8;
 /// Reusable uniformization sweep over one chain's transient block.
 ///
 /// Construction partitions states, compacts the propagation blocks, and
-/// scatters the initial distribution; [`TransientEngine::advance`] then
+/// puts the start's mass on state 0; [`TransientEngine::advance`] then
 /// moves the iterate forward by any `dt > 0` with zero allocation. One
 /// engine serves a whole mission grid ([`TransientEngine::survival_curve`])
 /// or a single horizon ([`TransientEngine::occupancy`]).
@@ -196,7 +196,7 @@ impl Horizon {
 }
 
 impl TransientEngine {
-    /// Set up a sweep from the chain's initial distribution, maintaining
+    /// Set up a sweep from the chain's start (state 0), maintaining
     /// the full per-class absorbed split (what
     /// [`TransientEngine::distribution`] and [`TransientEngine::occupancy`]
     /// need).
@@ -290,14 +290,12 @@ impl TransientEngine {
         let g = ell(nt, nt, ptr, col, val);
         let ta = ell(na, nt, ta_ptr, ta_col, ta_val);
 
-        // Scatter the initial distribution into the split representation.
+        // Put the start's mass (state 0) into the split representation.
         let mut v = vec![0.0; nt];
         let mut absorbed = vec![0.0; na];
-        for &(s, p) in ctmc.initial_pairs() {
-            match row[s as usize] as usize {
-                r if r < nt => v[r] += p,
-                r => absorbed[r - nt] += p,
-            }
+        match row[0] as usize {
+            r if r < nt => v[r] = 1.0,
+            r => absorbed[r - nt] = 1.0,
         }
 
         Self {
@@ -548,7 +546,7 @@ impl TransientEngine {
     }
 
     /// Expected occupancy `∫₀ᵗ π(u) du` from the engine's current point
-    /// (normally the initial distribution), as a full-length vector.
+    /// (normally the start, state 0), as a full-length vector.
     ///
     /// Uses the standard uniformization identity
     /// `∫₀ᵗ π(u) du = (1/q) Σ_k tail_k(q·t) · v_k` where

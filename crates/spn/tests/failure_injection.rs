@@ -55,10 +55,8 @@ fn parallel_replications_propagate_first_error() {
 
 #[test]
 fn empty_reachability_graph_rejected_by_ctmc() {
-    // Artificially construct a graph with a bad initial distribution by
-    // exercising the Ctmc validation path: a net whose initial distribution
-    // cannot sum to 1 is impossible through the public API, so instead we
-    // check the unreachable-absorption path.
+    // Every chain starts at state 0, the initial marking, so the start
+    // itself cannot be malformed; check the unreachable-absorption path.
     let mut b = SpnBuilder::new();
     let q = b.add_place("q", 0);
     b.add_transition(

@@ -51,10 +51,9 @@ fn dense_survival(graph: &ReachabilityGraph, times: &[f64]) -> Vec<f64> {
     times
         .iter()
         .map(|&t| {
+            // The chain starts at state 0, the initial marking.
             let mut v = vec![0.0f64; n];
-            for &(s, mass) in &graph.initial_distribution {
-                v[s as usize] += mass;
-            }
+            v[0] = 1.0;
             let w = PoissonWeights::compute(q * t, 1e-12);
             let mut survival = 0.0;
             for k in 0..=w.right {

@@ -18,8 +18,10 @@
 //! `cargo test -p integration-tests regenerate_fixtures -- --ignored`
 
 use engine::{
-    backend_for, BackendKind, Estimate, RunBudget, RunReport, SamplingPlan, ScenarioSpec,
+    backend_for, BackendKind, Estimate, RunBudget, RunReport, Runner, SamplingPlan, ScenarioSpec,
 };
+use gcsids::{build_scenario_model, evaluate_scenario_graph};
+use spn::reach::{explore, ExploreOptions};
 use std::fs;
 use std::path::PathBuf;
 
@@ -424,4 +426,97 @@ fn all_censored_report_fixture_exercises_null_encoding() {
     // beyond-horizon point: NaN marker, no interval
     assert!(survival[1].1.value.is_nan());
     assert_eq!(survival[1].1.ci, None);
+}
+
+/// One exact pipeline: every committed single-system spec gets the same
+/// exact report, bit for bit, from `Backend::run` (a one-use template),
+/// `Runner::run_cached` and `Runner::try_batch`; and each scenario report
+/// reproduces the oracle `evaluate_scenario_graph` (a fresh exploration's
+/// own edge rates) by `to_bits`.
+#[test]
+fn exact_reports_agree_on_every_single_system_path() {
+    let specs: Vec<ScenarioSpec> = json_files("specs")
+        .iter()
+        .map(|path| {
+            let text = fs::read_to_string(path).unwrap();
+            let mut spec = ScenarioSpec::from_json(text.trim_end()).unwrap();
+            spec.backend = BackendKind::Exact;
+            spec
+        })
+        .filter(|spec| spec.clustered.is_none())
+        .collect();
+    let strip = |mut report: RunReport| {
+        report.wall_seconds = 0.0;
+        report.template_cache = None;
+        report.to_json()
+    };
+    let runner = Runner::new();
+    let batch = runner.try_batch(&specs);
+    let mut scenarios = 0;
+    for (spec, batched) in specs.iter().zip(batch) {
+        let run = backend_for(BackendKind::Exact)
+            .run(spec, &RunBudget::default())
+            .unwrap();
+        let cached = strip(runner.run_cached(spec).unwrap());
+        assert_eq!(cached, strip(run.clone()), "{}: run_cached", spec.name);
+        assert_eq!(cached, strip(batched.unwrap()), "{}: try_batch", spec.name);
+
+        let Some(sc) = &spec.scenario else { continue };
+        scenarios += 1;
+        let model = build_scenario_model(&spec.system, sc);
+        let graph = explore(&model.net, &ExploreOptions::default()).unwrap();
+        let (e, survival, totals) =
+            evaluate_scenario_graph(&model, &graph, &spec.mission_times).unwrap();
+        let c = e.cost_components;
+        let oracle = [
+            e.mttsf_seconds,
+            e.c_total_hop_bits_per_sec,
+            c.group_comm,
+            c.status,
+            c.rekey,
+            c.ids,
+            c.beacon,
+            c.partition_merge,
+            e.p_failure_c1,
+            e.p_failure_c2,
+            totals.compromises,
+            totals.detections,
+            totals.false_alarms,
+        ];
+        let c = run.cost_components.unwrap();
+        let d = run.detection.unwrap();
+        let served = [
+            run.mttsf.value,
+            run.c_total.value,
+            c.group_comm,
+            c.status,
+            c.rekey,
+            c.ids,
+            c.beacon,
+            c.partition_merge,
+            run.failure.p_c1,
+            run.failure.p_c2,
+            d.compromises.value,
+            d.detections.value,
+            d.false_alarms.value,
+        ];
+        assert_eq!(
+            served.map(f64::to_bits),
+            oracle.map(f64::to_bits),
+            "{}: template vs oracle",
+            spec.name
+        );
+        assert_eq!(run.state_count, Some(e.state_count), "{}", spec.name);
+        assert_eq!(run.edge_count, Some(e.edge_count), "{}", spec.name);
+        let bits = |s: &[f64]| s.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let served_survival: Option<Vec<f64>> =
+            (run.survival).map(|s| s.iter().map(|(_, est)| est.value).collect());
+        assert_eq!(
+            served_survival.as_deref().map(bits),
+            survival.as_deref().map(bits),
+            "{}: survival",
+            spec.name
+        );
+    }
+    assert_eq!(scenarios, 6, "every committed scenario spec is checked");
 }

@@ -38,7 +38,9 @@ fn hot_system() -> SystemConfig {
 fn exact_counts(n: u32) -> (usize, usize, TransientStats, TemplateStats) {
     let mut cfg = SystemConfig::paper_default();
     cfg.node_count = n;
-    let template = ExactTemplate::new(&cfg).unwrap();
+    let baseline = ScenarioConfig::baseline();
+    let template =
+        ExactTemplate::with_options(&cfg, &baseline, &ExploreOptions::default()).unwrap();
     let graph = explore(&build_model(&cfg).net, &ExploreOptions::default()).unwrap();
     let ctmc = Ctmc::from_graph(&graph).unwrap();
     let horizon = 0.05 * ctmc.mean_time_to_absorption().unwrap().mtta;
@@ -380,6 +382,66 @@ fn scenario_net_counts() {
             (states, edges),
             "{name}"
         );
+    }
+}
+
+/// A scenario template serves rate-only points without exploring again: a
+/// burst and a targeted template each solve three points (a detection
+/// interval, a vote size, and the scenario's own rate) bit for bit as
+/// one-use templates at those points, with one exploration and one
+/// pattern build each.
+#[test]
+fn scenario_templates_explore_once_across_rate_only_points() {
+    let targeted = |focus| ScenarioConfig {
+        attacker: AttackerStrategy::Targeted { focus },
+        response: ResponsePolicy::Evict,
+    };
+    let mut hotter = burst();
+    hotter.attacker = AttackerStrategy::Burst {
+        on_rate: 1.0 / 5_000.0,
+        off_rate: 1.0 / 5_000.0,
+        multiplier: 9.0,
+    };
+    let opts = ExploreOptions::default();
+    let grid = [1.0e3, 5.0e3];
+    let base = hot_system();
+    for (sc, rate_variant) in [(burst(), hotter), (targeted(0.8), targeted(0.5))] {
+        let template = ExactTemplate::with_options(&base, &sc, &opts).unwrap();
+        let points = [
+            (base.with_tids(60.0), sc),
+            (base.with_vote_participants(5), sc),
+            (base.clone(), rate_variant),
+        ];
+        for (cfg, point_sc) in &points {
+            let bits = |template: &ExactTemplate| {
+                let (e, survival, d) = template
+                    .evaluate_with_survival(cfg, Some(point_sc), &grid)
+                    .unwrap();
+                let d = d.expect("a scenario point has detection totals");
+                let c = e.cost_components;
+                let mut values = vec![
+                    e.mttsf_seconds,
+                    e.c_total_hop_bits_per_sec,
+                    c.group_comm,
+                    c.status,
+                    c.rekey,
+                    c.ids,
+                    c.beacon,
+                    c.partition_merge,
+                    e.p_failure_c1,
+                    e.p_failure_c2,
+                    d.compromises,
+                    d.detections,
+                    d.false_alarms,
+                ];
+                values.extend(survival.unwrap());
+                values.into_iter().map(f64::to_bits).collect::<Vec<_>>()
+            };
+            let alone = ExactTemplate::with_options(cfg, point_sc, &opts).unwrap();
+            assert_eq!(bits(&template), bits(&alone), "{point_sc:?}");
+        }
+        let work = template.stats();
+        assert_eq!((work.explorations, work.pattern_builds), (1, 1), "{sc:?}");
     }
 }
 
