@@ -93,9 +93,9 @@ impl fmt::Display for Rule {
 /// * `numerics/src/{replicate,rng}.rs` own the `child_seed` grid, and
 ///   `numerics/src/exec.rs` is the one place that starts threads.
 /// * R001 guards the long-running service: everything under
-///   `crates/engine/src/`, plus the scenario subsystem and exact evaluator
-///   it runs (`crates/scenario/src/`, `crates/core/src/scenario_model.rs`
-///   and `crates/core/src/metrics.rs`).
+///   `crates/engine/src/`, plus the scenario subsystem and exact evaluators
+///   it runs (`crates/scenario/src/`, `crates/core/src/scenario_model.rs`,
+///   `crates/core/src/metrics.rs` and `crates/core/src/clustered.rs`).
 /// * U001 audits library code: a crate's `src/`, minus `src/bin/` and
 ///   `main.rs`, whose `pub` items are visible to other crates.
 pub fn rules_for_path(path: &str) -> Vec<Rule> {
@@ -115,11 +115,13 @@ pub fn rules_for_path(path: &str) -> Vec<Rule> {
         || path.starts_with("crates/scenario/src/")
         || path == "crates/core/src/scenario_model.rs"
         || path == "crates/core/src/metrics.rs"
+        || path == "crates/core/src/clustered.rs"
     {
-        // The scenario subsystem and the exact evaluator are service-facing
-        // too: the long-running daemon validates scenario specs and solves
-        // every single-system spec through `ExactTemplate`, so a panic
-        // there kills worker threads the same way an engine panic would.
+        // The scenario subsystem and the exact evaluators are service-facing
+        // too: the long-running daemon validates scenario specs, solves
+        // every single-system spec through `ExactTemplate` and every
+        // clustered exact spec through `clustered.rs`, so a panic there
+        // kills worker threads the same way an engine panic would.
         rules.push(Rule::R001);
     }
     if path

@@ -163,7 +163,7 @@ fn workspace_tree_scans_clean() {
             ("D003", 0, 5),
             ("D004", 0, 1),
             ("R001", 0, 5),
-            ("U001", 0, 17),
+            ("U001", 0, 16),
         ]
     );
 }

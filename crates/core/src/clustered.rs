@@ -72,10 +72,6 @@ pub struct LumpingStats {
     pub states: usize,
     /// CTMC edges actually solved.
     pub edges: usize,
-    /// Symmetry orbits supplied to exploration.
-    pub orbits: usize,
-    /// Interchangeable member blocks across those orbits.
-    pub orbit_members: usize,
     /// Upper bound on the unlumped flat product space, `d^C` for `d`
     /// single-cluster states (`inf` when it overflows f64).
     pub unlumped_state_estimate: f64,
@@ -149,11 +145,8 @@ pub fn evaluate_clustered_with_survival(
     if lumped_estimate <= opts.max_states as f64 {
         // --- flat lumped path ---------------------------------------------
         let model = build_clustered_model(cfg, topo);
-        let canon = clustered_canonicalizer(&model);
-        let orbits = canon.orbit_count();
-        let orbit_members = canon.member_count();
         let lumped_opts = ExploreOptions {
-            lumping: Some(canon),
+            lumping: Some(clustered_canonicalizer(&model)),
             ..opts.clone()
         };
         let graph = explore(&model.net, &lumped_opts)?;
@@ -163,8 +156,6 @@ pub fn evaluate_clustered_with_survival(
             path: ClusteredPath::FlatLumped,
             states,
             edges: graph.edge_count(),
-            orbits,
-            orbit_members,
             unlumped_state_estimate: unlumped_estimate,
             reduction: unlumped_estimate / states.max(1) as f64,
             composition_matvecs: 0,
@@ -206,8 +197,6 @@ pub fn evaluate_clustered_with_survival(
         path: ClusteredPath::Hierarchical,
         states,
         edges,
-        orbits: 1,
-        orbit_members: c,
         unlumped_state_estimate: unlumped_estimate,
         reduction: unlumped_estimate / states.max(1) as f64,
         composition_matvecs,
@@ -590,7 +579,6 @@ mod tests {
                 lumped.stats.states,
                 unlumped_graph.state_count()
             );
-            assert_eq!(lumped.stats.orbit_members, 2);
 
             let rel = |a: f64, b: f64| (a - b).abs() / b.abs().max(1e-300);
             assert!(

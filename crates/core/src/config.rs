@@ -21,7 +21,7 @@ pub enum KeyAgreementProtocol {
 /// Clusters are indistinguishable — same size, same rates — which is exactly
 /// the member-permutation symmetry the lumped exact backend exploits (see
 /// `gcsids::model::build_clustered_model`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterTopology {
     /// Number of identical clusters (C ≥ 1).
     pub clusters: u32,

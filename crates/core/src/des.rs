@@ -44,6 +44,7 @@
 
 use crate::config::SystemConfig;
 use crate::cost::gdh_rekey_hop_bits;
+use crate::model::c2_holds;
 use crate::scenario_model::scenario_system;
 use ids::host::HostIds;
 use ids::voting::{run_vote_with_collusion, CollusionModel, VotingConfig};
@@ -144,12 +145,6 @@ impl NodeStatus {
     pub(crate) fn is_live(self) -> bool {
         matches!(self, NodeStatus::Trusted | NodeStatus::Compromised)
     }
-}
-
-/// C2 on one group's composition: undetected compromised members exceed
-/// a third of the live group.
-pub(crate) fn byzantine(trusted: u32, undetected: u32) -> bool {
-    2 * undetected > trusted && (trusted + undetected) > 0
 }
 
 /// Per-replication counters carried into the [`DesOutcome`].
@@ -836,13 +831,14 @@ pub fn run_des(cfg: &DesConfig, seed: u64) -> DesOutcome {
 
         if changed {
             // --- C2 check on actual per-group composition --------------------
-            // Only a changed status or group can make it hold.
+            // The SPN's predicate, per group. Only a changed status or
+            // group can make it hold.
             let any_byzantine = groups.iter().any(|g| {
                 let bad = g
                     .iter()
                     .filter(|&&n| r.status()[n] == NodeStatus::Compromised)
                     .count() as u32;
-                byzantine(g.len() as u32 - bad, bad)
+                c2_holds(g.len() as u32 - bad, bad)
             });
             if any_byzantine {
                 return r.finish(FailureCause::ByzantineCapture);

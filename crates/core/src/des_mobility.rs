@@ -41,7 +41,8 @@
 
 use crate::config::SystemConfig;
 use crate::cost::gdh_rekey_hop_bits;
-use crate::des::{byzantine, DesOutcome, FailureCause, NodeStatus, Replication};
+use crate::des::{DesOutcome, FailureCause, NodeStatus, Replication};
+use crate::model::c2_holds;
 use manet::{ConnectivityGraph, MobilityConfig, RandomWaypoint};
 use numerics::replicate::Replicate;
 use rand::rngs::StdRng;
@@ -307,7 +308,7 @@ pub fn run_mobility_des(cfg: &MobilityDesConfig, seed: u64) -> DesOutcome {
             .live
             .iter()
             .zip(&groups.bad)
-            .any(|(&l, &u)| byzantine(l - u, u))
+            .any(|(&l, &u)| c2_holds(l - u, u))
         {
             return r.finish(FailureCause::ByzantineCapture);
         }

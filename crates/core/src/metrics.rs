@@ -67,7 +67,7 @@ pub type Solution = (Evaluation, Option<Vec<f64>>, Option<DetectionTotals>);
 /// targeted attacker keys the voting rates by the whole population instead
 /// of the target group's split. Nets of one family differ in their rates
 /// only, and one rate plan groups their states alike.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct TemplateKey {
     node_count: u32,
     max_groups: u32,
@@ -165,12 +165,6 @@ pub struct TemplateStats {
     /// CTMC sparsity-pattern builds performed (1 at construction; +1 per
     /// structural-fallback evaluation).
     pub pattern_builds: usize,
-    /// Symmetry orbits supplied to exploration (0 when lumping is off).
-    pub orbits: usize,
-    /// Total interchangeable member blocks across those orbits (0 when
-    /// lumping is off; lumping can only shrink the space when some orbit
-    /// has ≥ 2 members).
-    pub orbit_members: usize,
     /// Distinct rate keys summed over transitions and factors: the rate
     /// evaluations of one re-weighting ([`RatePlan::key_count`]).
     pub rate_keys: usize,
@@ -229,15 +223,9 @@ impl ExactTemplate {
     /// Work counters: how many explorations and CSR pattern builds this
     /// template has performed so far.
     pub fn stats(&self) -> TemplateStats {
-        let (orbits, orbit_members) = match &self.opts.lumping {
-            Some(c) => (c.orbit_count(), c.member_count()),
-            None => (0, 0),
-        };
         TemplateStats {
             explorations: self.explorations.load(Ordering::Relaxed),
             pattern_builds: self.pattern_builds.load(Ordering::Relaxed),
-            orbits,
-            orbit_members,
             rate_keys: self.plan.key_count(),
             factor_keys: self.factor_keys.clone(),
             reward_keys: self.reward_keys.count(),

@@ -46,11 +46,9 @@ use crate::scenario_model::scenario_system;
 use ids::voting::{
     p_false_negative_with_collusion, p_false_positive_with_collusion, CollusionModel,
 };
-use numerics::UnionFind;
 use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
 use spn::model::{Marking, PlaceId, RateFactor, Spn, SpnBuilder, TransitionDef};
 use spn::reach::MarkingCanonicalizer;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Place handles of the constructed net.
@@ -142,7 +140,8 @@ pub fn population(places: &Places, m: &Marking) -> Population {
     }
 }
 
-/// The C2 Byzantine condition `U/(T+U) > 1/3`, evaluated exactly.
+/// The C2 Byzantine condition `U/(T+U) > 1/3`, evaluated exactly. The
+/// SPN tests it on the population; both DES drivers test it per group.
 pub fn c2_holds(trusted: u32, undetected: u32) -> bool {
     2 * undetected > trusted
 }
@@ -807,43 +806,15 @@ pub fn build_clustered_model(cfg: &SystemConfig, topology: &ClusterTopology) -> 
     }
 }
 
-/// The member-permutation symmetry of a clustered model, as exploration
-/// orbits: clusters with identical structural signatures (same place-block
-/// shape and initial tokens — always all of them, since the net is built
-/// from one per-cluster config) are interchangeable.
-///
-/// Orbits are computed with a disjoint-set union over cluster signatures,
-/// so the construction stays correct if heterogeneous cluster families are
-/// ever added: only structurally identical clusters end up in one orbit.
+/// The member-permutation symmetry of a clustered model: one orbit whose
+/// members are every cluster's `[Tm, UCm, DCm, GF, NG]` block. The net is
+/// built from one per-cluster config, so the clusters are structurally
+/// identical and any permutation of them is a net automorphism.
 pub fn clustered_canonicalizer(model: &ClusteredModel) -> MarkingCanonicalizer {
-    let init = model.net.initial_marking();
-    let signature = |p: &Places| -> [u32; 5] {
-        [
-            init.tokens(p.tm),
-            init.tokens(p.ucm),
-            init.tokens(p.dcm),
-            init.tokens(p.gf),
-            init.tokens(p.ng),
-        ]
-    };
-    let mut uf = UnionFind::new(model.cluster_places.len());
-    let mut first_with: HashMap<[u32; 5], usize> = HashMap::new();
-    for (i, p) in model.cluster_places.iter().enumerate() {
-        match first_with.entry(signature(p)) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                uf.union(*e.get(), i);
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                e.insert(i);
-            }
-        }
-    }
-    let (labels, _) = uf.component_labels();
-    let mut orbits: Vec<Vec<Vec<PlaceId>>> = vec![Vec::new(); uf.component_count()];
-    for (i, p) in model.cluster_places.iter().enumerate() {
-        orbits[labels[i] as usize].push(vec![p.tm, p.ucm, p.dcm, p.gf, p.ng]);
-    }
-    MarkingCanonicalizer::new(orbits).expect("cluster blocks are disjoint by construction")
+    let members = (model.cluster_places.iter())
+        .map(|p| vec![p.tm, p.ucm, p.dcm, p.gf, p.ng])
+        .collect();
+    MarkingCanonicalizer::new(members).expect("cluster blocks are disjoint by construction")
 }
 
 #[cfg(test)]

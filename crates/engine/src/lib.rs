@@ -68,7 +68,5 @@ pub use report::{
 };
 pub use runner::{Runner, ScenarioGrid};
 pub use scenario::{AttackerStrategy, ResponsePolicy, ScenarioConfig};
-pub use service::{
-    serve, CacheBudget, CacheStats, FamilyKey, ServiceConfig, ServiceSummary, TemplateCache,
-};
+pub use service::{serve, CacheBudget, CacheStats, ServiceConfig, ServiceSummary, TemplateCache};
 pub use spec::{BackendKind, MobilityOptions, SamplingPlan, ScenarioSpec, StochasticOptions};

@@ -459,11 +459,10 @@ mod tests {
 
     #[test]
     fn clustered_spec_never_hits_a_flat_family_template() {
-        // Regression (satellite 2): the structural-family key includes the
-        // cluster topology, so a flat-family entry warmed first can never
-        // serve a clustered spec with the same (node_count, max_groups).
+        // Clustered specs bypass the cache before they are keyed, so a
+        // flat-family entry warmed first can never serve a clustered spec
+        // with the same (node_count, max_groups).
         use crate::report::CacheOutcome;
-        use crate::service::FamilyKey;
         let topo = gcsids::config::ClusterTopology {
             clusters: 3,
             failure_threshold: 2,
@@ -473,7 +472,6 @@ mod tests {
         flat.system.detection = flat.system.detection.with_interval(120.0);
         let mut clustered = flat.clone().with_clusters(topo);
         clustered.name = "small/clustered".into();
-        assert_ne!(FamilyKey::of(&flat), FamilyKey::of(&clustered));
 
         let runner = Runner::new();
         // warm the flat family

@@ -25,7 +25,7 @@
 //!    exits as soon as one scan finds the spool empty (batch mode).
 //!
 //! The cross-request unlock is [`TemplateCache`]: flat exact specs are
-//! keyed by structural family ([`FamilyKey`]) and their [`ExactTemplate`]
+//! keyed by structural family ([`TemplateKey`]) and their [`ExactTemplate`]
 //! (explored markings, CTMC sparsity pattern and rate plan; no graph) is
 //! memoized across submissions, so repeat-family requests skip
 //! exploration and pattern building entirely — the dominant per-family
@@ -38,14 +38,11 @@
 //! benchmark's pinned hit, miss and bypass counts, so it waits for a
 //! change to that benchmark.
 //!
-//! **Clustered keying.** [`FamilyKey`] includes the spec's
-//! [`ClusterTopology`], so a flat-family entry can never satisfy a
-//! clustered spec (and vice versa). Clustered exact specs are still
-//! *bypassed* rather than cached: their evaluation lumps or composes a
-//! different chain whose template shape ([`ExactTemplate`]) caches only
-//! a single-system state space, so there is nothing reusable to store yet.
-//! The bypass is sound — the key separation guarantees no stale flat hit
-//! — and recorded per-request in the `bypasses` counter.
+//! **Clustered bypass.** Clustered exact specs bypass the cache before
+//! they are keyed, so a flat-family entry never serves one: their
+//! evaluation lumps or composes a different chain, while an
+//! [`ExactTemplate`] caches only a single-system state space. The bypass
+//! is recorded per request in the `bypasses` counter.
 
 use crate::backend::RunBudget;
 use crate::error::EngineError;
@@ -53,8 +50,7 @@ use crate::json::Value;
 use crate::report::{CacheOutcome, TemplateCacheInfo};
 use crate::runner::Runner;
 use crate::spec::{BackendKind, ScenarioSpec};
-use gcsids::config::ClusterTopology;
-use gcsids::metrics::ExactTemplate;
+use gcsids::metrics::{ExactTemplate, TemplateKey};
 use spn::reach::ExploreOptions;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -64,35 +60,6 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex, PoisonError};
 use std::time::Duration;
-
-/// Structural family of a scenario spec — the unit of template reuse.
-///
-/// Two exact specs with equal keys share their reachability graph and
-/// CTMC sparsity pattern; only rates and rewards differ, which the
-/// template re-weights in place. The key deliberately includes the
-/// cluster topology (satellite-2 regression: a clustered spec must never
-/// be served from a flat-family entry, even though both share
-/// `node_count`/`max_groups`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct FamilyKey {
-    /// Nodes in the (sub)system.
-    pub node_count: u32,
-    /// Maximum concurrent groups.
-    pub max_groups: u32,
-    /// Clustered deployment topology, `None` for flat systems.
-    pub clustered: Option<ClusterTopology>,
-}
-
-impl FamilyKey {
-    /// The structural family of `spec`.
-    pub fn of(spec: &ScenarioSpec) -> Self {
-        Self {
-            node_count: spec.system.node_count,
-            max_groups: spec.system.max_groups,
-            clustered: spec.clustered,
-        }
-    }
-}
 
 /// Eviction budget of a [`TemplateCache`]: both limits hold at all times
 /// (except that a single template larger than `max_cached_states` is
@@ -155,7 +122,7 @@ struct CacheState {
     // and the summary report exposes the results — key order must not
     // depend on hasher state. Ties on `last_used` now evict the smallest
     // key instead of an arbitrary one.
-    entries: BTreeMap<FamilyKey, CacheEntry>,
+    entries: BTreeMap<TemplateKey, CacheEntry>,
     clock: u64,
     hits: u64,
     misses: u64,
@@ -173,7 +140,7 @@ impl CacheState {
 /// on a bypass) and how the cache classified the request.
 pub type CacheLookup = (Option<Arc<ExactTemplate>>, CacheOutcome);
 
-/// Cross-request memoization of [`ExactTemplate`]s by [`FamilyKey`] with
+/// Cross-request memoization of [`ExactTemplate`]s by [`TemplateKey`] with
 /// LRU eviction under a [`CacheBudget`] — the service's reason to exist:
 /// repeat-family submissions skip state-space exploration and CTMC
 /// pattern building.
@@ -269,7 +236,8 @@ impl TemplateCache {
             s.bypasses += 1;
             return Ok((None, CacheOutcome::Bypass));
         }
-        let key = FamilyKey::of(spec);
+        let scenario = spec.scenario_or_baseline();
+        let key = TemplateKey::of(&spec.system, &scenario);
         s.clock += 1;
         let now = s.clock;
         if let Some(entry) = s.entries.get_mut(&key) {
@@ -278,7 +246,6 @@ impl TemplateCache {
             s.hits += 1;
             return Ok((Some(template), CacheOutcome::Hit));
         }
-        let scenario = spec.scenario_or_baseline();
         let template = Arc::new(ExactTemplate::with_options(&spec.system, &scenario, opts)?);
         s.misses += 1;
         s.entries.insert(
@@ -559,6 +526,7 @@ pub fn serve(cfg: &ServiceConfig) -> Result<ServiceSummary, EngineError> {
 mod tests {
     use super::*;
     use crate::spec::SamplingPlan;
+    use gcsids::config::ClusterTopology;
 
     fn flat_spec(name: &str, node_count: u32) -> ScenarioSpec {
         let mut spec = ScenarioSpec::paper_default(BackendKind::Exact);
@@ -566,22 +534,6 @@ mod tests {
         spec.system.node_count = node_count;
         spec.system.vote_participants = 3;
         spec
-    }
-
-    #[test]
-    fn family_key_separates_clustered_from_flat() {
-        let flat = flat_spec("flat", 12);
-        let clustered = flat.clone().with_clusters(ClusterTopology {
-            clusters: 3,
-            failure_threshold: 2,
-        });
-        assert_ne!(FamilyKey::of(&flat), FamilyKey::of(&clustered));
-        // and different topologies are distinct families too
-        let other = flat.clone().with_clusters(ClusterTopology {
-            clusters: 3,
-            failure_threshold: 1,
-        });
-        assert_ne!(FamilyKey::of(&clustered), FamilyKey::of(&other));
     }
 
     #[test]

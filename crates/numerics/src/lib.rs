@@ -15,7 +15,6 @@
 //!   summation.
 //! * [`sparse`] — compressed sparse row matrices.
 //! * [`linsolve`] — Gauss–Seidel, a dense-LU fallback and power iteration.
-//! * [`unionfind`] — disjoint-set forest.
 //! * [`rng`] — SplitMix64 seed derivation for deterministic parallel streams.
 //! * [`replicate`] — the shared Monte-Carlo replication engine: a
 //!   [`Replicate`] task, streaming mergeable [`OutcomeSink`]s, and a
@@ -40,10 +39,8 @@ pub mod rng;
 pub mod sparse;
 pub mod special;
 pub mod stats;
-pub mod unionfind;
 
 pub use dist::{Binomial, Hypergeometric, Poisson};
 pub use replicate::{run_plan, Completed, OutcomeSink, Replicate, SamplingPlan};
 pub use sparse::Csr;
 pub use stats::{ConfidenceInterval, KahanSum, SurvivalAccumulator, Welford};
-pub use unionfind::UnionFind;

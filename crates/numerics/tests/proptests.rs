@@ -6,7 +6,6 @@ use numerics::linsolve::{dense_lu_solve, gauss_seidel, IterConfig};
 use numerics::sparse::Triplets;
 use numerics::special::{ln_binomial, ln_gamma, log_add_exp, norm_cdf, norm_quantile};
 use numerics::stats::{KahanSum, Welford};
-use numerics::UnionFind;
 use proptest::prelude::*;
 
 proptest! {
@@ -191,24 +190,6 @@ proptest! {
         for r in 0..n {
             let exact: f64 = (0..m).map(|c| dense[r][c] * x[c]).sum();
             prop_assert!((y[r] - exact).abs() < 1e-10);
-        }
-    }
-
-    #[test]
-    fn union_find_transitivity(n in 3usize..60, edges in proptest::collection::vec((0usize..60, 0usize..60), 0..120)) {
-        let mut uf = UnionFind::new(n);
-        for &(a, b) in &edges {
-            if a < n && b < n {
-                uf.union(a, b);
-            }
-        }
-        // labels partition the set consistently with connectivity
-        let (labels, sizes) = uf.component_labels();
-        prop_assert_eq!(sizes.iter().sum::<u32>() as usize, n);
-        for &(a, b) in &edges {
-            if a < n && b < n {
-                prop_assert_eq!(labels[a], labels[b]);
-            }
         }
     }
 }

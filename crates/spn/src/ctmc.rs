@@ -1102,7 +1102,7 @@ mod tests {
             b.add_transition(
                 TransitionDef::timed_const("in", 1.0)
                     .output(q, 1)
-                    .inhibitor(q, 3),
+                    .guard(move |m| m.tokens(q) < 3),
             );
             b.add_transition(TransitionDef::timed_const("out", 2.0).input(q, 1));
         });
@@ -1250,7 +1250,7 @@ mod tests {
             b.add_transition(
                 TransitionDef::timed_const("in", 1.0)
                     .output(q, 1)
-                    .inhibitor(q, 2),
+                    .guard(move |m| m.tokens(q) < 2),
             );
             b.add_transition(TransitionDef::timed_const("out", 2.0).input(q, 1));
         });

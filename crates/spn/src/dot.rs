@@ -28,61 +28,24 @@ pub fn net_to_dot(net: &Spn) -> String {
         )
         .unwrap();
     }
-    for (t, def) in net.transition_defs() {
-        for &(p, mult) in &def.0 {
-            let lbl = if mult > 1 {
-                format!(" [label=\"{mult}\"]")
-            } else {
-                String::new()
-            };
-            writeln!(s, "  p{} -> t{}{lbl};", p.index(), t.index()).unwrap();
+    let label = |mult: u32| {
+        if mult > 1 {
+            format!(" [label=\"{mult}\"]")
+        } else {
+            String::new()
         }
-        for &(p, mult) in &def.1 {
-            let lbl = if mult > 1 {
-                format!(" [label=\"{mult}\"]")
-            } else {
-                String::new()
-            };
-            writeln!(s, "  t{} -> p{}{lbl};", t.index(), p.index()).unwrap();
+    };
+    for t in net.transition_ids() {
+        let tr = net.transition_ref(t);
+        for &(p, mult) in &tr.inputs {
+            writeln!(s, "  p{} -> t{}{};", p.index(), t.index(), label(mult)).unwrap();
         }
-        for &(p, thresh) in &def.2 {
-            writeln!(
-                s,
-                "  p{} -> t{} [arrowhead=odot, label=\"{thresh}\"];",
-                p.index(),
-                t.index()
-            )
-            .unwrap();
+        for &(p, mult) in &tr.outputs {
+            writeln!(s, "  t{} -> p{}{};", t.index(), p.index(), label(mult)).unwrap();
         }
     }
     writeln!(s, "}}").unwrap();
     s
-}
-
-impl Spn {
-    /// Arc lists per transition `(inputs, outputs, inhibitors)` — used by
-    /// the DOT exporter.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn transition_defs(
-        &self,
-    ) -> Vec<(
-        crate::model::TransitionId,
-        (
-            Vec<(crate::model::PlaceId, u32)>,
-            Vec<(crate::model::PlaceId, u32)>,
-            Vec<(crate::model::PlaceId, u32)>,
-        ),
-    )> {
-        self.transition_ids()
-            .map(|t| {
-                let tr = self.transition_ref(t);
-                (
-                    t,
-                    (tr.inputs.clone(), tr.outputs.clone(), tr.inhibitors.clone()),
-                )
-            })
-            .collect()
-    }
 }
 
 #[cfg(test)]
@@ -97,8 +60,7 @@ mod tests {
         b.add_transition(
             TransitionDef::timed_const("mv", 1.0)
                 .input(a, 1)
-                .output(c, 1)
-                .inhibitor(c, 5),
+                .output(c, 1),
         );
         b.add_transition(
             TransitionDef::timed_const("snap", 2.0)
@@ -115,7 +77,8 @@ mod tests {
         assert!(d.contains("\"A\\n2\""));
         assert!(d.contains("mv"));
         assert!(d.contains("snap"));
-        assert!(d.contains("arrowhead=odot"));
+        assert!(d.contains("  p0 -> t0;"));
+        assert!(d.contains("  t1 -> p0 [label=\"2\"];"));
         assert!(d.ends_with("}\n"));
     }
 }

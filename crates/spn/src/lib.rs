@@ -1,12 +1,15 @@
 //! A stochastic Petri net (SPN) engine.
 //!
 //! This crate reimplements, from scratch, the modelling machinery the paper
-//! used (an SPNP-style tool): extended stochastic Petri nets with
-//! marking-dependent exponential rates, guards, inhibitor arcs and general
-//! marking-transform effects; reachability-graph generation; extraction of
-//! the underlying continuous-time Markov chain (CTMC); and the solvers
-//! needed by the evaluation. Every transition is timed, as in the paper's
-//! Figure-1 net, so every reachable marking is a CTMC state. The solvers:
+//! used (an SPNP-style tool), cut to what the paper's Figure-1 net needs:
+//! stochastic Petri nets with input and output arcs, guards and
+//! marking-dependent exponential rates; reachability-graph generation,
+//! optionally lumped over one orbit of interchangeable member blocks;
+//! extraction of the underlying continuous-time Markov chain (CTMC); and
+//! the solvers needed by the evaluation. Every transition is timed, so
+//! every reachable marking is a CTMC state. A firing moves exactly its
+//! arcs' tokens; a capacity cap is a guard such as `m.tokens(q) < cap`.
+//! The solvers:
 //!
 //! * **mean time to absorption** (the paper's MTTSF) via the sparse linear
 //!   system over expected sojourn times,

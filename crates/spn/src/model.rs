@@ -1,18 +1,15 @@
-//! Net structure: places, markings, transitions, arcs, guards and effects.
+//! Net structure: places, markings, transitions, arcs and guards.
 //!
-//! The transition vocabulary follows extended SPNs à la SPNP:
+//! The transition vocabulary is the one the paper's Figure-1 net uses:
 //!
 //! * every transition is **timed**: it fires after an exponentially
 //!   distributed delay whose rate may depend on the whole marking
 //!   (`Fn(&Marking) -> f64`), optionally as an ordered product of keyed
 //!   factors ([`TransitionDef::timed_product`]);
-//! * arcs carry multiplicities; **inhibitor** arcs disable a transition when
-//!   a place holds at least the arc's multiplicity;
-//! * optional **guards** (enabling functions) veto firing;
-//! * optional **effects** apply an arbitrary marking transformation after
-//!   the arc arithmetic — this is what lets the GCS model implement
-//!   "adjust member counts on group partition" style updates that plain
-//!   arcs cannot express.
+//! * input and output arcs carry multiplicities, and firing moves exactly
+//!   the arcs' tokens;
+//! * optional **guards** (enabling functions) veto firing — a capacity cap
+//!   is a guard such as `m.tokens(q) < cap`.
 
 use crate::error::SpnError;
 use crate::reach::MAX_RATE_KEY_PLACES;
@@ -57,7 +54,7 @@ impl Marking {
     }
 
     /// Set the token count of `place`.
-    // detlint::allow(U001): marking setup of the model, structural and gcsids model tests
+    // detlint::allow(U001): marking setup of the spn and gcsids model tests
     pub fn set_tokens(&mut self, place: PlaceId, tokens: u32) {
         self.0[place.0 as usize] = tokens;
     }
@@ -105,8 +102,6 @@ impl fmt::Debug for Marking {
 pub type MarkingFn = Arc<dyn Fn(&Marking) -> f64 + Send + Sync>;
 /// Marking predicate (guards, absorbing condition).
 pub type GuardFn = Arc<dyn Fn(&Marking) -> bool + Send + Sync>;
-/// In-place marking transformation applied after arc arithmetic.
-pub type EffectFn = Arc<dyn Fn(&mut Marking) + Send + Sync>;
 /// A derived rate key: the few words a rate factor depends on.
 type KeyFn = Arc<dyn Fn(&Marking) -> [u32; MAX_RATE_KEY_PLACES] + Send + Sync>;
 
@@ -170,9 +165,7 @@ pub struct TransitionDef {
     pub(crate) rate: MarkingFn,
     pub(crate) inputs: Vec<(PlaceId, u32)>,
     pub(crate) outputs: Vec<(PlaceId, u32)>,
-    pub(crate) inhibitors: Vec<(PlaceId, u32)>,
     pub(crate) guard: Option<GuardFn>,
-    pub(crate) effect: Option<EffectFn>,
     pub(crate) reads: Option<Vec<PlaceId>>,
     /// The keyed factors whose ordered product is the rate: the declared
     /// ones of a [`TransitionDef::timed_product`]; in a built net, the
@@ -191,9 +184,7 @@ impl TransitionDef {
             rate: Arc::new(rate),
             inputs: Vec::new(),
             outputs: Vec::new(),
-            inhibitors: Vec::new(),
             guard: None,
-            effect: None,
             reads: None,
             factors: Vec::new(),
         }
@@ -245,22 +236,9 @@ impl TransitionDef {
         self
     }
 
-    /// Add an inhibitor arc: the transition is disabled while `place` holds
-    /// at least `threshold` tokens.
-    pub fn inhibitor(mut self, place: PlaceId, threshold: u32) -> Self {
-        self.inhibitors.push((place, threshold));
-        self
-    }
-
     /// Attach an enabling guard.
     pub fn guard(mut self, g: impl Fn(&Marking) -> bool + Send + Sync + 'static) -> Self {
         self.guard = Some(Arc::new(g));
-        self
-    }
-
-    /// Attach a post-firing marking transformation.
-    pub fn effect(mut self, e: impl Fn(&mut Marking) + Send + Sync + 'static) -> Self {
-        self.effect = Some(Arc::new(e));
         self
     }
 
@@ -355,14 +333,6 @@ impl SpnBuilder {
                     )));
                 }
             }
-            for &(p, _) in &t.inhibitors {
-                if p.0 >= np {
-                    return Err(SpnError::InvalidModel(format!(
-                        "transition {} inhibitor references unknown place {:?}",
-                        t.name, p
-                    )));
-                }
-            }
             if t.reads.is_some() && !t.factors.is_empty() {
                 return Err(SpnError::InvalidModel(format!(
                     "transition {} declares both a rate key and rate factors; \
@@ -446,11 +416,6 @@ impl Spn {
         &self.transitions[t.0 as usize]
     }
 
-    /// True when `t` carries a custom marking-transform effect.
-    pub fn has_effect(&self, t: TransitionId) -> bool {
-        self.transitions[t.0 as usize].effect.is_some()
-    }
-
     /// Look up a place id by name.
     // detlint::allow(U001): place lookup of the model and sim tests and spn proptests.rs
     pub fn place_by_name(&self, name: &str) -> Option<PlaceId> {
@@ -489,11 +454,6 @@ impl Spn {
         let tr = &self.transitions[t.0 as usize];
         for &(p, mult) in &tr.inputs {
             if m.tokens(p) < mult {
-                return false;
-            }
-        }
-        for &(p, thresh) in &tr.inhibitors {
-            if m.tokens(p) >= thresh {
                 return false;
             }
         }
@@ -549,9 +509,6 @@ impl Spn {
         }
         for &(p, mult) in &tr.outputs {
             m.add_tokens(p, mult);
-        }
-        if let Some(e) = &tr.effect {
-            e(m);
         }
     }
 
@@ -729,24 +686,6 @@ mod tests {
     }
 
     #[test]
-    fn inhibitor_arc_disables() {
-        let mut b = SpnBuilder::new();
-        let a = b.add_place("A", 1);
-        let block = b.add_place("Block", 1);
-        b.add_transition(
-            TransitionDef::timed_const("t", 1.0)
-                .input(a, 1)
-                .inhibitor(block, 1),
-        );
-        let net = b.build().unwrap();
-        let t = net.transition_by_name("t").unwrap();
-        let mut m = net.initial_marking();
-        assert!(!net.is_enabled(t, &m));
-        m.set_tokens(block, 0);
-        assert!(net.is_enabled(t, &m));
-    }
-
-    #[test]
     fn guard_vetoes() {
         let mut b = SpnBuilder::new();
         let a = b.add_place("A", 5);
@@ -761,24 +700,6 @@ mod tests {
         assert!(net.is_enabled(t, &m));
         m.set_tokens(a, 3);
         assert!(!net.is_enabled(t, &m));
-    }
-
-    #[test]
-    fn effect_transforms_marking() {
-        let mut b = SpnBuilder::new();
-        let a = b.add_place("A", 8);
-        let g = b.add_place("G", 1);
-        // partition: doubles groups, halves A
-        b.add_transition(TransitionDef::timed_const("split", 1.0).effect(move |m| {
-            let cur = m.tokens(a);
-            m.set_tokens(a, cur / 2);
-            m.add_tokens(g, 1);
-        }));
-        let net = b.build().unwrap();
-        let t = net.transition_by_name("split").unwrap();
-        let m2 = net.fire(t, &net.initial_marking());
-        assert_eq!(m2.tokens(a), 4);
-        assert_eq!(m2.tokens(g), 2);
     }
 
     #[test]

@@ -21,95 +21,77 @@ use std::hash::{BuildHasherDefault, Hasher};
 /// representative of its orbit under permutations of indistinguishable
 /// *member blocks*.
 ///
-/// An orbit is a set of members that may be freely exchanged; each member is
-/// an ordered list of places (the member's private sub-marking), and every
-/// member of one orbit has the same block shape. Canonicalization sorts the
-/// member token-tuples of each orbit lexicographically, so two markings that
-/// differ only by a permutation of members inside an orbit map to the same
-/// representative.
+/// The members of the one orbit may be freely exchanged; each member is an
+/// ordered list of places (the member's private sub-marking), and every
+/// member has the same block shape. Canonicalization sorts the member
+/// token-tuples lexicographically, so two markings that differ only by a
+/// permutation of members map to the same representative.
 ///
 /// Exploring with a canonicalizer (see [`ExploreOptions::lumping`]) builds
 /// the reachability graph directly over the lumped quotient chain. This is
 /// **exact** (strong lumpability) precisely when the permutations are net
 /// automorphisms: every rate, guard, and arc must be symmetric under
-/// exchanging two members of an orbit. The canonicalizer cannot check that —
-/// the model builder supplying the orbits is responsible for it.
+/// exchanging two members. The canonicalizer cannot check that — the model
+/// builder supplying the members is responsible for it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MarkingCanonicalizer {
-    /// orbit → member → place indices (all members of an orbit share a
-    /// length).
-    orbits: Vec<Vec<Vec<u32>>>,
+    /// member → place indices (all members share a length).
+    members: Vec<Vec<u32>>,
 }
 
 impl MarkingCanonicalizer {
-    /// Build a canonicalizer from orbits of interchangeable member blocks.
+    /// Build a canonicalizer from the interchangeable member blocks of one
+    /// orbit.
     ///
     /// # Errors
-    /// [`SpnError::InvalidModel`] when an orbit has members of differing
-    /// lengths, an empty member, or a place occurs in more than one member
-    /// (sorting would then be ill-defined).
-    pub fn new(orbits: Vec<Vec<Vec<PlaceId>>>) -> Result<Self, SpnError> {
+    /// [`SpnError::InvalidModel`] when members differ in length, a member
+    /// is empty, or a place occurs in more than one member (sorting would
+    /// then be ill-defined).
+    pub fn new(members: Vec<Vec<PlaceId>>) -> Result<Self, SpnError> {
+        let len = members.first().map_or(0, Vec::len);
+        if len == 0 && !members.is_empty() {
+            return Err(SpnError::InvalidModel(
+                "lumping orbit has an empty member block".into(),
+            ));
+        }
         let mut seen: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        let mut compiled = Vec::with_capacity(orbits.len());
-        for orbit in &orbits {
-            let len = orbit.first().map_or(0, Vec::len);
-            if len == 0 && !orbit.is_empty() {
+        let mut compiled = Vec::with_capacity(members.len());
+        for member in &members {
+            if member.len() != len {
                 return Err(SpnError::InvalidModel(
-                    "lumping orbit has an empty member block".into(),
+                    "lumping orbit members must share one block shape".into(),
                 ));
             }
-            let mut members = Vec::with_capacity(orbit.len());
-            for member in orbit {
-                if member.len() != len {
-                    return Err(SpnError::InvalidModel(
-                        "lumping orbit members must share one block shape".into(),
-                    ));
+            let mut block = Vec::with_capacity(len);
+            for p in member {
+                let idx = p.index() as u32;
+                if !seen.insert(idx) {
+                    return Err(SpnError::InvalidModel(format!(
+                        "place {idx} appears in more than one lumping member"
+                    )));
                 }
-                let mut block = Vec::with_capacity(len);
-                for p in member {
-                    let idx = p.index() as u32;
-                    if !seen.insert(idx) {
-                        return Err(SpnError::InvalidModel(format!(
-                            "place {idx} appears in more than one lumping member"
-                        )));
-                    }
-                    block.push(idx);
-                }
-                members.push(block);
+                block.push(idx);
             }
-            compiled.push(members);
+            compiled.push(block);
         }
-        Ok(Self { orbits: compiled })
+        Ok(Self { members: compiled })
     }
 
-    /// Number of orbits (including degenerate single-member ones).
-    pub fn orbit_count(&self) -> usize {
-        self.orbits.len()
-    }
-
-    /// Total member blocks across all orbits.
-    pub fn member_count(&self) -> usize {
-        self.orbits.iter().map(Vec::len).sum()
-    }
-
-    /// Canonical representative of `m`'s symmetry orbit: member token-tuples
-    /// sorted lexicographically within each orbit, all other places
-    /// untouched. Idempotent.
+    /// Canonical representative of `m`'s symmetry orbit: member
+    /// token-tuples sorted lexicographically, all other places untouched.
+    /// Idempotent.
     pub fn canonicalize(&self, m: &Marking) -> Marking {
+        if self.members.len() < 2 {
+            return m.clone();
+        }
         let mut tokens: Vec<u32> = m.as_slice().to_vec();
-        for orbit in &self.orbits {
-            if orbit.len() < 2 {
-                continue;
-            }
-            let mut tuples: Vec<Vec<u32>> = orbit
-                .iter()
-                .map(|block| block.iter().map(|&p| tokens[p as usize]).collect())
-                .collect();
-            tuples.sort_unstable();
-            for (block, tuple) in orbit.iter().zip(&tuples) {
-                for (&p, &v) in block.iter().zip(tuple) {
-                    tokens[p as usize] = v;
-                }
+        let mut tuples: Vec<Vec<u32>> = (self.members.iter())
+            .map(|block| block.iter().map(|&p| tokens[p as usize]).collect())
+            .collect();
+        tuples.sort_unstable();
+        for (block, tuple) in self.members.iter().zip(&tuples) {
+            for (&p, &v) in block.iter().zip(tuple) {
+                tokens[p as usize] = v;
             }
         }
         Marking::new(tokens)
@@ -123,7 +105,7 @@ pub struct ExploreOptions {
     pub max_states: usize,
     /// When set, [`explore`] interns only canonical representatives, building
     /// the graph over the lumped quotient chain. Exactness requires the
-    /// orbit permutations to be net automorphisms; see
+    /// member permutations to be net automorphisms; see
     /// [`MarkingCanonicalizer`].
     pub lumping: Option<MarkingCanonicalizer>,
 }
@@ -863,14 +845,14 @@ mod tests {
 
     #[test]
     fn birth_death_is_finite_with_inhibitor() {
-        // M/M/1/K queue: arrivals inhibited at K
+        // M/M/1/K queue: a guard stops arrivals at K
         let mut b = SpnBuilder::new();
         let q = b.add_place("q", 0);
         let k = 5;
         b.add_transition(
             TransitionDef::timed_const("arrive", 2.0)
                 .output(q, 1)
-                .inhibitor(q, k),
+                .guard(move |m| m.tokens(q) < k),
         );
         b.add_transition(TransitionDef::timed_const("serve", 3.0).input(q, 1));
         let net = b.build().unwrap();
@@ -881,8 +863,8 @@ mod tests {
 
     #[test]
     fn self_loop_rates_recorded_not_edged() {
-        // cost-only transition: fires but leaves the marking unchanged via
-        // an effect that cancels the arc arithmetic.
+        // cost-only transition: fires but leaves the marking unchanged
+        // (it has no arcs).
         let mut b = SpnBuilder::new();
         let a = b.add_place("a", 1);
         b.add_transition(TransitionDef::timed_const("noop", 7.0)); // no arcs at all
@@ -1277,13 +1259,11 @@ mod tests {
     #[test]
     fn canonicalizer_sorts_member_tuples_and_is_idempotent() {
         let (_, blocks) = parallel_death_chains(3, 4);
-        let c = MarkingCanonicalizer::new(vec![blocks]).unwrap();
+        let c = MarkingCanonicalizer::new(blocks).unwrap();
         let m = Marking::new(vec![4, 0, 2]);
         let canon = c.canonicalize(&m);
         assert_eq!(canon.as_slice(), &[0, 2, 4]);
         assert_eq!(c.canonicalize(&canon), canon);
-        assert_eq!(c.orbit_count(), 1);
-        assert_eq!(c.member_count(), 3);
     }
 
     #[test]
@@ -1295,11 +1275,11 @@ mod tests {
         b.add_transition(TransitionDef::timed_const("t", 1.0).input(p, 1));
         let _ = b.build().unwrap();
         assert!(matches!(
-            MarkingCanonicalizer::new(vec![vec![vec![p, q], vec![r]]]),
+            MarkingCanonicalizer::new(vec![vec![p, q], vec![r]]),
             Err(SpnError::InvalidModel(_))
         ));
         assert!(matches!(
-            MarkingCanonicalizer::new(vec![vec![vec![p], vec![q]], vec![vec![q], vec![r]]]),
+            MarkingCanonicalizer::new(vec![vec![p, q], vec![q, r]]),
             Err(SpnError::InvalidModel(_))
         ));
     }
@@ -1312,7 +1292,7 @@ mod tests {
         let (net, blocks) = parallel_death_chains(2, 3);
         let unlumped = explore(&net, &ExploreOptions::default()).unwrap();
         let opts = ExploreOptions {
-            lumping: Some(MarkingCanonicalizer::new(vec![blocks]).unwrap()),
+            lumping: Some(MarkingCanonicalizer::new(blocks).unwrap()),
             ..Default::default()
         };
         let lumped = explore(&net, &opts).unwrap();
@@ -1340,7 +1320,7 @@ mod tests {
         // Rate-only changes re-weight on the lumped quotient exactly as on
         // the full graph: representatives see the same rate functions.
         let (net, blocks) = parallel_death_chains(2, 3);
-        let canon = MarkingCanonicalizer::new(vec![blocks]).unwrap();
+        let canon = MarkingCanonicalizer::new(blocks).unwrap();
         let opts = ExploreOptions {
             lumping: Some(canon),
             ..Default::default()
@@ -1383,9 +1363,8 @@ mod tests {
     fn trivial_canonicalizer_changes_nothing() {
         let (net, blocks) = parallel_death_chains(2, 2);
         let plain = explore(&net, &ExploreOptions::default()).unwrap();
-        // one orbit per chain — no two members interchangeable
-        let orbits: Vec<Vec<Vec<PlaceId>>> = blocks.into_iter().map(|blk| vec![blk]).collect();
-        let canon = MarkingCanonicalizer::new(orbits).unwrap();
+        // a one-member orbit: nothing to interchange
+        let canon = MarkingCanonicalizer::new(vec![blocks[0].clone()]).unwrap();
         let opts = ExploreOptions {
             lumping: Some(canon),
             ..Default::default()

@@ -10,27 +10,11 @@
 //! sample but this module proves.
 //!
 //! Invariants are computed with the classical Farkas algorithm on the
-//! integer incidence matrix. Transitions carrying a custom [`effect`]
-//! transform token counts outside the arc algebra, so their columns cannot
-//! be trusted structurally; they are reported in
-//! [`StructuralReport::opaque_transitions`] and every invariant returned is
-//! additionally *checked against the effect-bearing transitions* by probing
-//! (invariants that an effect could break are dropped unless the caller
-//! opts out).
-//!
-//! [`effect`]: crate::model::TransitionDef::effect
+//! integer incidence matrix. A firing moves exactly its arcs' tokens, so
+//! the incidence matrix is the whole of the net's token algebra and every
+//! invariant found is exact.
 
-use crate::model::{Spn, TransitionId};
-
-/// Integer incidence matrix `C[p][t] = outputs(p,t) − inputs(p,t)`.
-#[derive(Debug, Clone)]
-pub struct Incidence {
-    /// Row-major `places × transitions`.
-    pub matrix: Vec<Vec<i64>>,
-    /// Transitions whose firing applies a custom effect (column not
-    /// structurally trustworthy).
-    pub opaque_transitions: Vec<TransitionId>,
-}
+use crate::model::Spn;
 
 /// Result of invariant computation.
 #[derive(Debug, Clone)]
@@ -39,14 +23,11 @@ pub struct StructuralReport {
     pub p_invariants: Vec<Vec<i64>>,
     /// Minimal-support semi-positive T-invariants (transition weights).
     pub t_invariants: Vec<Vec<i64>>,
-    /// Transitions with custom effects (excluded from structural claims).
-    pub opaque_transitions: Vec<TransitionId>,
 }
 
 impl StructuralReport {
     /// True when every place has positive weight in some P-invariant —
-    /// a sufficient condition for structural boundedness (of the
-    /// effect-free part of the net).
+    /// a sufficient condition for structural boundedness.
     // detlint::allow(U001): boundedness observer of structural::tests and substrate_integration::structural_analysis_proves_node_conservation
     pub fn covers_all_places(&self) -> bool {
         if self.p_invariants.is_empty() {
@@ -67,27 +48,22 @@ impl StructuralReport {
     }
 }
 
-/// Build the incidence matrix of a net.
-pub fn incidence(net: &Spn) -> Incidence {
+/// Integer incidence matrix `C[p][t] = outputs(p,t) − inputs(p,t)`,
+/// row-major `places × transitions`.
+fn incidence(net: &Spn) -> Vec<Vec<i64>> {
     let places = net.place_count();
     let transitions = net.transition_count();
     let mut matrix = vec![vec![0i64; transitions]; places];
-    let mut opaque = Vec::new();
-    for (t, (inputs, outputs, _)) in net.transition_defs() {
-        for &(p, mult) in &inputs {
+    for t in net.transition_ids() {
+        let tr = net.transition_ref(t);
+        for &(p, mult) in &tr.inputs {
             matrix[p.index()][t.index()] -= mult as i64;
         }
-        for &(p, mult) in &outputs {
+        for &(p, mult) in &tr.outputs {
             matrix[p.index()][t.index()] += mult as i64;
         }
-        if net.has_effect(t) {
-            opaque.push(t);
-        }
     }
-    Incidence {
-        matrix,
-        opaque_transitions: opaque,
-    }
+    matrix
 }
 
 /// Farkas algorithm: minimal-support semi-positive solutions of
@@ -214,80 +190,24 @@ fn prune_non_minimal(rows: Vec<(Vec<i64>, Vec<i64>)>) -> Vec<(Vec<i64>, Vec<i64>
 }
 
 /// Compute P- and T-invariants of the net's arc structure.
-///
-/// Transitions with custom effects make arc-based claims unsound for the
-/// places they touch; the returned report lists them, and P-invariants that
-/// weight **any** place written by an effect are discarded (conservative).
 pub fn analyze(net: &Spn) -> StructuralReport {
     let inc = incidence(net);
     // P-invariants: y over places with yᵀC = 0 → farkas on rows = places.
-    let p_raw = farkas(&inc.matrix);
+    let p_invariants = farkas(&inc);
     // Transpose for T-invariants: x over transitions with C·x = 0.
     let places = net.place_count();
     let transitions = net.transition_count();
     let mut transposed = vec![vec![0i64; places]; transitions];
-    for (p, row) in inc.matrix.iter().enumerate().take(places) {
+    for (p, row) in inc.iter().enumerate().take(places) {
         for (t, entry) in transposed.iter_mut().enumerate().take(transitions) {
             entry[p] = row[t];
         }
     }
     let t_invariants = farkas(&transposed);
-
-    // Conservative filtering of P-invariants under effects: an effect can
-    // rewrite any place, so if the net has opaque transitions we keep only
-    // invariants verified by probing those effects on sampled markings.
-    let p_invariants = if inc.opaque_transitions.is_empty() {
-        p_raw
-    } else {
-        p_raw
-            .into_iter()
-            .filter(|inv| effect_preserves_invariant(net, &inc.opaque_transitions, inv))
-            .collect()
-    };
-
     StructuralReport {
         p_invariants,
         t_invariants,
-        opaque_transitions: inc.opaque_transitions,
     }
-}
-
-/// Probe effect-bearing transitions on a sample of markings reachable in a
-/// few steps from the initial marking; returns false if any firing changes
-/// the weighted sum.
-fn effect_preserves_invariant(net: &Spn, opaque: &[TransitionId], inv: &[i64]) -> bool {
-    let weighted = |m: &crate::model::Marking| -> i64 {
-        inv.iter()
-            .enumerate()
-            .map(|(p, &w)| w * m.as_slice()[p] as i64)
-            .sum()
-    };
-    // bounded BFS probe
-    let mut frontier = vec![net.initial_marking()];
-    let mut seen = std::collections::HashSet::new();
-    seen.insert(net.initial_marking());
-    for _ in 0..4 {
-        let mut next = Vec::new();
-        for m in &frontier {
-            for t in net.transition_ids() {
-                if !net.is_enabled(t, m) {
-                    continue;
-                }
-                let fired = net.fire(t, m);
-                if opaque.contains(&t) && weighted(&fired) != weighted(m) {
-                    return false;
-                }
-                if seen.insert(fired.clone()) {
-                    next.push(fired);
-                }
-            }
-        }
-        frontier = next;
-        if frontier.is_empty() {
-            break;
-        }
-    }
-    true
 }
 
 #[cfg(test)]
@@ -386,28 +306,6 @@ mod tests {
         assert!(report.p_invariants.contains(&vec![1, 1, 0, 0]));
         assert!(report.p_invariants.contains(&vec![0, 0, 1, 1]));
         assert!(report.covers_all_places());
-    }
-
-    #[test]
-    fn effect_bearing_transition_reported_and_checked() {
-        let mut b = SpnBuilder::new();
-        let a = b.add_place("a", 4);
-        let c = b.add_place("c", 0);
-        b.add_transition(
-            TransitionDef::timed_const("ac", 1.0)
-                .input(a, 1)
-                .output(c, 1),
-        );
-        // effect that destroys tokens: breaks the a + c invariant
-        b.add_transition(TransitionDef::timed_const("halve", 1.0).effect(move |m| {
-            let cur = m.tokens(a);
-            m.set_tokens(a, cur / 2);
-        }));
-        let net = b.build().unwrap();
-        let report = analyze(&net);
-        assert_eq!(report.opaque_transitions.len(), 1);
-        // the would-be invariant a + c must be rejected by probing
-        assert!(report.p_invariants.is_empty());
     }
 
     #[test]

@@ -62,7 +62,7 @@ fn empty_reachability_graph_rejected_by_ctmc() {
     b.add_transition(
         TransitionDef::timed_const("in", 1.0)
             .output(q, 1)
-            .inhibitor(q, 2),
+            .guard(move |m| m.tokens(q) < 2),
     );
     b.add_transition(TransitionDef::timed_const("out", 2.0).input(q, 1));
     let net = b.build().unwrap();

@@ -18,7 +18,7 @@ fn main() {
     b.add_transition(
         TransitionDef::timed_const("arrive", lambda)
             .output(q, 1)
-            .inhibitor(q, cap),
+            .guard(move |m| m.tokens(q) < cap),
     );
     b.add_transition(
         TransitionDef::timed("serve", move |m| mu * m.tokens(q).min(servers) as f64).input(q, 1),

@@ -215,3 +215,17 @@ fn figure_csvs_match_the_committed_goldens() {
         assert!(table.csv() == golden, "{name} differs:\n{}", table.csv());
     }
 }
+
+/// Figure 1: the paper net's DOT export, which `--bin fig1` writes, byte
+/// for byte against `tests/fixtures/figures/`, and its one P-invariant
+/// `Tm + UCm + DCm` (nodes are never created or destroyed).
+#[test]
+fn figure1_dot_and_invariant_match_the_committed_golden() {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/figures");
+    let net = gcsids::model::build_model(&paper()).net;
+    let dot = spn::dot::net_to_dot(&net);
+    let golden = std::fs::read_to_string(dir.join("fig1_spn_model.dot")).unwrap();
+    assert!(dot == golden, "fig1_spn_model.dot differs:\n{dot}");
+    let report = spn::structural::analyze(&net);
+    assert_eq!(report.p_invariants, vec![vec![1, 1, 1, 0, 0]]);
+}

@@ -55,7 +55,7 @@ fn exact_counts(n: u32) -> (usize, usize, TransientStats, TemplateStats) {
 }
 
 /// The counters of a freshly built template: one exploration and one
-/// pattern build, no lumping, the distinct keys of each rate factor (their
+/// pattern build, the distinct keys of each rate factor (their
 /// sum bounds one point's rate evaluations) and the distinct reward keys.
 fn template_stats(
     rate_keys: usize,
@@ -65,8 +65,6 @@ fn template_stats(
     TemplateStats {
         explorations: 1,
         pattern_builds: 1,
-        orbits: 0,
-        orbit_members: 0,
         rate_keys,
         factor_keys: (factor_keys.iter())
             .map(|(name, keys)| (name.to_string(), keys.to_vec()))
